@@ -72,12 +72,17 @@ class GenerationOptions:
             sends every fault straight to APTPG and vice versa.
         unique_backward: apply unique backward implications (see
             :class:`repro.core.state.TpgState`).
-        sim_backend: word backend of the PPSFP drop simulator
-            (``"auto"``, ``"int"``, ``"numpy"`` or ``"native"`` — the
-            compiled-C backend, which falls back to numpy with a
-            one-time warning when no C toolchain is present; see
-            :class:`repro.sim.delay_sim.DelayFaultSimulator`).  Never
-            outcome-relevant: every backend is bit-identical.
+        sim_backend: word backend of the PPSFP drop simulator.
+            ``"auto"`` (the default, with ``fusion="auto"``) runs the
+            compiled-C native module at every width whenever it loads
+            (disk-cached, built once per machine) and otherwise — no
+            cached module and no C toolchain, or an explicit
+            ``fusion`` strategy — Python-int words up to 64 lanes and
+            numpy beyond; ``"int"``/``"numpy"`` pin a Python backend;
+            ``"native"`` insists on compiled C and falls back to numpy
+            with a one-time warning (see
+            :func:`repro.kernel.backend_for`).  Never outcome-relevant:
+            every backend is bit-identical.
         fusion: plan execution strategy of every hot simulation loop —
             ``"interp"`` (per-gate interpreter, the oracle),
             ``"vector"`` (level-vectorized numpy groups), ``"codegen"``

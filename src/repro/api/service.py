@@ -940,15 +940,31 @@ def run_server(
 ) -> None:  # pragma: no cover - blocking loop; exercised via make_server
     """Serve forever (the ``tip serve`` entry point).
 
+    Before announcing its address it loads the native module (building
+    it on a cold cache); right after the ``listening on`` line it prints
+    the seconds that took and the resolved kernel tier (``native/c``,
+    or ``int/codegen`` without the module).
     SIGTERM and SIGINT trigger a graceful drain: the HTTP loop stops
     accepting, running campaign jobs flush their checkpoints and park
     as ``interrupted``, queued jobs persist — a restart over the same
     ``--jobs-dir`` resumes them.
     """
+    from ..kernel import backend_for, native_unavailable_reason
+
     server = make_server(host, port, service, quiet=quiet, config=config)
     service = server.service  # type: ignore[attr-defined]
     bound_host, bound_port = server.server_address[:2]
+    # load (or, on a cold cache, build) the native module now, so the
+    # first request never pays for it
+    started = time.perf_counter()
+    tier = backend_for(1).tier
+    seconds = time.perf_counter() - started
+    reason = native_unavailable_reason()
     print(f"tip serve: listening on http://{bound_host}:{bound_port}/v1/")
+    print(
+        f"tip serve: kernel {tier}, ready in {seconds:.3f} s"
+        + (f" ({reason})" if reason else "")
+    )
     print(
         "endpoints: GET /v1/health|healthz|metrics|schemas|jobs|jobs/<id>, "
         "POST /v1/" + "|".join(sorted(_REQUEST_TYPES))

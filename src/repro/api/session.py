@@ -145,8 +145,10 @@ class AtpgSession:
     ) -> List[int]:
         """Detection masks behind the runtime degradation chain.
 
-        Tier 0 runs the requested backend/fusion pair (``"auto"``
-        resolves to native where compiled); a kernel *fault* —
+        Tier 0 runs the requested backend/fusion pair — with the
+        defaults (``"auto"``/``"auto"``) that is the compiled-C native
+        module whenever it loads, and otherwise Python-int codegen up
+        to 64 patterns and numpy ``vector`` beyond; a kernel *fault* —
         anything but the ``ValueError``/``TypeError`` input rejections,
         which no backend change can fix — demotes the session one tier
         and retries the same call: first to the numpy backend, then to
@@ -346,10 +348,10 @@ class AtpgSession:
         ``faults[i]`` under the session circuit and *test_class*.  The
         simulator for each (class, backend, fusion) triple is built
         once per session and reused across calls.  *backend* accepts
-        ``"auto"``/``"int"``/``"numpy"``/``"native"`` — the compiled-C
-        word backend falls back to numpy (with a one-time warning)
-        when no C toolchain is available; every backend is
-        bit-identical.
+        ``"auto"``/``"int"``/``"numpy"``/``"native"`` — ``auto`` runs
+        the compiled-C native module whenever it loads, an explicit
+        ``native`` falls back to numpy (with a one-time warning)
+        without it; every backend is bit-identical.
 
         Runs behind the session circuit breaker
         (:meth:`resilient_masks`): a kernel fault demotes the session

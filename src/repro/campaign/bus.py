@@ -14,7 +14,7 @@ set:
 
 * **admission dropping** — a fault newly pulled from the streamed
   universe is first checked against the whole retained pattern set
-  (one bulk PPSFP pass on the numpy backend); faults already covered
+  (one bulk PPSFP pass); faults already covered
   never enter the pending window.  This is equivalent to having kept
   the fault pending through every earlier round (the union of the
   per-round checks), which is what makes the bounded window
@@ -29,9 +29,9 @@ set:
 One :class:`repro.sim.delay_sim.DelayFaultSimulator` instance is
 reused for every admission check and drop round — the compiled kernel
 and backend selection are paid once per campaign.  The ``backend``
-knob passes straight through to the simulator, so a campaign run with
-``sim_backend="native"`` does all its admission and drop PPSFP inside
-the circuit's compiled-C module (building it once up front).
+knob passes straight through to the simulator; under the default
+``"auto"`` every admission and drop pass runs inside the compiled-C
+native module whenever it loads.
 """
 
 from __future__ import annotations

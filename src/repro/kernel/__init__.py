@@ -10,18 +10,18 @@ The layers (see ARCHITECTURE.md):
   many two-vector tests as numpy ``uint64`` lane-plane arrays.
 * :mod:`repro.kernel.backends` — the pluggable word backends:
   :class:`IntWordBackend` (Python-int words, the TPG state machine's
-  representation) and :class:`NumpyWordBackend` (multi-word uint64
-  bulk simulation).
+  representation), :class:`NumpyWordBackend` (multi-word uint64 bulk
+  simulation) and :func:`backend_for`, which picks native by default.
 * :mod:`repro.kernel.fusion` — the fused level-major group plan and
   its vectorized numpy executors (the ``"vector"`` strategy).
 * :mod:`repro.kernel.codegen` — straight-line compiled plan bodies
   and the per-gate forward tables the TPG implication engine uses
-  (the ``"codegen"`` strategy), plus the C renderers the native
-  backend compiles.
+  (the ``"codegen"`` strategy), plus the C text of the native
+  module.
 * :mod:`repro.kernel.native` — :class:`NativeWordBackend`, the plan
-  executed as compiled C over uint64 lane slabs (cffi-built at
-  session time, cached by structural hash; degrades to numpy with a
-  one-time warning when no C toolchain is present).
+  executed as compiled C over uint64 lane slabs (one circuit-generic
+  cffi module per machine, loaded from a disk cache; without it the
+  Python backends run).
 """
 
 from .backends import (
@@ -39,8 +39,8 @@ from .native import (
     NativeWordBackend,
     native_available,
     native_module,
+    native_plan,
     native_unavailable_reason,
-    plan_hash,
 )
 from .codegen import (
     backward_table,
@@ -101,8 +101,8 @@ __all__ = [
     "backend_for",
     "native_available",
     "native_module",
+    "native_plan",
     "native_unavailable_reason",
-    "plan_hash",
     "backward_table",
     "compile_circuit",
     "cone_fault_fn",

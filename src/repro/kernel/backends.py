@@ -3,24 +3,22 @@
 Three word representations share one compiled netlist
 (:class:`repro.kernel.compiled.CompiledCircuit`):
 
+* :class:`repro.kernel.native.NativeWordBackend` — uint64 lane slabs
+  executed by compiled C: one circuit-generic module, built once per
+  machine via cffi and loaded from a disk cache after that, runs the
+  forward passes *and* the PPSFP fault walks.  The default: ``auto``
+  selects it at every width whenever that module loads.
 * :class:`IntWordBackend` — Python integers as lane words.  Arbitrary
   lane count in a single "word" (CPython ints are arbitrary
-  precision), zero dependencies, and the fastest option for the small
-  widths the TPG state machine works at (L = 32/64).
+  precision), zero dependencies, and the fastest Python option for
+  the small widths the TPG state machine works at (L = 32/64).
 * :class:`NumpyWordBackend` — numpy ``uint64`` arrays, one 64-lane
   word per element.  Per-gate cost is amortized over every word, so
   thousand-pattern batches stream through the netlist at a fraction of
-  the per-pattern cost; this is the bulk-simulation backend behind
-  batched PPSFP and ``tip bench-sim``.
-* :class:`repro.kernel.native.NativeWordBackend` — the same uint64
-  lane slabs executed by compiled C (the plan rendered to one
-  translation unit per circuit, built via cffi at session time).
-  Opt-in (``prefer="native"``) because it needs a C toolchain; when
-  none is present :func:`backend_for` degrades to the numpy backend
-  with a one-time structured warning.
+  the per-pattern cost; the Python bulk backend.
 
-Each backend additionally selects a **fusion strategy** — how the
-plan is *executed*, orthogonal to the word representation:
+Each Python backend additionally selects a **fusion strategy** — how
+the plan is *executed*, orthogonal to the word representation:
 
 * ``"interp"`` — the original per-gate interpreter loop, retained
   verbatim as the cross-check oracle,
@@ -32,10 +30,20 @@ plan is *executed*, orthogonal to the word representation:
 * ``"auto"`` — the fastest supported strategy: ``vector`` on numpy,
   ``codegen`` on int words.
 
-All strategy/representation combinations execute the same plan with
-the same semantics and are cross-checked against each other and
-against the naive :meth:`repro.circuit.Circuit.evaluate` reference in
-the test suite (``tests/test_fusion.py``).
+Which backend runs for ``prefer="auto"`` (:func:`backend_for`):
+
+* ``fusion="auto"`` and the native module loads: ``native/c``,
+* ``fusion="auto"`` without it: ``int/codegen`` up to 64 lanes,
+  ``numpy/vector`` beyond,
+* an explicit strategy *s*: ``int/<s>`` up to 64 lanes (``vector``
+  runs as ``codegen``), ``numpy/<s>`` beyond.
+
+An explicit strategy keeps the int/numpy crossover so the Python fast
+paths stay reachable; ``backend.tier`` names what runs.  All
+combinations execute the same plan with the same semantics and are
+cross-checked against each other and against the naive
+:meth:`repro.circuit.Circuit.evaluate` reference in the test suite
+(``tests/test_fusion.py``).
 """
 
 from __future__ import annotations
@@ -134,6 +142,11 @@ class IntWordBackend:
         self.fusion = _check_fusion(fusion)
         self._fused = fusion != "interp"
 
+    @property
+    def tier(self) -> str:
+        """``kind/strategy`` of what runs: ``int/codegen`` or ``int/interp``."""
+        return "int/codegen" if self._fused else "int/interp"
+
     # ------------------------------------------------------------------
     def simulate_logic(
         self, compiled: CompiledCircuit, input_words: Sequence[int]
@@ -212,6 +225,11 @@ class NumpyWordBackend:
         self.n_words = len(self.lane_valid)
         self.full = FULL_WORD
         self.fusion = _check_fusion(fusion)
+
+    @property
+    def tier(self) -> str:
+        """``kind/strategy`` of what runs (``numpy/vector`` under ``auto``)."""
+        return "numpy/" + ("vector" if self.fusion == "auto" else self.fusion)
 
     # ------------------------------------------------------------------
     def simulate_logic(
@@ -361,38 +379,45 @@ def backend_for(
 
     ``prefer`` is one of :data:`BACKEND_MODES`:
 
-    * ``"auto"`` (default) — the crossover between the two
-      zero-toolchain backends: Python-int words up to one machine
+    * ``"auto"`` (default) — with ``fusion="auto"``, the compiled-C
+      backend (:class:`repro.kernel.native.NativeWordBackend`) at every
+      width whenever the native module loads (from the disk cache, or
+      built once on a miss).  Otherwise — an explicit fusion strategy,
+      or no cached module and no C toolchain, silently — the crossover
+      between the two Python backends: int words up to one machine
       word (``n_lanes <= 64``, where CPython int bitwise ops beat
-      numpy's per-gate dispatch), the numpy multi-word backend
-      beyond it (where per-gate cost is amortized over many words).
-      ``auto`` never selects ``native`` — compiled-C execution is
-      opt-in since it needs a C toolchain at session time.
+      numpy's per-gate dispatch), numpy multi-word arrays beyond it.
     * ``"int"`` / ``"numpy"`` — pin that backend.
-    * ``"native"`` — the compiled-C backend
-      (:class:`repro.kernel.native.NativeWordBackend`); degrades to
-      ``numpy`` with a one-time
+    * ``"native"`` — the compiled-C backend; degrades to ``numpy``
+      with a one-time
       :class:`repro.kernel.native.NativeBackendUnavailableWarning`
-      when no C toolchain is present.
+      when the native module cannot be loaded or built.
 
-    ``fusion`` selects the execution strategy of the chosen backend
-    (see the module docstring).
+    ``fusion`` selects the execution strategy of a Python backend (see
+    the module docstring); the returned backend's ``tier`` names what
+    runs (``native/c``, ``int/codegen``, ``numpy/vector``, ...).
     """
     _check_fusion(fusion)
     if prefer == "int":
         return IntWordBackend(n_lanes, fusion=fusion)
     if prefer == "numpy":
         return NumpyWordBackend(n_lanes, fusion=fusion)
-    if prefer == "native":
-        # imported here: repro.kernel.native imports this module
-        from .native import native_backend_or_fallback
+    # imported here: repro.kernel.native imports this module
+    from .native import (
+        NativeWordBackend,
+        native_available,
+        native_backend_or_fallback,
+    )
 
+    if prefer == "native":
         return native_backend_or_fallback(n_lanes, fusion=fusion)
     if prefer != "auto":
         raise ValueError(
             f"unknown backend preference {prefer!r} "
             f"(choose from {BACKEND_MODES})"
         )
+    if fusion == "auto" and native_available():
+        return NativeWordBackend(n_lanes, fusion=fusion)
     if n_lanes > 64:
         return NumpyWordBackend(n_lanes, fusion=fusion)
     return IntWordBackend(n_lanes, fusion=fusion)

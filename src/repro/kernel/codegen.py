@@ -36,13 +36,14 @@ Five generators live here:
   gates (reading unaffected signals from the good-machine values) and
   returns the output-difference lane word directly.
 
-:func:`render_native_source` also lives here: the C translation unit
-the native word backend compiles (:mod:`repro.kernel.native`).  Unlike
-the Python strategies it is *not* straight-line — the C passes are
-constant-size data-driven interpreters over baked plan/fanin tables
-(``_C_PASSES``), because gcc's per-function passes made straight-line
-C a minutes-long build on thousand-gate circuits while buying nothing
-over a dispatch loop that is dominated by slab memory traffic.
+:data:`NATIVE_SOURCE` also lives here: the one C translation unit the
+native word backend compiles (:mod:`repro.kernel.native`).  Unlike the
+Python strategies it is *not* straight-line and not per circuit — the
+C passes are data-driven interpreters over a per-call ``repro_plan``
+struct of plan/fanin tables, because gcc's per-function passes made
+straight-line C a minutes-long build on thousand-gate circuits while
+buying nothing over a dispatch loop that is dominated by slab memory
+traffic.
 
 All generated code is asserted bit-identical to the interpreted
 oracle by ``tests/test_fusion.py`` (hypothesis cross-checks).
@@ -662,26 +663,41 @@ def backward_table(
 # ---------------------------------------------------------------------------
 
 
-# The three forward passes are circuit-generic C interpreters over the
-# baked level-order plan (REPRO_PLAN_OUT) and the per-signal gate-code
-# / fanin-CSR tables.  A fixed few hundred lines of C regardless of
-# circuit size — straight-line rendering made gcc's per-function
-# passes the build bottleneck (minutes at -O1 on a 2k-gate circuit) —
-# while the per-gate switch dispatch is noise next to the slab memory
-# traffic each gate's plane math streams.  The fold formulas below are
-# the n-ary emitter formulas of :func:`_emit_planes7` /
+# The native kernel is one circuit-generic C translation unit: every
+# entry point takes the circuit as a ``repro_plan`` struct — the
+# level-order plan, per-signal gate codes, fanin CSR and controlling
+# values, built once per compiled circuit by :func:`repro.kernel.
+# native.native_plan` — so one compiled module serves every circuit and
+# is built once per machine.  The forward passes are data-driven
+# interpreters over that plan: straight-line rendering made gcc's
+# per-function passes the build bottleneck (minutes at -O1 on a 2k-gate
+# circuit), while the per-gate switch dispatch is noise next to the
+# slab memory traffic each gate's plane math streams.  The fold
+# formulas are the n-ary emitter formulas of :func:`_emit_planes7` /
 # :func:`_emit_planes10` transcribed over C accumulators: bitwise
 # AND/OR folds are order-insensitive, and the order-sensitive XOR
 # chains iterate fanins in CSR order, which is plan fanin order, so
 # every pass stays bit-identical to the Python oracles.
+_C_PLAN = r"""
+typedef struct {
+  long n_signals;
+  long n_plan;
+  const int32_t *plan_out;
+  const int8_t *code;
+  const int32_t *fanin_off;
+  const int32_t *fanin_idx;
+  const int8_t *ctrl;
+} repro_plan;
+"""
+
 _C_PASSES = r"""
-void repro_logic_pass(u64 *V, long n) {
+void repro_logic_pass(const repro_plan *p, u64 *V, long n) {
   long t, w, k;
-  for (t = 0; t < REPRO_N_PLAN; t++) {
-    long out = REPRO_PLAN_OUT[t];
-    int code = REPRO_CODE[out];
-    const int32_t *fi = REPRO_FANIN_IDX + REPRO_FANIN_OFF[out];
-    long nf = REPRO_FANIN_OFF[out + 1] - REPRO_FANIN_OFF[out];
+  for (t = 0; t < p->n_plan; t++) {
+    long out = p->plan_out[t];
+    int code = p->code[out];
+    const int32_t *fi = p->fanin_idx + p->fanin_off[out];
+    long nf = p->fanin_off[out + 1] - p->fanin_off[out];
     u64 *dst = V + out * n;
     for (w = 0; w < n; w++) {
       u64 acc = V[(long)fi[0] * n + w];
@@ -778,13 +794,14 @@ static void _p7_xor(u64 *Z, u64 *O, u64 *S, u64 *I, long out, int invert,
   }
 }
 
-void repro_planes7_pass(u64 *Z, u64 *O, u64 *S, u64 *I, long n) {
+void repro_planes7_pass(const repro_plan *p, u64 *Z, u64 *O, u64 *S,
+                        u64 *I, long n) {
   long t, w;
-  for (t = 0; t < REPRO_N_PLAN; t++) {
-    long out = REPRO_PLAN_OUT[t];
-    int code = REPRO_CODE[out];
-    const int32_t *fi = REPRO_FANIN_IDX + REPRO_FANIN_OFF[out];
-    long nf = REPRO_FANIN_OFF[out + 1] - REPRO_FANIN_OFF[out];
+  for (t = 0; t < p->n_plan; t++) {
+    long out = p->plan_out[t];
+    int code = p->code[out];
+    const int32_t *fi = p->fanin_idx + p->fanin_off[out];
+    long nf = p->fanin_off[out + 1] - p->fanin_off[out];
     if (code <= 2) { /* BUF / NOT: copy, NOT swaps zero/one */
       long src = fi[0];
       for (w = 0; w < n; w++) {
@@ -851,17 +868,22 @@ static void _p10_andor(u64 *Z, u64 *O, u64 *S, u64 *I, u64 *H, long out,
   }
 }
 
-/* 10-valued XOR-family gate: 7-valued fold plus the prefix/suffix
-   stability products of the hazard-free rule (an input's hazard is
-   masked only when every *other* input is stable). */
+/* 10-valued XOR-family gate: 7-valued fold plus the hazard-free rule
+   (an input's hazard is masked only when every *other* input is
+   stable).  The Python emitters spell that rule with prefix/suffix
+   stability products; here it is part of the same left fold, with no
+   buffer: ``clean`` holds, over the inputs folded so far, the OR of
+   each one's hazard-free plane ANDed with the stability of all the
+   others, and the fold's own ``as`` is their joint stability -- any
+   arity, bit-identical. */
 static void _p10_xor(u64 *Z, u64 *O, u64 *S, u64 *I, u64 *H, long out,
                      int invert, const int32_t *fi, long nf, long n) {
   long w, k;
-  u64 sp[REPRO_MAX_ARITY + 1];
   for (w = 0; w < n; w++) {
     long fs = fi[0];
     u64 az = Z[fs * n + w], ao = O[fs * n + w];
     u64 as = S[fs * n + w], ai = I[fs * n + w];
+    u64 clean = H[fs * n + w];
     for (k = 1; k < nf; k++) {
       fs = fi[k];
       u64 z = Z[fs * n + w], o = O[fs * n + w];
@@ -875,29 +897,24 @@ static void _p10_xor(u64 *Z, u64 *O, u64 *S, u64 *I, u64 *H, long out,
       u64 ts = as & s;
       u64 ti = ((to & ((x0 & y0) | (x1 & y1))) |
                 (tz & ((x0 & y1) | (x1 & y0)))) & ~ts;
+      clean = (clean & s) | (as & H[fs * n + w]);
       az = tz; ao = to; as = ts; ai = ti;
-    }
-    sp[0] = ~(u64)0;
-    for (k = 0; k < nf; k++) sp[k + 1] = sp[k] & S[(long)fi[k] * n + w];
-    u64 sq = ~(u64)0, clean = 0;
-    for (k = nf - 1; k >= 0; k--) {
-      clean |= sp[k] & sq & H[(long)fi[k] * n + w];
-      sq &= S[(long)fi[k] * n + w];
     }
     if (invert) { u64 tmp = az; az = ao; ao = tmp; }
     Z[out * n + w] = az; O[out * n + w] = ao;
     S[out * n + w] = as; I[out * n + w] = ai;
-    H[out * n + w] = sp[nf] | clean | as;
+    H[out * n + w] = as | clean;
   }
 }
 
-void repro_planes10_pass(u64 *Z, u64 *O, u64 *S, u64 *I, u64 *H, long n) {
+void repro_planes10_pass(const repro_plan *p, u64 *Z, u64 *O, u64 *S,
+                         u64 *I, u64 *H, long n) {
   long t, w;
-  for (t = 0; t < REPRO_N_PLAN; t++) {
-    long out = REPRO_PLAN_OUT[t];
-    int code = REPRO_CODE[out];
-    const int32_t *fi = REPRO_FANIN_IDX + REPRO_FANIN_OFF[out];
-    long nf = REPRO_FANIN_OFF[out + 1] - REPRO_FANIN_OFF[out];
+  for (t = 0; t < p->n_plan; t++) {
+    long out = p->plan_out[t];
+    int code = p->code[out];
+    const int32_t *fi = p->fanin_idx + p->fanin_off[out];
+    long nf = p->fanin_off[out + 1] - p->fanin_off[out];
     if (code <= 2) { /* BUF / NOT: h-plane is inversion-invariant */
       long src = fi[0];
       for (w = 0; w < n; w++) {
@@ -919,117 +936,176 @@ void repro_planes10_pass(u64 *Z, u64 *O, u64 *S, u64 *I, u64 *H, long n) {
 """
 
 
-def _c_int_array(name: str, ctype: str, values: Sequence[int]) -> str:
-    """One static const C array (emitted non-empty even for no values)."""
-    vals = list(values) or [0]
-    joined = ", ".join(str(v) for v in vals)
-    return f"static const {ctype} {name}[{len(vals)}] = {{{joined}}};"
-
-
-# The per-batch fault walks and the stuck-at cone interpreter are
-# circuit-generic C, but the fanin CSR and controlling-value tables
-# they read are baked into each circuit's module as static arrays —
-# the per-call ABI then only carries the per-batch data (paths, lane
-# planes, cone step arrays).
+# The fault walks share side-input terms across the batch, as the
+# Python batched walks (:func:`repro.sim.delay_sim._detection_masks_
+# batched`) do: an on-path edge ``on -> sig`` is identified by the CSR
+# position of ``on`` in ``sig``'s fanin, its term is computed on first
+# use into the next free row of the caller's ``terms`` buffer and its
+# row recorded in ``slot`` (caller-filled with -1; -2 marks an edge
+# with no side condition).  A path step whose ``on`` is not a fanin of
+# ``sig`` uses the spare row after the last edge, recomputed each time.
+# Each fault's mask is built in the next free output row, ANDing the
+# early exit into the same loop, and kept -- with its fault index --
+# only when some lane survives, so the caller converts detected rows
+# only.
 _C_WALKS = r"""
-void repro_detect_walk(const u64 *Z, const u64 *O, const u64 *S,
-                       const u64 *I, long n,
-                       const int32_t *path_flat, const int32_t *path_off,
-                       const uint8_t *final_one, long n_faults, int robust,
-                       const u64 *valid, u64 *out) {
-  long f, p, w;
-  for (f = 0; f < n_faults; f++) {
-    const int32_t *path = path_flat + path_off[f];
-    long plen = path_off[f + 1] - path_off[f];
-    u64 *det = out + f * n;
-    long s0 = path[0];
-    const u64 *launch = final_one[f] ? O : Z;
-    u64 any = 0;
-    for (w = 0; w < n; w++) {
-      det[w] = I[s0 * n + w] & launch[s0 * n + w];
-      any |= det[w];
-    }
-    for (p = 1; p < plen && any; p++) {
-      long sig = path[p], on = path[p - 1];
-      int c = REPRO_CTRL[sig];
-      int32_t k;
-      for (k = REPRO_FANIN_OFF[sig]; k < REPRO_FANIN_OFF[sig + 1]; k++) {
-        long fs = REPRO_FANIN_IDX[k];
-        if (fs == on) continue;
-        if (c < 0) {
-          /* XOR-like: nonrobust imposes nothing, robust needs
-             glitch-free (stable) side inputs */
-          if (robust)
-            for (w = 0; w < n; w++) det[w] &= S[fs * n + w];
-          continue;
-        }
-        /* nc = 1 - c: the plane holding the non-controlling final */
-        const u64 *ncp = c ? Z : O;
-        for (w = 0; w < n; w++) det[w] &= ncp[fs * n + w];
-        if (robust)
-          for (w = 0; w < n; w++)
-            det[w] &= S[fs * n + w] | ~ncp[on * n + w];
-      }
-      any = 0;
-      for (w = 0; w < n; w++) any |= det[w];
-    }
-    for (w = 0; w < n; w++) det[w] &= valid[w];
-  }
+#define REPRO_NO_TERM (-2)
+
+/* The memo key of the on-path edge on -> sig: the CSR position of the
+   first ``on`` in sig's fanin, or -1 when ``on`` does not feed sig. */
+static long _edge_id(const repro_plan *p, long on, long sig) {
+  long k;
+  for (k = p->fanin_off[sig]; k < p->fanin_off[sig + 1]; k++)
+    if (p->fanin_idx[k] == on) return k;
+  return -1;
 }
 
-void repro_strength_walk(const u64 *Z, const u64 *O, const u64 *S,
-                         const u64 *I, const u64 *H, long n,
-                         const int32_t *path_flat, const int32_t *path_off,
-                         const uint8_t *final_one, long n_faults,
-                         const u64 *valid,
-                         u64 *out_nr, u64 *out_r, u64 *out_st) {
-  long f, p, w;
+static const u64 *_detect_term(const repro_plan *p, const u64 *Z,
+                               const u64 *O, const u64 *S, long n,
+                               int robust, long on, long sig,
+                               int32_t *slot, u64 *terms, long *used) {
+  long e = _edge_id(p, on, sig), w, k;
+  if (e >= 0 && slot[e] == REPRO_NO_TERM) return 0;
+  if (e >= 0 && slot[e] >= 0) return terms + slot[e] * n;
+  u64 *t = terms + (e >= 0 ? *used : p->fanin_off[p->n_signals]) * n;
+  int c = p->ctrl[sig], has_side = 0;
+  for (w = 0; w < n; w++) t[w] = ~(u64)0;
+  for (k = p->fanin_off[sig]; k < p->fanin_off[sig + 1]; k++) {
+    long fs = p->fanin_idx[k];
+    if (fs == on) continue;
+    if (c < 0) {
+      /* XOR-like: nonrobust imposes nothing, robust needs glitch-free
+         (stable) side inputs */
+      if (robust) {
+        has_side = 1;
+        for (w = 0; w < n; w++) t[w] &= S[fs * n + w];
+      }
+      continue;
+    }
+    /* nc = 1 - c: the plane holding the non-controlling final */
+    const u64 *ncp = c ? Z : O;
+    has_side = 1;
+    if (robust)
+      for (w = 0; w < n; w++)
+        t[w] &= ncp[fs * n + w] & (S[fs * n + w] | ~ncp[on * n + w]);
+    else
+      for (w = 0; w < n; w++) t[w] &= ncp[fs * n + w];
+  }
+  if (e >= 0) slot[e] = has_side ? (int32_t)(*used)++ : REPRO_NO_TERM;
+  return has_side ? t : 0;
+}
+
+/* det &= t over n words; returns whether any lane survives. */
+static u64 _and_rows(u64 *restrict det, const u64 *restrict t, long n) {
+  u64 any = 0;
+  long w;
+  for (w = 0; w < n; w++) {
+    det[w] &= t[w];
+    any |= det[w];
+  }
+  return any;
+}
+
+long repro_detect_walk(const repro_plan *p, const u64 *Z, const u64 *O,
+                       const u64 *S, const u64 *I, long n,
+                       const int32_t *path_flat, const int32_t *path_off,
+                       const uint8_t *final_one, long n_faults, int robust,
+                       const u64 *valid, int32_t *slot, u64 *terms,
+                       u64 *out, int32_t *out_idx) {
+  long f, q, w, used = 0, n_det = 0;
   for (f = 0; f < n_faults; f++) {
     const int32_t *path = path_flat + path_off[f];
     long plen = path_off[f + 1] - path_off[f];
-    u64 *nr = out_nr + f * n;
-    u64 *r = out_r + f * n;
-    u64 *st = out_st + f * n;
-    long s0 = path[0];
-    const u64 *launch = final_one[f] ? O : Z;
+    u64 *det = out + n_det * n;
+    const u64 *ins = I + (long)path[0] * n;
+    const u64 *launch = (final_one[f] ? O : Z) + (long)path[0] * n;
     u64 any = 0;
     for (w = 0; w < n; w++) {
-      u64 l = I[s0 * n + w] & launch[s0 * n + w];
+      det[w] = ins[w] & launch[w] & valid[w];
+      any |= det[w];
+    }
+    for (q = 1; q < plen && any; q++) {
+      const u64 *t = _detect_term(p, Z, O, S, n, robust, path[q - 1],
+                                  path[q], slot, terms, &used);
+      if (t) any = _and_rows(det, t, n);
+    }
+    if (any) out_idx[n_det++] = (int32_t)f;
+  }
+  return n_det;
+}
+
+/* (nonrobust, robust, hazard-free-robust) side terms of one edge, as
+   three consecutive rows. */
+static const u64 *_strength_term(const repro_plan *p, const u64 *Z,
+                                 const u64 *O, const u64 *S,
+                                 const u64 *H, long n, long on, long sig,
+                                 int32_t *slot, u64 *terms, long *used) {
+  long e = _edge_id(p, on, sig), w, k;
+  if (e >= 0 && slot[e] == REPRO_NO_TERM) return 0;
+  if (e >= 0 && slot[e] >= 0) return terms + slot[e] * 3 * n;
+  u64 *nr = terms + (e >= 0 ? *used : p->fanin_off[p->n_signals]) * 3 * n;
+  u64 *r = nr + n, *st = r + n;
+  int c = p->ctrl[sig], has_side = 0;
+  for (w = 0; w < 3 * n; w++) nr[w] = ~(u64)0;
+  for (k = p->fanin_off[sig]; k < p->fanin_off[sig + 1]; k++) {
+    long fs = p->fanin_idx[k];
+    if (fs == on) continue;
+    has_side = 1;
+    if (c < 0) {
+      for (w = 0; w < n; w++) {
+        r[w] &= S[fs * n + w];
+        st[w] &= S[fs * n + w];
+      }
+      continue;
+    }
+    const u64 *ncp = c ? Z : O;
+    for (w = 0; w < n; w++) {
+      u64 has_nc = ncp[fs * n + w];
+      u64 stable_where = S[fs * n + w] | ~ncp[on * n + w];
+      nr[w] &= has_nc;
+      r[w] &= has_nc & stable_where;
+      st[w] &= has_nc & H[fs * n + w] & stable_where;
+    }
+  }
+  if (e >= 0) slot[e] = has_side ? (int32_t)(*used)++ : REPRO_NO_TERM;
+  return has_side ? nr : 0;
+}
+
+/* Early exit on the nonrobust mask is safe for all three classes:
+   hazard-free-robust <= robust <= nonrobust lane-wise. */
+long repro_strength_walk(const repro_plan *p, const u64 *Z, const u64 *O,
+                         const u64 *S, const u64 *I, const u64 *H, long n,
+                         const int32_t *path_flat, const int32_t *path_off,
+                         const uint8_t *final_one, long n_faults,
+                         const u64 *valid, int32_t *slot, u64 *terms,
+                         u64 *out_nr, u64 *out_r, u64 *out_st,
+                         int32_t *out_idx) {
+  long f, q, w, used = 0, n_det = 0;
+  for (f = 0; f < n_faults; f++) {
+    const int32_t *path = path_flat + path_off[f];
+    long plen = path_off[f + 1] - path_off[f];
+    u64 *nr = out_nr + n_det * n;
+    u64 *r = out_r + n_det * n;
+    u64 *st = out_st + n_det * n;
+    const u64 *ins = I + (long)path[0] * n;
+    const u64 *launch = (final_one[f] ? O : Z) + (long)path[0] * n;
+    u64 any = 0;
+    for (w = 0; w < n; w++) {
+      u64 l = ins[w] & launch[w] & valid[w];
       nr[w] = l; r[w] = l; st[w] = l;
       any |= l;
     }
-    for (p = 1; p < plen && any; p++) {
-      long sig = path[p], on = path[p - 1];
-      int c = REPRO_CTRL[sig];
-      int32_t k;
-      for (k = REPRO_FANIN_OFF[sig]; k < REPRO_FANIN_OFF[sig + 1]; k++) {
-        long fs = REPRO_FANIN_IDX[k];
-        if (fs == on) continue;
-        if (c < 0) {
-          for (w = 0; w < n; w++) {
-            r[w] &= S[fs * n + w];
-            st[w] &= S[fs * n + w];
-          }
-          continue;
-        }
-        const u64 *ncp = c ? Z : O;
-        for (w = 0; w < n; w++) {
-          u64 has_nc = ncp[fs * n + w];
-          u64 stable_where = S[fs * n + w] | ~ncp[on * n + w];
-          nr[w] &= has_nc;
-          r[w] &= has_nc & stable_where;
-          st[w] &= has_nc & H[fs * n + w] & stable_where;
-        }
-      }
-      any = 0;
-      for (w = 0; w < n; w++) any |= nr[w];
+    for (q = 1; q < plen && any; q++) {
+      const u64 *t = _strength_term(p, Z, O, S, H, n, path[q - 1],
+                                    path[q], slot, terms, &used);
+      if (!t) continue;
+      _and_rows(r, t + n, n);
+      _and_rows(st, t + 2 * n, n);
+      any = _and_rows(nr, t, n);
     }
-    for (w = 0; w < n; w++) {
-      nr[w] &= valid[w];
-      r[w] &= valid[w];
-      st[w] &= valid[w];
-    }
+    if (any) out_idx[n_det++] = (int32_t)f;
   }
+  return n_det;
 }
 
 /* Cone step fanin encoding: value >= 0 is a cone-local scratch slot,
@@ -1089,25 +1165,29 @@ void repro_stuck_cone(const u64 *good, long n,
 }
 """
 
-#: The cffi declarations of every entry point a native module exports.
-NATIVE_CDEF = """
-void repro_logic_pass(uint64_t *v, long n);
-void repro_planes7_pass(uint64_t *z, uint64_t *o, uint64_t *s,
-                        uint64_t *i, long n);
-void repro_planes10_pass(uint64_t *z, uint64_t *o, uint64_t *s,
-                         uint64_t *i, uint64_t *h, long n);
-void repro_detect_walk(const uint64_t *z, const uint64_t *o,
-                       const uint64_t *s, const uint64_t *i, long n,
+#: The cffi declarations of every entry point the native module exports.
+NATIVE_CDEF = _C_PLAN + """
+void repro_logic_pass(const repro_plan *p, uint64_t *v, long n);
+void repro_planes7_pass(const repro_plan *p, uint64_t *z, uint64_t *o,
+                        uint64_t *s, uint64_t *i, long n);
+void repro_planes10_pass(const repro_plan *p, uint64_t *z, uint64_t *o,
+                         uint64_t *s, uint64_t *i, uint64_t *h, long n);
+long repro_detect_walk(const repro_plan *p, const uint64_t *z,
+                       const uint64_t *o, const uint64_t *s,
+                       const uint64_t *i, long n,
                        const int32_t *path_flat, const int32_t *path_off,
                        const uint8_t *final_one, long n_faults, int robust,
-                       const uint64_t *valid, uint64_t *out);
-void repro_strength_walk(const uint64_t *z, const uint64_t *o,
-                         const uint64_t *s, const uint64_t *i,
-                         const uint64_t *h, long n,
+                       const uint64_t *valid, int32_t *slot,
+                       uint64_t *terms, uint64_t *out, int32_t *out_idx);
+long repro_strength_walk(const repro_plan *p, const uint64_t *z,
+                         const uint64_t *o, const uint64_t *s,
+                         const uint64_t *i, const uint64_t *h, long n,
                          const int32_t *path_flat, const int32_t *path_off,
                          const uint8_t *final_one, long n_faults,
-                         const uint64_t *valid, uint64_t *out_nr,
-                         uint64_t *out_r, uint64_t *out_st);
+                         const uint64_t *valid, int32_t *slot,
+                         uint64_t *terms, uint64_t *out_nr,
+                         uint64_t *out_r, uint64_t *out_st,
+                         int32_t *out_idx);
 void repro_stuck_cone(const uint64_t *good, long n,
                       const int32_t *codes, const int32_t *outs,
                       const int32_t *fanin_flat, const int32_t *fanin_off,
@@ -1116,49 +1196,15 @@ void repro_stuck_cone(const uint64_t *good, long n,
                       long n_pos, uint64_t *diff);
 """
 
-
-def render_native_source(compiled: CompiledCircuit) -> str:
-    """The whole native kernel of one circuit as one C translation unit.
-
-    The C text is circuit-generic: the three forward passes
-    (``_C_PASSES``) interpret the baked level-order plan over row-major
-    ``(n_signals, n_words)`` uint64 slabs with the very fold formulas
-    the Python emitters inline, and the per-fault PPSFP detection
-    walk, the three-class strength walk and the stuck-at cone
-    resimulation (``_C_WALKS``) read the same static fanin /
-    controlling tables, so a whole fault batch costs one Python call.
-    Only the tables differ between circuits — the code size (and so
-    the session-time compile cost) is constant in circuit size, which
-    is what lets the build run at a real optimization level.
-    """
-    plan_out = [out for _code, out, _fanin, _gt in compiled.plan]
-    max_arity = max(
-        (len(fanin) for _code, _out, fanin, _gt in compiled.plan), default=1
-    )
-    parts: List[str] = [
-        "#include <stdint.h>",
-        "typedef uint64_t u64;",
-        "",
-        f"#define REPRO_N_PLAN {len(plan_out)}",
-        f"#define REPRO_MAX_ARITY {max(1, max_arity)}",
-        _c_int_array("REPRO_PLAN_OUT", "int32_t", plan_out),
-        _c_int_array("REPRO_CODE", "int8_t", compiled.py_codes),
-        _c_int_array(
-            "REPRO_FANIN_OFF", "int32_t", compiled.fanin_offsets.tolist()
-        ),
-        _c_int_array(
-            "REPRO_FANIN_IDX", "int32_t", compiled.fanin_index.tolist()
-        ),
-        _c_int_array(
-            "REPRO_CTRL",
-            "int8_t",
-            [-1 if c is None else int(c) for c in compiled.controlling],
-        ),
-        "",
-        _C_PASSES,
-        _C_WALKS,
-    ]
-    return "\n".join(parts)
+#: The whole native kernel as one circuit-generic C translation unit:
+#: the three forward passes over row-major ``(n_signals, n_words)``
+#: uint64 slabs, the per-batch PPSFP detection and strength walks and
+#: the stuck-at cone resimulation.  Circuits arrive per call as a
+#: ``repro_plan`` struct, so this text never changes between circuits
+#: and :mod:`repro.kernel.native` compiles it once per machine.
+NATIVE_SOURCE = "\n".join(
+    ["#include <stdint.h>", "typedef uint64_t u64;", _C_PLAN, _C_PASSES, _C_WALKS]
+)
 
 
 def render_cone_source(compiled: CompiledCircuit, site: int) -> str:

@@ -1,83 +1,93 @@
 """Native word backend: the lowered plan compiled to machine code.
 
-The third word backend.  :mod:`repro.kernel.codegen` renders the same
-level-major plan the Python strategies execute as one C translation
-unit over contiguous row-major ``(n_signals, n_words)`` uint64 lane
-slabs (:func:`repro.kernel.codegen.render_native_source`); this module
-compiles it via :mod:`cffi` at session time and exposes it behind the
+The third word backend, and the default one.  :mod:`repro.kernel.
+codegen` holds one circuit-generic C translation unit
+(:data:`repro.kernel.codegen.NATIVE_SOURCE`) that interprets the same
+level-major plan the Python strategies execute over contiguous
+row-major ``(n_signals, n_words)`` uint64 lane slabs; this module
+compiles it via :mod:`cffi` and exposes it behind the
 :class:`NativeWordBackend` — a drop-in :class:`NumpyWordBackend`
 subclass, so every ``isinstance`` dispatch on the numpy backend keeps
 working and only the pass bodies change.
 
 Covered end to end: the two-valued and 7-valued full passes, the
 10-valued grading pass, the stuck-at cone resimulation, and the PPSFP
-fault inner loops — the per-fault detection and strength walks run
-*inside* the module (fault injection plus detection-mask reduction in
-C over static fanin/controlling tables), so a whole fault batch costs
-one Python call instead of one per fault per edge.
+fault inner loops — the detection and strength walks run *inside* the
+module, sharing each on-path edge's side-input term across the fault
+batch and returning only the detected faults' mask rows, so a whole
+fault batch costs one Python call.
 
-Build and caching lifecycle:
+Module lifecycle — one module per machine, not per circuit:
 
-* one **probe** per process (:func:`native_available`) compiles a
-  trivial module to prove a working C toolchain; without one, every
-  ``prefer="native"`` request degrades to the numpy backend with a
-  one-time :class:`NativeBackendUnavailableWarning`,
-* per circuit, the module is keyed by a **structural hash** of the
-  evaluation plan (:func:`plan_hash`) — the compiled shared object is
-  written to a per-user disk cache (``REPRO_NATIVE_CACHE`` overrides
-  the location) and re-loaded without recompiling on later runs,
-* in process, modules are memoized globally by hash and on
-  ``CompiledCircuit._fusion_cache`` — which ``__getstate__`` drops, so
-  compiled circuits stay pickling-safe exactly like ``cone_fault_fn``
-  bodies (campaign pool workers rebuild/reload per process).
+* the circuit travels per call as a ``repro_plan`` struct
+  (:func:`native_plan`: plan order, gate codes, fanin CSR, controlling
+  values), built once per :class:`CompiledCircuit` and memoized on its
+  ``_fusion_cache`` — which ``__getstate__`` drops, so compiled
+  circuits stay pickling-safe (campaign pool workers rebuild the
+  struct, cheaply, per process),
+* the module is named by a hash of :data:`NATIVE_ABI`, the C text and
+  the compile flags, and lives in a per-user disk cache
+  (``REPRO_NATIVE_CACHE`` overrides the location): a process loads it
+  from there, and only a miss compiles — into a private temp dir in
+  the cache, moved into place with one atomic ``os.replace`` so
+  concurrent cold starts never load a half-written object,
+* :func:`native_available` answers by loading (or, on a miss,
+  building) that module once per process; without a cached module and
+  a C toolchain it is False, ``backend_for("auto")`` silently keeps
+  the Python backends, and an explicit ``prefer="native"`` degrades to
+  numpy with a one-time :class:`NativeBackendUnavailableWarning`.
 
 Bit-identity against the interpreted oracle for every covered pass is
-asserted by ``tests/test_fusion.py``; speed is tracked in
-``BENCH_kernel.json`` (the ``native_*`` columns).
+asserted by ``tests/test_fusion.py``.
 """
 
 from __future__ import annotations
 
 import array
-import glob
 import hashlib
 import importlib.util
 import os
-import sys
+import shutil
+import sysconfig
 import tempfile
 import threading
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .backends import NumpyWordBackend, PlanesLike
-from .codegen import NATIVE_CDEF, render_native_source
+from .codegen import NATIVE_CDEF, NATIVE_SOURCE
 from .compiled import CompiledCircuit
 from .packed import rows_to_ints, words_to_int
 
-#: Bump when the generated C or the call ABI changes: the version is
-#: hashed into module names, so stale disk-cached shared objects from
-#: older generators are never reloaded.
-NATIVE_ABI = 2
+#: Bump when the call ABI changes (the C text is hashed into the module
+#: name anyway), so stale disk-cached shared objects are never reloaded.
+NATIVE_ABI = 3
+
+# The C text is constant-size (data-driven plan interpreters), so a real
+# optimization level is affordable: -O2 runs the fault loops ~2x faster
+# than -O0.  -w: machine-written code trips set-but-unused warnings by
+# construction; the noise helps nobody.
+_COMPILE_ARGS = [] if os.name == "nt" else ["-O2", "-w"]
 
 
 class NativeBackendUnavailableWarning(RuntimeWarning):
     """Emitted once per process when ``prefer="native"`` falls back.
 
     Structured (its own category) so callers can filter or assert on
-    it; the message carries the probe's failure reason.
+    it; the message carries why the module could not be loaded.
     """
 
 
 _lock = threading.Lock()
-_probe_result: Optional[Tuple[bool, str]] = None
-_modules: Dict[str, object] = {}
+#: (loaded module or None, failure reason) — settled once per process.
+_state: Optional[Tuple[object, str]] = None
 _warned_fallback = False
 
 
 def native_cache_dir() -> str:
-    """The on-disk cache of compiled native modules.
+    """The on-disk cache of the compiled native module.
 
     ``REPRO_NATIVE_CACHE`` overrides; the default is per-user (and
     per-Python-tag via the extension filename) under the system temp
@@ -90,6 +100,14 @@ def native_cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"repro-native-{uid}")
 
 
+def module_name() -> str:
+    """The native module's name: ABI, C text and compile flags, hashed."""
+    h = hashlib.sha256(f"abi{NATIVE_ABI};{_COMPILE_ARGS};".encode())
+    h.update(NATIVE_CDEF.encode())
+    h.update(NATIVE_SOURCE.encode())
+    return f"_repro_native_{h.hexdigest()[:16]}"
+
+
 def _load_extension(name: str, path: str):
     """Import one compiled extension module from an explicit path."""
     spec = importlib.util.spec_from_file_location(name, path)
@@ -100,48 +118,73 @@ def _load_extension(name: str, path: str):
     return module
 
 
-def _run_probe() -> Tuple[bool, str]:
-    """Compile + load + call a trivial module; (ok, failure reason)."""
-    try:
-        import cffi
-    except Exception as exc:  # pragma: no cover - cffi is baked in
-        return False, f"cffi is not importable ({exc!r})"
+def _build_module(name: str, path: str) -> None:
+    """Compile the module and move the finished object to *path*."""
+    import cffi
+
+    cache_dir = os.path.dirname(path)
+    os.makedirs(cache_dir, exist_ok=True)
+    build_dir = tempfile.mkdtemp(prefix=f"{name}.build-", dir=cache_dir)
     try:
         ffi = cffi.FFI()
-        ffi.cdef("int repro_native_probe(void);")
-        ffi.set_source(
-            "_repro_native_probe",
-            "int repro_native_probe(void) { return 42; }",
-        )
-        with tempfile.TemporaryDirectory() as tmp:
-            lib_path = ffi.compile(tmpdir=tmp)
-            module = _load_extension("_repro_native_probe", lib_path)
-            if module.lib.repro_native_probe() != 42:  # pragma: no cover
-                return False, "probe module returned a wrong value"
-    except Exception as exc:
-        return False, f"C toolchain probe failed ({exc})"
-    return True, ""
+        ffi.cdef(NATIVE_CDEF)
+        ffi.set_source(name, NATIVE_SOURCE, extra_compile_args=_COMPILE_ARGS)
+        os.replace(ffi.compile(tmpdir=build_dir), path)
+    finally:
+        shutil.rmtree(build_dir, ignore_errors=True)
+
+
+def _load_or_build():
+    name = module_name()
+    path = os.path.join(
+        native_cache_dir(), name + sysconfig.get_config_var("EXT_SUFFIX")
+    )
+    if os.path.exists(path):
+        try:
+            return _load_extension(name, path)
+        except Exception:  # noqa: BLE001 - corrupt object: rebuild it
+            pass
+    _build_module(name, path)
+    return _load_extension(name, path)
+
+
+def _native_state() -> Tuple[object, str]:
+    global _state
+    state = _state
+    if state is None:
+        with _lock:
+            if _state is None:
+                try:
+                    _state = (_load_or_build(), "")
+                except Exception as exc:  # noqa: BLE001 - reported, not raised
+                    _state = (None, f"native module unavailable ({exc})")
+            state = _state
+    return state
+
+
+def native_module():
+    """The loaded native module (see module doc for the lifecycle).
+
+    Exposes ``lib`` (the entry points of
+    :data:`repro.kernel.codegen.NATIVE_CDEF`) and ``ffi``; raises
+    :class:`RuntimeError` with :func:`native_unavailable_reason` when
+    the module can be neither loaded nor built.
+    """
+    module, reason = _native_state()
+    if module is None:
+        raise RuntimeError(reason)
+    return module
 
 
 def native_available() -> bool:
-    """True when a working C toolchain (and cffi) is present.
-
-    The probe actually compiles (once per process), so a compiler
-    removed between sessions — or hidden via ``CC=/nonexistent`` — is
-    detected rather than assumed from a stale cache.
-    """
-    global _probe_result
-    with _lock:
-        if _probe_result is None:
-            _probe_result = _run_probe()
-    return _probe_result[0]
+    """True when the native module is loaded — from the disk cache, or
+    built on a miss (once per process)."""
+    return _native_state()[0] is not None
 
 
 def native_unavailable_reason() -> str:
-    """The probe's failure reason ("" when native is available)."""
-    native_available()
-    assert _probe_result is not None
-    return _probe_result[1]
+    """Why the module could not be loaded or built ("" when it was)."""
+    return _native_state()[1]
 
 
 def warn_native_fallback() -> None:
@@ -151,9 +194,9 @@ def warn_native_fallback() -> None:
         return
     _warned_fallback = True
     warnings.warn(
-        "native word backend unavailable "
-        f"({native_unavailable_reason()}); falling back to the numpy "
-        "backend — simulation results are identical, only slower",
+        f"native word backend unavailable ({native_unavailable_reason()}); "
+        "falling back to the numpy backend — simulation results are "
+        "identical, only slower",
         NativeBackendUnavailableWarning,
         stacklevel=3,
     )
@@ -163,7 +206,7 @@ def native_backend_or_fallback(n_lanes: int, fusion: str = "auto"):
     """A :class:`NativeWordBackend`, or numpy + one-time warning.
 
     The graceful-degradation seam ``backend_for(prefer="native")``
-    routes through: without a C toolchain the package must keep
+    routes through: without the native module the package must keep
     working everywhere, so the numpy backend (bit-identical results)
     is substituted and a :class:`NativeBackendUnavailableWarning` is
     emitted once per process.
@@ -174,77 +217,51 @@ def native_backend_or_fallback(n_lanes: int, fusion: str = "auto"):
     return NumpyWordBackend(n_lanes, fusion=fusion)
 
 
-def plan_hash(compiled: CompiledCircuit) -> str:
-    """Structural hash of the evaluation plan (the module cache key).
+def native_plan(compiled: CompiledCircuit):
+    """The ``repro_plan`` struct of *compiled* (memoized, see module doc).
 
-    Two circuits with the same signals/inputs/outputs and the same
-    plan steps generate byte-identical C, so they share one compiled
-    module — across processes via the disk cache.
+    Returns ``(struct, n_edges)``; the struct points into arrays kept
+    alive by the memo entry.  ``n_edges`` (the fanin CSR length) sizes
+    the fault walks' edge-term memo.
     """
-    h = hashlib.sha256()
-    h.update(f"abi{NATIVE_ABI};{compiled.n_signals};".encode())
-    h.update(f"{tuple(compiled.py_inputs)};{tuple(compiled.py_outputs)};".encode())
-    for code, out, fanin, _gt in compiled.plan:
-        h.update(f"{code}:{out}:{fanin};".encode())
-    return h.hexdigest()[:16]
-
-
-def _find_cached(name: str, cache_dir: str) -> Optional[str]:
-    """Path of a previously compiled shared object, if any."""
-    for path in sorted(glob.glob(os.path.join(cache_dir, name + ".*"))):
-        if path.endswith((".so", ".pyd", ".dylib")):
-            return path
-    return None
-
-
-def _build_module(compiled: CompiledCircuit, name: str, cache_dir: str):
-    import cffi
-
-    ffi = cffi.FFI()
-    ffi.cdef(NATIVE_CDEF)
-    # The C text is constant-size (data-driven plan interpreters, only
-    # the tables grow with the circuit), so a real optimization level
-    # is affordable at session time: -O2 builds bulk2k in ~2s and runs
-    # the fault loop ~2x faster than -O0.  -w: machine-written code
-    # trips set-but-unused warnings by construction; the noise helps
-    # nobody.
-    extra = [] if os.name == "nt" else ["-O2", "-w"]
-    ffi.set_source(
-        name, render_native_source(compiled), extra_compile_args=extra
-    )
-    os.makedirs(cache_dir, exist_ok=True)
-    return ffi.compile(tmpdir=cache_dir)
-
-
-def native_module(compiled: CompiledCircuit):
-    """The compiled native module of *compiled* (memoized, see module doc).
-
-    Requires :func:`native_available`; raises the underlying build
-    error otherwise.  The returned module exposes ``lib`` (the entry
-    points of :data:`repro.kernel.codegen.NATIVE_CDEF`) and ``ffi``.
-    """
-    module = compiled._fusion_cache.get("native_module")
-    if module is not None:
-        return module
-    key = plan_hash(compiled)
-    name = f"_repro_native_{key}"
-    with _lock:
-        module = _modules.get(key)
-        if module is None:
-            cache_dir = native_cache_dir()
-            path = _find_cached(name, cache_dir)
-            if path is not None:
-                try:
-                    module = _load_extension(name, path)
-                except Exception:
-                    path = None  # stale/foreign object: rebuild below
-                    module = None
-            if module is None:
-                lib_path = _build_module(compiled, name, cache_dir)
-                module = _load_extension(name, lib_path)
-            _modules[key] = module
-    compiled._fusion_cache["native_module"] = module
-    return module
+    entry = compiled._fusion_cache.get("native_plan")
+    if entry is None:
+        ffi = native_module().ffi
+        tables = {
+            "plan_out": np.fromiter(
+                (out for _code, out, _fanin, _gt in compiled.plan),
+                np.int32,
+                count=len(compiled.plan),
+            ),
+            "code": np.asarray(compiled.py_codes, dtype=np.int8),
+            "fanin_off": np.ascontiguousarray(compiled.fanin_offsets, np.int32),
+            "fanin_idx": np.ascontiguousarray(compiled.fanin_index, np.int32),
+            "ctrl": np.asarray(
+                [-1 if c is None else c for c in compiled.controlling],
+                dtype=np.int8,
+            ),
+        }
+        views = {
+            key: ffi.from_buffer(
+                "int8_t[]" if table.dtype == np.int8 else "int32_t[]", table
+            )
+            for key, table in tables.items()
+        }
+        struct = ffi.new(
+            "repro_plan *",
+            {
+                "n_signals": compiled.n_signals,
+                "n_plan": len(compiled.plan),
+                **views,
+            },
+        )
+        # the buffer views keep the tables alive as long as the memo
+        # entry; setdefault makes racing first calls share one entry,
+        # so no caller holds a struct whose tables were dropped
+        entry = compiled._fusion_cache.setdefault(
+            "native_plan", (struct, len(compiled.fanin_index), views)
+        )
+    return entry[0], entry[1]
 
 
 def _u64_ptr(ffi, array: np.ndarray):
@@ -256,34 +273,41 @@ def _i32_ptr(ffi, array: np.ndarray):
 
 
 def _path_arrays(
-    faults: Sequence,
+    compiled: CompiledCircuit, faults: Sequence
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(path_flat, path_off, final_one) of one fault batch.
 
-    ``array.array.extend`` flattens each path at C speed — the batch
-    arrays are rebuilt per call (fault lists shrink between campaign
-    rounds), so this is on the hot path of every native fault walk.
+    Flattening thousands of paths costs ~1 µs per fault, and grading
+    loops re-send the same fault list with every new pattern batch, so
+    the last batch's arrays are memoized on the compiled circuit (the
+    tuple comparison short-circuits on identical fault objects).
+    Signal ids are range-checked here: the C walks index slabs with
+    them unchecked, and faults can arrive off the wire.
     """
-    offsets = np.zeros(len(faults) + 1, dtype=np.int32)
-    flat_buf = array.array("i")
-    final_buf = bytearray(len(faults))
-    for k, fault in enumerate(faults):
-        flat_buf.extend(fault.signals)
-        offsets[k + 1] = len(flat_buf)
-        if fault.transition.final == 1:
-            final_buf[k] = 1
-    if not flat_buf:
-        flat = np.zeros(0, np.int32)
-    elif flat_buf.itemsize == 4:
-        flat = np.frombuffer(flat_buf, dtype=np.int32)
-    else:  # pragma: no cover - exotic C int width
-        flat = np.asarray(flat_buf, dtype=np.int32)
-    final_one = (
-        np.frombuffer(final_buf, dtype=np.uint8)
-        if final_buf
-        else np.zeros(0, np.uint8)
+    key = tuple(faults)
+    cached = compiled._fusion_cache.get("native_paths")
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    outside = ValueError(
+        f"fault path names a signal outside the circuit's {compiled.n_signals}"
     )
-    return flat, offsets, final_one
+    offsets = np.zeros(len(key) + 1, dtype=np.int32)
+    flat_buf = array.array("i")
+    try:
+        for k, fault in enumerate(key):
+            flat_buf.extend(fault.signals)
+            offsets[k + 1] = len(flat_buf)
+    except OverflowError:  # an id past int32 is outside every circuit
+        raise outside from None
+    flat = np.asarray(flat_buf, dtype=np.int32)
+    if len(flat) and (flat.min() < 0 or flat.max() >= compiled.n_signals):
+        raise outside
+    final_one = np.fromiter(
+        (fault.transition.final for fault in key), np.uint8, count=len(key)
+    )
+    arrays = (flat, offsets, final_one)
+    compiled._fusion_cache["native_paths"] = (key, arrays)
+    return arrays
 
 
 def cone_step_arrays(compiled: CompiledCircuit, site: int) -> Tuple:
@@ -338,31 +362,44 @@ class NativeWordBackend(NumpyWordBackend):
     last word are unspecified for two-valued values and stay ``X`` for
     plane passes), same ``fusion`` attribute (the C body *is* the
     fused plan; the attribute is kept for option plumbing) — but each
-    forward pass is one call into the circuit's compiled module, and
-    the fault-batch methods (:meth:`ppsfp_masks`,
-    :meth:`strength_triples`) keep the walks in C too.
+    forward pass is one call into the native module, and the
+    fault-batch methods (:meth:`ppsfp_masks`, :meth:`strength_triples`)
+    keep the walks in C too.
     """
 
     kind = "native"
+    tier = "native/c"
 
     # ------------------------------------------------------------------
+    @staticmethod
     def _pass_slabs(
-        self,
-        compiled: CompiledCircuit,
-        input_planes: Sequence[PlanesLike],
-        n_planes: int,
+        compiled: CompiledCircuit, planes: Sequence[np.ndarray], n_words: int
     ) -> List[np.ndarray]:
-        n_words = (
-            len(np.asarray(input_planes[0][0]).reshape(-1))
-            if input_planes
-            else self.n_words
-        )
-        shape = (compiled.n_signals, n_words)
-        slabs = [np.zeros(shape, dtype=np.uint64) for _ in range(n_planes)]
-        for pi, planes in zip(compiled.py_inputs, input_planes):
-            for slab, plane in zip(slabs, planes):
-                slab[pi] = plane
+        """One ``(n_signals, n_words)`` slab per plane, inputs filled in.
+
+        ``planes[p]`` holds plane *p* of every primary input — an
+        ``(n_inputs, n_words)`` array, or one row broadcast to all —
+        scattered with one fancy-index assignment.  The other rows are
+        left for the pass to write: every non-input signal is a plan
+        step.
+        """
+        slabs = []
+        for plane in planes:
+            slab = np.empty((compiled.n_signals, n_words), dtype=np.uint64)
+            slab[compiled.input_index] = plane
+            slabs.append(slab)
         return slabs
+
+    def _stacked(
+        self, input_planes: Sequence[PlanesLike], n_planes: int
+    ) -> Tuple[List[np.ndarray], int]:
+        """Per-input plane tuples as per-plane ``(n_inputs, n_words)`` arrays."""
+        if not input_planes:
+            return [np.zeros((0, self.n_words), np.uint64)] * n_planes, self.n_words
+        stacked = np.asarray(input_planes, dtype=np.uint64).reshape(
+            len(input_planes), n_planes, -1
+        )
+        return [stacked[:, p] for p in range(n_planes)], stacked.shape[2]
 
     def simulate_logic(
         self, compiled: CompiledCircuit, input_bits: np.ndarray
@@ -375,11 +412,26 @@ class NativeWordBackend(NumpyWordBackend):
                 f"expected {compiled.n_inputs} input rows, got {input_bits.shape[0]}"
             )
         n_words = input_bits.shape[1]
-        values = np.zeros((compiled.n_signals, n_words), dtype=np.uint64)
-        values[compiled.input_index] = input_bits
-        module = native_module(compiled)
-        module.lib.repro_logic_pass(_u64_ptr(module.ffi, values), n_words)
+        (values,) = self._pass_slabs(compiled, [input_bits], n_words)
+        plan, _ = native_plan(compiled)
+        module = native_module()
+        module.lib.repro_logic_pass(plan, _u64_ptr(module.ffi, values), n_words)
         return values
+
+    def _planes_pass(
+        self, compiled: CompiledCircuit, planes: Sequence[np.ndarray], n_words: int
+    ) -> List[np.ndarray]:
+        """The 7-valued (four planes) or 10-valued (five) full pass."""
+        slabs = self._pass_slabs(compiled, planes, n_words)
+        plan, _ = native_plan(compiled)
+        module = native_module()
+        run = (
+            module.lib.repro_planes7_pass
+            if len(slabs) == 4
+            else module.lib.repro_planes10_pass
+        )
+        run(plan, *(_u64_ptr(module.ffi, slab) for slab in slabs), n_words)
+        return slabs
 
     def simulate_planes7(
         self, compiled: CompiledCircuit, input_planes: Sequence[PlanesLike]
@@ -388,17 +440,8 @@ class NativeWordBackend(NumpyWordBackend):
             raise ValueError(
                 f"expected {compiled.n_inputs} input planes, got {len(input_planes)}"
             )
-        slabs = self._pass_slabs(compiled, input_planes, 4)
-        module = native_module(compiled)
-        ffi = module.ffi
-        module.lib.repro_planes7_pass(
-            *(_u64_ptr(ffi, slab) for slab in slabs), slabs[0].shape[1]
-        )
-        zero, one, stable, instable = slabs
-        return [
-            (zero[s], one[s], stable[s], instable[s])
-            for s in range(compiled.n_signals)
-        ]
+        slabs = self._planes_pass(compiled, *self._stacked(input_planes, 4))
+        return list(zip(*slabs))
 
     def simulate_planes10(
         self, compiled: CompiledCircuit, input_planes: Sequence[PlanesLike]
@@ -407,17 +450,8 @@ class NativeWordBackend(NumpyWordBackend):
             raise ValueError(
                 f"expected {compiled.n_inputs} input planes, got {len(input_planes)}"
             )
-        slabs = self._pass_slabs(compiled, input_planes, 5)
-        module = native_module(compiled)
-        ffi = module.ffi
-        module.lib.repro_planes10_pass(
-            *(_u64_ptr(ffi, slab) for slab in slabs), slabs[0].shape[1]
-        )
-        zero, one, stable, instable, hazard = slabs
-        return [
-            (zero[s], one[s], stable[s], instable[s], hazard[s])
-            for s in range(compiled.n_signals)
-        ]
+        slabs = self._planes_pass(compiled, *self._stacked(input_planes, 5))
+        return list(zip(*slabs))
 
     # ------------------------------------------------------------------
     # fault-batch inner loops (one Python call per batch)
@@ -431,26 +465,28 @@ class NativeWordBackend(NumpyWordBackend):
     ) -> List[int]:
         """Detection lane masks of *faults* over one packed batch.
 
-        One 7-valued forward pass plus the whole per-fault detection
-        walk (launch, off-path side conditions, early-out, validity
-        masking) inside the native module; returns Python-int lane
-        masks index-aligned with *faults*, bit-identical to the
-        interpreted oracle walk.
+        One 7-valued forward pass plus the whole detection walk
+        (launch, off-path side conditions shared per on-path edge,
+        early-out, validity masking) inside the native module; returns
+        Python-int lane masks index-aligned with *faults*, bit-identical
+        to the interpreted oracle walk.  Only detected faults' rows come
+        back from C and get converted.
         """
-        slabs = self._pass_slabs(compiled, packed.planes7(), 4)
-        n_words = slabs[0].shape[1]
-        module = native_module(compiled)
-        ffi = module.ffi
-        lib = module.lib
-        lib.repro_planes7_pass(
-            *(_u64_ptr(ffi, slab) for slab in slabs), n_words
-        )
         if not faults:
             return []
-        flat, offsets, final_one = _path_arrays(faults)
-        valid = np.ascontiguousarray(packed.lane_valid(), dtype=np.uint64)
-        out = np.zeros((len(faults), n_words), dtype=np.uint64)
-        lib.repro_detect_walk(
+        n_words = packed.n_words
+        slabs = self._planes_pass(compiled, packed.planes7_arrays(), n_words)
+        plan, n_edges = native_plan(compiled)
+        flat, offsets, final_one = _path_arrays(compiled, faults)
+        valid = packed.lane_valid()
+        slot = np.full(n_edges + 1, -1, dtype=np.int32)
+        terms = np.empty((n_edges + 1, n_words), dtype=np.uint64)
+        out = np.empty((len(faults), n_words), dtype=np.uint64)
+        index = np.empty(len(faults), dtype=np.int32)
+        module = native_module()
+        ffi = module.ffi
+        count = module.lib.repro_detect_walk(
+            plan,
             *(_u64_ptr(ffi, slab) for slab in slabs),
             n_words,
             _i32_ptr(ffi, flat),
@@ -459,9 +495,15 @@ class NativeWordBackend(NumpyWordBackend):
             len(faults),
             int(robust),
             _u64_ptr(ffi, valid),
+            _i32_ptr(ffi, slot),
+            _u64_ptr(ffi, terms),
             _u64_ptr(ffi, out),
+            _i32_ptr(ffi, index),
         )
-        return rows_to_ints(out)
+        masks = [0] * len(faults)
+        for k, mask in zip(index[:count].tolist(), rows_to_ints(out[:count])):
+            masks[k] = mask
+        return masks
 
     def strength_triples(
         self, compiled: CompiledCircuit, packed, faults: Sequence
@@ -469,27 +511,26 @@ class NativeWordBackend(NumpyWordBackend):
         """(nonrobust, robust, hazard-free-robust) masks per fault.
 
         The 10-valued analogue of :meth:`ppsfp_masks`: one 5-plane
-        forward pass plus the three-class strength walk in C.
+        forward pass plus the three-class strength walk in C, with the
+        same per-edge sharing and detected-rows-only output.
         """
-        valid = np.ascontiguousarray(packed.lane_valid(), dtype=np.uint64)
-        inputs10 = [
-            (z, o, s, i, valid) for z, o, s, i in packed.planes7()
-        ]
-        slabs = self._pass_slabs(compiled, inputs10, 5)
-        n_words = slabs[0].shape[1]
-        module = native_module(compiled)
-        ffi = module.ffi
-        lib = module.lib
-        lib.repro_planes10_pass(
-            *(_u64_ptr(ffi, slab) for slab in slabs), n_words
-        )
         if not faults:
             return []
-        flat, offsets, final_one = _path_arrays(faults)
-        out_nr = np.zeros((len(faults), n_words), dtype=np.uint64)
-        out_r = np.zeros_like(out_nr)
-        out_st = np.zeros_like(out_nr)
-        lib.repro_strength_walk(
+        n_words = packed.n_words
+        valid = packed.lane_valid()
+        slabs = self._planes_pass(
+            compiled, (*packed.planes7_arrays(), valid), n_words
+        )
+        plan, n_edges = native_plan(compiled)
+        flat, offsets, final_one = _path_arrays(compiled, faults)
+        slot = np.full(n_edges + 1, -1, dtype=np.int32)
+        terms = np.empty((n_edges + 1, 3, n_words), dtype=np.uint64)
+        out = np.empty((3, len(faults), n_words), dtype=np.uint64)
+        index = np.empty(len(faults), dtype=np.int32)
+        module = native_module()
+        ffi = module.ffi
+        count = module.lib.repro_strength_walk(
+            plan,
             *(_u64_ptr(ffi, slab) for slab in slabs),
             n_words,
             _i32_ptr(ffi, flat),
@@ -497,13 +538,16 @@ class NativeWordBackend(NumpyWordBackend):
             ffi.cast("uint8_t *", ffi.from_buffer(final_one)),
             len(faults),
             _u64_ptr(ffi, valid),
-            _u64_ptr(ffi, out_nr),
-            _u64_ptr(ffi, out_r),
-            _u64_ptr(ffi, out_st),
+            _i32_ptr(ffi, slot),
+            _u64_ptr(ffi, terms),
+            *(_u64_ptr(ffi, rows) for rows in out),
+            _i32_ptr(ffi, index),
         )
-        return list(
-            zip(rows_to_ints(out_nr), rows_to_ints(out_r), rows_to_ints(out_st))
-        )
+        triples = [(0, 0, 0)] * len(faults)
+        detected = zip(*(rows_to_ints(rows[:count]) for rows in out))
+        for k, triple in zip(index[:count].tolist(), detected):
+            triples[k] = triple
+        return triples
 
 
 class NativeConeSimulator:
@@ -520,7 +564,7 @@ class NativeConeSimulator:
 
     def __init__(self, compiled: CompiledCircuit):
         self.compiled = compiled
-        self.module = native_module(compiled)
+        self.module = native_module()
         self._scratch = np.empty(0, dtype=np.uint64)
 
     def diff_mask(self, good: np.ndarray, site: int, forced_one: bool) -> int:

@@ -215,21 +215,20 @@ class PackedPatterns:
         """Per-word mask of valid lanes (padding lanes cleared)."""
         return lane_valid_words(self.n_patterns)
 
-    def planes7(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Per-input 7-valued (zero, one, stable, instable) planes.
+    def planes7_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The 7-valued (zero, one, stable, instable) planes of all inputs.
 
-        Lane ``k`` encodes S0/S1 where the vectors agree and F/R where
-        they differ — the PPSFP input encoding of
-        :func:`repro.sim.delay_sim.pack_patterns`, vectorized.
-        Padding lanes are left all-zero (the 7-valued ``X``), which
-        propagates as ``X`` and never contributes a detection.
+        Four ``(n_inputs, n_words)`` arrays, computed whole.  Lane ``k``
+        encodes S0/S1 where the vectors agree and F/R where they differ
+        — the PPSFP input encoding of :func:`repro.sim.delay_sim.
+        pack_patterns`, vectorized.  Padding lanes are left all-zero
+        (the 7-valued ``X``), which propagates as ``X`` and never
+        contributes a detection.
         """
         valid = self.lane_valid()
         changed = (self.v1 ^ self.v2) & valid
-        stable = ~changed & valid
-        planes = []
-        for row in range(self.n_inputs):
-            one = self.v2[row] & valid
-            zero = ~self.v2[row] & valid
-            planes.append((zero, one, stable[row], changed[row]))
-        return planes
+        return ~self.v2 & valid, self.v2 & valid, ~changed & valid, changed
+
+    def planes7(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per-input 7-valued plane tuples: the rows of :meth:`planes7_arrays`."""
+        return list(zip(*self.planes7_arrays()))

@@ -9,11 +9,13 @@ The simulator packs two-vector tests into the bit lanes of a 7-valued
 plane state (each primary input becomes S0/S1/R/F according to its
 V1/V2 bits) and evaluates the conservative hazard calculus of
 :mod:`repro.logic.seven_valued` once, forward-only, over the compiled
-netlist kernel (:class:`repro.kernel.CompiledCircuit`).  Two word
-backends execute that pass:
+netlist kernel (:class:`repro.kernel.CompiledCircuit`).  By default
+the pass and the whole fault walk run in the compiled-C native module
+(:mod:`repro.kernel.native`); the Python word backends run the same
+calculus where it is unavailable or a fusion strategy is pinned:
 
 * Python-int planes (one arbitrary-width word per plane) for batches
-  up to one machine word — the TPG engine's PPSFP drop loop,
+  up to one machine word,
 * numpy ``uint64`` multi-word planes (:class:`repro.kernel.
   PackedPatterns`) for bulk batches of arbitrarily many patterns —
   the same plane calculus, vectorized element-wise.
@@ -287,18 +289,23 @@ class DelayFaultSimulator:
     Args:
         circuit: frozen target circuit (compiled once, cached).
         test_class: robust or nonrobust detection conditions.
-        backend: ``"int"``, ``"numpy"``, ``"native"`` or ``"auto"``
-            (default) — ``auto`` runs batches larger than one machine
-            word on the numpy multi-word backend and everything else
-            on Python-int words; ``native`` runs the whole batch —
-            forward pass *and* per-fault detection walk — inside the
-            circuit's compiled-C module (falls back to numpy with a
-            one-time warning when no C toolchain is present).
-        fusion: execution strategy of the chosen backend —
+        backend: ``"auto"`` (default), ``"int"``, ``"numpy"`` or
+            ``"native"``.  Native runs the whole batch — forward pass
+            *and* detection walk — inside the compiled-C module; with
+            ``fusion="auto"``, ``auto`` picks it at every width
+            whenever the module loads, and otherwise runs batches up
+            to one machine word on Python-int words and larger ones on
+            the numpy multi-word backend (see
+            :func:`repro.kernel.backend_for`).  An explicit
+            ``"native"`` falls back to numpy with a one-time warning
+            when the module is unavailable.
+        fusion: execution strategy of a Python backend —
             ``"interp"`` (the per-gate oracle loop), ``"vector"``
             (level-vectorized fused groups, numpy), ``"codegen"``
             (straight-line compiled body) or ``"auto"`` (default: the
-            fastest supported strategy per backend).
+            native module where it loads, else the fastest supported
+            strategy per backend).  An explicit strategy keeps
+            ``backend="auto"`` on the Python backends.
     """
 
     def __init__(
@@ -330,10 +337,11 @@ class DelayFaultSimulator:
 
         All faults are checked against all patterns in one batched
         pass: one forward plane simulation of the whole batch, then
-        per-fault pure bitwise detection checks — vectorized over
-        multi-word numpy planes when the batch exceeds one machine
-        word.  Lane ``k`` of a returned mask corresponds to
-        ``patterns[k]`` regardless of backend.  Index-aligned output
+        per-fault pure bitwise detection checks — in C on the native
+        backend, vectorized over multi-word numpy planes when the
+        batch exceeds one machine word on the Python ones.  Lane
+        ``k`` of a returned mask corresponds to ``patterns[k]``
+        regardless of backend.  Index-aligned output
         avoids hashing long path tuples on hot drop loops (the
         campaign drop bus calls this after every round).
 

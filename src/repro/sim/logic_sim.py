@@ -68,14 +68,16 @@ def simulate_batch(
 ) -> List[Tuple[int, ...]]:
     """Simulate many vectors; returns per-vector output tuples.
 
-    Batches beyond one machine word run vectorized on the numpy
-    backend via :class:`repro.kernel.PackedPatterns`.
+    Runs on the backend :func:`repro.kernel.backend_for` picks: the
+    native module by default, else Python-int words up to one machine
+    word and numpy uint64 arrays (via :class:`repro.kernel.
+    PackedPatterns`) beyond.
     """
     if not vectors:
         return []
     outputs = circuit.outputs
-    # int/numpy crossover policy is owned by kernel.backend_for
-    if isinstance(backend_for(len(vectors), "auto"), IntWordBackend):
+    backend = backend_for(len(vectors), "auto", fusion=fusion)
+    if isinstance(backend, IntWordBackend):
         words = pack_vectors(vectors)
         values = simulate_words(circuit, words, len(vectors), fusion=fusion)
         return [
@@ -83,7 +85,7 @@ def simulate_batch(
             for lane in range(len(vectors))
         ]
     packed = PackedPatterns.from_vectors(vectors)
-    values = simulate_array(circuit, packed.v2, fusion=fusion)
+    values = backend.simulate_logic(circuit.compiled(), packed.v2)
     out_rows = np.ascontiguousarray(
         values[np.asarray(outputs, dtype=np.intp)], dtype="<u8"
     )

@@ -23,8 +23,8 @@ Orthogonally, ``backend="native"`` moves the whole workload into the
 circuit's compiled-C module (:mod:`repro.kernel.native`): the good
 machine runs as the native two-valued pass over uint64 lane slabs and
 each fault's cone resimulation plus output-difference reduction is
-one ``repro_stuck_cone`` call.  Without a C toolchain it degrades to
-the default Python-int path with a one-time warning.
+one ``repro_stuck_cone`` call.  Without the native module it degrades
+to the default Python-int path with a one-time warning.
 
 All strategies are cross-checked bit-identical in
 ``tests/test_fusion.py``.  The interpreted cone plans are cached on
@@ -63,7 +63,7 @@ class StuckAtSimulator:
         backend: ``"auto"``/``"int"`` run Python-int lane words;
             ``"native"`` runs good-machine pass and cone resims in
             the circuit's compiled-C module (numpy-slab words), with
-            graceful fallback when no C toolchain is present.
+            graceful fallback when the native module is unavailable.
     """
 
     def __init__(

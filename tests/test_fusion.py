@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import AtpgSession, Options
+from repro.circuit import Circuit, GateType
 from repro.circuit.generators import random_dag
 from repro.circuit.suites import suite_circuit
 from repro.core.patterns import random_patterns
@@ -38,7 +39,7 @@ from repro.kernel import (
 from repro.kernel.codegen import gate_backward_fn
 from repro.logic import seven_valued, three_valued
 from repro.logic.words import mask_for
-from repro.paths import TestClass, fault_list
+from repro.paths import PathDelayFault, TestClass, Transition, fault_list
 from repro.sim import DelayFaultSimulator, StuckAtSimulator
 from repro.sim.delay_sim import (
     pack_patterns,
@@ -425,23 +426,115 @@ class TestEndToEnd:
 
 needs_toolchain = pytest.mark.skipif(
     not native_available(),
-    reason="no C toolchain: native word backend unavailable",
+    reason="no C toolchain and no cached native module",
+)
+
+
+def walk_circuit(seed: int, n_inputs: int, n_gates: int) -> Circuit:
+    """A random DAG with XOR-family gates and duplicate fanins.
+
+    Fanins are drawn with replacement from a small recent window, so
+    gates like ``AND(a, a, b)`` and paths that repeat a fault are
+    common — the shapes the native walks' per-edge term sharing must
+    get right.
+    """
+    rng = random.Random(seed)
+    circuit = Circuit(name=f"walk_{seed}")
+    signals = [circuit.add_input(f"i{k}") for k in range(n_inputs)]
+    kinds = [
+        GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
+        GateType.XOR, GateType.XNOR, GateType.NOT, GateType.BUF,
+    ]
+    for g in range(n_gates):
+        kind = rng.choice(kinds)
+        arity = 1 if kind in (GateType.NOT, GateType.BUF) else rng.randint(2, 6)
+        window = signals[-6:]
+        signals.append(
+            circuit.add_gate(f"g{g}", kind, [rng.choice(window) for _ in range(arity)])
+        )
+    for signal in signals[-3:]:
+        circuit.mark_output(signal)
+    return circuit.freeze()
+
+
+#: Pattern counts from one lane to several words, never a word multiple
+#: past the first word (the last word then carries padding lanes).
+pattern_counts = st.one_of(
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=65, max_value=300).filter(lambda n: n % 64),
 )
 
 
 @needs_toolchain
-class TestNativeBackend:
-    """Native vs the interpreted oracle, every covered pass per example.
-
-    One hypothesis example costs one cffi module build, so this suite
-    runs few examples but checks all native entry points — 2-valued,
-    7-valued and 10-valued passes, PPSFP detection masks in both
-    classes, strength triples, and stuck-at cone resimulation — on
-    each random circuit.
-    """
+class TestNativeWalks:
+    """The C detection and strength walks against the interp oracle."""
 
     @settings(
-        max_examples=6,
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=3, max_value=30),
+        pattern_counts,
+    )
+    def test_walks_bit_identical_to_interp(
+        self, seed, n_inputs, n_gates, n_patterns
+    ):
+        circuit = walk_circuit(seed, n_inputs, n_gates)
+        faults = fault_list(circuit, cap=24, strategy="all")
+        faults = faults + faults[::3]  # repeated faults
+        patterns = random_patterns(circuit, n_patterns, seed + 1)
+        packed = PackedPatterns.from_patterns(patterns)
+        for test_class in TestClass:
+            oracle = DelayFaultSimulator(
+                circuit, test_class, backend="numpy", fusion="interp"
+            ).detection_masks(patterns, faults)
+            native = DelayFaultSimulator(circuit, test_class, backend="native")
+            assert native.detection_masks(patterns, faults) == oracle
+            assert native.detection_masks(packed, faults) == oracle
+            assert native.detection_masks(packed, []) == []
+        assert strength_masks_all(
+            circuit, packed, faults, backend="native"
+        ) == strength_masks_all(
+            circuit, patterns, faults, backend="int", fusion="interp"
+        )
+        assert strength_masks_all(circuit, packed, [], backend="native") == []
+
+    def test_off_structure_paths(self):
+        """Steps whose driver does not feed the next signal match the
+        oracle; signal ids outside the circuit are rejected."""
+        circuit = walk_circuit(7, 4, 20)
+        patterns = random_patterns(circuit, 130, 8)
+        last = circuit.num_signals - 1
+        faults = [
+            PathDelayFault((0, last), Transition.RISING),
+            PathDelayFault((1, 0, last), Transition.FALLING),
+        ]
+        for test_class in TestClass:
+            oracle = DelayFaultSimulator(
+                circuit, test_class, backend="numpy", fusion="interp"
+            ).detection_masks(patterns, faults)
+            native = DelayFaultSimulator(circuit, test_class, backend="native")
+            assert native.detection_masks(patterns, faults) == oracle
+        for bad in ((0, last + 1), (-1, last), (0, 2**40)):
+            with pytest.raises(ValueError, match="outside the circuit"):
+                native.detection_masks(
+                    patterns, [PathDelayFault(bad, Transition.RISING)]
+                )
+
+
+@needs_toolchain
+class TestNativeBackend:
+    """Native vs the interpreted oracle, every covered pass per example:
+    2-valued, 7-valued and 10-valued passes, PPSFP detection masks in
+    both classes, strength triples, and stuck-at cone resimulation, on
+    each random circuit (all circuits share the one native module)."""
+
+    @settings(
+        max_examples=15,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )

@@ -294,14 +294,30 @@ class TestBatchedPpsfp:
             detected_faults_reference(circuit, patterns, faults, test_class)
         )
 
-    def test_auto_backend_picks_numpy_past_one_word(self):
-        from repro.kernel import NativeWordBackend, NumpyWordBackend, backend_for
+    def test_auto_backend_picks_native_else_the_int_numpy_crossover(self):
+        from repro.kernel import (
+            NativeWordBackend,
+            NumpyWordBackend,
+            backend_for,
+            native_available,
+        )
 
-        assert not isinstance(backend_for(64, "auto"), NumpyWordBackend)
-        assert isinstance(backend_for(65, "auto"), NumpyWordBackend)
+        for n_lanes in (1, 64, 65, 4096):
+            backend = backend_for(n_lanes, "auto")
+            if native_available():
+                assert type(backend) is NativeWordBackend
+                assert backend.tier == "native/c"
+            elif n_lanes <= 64:
+                assert type(backend) is IntWordBackend
+            else:
+                assert type(backend) is NumpyWordBackend
+        # an explicit strategy keeps the Python fast paths reachable
+        assert type(backend_for(64, "auto", fusion="codegen")) is IntWordBackend
+        assert backend_for(64, "auto", fusion="vector").tier == "int/codegen"
+        numpy = backend_for(65, "auto", fusion="vector")
+        assert type(numpy) is NumpyWordBackend and numpy.tier == "numpy/vector"
+        assert type(backend_for(65, "auto", fusion="interp")) is NumpyWordBackend
         assert isinstance(backend_for(1, "numpy"), NumpyWordBackend)
-        # auto never opts into the C build cost on its own
-        assert not isinstance(backend_for(65, "auto"), NativeWordBackend)
         with pytest.raises(ValueError):
             backend_for(8, "gpu")
 
@@ -376,17 +392,21 @@ def _evaluate_with_forced(circuit, vector, fault):
 # ---------------------------------------------------------------------------
 
 
+needs_native = pytest.mark.skipif(
+    not pytest.importorskip("repro.kernel.native").native_available(),
+    reason="no C toolchain and no cached native module",
+)
+
+
 class TestNativeSelection:
     def test_fallback_warns_once_and_returns_numpy(self, monkeypatch):
-        """Without a toolchain, prefer="native" degrades with one warning."""
+        """Without the module, prefer="native" degrades with one warning."""
         import warnings
 
         from repro.kernel import NativeBackendUnavailableWarning, backend_for
         from repro.kernel import native as native_mod
 
-        monkeypatch.setattr(
-            native_mod, "_probe_result", (False, "forced by test")
-        )
+        monkeypatch.setattr(native_mod, "_state", (None, "forced by test"))
         monkeypatch.setattr(native_mod, "_warned_fallback", False)
         with pytest.warns(NativeBackendUnavailableWarning, match="forced by test"):
             backend = backend_for(8, "native")
@@ -398,45 +418,145 @@ class TestNativeSelection:
             backend = backend_for(200, "native")
         assert type(backend) is NumpyWordBackend
 
-    @pytest.mark.skipif(
-        not pytest.importorskip("repro.kernel.native").native_available(),
-        reason="no C toolchain: native word backend unavailable",
-    )
+    def test_auto_falls_back_silently_without_module_or_toolchain(
+        self, monkeypatch, tmp_path
+    ):
+        """An empty cache and a hidden compiler: auto runs int/numpy, no
+        warning; the failed build leaves nothing behind."""
+        import warnings
+
+        from repro.kernel import NativeBackendUnavailableWarning, backend_for
+        from repro.kernel import native as native_mod
+
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.setenv("CC", "/nonexistent")
+        monkeypatch.setattr(native_mod, "_state", None)
+        monkeypatch.setattr(native_mod, "_warned_fallback", False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert type(backend_for(8, "auto")) is IntWordBackend
+            assert type(backend_for(65, "auto")) is NumpyWordBackend
+        assert not native_mod.native_available()
+        assert native_mod.native_unavailable_reason()
+        assert list(tmp_path.iterdir()) == []
+        # an explicit native request still says why it fell back
+        with pytest.warns(NativeBackendUnavailableWarning):
+            assert type(backend_for(8, "native")) is NumpyWordBackend
+
+    @needs_native
+    def test_warm_cache_loads_without_compiling(self, monkeypatch):
+        from repro.kernel import native as native_mod
+
+        def no_compiler(name, path):
+            raise AssertionError("a warm cache must not compile")
+
+        monkeypatch.setenv("CC", "/nonexistent")
+        monkeypatch.setattr(native_mod, "_build_module", no_compiler)
+        monkeypatch.setattr(native_mod, "_state", None)
+        assert native_mod.native_available()
+        assert native_mod.native_unavailable_reason() == ""
+
+    @needs_native
+    def test_cold_cache_builds_one_module_for_every_circuit(
+        self, monkeypatch, tmp_path
+    ):
+        """One generic module serves any circuit: a cold cache builds it
+        once (here: the finished object is copied in), then only loads."""
+        import shutil
+
+        from repro.kernel import native as native_mod
+
+        built = native_mod.native_module().__file__
+        builds = []
+
+        def build(name, path):
+            builds.append(name)
+            shutil.copy(built, path)
+
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.setattr(native_mod, "_build_module", build)
+        monkeypatch.setattr(native_mod, "_state", None)
+        for seed in (3, 4, 5):
+            circuit = make_circuit(seed)
+            patterns = random_patterns(circuit, 70, seed)
+            faults = fault_list(circuit, cap=8, strategy="all")
+            native = DelayFaultSimulator(circuit, TestClass.ROBUST, backend="native")
+            oracle = DelayFaultSimulator(
+                circuit, TestClass.ROBUST, backend="numpy", fusion="interp"
+            )
+            assert native.detection_masks(patterns, faults) == (
+                oracle.detection_masks(patterns, faults)
+            )
+        assert builds == [native_mod.module_name()]
+        monkeypatch.setattr(native_mod, "_state", None)
+        assert native_mod.native_available() and len(builds) == 1
+
+    @needs_native
+    def test_racing_first_calls_share_one_plan_struct(self):
+        """Every caller must hold the memoized struct: a struct whose
+        entry lost the race would point into freed tables."""
+        import sys
+        import threading
+
+        from repro.kernel import native_plan
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(20):
+                compiled = make_circuit(seed).compiled()
+                barrier = threading.Barrier(4)
+                got = []
+
+                def first_call():
+                    barrier.wait(timeout=10)
+                    got.append(native_plan(compiled)[0])
+
+                threads = [threading.Thread(target=first_call) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                memo = compiled._fusion_cache["native_plan"][0]
+                assert len(got) == 4 and all(struct is memo for struct in got)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @needs_native
     def test_native_preference_selects_native_at_any_width(self):
         from repro.kernel import NativeWordBackend, backend_for
 
         assert isinstance(backend_for(8, "native"), NativeWordBackend)
         assert isinstance(backend_for(200, "native"), NativeWordBackend)
 
-    @pytest.mark.skipif(
-        not pytest.importorskip("repro.kernel.native").native_available(),
-        reason="no C toolchain: native word backend unavailable",
-    )
+    @needs_native
     def test_compiled_circuit_pickles_after_native_build(self):
-        """The module memo lives in _fusion_cache, which pickling drops."""
+        """The plan struct lives in _fusion_cache, which pickling drops;
+        the clone gets its own struct and reuses the loaded module."""
         import pickle
 
-        from repro.kernel import NativeWordBackend, native_module, plan_hash
+        from repro.kernel import NativeWordBackend, native_module, native_plan
 
         circuit = make_circuit(23)
         compiled = circuit.compiled()
-        module = native_module(compiled)
-        assert compiled._fusion_cache["native_module"] is module
-        # same structural hash -> the very same in-process module object
-        assert native_module(circuit.compiled()) is module
+        plan, _ = native_plan(compiled)
+        assert compiled._fusion_cache["native_plan"][0] is plan
+        assert native_plan(circuit.compiled())[0] is plan
+        module = native_module()
         clone = pickle.loads(pickle.dumps(compiled))
-        assert "native_module" not in clone._fusion_cache
-        assert plan_hash(clone) == plan_hash(compiled)
-        # the clone rebuilds/reloads and simulates identically
+        assert "native_plan" not in clone._fusion_cache
+        # the clone simulates identically on the same loaded module
         vectors = [[lane & 1 for _ in circuit.inputs] for lane in range(8)]
         bits = pack_bits(np.asarray(vectors, dtype=np.uint8))
         values = NativeWordBackend(8).simulate_logic(clone, bits)
+        assert native_module() is module
+        assert native_plan(clone)[0] is not plan
         oracle = IntWordBackend(8).simulate_logic(compiled, pack_vectors(vectors))
         valid = (1 << 8) - 1
         assert [int(row[0]) & valid for row in values] == [
             word & valid for word in oracle
         ]
-
 
 # ---------------------------------------------------------------------------
 # lane-slab merge / demultiplex (the request-coalescing primitives)
