@@ -27,7 +27,9 @@ Module lifecycle — one module per machine, not per circuit:
   struct, cheaply, per process),
 * the module is named by a hash of :data:`NATIVE_ABI`, the C text and
   the compile flags, and lives in a per-user disk cache
-  (``REPRO_NATIVE_CACHE`` overrides the location): a process loads it
+  (``REPRO_NATIVE_CACHE`` overrides the location) that must be private
+  — created ``0o700``, owned by this user, not writable by others, not
+  a link — or nothing is loaded from it: a process loads the module
   from there, and only a miss compiles — into a private temp dir in
   the cache, moved into place with one atomic ``os.replace`` so
   concurrent cold starts never load a half-written object,
@@ -43,11 +45,12 @@ asserted by ``tests/test_fusion.py``.
 
 from __future__ import annotations
 
-import array
 import hashlib
 import importlib.util
+import itertools
 import os
 import shutil
+import stat
 import sysconfig
 import tempfile
 import threading
@@ -118,13 +121,39 @@ def _load_extension(name: str, path: str):
     return module
 
 
+def _private_cache_dir() -> str:
+    """:func:`native_cache_dir`, created ``0o700`` when missing, checked.
+
+    The module is imported from this directory, and the default one has
+    a predictable name under the shared temp directory: a directory
+    another user can write to, or swap for a link, would run that
+    user's code.  It must be a real directory owned by this user (or
+    root) without group/other write permission; anything else raises
+    :class:`PermissionError`, so the module counts as unavailable.
+    """
+    cache_dir = native_cache_dir()
+    os.makedirs(cache_dir, mode=0o700, exist_ok=True)
+    info = os.lstat(cache_dir)
+    if hasattr(os, "getuid") and (
+        not stat.S_ISDIR(info.st_mode)
+        or info.st_uid not in (os.getuid(), 0)
+        or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+    ):
+        raise PermissionError(
+            f"cache dir {cache_dir!r} is not private: it must be a "
+            "directory (not a link) owned by this user, without "
+            "group/other write permission"
+        )
+    return cache_dir
+
+
 def _build_module(name: str, path: str) -> None:
     """Compile the module and move the finished object to *path*."""
     import cffi
 
-    cache_dir = os.path.dirname(path)
-    os.makedirs(cache_dir, exist_ok=True)
-    build_dir = tempfile.mkdtemp(prefix=f"{name}.build-", dir=cache_dir)
+    build_dir = tempfile.mkdtemp(
+        prefix=f"{name}.build-", dir=os.path.dirname(path)
+    )
     try:
         ffi = cffi.FFI()
         ffi.cdef(NATIVE_CDEF)
@@ -137,7 +166,7 @@ def _build_module(name: str, path: str) -> None:
 def _load_or_build():
     name = module_name()
     path = os.path.join(
-        native_cache_dir(), name + sysconfig.get_config_var("EXT_SUFFIX")
+        _private_cache_dir(), name + sysconfig.get_config_var("EXT_SUFFIX")
     )
     if os.path.exists(path):
         try:
@@ -277,37 +306,31 @@ def _path_arrays(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(path_flat, path_off, final_one) of one fault batch.
 
-    Flattening thousands of paths costs ~1 µs per fault, and grading
-    loops re-send the same fault list with every new pattern batch, so
-    the last batch's arrays are memoized on the compiled circuit (the
-    tuple comparison short-circuits on identical fault objects).
+    Rebuilt per call (fault lists shrink between campaign rounds): one
+    ``np.fromiter`` over the chained paths, offsets from their lengths.
     Signal ids are range-checked here: the C walks index slabs with
     them unchecked, and faults can arrive off the wire.
     """
-    key = tuple(faults)
-    cached = compiled._fusion_cache.get("native_paths")
-    if cached is not None and cached[0] == key:
-        return cached[1]
     outside = ValueError(
         f"fault path names a signal outside the circuit's {compiled.n_signals}"
     )
-    offsets = np.zeros(len(key) + 1, dtype=np.int32)
-    flat_buf = array.array("i")
+    paths = [fault.signals for fault in faults]
+    offsets = np.zeros(len(paths) + 1, dtype=np.int32)
+    np.cumsum(
+        np.fromiter(map(len, paths), np.int32, count=len(paths)), out=offsets[1:]
+    )
     try:
-        for k, fault in enumerate(key):
-            flat_buf.extend(fault.signals)
-            offsets[k + 1] = len(flat_buf)
+        flat = np.fromiter(
+            itertools.chain.from_iterable(paths), np.int32, count=int(offsets[-1])
+        )
     except OverflowError:  # an id past int32 is outside every circuit
         raise outside from None
-    flat = np.asarray(flat_buf, dtype=np.int32)
     if len(flat) and (flat.min() < 0 or flat.max() >= compiled.n_signals):
         raise outside
     final_one = np.fromiter(
-        (fault.transition.final for fault in key), np.uint8, count=len(key)
+        (fault.transition.final for fault in faults), np.uint8, count=len(faults)
     )
-    arrays = (flat, offsets, final_one)
-    compiled._fusion_cache["native_paths"] = (key, arrays)
-    return arrays
+    return flat, offsets, final_one
 
 
 def cone_step_arrays(compiled: CompiledCircuit, site: int) -> Tuple:

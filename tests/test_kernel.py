@@ -15,6 +15,7 @@ so these tests pin it from three directions:
   across batches larger than one machine word.
 """
 
+import os
 import random
 
 import numpy as np
@@ -455,6 +456,53 @@ class TestNativeSelection:
         monkeypatch.setattr(native_mod, "_state", None)
         assert native_mod.native_available()
         assert native_mod.native_unavailable_reason() == ""
+
+    @pytest.mark.skipif(not hasattr(os, "getuid"), reason="POSIX modes")
+    def test_default_cache_dir_is_created_private(self, monkeypatch, tmp_path):
+        import stat
+        import tempfile
+
+        from repro.kernel import native as native_mod
+
+        monkeypatch.delenv("REPRO_NATIVE_CACHE", raising=False)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        cache = native_mod._private_cache_dir()
+        assert os.path.dirname(cache) == str(tmp_path)
+        assert stat.S_IMODE(os.lstat(cache).st_mode) == 0o700
+
+    @pytest.mark.skipif(not hasattr(os, "getuid"), reason="POSIX ownership")
+    @pytest.mark.parametrize(
+        "flaw", ["group-writable", "other-writable", "link", "foreign-owner"]
+    )
+    def test_cache_dir_not_private_loads_nothing(self, monkeypatch, tmp_path, flaw):
+        """A cache dir another user could write to (or swap) is neither
+        loaded from nor built into: the module counts as unavailable."""
+        from repro.kernel import native as native_mod
+
+        cache = tmp_path / "cache"
+        cache.mkdir(mode=0o700)
+        if flaw == "group-writable":
+            cache.chmod(0o770)
+        elif flaw == "other-writable":
+            cache.chmod(0o702)
+        elif flaw == "link":
+            cache.rename(tmp_path / "real")
+            cache.symlink_to(tmp_path / "real", target_is_directory=True)
+        elif os.geteuid() == 0:
+            os.chown(cache, 12345, -1)
+        else:
+            owner = cache.stat().st_uid
+            monkeypatch.setattr(os, "getuid", lambda: owner + 1)
+
+        def must_not_run(*args):
+            raise AssertionError("nothing may be loaded from or built into it")
+
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
+        monkeypatch.setattr(native_mod, "_load_extension", must_not_run)
+        monkeypatch.setattr(native_mod, "_build_module", must_not_run)
+        monkeypatch.setattr(native_mod, "_state", None)
+        assert not native_mod.native_available()
+        assert "not private" in native_mod.native_unavailable_reason()
 
     @needs_native
     def test_cold_cache_builds_one_module_for_every_circuit(
