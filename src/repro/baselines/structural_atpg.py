@@ -94,7 +94,7 @@ def generate_tests_structural(
         report.seconds_sensitize += outcome.seconds_sensitize
         report.decisions += outcome.decisions
         report.backtracks += outcome.backtracks
-        report.implication_passes += outcome.state.implication_passes
+        report.implication_passes += outcome.implication_passes
         records[index] = FaultRecord(
             fault, outcome.status, outcome.pattern, mode="structural"
         )

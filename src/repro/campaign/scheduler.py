@@ -195,7 +195,7 @@ class _WorkerContext:
             patterns=[outcome.pattern],
             decisions=outcome.decisions,
             backtracks=outcome.backtracks,
-            implication_passes=outcome.state.implication_passes,
+            implication_passes=outcome.implication_passes,
             seconds_sensitize=outcome.seconds_sensitize,
         )
 

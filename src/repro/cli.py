@@ -336,7 +336,9 @@ def main_campaign(argv: Optional[List[str]] = None) -> int:
         f"rounds: {stats.rounds} (fptpg {stats.fptpg_rounds}, "
         f"aptpg {stats.aptpg_rounds}), peak pending: {stats.peak_pending}, "
         f"admission-dropped: {stats.admitted_dropped}, "
-        f"compactions: {stats.compactions}"
+        f"compactions: {stats.compactions}, decisions: {stats.decisions}, "
+        f"backtracks: {stats.backtracks}, "
+        f"implication passes: {stats.implication_passes}"
     )
     if stats.worker_restarts or stats.shard_retries or stats.quarantined_shards:
         print(

@@ -29,19 +29,30 @@ inverted polarity downstream).  A conflict under one polarity
 assignment proves nothing, so the driver enumerates the polarity
 combinations — the fault is redundant only when *every* combination
 is refuted, tested as soon as any combination yields a pattern, and
-aborted when the combination space is too large to enumerate.
+aborted when the combination space is too large to enumerate (more
+than ``max_xor_polarity_bits`` sides: one combination is searched and
+its failure is an abort).
+
+Most combinations die on necessary implications alone, so they are
+screened the paper's way, "in different bit-levels at one time":
+combination ``c`` of ``2^k`` goes to lane ``c`` of one screen state
+(side ``k`` is 1 in the lanes whose index has bit ``k`` set, the
+partition of :func:`repro.logic.words.split_masks`), one sensitizer
+call and one ``imply()`` cover every lane, and each conflicted lane
+refutes its combination.  Lanes are independent and the implication
+rules monotone, so a lane conflicts exactly when that combination's
+own state would.  Only the survivors run the full search above, one
+after another in combination order, each with every lane to itself.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-from typing import Dict
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuit import Circuit
-from ..logic.words import lowest_set_lane, split_masks
+from ..logic.words import lowest_set_lane, mask_for, split_masks
 from ..paths import PathDelayFault, TestClass
 from .backtrace import PiObjective, backtrace
 from .controllability import Controllability, compute_controllability
@@ -63,6 +74,9 @@ class AptpgOutcome:
     backtracks: int = 0
     splits_used: int = 0
     seconds_sensitize: float = 0.0
+    #: implication passes over every state the run built (the polarity
+    #: screen and each search), not just the returned one
+    implication_passes: int = 0
 
 
 def _split_assignment_planes(
@@ -90,45 +104,49 @@ def run_aptpg(
 ) -> AptpgOutcome:
     """Generate (or refute) a test for one fault with lane alternatives.
 
-    Enumerates the XOR side-input polarity combinations (see the
-    module docstring); ``max_xor_polarity_bits`` caps the enumeration
-    at ``2**max_xor_polarity_bits`` attempts — beyond that the fault
-    is aborted rather than unsoundly declared redundant.
+    Screens the XOR side-input polarity combinations in lanes and
+    searches the survivors (see the module docstring);
+    ``max_xor_polarity_bits`` caps the enumeration at
+    ``2**max_xor_polarity_bits`` combinations — beyond that one
+    combination is searched and the fault is aborted rather than
+    unsoundly declared redundant.  The returned state is the last
+    search's, or the screen's when no combination survived it.
     """
     cc = controllability or compute_controllability(circuit)
     sides = xor_side_signals(circuit, fault)
-    if len(sides) > max_xor_polarity_bits:
-        combos = [0]
-        exhaustive = False
-    else:
-        combos = list(range(1 << len(sides)))
-        exhaustive = True
-
+    exhaustive = len(sides) <= max_xor_polarity_bits
+    survivors = [0]
+    seconds_sensitize = 0.0
+    implication_passes = 0
     last: Optional[AptpgOutcome] = None
-    aborted = False
-    total_decisions = 0
-    total_backtracks = 0
-    total_sensitize = 0.0
-    for combo in combos:
-        xor_sides = {s: (combo >> k) & 1 for k, s in enumerate(sides)}
-        outcome = _attempt(
-            circuit,
-            fault,
-            test_class,
-            width,
-            cc,
-            backtrack_limit,
-            use_backward,
-            xor_sides,
-            fusion,
+    if exhaustive and sides:
+        screen, seconds_sensitize = _sensitized_state(
+            circuit, fault, test_class, 1 << len(sides),
+            polarity_lanes(sides), use_backward, fusion,
         )
-        total_decisions += outcome.decisions
-        total_backtracks += outcome.backtracks
-        total_sensitize += outcome.seconds_sensitize
-        last = outcome
-        if outcome.status is FaultStatus.TESTED:
+        implication_passes = screen.implication_passes
+        live = screen.mask & ~screen.conflict_mask
+        survivors = [c for c in range(1 << len(sides)) if live >> c & 1]
+        # the outcome when the screen refutes every combination
+        last = AptpgOutcome(FaultStatus.REDUNDANT, None, screen)
+
+    mask = mask_for(width)
+    aborted = False
+    decisions = 0
+    backtracks = 0
+    for combo in survivors:
+        xor_sides = {s: mask if combo >> k & 1 else 0 for k, s in enumerate(sides)}
+        last = _attempt(
+            circuit, fault, test_class, width, cc, backtrack_limit,
+            use_backward, xor_sides, fusion,
+        )
+        decisions += last.decisions
+        backtracks += last.backtracks
+        seconds_sensitize += last.seconds_sensitize
+        implication_passes += last.implication_passes
+        if last.status is FaultStatus.TESTED:
             break
-        if outcome.status is FaultStatus.ABORTED:
+        if last.status is FaultStatus.ABORTED:
             aborted = True
     assert last is not None
     status = last.status
@@ -141,11 +159,47 @@ def run_aptpg(
         status,
         last.pattern if status is FaultStatus.TESTED else None,
         last.state,
-        decisions=total_decisions,
-        backtracks=total_backtracks,
+        decisions=decisions,
+        backtracks=backtracks,
         splits_used=last.splits_used,
-        seconds_sensitize=total_sensitize,
+        seconds_sensitize=seconds_sensitize,
+        implication_passes=implication_passes,
     )
+
+
+def polarity_lanes(sides: Sequence[int]) -> Dict[int, int]:
+    """Lane masks putting polarity combination ``c`` of *sides* in lane ``c``.
+
+    Side ``k`` is 1 in the lanes whose index has bit ``k`` set — the
+    ``ones`` half of :func:`split_masks` over ``2**len(sides)`` lanes.
+    """
+    splits = split_masks(1 << len(sides))
+    return {side: ones for side, (_zeros, ones) in zip(sides, splits)}
+
+
+def _sensitized_state(
+    circuit: Circuit,
+    fault: PathDelayFault,
+    test_class: TestClass,
+    width: int,
+    xor_sides: Dict[int, int],
+    use_backward: bool,
+    fusion: str,
+) -> Tuple[TpgState, float]:
+    """A fresh state with *fault* sensitized in every lane and implied.
+
+    Returns the state and the seconds spent sensitizing.
+    """
+    sensitize, algebra = sensitizer_for(test_class)
+    state = TpgState(
+        circuit, algebra, width, use_backward=use_backward, fusion=fusion
+    )
+    t0 = time.perf_counter()
+    for signal, planes in sensitize(circuit, fault, state.mask, xor_sides=xor_sides):
+        state.assign(signal, planes)
+    seconds_sensitize = time.perf_counter() - t0
+    state.imply()
+    return state, seconds_sensitize
 
 
 def _attempt(
@@ -159,22 +213,22 @@ def _attempt(
     xor_sides: Dict[int, int],
     fusion: str = "auto",
 ) -> AptpgOutcome:
-    """One complete APTPG search under a fixed XOR polarity choice."""
-    sensitize, algebra = sensitizer_for(test_class)
-    state = TpgState(
-        circuit, algebra, width, use_backward=use_backward, fusion=fusion
+    """One complete APTPG search under a fixed XOR polarity choice.
+
+    *xor_sides* maps each XOR side input to the lanes where it is 1
+    (all lanes or none: one polarity combination per search).
+    """
+    state, seconds_sensitize = _sensitized_state(
+        circuit, fault, test_class, width, xor_sides, use_backward, fusion
     )
-
-    t0 = time.perf_counter()
-    for signal, planes in sensitize(circuit, fault, state.mask, xor_sides=xor_sides):
-        state.assign(signal, planes)
-    seconds_sensitize = time.perf_counter() - t0
-
-    state.imply()
     if state.conflict_mask == state.mask:
         # conflict from necessary implications alone: redundant
         return AptpgOutcome(
-            FaultStatus.REDUNDANT, None, state, seconds_sensitize=seconds_sensitize
+            FaultStatus.REDUNDANT,
+            None,
+            state,
+            seconds_sensitize=seconds_sensitize,
+            implication_passes=state.implication_passes,
         )
 
     splits = split_masks(width)
@@ -194,6 +248,7 @@ def _attempt(
             backtracks=backtracks,
             splits_used=splits_used,
             seconds_sensitize=seconds_sensitize,
+            implication_passes=state.implication_passes,
         )
 
     while guard:

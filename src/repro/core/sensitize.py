@@ -26,9 +26,14 @@ stable value) for the transition to propagate cleanly, but *either*
 value works — a side input of 1 simply inverts the polarity of the
 propagating transition.  The sensitizers default all sides to 0 (the
 structural convention of :func:`repro.circuit.gates.inverts`) and
-accept an ``xor_sides`` map to choose other polarities; the APTPG
-driver enumerates those polarities before it ever declares an
-XOR-containing path redundant (see :mod:`repro.core.aptpg`).
+accept an ``xor_sides`` map to choose other polarities.  Its values
+are *lane masks*: side → the lanes where that side is 1, so one call
+can sensitize a different polarity combination in every lane (the
+on-path final values, and with them the robust side-input rule, then
+differ from lane to lane).  The APTPG driver uses this to screen all
+of a fault's polarity combinations in one state before it ever
+declares an XOR-containing path redundant (see
+:mod:`repro.core.aptpg`).
 
 The sensitizer only *emits* assignments; conflicts (e.g. a signal that
 is both on-path rising and required stable off-path through
@@ -42,7 +47,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..circuit import Circuit, GateType
 from ..circuit.gates import XOR_LIKE
-from ..logic import seven_valued, three_valued
+from ..logic import seven_valued
 from ..paths import PathDelayFault
 
 Assignment = Tuple[int, Tuple[int, ...]]  # (signal, plane additions)
@@ -73,28 +78,30 @@ def path_final_values(
     circuit: Circuit,
     fault: PathDelayFault,
     xor_sides: Optional[Dict[int, int]] = None,
+    lanes: int = 1,
 ) -> Tuple[int, ...]:
-    """Final values of the on-path signals for a polarity choice.
+    """Lane masks, within *lanes*, where each on-path signal ends at 1.
 
     Like :meth:`PathDelayFault.final_values` but accounting for XOR
     side inputs fixed to 1, each of which flips the propagating
-    transition once more.
+    transition once more.  *xor_sides* maps a side input to the lanes
+    where it is 1.  With the default single lane the masks are the
+    0/1 final values and ``xor_sides`` values are 0/1 polarities.
     """
     compiled = circuit.compiled()
     sides = xor_sides or {}
-    value = fault.transition.final
+    value = lanes if fault.transition.final else 0
     finals = [value]
-    for position, signal in enumerate(fault.signals):
-        if position == 0:
-            continue
-        gate_type = compiled.gate_types[signal]
+    signals = fault.signals
+    for position in range(1, len(signals)):
+        signal = signals[position]
         if compiled.inverting[signal]:
-            value = 1 - value
-        if gate_type in XOR_LIKE:
-            on_path_input = fault.signals[position - 1]
+            value ^= lanes
+        if sides and compiled.gate_types[signal] in XOR_LIKE:
+            on_path_input = signals[position - 1]
             for fanin_signal in compiled.py_fanin[signal]:
-                if fanin_signal != on_path_input and sides.get(fanin_signal, 0):
-                    value = 1 - value
+                if fanin_signal != on_path_input:
+                    value ^= sides.get(fanin_signal, 0) & lanes
         finals.append(value)
     return tuple(finals)
 
@@ -105,33 +112,33 @@ def sensitize_nonrobust(
     lanes: int,
     xor_sides: Optional[Dict[int, int]] = None,
 ) -> List[Assignment]:
-    """3-valued sensitization assignments for *fault* in lane mask *lanes*."""
+    """3-valued sensitization assignments for *fault* in lane mask *lanes*.
+
+    *xor_sides* maps an XOR side input to the lanes where it is 1.
+    """
     compiled = circuit.compiled()
-    assignments: List[Assignment] = []
+    controlling = compiled.controlling
+    fanins = compiled.py_fanin
     sides = xor_sides or {}
-    finals = path_final_values(circuit, fault, sides)
-    for position, signal in enumerate(fault.signals):
-        assignments.append(
-            (signal, three_valued.encode_word(finals[position], lanes))
-        )
-        if position == 0:
-            continue
-        on_path_input = fault.signals[position - 1]
-        nc = compiled.controlling[signal]
-        for fanin_signal in compiled.py_fanin[signal]:
-            if fanin_signal == on_path_input:
-                continue
-            if nc is None:  # XOR-like: fix the side to its chosen polarity
-                assignments.append(
-                    (
-                        fanin_signal,
-                        three_valued.encode_word(sides.get(fanin_signal, 0), lanes),
-                    )
-                )
-            else:
-                assignments.append(
-                    (fanin_signal, three_valued.encode_word(1 - nc, lanes))
-                )
+    signals = fault.signals
+    finals = path_final_values(circuit, fault, sides, lanes)
+    assignments: List[Assignment] = [(signals[0], (lanes ^ finals[0], finals[0]))]
+    for position in range(1, len(signals)):
+        signal = signals[position]
+        ones = finals[position]
+        assignments.append((signal, (lanes ^ ones, ones)))
+        on_path_input = signals[position - 1]
+        control = controlling[signal]
+        if control is None:  # XOR-like: fix each side to its polarity
+            for fanin_signal in fanins[signal]:
+                if fanin_signal != on_path_input:
+                    ones = sides.get(fanin_signal, 0) & lanes
+                    assignments.append((fanin_signal, (lanes ^ ones, ones)))
+        else:  # the non-controlling final value
+            side = (lanes, 0) if control else (0, lanes)
+            for fanin_signal in fanins[signal]:
+                if fanin_signal != on_path_input:
+                    assignments.append((fanin_signal, side))
     return assignments
 
 
@@ -147,42 +154,46 @@ def sensitize_robust(
     signals get final-value planes only (the transition is the fault
     effect being propagated — its instability is established by the
     off-path conditions, not justified like a required value).
+    *xor_sides* maps an XOR side input to the lanes where it is 1; the
+    side-input rule is applied lane by lane, since the on-path final
+    values differ between lanes of different polarities.
     """
     compiled = circuit.compiled()
-    assignments: List[Assignment] = []
+    controlling = compiled.controlling
+    fanins = compiled.py_fanin
     sides = xor_sides or {}
-    finals = path_final_values(circuit, fault, sides)
+    signals = fault.signals
+    finals = path_final_values(circuit, fault, sides, lanes)
 
     launch = "R" if fault.transition.final == 1 else "F"
-    assignments.append((fault.signals[0], seven_valued.encode_word(launch, lanes)))
-
-    for position, signal in enumerate(fault.signals):
-        if position == 0:
+    assignments: List[Assignment] = [
+        (signals[0], seven_valued.encode_word(launch, lanes))
+    ]
+    for position in range(1, len(signals)):
+        signal = signals[position]
+        ones = finals[position]
+        assignments.append((signal, (lanes ^ ones, ones, 0, 0)))  # U0/U1
+        on_path_input = signals[position - 1]
+        control = controlling[signal]
+        if control is None:  # XOR-like: stable at each side's polarity
+            for fanin_signal in fanins[signal]:
+                if fanin_signal != on_path_input:
+                    ones = sides.get(fanin_signal, 0) & lanes
+                    assignments.append(
+                        (fanin_signal, (lanes ^ ones, ones, lanes, 0))
+                    )
             continue
-        assignments.append(
-            (signal, seven_valued.encode_word(f"U{finals[position]}", lanes))
-        )
-        on_path_input = fault.signals[position - 1]
-        on_path_final = finals[position - 1]
-        control = compiled.controlling[signal]
-        if control is None:
-            off_value = None  # per-side choice below (stable at polarity)
-        else:
-            nc = 1 - control
-            if on_path_final == nc:
-                off_value = f"S{nc}"  # ends non-controlling: must be stable
-            else:
-                off_value = f"U{nc}"  # ends controlling: final value suffices
-        for fanin_signal in compiled.py_fanin[signal]:
-            if fanin_signal == on_path_input:
-                continue
-            if off_value is None:
-                chosen = f"S{sides.get(fanin_signal, 0)}"
-            else:
-                chosen = off_value
-            assignments.append(
-                (fanin_signal, seven_valued.encode_word(chosen, lanes))
-            )
+        # non-controlling final value everywhere; stable (S) in the
+        # lanes where the on-path input ends non-controlling, final
+        # value only (U) where it ends controlling
+        on_path_ones = finals[position - 1]
+        if control:  # nc = 0
+            side = (lanes, 0, lanes ^ on_path_ones, 0)
+        else:  # nc = 1
+            side = (0, lanes, on_path_ones, 0)
+        for fanin_signal in fanins[signal]:
+            if fanin_signal != on_path_input:
+                assignments.append((fanin_signal, side))
     return assignments
 
 

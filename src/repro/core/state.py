@@ -98,7 +98,8 @@ class TpgState:
             bodies specialized per (gate code, arity) with the
             backward prefix/suffix-product chains fully unrolled,
             bit-identical by construction and asserted so in the test
-            suite.
+            suite.  The tables are memoized per circuit, so every
+            state of one circuit shares them.
     """
 
     def __init__(
@@ -122,15 +123,17 @@ class TpgState:
         self.mask = mask_for(width)
         self.planes: List[Planes] = [algebra.x] * circuit.num_signals
         self.conflict_mask = 0
-        self.conflict_sites: dict = {}  # lane -> first conflicting signal
+        # lane -> first conflicting signal, for exactly the lanes of
+        # conflict_mask
+        self.conflict_sites: dict = {}
         self._queue: deque = deque()
         self._queued = [False] * circuit.num_signals
         self._trail: List[Tuple[int, Planes]] = []
         self._marks: List[Tuple[int, int]] = []
         self.implication_passes = 0
         self.assignments = 0
-        self._forward_fns: Optional[List] = None
-        self._backward_fns: Optional[List] = None
+        self._forward_fns: Optional[Sequence] = None
+        self._backward_fns: Optional[Sequence] = None
         if fusion != "interp":
             from ..kernel.codegen import (  # lazy: keep core light
                 backward_table,
@@ -154,24 +157,39 @@ class TpgState:
         """OR *additions* into a signal's planes; enqueue on change.
 
         Returns True if any bit was new.  Conflict bits surface in
-        :attr:`conflict_mask` immediately.
+        :attr:`conflict_mask` immediately.  Unrolled per plane count:
+        most calls change nothing and return after a few int ops.
         """
         old = self.planes[signal]
-        new = tuple((o | a) & self.mask for o, a in zip(old, additions))
-        if new == old:
-            return False
+        mask = self.mask
+        if len(old) == 2:
+            o0, o1 = old
+            a0, a1 = additions
+            n0 = (o0 | a0) & mask
+            n1 = (o1 | a1) & mask
+            if n0 == o0 and n1 == o1:
+                return False
+            new: Planes = (n0, n1)
+        else:
+            o0, o1, o2, o3 = old
+            a0, a1, a2, a3 = additions
+            n0 = (o0 | a0) & mask
+            n1 = (o1 | a1) & mask
+            n2 = (o2 | a2) & mask
+            n3 = (o3 | a3) & mask
+            if n0 == o0 and n1 == o1 and n2 == o2 and n3 == o3:
+                return False
+            new = (n0, n1, n2, n3)
         self._trail.append((signal, old))
-        self.planes[signal] = new  # type: ignore[assignment]
-        clash = self.algebra.conflict(new)  # type: ignore[arg-type]
-        fresh = clash & ~self.conflict_mask
+        self.planes[signal] = new
+        fresh = self.algebra.conflict(new) & ~self.conflict_mask
         if fresh:
-            self.conflict_mask |= clash
-            lane = 0
+            self.conflict_mask |= fresh
+            sites = self.conflict_sites
             while fresh:
-                if fresh & 1 and lane not in self.conflict_sites:
-                    self.conflict_sites[lane] = signal
-                fresh >>= 1
-                lane += 1
+                low = fresh & -fresh
+                sites[low.bit_length() - 1] = signal
+                fresh ^= low
         self.assignments += 1
         self._enqueue_around(signal)
         return True
@@ -190,7 +208,13 @@ class TpgState:
             signal, old = self._trail.pop()
             self.planes[signal] = old
             touch(signal)
-        self.conflict_mask = conflict_mask
+        if conflict_mask != self.conflict_mask:
+            self.conflict_mask = conflict_mask
+            self.conflict_sites = {
+                lane: site
+                for lane, site in self.conflict_sites.items()
+                if conflict_mask >> lane & 1
+            }
         self._drain_queue()
 
     def _drain_queue(self) -> None:
@@ -368,7 +392,13 @@ class TpgState:
             tuple(mask if (p & bit) else 0 for p in planes)  # type: ignore[misc]
             for planes in self.planes
         ]
-        self.conflict_mask = mask if (self.conflict_mask & bit) else 0
+        if self.conflict_mask & bit:
+            site = self.conflict_sites[lane]
+            self.conflict_mask = mask
+            self.conflict_sites = dict.fromkeys(range(self.width), site)
+        else:
+            self.conflict_mask = 0
+            self.conflict_sites = {}
         self._trail.clear()
         self._marks.clear()
         # every plane changed: the whole justification cache is stale

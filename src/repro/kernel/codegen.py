@@ -436,24 +436,36 @@ def gate_forward_fn(
 
 def forward_table(
     compiled: CompiledCircuit, algebra_name: str
-) -> Optional[List[Optional[Callable]]]:
+) -> Optional[Tuple[Optional[Callable], ...]]:
     """Per-signal forward functions for *algebra_name*, or ``None``.
 
     Index-aligned with signal ids; primary inputs hold ``None`` (the
     implication engine never evaluates them).  ``None`` overall means
     the algebra has no emitter and the caller should keep the
-    interpreted dispatch.
+    interpreted dispatch.  Memoized per circuit and algebra on the
+    compiled circuit's fusion memo, so every TPG state of a circuit
+    shares one table; like every memo entry it is dropped on pickling
+    and rebuilt on first use in each process.
     """
-    if gate_forward_fn(algebra_name, CODE_BUF, 1) is None:
-        return None
-    codes = compiled.py_codes
-    fanins = compiled.py_fanin
-    return [
-        None
-        if is_input
-        else gate_forward_fn(algebra_name, codes[s], len(fanins[s]))
-        for s, is_input in enumerate(compiled.is_input)
-    ]
+    return _gate_table(compiled, algebra_name, "forward_table", gate_forward_fn)
+
+
+def _gate_table(
+    compiled: CompiledCircuit, algebra_name: str, kind: str, gate_fn: Callable
+) -> Optional[Tuple[Optional[Callable], ...]]:
+    """The memoized per-signal *gate_fn* table (see :func:`forward_table`)."""
+    key = (kind, algebra_name)
+    table = compiled._fusion_cache.get(key)
+    if table is None:
+        if gate_fn(algebra_name, CODE_BUF, 1) is None:
+            return None
+        codes = compiled.py_codes
+        fanins = compiled.py_fanin
+        table = compiled._fusion_cache[key] = tuple(
+            None if is_input else gate_fn(algebra_name, codes[s], len(fanins[s]))
+            for s, is_input in enumerate(compiled.is_input)
+        )
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -640,22 +652,13 @@ def gate_backward_fn(
 
 def backward_table(
     compiled: CompiledCircuit, algebra_name: str
-) -> Optional[List[Optional[Callable]]]:
+) -> Optional[Tuple[Optional[Callable], ...]]:
     """Per-signal backward functions for *algebra_name*, or ``None``.
 
     The mirror of :func:`forward_table` for the backward half of
-    ``imply()``; primary inputs hold ``None``.
+    ``imply()``; primary inputs hold ``None``.  Memoized the same way.
     """
-    if gate_backward_fn(algebra_name, CODE_BUF, 1) is None:
-        return None
-    codes = compiled.py_codes
-    fanins = compiled.py_fanin
-    return [
-        None
-        if is_input
-        else gate_backward_fn(algebra_name, codes[s], len(fanins[s]))
-        for s, is_input in enumerate(compiled.is_input)
-    ]
+    return _gate_table(compiled, algebra_name, "backward_table", gate_backward_fn)
 
 
 # ---------------------------------------------------------------------------

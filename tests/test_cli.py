@@ -79,6 +79,8 @@ class TestCampaignCommand:
         out = capsys.readouterr().out
         assert "campaign summary" in out
         assert "peak pending" in out
+        assert "decisions: " in out and "backtracks: " in out
+        assert "implication passes: " in out
 
     def test_checkpoint_resume_and_json(self, capsys, tmp_path):
         ckpt = tmp_path / "campaign.ckpt.json"

@@ -162,6 +162,90 @@ class TestJustification:
         assert st.all_justified_mask() == 0
 
 
+def two_ands():
+    """g = AND(a, b), h = AND(a, c): two gates a conflict can sit at."""
+    b = CircuitBuilder("two_ands")
+    b.inputs("a", "b", "c")
+    b.and_("g", "a", "b")
+    b.and_("h", "a", "c")
+    b.outputs("g", "h")
+    return b.build()
+
+
+class TestConflictSites:
+    """``conflict_sites`` names a site for exactly the conflicted lanes."""
+
+    @staticmethod
+    def clash(st, signal, lanes):
+        st.assign(signal, tv.encode_word(1, lanes))
+        st.assign(signal, tv.encode_word(0, lanes))
+
+    def test_rollback_forgets_sites_of_restored_lanes(self):
+        c = two_ands()
+        g, h = c.index_of("g"), c.index_of("h")
+        st = TpgState(c, THREE_VALUED, 1)
+        token = st.mark()
+        self.clash(st, g, 1)
+        assert st.conflict_sites == {0: g}
+        st.rollback(token)
+        assert st.conflict_mask == 0 and st.conflict_sites == {}
+        self.clash(st, h, 1)
+        assert st.conflict_sites == {0: h}
+
+    def test_rollback_keeps_sites_from_before_the_mark(self):
+        c = two_ands()
+        g, h = c.index_of("g"), c.index_of("h")
+        st = TpgState(c, THREE_VALUED, 2)
+        self.clash(st, g, 0b01)
+        token = st.mark()
+        self.clash(st, h, 0b11)
+        assert st.conflict_sites == {0: g, 1: h}
+        st.rollback(token)
+        assert st.conflict_mask == 0b01
+        assert st.conflict_sites == {0: g}
+
+    def test_flatten_lane_broadcasts_or_clears_sites(self):
+        c = two_ands()
+        g = c.index_of("g")
+        st = TpgState(c, THREE_VALUED, 4)
+        self.clash(st, g, 0b0100)
+        st.flatten_lane(2)
+        assert st.conflict_mask == 0b1111
+        assert st.conflict_sites == {lane: g for lane in range(4)}
+        st = TpgState(c, THREE_VALUED, 4)
+        self.clash(st, g, 0b0100)
+        st.flatten_lane(0)
+        assert st.conflict_mask == 0 and st.conflict_sites == {}
+
+
+class TestSharedTables:
+    def test_states_of_one_circuit_share_the_tables(self):
+        c = c17()
+        first = TpgState(c, THREE_VALUED, 4)
+        second = TpgState(c, THREE_VALUED, 32)
+        assert first._forward_fns is second._forward_fns
+        assert first._backward_fns is second._backward_fns
+        robust = TpgState(c, SEVEN_VALUED, 4)
+        assert robust._forward_fns is not first._forward_fns
+        assert TpgState(c, THREE_VALUED, 4, fusion="interp")._forward_fns is None
+
+    def test_unpickled_circuit_rebuilds_the_tables(self):
+        import pickle
+
+        c = c17()
+        original = TpgState(c, THREE_VALUED, 4)
+        clone = pickle.loads(pickle.dumps(c))
+        assert not clone.compiled()._fusion_cache
+        rebuilt = TpgState(clone, THREE_VALUED, 4)
+        assert rebuilt._forward_fns is not original._forward_fns
+        assert rebuilt._forward_fns == original._forward_fns
+        assert rebuilt._backward_fns == original._backward_fns
+        for st in (original, rebuilt):
+            st.assign(c.index_of("22"), tv.encode_word(1, 0b1111))
+            st.imply()
+        assert rebuilt.planes == original.planes
+
+
 class TestLaneUtilities:
     def test_flatten_lane(self):
         c = and_or_circuit()
