@@ -83,11 +83,14 @@ class GenerationOptions:
             with a one-time warning (see
             :func:`repro.kernel.backend_for`).  Never outcome-relevant:
             every backend is bit-identical.
-        fusion: plan execution strategy of every hot simulation loop —
+        fusion: plan execution strategy of every hot simulation loop
+            and of the TPG implication engine —
             ``"interp"`` (per-gate interpreter, the oracle),
             ``"vector"`` (level-vectorized numpy groups), ``"codegen"``
             (straight-line compiled bodies) or ``"auto"`` (the fastest
-            supported strategy per backend; the default).  Never
+            supported strategy per backend, and the C engine for TPG
+            states of at most 64 lanes; the default — see
+            :func:`repro.core.state.tpg_tier`).  Never
             outcome-relevant: all strategies are bit-identical and the
             test suite asserts it.
     """

@@ -294,6 +294,7 @@ def main_campaign(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     from .campaign.universe import FaultUniverse
+    from .core.state import tpg_tier
 
     session = AtpgSession(resolve_circuit(args.circuit, args.scale))
     max_faults = args.max_faults
@@ -306,25 +307,26 @@ def main_campaign(argv: Optional[List[str]] = None) -> int:
         min_length=args.min_length,
         max_length=args.max_length,
     )
+    options = Options(
+        width=args.width,
+        shards=args.shards if args.shards is not None else DEFAULT_SHARDS,
+        workers=args.workers,
+        window=args.window if args.window > 0 else None,
+        drop_faults=not args.no_drop,
+        checkpoint=args.checkpoint,
+        checkpoint_every=args.checkpoint_every,
+        resume=args.resume,
+        compact_every=args.compact_every,
+        keep_records=not args.no_records,
+        shard_deadline_s=args.shard_deadline,
+        shard_attempts=args.shard_attempts,
+        retry_base_ms=args.retry_base_ms,
+        chaos=args.chaos,
+    )
     report = session.campaign(
         universe=universe,
         test_class=resolve_test_class(args.test_class),
-        options=Options(
-            width=args.width,
-            shards=args.shards if args.shards is not None else DEFAULT_SHARDS,
-            workers=args.workers,
-            window=args.window if args.window > 0 else None,
-            drop_faults=not args.no_drop,
-            checkpoint=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            resume=args.resume,
-            compact_every=args.compact_every,
-            keep_records=not args.no_records,
-            shard_deadline_s=args.shard_deadline,
-            shard_attempts=args.shard_attempts,
-            retry_base_ms=args.retry_base_ms,
-            chaos=args.chaos,
-        ),
+        options=options,
     )
     print(
         render_table(
@@ -338,7 +340,8 @@ def main_campaign(argv: Optional[List[str]] = None) -> int:
         f"admission-dropped: {stats.admitted_dropped}, "
         f"compactions: {stats.compactions}, decisions: {stats.decisions}, "
         f"backtracks: {stats.backtracks}, "
-        f"implication passes: {stats.implication_passes}"
+        f"implication passes: {stats.implication_passes}, "
+        f"tpg tier: {tpg_tier(options.width, options.fusion)}"
     )
     if stats.worker_restarts or stats.shard_retries or stats.quarantined_shards:
         print(

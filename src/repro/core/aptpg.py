@@ -35,14 +35,17 @@ its failure is an abort).
 
 Most combinations die on necessary implications alone, so they are
 screened the paper's way, "in different bit-levels at one time":
-combination ``c`` of ``2^k`` goes to lane ``c`` of one screen state
-(side ``k`` is 1 in the lanes whose index has bit ``k`` set, the
-partition of :func:`repro.logic.words.split_masks`), one sensitizer
-call and one ``imply()`` cover every lane, and each conflicted lane
-refutes its combination.  Lanes are independent and the implication
-rules monotone, so a lane conflicts exactly when that combination's
-own state would.  Only the survivors run the full search above, one
-after another in combination order, each with every lane to itself.
+combination ``c`` of ``2^k`` goes to lane ``c % 64`` of screen state
+``c // 64`` (side ``k`` is 1 in the lanes whose combination has bit
+``k`` set — within a chunk, the partition of
+:func:`repro.logic.words.split_masks`), so a screen state never
+exceeds one machine word and runs on the C engine where it loads.
+One sensitizer call and one ``imply()`` per chunk cover its lanes,
+and each conflicted lane refutes its combination.  Lanes are
+independent and the implication rules monotone, so a lane conflicts
+exactly when that combination's own state would, whichever chunk
+holds it.  Only the survivors run the full search above, one after
+another in combination order, each with every lane to itself.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from .fptpg import objective_for_lane, pi_assignment_planes, sensitizer_for
 from .patterns import TestPattern, extract_pattern
 from .results import FaultStatus
 from .sensitize import xor_side_signals
-from .state import TpgState
+from .state import NATIVE_MAX_WIDTH, TpgState
 
 
 @dataclass
@@ -110,7 +113,9 @@ def run_aptpg(
     ``2**max_xor_polarity_bits`` combinations — beyond that one
     combination is searched and the fault is aborted rather than
     unsoundly declared redundant.  The returned state is the last
-    search's, or the screen's when no combination survived it.
+    search's, or the last screen chunk's when no combination survived
+    the screen.  ``implication_passes`` counts every screen chunk and
+    every search.
     """
     cc = controllability or compute_controllability(circuit)
     sides = xor_side_signals(circuit, fault)
@@ -120,13 +125,18 @@ def run_aptpg(
     implication_passes = 0
     last: Optional[AptpgOutcome] = None
     if exhaustive and sides:
-        screen, seconds_sensitize = _sensitized_state(
-            circuit, fault, test_class, 1 << len(sides),
-            polarity_lanes(sides), use_backward, fusion,
-        )
-        implication_passes = screen.implication_passes
-        live = screen.mask & ~screen.conflict_mask
-        survivors = [c for c in range(1 << len(sides)) if live >> c & 1]
+        n_combos = 1 << len(sides)
+        chunk = min(n_combos, NATIVE_MAX_WIDTH)  # a screen state stays in C
+        survivors = []
+        for first in range(0, n_combos, chunk):
+            screen, seconds = _sensitized_state(
+                circuit, fault, test_class, chunk,
+                polarity_lanes(sides, first, chunk), use_backward, fusion,
+            )
+            seconds_sensitize += seconds
+            implication_passes += screen.implication_passes
+            live = screen.mask & ~screen.conflict_mask
+            survivors += [first + c for c in range(chunk) if live >> c & 1]
         # the outcome when the screen refutes every combination
         last = AptpgOutcome(FaultStatus.REDUNDANT, None, screen)
 
@@ -167,14 +177,25 @@ def run_aptpg(
     )
 
 
-def polarity_lanes(sides: Sequence[int]) -> Dict[int, int]:
-    """Lane masks putting polarity combination ``c`` of *sides* in lane ``c``.
+def polarity_lanes(
+    sides: Sequence[int], first: int = 0, count: Optional[int] = None
+) -> Dict[int, int]:
+    """Lane masks putting polarity combination ``first + l`` in lane ``l``.
 
-    Side ``k`` is 1 in the lanes whose index has bit ``k`` set — the
-    ``ones`` half of :func:`split_masks` over ``2**len(sides)`` lanes.
+    Covers *count* combinations (default: all ``2**len(sides)``); *count*
+    must be a power of two and *first* a multiple of it.  Side ``k`` is
+    1 in the lanes whose combination has bit ``k`` set: the ``ones``
+    half of :func:`split_masks` over *count* lanes for the low sides,
+    all lanes or none for the sides above them.
     """
-    splits = split_masks(1 << len(sides))
-    return {side: ones for side, (_zeros, ones) in zip(sides, splits)}
+    if count is None:
+        count = 1 << len(sides)
+    splits = split_masks(count)
+    everywhere = mask_for(count)
+    return {
+        side: splits[k][1] if k < len(splits) else everywhere * (first >> k & 1)
+        for k, side in enumerate(sides)
+    }
 
 
 def _sensitized_state(

@@ -18,11 +18,30 @@ Key properties:
   bit level to the whole word, the paper's trick for handing a fault
   from FPTPG to APTPG "by simply flattening the active bit of a logic
   value to multiple bit levels".
+
+One class, three engines, chosen per state by :func:`tpg_tier` the way
+:func:`repro.kernel.backend_for` chooses a simulation backend:
+
+* ``native/c`` — ``fusion="auto"``, at most 64 lanes and the native
+  module loads: planes, worklist, trail and justification cache live
+  in one C struct of :mod:`repro.kernel.native`, and each method is
+  one call into it;
+* ``python/codegen`` — the Python worklist below with the per-gate
+  compiled forward/backward tables of :mod:`repro.kernel.codegen`
+  (explicit ``"codegen"``/``"vector"``, wider states, or no native
+  module — silently, as ``auto`` does for simulation);
+* ``python/interp`` — the same worklist dispatching through the
+  :class:`Algebra` rules: the oracle the other two are tested against.
+
+The decision policy (FPTPG/APTPG, backtrace, sensitization) is Python
+on every engine.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import deque
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -77,6 +96,83 @@ SEVEN_VALUED = Algebra(
     decode_lane=seven_valued.decode_lane,
 )
 
+#: Algebras whose rules exist compiled (codegen tables and the C engine).
+_COMPILED_ALGEBRAS = (THREE_VALUED.name, SEVEN_VALUED.name)
+
+#: The widest state the C engine holds: one u64 word per plane.
+NATIVE_MAX_WIDTH = 64
+
+
+def tpg_tier(
+    width: int, fusion: str = "auto", algebra: Optional[Algebra] = None
+) -> str:
+    """The implication engine a :class:`TpgState` of *width* lanes runs.
+
+    ``"native/c"`` when *fusion* is ``"auto"``, *width* is at most
+    :data:`NATIVE_MAX_WIDTH` and the native module loads (from the disk
+    cache, or built once); ``"python/interp"`` for ``fusion="interp"``
+    or an *algebra* without compiled rules; ``"python/codegen"``
+    otherwise.  Raises :class:`ValueError` for an unknown *fusion*.
+    """
+    from ..kernel import FUSION_MODES  # lazy: keep core imports light
+
+    if fusion not in FUSION_MODES:
+        raise ValueError(f"unknown fusion strategy {fusion!r}")
+    if fusion == "interp" or (
+        algebra is not None and algebra.name not in _COMPILED_ALGEBRAS
+    ):
+        return "python/interp"
+    if fusion == "auto" and width <= NATIVE_MAX_WIDTH:
+        from ..kernel.native import native_available
+
+        if native_available():
+            return "native/c"
+    return "python/codegen"
+
+
+_ROWS = {n: struct.Struct(f"{n}Q") for n in (2, 4)}
+
+
+class _NativePlanes(SequenceABC):
+    """Read-only view of a C engine's planes: one int tuple per signal.
+
+    Reads the engine's ``n_signals x n_planes`` u64 buffer directly and
+    holds the engine, so the buffer lives as long as the view.  Equal
+    to a list of the same tuples.
+    """
+
+    __slots__ = ("_engine", "_buf", "_row", "_unpack", "_struct", "_n")
+
+    def __init__(self, engine, ffi, n_signals: int, n_planes: int):
+        self._engine = engine
+        self._struct = _ROWS[n_planes]
+        self._unpack = self._struct.unpack_from
+        self._row = self._struct.size
+        self._buf = ffi.buffer(engine.planes, n_signals * self._row)
+        self._n = n_signals
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, signal):
+        try:
+            if 0 <= signal < self._n:
+                return self._unpack(self._buf, signal * self._row)
+        except TypeError:  # a slice: list semantics below
+            pass
+        return list(self)[signal]
+
+    def __iter__(self):
+        return self._struct.iter_unpack(self._buf)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _NativePlanes)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
 
 class TpgState:
     """Plane-per-signal circuit state for one TPG attempt.
@@ -90,16 +186,22 @@ class TpgState:
             them reproduces a weaker, purely forward engine — useful
             for the Figure 2 walkthrough and the implication-strength
             ablation benchmark.
-        fusion: ``"interp"`` dispatches forward evaluations through
-            ``Algebra.forward`` and backward implications through
-            ``Algebra.backward`` (the oracle path); anything else
-            installs the per-signal compiled forward *and* backward
-            tables of :mod:`repro.kernel.codegen` — branch-free
-            bodies specialized per (gate code, arity) with the
-            backward prefix/suffix-product chains fully unrolled,
-            bit-identical by construction and asserted so in the test
-            suite.  The tables are memoized per circuit, so every
-            state of one circuit shares them.
+        fusion: selects the engine (see :func:`tpg_tier` and the
+            module docstring).  ``"auto"`` runs the C engine up to 64
+            lanes where the native module loads; ``"codegen"`` and
+            ``"vector"`` run the Python worklist over the per-signal
+            compiled forward *and* backward tables of
+            :mod:`repro.kernel.codegen` (memoized per circuit, so every
+            state of one circuit shares them); ``"interp"`` dispatches
+            through ``Algebra.forward``/``Algebra.backward``, the
+            oracle.  All three are bit-identical, asserted so in the
+            test suite.
+
+    ``tier`` names the engine that runs.  ``planes[s]`` is signal
+    *s*'s plane tuple; on the C engine ``planes`` is a read-only view.
+    Signal ids outside ``[0, n_signals)`` raise :class:`IndexError`,
+    lanes outside ``[0, width)`` :class:`ValueError`.  A state belongs
+    to one thread at a time.
     """
 
     def __init__(
@@ -110,10 +212,7 @@ class TpgState:
         use_backward: bool = True,
         fusion: str = "auto",
     ):
-        from ..kernel import FUSION_MODES  # lazy: keep core imports light
-
-        if fusion not in FUSION_MODES:
-            raise ValueError(f"unknown fusion strategy {fusion!r}")
+        self.tier = tpg_tier(width, fusion, algebra)
         self.circuit = circuit
         self.compiled = circuit.compiled()
         self.algebra = algebra
@@ -121,20 +220,40 @@ class TpgState:
         self.use_backward = use_backward
         self.fusion = fusion
         self.mask = mask_for(width)
-        self.planes: List[Planes] = [algebra.x] * circuit.num_signals
-        self.conflict_mask = 0
-        # lane -> first conflicting signal, for exactly the lanes of
-        # conflict_mask
-        self.conflict_sites: dict = {}
-        self._queue: deque = deque()
-        self._queued = [False] * circuit.num_signals
-        self._trail: List[Tuple[int, Planes]] = []
+        self._n_signals = n = circuit.num_signals
         self._marks: List[Tuple[int, int]] = []
-        self.implication_passes = 0
-        self.assignments = 0
+        self._c = None
+        if self.tier == "native/c":
+            from ..kernel.native import native_module, native_tpg_engine
+
+            module = native_module()
+            self._lib = module.lib
+            self._ffi = module.ffi
+            self._c = native_tpg_engine(
+                self.compiled, algebra.n_planes, width, use_backward
+            )
+            self._assign_c = (
+                module.lib.repro_tpg_assign2
+                if algebra.n_planes == 2
+                else module.lib.repro_tpg_assign4
+            )
+            self.planes = _NativePlanes(
+                self._c, module.ffi, n, algebra.n_planes
+            )
+            return
+        self.planes = [algebra.x] * n
+        self._conflict_mask = 0
+        # lane -> first conflicting signal, for exactly the lanes of
+        # the conflict mask
+        self._sites: dict = {}
+        self._queue: deque = deque()
+        self._queued = [False] * n
+        self._trail: List[Tuple[int, Planes]] = []
+        self._implication_passes = 0
+        self._assignments = 0
         self._forward_fns: Optional[Sequence] = None
         self._backward_fns: Optional[Sequence] = None
-        if fusion != "interp":
+        if self.tier == "python/codegen":
             from ..kernel.codegen import (  # lazy: keep core light
                 backward_table,
                 forward_table,
@@ -147,8 +266,38 @@ class TpgState:
         # set of signals whose planes changed since the last refresh —
         # scans only re-derive those instead of every gate's fanin
         # list on every call.
-        self._unjust: List[int] = [0] * circuit.num_signals
+        self._unjust: List[int] = [0] * n
         self._dirty: set = set()
+
+    # ------------------------------------------------------------------
+    # counters and conflicts
+    # ------------------------------------------------------------------
+    @property
+    def conflict_mask(self) -> int:
+        """Lanes holding a conflict (an illegal plane pattern)."""
+        c = self._c
+        return self._conflict_mask if c is None else c.conflict_mask
+
+    @property
+    def conflict_sites(self) -> dict:
+        """Lane -> first conflicting signal, for the conflicted lanes."""
+        c = self._c
+        if c is None:
+            return self._sites
+        mask, sites = c.conflict_mask, c.sites
+        return {lane: sites[lane] for lane in range(self.width) if mask >> lane & 1}
+
+    @property
+    def implication_passes(self) -> int:
+        """Gate evaluations :meth:`imply` has run on this state."""
+        c = self._c
+        return self._implication_passes if c is None else c.implication_passes
+
+    @property
+    def assignments(self) -> int:
+        """Assignments that changed some plane bit."""
+        c = self._c
+        return self._assignments if c is None else c.assignments
 
     # ------------------------------------------------------------------
     # assignment and checkpoints
@@ -157,8 +306,28 @@ class TpgState:
         """OR *additions* into a signal's planes; enqueue on change.
 
         Returns True if any bit was new.  Conflict bits surface in
-        :attr:`conflict_mask` immediately.  Unrolled per plane count:
-        most calls change nothing and return after a few int ops.
+        :attr:`conflict_mask` immediately.  Bits beyond the width are
+        dropped.
+        """
+        if not 0 <= signal < self._n_signals:
+            raise IndexError(f"signal {signal} outside [0, {self._n_signals})")
+        c = self._c
+        if c is None:
+            return self._assign(signal, additions)
+        try:
+            changed = self._assign_c(c, signal, *additions)
+        except OverflowError:  # negative or wider than a word: keep the lanes
+            mask = self.mask
+            changed = self._assign_c(c, signal, *(a & mask for a in additions))
+        if changed < 0:
+            raise MemoryError("cannot grow the native TPG trail")
+        return changed == 1
+
+    def _assign(self, signal: int, additions: Planes) -> bool:
+        """The Python engine's :meth:`assign`, unchecked.
+
+        Unrolled per plane count: most calls change nothing and return
+        after a few int ops.
         """
         old = self.planes[signal]
         mask = self.mask
@@ -182,37 +351,44 @@ class TpgState:
             new = (n0, n1, n2, n3)
         self._trail.append((signal, old))
         self.planes[signal] = new
-        fresh = self.algebra.conflict(new) & ~self.conflict_mask
+        fresh = self.algebra.conflict(new) & ~self._conflict_mask
         if fresh:
-            self.conflict_mask |= fresh
-            sites = self.conflict_sites
+            self._conflict_mask |= fresh
+            sites = self._sites
             while fresh:
                 low = fresh & -fresh
                 sites[low.bit_length() - 1] = signal
                 fresh ^= low
-        self.assignments += 1
+        self._assignments += 1
         self._enqueue_around(signal)
         return True
 
     def mark(self) -> int:
         """Open a checkpoint; returns a token for :meth:`rollback`."""
-        self._marks.append((len(self._trail), self.conflict_mask))
+        c = self._c
+        trail_len = len(self._trail) if c is None else c.trail_len
+        self._marks.append((trail_len, self.conflict_mask))
         return len(self._marks) - 1
 
     def rollback(self, token: int) -> None:
         """Undo every assignment made since checkpoint *token*."""
         trail_len, conflict_mask = self._marks[token]
         del self._marks[token:]
+        c = self._c
+        if c is not None:
+            if self._lib.repro_tpg_rollback(c, trail_len, conflict_mask):
+                raise RuntimeError("checkpoint lies beyond the trail")
+            return
         touch = self._touch
         while len(self._trail) > trail_len:
             signal, old = self._trail.pop()
             self.planes[signal] = old
             touch(signal)
-        if conflict_mask != self.conflict_mask:
-            self.conflict_mask = conflict_mask
-            self.conflict_sites = {
+        if conflict_mask != self._conflict_mask:
+            self._conflict_mask = conflict_mask
+            self._sites = {
                 lane: site
-                for lane, site in self.conflict_sites.items()
+                for lane, site in self._sites.items()
                 if conflict_mask >> lane & 1
             }
         self._drain_queue()
@@ -252,6 +428,11 @@ class TpgState:
         if every lane is already conflicted.  Gate structure is read
         from the compiled kernel arrays, not the object graph.
         """
+        c = self._c
+        if c is not None:
+            if self._lib.repro_tpg_imply(c, stop_when_all_conflicted) < 0:
+                raise MemoryError("cannot grow the native TPG trail")
+            return c.conflict_mask
         compiled = self.compiled
         gate_types = compiled.gate_types
         fanins = compiled.py_fanin
@@ -262,15 +443,16 @@ class TpgState:
         backward = self.algebra.backward
         forward_fns = self._forward_fns
         backward_fns = self._backward_fns
+        assign = self._assign
         while self._queue:
-            if stop_when_all_conflicted and self.conflict_mask == mask:
+            if stop_when_all_conflicted and self._conflict_mask == mask:
                 self._drain_queue()
                 break
             signal = self._queue.popleft()
             self._queued[signal] = False
             if is_input[signal]:
                 continue
-            self.implication_passes += 1
+            self._implication_passes += 1
             gate_type = gate_types[signal]
             fanin = fanins[signal]
             ins = [planes[f] for f in fanin]
@@ -278,7 +460,7 @@ class TpgState:
                 fwd = forward(gate_type, ins, mask)
             else:
                 fwd = forward_fns[signal](ins, mask)
-            self.assign(signal, fwd)
+            assign(signal, fwd)
             if self.use_backward:
                 out = planes[signal]
                 if backward_fns is None:
@@ -286,8 +468,8 @@ class TpgState:
                 else:
                     adds = backward_fns[signal](out, ins, mask)
                 for fanin_signal, add in zip(fanin, adds):
-                    self.assign(fanin_signal, add)
-        return self.conflict_mask
+                    assign(fanin_signal, add)
+        return self._conflict_mask
 
     def _enqueue_around(self, signal: int) -> None:
         """Schedule the driver of *signal* and its fanout gates.
@@ -312,13 +494,16 @@ class TpgState:
     # ------------------------------------------------------------------
     def unjustified_lanes(self, signal: int) -> int:
         """Lane mask where *signal*'s assigned value is not justified."""
+        if not 0 <= signal < self._n_signals:
+            raise IndexError(f"signal {signal} outside [0, {self._n_signals})")
         compiled = self.compiled
         if compiled.is_input[signal]:
             return 0
-        ins = [self.planes[f] for f in compiled.py_fanin[signal]]
+        planes = self.planes
+        ins = [planes[f] for f in compiled.py_fanin[signal]]
         return (
             self.algebra.unjustified(
-                compiled.gate_types[signal], self.planes[signal], ins, self.mask
+                compiled.gate_types[signal], planes[signal], ins, self.mask
             )
             & ~self.conflict_mask
         )
@@ -357,11 +542,16 @@ class TpgState:
 
         Restricted to the lanes in *lanes* (default: all live lanes).
         """
-        live = (self.mask if lanes is None else lanes) & ~self.conflict_mask
-        result: List[Tuple[int, int]] = []
+        live = (self.mask if lanes is None else lanes & self.mask) & ~self.conflict_mask
         if not live:
-            return result
+            return []
+        c = self._c
+        if c is not None:
+            count = self._lib.repro_tpg_scan(c, live)
+            unpack = self._ffi.unpack
+            return list(zip(unpack(c.scan_sig, count), unpack(c.scan_mask, count)))
         self._refresh_unjustified()
+        result: List[Tuple[int, int]] = []
         for index, raw in enumerate(self._unjust):
             m = raw & live
             if m:
@@ -370,7 +560,10 @@ class TpgState:
 
     def all_justified_mask(self) -> int:
         """Lanes that are conflict-free and completely justified."""
-        live = self.mask & ~self.conflict_mask
+        c = self._c
+        if c is not None:
+            return self._lib.repro_tpg_all_justified(c)
+        live = self.mask & ~self._conflict_mask
         if not live:
             return 0
         self._refresh_unjustified()
@@ -385,24 +578,33 @@ class TpgState:
     # lane utilities
     # ------------------------------------------------------------------
     def flatten_lane(self, lane: int) -> None:
-        """Broadcast one bit level to every lane (FPTPG -> APTPG handoff)."""
+        """Broadcast one bit level to every lane (FPTPG -> APTPG handoff).
+
+        Clears the trail and every checkpoint.
+        """
+        if not 0 <= lane < self.width:
+            raise ValueError(f"lane {lane} outside [0, {self.width})")
+        self._marks.clear()
+        c = self._c
+        if c is not None:
+            self._lib.repro_tpg_flatten(c, lane)
+            return
         bit = 1 << lane
         mask = self.mask
         self.planes = [
             tuple(mask if (p & bit) else 0 for p in planes)  # type: ignore[misc]
             for planes in self.planes
         ]
-        if self.conflict_mask & bit:
-            site = self.conflict_sites[lane]
-            self.conflict_mask = mask
-            self.conflict_sites = dict.fromkeys(range(self.width), site)
+        if self._conflict_mask & bit:
+            site = self._sites[lane]
+            self._conflict_mask = mask
+            self._sites = dict.fromkeys(range(self.width), site)
         else:
-            self.conflict_mask = 0
-            self.conflict_sites = {}
+            self._conflict_mask = 0
+            self._sites = {}
         self._trail.clear()
-        self._marks.clear()
         # every plane changed: the whole justification cache is stale
-        self._dirty.update(range(self.circuit.num_signals))
+        self._dirty.update(range(self._n_signals))
 
     def lane_values(self, lane: int) -> dict:
         """Decode one lane into {signal name: value letter} for display."""

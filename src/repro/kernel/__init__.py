@@ -15,13 +15,13 @@ The layers (see ARCHITECTURE.md):
 * :mod:`repro.kernel.fusion` — the fused level-major group plan and
   its vectorized numpy executors (the ``"vector"`` strategy).
 * :mod:`repro.kernel.codegen` — straight-line compiled plan bodies
-  and the per-gate forward tables the TPG implication engine uses
-  (the ``"codegen"`` strategy), plus the C text of the native
-  module.
+  and the per-gate forward/backward tables of the Python TPG
+  implication engine (the ``"codegen"`` strategy), plus the C text of
+  the native module.
 * :mod:`repro.kernel.native` — :class:`NativeWordBackend`, the plan
-  executed as compiled C over uint64 lane slabs (one circuit-generic
-  cffi module per machine, loaded from a disk cache; without it the
-  Python backends run).
+  executed as compiled C over uint64 lane slabs, and the C TPG
+  implication engine (one circuit-generic cffi module per machine,
+  loaded from a disk cache; without it the Python paths run).
 """
 
 from .backends import (

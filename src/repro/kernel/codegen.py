@@ -21,11 +21,12 @@ Five generators live here:
   plane math plus the hazard-free plane of
   :mod:`repro.logic.ten_valued`, inlined per gate.
 * :func:`forward_table` — per-signal specialized forward functions
-  for the TPG implication engine: ``imply()`` pops one gate at a time
-  (worklist order, not plan order), so instead of a straight line it
-  gets a table of per-(code, arity) compiled bodies that replace the
-  ``Algebra.forward`` dispatch chain.  Supports both the 3-valued and
-  the 7-valued algebra.
+  for the Python TPG implication engine (the one that runs without the
+  native module or above 64 lanes): ``imply()`` pops one gate at a
+  time (worklist order, not plan order), so instead of a straight line
+  it gets a table of per-(code, arity) compiled bodies that replace
+  the ``Algebra.forward`` dispatch chain.  Supports both the 3-valued
+  and the 7-valued algebra.
 * :func:`backward_table` — the same treatment for the backward half
   of ``imply()``: per-(code, arity) compiled bodies with the
   ``Algebra.backward`` prefix/suffix-product chains fully unrolled
@@ -37,7 +38,8 @@ Five generators live here:
   returns the output-difference lane word directly.
 
 :data:`NATIVE_SOURCE` also lives here: the one C translation unit the
-native word backend compiles (:mod:`repro.kernel.native`).  Unlike the
+native word backend and the C TPG implication engine compile
+(:mod:`repro.kernel.native`).  Unlike the
 Python strategies it is *not* straight-line and not per circuit — the
 C passes are data-driven interpreters over a per-call ``repro_plan``
 struct of plan/fanin tables, because gcc's per-function passes made
@@ -689,6 +691,8 @@ typedef struct {
   const int8_t *code;
   const int32_t *fanin_off;
   const int32_t *fanin_idx;
+  const int32_t *fanout_off;
+  const int32_t *fanout_idx;
   const int8_t *ctrl;
 } repro_plan;
 """
@@ -1168,8 +1172,434 @@ void repro_stuck_cone(const u64 *good, long n,
 }
 """
 
+# The TPG implication engine: one ``repro_tpg`` per ``TpgState`` of at
+# most 64 lanes, so every plane of a signal is one u64 word.  It holds
+# the state the Python engine of :mod:`repro.core.state` keeps in lists
+# and sets -- planes, conflict lanes and sites, the FIFO worklist, the
+# assignment trail and the justification cache -- and runs the same
+# steps in the same order: ``assign`` ORs additions in and enqueues the
+# signal's own gate and its fanout gates, ``imply`` pops gates FIFO,
+# merges the forward evaluation into the output and the unique backward
+# implications (all computed before any is applied) into the inputs.
+# The rules are the ``Algebra`` rules of :mod:`repro.logic.three_valued`
+# and :mod:`repro.logic.seven_valued` transcribed over words (OR/NOR
+# and NAND/OR/XNOR see value-swapped inputs/outputs, as the Python
+# dispatchers arrange); XOR chains fold in fanin CSR order.  Checkpoint
+# marks stay in Python: a mark is (trail length, conflict mask).
+_C_TPG_STRUCT = r"""
+typedef struct {
+  const repro_plan *p;
+  long n_planes;
+  int use_backward;
+  uint64_t mask;
+  uint64_t conflict_mask;
+  int32_t sites[64];
+  long implication_passes;
+  long assignments;
+  uint64_t *planes;
+  int32_t *queue;
+  long q_head, q_len;
+  uint8_t *queued;
+  int32_t *trail_sig;
+  uint64_t *trail_old;
+  long trail_len, trail_cap;
+  uint64_t *unjust;
+  int32_t *dirty;
+  uint8_t *is_dirty;
+  long n_dirty;
+  uint64_t *work;
+  int32_t *scan_sig;
+  uint64_t *scan_mask;
+} repro_tpg;
+"""
+
+_C_TPG = r"""
+void repro_tpg_free(repro_tpg *st) {
+  if (!st) return;
+  free(st->planes); free(st->queue); free(st->queued);
+  free(st->trail_sig); free(st->trail_old);
+  free(st->unjust); free(st->dirty); free(st->is_dirty);
+  free(st->work); free(st->scan_sig); free(st->scan_mask);
+  free(st);
+}
+
+repro_tpg *repro_tpg_new(const repro_plan *p, long n_planes, long width,
+                         int use_backward) {
+  long n = p->n_signals, s, max_nf = 1;
+  repro_tpg *st = calloc(1, sizeof *st);
+  if (!st) return 0;
+  for (s = 0; s < n; s++)
+    if (p->fanin_off[s + 1] - p->fanin_off[s] > max_nf)
+      max_nf = p->fanin_off[s + 1] - p->fanin_off[s];
+  st->p = p;
+  st->n_planes = n_planes;
+  st->use_backward = use_backward;
+  st->mask = width >= 64 ? ~(u64)0 : ((u64)1 << width) - 1;
+  st->trail_cap = 64;
+  /* n + 1: never a zero-size request */
+  st->planes = calloc((n + 1) * n_planes, sizeof(u64));
+  st->queue = malloc((n + 1) * sizeof(int32_t));
+  st->queued = calloc(n + 1, 1);
+  st->trail_sig = malloc(st->trail_cap * sizeof(int32_t));
+  st->trail_old = malloc(st->trail_cap * n_planes * sizeof(u64));
+  st->unjust = calloc(n + 1, sizeof(u64));
+  st->dirty = malloc((n + 1) * sizeof(int32_t));
+  st->is_dirty = calloc(n + 1, 1);
+  /* backward: three prefix products plus the additions of every fanin */
+  st->work = malloc((3 * (max_nf + 1) + 4 * max_nf) * sizeof(u64));
+  st->scan_sig = malloc((n + 1) * sizeof(int32_t));
+  st->scan_mask = malloc((n + 1) * sizeof(u64));
+  if (!st->planes || !st->queue || !st->queued || !st->trail_sig ||
+      !st->trail_old || !st->unjust || !st->dirty || !st->is_dirty ||
+      !st->work || !st->scan_sig || !st->scan_mask) {
+    repro_tpg_free(st);
+    return 0;
+  }
+  return st;
+}
+
+static void _tpg_dirty(repro_tpg *st, long s) {
+  if (!st->is_dirty[s]) {
+    st->is_dirty[s] = 1;
+    st->dirty[st->n_dirty++] = (int32_t)s;
+  }
+}
+
+static void _tpg_push(repro_tpg *st, long s) {
+  long tail = st->q_head + st->q_len;
+  if (tail >= st->p->n_signals) tail -= st->p->n_signals;
+  st->queue[tail] = (int32_t)s;
+  st->q_len++;
+  st->queued[s] = 1;
+}
+
+static void _tpg_drain(repro_tpg *st) {
+  long n = st->p->n_signals;
+  while (st->q_len) {
+    st->queued[st->queue[st->q_head]] = 0;
+    if (++st->q_head == n) st->q_head = 0;
+    st->q_len--;
+  }
+}
+
+/* Schedule s's own gate and its fanout gates; mark them dirty. */
+static void _tpg_enqueue_around(repro_tpg *st, long s) {
+  const repro_plan *p = st->p;
+  long k;
+  _tpg_dirty(st, s);
+  if (!st->queued[s] && p->code[s] != 0) _tpg_push(st, s);
+  for (k = p->fanout_off[s]; k < p->fanout_off[s + 1]; k++) {
+    long f = p->fanout_idx[k];
+    _tpg_dirty(st, f);
+    if (!st->queued[f]) _tpg_push(st, f);
+  }
+}
+
+/* OR add into s's planes: 1 on change, 0 without, -1 when the trail
+   cannot grow (nothing is changed then). */
+static int _tpg_assign(repro_tpg *st, long s, const u64 *add) {
+  long np = st->n_planes, k;
+  u64 *cur = st->planes + s * np, nw[4], changed = 0, c;
+  for (k = 0; k < np; k++) {
+    nw[k] = (cur[k] | add[k]) & st->mask;
+    changed |= nw[k] ^ cur[k];
+  }
+  if (!changed) return 0;
+  if (st->trail_len == st->trail_cap) {
+    long cap = 2 * st->trail_cap;
+    int32_t *sig = realloc(st->trail_sig, cap * sizeof(int32_t));
+    if (!sig) return -1;
+    st->trail_sig = sig;
+    u64 *old = realloc(st->trail_old, cap * np * sizeof(u64));
+    if (!old) return -1;
+    st->trail_old = old;
+    st->trail_cap = cap;
+  }
+  st->trail_sig[st->trail_len] = (int32_t)s;
+  for (k = 0; k < np; k++) {
+    st->trail_old[st->trail_len * np + k] = cur[k];
+    cur[k] = nw[k];
+  }
+  st->trail_len++;
+  c = nw[0] & nw[1];
+  if (np == 4) c |= nw[2] & nw[3];
+  c &= ~st->conflict_mask;
+  if (c) {
+    st->conflict_mask |= c;
+    for (k = 0; k < 64; k++)
+      if (c >> k & 1) st->sites[k] = (int32_t)s;
+  }
+  st->assignments++;
+  _tpg_enqueue_around(st, s);
+  return 1;
+}
+
+int repro_tpg_assign2(repro_tpg *st, long s, uint64_t a0, uint64_t a1) {
+  u64 add[2] = {a0, a1};
+  return _tpg_assign(st, s, add);
+}
+
+int repro_tpg_assign4(repro_tpg *st, long s, uint64_t a0, uint64_t a1,
+                      uint64_t a2, uint64_t a3) {
+  u64 add[4] = {a0, a1, a2, a3};
+  return _tpg_assign(st, s, add);
+}
+
+/* Algebra.forward of gate s over the current planes, into out. */
+static void _tpg_forward(const repro_tpg *st, long s, u64 *out) {
+  const repro_plan *p = st->p;
+  const u64 *P = st->planes;
+  int code = p->code[s];
+  const int32_t *fi = p->fanin_idx + p->fanin_off[s];
+  long nf = p->fanin_off[s + 1] - p->fanin_off[s], k;
+  u64 z, o, t;
+  if (st->n_planes == 2) {
+    const u64 *a = P + (long)fi[0] * 2;
+    z = a[0]; o = a[1];
+    if (code == 3 || code == 4) {        /* AND / NAND */
+      for (k = 1; k < nf; k++) {
+        a = P + (long)fi[k] * 2;
+        z |= a[0]; o &= a[1];
+      }
+    } else if (code == 5 || code == 6) { /* OR / NOR */
+      for (k = 1; k < nf; k++) {
+        a = P + (long)fi[k] * 2;
+        z &= a[0]; o |= a[1];
+      }
+    } else if (code >= 7) {              /* XOR / XNOR: fold in order */
+      for (k = 1; k < nf; k++) {
+        a = P + (long)fi[k] * 2;
+        t = (z & a[0]) | (o & a[1]);
+        o = (z & a[1]) | (o & a[0]);
+        z = t;
+      }
+    }
+    if (!(code & 1)) { t = z; z = o; o = t; } /* NOT NAND NOR XNOR */
+    out[0] = z; out[1] = o;
+    return;
+  }
+  const u64 *a = P + (long)fi[0] * 4;
+  u64 s_ = a[2], i = a[3];
+  z = a[0]; o = a[1];
+  if (code >= 3 && code <= 6) {
+    int or_family = code >= 5;
+    /* AND: zeros |, ones &, stable0 |, stable1 &, init0 |, init1 &;
+       OR swaps every & and | */
+    u64 zs = z & s_, os = o & s_;
+    u64 i0 = zs | (o & i), i1 = os | (z & i);
+    for (k = 1; k < nf; k++) {
+      a = P + (long)fi[k] * 4;
+      u64 bzs = a[0] & a[2], bos = a[1] & a[2];
+      u64 bi0 = bzs | (a[1] & a[3]), bi1 = bos | (a[0] & a[3]);
+      if (or_family) {
+        z &= a[0]; o |= a[1]; zs &= bzs; os |= bos; i0 &= bi0; i1 |= bi1;
+      } else {
+        z |= a[0]; o &= a[1]; zs |= bzs; os &= bos; i0 |= bi0; i1 &= bi1;
+      }
+    }
+    s_ = zs | os;
+    i = ((o & i0) | (z & i1)) & ~s_;
+  } else if (code >= 7) {
+    for (k = 1; k < nf; k++) {
+      a = P + (long)fi[k] * 4;
+      u64 x0 = (z & s_) | (o & i), x1 = (o & s_) | (z & i);
+      u64 y0 = (a[0] & a[2]) | (a[1] & a[3]);
+      u64 y1 = (a[1] & a[2]) | (a[0] & a[3]);
+      u64 tz = (z & a[0]) | (o & a[1]), to = (z & a[1]) | (o & a[0]);
+      u64 ts = s_ & a[2];
+      i = ((to & ((x0 & y0) | (x1 & y1))) |
+           (tz & ((x0 & y1) | (x1 & y0)))) & ~ts;
+      z = tz; o = to; s_ = ts;
+    }
+  }
+  if (!(code & 1)) { t = z; z = o; o = t; }
+  out[0] = z; out[1] = o; out[2] = s_; out[3] = i;
+}
+
+/* Algebra.backward of gate s: the additions of fanin k into
+   adds[k * n_planes ...].  Suffix products run down from the last
+   fanin, prefix products come from the work buffer. */
+static void _tpg_backward(repro_tpg *st, long s, u64 *adds) {
+  const repro_plan *p = st->p;
+  const u64 *P = st->planes, *out = P + s * st->n_planes;
+  int code = p->code[s];
+  const int32_t *fi = p->fanin_idx + p->fanin_off[s];
+  long nf = p->fanin_off[s + 1] - p->fanin_off[s], np = st->n_planes, k;
+  u64 mask = st->mask;
+  u64 *pre1 = st->work, *pre2 = pre1 + nf + 1, *pre3 = pre2 + nf + 1;
+  /* NAND, OR and XNOR see swapped output value planes; OR and NOR see
+     swapped input (and addition) value planes */
+  int sw_out = code == 4 || code == 5 || code == 8;
+  int sw_in = code == 5 || code == 6;
+  u64 oz = out[sw_out], oo = out[!sw_out];
+  if (code <= 2) {                     /* BUF / NOT */
+    adds[0] = code == 2 ? out[1] : out[0];
+    adds[1] = code == 2 ? out[0] : out[1];
+    if (np == 4) { adds[2] = out[2]; adds[3] = out[3]; }
+    return;
+  }
+  pre1[0] = pre2[0] = pre3[0] = mask;
+  if (code <= 6 && np == 2) {          /* AND family, 3-valued */
+    u64 suf = mask;
+    for (k = 0; k < nf; k++)
+      pre1[k + 1] = pre1[k] & P[(long)fi[k] * 2 + !sw_in];
+    for (k = nf - 1; k >= 0; k--) {
+      adds[k * 2 + sw_in] = oz & pre1[k] & suf;
+      adds[k * 2 + !sw_in] = oo;
+      suf &= P[(long)fi[k] * 2 + !sw_in];
+    }
+  } else if (code <= 6) {              /* AND family, 7-valued */
+    u64 os = out[2], oi = out[3];
+    u64 s1 = oo & os, n0 = oz & os, fa = oz & oi, ri = oo & oi;
+    u64 suf1 = mask, suf2 = mask, suf3 = mask;
+    for (k = 0; k < nf; k++) {
+      const u64 *a = P + (long)fi[k] * 4;
+      pre1[k + 1] = pre1[k] & a[!sw_in];
+      pre2[k + 1] = pre2[k] & (a[!sw_in] | a[3]);
+      pre3[k + 1] = pre3[k] & a[2];
+    }
+    for (k = nf - 1; k >= 0; k--) {
+      const u64 *a = P + (long)fi[k] * 4;
+      u64 z = a[sw_in], o = a[!sw_in];
+      u64 m = n0 & pre2[k] & suf2;
+      adds[k * 4 + sw_in] = (oz & pre1[k] & suf1) | m;
+      adds[k * 4 + !sw_in] = oo;
+      adds[k * 4 + 2] = s1 | m | (fa & o);
+      adds[k * 4 + 3] = (fa & z) | (ri & pre3[k] & suf3);
+      suf1 &= o; suf2 &= o | a[3]; suf3 &= a[2];
+    }
+  } else {                             /* XOR / XNOR */
+    u64 ok = oz | oo, suf_k = mask, suf_p = 0, suf_s = mask;
+    pre2[0] = 0;                       /* parity of the 1-planes */
+    for (k = 0; k < nf; k++) {
+      const u64 *a = P + (long)fi[k] * np;
+      pre1[k + 1] = pre1[k] & (a[0] | a[1]);
+      pre2[k + 1] = pre2[k] ^ a[1];
+      if (np == 4) pre3[k + 1] = pre3[k] & a[2];
+    }
+    for (k = nf - 1; k >= 0; k--) {
+      const u64 *a = P + (long)fi[k] * np;
+      u64 r = pre2[k] ^ suf_p, act = pre1[k] & suf_k & ok;
+      adds[k * np] = ((oo & r) | (oz & ~r)) & act;
+      adds[k * np + 1] = ((oo & ~r) | (oz & r)) & act;
+      if (np == 4) {
+        adds[k * 4 + 2] = out[2];
+        adds[k * 4 + 3] = out[3] & pre3[k] & suf_s;
+        suf_s &= a[2];
+      }
+      suf_k &= a[0] | a[1];
+      suf_p ^= a[1];
+    }
+  }
+}
+
+int repro_tpg_imply(repro_tpg *st, int stop) {
+  const repro_plan *p = st->p;
+  u64 fwd[4], *adds;
+  while (st->q_len) {
+    long s, k, nf;
+    if (stop && st->conflict_mask == st->mask) {
+      _tpg_drain(st);
+      break;
+    }
+    s = st->queue[st->q_head];
+    if (++st->q_head == p->n_signals) st->q_head = 0;
+    st->q_len--;
+    st->queued[s] = 0;
+    if (p->code[s] == 0) continue;
+    st->implication_passes++;
+    _tpg_forward(st, s, fwd);
+    if (_tpg_assign(st, s, fwd) < 0) return -1;
+    if (!st->use_backward) continue;
+    nf = p->fanin_off[s + 1] - p->fanin_off[s];
+    adds = st->work + 3 * (nf + 1);
+    _tpg_backward(st, s, adds);
+    for (k = 0; k < nf; k++)
+      if (_tpg_assign(st, p->fanin_idx[p->fanin_off[s] + k],
+                      adds + k * st->n_planes) < 0)
+        return -1;
+  }
+  return 0;
+}
+
+int repro_tpg_rollback(repro_tpg *st, long trail_len, uint64_t conflict_mask) {
+  const repro_plan *p = st->p;
+  long np = st->n_planes, k;
+  if (trail_len < 0 || trail_len > st->trail_len) return -1;
+  while (st->trail_len > trail_len) {
+    long s = st->trail_sig[--st->trail_len];
+    for (k = 0; k < np; k++)
+      st->planes[s * np + k] = st->trail_old[st->trail_len * np + k];
+    _tpg_dirty(st, s);
+    for (k = p->fanout_off[s]; k < p->fanout_off[s + 1]; k++)
+      _tpg_dirty(st, p->fanout_idx[k]);
+  }
+  st->conflict_mask = conflict_mask & st->mask;
+  _tpg_drain(st);
+  return 0;
+}
+
+/* Lanes where some assigned output bit of s is not implied forward. */
+static u64 _tpg_unjustified(const repro_tpg *st, long s) {
+  const u64 *have = st->planes + s * st->n_planes;
+  u64 fwd[4], miss = 0;
+  long k;
+  _tpg_forward(st, s, fwd);
+  for (k = 0; k < st->n_planes; k++) miss |= have[k] & ~fwd[k];
+  return miss & st->mask;
+}
+
+static void _tpg_refresh(repro_tpg *st) {
+  long d;
+  for (d = 0; d < st->n_dirty; d++) {
+    long s = st->dirty[d];
+    st->is_dirty[s] = 0;
+    if (st->p->code[s] != 0) st->unjust[s] = _tpg_unjustified(st, s);
+  }
+  st->n_dirty = 0;
+}
+
+long repro_tpg_scan(repro_tpg *st, uint64_t live) {
+  long s, n = 0;
+  _tpg_refresh(st);
+  for (s = 0; s < st->p->n_signals; s++) {
+    u64 m = st->unjust[s] & live;
+    if (m) {
+      st->scan_sig[n] = (int32_t)s;
+      st->scan_mask[n++] = m;
+    }
+  }
+  return n;
+}
+
+uint64_t repro_tpg_all_justified(repro_tpg *st) {
+  u64 live = st->mask & ~st->conflict_mask;
+  long s;
+  if (!live) return 0;
+  _tpg_refresh(st);
+  for (s = 0; s < st->p->n_signals && live; s++) live &= ~st->unjust[s];
+  return live;
+}
+
+void repro_tpg_flatten(repro_tpg *st, long lane) {
+  long n = st->p->n_signals, k;
+  u64 bit = (u64)1 << lane;
+  for (k = 0; k < n * st->n_planes; k++)
+    st->planes[k] = st->planes[k] & bit ? st->mask : 0;
+  if (st->conflict_mask & bit) {
+    int32_t site = st->sites[lane];
+    for (k = 0; k < 64; k++) st->sites[k] = site;
+    st->conflict_mask = st->mask;
+  } else {
+    st->conflict_mask = 0;
+  }
+  st->trail_len = 0;
+  for (k = 0; k < n; k++) _tpg_dirty(st, k);
+}
+"""
+
 #: The cffi declarations of every entry point the native module exports.
-NATIVE_CDEF = _C_PLAN + """
+NATIVE_CDEF = _C_PLAN + _C_TPG_STRUCT + """
 void repro_logic_pass(const repro_plan *p, uint64_t *v, long n);
 void repro_planes7_pass(const repro_plan *p, uint64_t *z, uint64_t *o,
                         uint64_t *s, uint64_t *i, long n);
@@ -1197,16 +1627,37 @@ void repro_stuck_cone(const uint64_t *good, long n,
                       long n_steps, uint64_t *scratch, uint64_t forced,
                       const int32_t *po_sig, const int32_t *po_slot,
                       long n_pos, uint64_t *diff);
+repro_tpg *repro_tpg_new(const repro_plan *p, long n_planes, long width,
+                         int use_backward);
+void repro_tpg_free(repro_tpg *st);
+int repro_tpg_assign2(repro_tpg *st, long s, uint64_t a0, uint64_t a1);
+int repro_tpg_assign4(repro_tpg *st, long s, uint64_t a0, uint64_t a1,
+                      uint64_t a2, uint64_t a3);
+int repro_tpg_imply(repro_tpg *st, int stop);
+int repro_tpg_rollback(repro_tpg *st, long trail_len, uint64_t conflict_mask);
+long repro_tpg_scan(repro_tpg *st, uint64_t live);
+uint64_t repro_tpg_all_justified(repro_tpg *st);
+void repro_tpg_flatten(repro_tpg *st, long lane);
 """
 
 #: The whole native kernel as one circuit-generic C translation unit:
 #: the three forward passes over row-major ``(n_signals, n_words)``
-#: uint64 slabs, the per-batch PPSFP detection and strength walks and
-#: the stuck-at cone resimulation.  Circuits arrive per call as a
-#: ``repro_plan`` struct, so this text never changes between circuits
-#: and :mod:`repro.kernel.native` compiles it once per machine.
+#: uint64 slabs, the per-batch PPSFP detection and strength walks, the
+#: stuck-at cone resimulation and the TPG implication engine.  Circuits
+#: arrive per call as a ``repro_plan`` struct, so this text never
+#: changes between circuits and :mod:`repro.kernel.native` compiles it
+#: once per machine.
 NATIVE_SOURCE = "\n".join(
-    ["#include <stdint.h>", "typedef uint64_t u64;", _C_PLAN, _C_PASSES, _C_WALKS]
+    [
+        "#include <stdint.h>",
+        "#include <stdlib.h>",
+        "typedef uint64_t u64;",
+        _C_PLAN,
+        _C_TPG_STRUCT,
+        _C_PASSES,
+        _C_WALKS,
+        _C_TPG,
+    ]
 )
 
 

@@ -17,11 +17,20 @@ module, sharing each on-path edge's side-input term across the fault
 batch and returning only the detected faults' mask rows, so a whole
 fault batch costs one Python call.
 
+The module also holds the TPG implication engine: a
+:class:`repro.core.state.TpgState` of at most 64 lanes keeps its
+planes, worklist, trail and justification cache in one C
+``repro_tpg`` (:func:`native_tpg_engine`), and ``assign``/``imply``/
+``rollback``, the unjustified scan and lane flattening are single
+calls; the decision policy (FPTPG/APTPG, backtrace, sensitization)
+stays in Python.
+
 Module lifecycle — one module per machine, not per circuit:
 
 * the circuit travels per call as a ``repro_plan`` struct
-  (:func:`native_plan`: plan order, gate codes, fanin CSR, controlling
-  values), built once per :class:`CompiledCircuit` and memoized on its
+  (:func:`native_plan`: plan order, gate codes — an input is code 0 —,
+  fanin and fanout CSR, controlling values), built once per
+  :class:`CompiledCircuit` and memoized on its
   ``_fusion_cache`` — which ``__getstate__`` drops, so compiled
   circuits stay pickling-safe (campaign pool workers rebuild the
   struct, cheaply, per process),
@@ -66,7 +75,7 @@ from .packed import rows_to_ints, words_to_int
 
 #: Bump when the call ABI changes (the C text is hashed into the module
 #: name anyway), so stale disk-cached shared objects are never reloaded.
-NATIVE_ABI = 3
+NATIVE_ABI = 4
 
 # The C text is constant-size (data-driven plan interpreters), so a real
 # optimization level is affordable: -O2 runs the fault loops ~2x faster
@@ -265,6 +274,8 @@ def native_plan(compiled: CompiledCircuit):
             "code": np.asarray(compiled.py_codes, dtype=np.int8),
             "fanin_off": np.ascontiguousarray(compiled.fanin_offsets, np.int32),
             "fanin_idx": np.ascontiguousarray(compiled.fanin_index, np.int32),
+            "fanout_off": np.ascontiguousarray(compiled.fanout_offsets, np.int32),
+            "fanout_idx": np.ascontiguousarray(compiled.fanout_index, np.int32),
             "ctrl": np.asarray(
                 [-1 if c is None else c for c in compiled.controlling],
                 dtype=np.int8,
@@ -291,6 +302,25 @@ def native_plan(compiled: CompiledCircuit):
             "native_plan", (struct, len(compiled.fanin_index), views)
         )
     return entry[0], entry[1]
+
+
+def native_tpg_engine(
+    compiled: CompiledCircuit, n_planes: int, width: int, use_backward: bool
+):
+    """A new C TPG implication engine over *compiled* (``repro_tpg *``).
+
+    *n_planes* selects the rules (2: 3-valued, 4: 7-valued); *width*
+    must be 1..64.  The engine points at the memoized
+    :func:`native_plan` struct, which lives as long as *compiled*;
+    its own buffers are freed by ``ffi.gc`` with the returned object.
+    A failed allocation raises :class:`MemoryError`.
+    """
+    module = native_module()
+    plan, _ = native_plan(compiled)
+    raw = module.lib.repro_tpg_new(plan, n_planes, width, int(use_backward))
+    if raw == module.ffi.NULL:
+        raise MemoryError("cannot allocate the native TPG state")
+    return module.ffi.gc(raw, module.lib.repro_tpg_free)
 
 
 def _u64_ptr(ffi, array: np.ndarray):

@@ -11,6 +11,7 @@ from repro.cli import (
     main_paths,
     resolve_circuit,
 )
+from repro.core.state import tpg_tier
 
 
 class TestResolveCircuit:
@@ -81,6 +82,7 @@ class TestCampaignCommand:
         assert "peak pending" in out
         assert "decisions: " in out and "backtracks: " in out
         assert "implication passes: " in out
+        assert f"tpg tier: {tpg_tier(16)}\n" in out
 
     def test_checkpoint_resume_and_json(self, capsys, tmp_path):
         ckpt = tmp_path / "campaign.ckpt.json"

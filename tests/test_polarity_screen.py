@@ -14,6 +14,7 @@ each layer of that to its one-combination-at-a-time meaning:
 """
 
 import random
+from typing import Tuple
 from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
@@ -283,3 +284,90 @@ class TestMatchesSerialLoop:
                 assert settle(tested) == serial_reference(
                     c, fault, test_class, width, max_xor_polarity_bits=9
                 )
+
+
+def xor_chain(n_sides: int, anded: int) -> Tuple[Circuit, PathDelayFault]:
+    """a -> x0 -> ... -> x{n-1} -> z with side s_k on XOR x_k, and side
+    s_{anded} also on the final AND: every combination with bit
+    *anded* clear conflicts on necessary implications alone."""
+    b = CircuitBuilder(f"xor_chain_{n_sides}_{anded}")
+    b.inputs("a", *[f"s{k}" for k in range(n_sides)])
+    previous = "a"
+    for k in range(n_sides):
+        b.xor(f"x{k}", previous, f"s{k}")
+        previous = f"x{k}"
+    b.and_("z", previous, f"s{anded}")
+    b.outputs("z")
+    c = b.build()
+    path = ("a", *[f"x{k}" for k in range(n_sides)], "z")
+    return c, PathDelayFault.from_names(c, path, Transition.RISING)
+
+
+class TestChunkedScreen:
+    """More than 64 combinations: the screen runs in 64-lane chunks,
+    combination ``c`` in lane ``c % 64`` of chunk ``c // 64``."""
+
+    def test_chunk_lanes_hold_their_combinations(self):
+        sides = list(range(10, 18))  # 8 sides, 4 chunks of 64
+        for first in range(0, 256, 64):
+            lanes = polarity_lanes(sides, first, 64)
+            for lane in range(64):
+                combo = first + lane
+                assert {s: lanes[s] >> lane & 1 for s in sides} == combo_sides(
+                    sides, combo
+                )
+        assert polarity_lanes(sides[:5]) == polarity_lanes(sides[:5], 0, 32)
+
+    def test_seven_and_eight_sides_match_the_serial_loop(self):
+        for n_sides in (7, 8):
+            for anded in (0, n_sides - 1):
+                c, fault = xor_chain(n_sides, anded)
+                sides = xor_side_signals(c, fault)
+                assert len(sides) == n_sides
+                for test_class in TestClass:
+                    expected = [
+                        combo
+                        for combo in range(1 << n_sides)
+                        if not own_state(c, fault, test_class, sides, combo).conflict_mask
+                    ]
+                    assert expected and len(expected) < 1 << n_sides
+                    searched = []
+
+                    def record(*args):
+                        xor_sides = args[7]
+                        searched.append(
+                            sum(1 << k for k, s in enumerate(sides) if xor_sides[s])
+                        )
+                        return AptpgOutcome(FaultStatus.REDUNDANT, None, None)
+
+                    with mock.patch.object(aptpg, "_attempt", record):
+                        run_aptpg(c, fault, test_class, 32)
+                    assert searched == expected
+                    for width in (1, 32, 64):
+                        got = run_aptpg(c, fault, test_class, width)
+                        assert got.status is FaultStatus.TESTED
+                        assert settle(got) == serial_reference(
+                            c, fault, test_class, width
+                        )
+
+    def test_every_chunk_is_counted_and_stays_one_word(self):
+        c, fault = xor_chain(8, 7)  # survivors only in chunks 2 and 3
+        widths = []
+        real = aptpg._sensitized_state
+
+        def spy(circuit, fault, test_class, width, *rest):
+            state, seconds = real(circuit, fault, test_class, width, *rest)
+            widths.append((width, state.implication_passes))
+            return state, seconds
+
+        with mock.patch.object(aptpg, "_sensitized_state", spy):
+            outcome = run_aptpg(c, fault, TestClass.NONROBUST, 32)
+        assert outcome.status is FaultStatus.TESTED
+        screens, searches = widths[:4], widths[4:]
+        assert [w for w, _ in screens] == [64] * 4
+        assert all(w == 32 for w, _ in searches)
+        # the first search (combination 128) found the test
+        assert len(searches) == 1
+        assert outcome.implication_passes == (
+            sum(passes for _, passes in screens) + outcome.state.implication_passes
+        )

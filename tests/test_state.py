@@ -1,12 +1,22 @@
 """Unit tests for the bit-parallel TPG state and implication engine."""
 
-import pytest
+import random
 
-from repro.circuit import CircuitBuilder
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from repro.circuit import Circuit, CircuitBuilder, GateType
 from repro.circuit.library import c17, paper_example
-from repro.core.state import SEVEN_VALUED, THREE_VALUED, TpgState
+from repro.core.state import SEVEN_VALUED, THREE_VALUED, TpgState, tpg_tier
+from repro.kernel import native_available, native_plan
 from repro.logic import three_valued as tv
 from repro.logic import seven_valued as sv
+
+
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="no C toolchain and no cached native module"
+)
 
 
 def and_or_circuit():
@@ -150,6 +160,19 @@ class TestJustification:
         assert st.scan_unjustified() == []
         assert st.all_justified_mask() == 1
 
+    def test_rollback_invalidates_readers_of_restored_signals(self, engine):
+        """g = AND(a, b) = 0 is justified by a = 0; rolling a back makes
+        g unjustified again although g itself never changed."""
+        c = and_or_circuit()
+        st = TpgState(c, THREE_VALUED, 1, fusion=engine)
+        g = c.index_of("g")
+        st.assign(g, tv.encode(0))
+        token = st.mark()
+        st.assign(c.index_of("a"), tv.encode(0))
+        assert st.scan_unjustified() == []
+        st.rollback(token)
+        assert st.scan_unjustified() == [(g, 1)]
+
     def test_conflicted_lanes_not_reported(self):
         c = and_or_circuit()
         st = TpgState(c, THREE_VALUED, 1)
@@ -219,17 +242,19 @@ class TestConflictSites:
 
 
 class TestSharedTables:
-    def test_states_of_one_circuit_share_the_tables(self):
+    @needs_native
+    def test_native_states_of_one_circuit_share_the_plan(self):
         c = c17()
-        first = TpgState(c, THREE_VALUED, 4)
-        second = TpgState(c, THREE_VALUED, 32)
-        assert first._forward_fns is second._forward_fns
-        assert first._backward_fns is second._backward_fns
-        robust = TpgState(c, SEVEN_VALUED, 4)
-        assert robust._forward_fns is not first._forward_fns
-        assert TpgState(c, THREE_VALUED, 4, fusion="interp")._forward_fns is None
+        plan = native_plan(c.compiled())[0]
+        states = [
+            TpgState(c, THREE_VALUED, 4),
+            TpgState(c, THREE_VALUED, 32),
+            TpgState(c, SEVEN_VALUED, 64),
+        ]
+        assert all(st.tier == "native/c" and st._c.p == plan for st in states)
 
-    def test_unpickled_circuit_rebuilds_the_tables(self):
+    @needs_native
+    def test_unpickled_circuit_rebuilds_the_native_plan(self):
         import pickle
 
         c = c17()
@@ -237,6 +262,33 @@ class TestSharedTables:
         clone = pickle.loads(pickle.dumps(c))
         assert not clone.compiled()._fusion_cache
         rebuilt = TpgState(clone, THREE_VALUED, 4)
+        assert rebuilt._c.p == native_plan(clone.compiled())[0]
+        assert rebuilt._c.p != original._c.p
+        for st in (original, rebuilt):
+            st.assign(c.index_of("22"), tv.encode_word(1, 0b1111))
+            st.imply()
+        assert rebuilt.planes == original.planes
+
+    def test_states_of_one_circuit_share_the_tables(self):
+        """The Python engine's codegen tables."""
+        c = c17()
+        first = TpgState(c, THREE_VALUED, 4, fusion="codegen")
+        second = TpgState(c, THREE_VALUED, 32, fusion="codegen")
+        assert first._forward_fns is second._forward_fns
+        assert first._backward_fns is second._backward_fns
+        robust = TpgState(c, SEVEN_VALUED, 4, fusion="codegen")
+        assert robust._forward_fns is not first._forward_fns
+        assert TpgState(c, THREE_VALUED, 4, fusion="interp")._forward_fns is None
+
+    def test_unpickled_circuit_rebuilds_the_tables(self):
+        """The Python engine's codegen tables."""
+        import pickle
+
+        c = c17()
+        original = TpgState(c, THREE_VALUED, 4, fusion="codegen")
+        clone = pickle.loads(pickle.dumps(c))
+        assert not clone.compiled()._fusion_cache
+        rebuilt = TpgState(clone, THREE_VALUED, 4, fusion="codegen")
         assert rebuilt._forward_fns is not original._forward_fns
         assert rebuilt._forward_fns == original._forward_fns
         assert rebuilt._backward_fns == original._backward_fns
@@ -244,6 +296,119 @@ class TestSharedTables:
             st.assign(c.index_of("22"), tv.encode_word(1, 0b1111))
             st.imply()
         assert rebuilt.planes == original.planes
+
+
+class TestEngineSelection:
+    @needs_native
+    def test_auto_runs_native_up_to_one_word(self):
+        c = c17()
+        for width in (1, 32, 64):
+            assert TpgState(c, THREE_VALUED, width).tier == "native/c"
+            assert tpg_tier(width) == "native/c"
+        assert TpgState(c, SEVEN_VALUED, 65).tier == "python/codegen"
+
+    def test_explicit_strategies_run_python(self):
+        c = c17()
+        for fusion in ("codegen", "vector"):
+            assert TpgState(c, THREE_VALUED, 8, fusion=fusion).tier == "python/codegen"
+        assert TpgState(c, THREE_VALUED, 8, fusion="interp").tier == "python/interp"
+        with pytest.raises(ValueError, match="unknown fusion"):
+            TpgState(c, THREE_VALUED, 8, fusion="jit")
+
+    def test_algebra_without_compiled_rules_runs_interp(self):
+        from dataclasses import replace
+
+        custom = replace(THREE_VALUED, name="custom")
+        assert tpg_tier(8, "auto", custom) == "python/interp"
+        st = TpgState(and_or_circuit(), custom, 8)
+        assert st.tier == "python/interp" and st._forward_fns is None
+
+    @needs_native
+    def test_failed_allocation_raises_memory_error(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.kernel import native
+
+        real = native.native_module()
+
+        class FailingLib:
+            """The real entry points, with an allocator that fails."""
+
+            def __getattr__(self, name):
+                return getattr(real.lib, name)
+
+            @staticmethod
+            def repro_tpg_new(*args):
+                return real.ffi.NULL
+
+        fake = SimpleNamespace(lib=FailingLib(), ffi=real.ffi)
+        monkeypatch.setattr(native, "native_module", lambda: fake)
+        with pytest.raises(MemoryError):
+            TpgState(c17(), THREE_VALUED, 8)
+
+    def test_without_the_module_auto_falls_back_silently(self, monkeypatch):
+        import warnings
+
+        from repro.kernel import native
+
+        monkeypatch.setattr(native, "native_available", lambda: False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st = TpgState(c17(), THREE_VALUED, 32)
+        assert st.tier == "python/codegen"
+        assert st._forward_fns is not None
+
+
+@pytest.fixture(params=["auto", "codegen", "interp"])
+def engine(request):
+    """The fusion value selecting each engine (auto: the C one)."""
+    if request.param == "auto" and not native_available():
+        pytest.skip("no C toolchain and no cached native module")
+    return request.param
+
+
+class TestValidation:
+    """Ids and lanes out of range raise before any engine sees them."""
+
+    def test_signal_ids_outside_the_circuit(self, engine):
+        c = and_or_circuit()
+        st = TpgState(c, THREE_VALUED, 4, fusion=engine)
+        before = list(st.planes)
+        for signal in (-1, c.num_signals, 1 << 40):
+            with pytest.raises(IndexError):
+                st.assign(signal, tv.encode_word(1, 0b1111))
+            with pytest.raises(IndexError):
+                st.unjustified_lanes(signal)
+        assert list(st.planes) == before and st.assignments == 0
+
+    def test_lanes_outside_the_width(self, engine):
+        c = and_or_circuit()
+        st = TpgState(c, THREE_VALUED, 4, fusion=engine)
+        st.assign(c.index_of("a"), (0b0010, 0b0101))
+        before = list(st.planes)
+        for lane in (-1, 4, 7, 64):
+            with pytest.raises(ValueError):
+                st.flatten_lane(lane)
+        assert list(st.planes) == before
+
+    def test_bits_beyond_the_width_and_negative_words(self, engine):
+        c = and_or_circuit()
+        st = TpgState(c, THREE_VALUED, 4, fusion=engine)
+        a = c.index_of("a")
+        assert st.assign(a, (0, (1 << 70) | 0b0001))
+        assert st.assign(a, (-1 << 3, 0))  # lanes 3 and up
+        assert st.planes[a] == (0b1000, 0b0001)
+
+    def test_planes_read_only_sequence(self, engine):
+        c = and_or_circuit()
+        st = TpgState(c, THREE_VALUED, 4, fusion=engine)
+        st.assign(c.index_of("y"), tv.encode_word(1, 0b0011))
+        rows = list(st.planes)
+        assert len(st.planes) == c.num_signals
+        assert st.planes[-1] == rows[-1] and st.planes[1:3] == rows[1:3]
+        assert all(isinstance(row, tuple) for row in st.planes)
+        with pytest.raises(IndexError):
+            st.planes[c.num_signals]
 
 
 class TestLaneUtilities:
@@ -271,3 +436,150 @@ class TestLaneUtilities:
         values = st.lane_values(0)
         assert values["a"] == "1"
         assert values["y"] == "X"
+
+
+# ---------------------------------------------------------------------------
+# the compiled engines against the interpreted oracle, operation by operation
+# ---------------------------------------------------------------------------
+
+_KINDS = [GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
+          GateType.XOR, GateType.XNOR, GateType.BUF, GateType.NOT]
+
+
+def mixed_dag(seed: int, n_inputs: int, n_gates: int) -> Circuit:
+    """Random DAG with every gate kind, 1-input gates and duplicate fanins.
+
+    Fanins are drawn with replacement, so ``AND(a, a)`` and
+    ``XOR(a, b, a)`` occur; arities run up to 5.
+    """
+    rng = random.Random(seed)
+    circuit = Circuit(name=f"mixed_dag_{seed}")
+    signals = [circuit.add_input(f"i{k}") for k in range(n_inputs)]
+    for g in range(n_gates):
+        kind = rng.choice(_KINDS)
+        arity = 1 if kind in (GateType.BUF, GateType.NOT) else rng.randint(2, 5)
+        window = signals[-6:] if rng.random() < 0.7 else signals
+        fanin = [rng.choice(window) for _ in range(arity)]
+        signals.append(circuit.add_gate(f"g{g}", kind, fanin))
+    for signal in signals[-2:]:
+        circuit.mark_output(signal)
+    return circuit.freeze()
+
+
+def assert_same_state(got: TpgState, want: TpgState) -> None:
+    """Same planes, conflicts, counters and justification scans."""
+    assert got.planes == want.planes
+    assert got.conflict_mask == want.conflict_mask
+    assert got.conflict_sites == want.conflict_sites
+    assert got.implication_passes == want.implication_passes
+    assert got.assignments == want.assignments
+    assert got.scan_unjustified() == want.scan_unjustified()
+    assert got.all_justified_mask() == want.all_justified_mask()
+
+
+#: operation mix: flatten marks every signal dirty and drops every
+#: checkpoint, so it is rare enough for stale-cache bugs to surface
+OPS = ["assign"] * 8 + ["imply"] * 4 + ["mark", "rollback"] * 3 + [
+    "scan", "justified", "flatten"]
+
+ENGINES = [pytest.param("auto", marks=needs_native), "codegen"]
+
+
+class TestGateRules:
+    """Every gate shape on arbitrary planes: the implication rules of the
+    engine under test equal the ``Algebra`` rules, lane by lane."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @settings(max_examples=150, deadline=None)
+    @given(data=hst.data())
+    def test_one_gate_on_arbitrary_planes(self, engine, data):
+        kind = data.draw(hst.sampled_from(_KINDS), label="kind")
+        single = kind in (GateType.BUF, GateType.NOT)
+        arity = 1 if single else data.draw(hst.integers(2, 5), label="arity")
+        n_inputs = data.draw(hst.integers(1, arity), label="distinct inputs")
+        circuit = Circuit(name="one_gate")
+        inputs = [circuit.add_input(f"i{k}") for k in range(n_inputs)]
+        fanin = [data.draw(hst.sampled_from(inputs)) for _ in range(arity)]
+        circuit.mark_output(circuit.add_gate("g", kind, fanin))
+        circuit.freeze()
+        width = data.draw(hst.sampled_from([1, 7, 32, 64]), label="width")
+        algebra = data.draw(hst.sampled_from([THREE_VALUED, SEVEN_VALUED]))
+        use_backward = data.draw(hst.booleans(), label="use_backward")
+        got = TpgState(circuit, algebra, width, use_backward, fusion=engine)
+        want = TpgState(circuit, algebra, width, use_backward, fusion="interp")
+        # uniform bits: every plane combination shows up in some lane
+        rng = random.Random(data.draw(hst.integers(0, 2**32), label="seed"))
+        for signal in range(circuit.num_signals):
+            planes = tuple(rng.getrandbits(width) for _ in range(algebra.n_planes))
+            assert got.assign(signal, planes) == want.assign(signal, planes)
+        assert got.imply(False) == want.imply(False)
+        assert_same_state(got, want)
+
+
+class TestEnginesMatchInterp:
+    """Random operation sequences on random DAGs: after every operation
+    the engine under test and ``fusion="interp"`` agree on planes,
+    conflicts, sites, return values and both counters."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @settings(max_examples=80, deadline=None)
+    @given(data=hst.data())
+    def test_random_operation_sequences(self, engine, data):
+        circuit = data.draw(
+            hst.builds(
+                mixed_dag,
+                hst.integers(0, 10_000),
+                hst.integers(2, 6),
+                hst.integers(1, 30),
+            ),
+            label="circuit",
+        )
+        width = data.draw(hst.sampled_from([1, 7, 32, 64]), label="width")
+        algebra = data.draw(hst.sampled_from([THREE_VALUED, SEVEN_VALUED]))
+        use_backward = data.draw(hst.booleans(), label="use_backward")
+        got = TpgState(circuit, algebra, width, use_backward, fusion=engine)
+        want = TpgState(circuit, algebra, width, use_backward, fusion="interp")
+        names = list(sv.VALUES) if algebra is SEVEN_VALUED else ["0", "1"]
+        mask = got.mask
+        tokens = []
+        for _ in range(data.draw(hst.integers(1, 50), label="n_ops")):
+            op = data.draw(hst.sampled_from(OPS))
+            if op == "assign":
+                signal = data.draw(hst.integers(0, circuit.num_signals - 1))
+                if data.draw(hst.booleans()):
+                    name = data.draw(hst.sampled_from(names))
+                    lanes = data.draw(hst.integers(1, mask))
+                    planes = (
+                        sv.encode_word(name, lanes)
+                        if algebra is SEVEN_VALUED
+                        else tv.encode_word(int(name), lanes)
+                    )
+                else:  # arbitrary bits, beyond the width and negative too
+                    word = hst.integers(-(1 << 70), 1 << 70)
+                    planes = tuple(data.draw(word) for _ in range(algebra.n_planes))
+                result = (got.assign(signal, planes), want.assign(signal, planes))
+            elif op == "imply":
+                stop = data.draw(hst.booleans())
+                result = (got.imply(stop), want.imply(stop))
+            elif op == "mark":
+                tokens.append(got.mark())
+                result = (tokens[-1], want.mark())
+            elif op == "rollback":
+                if not tokens:
+                    continue
+                token = data.draw(hst.sampled_from(tokens))
+                del tokens[tokens.index(token):]
+                result = (got.rollback(token), want.rollback(token))
+            elif op == "flatten":
+                lane = data.draw(hst.integers(0, width - 1))
+                tokens.clear()
+                result = (got.flatten_lane(lane), want.flatten_lane(lane))
+            elif op == "scan":
+                lanes = data.draw(hst.none() | hst.integers(0, mask))
+                result = (
+                    got.scan_unjustified(lanes), want.scan_unjustified(lanes)
+                )
+            else:
+                result = (got.all_justified_mask(), want.all_justified_mask())
+            assert result[0] == result[1], op
+            assert_same_state(got, want)
