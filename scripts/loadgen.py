@@ -6,15 +6,11 @@ Drives the real HTTP stack (``repro.api.service`` behind a loopback
 clients issuing grade requests — each client a distinct tenant with
 its own seeded pattern set against the same circuit — and measures
 aggregate throughput and per-request latency percentiles at 1/8/32
-concurrent clients, with request coalescing off and on.
+concurrent clients.  The run checks its answers as it measures: every
+reply's ``detected_flags`` must equal an in-process
+``AtpgSession.grade`` of the same body, and a reply that differs
+counts as an error.
 
-Coalescing is the paper's bit-parallel idea applied across requests:
-each client's 32-pattern batch under-fills the machine word, so
-concurrent same-circuit batches merge into one shared
-``PackedPatterns`` lane slab, execute as a single kernel call over
-full words, and demultiplex per request.  The run asserts correctness
-as it measures: every client's ``detected_flags`` with coalescing on
-must equal its flags with coalescing off (bit-identical demux).
 Usage::
 
     PYTHONPATH=src python scripts/loadgen.py [output.json]
@@ -22,13 +18,13 @@ Usage::
     PYTHONPATH=src python scripts/loadgen.py --check [output.json]
     PYTHONPATH=src python scripts/loadgen.py --chaos [--smoke] [output.json]
 
-``--smoke`` is the fast CI variant (2 clients, a couple of requests
-each, small circuit) proving the serve/coalesce/measure loop end to
-end.  ``--check`` is the CI soft perf guard: it re-reads the JSON and
-fails unless coalescing-on throughput is at least :data:`MIN_SPEEDUP`
-x the coalescing-off throughput on the heaviest (32-client) workload
-(absolute numbers are only trusted from CI hardware; correctness is
-asserted during regeneration).
+A run exits 1 when any request failed or came back with the wrong
+flags.  ``--smoke`` is the fast CI variant (2 clients, a couple of
+requests each, small circuit) proving the serve/measure loop end to
+end.  ``--check`` re-reads an existing artifact: it must validate
+against its schema and record no errors, neither in a throughput row
+nor in the chaos row (absolute numbers are only trusted from the
+hardware that regenerated the artifact).
 
 ``--chaos`` is the availability-under-faults run: against one live
 server it (a) kills the only job-worker thread the instant it claims
@@ -52,7 +48,7 @@ import time
 from http.client import HTTPConnection
 
 from repro import chaos
-from repro.api import ServiceOptions
+from repro.api import AtpgSession, ServiceOptions
 from repro.api.resolve import resolve_circuit
 from repro.api.schemas import stamp, validate, validate_file
 from repro.api.serde import fault_to_payload, pattern_to_payload
@@ -61,19 +57,13 @@ from repro.core.patterns import TestPattern
 from repro.paths import fault_list
 
 #: The measured workload: a deep generated circuit (~4k gates at
-#: scale 2) where the simulation kernel — the part coalescing
-#: amortizes — dominates the per-request wire handling, each
-#: request's 32 patterns fill only half a machine word, and the
-#: coalescing window is wide enough for every concurrent client to
-#: join one shared slab (merge factor ~ window / per-request decode
-#: cost, about 2 ms each).
+#: scale 2), each request carrying 32 patterns — half a machine word —
+#: and the first 32 faults.
 CIRCUIT = "bulk2k"
 SCALE = 2
 PATTERNS_PER_REQUEST = 32
 FAULT_CAP = 32
-WINDOW_MS = 60.0
-GUARD_CLIENTS = 32
-MIN_SPEEDUP = 2.0
+CLIENT_COUNTS = (1, 8, 32)
 WORKERS = 2  # job-queue workers; recorded in the envelope
 
 
@@ -128,33 +118,19 @@ def _post(conn: HTTPConnection, body: bytes, tenant: str):
     return json.loads(conn.getresponse().read())
 
 
-def run_row(
-    workload,
-    clients: int,
-    coalesce: bool,
-    requests_per_client: int,
-    flags_by_client,
-):
-    """One measured configuration: start a server, hammer it, tear down.
-
-    *flags_by_client* accumulates/checks each client's
-    ``detected_flags`` across the coalesce-off and coalesce-on rows of
-    the same client count — the bit-identical demux assertion.
-    """
-    window_ms = WINDOW_MS if coalesce else 0.0
-    config = ServiceOptions(coalesce_window_ms=window_ms, workers=WORKERS)
-    server = make_server(port=0, config=config, quiet=True)
+def run_row(workload, clients: int, requests_per_client: int):
+    """One measured configuration: start a server, hammer it, tear down."""
+    server = make_server(port=0, config=ServiceOptions(workers=WORKERS), quiet=True)
     server_thread = threading.Thread(target=server.serve_forever, daemon=True)
     server_thread.start()
     port = server.server_address[1]
 
-    bodies = [workload["bodies"][k % len(workload["bodies"])] for k in range(clients)]
+    bodies = workload["bodies"]
+    expected = workload["expected"]
     # warm up outside the timed window: the first grade lowers the
-    # circuit + compiles the single-word kernel, the wide batch
-    # compiles the multi-word (merged-slab) kernel
+    # circuit and loads the kernel
     warm = _connect(port)
     assert _post(warm, bodies[0], "warmup")["ok"]
-    assert _post(warm, workload["wide_body"], "warmup")["ok"]
     warm.close()
 
     latencies_ms = []
@@ -163,35 +139,30 @@ def run_row(
     barrier = threading.Barrier(clients + 1)
 
     def client(index: int) -> None:
+        k = index % len(bodies)
         conn = _connect(port)
         barrier.wait()
         for _ in range(requests_per_client):
             t0 = time.perf_counter()
             try:
                 try:
-                    reply = _post(conn, bodies[index], f"client-{index}")
+                    reply = _post(conn, bodies[k], f"client-{index}")
                 except OSError:  # server closed the idle socket: retry once
                     conn.close()
                     conn = _connect(port)
-                    reply = _post(conn, bodies[index], f"client-{index}")
-                ok = reply.get("ok", False)
+                    reply = _post(conn, bodies[k], f"client-{index}")
+                ok = (
+                    reply.get("ok", False)
+                    and reply["result"]["detected_flags"] == expected[k]
+                )
             except OSError:
                 ok = False
             elapsed_ms = (time.perf_counter() - t0) * 1000.0
             with lock:
-                if not ok:
-                    errors[0] += 1
-                else:
+                if ok:
                     latencies_ms.append(elapsed_ms)
-                    flags = reply["result"]["detected_flags"]
-                    key = (clients, index)
-                    if key in flags_by_client:
-                        assert flags_by_client[key] == flags, (
-                            f"client {index}: coalesced grade differs from "
-                            f"uncoalesced grade"
-                        )
-                    else:
-                        flags_by_client[key] = flags
+                else:
+                    errors[0] += 1
         conn.close()
 
     threads = [
@@ -214,8 +185,6 @@ def run_row(
         "workload": "grade",
         "circuit": workload["name"],
         "clients": clients,
-        "coalesce": coalesce,
-        "window_ms": window_ms,
         "patterns_per_request": workload["patterns_per_request"],
         "faults": workload["faults"],
         "requests": total,
@@ -228,65 +197,50 @@ def run_row(
 
 
 def _build_workload(smoke: bool):
-    """Pre-serialize every client's request body (not timed)."""
+    """Serialize every client's request body and grade it in-process.
+
+    Neither is timed; the in-process flags are what each reply must
+    carry.
+    """
     spec = "c880" if smoke else CIRCUIT
     scale = 1 if smoke else SCALE
     patterns = 16 if smoke else PATTERNS_PER_REQUEST
     fault_cap = 32 if smoke else FAULT_CAP
-    max_clients = 2 if smoke else GUARD_CLIENTS
+    max_clients = 2 if smoke else max(CLIENT_COUNTS)
     circuit = resolve_circuit(spec, scale)
-    n_inputs = len(circuit.inputs)
-    fault_payloads = [
-        fault_to_payload(f, envelope=False)
-        for f in fault_list(circuit, cap=fault_cap)
-    ]
+    session = AtpgSession(circuit)
+    faults = fault_list(circuit, cap=fault_cap)
+    fault_payloads = [fault_to_payload(f, envelope=False) for f in faults]
+    bodies, expected = [], []
+    for k in range(max_clients):
+        client_patterns = _client_patterns(len(circuit.inputs), patterns, seed=k)
+        bodies.append(
+            _grade_payload(spec, scale, client_patterns, fault_payloads)
+        )
+        expected.append(session.grade(client_patterns, faults)["detected_flags"])
     return {
         "name": circuit.name,
         "patterns_per_request": patterns,
-        "faults": len(fault_payloads),
-        "bodies": [
-            _grade_payload(
-                spec, scale,
-                _client_patterns(n_inputs, patterns, seed=k),
-                fault_payloads,
-            )
-            for k in range(max_clients)
-        ],
-        # > 64 lanes: forces the multi-word kernel to compile at warmup
-        "wide_body": _grade_payload(
-            spec, scale,
-            _client_patterns(n_inputs, 96, seed=10_000),
-            fault_payloads,
-        ),
+        "faults": len(faults),
+        "bodies": bodies,
+        "expected": expected,
     }
 
 
 def regenerate(out: str, smoke: bool = False) -> int:
     workload = _build_workload(smoke)
     requests_per_client = 2 if smoke else 6
-    client_counts = (2,) if smoke else (1, 8, 32)
+    client_counts = (2,) if smoke else CLIENT_COUNTS
     rows = []
-    flags_by_client = {}
     for clients in client_counts:
-        off = run_row(
-            workload, clients, False, requests_per_client, flags_by_client
+        row = run_row(workload, clients, requests_per_client)
+        rows.append(row)
+        print(
+            f"{row['clients']:>3} clients "
+            f"{row['requests_per_s']:>8.2f} req/s  "
+            f"p50={row['p50_ms']:>8.2f}ms  p95={row['p95_ms']:>8.2f}ms  "
+            f"errors={row['errors']}"
         )
-        on = run_row(
-            workload, clients, True, requests_per_client, flags_by_client
-        )
-        if off["requests_per_s"]:
-            on["speedup_vs_uncoalesced"] = round(
-                on["requests_per_s"] / off["requests_per_s"], 3
-            )
-        rows.extend([off, on])
-        for row in (off, on):
-            print(
-                f"{row['clients']:>3} clients "
-                f"coalesce={str(row['coalesce']).lower():<5} "
-                f"{row['requests_per_s']:>8.2f} req/s  "
-                f"p50={row['p50_ms']:>8.2f}ms  p95={row['p95_ms']:>8.2f}ms  "
-                f"errors={row['errors']}"
-            )
     payload = stamp(
         "repro/bench-service",
         {
@@ -301,6 +255,10 @@ def regenerate(out: str, smoke: bool = False) -> int:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
     print(f"wrote {out}")
+    failed = sum(row["errors"] for row in rows)
+    if failed:
+        print(f"FAIL {out}: {failed} requests failed or returned wrong flags")
+        return 1
     return 0
 
 
@@ -507,56 +465,38 @@ def run_chaos(out: str, smoke: bool = False) -> int:
 
 
 def check(path: str) -> int:
-    """The CI soft perf guard over an existing artifact."""
+    """Validate an existing artifact and require zero recorded errors."""
     validate_file(path)
     with open(path) as handle:
         payload = json.load(handle)
-    chaos_rows = [
-        row for row in payload["rows"] if row.get("workload") == "chaos"
+    throughput = [
+        row for row in payload["rows"] if row.get("workload") != "chaos"
     ]
-    failures = 0
-    for row in chaos_rows:
-        if row["errors"] or row["jobs_failed"]:
-            print(
-                f"FAIL {path}: chaos row recorded {row['errors']} errors, "
-                f"{row['jobs_failed']} failed jobs"
-            )
-            failures += 1
-    by_key = {
-        (row["clients"], row["coalesce"]): row
-        for row in payload["rows"]
-        if row.get("workload") != "chaos"
-    }
-    off = by_key.get((GUARD_CLIENTS, False))
-    on = by_key.get((GUARD_CLIENTS, True))
-    if off is None or on is None:
-        print(f"FAIL {path}: no {GUARD_CLIENTS}-client row pair to guard on")
+    if not throughput:
+        print(f"FAIL {path}: no throughput rows")
         return 1
-    for row in (off, on):
-        if row["errors"]:
+    failures = 0
+    for row in payload["rows"]:
+        if row.get("workload") == "chaos":
+            if row["errors"] or row["jobs_failed"]:
+                print(
+                    f"FAIL {path}: chaos row recorded {row['errors']} errors, "
+                    f"{row['jobs_failed']} failed jobs"
+                )
+                failures += 1
+        elif row["errors"]:
             print(
-                f"FAIL {path}: {row['clients']}-client "
-                f"coalesce={row['coalesce']} row recorded "
+                f"FAIL {path}: {row['clients']}-client row recorded "
                 f"{row['errors']} errors"
             )
             failures += 1
-    speedup = (
-        on["requests_per_s"] / off["requests_per_s"]
-        if off["requests_per_s"]
-        else 0.0
-    )
-    if speedup < MIN_SPEEDUP:
+    if not failures:
         print(
-            f"FAIL {path}: coalescing-on throughput is only {speedup:.2f}x "
-            f"coalescing-off at {GUARD_CLIENTS} clients "
-            f"(need >= {MIN_SPEEDUP}x)"
-        )
-        failures += 1
-    else:
-        print(
-            f"ok   {path}: coalescing {speedup:.2f}x at {GUARD_CLIENTS} "
-            f"clients ({off['requests_per_s']} -> {on['requests_per_s']} "
-            f"req/s, p95 {off['p95_ms']} -> {on['p95_ms']} ms)"
+            f"ok   {path}: "
+            + ", ".join(
+                f"{row['clients']} clients {row['requests_per_s']} req/s"
+                for row in throughput
+            )
         )
     return 1 if failures else 0
 
@@ -572,7 +512,7 @@ def main() -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="guard an existing artifact instead of regenerating",
+        help="check an existing artifact instead of regenerating",
     )
     parser.add_argument(
         "--chaos",

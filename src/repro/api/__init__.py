@@ -17,7 +17,6 @@ One typed surface for every workload the reproduction supports:
 """
 
 from . import schemas, serde
-from .coalesce import Coalescer
 from .jobs import Job, JobManager, QuotaExceeded
 from .options import (
     DEFAULT_SHARDS,
@@ -57,7 +56,6 @@ __all__ = [
     "BistOptions",
     "BistRequest",
     "CampaignRequest",
-    "Coalescer",
     "DEFAULT_SHARDS",
     "ExecutionOptions",
     "GenerateRequest",

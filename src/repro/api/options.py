@@ -396,10 +396,6 @@ class ServiceOptions:
         workers: job-queue worker threads draining async campaigns.
         max_queue: queued-job bound; submissions beyond it are refused
             with HTTP 429 + ``Retry-After`` (backpressure).
-        coalesce_window_ms: how long the first simulate/grade request
-            of a batch waits for same-circuit followers before
-            executing one merged lane slab.  ``0`` disables
-            coalescing.
         jobs_dir: directory for job records and campaign checkpoints;
             ``None`` keeps jobs in memory only (no restart recovery).
         max_sessions: lowered circuits kept in the LRU session cache.
@@ -409,7 +405,6 @@ class ServiceOptions:
 
     workers: int = 2
     max_queue: int = 32
-    coalesce_window_ms: float = 0.0
     jobs_dir: Optional[str] = None
     max_sessions: int = 8
     max_jobs_per_tenant: int = 0
@@ -419,8 +414,6 @@ class ServiceOptions:
             raise ValueError("workers must be >= 1")
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")
-        if self.coalesce_window_ms < 0:
-            raise ValueError("coalesce_window_ms must be >= 0")
         if self.max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
         if self.max_jobs_per_tenant < 0:

@@ -526,6 +526,34 @@ _METRICS_V3 = obj(
     }
 )
 
+# v4: the request-merge counters are gone with the merger itself;
+# simulate and grade requests run one session call each.
+_METRICS_V4 = obj(
+    {
+        "requests_ok": INT,
+        "requests_failed": INT,
+        "sessions_opened": INT,
+        "sessions_cached": INT,
+        "queue_depth": INT,
+        "jobs": obj(
+            {
+                "queued": INT,
+                "running": INT,
+                "done": INT,
+                "failed": INT,
+                "cancelled": INT,
+                "interrupted": INT,
+            }
+        ),
+        "jobs_by_verb": obj({"campaign": INT, "bist": INT}),
+        "worker_restarts": INT,
+        "shard_retries": INT,
+        "quarantined_shards": INT,
+        "degraded_circuits": INT,
+        "uptime_seconds": NUM,
+    }
+)
+
 #: BIST report wire shape: full generator/compactor configuration
 #: (register hex values as strings — 64-bit polynomials exceed what
 #: some JSON consumers keep exact), the coverage curve, and the
@@ -595,10 +623,10 @@ _BENCH_BIST_ROW = obj(
     },
 )
 
-#: One measured load-generation configuration (``scripts/loadgen.py``):
-#: fixed client count, coalescing on or off, aggregate throughput and
-#: latency percentiles over the run.
-_BENCH_SERVICE_ROW = obj(
+#: One measured load-generation configuration (``scripts/loadgen.py``
+#: before bench-service v3): fixed client count, request merging on or
+#: off, aggregate throughput and latency percentiles over the run.
+_BENCH_SERVICE_ROW_V1 = obj(
     {
         "workload": {"enum": ["simulate", "grade"]},
         "circuit": STR,
@@ -615,6 +643,25 @@ _BENCH_SERVICE_ROW = obj(
         "p95_ms": NUM,
     },
     optional={"speedup_vs_uncoalesced": NUM},
+)
+
+#: One measured load-generation configuration (``scripts/loadgen.py``):
+#: a fixed number of concurrent clients, aggregate throughput and
+#: latency percentiles over the run.
+_BENCH_SERVICE_ROW = obj(
+    {
+        "workload": {"enum": ["simulate", "grade"]},
+        "circuit": STR,
+        "clients": INT,
+        "patterns_per_request": INT,
+        "faults": INT,
+        "requests": INT,
+        "errors": INT,
+        "seconds": NUM,
+        "requests_per_s": NUM,
+        "p50_ms": NUM,
+        "p95_ms": NUM,
+    }
 )
 
 #: One chaos-mode loadgen run (``scripts/loadgen.py --chaos``): the
@@ -1023,7 +1070,9 @@ SCHEMAS: Dict[str, Dict[int, Dict]] = {
     },
     "repro/job": {1: _JOB, 2: _JOB_V2},
     "repro/job-list": {1: obj({"jobs": arr(_JOB)}), 2: obj({"jobs": arr(_JOB_V2)})},
-    "repro/metrics": {1: _METRICS, 2: _METRICS_V2, 3: _METRICS_V3},
+    "repro/metrics": {
+        1: _METRICS, 2: _METRICS_V2, 3: _METRICS_V3, 4: _METRICS_V4
+    },
     "repro/bist-report": {1: _BIST_REPORT},
     "repro/bench-service": {
         1: obj(
@@ -1032,11 +1081,24 @@ SCHEMAS: Dict[str, Dict[int, Dict]] = {
                 "units": STR,
                 "python": STR,
                 "workers": INT,
-                "rows": arr(_BENCH_SERVICE_ROW),
+                "rows": arr(_BENCH_SERVICE_ROW_V1),
             }
         ),
         # v2: chaos-mode recovery rows alongside the throughput rows
         2: obj(
+            {
+                "benchmark": {"const": "service_throughput"},
+                "units": STR,
+                "python": STR,
+                "workers": INT,
+                "rows": arr(
+                    {"anyOf": [_BENCH_SERVICE_ROW_V1, _BENCH_SERVICE_CHAOS_ROW]}
+                ),
+            }
+        ),
+        # v3: throughput rows keyed by client count alone (no merge
+        # window to turn on or off)
+        3: obj(
             {
                 "benchmark": {"const": "service_throughput"},
                 "units": STR,

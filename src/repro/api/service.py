@@ -1,4 +1,4 @@
-"""The multi-tenant service: typed requests, shared kernels, one slab.
+"""The multi-tenant service: typed requests, shared kernels, async jobs.
 
 Three layers:
 
@@ -13,17 +13,16 @@ Three layers:
   hash with **single-flight lowering**: concurrent first requests for
   the same netlist lower the compiled kernel exactly once while other
   circuits proceed unblocked.
-* The concurrency substrate —
-  :class:`repro.api.coalesce.Coalescer` merges concurrent
-  simulate/grade requests against the same circuit into one shared
-  :class:`repro.kernel.PackedPatterns` lane slab (one backend call,
-  demultiplexed per request, bit-identical to serial), and
-  :class:`repro.api.jobs.JobManager` runs campaigns and BIST runs
-  asynchronously on a bounded worker pool: ``POST /v1/campaign`` (or
-  ``/v1/bist``) returns a job id immediately, ``GET /v1/jobs/<id>``
-  polls progress, cancel stops at the next round/window boundary, and
-  a graceful shutdown parks running jobs resumably (checkpoint flush +
-  ``interrupted`` state).
+* The async job queue — :class:`repro.api.jobs.JobManager` runs
+  campaigns and BIST runs on a bounded worker pool: ``POST
+  /v1/campaign`` (or ``/v1/bist``) returns a job id immediately,
+  ``GET /v1/jobs/<id>`` polls progress, cancel stops at the next
+  round/window boundary, and a graceful shutdown parks running jobs
+  resumably (checkpoint flush + ``interrupted`` state).  Every other
+  verb runs synchronously on the handler thread, straight into the
+  cached session: a simulate or grade request is one
+  :meth:`AtpgSession.simulate` / :meth:`AtpgSession.grade` call, and
+  the kernel already packs its patterns into machine-word lanes.
 * :func:`make_server` / :func:`run_server` — a stdlib ``http.server``
   JSON transport over the dispatcher: ``POST /v1/<verb>`` with an
   enveloped request body; ``GET /v1/health`` (alias ``/v1/healthz``),
@@ -57,7 +56,6 @@ from ..circuit import Circuit
 from ..core.patterns import TestPattern
 from ..paths import PathDelayFault, TestClass
 from . import serde
-from .coalesce import Coalescer
 from .jobs import Job, JobManager, QuotaExceeded
 from .options import Options, ServiceOptions
 from .resolve import ResolutionError, resolve_circuit_request, resolve_test_class
@@ -262,15 +260,14 @@ def request_from_payload(verb: str, payload: Dict) -> Request:
 
 
 class AtpgService:
-    """Transport-free multi-tenant dispatcher: sessions, slab, jobs.
+    """Transport-free multi-tenant dispatcher: sessions and jobs.
 
     Args:
         max_sessions: circuits kept lowered at once; the least
             recently used session is evicted beyond that.  Shorthand
             for ``config.max_sessions`` when *config* is omitted.
         config: full host configuration (:class:`ServiceOptions`) —
-            job-queue workers and bound, coalescing window, jobs
-            directory, tenant quota.
+            job-queue workers and bound, jobs directory, tenant quota.
     """
 
     def __init__(
@@ -306,7 +303,6 @@ class AtpgService:
         self._pool_worker_restarts = 0
         self._shard_retries = 0
         self._quarantined_shards = 0
-        self.coalescer = Coalescer(config.coalesce_window_ms)
         self._jobs: Optional[JobManager] = None
         self._jobs_gate = threading.Lock()
         self._started = time.time()
@@ -432,26 +428,6 @@ class AtpgService:
                 status=500,
             )
 
-    def _detection_masks(
-        self, session: AtpgSession, request: Request, test_class: TestClass
-    ) -> List[int]:
-        """Per-fault lane masks, possibly via a merged shared slab.
-
-        Simulate *and* grade requests against the same circuit and
-        test class share one coalescing key — they both reduce to the
-        same PPSFP detection-mask kernel, so a simulate and a grade
-        can ride the same slab.
-        """
-        key = (session.circuit_hash, test_class.value)
-        return self.coalescer.run(
-            key,
-            request.patterns,
-            request.faults,
-            lambda packed, faults: session.resilient_masks(
-                packed, faults, test_class=test_class
-            ),
-        )
-
     def _absorb_campaign_stats(self, report) -> None:
         """Fold a completed campaign's supervision counters into metrics."""
         stats = report.stats
@@ -489,7 +465,9 @@ class AtpgService:
             self._absorb_campaign_stats(report)
             return serde.campaign_report_to_payload(report)
         if isinstance(request, SimulateRequest):
-            masks = self._detection_masks(session, request, test_class)
+            masks = session.simulate(
+                request.patterns, request.faults, test_class=test_class
+            )
             return stamp(
                 "repro/simulate-report",
                 {
@@ -501,14 +479,10 @@ class AtpgService:
                 },
             )
         if isinstance(request, GradeRequest):
-            masks = self._detection_masks(session, request, test_class)
             return stamp(
                 "repro/grade-report",
-                session.grade_from_masks(
-                    masks,
-                    n_patterns=len(request.patterns),
-                    n_faults=len(request.faults),
-                    test_class=test_class,
+                session.grade(
+                    request.patterns, request.faults, test_class=test_class
                 ),
             )
         if isinstance(request, PathsRequest):
@@ -724,9 +698,6 @@ class AtpgService:
             degraded = sum(
                 1 for sess in self._sessions.values() if sess.degraded
             )
-        coalescer = self.coalescer.stats()
-        body["requests_coalesced"] = coalescer["merged_requests"]
-        body["coalescer"] = coalescer
         with self._jobs_gate:
             manager = self._jobs
         if manager is None:
@@ -889,6 +860,9 @@ class _Handler(BaseHTTPRequestHandler):
         verb = parts[0]
         try:
             length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:
+                # rfile.read(-1) would block until the client closes
+                raise ValueError(f"negative Content-Length {length}")
             payload = json.loads(self.rfile.read(length) or b"{}")
         except (ValueError, json.JSONDecodeError) as exc:
             self._send(400, {"error": "BadRequest", "detail": str(exc)})

@@ -15,6 +15,10 @@ substrate:
   coverage curve, MISR golden signature),
 * :meth:`paths` — structural path/fault statistics and enumeration.
 
+The service (:mod:`repro.api.service`) is a wire format over these
+methods: each ``POST /v1/<verb>`` request is one call on the cached
+session of its circuit.
+
 All methods read the one unified :class:`repro.api.Options` model;
 per-call keyword overrides are merged over the session defaults, so a
 session can carry a house style (``Options(width=64)``) while
@@ -410,10 +414,17 @@ class AtpgSession:
                 patterns, faults, test_class=test_class, backend=backend,
                 fusion=fusion,
             )
-        report = self.grade_from_masks(
-            masks, n_patterns=len(patterns), n_faults=len(faults),
-            test_class=resolved_class,
-        )
+        flags = [bool(mask) for mask in masks]
+        detected = sum(flags)
+        report: Dict[str, object] = {
+            "circuit": self.circuit.name,
+            "test_class": resolved_class.value,
+            "patterns": len(patterns),
+            "faults": len(faults),
+            "detected": detected,
+            "coverage": detected / len(faults) if faults else 1.0,
+            "detected_flags": flags,
+        }
         if strength:
             strengths = []
             counts = {"hazard_free_robust": 0, "robust": 0, "nonrobust": 0}
@@ -432,33 +443,6 @@ class AtpgSession:
             report["strengths"] = strengths
             report["strength_counts"] = counts
         return report
-
-    def grade_from_masks(
-        self,
-        masks: Sequence[int],
-        *,
-        n_patterns: int,
-        n_faults: int,
-        test_class: Union[str, TestClass] = TestClass.NONROBUST,
-    ) -> Dict[str, object]:
-        """The grade-report body from already-computed detection masks.
-
-        Shared by :meth:`grade` and by callers that obtained the masks
-        another way — notably the service coalescer, which demuxes one
-        merged-slab simulation into per-request mask lists and still
-        needs each request's own report.
-        """
-        flags = [bool(mask) for mask in masks]
-        detected = sum(flags)
-        return {
-            "circuit": self.circuit.name,
-            "test_class": resolve_test_class(test_class).value,
-            "patterns": n_patterns,
-            "faults": n_faults,
-            "detected": detected,
-            "coverage": detected / n_faults if n_faults else 1.0,
-            "detected_flags": flags,
-        }
 
     # ------------------------------------------------------------ paths
     def paths(

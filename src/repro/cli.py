@@ -1167,7 +1167,11 @@ def main_experiments(argv: Optional[List[str]] = None) -> int:
 
 
 def main_serve(argv: Optional[List[str]] = None) -> int:
-    """Run the JSON service endpoint (repro.api.service)."""
+    """Run the JSON service endpoint (repro.api.service).
+
+    Synchronous verbs run on the HTTP handler thread as one call on the
+    circuit's cached session; campaign and BIST runs go to the job queue.
+    """
     from .api.options import ServiceOptions
     from .api.service import DEFAULT_PORT, AtpgService, run_server
 
@@ -1179,18 +1183,13 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
             "synchronously; POST /v1/campaign returns a job id "
             "immediately (poll GET /v1/jobs/<id>, cancel with POST "
             "/v1/jobs/<id>/cancel).  Sessions are cached by circuit "
-            "hash with single-flight lowering; with "
-            "--coalesce-window-ms > 0, concurrent simulate/grade "
-            "requests against the same circuit merge into one shared "
-            "lane slab (one kernel call, demultiplexed per request, "
-            "bit-identical to serial).  A full job queue answers 429 "
-            "with Retry-After."
+            "hash with single-flight lowering.  A full job queue "
+            "answers 429 with Retry-After."
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "quick start:\n"
-            "  tip serve --port 8470 --workers 2 --coalesce-window-ms 5 \\\n"
-            "            --jobs-dir /var/tmp/tip-jobs &\n"
+            "  tip serve --port 8470 --workers 2 --jobs-dir /var/tmp/tip-jobs &\n"
             "  curl -s localhost:8470/v1/healthz\n"
             "  curl -s -XPOST localhost:8470/v1/campaign -H 'X-Tenant: me' \\\n"
             "    -d '{\"schema\":\"repro/request.campaign\","
@@ -1222,16 +1221,6 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=32,
         help="queued-job bound; beyond it submissions get 429 + Retry-After",
-    )
-    parser.add_argument(
-        "--coalesce-window-ms",
-        type=float,
-        default=0.0,
-        metavar="MS",
-        help=(
-            "merge window for concurrent same-circuit simulate/grade "
-            "requests (0 disables coalescing)"
-        ),
     )
     parser.add_argument(
         "--jobs-dir",
@@ -1270,7 +1259,6 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
     config = ServiceOptions(
         workers=args.workers,
         max_queue=args.max_queue,
-        coalesce_window_ms=args.coalesce_window_ms,
         jobs_dir=args.jobs_dir,
         max_sessions=args.max_sessions,
         max_jobs_per_tenant=args.max_jobs_per_tenant,

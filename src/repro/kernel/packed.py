@@ -136,7 +136,13 @@ class PackedPatterns:
 
     @classmethod
     def from_patterns(cls, patterns: Sequence) -> "PackedPatterns":
-        """Pack PatternLike objects (``.v1``/``.v2`` input tuples)."""
+        """Pack PatternLike objects (``.v1``/``.v2`` input tuples).
+
+        Every vector must have the first pattern's width: the rows are
+        joined into one buffer and reshaped, so ragged rows whose bits
+        add up would pack shifted.  The simulators check widths before
+        packing (:func:`repro.sim.delay_sim.check_pattern_widths`).
+        """
         if not patterns:
             raise ValueError("cannot pack an empty pattern batch")
         n_inputs = len(patterns[0].v1)
@@ -167,49 +173,6 @@ class PackedPatterns:
         sequence it was built from (``DelayFaultSimulator`` and
         :func:`repro.sim.delay_sim.strength_masks_all` accept either)."""
         return self.n_patterns
-
-    @classmethod
-    def concat(
-        cls, batches: Sequence["PackedPatterns"]
-    ) -> Tuple["PackedPatterns", List[int]]:
-        """Merge several packed batches into one shared lane slab.
-
-        Returns ``(merged, offsets)`` where ``offsets[k]`` is the lane
-        offset of ``batches[k]`` inside the merged slab.  Each batch is
-        placed at the next 64-lane (word) boundary, so merging is a
-        plain horizontal stack of the existing word planes — no lane
-        shifting, no repacking.  The padding lanes between batches pack
-        as stable all-zero vectors, which can never launch a transition
-        (detection requires instability at the path input), and every
-        consumer that demultiplexes with
-        :func:`repro.logic.words.extract_lanes` only ever reads its own
-        batch's lanes — so simulating the merged slab is lane-for-lane
-        identical to simulating each batch alone.
-
-        This is the paper's bit-parallelism applied across tenants: the
-        service coalescer merges concurrent requests for the same
-        circuit here and runs one backend call over the shared slab.
-        """
-        if not batches:
-            raise ValueError("cannot concat an empty batch list")
-        n_inputs = batches[0].n_inputs
-        for batch in batches:
-            if batch.n_inputs != n_inputs:
-                raise ValueError(
-                    "cannot concat batches over different input counts "
-                    f"({batch.n_inputs} != {n_inputs})"
-                )
-        if len(batches) == 1:
-            return batches[0], [0]
-        offsets = []
-        offset = 0
-        for batch in batches:
-            offsets.append(offset)
-            offset += 64 * batch.n_words
-        v1 = np.hstack([batch.v1 for batch in batches])
-        v2 = np.hstack([batch.v2 for batch in batches])
-        n_patterns = offsets[-1] + batches[-1].n_patterns
-        return cls(v1=v1, v2=v2, n_patterns=n_patterns), offsets
 
     def lane_valid(self) -> np.ndarray:
         """Per-word mask of valid lanes (padding lanes cleared)."""

@@ -70,19 +70,6 @@ def lowest_set_lane(word: int) -> int:
     return (word & -word).bit_length() - 1
 
 
-def extract_lanes(word: int, offset: int, width: int) -> int:
-    """The *width* lanes of *word* starting at *offset*, re-based to lane 0.
-
-    The demultiplexing primitive of request coalescing: when several
-    pattern batches share one merged lane slab, each tenant's detection
-    mask is the slice of the merged mask at its lane offset.  Inverse
-    of placing a ``width``-lane word at ``offset`` (``word << offset``).
-    """
-    if offset < 0:
-        raise ValueError("offset must be >= 0")
-    return (word >> offset) & mask_for(width)
-
-
 def split_masks(width: int) -> List[tuple]:
     """Per-decision lane partitions for APTPG lane splitting.
 

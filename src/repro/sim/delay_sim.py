@@ -100,6 +100,29 @@ def pack_patterns(
     return planes, width
 
 
+def check_pattern_widths(patterns: Sequence[PatternLike], n_inputs: int) -> None:
+    """Raise ``ValueError`` for a pattern whose v1 or v2 is not *n_inputs* wide.
+
+    The input check of the batched detection and strength passes, the
+    same on every backend: packing joins all rows into one buffer, so a
+    short row followed by a long one would otherwise shift every later
+    pattern silently.  The session circuit breaker re-raises
+    ``ValueError`` instead of demoting — no backend change can fix
+    malformed input.  A :class:`PackedPatterns` batch is rectangular
+    by construction and passes unchecked.
+    """
+    if isinstance(patterns, PackedPatterns):
+        return
+    for index, pattern in enumerate(patterns):
+        if len(pattern.v1) != n_inputs or len(pattern.v2) != n_inputs:
+            name = "v1" if len(pattern.v1) != n_inputs else "v2"
+            raise ValueError(
+                f"pattern {index}: {name} has "
+                f"{len(getattr(pattern, name))} bits, expected {n_inputs} "
+                f"(one per primary input)"
+            )
+
+
 def simulate_planes(
     circuit: Circuit, patterns: Sequence[PatternLike], fusion: str = "auto"
 ) -> Tuple[List[Planes], int]:
@@ -353,22 +376,11 @@ class DelayFaultSimulator:
         width = len(patterns)
         if width == 0:
             return [0] * len(faults)
+        check_pattern_widths(patterns, len(self.circuit.inputs))
         robust = self.test_class is TestClass.ROBUST
         compiled = self.compiled
         backend = backend_for(width, self.backend, fusion=self.fusion)
         pre_packed = isinstance(patterns, PackedPatterns)
-        if not pre_packed:
-            # reject malformed patterns up front, uniformly across
-            # backends: an input error must surface as ValueError at
-            # every tier (the session circuit breaker re-raises those
-            # instead of demoting — no backend change can fix them)
-            n_inputs = len(self.circuit.inputs)
-            for pattern in patterns:
-                if len(pattern.v1) != n_inputs or len(pattern.v2) != n_inputs:
-                    raise ValueError(
-                        f"expected {n_inputs} input planes, "
-                        f"got {len(pattern.v1)}"
-                    )
         if getattr(backend, "kind", None) == "native":
             # forward pass + whole fault walk inside the compiled-C
             # module: one Python call per batch
@@ -573,6 +585,7 @@ def strength_masks_all(
     width = len(patterns)
     if width == 0:
         return [(0, 0, 0)] * len(faults)
+    check_pattern_widths(patterns, len(circuit.inputs))
     compiled = circuit.compiled()
     word_backend = backend_for(width, backend, fusion=fusion)
     pre_packed = isinstance(patterns, PackedPatterns)

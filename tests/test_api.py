@@ -125,6 +125,22 @@ class TestSessionSimulateGradePaths:
             if record.status is repro.FaultStatus.TESTED:
                 assert grade["detected_flags"][index]
 
+    @pytest.mark.parametrize("strength", [False, True])
+    @pytest.mark.parametrize("backend", ["auto", "int", "numpy"])
+    def test_wrong_pattern_widths_raise_value_error(self, backend, strength):
+        from repro.core.patterns import TestPattern
+
+        session = AtpgSession.open("c17")  # 5 inputs
+        faults = all_faults(session.circuit)
+        # widths 5, 4 and 6: 3 x 5 bits in all, so a joined buffer of
+        # the rows reshapes without complaint
+        ragged = [TestPattern((0,) * n, (1,) * n) for n in (5, 4, 6)]
+        with pytest.raises(ValueError, match="pattern 1: v1 has 4 bits, expected 5"):
+            session.grade(ragged, faults, backend=backend, strength=strength)
+        short_v2 = [TestPattern((0,) * 5, (1,) * 5), TestPattern((0,) * 5, (1,) * 4)]
+        with pytest.raises(ValueError, match="pattern 1: v2 has 4 bits, expected 5"):
+            session.grade(short_v2, faults, backend=backend, strength=strength)
+
     def test_paths_statistics(self):
         session = AtpgSession.open("paper_example")
         result = session.paths(histogram=True, limit=3)

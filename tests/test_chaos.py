@@ -435,7 +435,7 @@ class TestServiceRecovery:
         assert record["result"]["statuses"] == sync.payload["statuses"]
         metrics = service.metrics()
         validate(metrics, kind="repro/metrics")
-        assert metrics["schema_version"] == 3
+        assert metrics["schema_version"] == 4
         assert metrics["worker_restarts"] == 1
         assert metrics["jobs"]["done"] == 1
         assert metrics["jobs"]["failed"] == 0

@@ -605,77 +605,3 @@ class TestNativeSelection:
         assert [int(row[0]) & valid for row in values] == [
             word & valid for word in oracle
         ]
-
-# ---------------------------------------------------------------------------
-# lane-slab merge / demultiplex (the request-coalescing primitives)
-# ---------------------------------------------------------------------------
-
-
-class TestLaneSlab:
-    """PackedPatterns.concat + words.extract_lanes round-trip."""
-
-    def _patterns(self, n_inputs, n, seed):
-        rng = random.Random(seed)
-        from repro.core.patterns import TestPattern
-
-        return [
-            TestPattern(
-                tuple(rng.randint(0, 1) for _ in range(n_inputs)),
-                tuple(rng.randint(0, 1) for _ in range(n_inputs)),
-            )
-            for _ in range(n)
-        ]
-
-    def test_concat_places_batches_at_word_boundaries(self):
-        batches = [
-            PackedPatterns.from_patterns(self._patterns(5, n, seed))
-            for seed, n in enumerate((3, 64, 70))
-        ]
-        merged, offsets = PackedPatterns.concat(batches)
-        # 3 lanes -> 1 word, 64 -> 1 word, 70 -> 2 words
-        assert offsets == [0, 64, 128]
-        assert merged.n_words == 4
-        assert len(merged) == 128 + 70
-
-    def test_concat_rejects_mismatched_inputs_and_empty(self):
-        import pytest as _pytest
-
-        a = PackedPatterns.from_patterns(self._patterns(4, 2, 0))
-        b = PackedPatterns.from_patterns(self._patterns(5, 2, 0))
-        with _pytest.raises(ValueError):
-            PackedPatterns.concat([a, b])
-        with _pytest.raises(ValueError):
-            PackedPatterns.concat([])
-
-    def test_extract_lanes_rebases_and_masks(self):
-        from repro.logic.words import extract_lanes
-
-        word = (0b1011 << 64) | 0b0110
-        assert extract_lanes(word, 0, 64) == 0b0110
-        assert extract_lanes(word, 64, 4) == 0b1011
-        assert extract_lanes(word, 64, 2) == 0b11
-        with pytest.raises(ValueError):
-            extract_lanes(word, -1, 4)
-
-    def test_merged_slab_detection_is_lane_identical(self):
-        """Simulating the merged slab == simulating each batch alone."""
-        from repro.logic.words import extract_lanes
-
-        circuit = random_dag(n_inputs=8, n_gates=40, seed=11)
-        faults = fault_list(circuit, cap=12)
-        sim = DelayFaultSimulator(circuit, TestClass.NONROBUST)
-        n_inputs = len(circuit.inputs)
-        batches = [
-            self._patterns(n_inputs, n, seed=40 + k)
-            for k, n in enumerate((10, 64, 33))
-        ]
-        packed = [PackedPatterns.from_patterns(b) for b in batches]
-        merged, offsets = PackedPatterns.concat(packed)
-        merged_masks = sim.detection_masks(merged, faults)
-        for batch, one, offset in zip(batches, packed, offsets):
-            alone = sim.detection_masks(one, faults)
-            for fault_index in range(len(faults)):
-                assert (
-                    extract_lanes(merged_masks[fault_index], offset, len(one))
-                    == alone[fault_index]
-                )

@@ -7,6 +7,7 @@ same engine behind a wire format, never a reimplementation.
 """
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -16,6 +17,7 @@ import pytest
 
 from repro.api import (
     AtpgService,
+    AtpgSession,
     GenerateRequest,
     GradeRequest,
     PathsRequest,
@@ -23,7 +25,7 @@ from repro.api import (
     make_server,
     serde,
 )
-from repro.api.schemas import stamp, validate
+from repro.api.schemas import SchemaError, stamp, validate
 from repro.circuit.library import C17_BENCH, c17
 from repro.paths import TestClass, all_faults
 
@@ -103,6 +105,12 @@ class TestDispatcher:
         assert grade.ok
         validate(grade.payload, kind="repro/grade-report")
         assert grade.payload["detected_flags"] == [bool(m) for m in masks]
+        # the service answers exactly what the in-process session does
+        session = AtpgSession(circuit)
+        assert masks == session.simulate(patterns, faults)
+        assert grade.payload == stamp(
+            "repro/grade-report", session.grade(patterns, faults)
+        )
 
     def test_partial_options_on_the_wire(self):
         # clients may send only the knobs they override
@@ -227,6 +235,44 @@ class TestHttpEndpoint:
             _post(server, "transmogrify", stamp("repro/request.generate", {}))
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize("verb", ["grade", "simulate"])
+    @pytest.mark.parametrize(
+        "patterns",
+        [
+            # widths 5, 4 and 6 on the 5-input c17: 3 x 5 bits in all
+            [{"v1": [0] * n, "v2": [1] * n} for n in (5, 4, 6)],
+            # v1 and v2 of one pattern differ; each vector's bits still
+            # add up to 2 x 5
+            [{"v1": [0] * 5, "v2": [1] * 4}, {"v1": [0] * 5, "v2": [1] * 6}],
+        ],
+        ids=["ragged", "v1-v2-mismatch"],
+    )
+    def test_malformed_pattern_widths_are_400(self, server, verb, patterns):
+        faults = [
+            serde.fault_to_payload(f, envelope=False) for f in all_faults(c17())
+        ]
+        request = stamp(
+            f"repro/request.{verb}",
+            {"circuit": "c17", "patterns": patterns, "faults": faults},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(server, verb, request)
+        assert excinfo.value.code == 400
+        detail = json.loads(excinfo.value.read())["error"]["detail"]
+        assert detail.startswith("pattern ")
+
+    def test_negative_content_length_is_400(self, server):
+        # reading a negative length waits for the client to close, so a
+        # keep-alive client would never get a reply
+        port = server.server_address[1]
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/grade HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: -1\r\n\r\n"
+            )
+            status = sock.recv(64)
+        assert status.startswith(b"HTTP/1.1 400")
+
     def test_health_and_schemas(self, server):
         health = _get(server, "health")
         assert health["status"] == "ok"
@@ -274,7 +320,7 @@ class TestAcceptanceCriterion:
 
 
 # ---------------------------------------------------------------------------
-# concurrency: single-flight sessions + request coalescing
+# concurrency: single-flight sessions
 # ---------------------------------------------------------------------------
 
 
@@ -304,54 +350,6 @@ class TestConcurrency:
         assert not errors
         assert service.sessions_opened <= len(circuits)
         assert service.requests_served == 8 * len(circuits) * 2
-
-    def test_coalesced_grades_are_bit_identical_to_serial(self):
-        """Concurrent same-circuit grades merge yet demux per request."""
-        from repro.api import ServiceOptions
-        from repro.core.patterns import random_patterns
-
-        circuit = c17()
-        faults = all_faults(circuit)
-        requests = [
-            GradeRequest(
-                circuit="c17",
-                patterns=random_patterns(circuit, 8, seed=seed),
-                faults=faults,
-            )
-            for seed in range(6)
-        ]
-        serial = AtpgService()
-        expected = [
-            serial.handle(request).payload["detected_flags"]
-            for request in requests
-        ]
-
-        service = AtpgService(
-            config=ServiceOptions(coalesce_window_ms=50.0)
-        )
-        service.handle(PathsRequest(circuit="c17"))  # pre-lower
-        results = [None] * len(requests)
-        barrier = threading.Barrier(len(requests))
-
-        def grade(index):
-            barrier.wait()
-            results[index] = service.handle(requests[index])
-
-        threads = [
-            threading.Thread(target=grade, args=(k,))
-            for k in range(len(requests))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for index, response in enumerate(results):
-            assert response.ok
-            assert response.payload["detected_flags"] == expected[index]
-        stats = service.coalescer.stats()
-        # the barrier + window guarantee at least one real merge
-        assert stats["merged_requests"] >= 2
-        assert stats["batches"] < stats["requests"]
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +668,22 @@ class TestObservability:
         assert set(metrics["jobs"]) == {
             "queued", "running", "done", "failed", "cancelled", "interrupted"
         }
+
+    def test_metrics_v4_drops_the_merge_counters(self):
+        metrics = AtpgService().metrics()
+        assert metrics["schema_version"] == 4
+        assert "requests_coalesced" not in metrics
+        assert "coalescer" not in metrics
+        # v3 stays registered: a v3 body still validates as v3
+        legacy = dict(
+            metrics,
+            schema_version=3,
+            requests_coalesced=0,
+            coalescer={"batches": 0, "requests": 0, "merged_requests": 0},
+        )
+        validate(legacy, kind="repro/metrics")
+        with pytest.raises(SchemaError):
+            validate(dict(metrics, schema_version=3), kind="repro/metrics")
 
     def test_health_splits_ok_and_failed(self):
         service = AtpgService()
