@@ -14,7 +14,6 @@ setup(
             "tip-atpg = repro.cli:main_atpg",
             "tip-campaign = repro.cli:main_campaign",
             "tip-paths = repro.cli:main_paths",
-            "tip-bench-sim = repro.cli:main_bench_sim",
             "tip-experiments = repro.cli:main_experiments",
             "tip-serve = repro.cli:main_serve",
             "tip-validate = repro.cli:main_validate",

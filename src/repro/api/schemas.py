@@ -1,8 +1,8 @@
 """Versioned JSON schemas — the one wire format for every artifact.
 
 Every JSON artifact the project reads or writes — serialized faults,
-patterns, circuits, reports, campaign checkpoints, benchmark files,
-service requests and responses — carries the same envelope::
+patterns, circuits, reports, campaign checkpoints, service requests
+and responses — carries the same envelope::
 
     {"schema": "repro/<kind>", "schema_version": <int>, ...payload}
 
@@ -13,8 +13,8 @@ validator tolerates it on any kind, exactly like the schema keys.
 This module is the registry of those kinds: a declarative structural
 spec per ``(kind, version)`` plus a small validator (no third-party
 dependency).  :func:`validate` rejects unknown kinds, unknown
-versions, and shape drift; CI runs it over every checked-in artifact,
-so changing a payload without bumping its version fails the build.
+versions, and shape drift, so changing a payload without bumping its
+version fails the tests that round-trip it.
 
 Spec mini-language (a nested dict per value):
 
@@ -227,165 +227,6 @@ CAMPAIGN_STATS_V2 = obj(
 
 _CIRCUIT_GATE = obj({"name": STR, "type": STR, "fanin": arr(STR)})
 
-_BENCH_KERNEL_ROW = obj(
-    {
-        "circuit": STR,
-        "test_class": TEST_CLASS,
-        "signals": INT,
-        "faults": INT,
-        "patterns": INT,
-        "seed_seconds": NUM,
-        "kernel_seconds": NUM,
-        "seed_throughput": NUM,
-        "kernel_throughput": NUM,
-        "speedup": NUM,
-    }
-)
-# v2: fused-vs-interpreted strategy columns.  ``interp_*`` is the
-# per-gate interpreter loop on the numpy backend (the v1
-# ``kernel_*``); ``vector_*``/``codegen_*`` are the fused strategies;
-# the seed object-graph baseline becomes optional (skippable on
-# circuits where it would dominate the bench wall-clock).
-_BENCH_KERNEL_ROW_V2 = obj(
-    {
-        "circuit": STR,
-        "test_class": TEST_CLASS,
-        "signals": INT,
-        "faults": INT,
-        "patterns": INT,
-        "interp_seconds": NUM,
-        "interp_throughput": NUM,
-    },
-    optional={
-        "seed_seconds": NUM,
-        "seed_throughput": NUM,
-        "interp_speedup_vs_seed": NUM,
-        "vector_seconds": NUM,
-        "vector_throughput": NUM,
-        "codegen_seconds": NUM,
-        "codegen_throughput": NUM,
-        "best_fused": {"enum": ["vector", "codegen"]},
-        "fused_speedup": NUM,
-    },
-)
-# v3: a required ``workload`` discriminator alongside the strategy
-# columns — besides the historical PPSFP rows, the artifact now also
-# tracks the 10-valued detection-strength grading pass and stuck-at
-# cone resimulation (the fusion-sweep workloads the CI perf guard
-# reads); ``test_class`` is absent on workloads without one.
-_BENCH_KERNEL_ROW_V3 = obj(
-    {
-        "circuit": STR,
-        "workload": {"enum": ["ppsfp", "grade10", "stuck_at"]},
-        "signals": INT,
-        "faults": INT,
-        "patterns": INT,
-        "interp_seconds": NUM,
-        "interp_throughput": NUM,
-    },
-    optional={
-        "test_class": TEST_CLASS,
-        "seed_seconds": NUM,
-        "seed_throughput": NUM,
-        "interp_speedup_vs_seed": NUM,
-        "vector_seconds": NUM,
-        "vector_throughput": NUM,
-        "codegen_seconds": NUM,
-        "codegen_throughput": NUM,
-        "best_fused": {"enum": ["vector", "codegen"]},
-        "fused_speedup": NUM,
-    },
-)
-# v4: optional compiled-C backend columns alongside the fused Python
-# strategies — ``native_*`` is the whole workload inside the circuit's
-# cffi-compiled module (:mod:`repro.kernel.native`); absent when the
-# bench machine has no C toolchain.  ``native_speedup`` is
-# interp_seconds / native_seconds, the row the CI perf guard reads.
-_BENCH_KERNEL_ROW_V4 = obj(
-    {
-        "circuit": STR,
-        "workload": {"enum": ["ppsfp", "grade10", "stuck_at"]},
-        "signals": INT,
-        "faults": INT,
-        "patterns": INT,
-        "interp_seconds": NUM,
-        "interp_throughput": NUM,
-    },
-    optional={
-        "test_class": TEST_CLASS,
-        "seed_seconds": NUM,
-        "seed_throughput": NUM,
-        "interp_speedup_vs_seed": NUM,
-        "vector_seconds": NUM,
-        "vector_throughput": NUM,
-        "codegen_seconds": NUM,
-        "codegen_throughput": NUM,
-        "best_fused": {"enum": ["vector", "codegen"]},
-        "fused_speedup": NUM,
-        "native_seconds": NUM,
-        "native_throughput": NUM,
-        "native_speedup": NUM,
-    },
-)
-# v5: ``bist`` joins the workload enum — LFSR-fed path-delay grading
-# (pre-generated packed two-vector slab through ``detection_masks``),
-# timed by ``tip bench-sim --workload bist`` alongside the others.
-_BENCH_KERNEL_ROW_V5 = obj(
-    {
-        "circuit": STR,
-        "workload": {"enum": ["ppsfp", "grade10", "stuck_at", "bist"]},
-        "signals": INT,
-        "faults": INT,
-        "patterns": INT,
-        "interp_seconds": NUM,
-        "interp_throughput": NUM,
-    },
-    optional={
-        "test_class": TEST_CLASS,
-        "seed_seconds": NUM,
-        "seed_throughput": NUM,
-        "interp_speedup_vs_seed": NUM,
-        "vector_seconds": NUM,
-        "vector_throughput": NUM,
-        "codegen_seconds": NUM,
-        "codegen_throughput": NUM,
-        "best_fused": {"enum": ["vector", "codegen"]},
-        "fused_speedup": NUM,
-        "native_seconds": NUM,
-        "native_throughput": NUM,
-        "native_speedup": NUM,
-    },
-)
-_BENCH_TPG_ROW = obj(
-    {
-        "circuit": STR,
-        "runner": STR,
-        "workers": INT,
-        "shards": INT,
-        "faults": INT,
-        "detected": INT,
-        "seconds": NUM,
-        "faults_per_s": NUM,
-        "speedup_vs_serial": NUM,
-    }
-)
-# v2: the ``fusion`` strategy column (parity with bench-kernel v2+) —
-# every runner row records which plan-execution strategy it ran under.
-_BENCH_TPG_ROW_V2 = obj(
-    {
-        "circuit": STR,
-        "runner": STR,
-        "fusion": FUSION,
-        "workers": INT,
-        "shards": INT,
-        "faults": INT,
-        "detected": INT,
-        "seconds": NUM,
-        "faults_per_s": NUM,
-        "speedup_vs_serial": NUM,
-    }
-)
-
 _REQUEST_CIRCUIT = {
     "circuit": opt(STR),
     "bench": opt(STR),
@@ -594,101 +435,6 @@ _BIST_REPORT = obj(
     }
 )
 
-#: One BIST throughput measurement (``scripts/bench_bist.py``): the
-#: full windowed loop (LFSR slab generation + grading + fault dropping
-#: + MISR compaction) per backend tier, patterns/second.
-_BENCH_BIST_ROW = obj(
-    {
-        "circuit": STR,
-        "fault_model": FAULT_MODEL,
-        "lfsr_width": INT,
-        "lfsr_kind": LFSR_KIND,
-        "patterns": INT,
-        "window": INT,
-        "faults": INT,
-        "interp_seconds": NUM,
-        "interp_patterns_per_s": NUM,
-    },
-    optional={
-        "test_class": TEST_CLASS,
-        "detected": INT,
-        "coverage": NUM,
-        "vector_seconds": NUM,
-        "vector_patterns_per_s": NUM,
-        "codegen_seconds": NUM,
-        "codegen_patterns_per_s": NUM,
-        "native_seconds": NUM,
-        "native_patterns_per_s": NUM,
-        "native_speedup": NUM,
-    },
-)
-
-#: One measured load-generation configuration (``scripts/loadgen.py``
-#: before bench-service v3): fixed client count, request merging on or
-#: off, aggregate throughput and latency percentiles over the run.
-_BENCH_SERVICE_ROW_V1 = obj(
-    {
-        "workload": {"enum": ["simulate", "grade"]},
-        "circuit": STR,
-        "clients": INT,
-        "coalesce": BOOL,
-        "window_ms": NUM,
-        "patterns_per_request": INT,
-        "faults": INT,
-        "requests": INT,
-        "errors": INT,
-        "seconds": NUM,
-        "requests_per_s": NUM,
-        "p50_ms": NUM,
-        "p95_ms": NUM,
-    },
-    optional={"speedup_vs_uncoalesced": NUM},
-)
-
-#: One measured load-generation configuration (``scripts/loadgen.py``):
-#: a fixed number of concurrent clients, aggregate throughput and
-#: latency percentiles over the run.
-_BENCH_SERVICE_ROW = obj(
-    {
-        "workload": {"enum": ["simulate", "grade"]},
-        "circuit": STR,
-        "clients": INT,
-        "patterns_per_request": INT,
-        "faults": INT,
-        "requests": INT,
-        "errors": INT,
-        "seconds": NUM,
-        "requests_per_s": NUM,
-        "p50_ms": NUM,
-        "p95_ms": NUM,
-    }
-)
-
-#: One chaos-mode loadgen run (``scripts/loadgen.py --chaos``): the
-#: service is hammered while kernel faults and a job-worker death are
-#: injected; the row records that availability held (``errors`` must
-#: be 0 for the artifact to be accepted by ``--check``) plus the
-#: recovery counters the service reported afterwards.
-_BENCH_SERVICE_CHAOS_ROW = obj(
-    {
-        "workload": {"const": "chaos"},
-        "circuit": STR,
-        "clients": INT,
-        "requests": INT,
-        "errors": INT,
-        "seconds": NUM,
-        "requests_per_s": NUM,
-        "injected_kernel_faults": INT,
-        "injected_worker_deaths": INT,
-        "degraded_circuits": INT,
-        "worker_restarts": INT,
-        "jobs_done": INT,
-        "jobs_failed": INT,
-    },
-    optional={"p50_ms": NUM, "p95_ms": NUM},
-)
-
-
 # ---------------------------------------------------------------------------
 # the registry: kind -> version -> body spec
 # ---------------------------------------------------------------------------
@@ -878,72 +624,6 @@ SCHEMAS: Dict[str, Dict[int, Dict]] = {
             }
         ),
     },
-    "repro/bench-kernel": {
-        1: obj(
-            {
-                "benchmark": {"const": "ppsfp_throughput"},
-                "units": STR,
-                "python": STR,
-                "rows": arr(_BENCH_KERNEL_ROW),
-            }
-        ),
-        2: obj(
-            {
-                "benchmark": {"const": "ppsfp_throughput"},
-                "units": STR,
-                "python": STR,
-                "rows": arr(_BENCH_KERNEL_ROW_V2),
-            }
-        ),
-        3: obj(
-            {
-                "benchmark": {"const": "fused_kernel_throughput"},
-                "units": STR,
-                "python": STR,
-                "rows": arr(_BENCH_KERNEL_ROW_V3),
-            }
-        ),
-        4: obj(
-            {
-                "benchmark": {"const": "fused_kernel_throughput"},
-                "units": STR,
-                "python": STR,
-                "rows": arr(_BENCH_KERNEL_ROW_V4),
-            }
-        ),
-        5: obj(
-            {
-                "benchmark": {"const": "fused_kernel_throughput"},
-                "units": STR,
-                "python": STR,
-                "rows": arr(_BENCH_KERNEL_ROW_V5),
-            }
-        ),
-    },
-    "repro/bench-tpg": {
-        1: obj(
-            {
-                "benchmark": {"const": "tpg_end_to_end_throughput"},
-                "units": STR,
-                "python": STR,
-                "cpu_count": INT,
-                "workers": INT,
-                "note": STR,
-                "rows": arr(_BENCH_TPG_ROW),
-            }
-        ),
-        2: obj(
-            {
-                "benchmark": {"const": "tpg_end_to_end_throughput"},
-                "units": STR,
-                "python": STR,
-                "cpu_count": INT,
-                "workers": INT,
-                "note": STR,
-                "rows": arr(_BENCH_TPG_ROW_V2),
-            }
-        ),
-    },
     "repro/request.generate": {
         1: obj(
             optional={
@@ -1074,63 +754,7 @@ SCHEMAS: Dict[str, Dict[int, Dict]] = {
         1: _METRICS, 2: _METRICS_V2, 3: _METRICS_V3, 4: _METRICS_V4
     },
     "repro/bist-report": {1: _BIST_REPORT},
-    "repro/bench-service": {
-        1: obj(
-            {
-                "benchmark": {"const": "service_throughput"},
-                "units": STR,
-                "python": STR,
-                "workers": INT,
-                "rows": arr(_BENCH_SERVICE_ROW_V1),
-            }
-        ),
-        # v2: chaos-mode recovery rows alongside the throughput rows
-        2: obj(
-            {
-                "benchmark": {"const": "service_throughput"},
-                "units": STR,
-                "python": STR,
-                "workers": INT,
-                "rows": arr(
-                    {"anyOf": [_BENCH_SERVICE_ROW_V1, _BENCH_SERVICE_CHAOS_ROW]}
-                ),
-            }
-        ),
-        # v3: throughput rows keyed by client count alone (no merge
-        # window to turn on or off)
-        3: obj(
-            {
-                "benchmark": {"const": "service_throughput"},
-                "units": STR,
-                "python": STR,
-                "workers": INT,
-                "rows": arr(
-                    {"anyOf": [_BENCH_SERVICE_ROW, _BENCH_SERVICE_CHAOS_ROW]}
-                ),
-            }
-        ),
-    },
-    "repro/bench-bist": {
-        1: obj(
-            {
-                "benchmark": {"const": "bist_throughput"},
-                "units": STR,
-                "python": STR,
-                "rows": arr(_BENCH_BIST_ROW),
-            }
-        )
-    },
 }
-
-#: Artifact basename -> expected kind, for file-level validation of
-#: the checked-in benchmark JSONs (whose envelope must also agree).
-ARTIFACT_KINDS = {
-    "BENCH_kernel.json": "repro/bench-kernel",
-    "BENCH_tpg.json": "repro/bench-tpg",
-    "BENCH_service.json": "repro/bench-service",
-    "BENCH_bist.json": "repro/bench-bist",
-}
-
 
 def latest_version(kind: str) -> int:
     try:
@@ -1271,21 +895,15 @@ def validate(payload: Dict, kind: Optional[str] = None) -> Tuple[str, int]:
 
 
 def validate_file(path: str) -> Tuple[str, int]:
-    """Validate one JSON artifact file; returns ``(kind, version)``.
-
-    When the basename is a known checked-in artifact, its declared
-    kind must also match :data:`ARTIFACT_KINDS`.
-    """
-    import os
-
+    """Validate one JSON artifact file by its declared envelope;
+    returns ``(kind, version)``."""
     with open(path) as handle:
         try:
             payload = json.load(handle)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON ({exc})") from None
-    expected = ARTIFACT_KINDS.get(os.path.basename(path))
     try:
-        return validate(payload, kind=expected)
+        return validate(payload)
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 

@@ -68,6 +68,11 @@ __version_tag__ = "v1"
 #: Default TCP port of ``tip serve`` (spells "TIP" on a phone keypad).
 DEFAULT_PORT = 8470
 
+#: Largest request body the handler reads; a longer ``Content-Length``
+#: gets 413 before any byte of the body is read.  A 16,384-pattern x
+#: 129-input grade sent as JSON int lists is ~13 MB.
+MAX_BODY_BYTES = 64 << 20
+
 
 # ---------------------------------------------------------------------------
 # typed requests / response
@@ -227,9 +232,12 @@ def request_from_payload(verb: str, payload: Dict) -> Request:
         if key in payload
     }
     if "options" in payload and "options" in names:
-        values["options"] = serde.options_from_payload(
-            payload["options"], envelope=False
-        )
+        options = serde.options_from_payload(payload["options"], envelope=False)
+        # the check the verb runs on the options it runs with, here, so
+        # an async job is refused before the queue like a sync call
+        checked = _scrub_options(options)
+        (checked.engine_mode() if verb == "generate" else checked).validate()
+        values["options"] = options
     for key in (
         "max_faults",
         "strategy",
@@ -646,7 +654,7 @@ class AtpgService:
         """Decode, dispatch, and envelope one wire-format request."""
         try:
             request = request_from_payload(verb, payload)
-        except (SchemaError, ResolutionError) as exc:
+        except (SchemaError, ResolutionError, ValueError) as exc:
             with self._lock:
                 self.requests_failed += 1
             return Response(
@@ -789,6 +797,7 @@ class _Handler(BaseHTTPRequestHandler):
         status: int,
         payload: Dict,
         retry_after: Optional[float] = None,
+        close: bool = False,
     ) -> None:
         body = json.dumps(payload).encode()
         self.send_response(status)
@@ -798,6 +807,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(
                 "Retry-After", str(max(1, int(round(retry_after))))
             )
+        if close:  # also ends this connection's request loop
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
         self._status = status
@@ -863,6 +874,19 @@ class _Handler(BaseHTTPRequestHandler):
             if length < 0:
                 # rfile.read(-1) would block until the client closes
                 raise ValueError(f"negative Content-Length {length}")
+            if length > MAX_BODY_BYTES:
+                # close: the unread body would parse as the next request
+                self._send(
+                    413,
+                    {
+                        "error": "PayloadTooLarge",
+                        "detail": f"Content-Length {length} exceeds "
+                        f"{MAX_BODY_BYTES} bytes",
+                    },
+                    close=True,
+                )
+                self._access("POST", started)
+                return
             payload = json.loads(self.rfile.read(length) or b"{}")
         except (ValueError, json.JSONDecodeError) as exc:
             self._send(400, {"error": "BadRequest", "detail": str(exc)})
@@ -884,9 +908,9 @@ class _Handler(BaseHTTPRequestHandler):
 
 class _Server(ThreadingHTTPServer):
     daemon_threads = True
-    # dozens of clients may connect in the same instant (the load
-    # generator does exactly that); the stdlib default listen backlog
-    # of 5 drops the rest into 1-second SYN retransmits
+    # dozens of clients may connect in the same instant; the stdlib
+    # default listen backlog of 5 drops the rest into 1-second SYN
+    # retransmits
     request_queue_size = 128
 
 

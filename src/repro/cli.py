@@ -16,12 +16,10 @@ subcommands that are all thin adapters over the same
   detected faults globally, checkpoint and resume.
 * ``tip paths`` — count/enumerate structural paths and faults.
 * ``tip experiments`` — regenerate the paper's tables and figures.
-* ``tip bench-sim`` — PPSFP throughput (patterns x faults / second)
-  of the compiled-kernel backends against the seed object-graph path.
 * ``tip serve`` — the long-lived JSON service endpoint
   (:mod:`repro.api.service`).
-* ``tip validate`` — validate JSON artifacts against the declared
-  schemas (CI runs this over every checked-in artifact).
+* ``tip validate`` — validate JSON artifacts (reports, campaign
+  checkpoints) against the declared schemas.
 
 The historical per-command names survive as aliases: ``main_atpg``
 etc. are the same functions the dispatcher calls (``tip-atpg`` ==
@@ -37,10 +35,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import platform
 import sys
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from .analysis import (
     render_table,
@@ -61,13 +57,9 @@ from .api import AtpgSession, Options, ResolutionError, SchemaError
 from .api import resolve_circuit as _resolve_circuit
 from .api.options import DEFAULT_SHARDS
 from .api.resolve import resolve_test_class
-from .api.schemas import stamp, validate_file
+from .api.schemas import validate_file
 from .circuit import Circuit
 from .logic.words import DEFAULT_WORD_LENGTH
-from .paths import (
-    TestClass,
-    fault_list,
-)
 
 
 def resolve_circuit(spec: str, scale: int = 1) -> Circuit:
@@ -540,561 +532,6 @@ def main_bist(argv: Optional[List[str]] = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tip bench-sim
-# ---------------------------------------------------------------------------
-
-
-def bench_ppsfp(
-    circuit: Circuit,
-    test_class: TestClass,
-    n_patterns: int = 1024,
-    fault_cap: int = 128,
-    repeat: int = 3,
-    seed: int = 0,
-    strategies: tuple = ("vector", "codegen"),
-    seed_baseline: bool = True,
-    native: bool = False,
-) -> Dict[str, object]:
-    """Time PPSFP per execution strategy on one identical workload.
-
-    Every run checks every fault against every pattern.  Four tiers
-    are compared:
-
-    * **seed** (optional) — the pre-kernel object-graph path
-      (preserved verbatim in :mod:`repro.sim.reference`), simulating
-      in one-machine-word chunks of 64 lanes as the seed engine did,
-    * **interp** — the compiled numpy kernel with the per-gate
-      interpreter loop (the v1 ``kernel_*`` numbers),
-    * **fused** — the requested *strategies* (``"vector"`` and/or
-      ``"codegen"``) on the same kernel,
-    * **native** (optional) — the compiled-C word backend
-      (:mod:`repro.kernel.native`): planes pass, fault injection and
-      detection walk all inside one cffi module, one Python call per
-      batch.  Skipped silently when no C toolchain is available.
-
-    Detection masks are asserted equal lane-for-lane across every
-    tier, so speed-ups are never bought with a semantics change.
-    Fused runs are warmed once before timing — plan fusion and
-    codegen are one-time lowering costs cached on the compiled
-    circuit, amortized over a workload's lifetime exactly like the
-    lowering itself.  The batch is packed into uint64 lane planes once
-    up front and every kernel tier receives the packed batch, so the
-    timed region measures simulation, not Python-side marshalling
-    (the seed tier keeps the raw pattern list — chunked packing *is*
-    part of its engine).  Throughput is patterns x faults per second,
-    best of *repeat* runs.
-    """
-    from .core.patterns import random_patterns
-    from .kernel.packed import PackedPatterns
-    from .sim import DelayFaultSimulator
-    from .sim.reference import detected_faults_reference
-
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    faults = fault_list(circuit, cap=fault_cap, strategy="all")
-    patterns = random_patterns(circuit, n_patterns, seed)
-    packed = PackedPatterns.from_patterns(patterns)
-    work = len(patterns) * len(faults)
-
-    def run_seed() -> Dict:
-        merged = {fault: 0 for fault in faults}
-        for start in range(0, len(patterns), 64):
-            chunk = patterns[start : start + 64]
-            hits = detected_faults_reference(circuit, chunk, faults, test_class)
-            for fault, lanes in hits.items():
-                merged[fault] |= lanes << start
-        return merged
-
-    row: Dict[str, object] = {
-        "circuit": circuit.name,
-        "workload": "ppsfp",
-        "test_class": test_class.value,
-        "signals": circuit.num_signals,
-        "faults": len(faults),
-        "patterns": n_patterns,
-    }
-
-    interp_sim = DelayFaultSimulator(
-        circuit, test_class, backend="numpy", fusion="interp"
-    )
-    interp_seconds, interp_masks = _best_of_runs(
-        repeat,
-        lambda: interp_sim.detected_faults(packed, faults)
-    )
-    row["interp_seconds"] = round(interp_seconds, 6)
-    row["interp_throughput"] = round(work / interp_seconds, 1)
-
-    if seed_baseline:
-        seed_seconds, seed_masks = _best_of_runs(repeat, run_seed)
-        if seed_masks != interp_masks:
-            raise AssertionError(
-                f"kernel and seed PPSFP disagree on {circuit.name}"
-            )
-        row["seed_seconds"] = round(seed_seconds, 6)
-        row["seed_throughput"] = round(work / seed_seconds, 1)
-        row["interp_speedup_vs_seed"] = round(seed_seconds / interp_seconds, 2)
-
-    fused_best: Optional[Tuple[float, str]] = None
-    for strategy in strategies:
-        sim = DelayFaultSimulator(
-            circuit, test_class, backend="numpy", fusion=strategy
-        )
-        sim.detected_faults(patterns[:64], faults[:1])  # warm the lowering
-        seconds, masks = _best_of_runs(
-            repeat, lambda: sim.detected_faults(packed, faults)
-        )
-        if masks != interp_masks:
-            raise AssertionError(
-                f"{strategy} and interp PPSFP disagree on {circuit.name}"
-            )
-        row[f"{strategy}_seconds"] = round(seconds, 6)
-        row[f"{strategy}_throughput"] = round(work / seconds, 1)
-        if fused_best is None or seconds < fused_best[0]:
-            fused_best = (seconds, strategy)
-    if fused_best is not None:
-        row["best_fused"] = fused_best[1]
-        row["fused_speedup"] = round(interp_seconds / fused_best[0], 2)
-    if native and _native_ready():
-        sim = DelayFaultSimulator(
-            circuit, test_class, backend="native", fusion="auto"
-        )
-        sim.detected_faults(patterns[:64], faults[:1])  # warm the C build
-        seconds, masks = _best_of_runs(
-            repeat, lambda: sim.detected_faults(packed, faults)
-        )
-        if masks != interp_masks:
-            raise AssertionError(
-                f"native and interp PPSFP disagree on {circuit.name}"
-            )
-        _native_columns(row, work, interp_seconds, seconds)
-    return row
-
-
-def _native_ready() -> bool:
-    """True when the compiled-C backend can actually build modules."""
-    from .kernel.native import native_available
-
-    return native_available()
-
-
-def _native_columns(
-    row: Dict[str, object], work: int, interp_seconds: float, seconds: float
-) -> None:
-    row["native_seconds"] = round(seconds, 6)
-    row["native_throughput"] = round(work / seconds, 1)
-    row["native_speedup"] = round(interp_seconds / seconds, 2)
-
-
-def _best_of_runs(repeat: int, fn):
-    best = float("inf")
-    result = None
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
-def bench_grade10(
-    circuit: Circuit,
-    n_patterns: int = 1024,
-    fault_cap: int = 128,
-    repeat: int = 3,
-    seed: int = 0,
-    strategies: tuple = ("vector", "codegen"),
-    native: bool = False,
-) -> Dict[str, object]:
-    """Time 10-valued detection-strength grading per execution strategy.
-
-    The workload is one batched :func:`repro.sim.delay_sim.
-    strength_masks_all` call on the numpy backend — every fault graded
-    against every pattern in all three classes (nonrobust / robust /
-    hazard-free robust) from a single 5-plane forward pass.  The
-    interpreted tier dispatches :func:`repro.logic.ten_valued.forward`
-    per gate and walks faults one by one; the fused tiers run the
-    slab-form group executor or the straight-line compiled body plus
-    the edge-sharing batched walk.  Strength-mask triples are asserted
-    bit-identical across every tier.  As in :func:`bench_ppsfp`, the
-    batch is packed once up front so every tier times simulation, not
-    marshalling.
-    """
-    from .core.patterns import random_patterns
-    from .kernel.packed import PackedPatterns
-    from .sim.delay_sim import strength_masks_all
-
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    faults = fault_list(circuit, cap=fault_cap, strategy="all")
-    patterns = random_patterns(circuit, n_patterns, seed)
-    packed = PackedPatterns.from_patterns(patterns)
-    work = len(patterns) * len(faults)
-
-    row: Dict[str, object] = {
-        "circuit": circuit.name,
-        "workload": "grade10",
-        "signals": circuit.num_signals,
-        "faults": len(faults),
-        "patterns": n_patterns,
-    }
-    interp_seconds, interp_masks = _best_of_runs(
-        repeat,
-        lambda: strength_masks_all(
-            circuit, packed, faults, backend="numpy", fusion="interp"
-        ),
-    )
-    row["interp_seconds"] = round(interp_seconds, 6)
-    row["interp_throughput"] = round(work / interp_seconds, 1)
-    fused_best: Optional[Tuple[float, str]] = None
-    for strategy in strategies:
-        # warm the one-time lowering (cached on the compiled circuit)
-        strength_masks_all(
-            circuit, patterns[:64], faults[:1], backend="numpy", fusion=strategy
-        )
-        seconds, masks = _best_of_runs(
-            repeat,
-            lambda strategy=strategy: strength_masks_all(
-                circuit, packed, faults, backend="numpy", fusion=strategy
-            ),
-        )
-        if masks != interp_masks:
-            raise AssertionError(
-                f"{strategy} and interp 10-valued grading disagree on "
-                f"{circuit.name}"
-            )
-        row[f"{strategy}_seconds"] = round(seconds, 6)
-        row[f"{strategy}_throughput"] = round(work / seconds, 1)
-        if fused_best is None or seconds < fused_best[0]:
-            fused_best = (seconds, strategy)
-    if fused_best is not None:
-        row["best_fused"] = fused_best[1]
-        row["fused_speedup"] = round(interp_seconds / fused_best[0], 2)
-    if native and _native_ready():
-        strength_masks_all(  # warm the C build
-            circuit, patterns[:64], faults[:1], backend="native", fusion="auto"
-        )
-        seconds, masks = _best_of_runs(
-            repeat,
-            lambda: strength_masks_all(
-                circuit, packed, faults, backend="native", fusion="auto"
-            ),
-        )
-        if masks != interp_masks:
-            raise AssertionError(
-                f"native and interp 10-valued grading disagree on "
-                f"{circuit.name}"
-            )
-        _native_columns(row, work, interp_seconds, seconds)
-    return row
-
-
-def bench_stuck_at(
-    circuit: Circuit,
-    n_vectors: int = 256,
-    fault_cap: int = 256,
-    repeat: int = 3,
-    seed: int = 0,
-    native: bool = False,
-) -> Dict[str, object]:
-    """Time parallel-pattern stuck-at simulation per execution strategy.
-
-    Every fault's fanout cone is resimulated against every vector
-    batch: the interpreted tier walks the cone gate by gate
-    (``eval_gate_word`` with dirty-set early-outs), the fused tier
-    runs the per-cone straight-line compiled bodies.  Detection masks
-    are asserted bit-identical.  The fused strategies collapse for
-    int words, so one ``codegen`` column represents them.
-    """
-    import random as _random
-
-    from .core.stuck_at import all_stuck_at_faults
-    from .sim.stuck_at_sim import StuckAtSimulator
-
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    faults = all_stuck_at_faults(circuit)[:fault_cap]
-    rng = _random.Random(seed)
-    vectors = [
-        [rng.randint(0, 1) for _ in circuit.inputs] for _ in range(n_vectors)
-    ]
-    work = len(vectors) * len(faults)
-
-    row: Dict[str, object] = {
-        "circuit": circuit.name,
-        "workload": "stuck_at",
-        "signals": circuit.num_signals,
-        "faults": len(faults),
-        "patterns": n_vectors,
-    }
-    interp_sim = StuckAtSimulator(circuit, fusion="interp")
-    interp_seconds, interp_masks = _best_of_runs(
-        repeat, lambda: interp_sim.detected_faults(vectors, faults)
-    )
-    row["interp_seconds"] = round(interp_seconds, 6)
-    row["interp_throughput"] = round(work / interp_seconds, 1)
-    fused_sim = StuckAtSimulator(circuit, fusion="codegen")
-    fused_sim.detected_faults(vectors[:4], faults)  # warm the cone lowering
-    fused_seconds, fused_masks = _best_of_runs(
-        repeat, lambda: fused_sim.detected_faults(vectors, faults)
-    )
-    if fused_masks != interp_masks:
-        raise AssertionError(
-            f"fused and interp stuck-at simulation disagree on {circuit.name}"
-        )
-    row["codegen_seconds"] = round(fused_seconds, 6)
-    row["codegen_throughput"] = round(work / fused_seconds, 1)
-    row["best_fused"] = "codegen"
-    row["fused_speedup"] = round(interp_seconds / fused_seconds, 2)
-    if native and _native_ready():
-        native_sim = StuckAtSimulator(circuit, backend="native")
-        native_sim.detected_faults(vectors[:4], faults)  # warm the C build
-        seconds, masks = _best_of_runs(
-            repeat, lambda: native_sim.detected_faults(vectors, faults)
-        )
-        if masks != interp_masks:
-            raise AssertionError(
-                f"native and interp stuck-at simulation disagree on "
-                f"{circuit.name}"
-            )
-        _native_columns(row, work, interp_seconds, seconds)
-    return row
-
-
-def bench_bist(
-    circuit: Circuit,
-    test_class: TestClass,
-    n_patterns: int = 1024,
-    fault_cap: int = 128,
-    repeat: int = 3,
-    seed: int = 1,
-    strategies: tuple = ("vector", "codegen"),
-    native: bool = False,
-) -> Dict[str, object]:
-    """Time one BIST grading round per execution strategy.
-
-    The workload is what :func:`repro.bist.run_bist` does per window,
-    at full batch width: a primitive-polynomial LFSR emits
-    *n_patterns* consecutive launch/capture state pairs directly in
-    packed lane-slab form and every path delay fault is graded against
-    the slab.  Slab generation is timed together with the simulation —
-    for a BIST engine pattern delivery *is* part of the workload — and
-    it is re-run from the same seed every repeat so each tier grades
-    the identical pseudorandom sequence.  Detection masks are asserted
-    equal lane-for-lane across every tier, as in :func:`bench_ppsfp`.
-    """
-    from .bist import LFSR
-    from .sim import DelayFaultSimulator
-
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    faults = fault_list(circuit, cap=fault_cap, strategy="all")
-    n_pis = len(circuit.inputs)
-    work = n_patterns * len(faults)
-
-    def slab(count: int = n_patterns):
-        return LFSR(32, seed=seed).take(count, n_pis, two_vector=True)
-
-    row: Dict[str, object] = {
-        "circuit": circuit.name,
-        "workload": "bist",
-        "test_class": test_class.value,
-        "signals": circuit.num_signals,
-        "faults": len(faults),
-        "patterns": n_patterns,
-    }
-    interp_sim = DelayFaultSimulator(
-        circuit, test_class, backend="numpy", fusion="interp"
-    )
-    interp_seconds, interp_masks = _best_of_runs(
-        repeat, lambda: interp_sim.detected_faults(slab(), faults)
-    )
-    row["interp_seconds"] = round(interp_seconds, 6)
-    row["interp_throughput"] = round(work / interp_seconds, 1)
-    fused_best: Optional[Tuple[float, str]] = None
-    for strategy in strategies:
-        sim = DelayFaultSimulator(
-            circuit, test_class, backend="numpy", fusion=strategy
-        )
-        sim.detected_faults(slab(64), faults[:1])  # warm the lowering
-        seconds, masks = _best_of_runs(
-            repeat, lambda sim=sim: sim.detected_faults(slab(), faults)
-        )
-        if masks != interp_masks:
-            raise AssertionError(
-                f"{strategy} and interp BIST grading disagree on {circuit.name}"
-            )
-        row[f"{strategy}_seconds"] = round(seconds, 6)
-        row[f"{strategy}_throughput"] = round(work / seconds, 1)
-        if fused_best is None or seconds < fused_best[0]:
-            fused_best = (seconds, strategy)
-    if fused_best is not None:
-        row["best_fused"] = fused_best[1]
-        row["fused_speedup"] = round(interp_seconds / fused_best[0], 2)
-    if native and _native_ready():
-        sim = DelayFaultSimulator(
-            circuit, test_class, backend="native", fusion="auto"
-        )
-        sim.detected_faults(slab(64), faults[:1])  # warm the C build
-        seconds, masks = _best_of_runs(
-            repeat, lambda: sim.detected_faults(slab(), faults)
-        )
-        if masks != interp_masks:
-            raise AssertionError(
-                f"native and interp BIST grading disagree on {circuit.name}"
-            )
-        _native_columns(row, work, interp_seconds, seconds)
-    return row
-
-
-def main_bench_sim(argv: Optional[List[str]] = None) -> int:
-    """Simulation throughput: interpreted kernel vs fused vs native."""
-    parser = argparse.ArgumentParser(
-        prog="tip-bench-sim",
-        description=(
-            "Simulation throughput (patterns x faults per second) per "
-            "execution strategy.  Workloads: PPSFP detection masks (seed "
-            "object-graph path vs the compiled kernel's interpreted loop "
-            "vs the fused strategies vs the compiled-C native backend), "
-            "10-valued detection-strength grading, stuck-at cone "
-            "resimulation, and BIST grading over LFSR-generated slabs."
-        ),
-    )
-    parser.add_argument(
-        "circuits",
-        nargs="*",
-        default=["c880"],
-        help="circuit specs (default: the c880-scale generator suite row)",
-    )
-    _add_test_class_argument(parser, default="robust")
-    parser.add_argument(
-        "--workload",
-        choices=["ppsfp", "grade10", "stuck-at", "bist", "all"],
-        default="ppsfp",
-        help="which simulation workload to time (default: ppsfp)",
-    )
-    parser.add_argument("--patterns", type=int, default=4096, help="batch size")
-    parser.add_argument(
-        "--fault-cap", type=int, default=128, help="cap on the fault list"
-    )
-    parser.add_argument("--repeat", type=int, default=3, help="best-of runs")
-    parser.add_argument("--scale", type=int, default=1, help="suite circuit scale")
-    parser.add_argument(
-        "--fusion",
-        choices=["both", "vector", "codegen"],
-        default="both",
-        help="which fused strategies to time against the interpreted loop",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["auto", "numpy", "native"],
-        default="auto",
-        help="word backends to time: 'auto' runs the fused numpy "
-        "strategies plus the compiled-C backend when a toolchain is "
-        "available, 'numpy' skips native, 'native' times only the "
-        "interpreted baseline against the compiled-C backend",
-    )
-    parser.add_argument(
-        "--no-seed",
-        action="store_true",
-        help="skip the seed object-graph baseline (it dominates the bench "
-        "wall-clock on large circuits)",
-    )
-    parser.add_argument(
-        "--json", dest="json_path", default=None, help="also write rows as JSON"
-    )
-    args = parser.parse_args(argv)
-
-    test_class = resolve_test_class(args.test_class)
-    strategies = (
-        ("vector", "codegen") if args.fusion == "both" else (args.fusion,)
-    )
-    if args.backend == "native":
-        strategies = ()  # interp baseline vs the compiled-C tier only
-    native = args.backend != "numpy"
-    if args.backend == "native" and not _native_ready():
-        from .kernel.native import native_unavailable_reason
-
-        parser.error(
-            f"--backend native requires a C toolchain "
-            f"({native_unavailable_reason()})"
-        )
-    workloads = (
-        ("ppsfp", "grade10", "stuck-at", "bist")
-        if args.workload == "all"
-        else (args.workload,)
-    )
-    rows = []
-    for spec in args.circuits:
-        circuit = resolve_circuit(spec, args.scale)
-        if "ppsfp" in workloads:
-            rows.append(
-                bench_ppsfp(
-                    circuit,
-                    test_class,
-                    n_patterns=args.patterns,
-                    fault_cap=args.fault_cap,
-                    repeat=args.repeat,
-                    strategies=strategies,
-                    seed_baseline=not args.no_seed,
-                    native=native,
-                )
-            )
-        if "grade10" in workloads:
-            rows.append(
-                bench_grade10(
-                    circuit,
-                    n_patterns=args.patterns,
-                    fault_cap=args.fault_cap,
-                    repeat=args.repeat,
-                    strategies=strategies,
-                    native=native,
-                )
-            )
-        if "stuck-at" in workloads:
-            rows.append(
-                bench_stuck_at(
-                    circuit,
-                    n_vectors=min(args.patterns, 512),
-                    fault_cap=args.fault_cap,
-                    repeat=args.repeat,
-                    native=native,
-                )
-            )
-        if "bist" in workloads:
-            rows.append(
-                bench_bist(
-                    circuit,
-                    test_class,
-                    n_patterns=args.patterns,
-                    fault_cap=args.fault_cap,
-                    repeat=args.repeat,
-                    strategies=strategies,
-                    native=native,
-                )
-            )
-    print(
-        render_table(
-            rows,
-            title="Simulation throughput: interpreted kernel vs fused",
-        )
-    )
-    if args.json_path:
-        payload = stamp(
-            "repro/bench-kernel",
-            {
-                "benchmark": "fused_kernel_throughput",
-                "units": "patterns*faults/second",
-                "python": platform.python_version(),
-                "rows": rows,
-            },
-        )
-        with open(args.json_path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.json_path}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # tip experiments
 # ---------------------------------------------------------------------------
 
@@ -1282,27 +719,14 @@ def main_validate(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="tip-validate",
         description=(
-            "Validate JSON artifacts (benchmark files, checkpoints, "
-            "serialized reports) against the versioned schema registry.  "
-            "Fails on unknown kinds/versions and on shape drift without a "
-            "schema version bump."
+            "Validate JSON artifacts (campaign checkpoints, serialized "
+            "reports) against the versioned schema registry.  Fails on "
+            "unknown kinds/versions and on shape drift without a schema "
+            "version bump."
         ),
     )
-    parser.add_argument(
-        "files",
-        nargs="*",
-        default=None,
-        help="artifact paths (default: the checked-in BENCH_*.json)",
-    )
-    args = parser.parse_args(argv)
-    files = args.files
-    if not files:
-        import glob
-
-        files = sorted(glob.glob("BENCH_*.json"))
-        if not files:
-            print("no artifacts found (pass paths explicitly)")
-            return 1
+    parser.add_argument("files", nargs="+", help="artifact paths")
+    files = parser.parse_args(argv).files
     failures = 0
     for path in files:
         try:
@@ -1330,7 +754,6 @@ COMMANDS = {
     "bist": main_bist,
     "campaign": main_campaign,
     "paths": main_paths,
-    "bench-sim": main_bench_sim,
     "experiments": main_experiments,
     "serve": main_serve,
     "validate": main_validate,

@@ -97,10 +97,9 @@ def random_patterns(
 ) -> List[TestPattern]:
     """Deterministic random two-vector tests (benchmark/test workloads).
 
-    The single source of the synthetic PPSFP workload used by
-    ``tip-bench-sim``, the pytest benchmarks, and the kernel
-    cross-check tests, so all three exercise identical batches for a
-    given seed.
+    The single source of the synthetic PPSFP workload used by the
+    pytest benchmarks and the test suite, so both exercise identical
+    batches for a given seed.
     """
     rng = random.Random(seed)
     n = len(circuit.inputs)

@@ -16,7 +16,7 @@ its words (:func:`words_to_int`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,6 +105,28 @@ def unpack_bits(planes: np.ndarray, n_patterns: int) -> np.ndarray:
     return np.ascontiguousarray(bits[:, :n_patterns].T)
 
 
+def bit_error(index: int, name: str, position: int, bit) -> ValueError:
+    """The rejection of a pattern bit other than 0 or 1, on every backend.
+
+    Packers compare or fold raw values, so a 2 would otherwise read as
+    a transition on one backend and as a 1 on another.  The session
+    circuit breaker re-raises ``ValueError`` instead of demoting.
+    """
+    return ValueError(
+        f"pattern {index}: {name} bit {position} is {bit!r}, expected 0 or 1"
+    )
+
+
+def _first_bad_bit(patterns: Sequence) -> Optional[ValueError]:
+    """:func:`bit_error` for the first bit other than 0 or 1, if any."""
+    for index, pattern in enumerate(patterns):
+        for name in ("v1", "v2"):
+            for position, bit in enumerate(getattr(pattern, name)):
+                if bit != 0 and bit != 1:
+                    return bit_error(index, name, position, bit)
+    return None
+
+
 def _rows_to_u8(rows, n_rows: int, n_columns: int) -> np.ndarray:
     """Equal-length 0/1 int rows as a ``(n_rows, n_columns)`` uint8 array.
 
@@ -142,12 +164,18 @@ class PackedPatterns:
         joined into one buffer and reshaped, so ragged rows whose bits
         add up would pack shifted.  The simulators check widths before
         packing (:func:`repro.sim.delay_sim.check_pattern_widths`).
+        Every bit must be 0 or 1 (:func:`bit_error` otherwise).
         """
         if not patterns:
             raise ValueError("cannot pack an empty pattern batch")
         n_inputs = len(patterns[0].v1)
-        a = _rows_to_u8([p.v1 for p in patterns], len(patterns), n_inputs)
-        b = _rows_to_u8([p.v2 for p in patterns], len(patterns), n_inputs)
+        try:
+            a = _rows_to_u8([p.v1 for p in patterns], len(patterns), n_inputs)
+            b = _rows_to_u8([p.v2 for p in patterns], len(patterns), n_inputs)
+        except ValueError as exc:  # bytes() rejects values outside range(0, 256)
+            raise _first_bad_bit(patterns) or exc
+        if a.max() > 1 or b.max() > 1:
+            raise _first_bad_bit(patterns)
         return cls(v1=pack_bits(a), v2=pack_bits(b), n_patterns=len(patterns))
 
     @classmethod

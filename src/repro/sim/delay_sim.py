@@ -34,7 +34,7 @@ expressions:
 A robust detection is also a nonrobust detection, mirroring the
 model's containment relation.  The pre-kernel object-graph
 implementation survives in :mod:`repro.sim.reference` as the
-validation and benchmark baseline.
+validation baseline.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from ..kernel import (
     backend_for,
     words_to_int,
 )
+from ..kernel.packed import bit_error
 from ..logic import ten_valued
 from ..logic.words import mask_for
 from ..paths import PathDelayFault, TestClass
@@ -77,6 +78,8 @@ def pack_patterns(
 
     Lane ``k`` carries pattern ``k``: S0/S1 where V1 == V2, R/F where
     the vectors differ.  Returns (per-signal planes for inputs, width).
+    Raises :func:`~repro.kernel.packed.bit_error` for a bit other than
+    0 or 1.
     """
     width = len(patterns)
     if width == 0:
@@ -88,14 +91,18 @@ def pack_patterns(
             initial = pattern.v1[position]
             final = pattern.v2[position]
             bit = 1 << lane
-            if final:
+            if final == 1:
                 o |= bit
-            else:
+            elif final == 0:
                 z |= bit
+            else:
+                raise bit_error(lane, "v2", position, final)
             if initial == final:
                 s |= bit
-            else:
+            elif initial == 0 or initial == 1:
                 i |= bit
+            else:
+                raise bit_error(lane, "v1", position, initial)
         planes.append((z, o, s, i))
     return planes, width
 

@@ -4,13 +4,9 @@ Before the compiled kernel existed, PPSFP re-walked the
 :class:`repro.circuit.Circuit` object graph on every call: per-gate
 ``Gate`` attribute lookups, ``topological_order()`` iteration, and
 Python-int planes limited to one machine word per batch.  That
-implementation lives on here, verbatim, for two jobs:
-
-* **validation** — the kernel-backed simulators in
-  :mod:`repro.sim.delay_sim` are cross-checked lane-for-lane against
-  this path by the test suite, and
-* **benchmarking** — ``tip-bench-sim`` and ``benchmarks/`` measure the
-  compiled kernel's speed-up against exactly the code it replaced.
+implementation lives on here, verbatim, as an oracle: the test suite
+cross-checks the kernel-backed simulators in
+:mod:`repro.sim.delay_sim` against it lane for lane.
 
 Do not "optimize" this module; its value is being the slow, obviously
 faithful baseline.

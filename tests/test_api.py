@@ -22,8 +22,13 @@ from repro.api import (
 from repro.api.resolve import circuit_fingerprint
 from repro.circuit.generators import random_dag, ripple_carry_adder
 from repro.circuit.suites import suite_circuit
+from repro.kernel import native_available
 from repro.paths import TestClass, all_faults, fault_list
 from repro.sim import DelayFaultSimulator
+
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="no C toolchain and no cached native module"
+)
 
 
 def _legacy_generate(circuit, faults, test_class, **options):
@@ -140,6 +145,35 @@ class TestSessionSimulateGradePaths:
         short_v2 = [TestPattern((0,) * 5, (1,) * 5), TestPattern((0,) * 5, (1,) * 4)]
         with pytest.raises(ValueError, match="pattern 1: v2 has 4 bits, expected 5"):
             session.grade(short_v2, faults, backend=backend, strength=strength)
+
+    @pytest.mark.parametrize("strength", [False, True])
+    @pytest.mark.parametrize(
+        "backend, fusion",
+        [
+            ("int", "auto"),
+            ("int", "interp"),
+            ("numpy", "auto"),
+            pytest.param("native", "auto", marks=needs_native),
+        ],
+    )
+    @pytest.mark.parametrize("vector, bad", [("v1", 2), ("v2", 2), ("v2", -1)])
+    def test_non_binary_bits_raise_value_error(
+        self, backend, fusion, vector, bad, strength
+    ):
+        from repro.core.patterns import TestPattern
+
+        session = AtpgSession.open("c17")
+        faults = all_faults(session.circuit)
+        bits = {"v1": (0,) * 5, "v2": (1,) * 5}
+        bits[vector] = bits[vector][:2] + (bad,) + bits[vector][3:]
+        patterns = [TestPattern((0,) * 5, (1,) * 5), TestPattern(**bits)]
+        with pytest.raises(
+            ValueError, match=f"pattern 1: {vector} bit 2 is {bad}, expected 0 or 1"
+        ):
+            session.grade(
+                patterns, faults, backend=backend, fusion=fusion, strength=strength
+            )
+        assert not session.degraded  # rejection, not demotion
 
     def test_paths_statistics(self):
         session = AtpgSession.open("paper_example")
@@ -318,3 +352,25 @@ class TestTipDispatcher:
         assert main(["validate", str(bad)]) == 1
         out = capsys.readouterr().out
         assert "unknown schema_version" in out
+
+    def test_validate_takes_paths_and_reads_checkpoints(self, capsys, tmp_path):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["validate"])  # no default glob: paths are required
+        assert excinfo.value.code == 2
+        checkpoint = tmp_path / "camp.json"
+        assert main(
+            ["campaign", "c17", "--width", "4", "--checkpoint", str(checkpoint)]
+        ) == 0
+        capsys.readouterr()
+        assert main(["validate", str(checkpoint)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"ok   {checkpoint}: repro/campaign-checkpoint v3")
+
+    def test_command_set(self):
+        from repro.cli import COMMANDS
+
+        assert sorted(COMMANDS) == [
+            "atpg", "bist", "campaign", "experiments", "paths", "serve", "validate",
+        ]

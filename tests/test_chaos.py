@@ -492,3 +492,133 @@ class TestServiceRecovery:
         metrics = service.metrics()
         assert metrics["quarantined_shards"] == 0
         assert metrics["shard_retries"] == 0
+
+
+# ---------------------------------------------------------------------------
+# one live server: job-worker death, then kernel faults under load
+# ---------------------------------------------------------------------------
+
+
+def _exchange(conn, method, path, body=None, tenant="chaos"):
+    conn.request(method, path, body=body, headers={"X-Tenant": tenant})
+    response = conn.getresponse()
+    return response.status, json.loads(response.read())
+
+
+class TestLiveServerChaos:
+    def test_worker_death_and_kernel_faults_stay_invisible(self, tmp_path):
+        import threading
+        import time
+        from http.client import HTTPConnection
+
+        from repro.api import make_server
+        from repro.core.patterns import random_patterns
+
+        circuit = suite_circuit("c880", 1)
+        faults = [
+            serde.fault_to_payload(f, envelope=False)
+            for f in fault_list(circuit, cap=16)
+        ]
+        bodies = [
+            json.dumps(
+                stamp(
+                    "repro/request.grade",
+                    {
+                        "circuit": "c880",
+                        "patterns": [
+                            serde.pattern_to_payload(p, envelope=False)
+                            for p in random_patterns(circuit, 8, seed=k)
+                        ],
+                        "faults": faults,
+                    },
+                )
+            ).encode()
+            for k in range(2)
+        ]
+        server = make_server(
+            port=0, config=ServiceOptions(workers=1, jobs_dir=str(tmp_path))
+        )
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        port = server.server_address[1]
+        service = server.service
+        try:
+            # phase A: the only job worker dies the instant it claims
+            controller = chaos.install(spec(("job_worker_death", [0])))
+            conn = HTTPConnection("127.0.0.1", port, timeout=60)
+            campaign = stamp(
+                "repro/request.campaign", {"circuit": "c880", "max_faults": 16}
+            )
+            status, reply = _exchange(
+                conn, "POST", "/v1/campaign", json.dumps(campaign).encode()
+            )
+            assert status == 202
+            job = f"/v1/jobs/{reply['result']['id']}"
+            deadline = time.monotonic() + 60.0
+            state = None
+            while time.monotonic() < deadline:
+                # each poll runs the liveness sweep that re-queues the job
+                state = _exchange(conn, "GET", job)[1]["result"]["state"]
+                if state in ("done", "failed", "cancelled"):
+                    break
+                time.sleep(0.05)
+            assert state == "done"
+            assert controller.fired() == [
+                {"site": "job_worker_death", "occurrence": 0}
+            ]
+            assert service.metrics()["worker_restarts"] >= 1
+
+            # phase B: fault-free baseline, then kernel faults under
+            # two concurrent clients; occurrences are scattered so no
+            # single call exhausts the breaker's tiers
+            chaos.install(None)
+            baseline = []
+            for body in bodies:
+                status, reply = _exchange(conn, "POST", "/v1/grade", body)
+                assert status == 200
+                baseline.append(reply["result"]["detected_flags"])
+            conn.close()
+            controller = chaos.install(spec(("kernel_fault", [0, 4])))
+            results = [[] for _ in bodies]
+
+            def client(index: int) -> None:
+                client_conn = HTTPConnection("127.0.0.1", port, timeout=60)
+                try:
+                    for _ in range(3):
+                        results[index].append(
+                            _exchange(
+                                client_conn, "POST", "/v1/grade",
+                                bodies[index], tenant=f"chaos-{index}",
+                            )
+                        )
+                except OSError as exc:
+                    results[index].append((None, {"error": repr(exc)}))
+                finally:
+                    client_conn.close()
+
+            threads = [
+                threading.Thread(target=client, args=(k,))
+                for k in range(len(bodies))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            fired = [f["site"] for f in controller.fired()]
+            chaos.install(None)
+
+            for index, replies in enumerate(results):
+                assert len(replies) == 3
+                for status, reply in replies:
+                    assert status == 200, reply
+                    assert reply["result"]["detected_flags"] == baseline[index]
+            assert fired == ["kernel_fault", "kernel_fault"]
+            metrics = service.metrics()
+            validate(metrics, kind="repro/metrics")
+            assert metrics["degraded_circuits"] >= 1
+            assert metrics["jobs"]["failed"] == 0
+            assert metrics["requests_failed"] == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.shutdown()

@@ -5,7 +5,6 @@ import pytest
 from repro.circuit.library import C17_BENCH
 from repro.cli import (
     main_atpg,
-    main_bench_sim,
     main_campaign,
     main_experiments,
     main_paths,
@@ -116,73 +115,6 @@ class TestCampaignCommand:
         )
         out = capsys.readouterr().out
         assert "campaign summary" in out
-
-
-class TestBenchSimCommand:
-    def test_reports_throughput_and_writes_json(self, capsys, tmp_path):
-        out_path = tmp_path / "bench.json"
-        assert (
-            main_bench_sim(
-                [
-                    "c499",
-                    "--patterns", "96",
-                    "--fault-cap", "8",
-                    "--repeat", "1",
-                    "--json", str(out_path),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "Simulation throughput" in out
-        assert "c499_like" in out
-        import json
-
-        payload = json.loads(out_path.read_text())
-        assert payload["benchmark"] == "fused_kernel_throughput"
-        row = payload["rows"][0]
-        assert row["workload"] == "ppsfp"
-        assert row["patterns"] == 96
-        assert row["interp_throughput"] > 0
-        assert row["seed_throughput"] > 0
-        assert row["vector_throughput"] > 0
-        assert row["codegen_throughput"] > 0
-        assert row["best_fused"] in ("vector", "codegen")
-        assert row["fused_speedup"] > 0
-
-        from repro.api.schemas import validate_file
-
-        assert validate_file(str(out_path)) == ("repro/bench-kernel", 5)
-
-    def test_all_workloads_cover_grading_and_stuck_at(self, capsys, tmp_path):
-        out_path = tmp_path / "bench_all.json"
-        assert (
-            main_bench_sim(
-                [
-                    "c499",
-                    "--workload", "all",
-                    "--patterns", "96",
-                    "--fault-cap", "8",
-                    "--repeat", "1",
-                    "--no-seed",
-                    "--json", str(out_path),
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        import json
-
-        payload = json.loads(out_path.read_text())
-        workloads = [row["workload"] for row in payload["rows"]]
-        assert workloads == ["ppsfp", "grade10", "stuck_at", "bist"]
-        for row in payload["rows"]:
-            assert row["interp_throughput"] > 0
-            assert row["fused_speedup"] > 0
-
-        from repro.api.schemas import validate_file
-
-        assert validate_file(str(out_path)) == ("repro/bench-kernel", 5)
 
 
 class TestExperimentsCommand:

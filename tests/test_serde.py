@@ -206,22 +206,11 @@ class TestEnvelope:
 
 
 # ---------------------------------------------------------------------------
-# checked-in artifacts
+# file artifacts
 # ---------------------------------------------------------------------------
 
 
 class TestArtifacts:
-    @pytest.mark.parametrize("name", ["BENCH_kernel.json", "BENCH_tpg.json"])
-    def test_checked_in_benchmarks_validate(self, name):
-        import os
-
-        path = os.path.join(os.path.dirname(__file__), "..", name)
-        kind, version = validate_file(path)
-        assert kind.startswith("repro/bench-")
-        from repro.api.schemas import latest_version
-
-        assert version == latest_version(kind)
-
     def test_checkpoint_validates(self, tmp_path):
         from repro.api import AtpgSession
 

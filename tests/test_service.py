@@ -143,6 +143,22 @@ class TestDispatcher:
         assert response.ok
         assert not path.exists()
 
+    def test_options_are_checked_as_the_verb_runs_them(self):
+        # generate runs engine mode (unbounded window), so a window below
+        # the width is no error there; a campaign refuses it pre-queue
+        options = {"generation": {"width": 8}, "schedule": {"window": 4}}
+        service = AtpgService()
+        generate = service.handle_json(
+            "generate",
+            stamp("repro/request.generate", {"circuit": "c17", "options": options}),
+        )
+        assert generate.ok
+        campaign = service.submit_campaign(
+            stamp("repro/request.campaign", {"circuit": "c17", "options": options})
+        )
+        assert campaign.status == 400
+        assert "window (4) must be >= width (8)" in campaign.payload["detail"]
+
     def test_bad_circuit_is_a_clean_error(self):
         response = AtpgService().handle(GenerateRequest(circuit="nope"))
         assert not response.ok
@@ -273,6 +289,76 @@ class TestHttpEndpoint:
             status = sock.recv(64)
         assert status.startswith(b"HTTP/1.1 400")
 
+    @pytest.mark.parametrize("verb", ["grade", "simulate"])
+    def test_empty_signal_fault_is_400(self, server, verb):
+        request = stamp(
+            f"repro/request.{verb}",
+            {
+                "circuit": "c17",
+                "patterns": [{"v1": [0] * 5, "v2": [1] * 5}],
+                "faults": [{"signals": [], "transition": "R"}],
+            },
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(server, verb, request)
+        assert excinfo.value.code == 400
+        detail = json.loads(excinfo.value.read())["error"]["detail"]
+        assert "at least one signal" in detail
+
+    def test_oversized_content_length_is_413_and_closes(self, server):
+        port = server.server_address[1]
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/grade HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: 100000000000000\r\n\r\n"
+            )
+            reply = b""
+            while True:  # the server closes: the body was never read
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413")
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"] == "PayloadTooLarge"
+
+    @pytest.mark.parametrize("verb", ["grade", "simulate"])
+    @pytest.mark.parametrize("bad", [2, -1, 256])
+    def test_non_binary_bits_are_400(self, server, verb, bad):
+        faults = [
+            serde.fault_to_payload(f, envelope=False) for f in all_faults(c17())
+        ]
+        request = stamp(
+            f"repro/request.{verb}",
+            {
+                "circuit": "c17",
+                "patterns": [{"v1": [0] * 5, "v2": [1, bad, 1, 1, 1]}],
+                "faults": faults,
+            },
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(server, verb, request)
+        assert excinfo.value.code == 400
+        detail = json.loads(excinfo.value.read())["error"]["detail"]
+        assert detail == f"pattern 0: v2 bit 1 is {bad}, expected 0 or 1"
+
+    @pytest.mark.parametrize("verb", ["campaign", "bist"])
+    def test_invalid_async_options_are_400_like_sync(self, server, verb):
+        # an async verb checks its options before the queue, as the
+        # sync generate does, so a bad option never becomes a job
+        details = []
+        for name in ("generate", verb):
+            request = stamp(
+                f"repro/request.{name}",
+                {"circuit": "c17", "options": {"generation": {"width": 0}}},
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(server, name, request)
+            assert excinfo.value.code == 400
+            details.append(json.loads(excinfo.value.read())["error"]["detail"])
+        assert details == ["width must be >= 1"] * 2
+
     def test_health_and_schemas(self, server):
         health = _get(server, "health")
         assert health["status"] == "ok"
@@ -317,6 +403,84 @@ class TestAcceptanceCriterion:
         assert envelope["ok"]
         report = serde.tpg_report_from_payload(envelope["result"])
         assert [record.status.value for record in report.records] == expected
+
+
+class TestLiveGrade:
+    """Keep-alive clients on a live server, each reply checked in-process."""
+
+    def test_concurrent_clients_match_in_process_grade(self, server):
+        from http.client import HTTPConnection
+
+        from repro.circuit.suites import suite_circuit
+        from repro.core.patterns import random_patterns
+        from repro.paths import fault_list
+
+        circuit = suite_circuit("c880", 1)
+        faults = fault_list(circuit, cap=32)
+        session = AtpgSession(circuit)
+        bodies, expected = [], []
+        for seed in range(2):  # one client per seed, each its own patterns
+            patterns = random_patterns(circuit, 16, seed=seed)
+            body = stamp(
+                "repro/request.grade",
+                {
+                    "circuit": "c880",
+                    "patterns": [
+                        serde.pattern_to_payload(p, envelope=False)
+                        for p in patterns
+                    ],
+                    "faults": [
+                        serde.fault_to_payload(f, envelope=False) for f in faults
+                    ],
+                },
+            )
+            bodies.append(json.dumps(body).encode())
+            expected.append(session.grade(patterns, faults)["detected_flags"])
+        # a server answering all-"detected" or all-"not detected" fails
+        assert all(True in flags and False in flags for flags in expected)
+
+        port = server.server_address[1]
+        replies = [[] for _ in bodies]
+        errors = []
+
+        def client(index: int) -> None:
+            conn = HTTPConnection("127.0.0.1", port, timeout=60)
+            try:
+                sockets = []
+                for _ in range(3):
+                    conn.request(
+                        "POST",
+                        "/v1/grade",
+                        body=bodies[index],
+                        headers={"X-Tenant": f"client-{index}"},
+                    )
+                    response = conn.getresponse()
+                    replies[index].append(
+                        (response.status, json.loads(response.read()))
+                    )
+                    sockets.append(conn.sock)
+                assert all(sock is sockets[0] for sock in sockets), (
+                    "the connection was not kept alive"
+                )
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            finally:
+                conn.close()
+
+        threads = [
+            threading.Thread(target=client, args=(k,)) for k in range(len(bodies))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert not errors
+        for index, client_replies in enumerate(replies):
+            assert len(client_replies) == 3
+            for status, envelope in client_replies:
+                assert status == 200 and envelope["ok"]
+                assert envelope["result"]["detected_flags"] == expected[index]
 
 
 # ---------------------------------------------------------------------------
