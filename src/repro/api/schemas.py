@@ -26,6 +26,17 @@ Spec mini-language (a nested dict per value):
   (``number`` accepts ints, ``any`` accepts everything).
 * ``{"enum": [...]}`` / ``{"const": value}`` — literal constraints.
 * ``{"anyOf": [spec, ...]}`` — union.
+
+Pattern vectors have two registered forms.  ``repro/pattern`` v1
+carries ``v1``/``v2`` as JSON int lists; v2 carries each as one
+``"0101…"`` string, character ``k`` for primary input ``k`` — a
+fraction of the bytes to parse and one string per vector to check.
+Every kind that embeds patterns moved to the string form with one
+version bump (``request.grade``/``request.simulate`` v2,
+``tpg-report`` v3, ``campaign-report`` v5); the older versions stay
+registered, and :mod:`repro.api.serde` and the service read both.
+The structural spec only says "string": the decoders check the
+characters.
 """
 
 from __future__ import annotations
@@ -90,6 +101,10 @@ PATTERN = obj(
     {"v1": arr(INT), "v2": arr(INT)},
     optional={"fault": opt(FAULT)},
 )
+#: v2: each vector is one ``"0101…"`` string, character ``k`` for
+#: primary input ``k``.  The decoders check the characters
+#: (:meth:`repro.kernel.PackedPatterns.from_text` for a request batch).
+PATTERN_V2 = obj({"v1": STR, "v2": STR}, optional={"fault": opt(FAULT)})
 # Layers and fields are all optional on the wire: a client may send
 # just the knobs it overrides ({"generation": {"width": 32}}) and the
 # decoder fills the rest with defaults.
@@ -167,23 +182,22 @@ OPTIONS = _options_spec(
         "chaos": opt(STR),
     },
 )
-FAULT_RECORD = obj(
-    {
-        "status": STATUS,
-        "mode": STR,
-        "fault": opt(FAULT),
-        "pattern": opt(PATTERN),
-    }
-)
+def _fault_record(status: Dict, pattern: Dict) -> Dict:
+    return obj(
+        {
+            "status": status,
+            "mode": STR,
+            "fault": opt(FAULT),
+            "pattern": opt(pattern),
+        }
+    )
+
+
+FAULT_RECORD = _fault_record(STATUS, PATTERN)
 #: v2: the status enum admits ``skipped_error``.
-FAULT_RECORD_V2 = obj(
-    {
-        "status": STATUS_V2,
-        "mode": STR,
-        "fault": opt(FAULT),
-        "pattern": opt(PATTERN),
-    }
-)
+FAULT_RECORD_V2 = _fault_record(STATUS_V2, PATTERN)
+#: v3: the pattern travels in its v2 string form.
+FAULT_RECORD_V3 = _fault_record(STATUS_V2, PATTERN_V2)
 CAMPAIGN_STATS = obj(
     {
         "rounds": INT,
@@ -439,10 +453,28 @@ _BIST_REPORT = obj(
 # the registry: kind -> version -> body spec
 # ---------------------------------------------------------------------------
 
+def _tpg_report_spec(record: Dict) -> Dict:
+    return obj(
+        {
+            "circuit": STR,
+            "test_class": TEST_CLASS,
+            "width": INT,
+            "records": arr(record),
+            "seconds_sensitize": NUM,
+            "seconds_generate": NUM,
+            "seconds_simulate": NUM,
+            "decisions": INT,
+            "backtracks": INT,
+            "implication_passes": INT,
+        }
+    )
+
+
 def _campaign_report_spec(
     options_spec: Dict,
     stats_spec: Dict = CAMPAIGN_STATS,
     errors: bool = False,
+    pattern: Dict = PATTERN,
 ) -> Dict:
     optional = {}
     if errors:
@@ -457,7 +489,7 @@ def _campaign_report_spec(
             "statuses": arr(arr(ANY)),  # [index, status] pairs
             "modes": arr(arr(ANY)),  # [index, mode] pairs
             "records": opt(arr(arr(ANY))),  # [index, record] pairs
-            "patterns": arr(PATTERN),
+            "patterns": arr(pattern),
             "stats": stats_spec,
             "complete": BOOL,
         },
@@ -467,7 +499,7 @@ def _campaign_report_spec(
 
 SCHEMAS: Dict[str, Dict[int, Dict]] = {
     "repro/fault": {1: FAULT},
-    "repro/pattern": {1: PATTERN},
+    "repro/pattern": {1: PATTERN, 2: PATTERN_V2},
     "repro/options": {1: OPTIONS_V1, 2: OPTIONS_V2, 3: OPTIONS_V3, 4: OPTIONS},
     "repro/circuit": {
         1: obj(
@@ -480,35 +512,11 @@ SCHEMAS: Dict[str, Dict[int, Dict]] = {
         )
     },
     "repro/tpg-report": {
-        1: obj(
-            {
-                "circuit": STR,
-                "test_class": TEST_CLASS,
-                "width": INT,
-                "records": arr(FAULT_RECORD),
-                "seconds_sensitize": NUM,
-                "seconds_generate": NUM,
-                "seconds_simulate": NUM,
-                "decisions": INT,
-                "backtracks": INT,
-                "implication_passes": INT,
-            }
-        ),
+        1: _tpg_report_spec(FAULT_RECORD),
         # v2: records may carry the skipped_error status
-        2: obj(
-            {
-                "circuit": STR,
-                "test_class": TEST_CLASS,
-                "width": INT,
-                "records": arr(FAULT_RECORD_V2),
-                "seconds_sensitize": NUM,
-                "seconds_generate": NUM,
-                "seconds_simulate": NUM,
-                "decisions": INT,
-                "backtracks": INT,
-                "implication_passes": INT,
-            }
-        ),
+        2: _tpg_report_spec(FAULT_RECORD_V2),
+        # v3: record patterns in the repro/pattern v2 string form
+        3: _tpg_report_spec(FAULT_RECORD_V3),
     },
     "repro/campaign-report": {
         1: _campaign_report_spec(OPTIONS_V1),
@@ -516,6 +524,11 @@ SCHEMAS: Dict[str, Dict[int, Dict]] = {
         3: _campaign_report_spec(OPTIONS_V3),
         # v4: supervision options + counters, quarantine error rows
         4: _campaign_report_spec(OPTIONS, CAMPAIGN_STATS_V2, errors=True),
+        # v5: patterns (and record patterns) in the repro/pattern v2
+        # string form
+        5: _campaign_report_spec(
+            OPTIONS, CAMPAIGN_STATS_V2, errors=True, pattern=PATTERN_V2
+        ),
     },
     "repro/simulate-report": {
         1: obj(
@@ -722,13 +735,23 @@ SCHEMAS: Dict[str, Dict[int, Dict]] = {
         1: obj(
             {"patterns": arr(PATTERN), "faults": arr(FAULT)},
             optional=_REQUEST_CIRCUIT,
-        )
+        ),
+        # v2: patterns in the repro/pattern v2 string form
+        2: obj(
+            {"patterns": arr(PATTERN_V2), "faults": arr(FAULT)},
+            optional=_REQUEST_CIRCUIT,
+        ),
     },
     "repro/request.grade": {
         1: obj(
             {"patterns": arr(PATTERN), "faults": arr(FAULT)},
             optional=_REQUEST_CIRCUIT,
-        )
+        ),
+        # v2: patterns in the repro/pattern v2 string form
+        2: obj(
+            {"patterns": arr(PATTERN_V2), "faults": arr(FAULT)},
+            optional=_REQUEST_CIRCUIT,
+        ),
     },
     "repro/request.paths": {
         1: obj(
@@ -776,6 +799,8 @@ def stamp(kind: str, payload: Dict, version: Optional[int] = None) -> Dict:
 
 def _check(spec: Dict, value, path: str) -> None:
     if "anyOf" in spec:
+        if value is None and NULL in spec["anyOf"]:
+            return  # an opt(...) field holding null: no failing try first
         errors = []
         for alternative in spec["anyOf"]:
             try:

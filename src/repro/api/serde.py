@@ -13,6 +13,12 @@ The generic entry points :func:`dump` / :func:`load` dispatch on
 object type / declared schema kind; both validate against the
 registry, so a payload that drifted from its declared version never
 round-trips silently.
+
+Writers emit the latest version of each kind; readers take every
+registered one.  A pattern is written in the ``repro/pattern`` v2
+form — each vector one ``"0101…"`` string, character ``k`` for primary
+input ``k`` — and read in either form, so v1-era reports (int-list
+vectors) still load into equal objects.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from typing import Dict, List, Optional
 from ..circuit import Circuit
 from ..core.patterns import TestPattern
 from ..core.results import FaultRecord, FaultStatus, TpgReport
+from ..kernel.packed import bits_text, text_bits
 from ..paths import PathDelayFault, TestClass, Transition
 from .options import Options
 from .schemas import SchemaError, stamp, validate
@@ -64,10 +71,20 @@ def fault_from_payload(payload: Dict, envelope: bool = True) -> PathDelayFault:
     )
 
 
+def _vector_bits(vector, name: str) -> tuple:
+    if not isinstance(vector, str):  # the repro/pattern v1 int list
+        return tuple(vector)
+    bits = text_bits(vector)
+    bad = bits.find(0xFF)
+    if bad >= 0:
+        raise SchemaError(f"{name} bit {bad} is {vector[bad]!r}, expected 0 or 1")
+    return tuple(bits)
+
+
 def pattern_to_payload(pattern: TestPattern, envelope: bool = True) -> Dict:
     body = {
-        "v1": list(pattern.v1),
-        "v2": list(pattern.v2),
+        "v1": bits_text(pattern.v1),
+        "v2": bits_text(pattern.v2),
         "fault": (
             fault_to_payload(pattern.fault, envelope=False)
             if pattern.fault is not None
@@ -82,8 +99,8 @@ def pattern_from_payload(payload: Dict, envelope: bool = True) -> TestPattern:
         validate(payload, kind="repro/pattern")
     fault = payload.get("fault")
     return TestPattern(
-        tuple(payload["v1"]),
-        tuple(payload["v2"]),
+        _vector_bits(payload["v1"], "v1"),
+        _vector_bits(payload["v2"], "v2"),
         fault_from_payload(fault, envelope=False) if fault is not None else None,
     )
 

@@ -37,6 +37,11 @@ Three layers:
 Every request and response body is validated against
 :mod:`repro.api.schemas`; a request with an unknown
 ``schema_version`` is rejected with HTTP 400 before any work runs.
+Simulate and grade bodies carry their patterns as ``"0101…"`` strings
+(request v2), which :func:`request_from_payload` decodes straight into
+lane planes (:meth:`repro.kernel.PackedPatterns.from_text`); v1
+bodies with int-list vectors decode into ``TestPattern`` objects as
+before.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..circuit import Circuit
 from ..core.patterns import TestPattern
+from ..kernel.packed import PackedPatterns
 from ..paths import PathDelayFault, TestClass
 from . import serde
 from .jobs import Job, JobManager, QuotaExceeded
@@ -70,7 +76,8 @@ DEFAULT_PORT = 8470
 
 #: Largest request body the handler reads; a longer ``Content-Length``
 #: gets 413 before any byte of the body is read.  A 16,384-pattern x
-#: 129-input grade sent as JSON int lists is ~13 MB.
+#: 129-input grade is ~4.8 MB with ``"0101…"`` string vectors (request
+#: v2) and ~13 MB with JSON int lists (v1).
 MAX_BODY_BYTES = 64 << 20
 
 
@@ -113,11 +120,16 @@ class CampaignRequest(_CircuitRequest):
     verb = "campaign"
 
 
+#: A request's pattern batch: objects, or the lane planes a v2 wire
+#: body decodes into (both simulators take either).
+Patterns = Union[List[TestPattern], PackedPatterns]
+
+
 @dataclass
 class SimulateRequest(_CircuitRequest):
     """Batched PPSFP detection masks (``.simulate``)."""
 
-    patterns: List[TestPattern] = field(default_factory=list)
+    patterns: Patterns = field(default_factory=list)
     faults: List[PathDelayFault] = field(default_factory=list)
 
     verb = "simulate"
@@ -127,7 +139,7 @@ class SimulateRequest(_CircuitRequest):
 class GradeRequest(_CircuitRequest):
     """Pattern-set coverage grading (``.grade``)."""
 
-    patterns: List[TestPattern] = field(default_factory=list)
+    patterns: Patterns = field(default_factory=list)
     faults: List[PathDelayFault] = field(default_factory=list)
 
     verb = "grade"
@@ -251,10 +263,18 @@ def request_from_payload(verb: str, payload: Dict) -> Request:
         if key in payload and key in names:
             values[key] = payload[key]
     if "patterns" in payload and "patterns" in names:
-        values["patterns"] = [
-            serde.pattern_from_payload(p, envelope=False)
-            for p in payload["patterns"]
-        ]
+        patterns = payload["patterns"]
+        if patterns and isinstance(patterns[0]["v1"], str):
+            # repro/pattern v2 strings: straight into lane planes, no
+            # TestPattern per pattern (the schema made every vector a
+            # string, so the first one tells the form)
+            values["patterns"] = PackedPatterns.from_text(
+                [p["v1"] for p in patterns], [p["v2"] for p in patterns]
+            )
+        else:
+            values["patterns"] = [
+                serde.pattern_from_payload(p, envelope=False) for p in patterns
+            ]
     if "faults" in payload and "faults" in names:
         values["faults"] = [
             serde.fault_from_payload(f, envelope=False) for f in payload["faults"]

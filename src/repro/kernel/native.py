@@ -341,9 +341,7 @@ def _path_arrays(
     Signal ids are range-checked here: the C walks index slabs with
     them unchecked, and faults can arrive off the wire.
     """
-    outside = ValueError(
-        f"fault path names a signal outside the circuit's {compiled.n_signals}"
-    )
+    outside = compiled.signal_range_error()
     paths = [fault.signals for fault in faults]
     offsets = np.zeros(len(paths) + 1, dtype=np.int32)
     np.cumsum(

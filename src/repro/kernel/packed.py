@@ -117,6 +117,49 @@ def bit_error(index: int, name: str, position: int, bit) -> ValueError:
     )
 
 
+def width_error(
+    index: int, name: str, bits: int, expected: int, reason: str
+) -> ValueError:
+    """The rejection of a vector of the wrong width, on every path.
+
+    *reason* says where *expected* comes from: the circuit's primary
+    inputs (:func:`repro.sim.delay_sim.check_pattern_widths`) or the
+    first vector of a batch decoded before the circuit is known
+    (:meth:`PackedPatterns.from_text`).
+    """
+    return ValueError(
+        f"pattern {index}: {name} has {bits} bits, expected {expected} ({reason})"
+    )
+
+
+#: Byte map of the ``"0101…"`` vector form: ``'0'`` -> 0, ``'1'`` -> 1,
+#: every other byte -> 0xFF, which no bit can be.
+_BIT_OF_CHAR = bytes(
+    0 if byte == ord("0") else 1 if byte == ord("1") else 0xFF
+    for byte in range(256)
+)
+_CHAR_OF_BIT = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def text_bits(text: str) -> bytes:
+    """The bits of ``"0101…"`` text, one byte per character.
+
+    The wire form of a vector (``repro/pattern`` v2): character ``k``
+    is primary input ``k``.  A character other than ``0``/``1`` becomes
+    0xFF, so ``find(0xFF)`` gives its position (a non-ASCII one too:
+    the ``"replace"`` handler keeps one byte per character).
+    """
+    return text.encode("ascii", "replace").translate(_BIT_OF_CHAR)
+
+
+def bits_text(bits: Sequence[int]) -> str:
+    """Inverse of :func:`text_bits` for a vector of 0/1 ints."""
+    raw = bytes(bits)  # ValueError outside range(0, 256)
+    if raw.translate(None, b"\x00\x01"):
+        raise ValueError("only bits 0 and 1 have a text form")
+    return raw.translate(_CHAR_OF_BIT).decode("ascii")
+
+
 def _first_bad_bit(patterns: Sequence) -> Optional[ValueError]:
     """:func:`bit_error` for the first bit other than 0 or 1, if any."""
     for index, pattern in enumerate(patterns):
@@ -177,6 +220,47 @@ class PackedPatterns:
         if a.max() > 1 or b.max() > 1:
             raise _first_bad_bit(patterns)
         return cls(v1=pack_bits(a), v2=pack_bits(b), n_patterns=len(patterns))
+
+    @classmethod
+    def from_text(cls, v1: Sequence[str], v2: Sequence[str]) -> "PackedPatterns":
+        """Pack ``"0101…"`` vectors, where character ``k`` is input ``k``.
+
+        The ``repro/pattern`` v2 wire form (kyupy's ``PackedVectors``
+        idiom), decoded with no per-pattern object: one length check
+        per vector, then per plane one :func:`text_bits` translate
+        (which also maps every character other than ``0``/``1`` to
+        0xFF), one ``np.frombuffer`` and one :func:`pack_bits`.  Every
+        vector must be as wide as the first ``v1`` (:func:`width_error`;
+        the simulators check that width against the circuit), and the
+        first character other than ``0``/``1`` in pattern order raises
+        :func:`bit_error`.
+        """
+        if not v1:
+            raise ValueError("cannot pack an empty pattern batch")
+        if len(v1) != len(v2):
+            raise ValueError(f"{len(v1)} v1 vectors but {len(v2)} v2 vectors")
+        width = len(v1[0])
+        for index, (a, b) in enumerate(zip(v1, v2)):
+            if len(a) != width or len(b) != width:
+                name, bits = ("v1", len(a)) if len(a) != width else ("v2", len(b))
+                raise width_error(
+                    index, name, bits, width, "as wide as pattern 0's v1"
+                )
+        planes, errors = [], []
+        for name, vectors in (("v1", v1), ("v2", v2)):
+            text = "".join(vectors)
+            bits = text_bits(text)
+            bad = bits.find(0xFF)
+            if bad >= 0:
+                errors.append((bad // width, name, bad % width, text[bad]))
+            planes.append(
+                np.frombuffer(bits, dtype=np.uint8).reshape(len(v1), width)
+            )
+        if errors:
+            raise bit_error(*min(errors))
+        return cls(
+            v1=pack_bits(planes[0]), v2=pack_bits(planes[1]), n_patterns=len(v1)
+        )
 
     @classmethod
     def from_vectors(cls, vectors: Sequence[Sequence[int]]) -> "PackedPatterns":

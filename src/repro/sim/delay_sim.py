@@ -55,7 +55,7 @@ from ..kernel import (
     backend_for,
     words_to_int,
 )
-from ..kernel.packed import bit_error
+from ..kernel.packed import bit_error, width_error
 from ..logic import ten_valued
 from ..logic.words import mask_for
 from ..paths import PathDelayFault, TestClass
@@ -116,18 +116,21 @@ def check_pattern_widths(patterns: Sequence[PatternLike], n_inputs: int) -> None
     pattern silently.  The session circuit breaker re-raises
     ``ValueError`` instead of demoting — no backend change can fix
     malformed input.  A :class:`PackedPatterns` batch is rectangular
-    by construction and passes unchecked.
+    by construction, so its row count is checked once, as pattern 0's:
+    the native pass would otherwise broadcast a single row to every
+    input.
     """
+    reason = "one per primary input"
     if isinstance(patterns, PackedPatterns):
+        for name, plane in (("v1", patterns.v1), ("v2", patterns.v2)):
+            if plane.shape[0] != n_inputs:
+                raise width_error(0, name, plane.shape[0], n_inputs, reason)
         return
     for index, pattern in enumerate(patterns):
         if len(pattern.v1) != n_inputs or len(pattern.v2) != n_inputs:
             name = "v1" if len(pattern.v1) != n_inputs else "v2"
-            raise ValueError(
-                f"pattern {index}: {name} has "
-                f"{len(getattr(pattern, name))} bits, expected {n_inputs} "
-                f"(one per primary input)"
-            )
+            bits = len(getattr(pattern, name))
+            raise width_error(index, name, bits, n_inputs, reason)
 
 
 def simulate_planes(
@@ -393,6 +396,7 @@ class DelayFaultSimulator:
             # module: one Python call per batch
             packed = patterns if pre_packed else PackedPatterns.from_patterns(patterns)
             return backend.ppsfp_masks(compiled, packed, faults, robust)
+        compiled.check_fault_signals(faults)
         if isinstance(backend, NumpyWordBackend):
             packed = patterns if pre_packed else PackedPatterns.from_patterns(patterns)
             values = _LazyIntPlanes(
@@ -599,6 +603,7 @@ def strength_masks_all(
     if getattr(word_backend, "kind", None) == "native":
         packed = patterns if pre_packed else PackedPatterns.from_patterns(patterns)
         return word_backend.strength_triples(compiled, packed, faults)
+    compiled.check_fault_signals(faults)
     if isinstance(word_backend, NumpyWordBackend):
         packed = patterns if pre_packed else PackedPatterns.from_patterns(patterns)
         valid = packed.lane_valid()

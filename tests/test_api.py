@@ -175,6 +175,68 @@ class TestSessionSimulateGradePaths:
             )
         assert not session.degraded  # rejection, not demotion
 
+    @pytest.mark.parametrize("strength", [False, True])
+    @pytest.mark.parametrize(
+        "backend", ["int", "numpy", pytest.param("native", marks=needs_native)]
+    )
+    def test_packed_batch_of_the_wrong_width_raises_value_error(
+        self, backend, strength
+    ):
+        import numpy as np
+
+        from repro.kernel import PackedPatterns, pack_bits
+
+        session = AtpgSession.open("c880")  # 17 inputs
+        n_inputs = len(session.circuit.inputs)
+        faults = fault_list(session.circuit, cap=32)
+        rng = np.random.default_rng(3)
+        # one row would broadcast to every input in the native pass
+        for rows in (1, n_inputs - 1, n_inputs + 1):
+            bits = rng.integers(0, 2, size=(4, rows), dtype=np.uint8)
+            packed = PackedPatterns(
+                v1=pack_bits(bits), v2=pack_bits(bits ^ 1), n_patterns=4
+            )
+            with pytest.raises(ValueError) as excinfo:
+                session.grade(packed, faults, backend=backend, strength=strength)
+            assert str(excinfo.value) == (
+                f"pattern 0: v1 has {rows} bits, expected {n_inputs} "
+                "(one per primary input)"
+            )
+        assert not session.degraded
+
+    @pytest.mark.parametrize("strength", [False, True])
+    @pytest.mark.parametrize(
+        "backend, fusion",
+        [
+            ("int", "auto"),
+            ("int", "interp"),
+            ("numpy", "auto"),
+            ("numpy", "interp"),
+            pytest.param("native", "auto", marks=needs_native),
+        ],
+    )
+    @pytest.mark.parametrize("signal", [9999, -3])
+    def test_fault_signal_outside_the_circuit_raises_value_error(
+        self, backend, fusion, signal, strength
+    ):
+        from repro.core.patterns import TestPattern
+        from repro.paths import PathDelayFault, Transition
+
+        session = AtpgSession.open("c17")
+        patterns = [TestPattern((0,) * 5, (1,) * 5)]
+        for signals in ((signal,), (0, 5, signal)):
+            faults = [PathDelayFault(signals, Transition.RISING)]
+            with pytest.raises(ValueError) as excinfo:
+                session.grade(
+                    patterns, faults, backend=backend, fusion=fusion,
+                    strength=strength,
+                )
+            assert str(excinfo.value) == (
+                "fault path names a signal outside the circuit's "
+                f"{session.compiled.n_signals}"
+            )
+        assert not session.degraded  # rejection, not demotion
+
     def test_paths_statistics(self):
         session = AtpgSession.open("paper_example")
         result = session.paths(histogram=True, limit=3)
@@ -367,6 +429,38 @@ class TestTipDispatcher:
         assert main(["validate", str(checkpoint)]) == 0
         out = capsys.readouterr().out
         assert out.startswith(f"ok   {checkpoint}: repro/campaign-checkpoint v3")
+        # tpg reports: the current string-vector v3 and a v1-era file
+        # with int-list vectors both validate
+        import json
+
+        from repro.api import serde
+
+        def int_lists(pattern):
+            if pattern is None:
+                return None
+            return {
+                **pattern,
+                "v1": [int(c) for c in pattern["v1"]],
+                "v2": [int(c) for c in pattern["v2"]],
+            }
+
+        report = AtpgSession.open("c17").generate(width=4)
+        current = serde.tpg_report_to_payload(report)
+        v1_era = {
+            **current,
+            "schema_version": 1,
+            "records": [
+                {**record, "pattern": int_lists(record["pattern"])}
+                for record in current["records"]
+            ],
+        }
+        assert any(record["pattern"] for record in v1_era["records"])
+        for version, payload in ((3, current), (1, v1_era)):
+            path = tmp_path / f"tpg-v{version}.json"
+            path.write_text(json.dumps(payload))
+            assert main(["validate", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith(f"ok   {path}: repro/tpg-report v{version}")
 
     def test_command_set(self):
         from repro.cli import COMMANDS

@@ -215,6 +215,45 @@ class TestPackedPatterns:
             PackedPatterns.from_patterns([])
         with pytest.raises(ValueError):
             PackedPatterns.from_vectors([])
+        with pytest.raises(ValueError):
+            PackedPatterns.from_text([], [])
+
+    @given(
+        st.integers(1, 200),
+        st.sampled_from([1, 63, 64, 65, 130]),
+        st.integers(0, 10_000),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_text_decoder_matches_from_patterns(self, n_inputs, count, seed):
+        from repro.core.patterns import TestPattern
+
+        rng = random.Random(seed)
+        patterns = [
+            TestPattern(
+                tuple(rng.randint(0, 1) for _ in range(n_inputs)),
+                tuple(rng.randint(0, 1) for _ in range(n_inputs)),
+            )
+            for _ in range(count)
+        ]
+        expected = PackedPatterns.from_patterns(patterns)
+        decoded = PackedPatterns.from_text(
+            ["".join(map(str, p.v1)) for p in patterns],
+            ["".join(map(str, p.v2)) for p in patterns],
+        )
+        assert decoded.n_patterns == expected.n_patterns == count
+        assert decoded.v1.dtype == expected.v1.dtype == np.uint64
+        assert np.array_equal(decoded.v1, expected.v1)
+        assert np.array_equal(decoded.v2, expected.v2)
+
+    def test_text_decoder_reports_the_first_bad_character(self):
+        # the wire tests cover each message; this pins the order: the
+        # first bad character by pattern, v1 before v2, although the
+        # whole v1 plane is scanned before the v2 plane
+        with pytest.raises(ValueError) as excinfo:
+            PackedPatterns.from_text(["0101", "01x1"], ["0 01", "0101"])
+        assert str(excinfo.value) == "pattern 0: v2 bit 1 is ' ', expected 0 or 1"
+        with pytest.raises(ValueError, match="2 v1 vectors but 1 v2 vectors"):
+            PackedPatterns.from_text(["01", "10"], ["01"])
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,23 @@ def json_round(payload):
     return json.loads(json.dumps(payload))
 
 
+def int_list_pattern(pattern):
+    """A ``repro/pattern`` v2 body rewritten in the v1 int-list form."""
+    if pattern is None:
+        return None
+    return {**pattern, "v1": [int(c) for c in pattern["v1"]],
+            "v2": [int(c) for c in pattern["v2"]]}
+
+
+def int_list_tpg_report(payload, version):
+    """A ``repro/tpg-report`` v3 payload as its int-list *version*."""
+    records = [
+        {**record, "pattern": int_list_pattern(record["pattern"])}
+        for record in payload["records"]
+    ]
+    return {**payload, "schema_version": version, "records": records}
+
+
 # ---------------------------------------------------------------------------
 # round-trip laws
 # ---------------------------------------------------------------------------
@@ -108,8 +125,24 @@ class TestRoundTrips:
     @given(pattern=patterns())
     def test_pattern(self, pattern):
         payload = json_round(serde.pattern_to_payload(pattern))
+        assert payload["schema_version"] == 2
+        assert payload["v1"] == "".join(map(str, pattern.v1))
         assert serde.pattern_from_payload(payload) == pattern
         assert serde.load(payload) == pattern
+
+    @given(pattern=patterns())
+    def test_pattern_v1_int_lists_still_decode(self, pattern):
+        body = serde.pattern_to_payload(pattern, envelope=False)
+        payload = stamp("repro/pattern", int_list_pattern(body), version=1)
+        assert serde.pattern_from_payload(json_round(payload)) == pattern
+        assert serde.load(json_round(payload)) == pattern
+
+    @pytest.mark.parametrize("vector", ["01x", "0 1", "2", "0\uff11"])
+    def test_pattern_with_a_non_binary_character_is_rejected(self, vector):
+        payload = stamp("repro/pattern", {"v1": "0" * len(vector), "v2": vector})
+        validate(payload)  # the spec says "string"; the decoder reads it
+        with pytest.raises(SchemaError, match="v2 bit .* expected 0 or 1"):
+            serde.pattern_from_payload(payload)
 
     @given(options=options_strategy)
     def test_options(self, options):
@@ -120,7 +153,17 @@ class TestRoundTrips:
     @given(report=tpg_reports)
     def test_tpg_report(self, report):
         payload = json_round(serde.tpg_report_to_payload(report))
+        assert payload["schema_version"] == 3
         assert serde.tpg_report_from_payload(payload) == report
+        # the int-list versions still decode to the same report (v1
+        # predates the skipped_error status)
+        versions = [2]
+        if all(r.status is not FaultStatus.SKIPPED_ERROR for r in report.records):
+            versions.append(1)
+        for version in versions:
+            old = int_list_tpg_report(payload, version)
+            validate(old)
+            assert serde.tpg_report_from_payload(old) == report
 
     @pytest.mark.parametrize(
         "circuit", [c17(), ripple_carry_adder(3), random_dag(6, 20, seed=3)]
@@ -141,9 +184,22 @@ class TestRoundTrips:
             universe=None, test_class="nonrobust", width=4, compact_every=8
         )
         payload = json_round(serde.campaign_report_to_payload(report))
+        assert payload["schema_version"] == 5
+        assert isinstance(payload["patterns"][0]["v1"], str)
         rebuilt = serde.campaign_report_from_payload(payload)
         assert rebuilt == report
         assert serde.load(payload) == report
+        # the v4 int-list form still decodes to the same report
+        v4 = {
+            **payload,
+            "schema_version": 4,
+            "patterns": [int_list_pattern(p) for p in payload["patterns"]],
+            "records": [
+                [index, {**r, "pattern": int_list_pattern(r["pattern"])}]
+                for index, r in payload["records"]
+            ],
+        }
+        assert serde.load(v4) == report
 
     def test_campaign_report_without_records(self):
         from repro.api import AtpgSession
@@ -203,6 +259,22 @@ class TestEnvelope:
         payload = stamp("repro/fault", {"signals": ["a"], "transition": "R"})
         with pytest.raises(SchemaError, match="expected int"):
             validate(payload)
+
+    def test_null_only_passes_where_null_is_an_alternative(self):
+        # opt(...) fields take null without trying the other branch; a
+        # null anywhere else still fails with the type message
+        validate(stamp("repro/pattern", {"v1": "01", "v2": "10", "fault": None}))
+        payload = stamp("repro/pattern", {"v1": None, "v2": "10"})
+        with pytest.raises(SchemaError) as excinfo:
+            validate(payload)
+        assert str(excinfo.value) == "$.v1: expected string, got NoneType"
+        fault = stamp("repro/pattern", {"v1": "0", "v2": "1", "fault": 3})
+        with pytest.raises(SchemaError) as excinfo:
+            validate(fault)
+        assert str(excinfo.value) == (
+            "$.fault: no alternative matched ($.fault: expected object, got "
+            "int; $.fault: expected null, got int)"
+        )
 
 
 # ---------------------------------------------------------------------------

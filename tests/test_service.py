@@ -26,8 +26,14 @@ from repro.api import (
     serde,
 )
 from repro.api.schemas import SchemaError, stamp, validate
+from repro.api.service import request_from_payload as service_request
 from repro.circuit.library import C17_BENCH, c17
+from repro.kernel import native_available
 from repro.paths import TestClass, all_faults
+
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="no C toolchain and no cached native module"
+)
 
 
 def legacy_statuses(circuit, faults, test_class):
@@ -111,6 +117,74 @@ class TestDispatcher:
         assert grade.payload == stamp(
             "repro/grade-report", session.grade(patterns, faults)
         )
+
+    def test_string_and_int_list_bodies_answer_alike(self):
+        # c880's flags are mixed, so a lane or input mix-up in the
+        # string decoder shows in the flags and masks
+        from repro.circuit.suites import suite_circuit
+        from repro.core.patterns import random_patterns
+        from repro.kernel import PackedPatterns
+        from repro.paths import fault_list
+
+        circuit = suite_circuit("c880", 1)
+        faults = fault_list(circuit, cap=64)
+        patterns = random_patterns(circuit, 70, seed=5)  # crosses a word
+        wire_faults = [serde.fault_to_payload(f, envelope=False) for f in faults]
+        forms = {
+            1: [{"v1": list(p.v1), "v2": list(p.v2)} for p in patterns],
+            2: [serde.pattern_to_payload(p, envelope=False) for p in patterns],
+        }
+        service = AtpgService()
+        replies = {}
+        for verb in ("grade", "simulate"):
+            for version, wire in forms.items():
+                body = stamp(
+                    f"repro/request.{verb}",
+                    {"circuit": "c880", "patterns": wire, "faults": wire_faults},
+                    version=version,
+                )
+                decoded = service_request(verb, body).patterns
+                assert isinstance(decoded, PackedPatterns if version == 2 else list)
+                response = service.handle_json(verb, body)
+                assert response.ok, response.payload
+                replies[verb, version] = response.payload
+            assert replies[verb, 1] == replies[verb, 2]
+        session = AtpgSession(circuit)
+        flags = replies["grade", 2]["detected_flags"]
+        assert True in flags and False in flags
+        assert flags == session.grade(patterns, faults)["detected_flags"]
+        masks = [int(mask, 16) for mask in replies["simulate", 2]["masks"]]
+        assert masks == session.simulate(patterns, faults)
+
+    @pytest.mark.parametrize(
+        "tier", ["python", pytest.param("native", marks=needs_native)]
+    )
+    @pytest.mark.parametrize("verb", ["grade", "simulate"])
+    @pytest.mark.parametrize("signal", [9999, -3])
+    def test_fault_signal_outside_the_circuit_is_400(
+        self, monkeypatch, tier, verb, signal
+    ):
+        if tier == "python":  # the tiers a host without a compiler runs
+            from repro.kernel import native as native_mod
+
+            monkeypatch.setattr(native_mod, "_state", (None, "forced by test"))
+        service = AtpgService()
+        body = stamp(
+            f"repro/request.{verb}",
+            {
+                "circuit": "c17",
+                "patterns": [{"v1": "00000", "v2": "11111"}],
+                "faults": [{"signals": [signal], "transition": "R"}],
+            },
+        )
+        response = service.handle_json(verb, body)
+        n_signals = c17().compiled().n_signals
+        assert response.status == 400
+        assert response.payload == {
+            "error": "ValueError",
+            "detail": f"fault path names a signal outside the circuit's {n_signals}",
+        }
+        assert service.metrics()["degraded_circuits"] == 0
 
     def test_partial_options_on_the_wire(self):
         # clients may send only the knobs they override
@@ -270,6 +344,7 @@ class TestHttpEndpoint:
         request = stamp(
             f"repro/request.{verb}",
             {"circuit": "c17", "patterns": patterns, "faults": faults},
+            version=1,  # int-list vectors
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(server, verb, request)
@@ -298,6 +373,7 @@ class TestHttpEndpoint:
                 "patterns": [{"v1": [0] * 5, "v2": [1] * 5}],
                 "faults": [{"signals": [], "transition": "R"}],
             },
+            version=1,  # int-list vectors
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(server, verb, request)
@@ -336,12 +412,111 @@ class TestHttpEndpoint:
                 "patterns": [{"v1": [0] * 5, "v2": [1, bad, 1, 1, 1]}],
                 "faults": faults,
             },
+            version=1,  # int-list vectors
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(server, verb, request)
         assert excinfo.value.code == 400
         detail = json.loads(excinfo.value.read())["error"]["detail"]
         assert detail == f"pattern 0: v2 bit 1 is {bad}, expected 0 or 1"
+
+    # ------------------------------------------------ "0101…" string twins
+    @pytest.mark.parametrize("verb", ["grade", "simulate"])
+    @pytest.mark.parametrize(
+        "patterns, detail",
+        [
+            # widths 5, 4 and 6 on the 5-input c17
+            (
+                [{"v1": "0" * n, "v2": "1" * n} for n in (5, 4, 6)],
+                "pattern 1: v1 has 4 bits, expected 5 (as wide as pattern 0's v1)",
+            ),
+            (
+                [{"v1": "00000", "v2": "1111"}, {"v1": "00000", "v2": "111111"}],
+                "pattern 0: v2 has 4 bits, expected 5 (as wide as pattern 0's v1)",
+            ),
+            # uniform, so only the circuit's input count can catch it
+            (
+                [{"v1": "0000", "v2": "1111"}] * 3,
+                "pattern 0: v1 has 4 bits, expected 5 (one per primary input)",
+            ),
+            (
+                [{"v1": "", "v2": ""}],
+                "pattern 0: v1 has 0 bits, expected 5 (one per primary input)",
+            ),
+            (
+                [{"v1": "00000", "v2": "11111"}, {"v1": "00000", "v2": ""}],
+                "pattern 1: v2 has 0 bits, expected 5 (as wide as pattern 0's v1)",
+            ),
+        ],
+        ids=["ragged", "v1-v2-mismatch", "uniform-width", "empty", "empty-v2"],
+    )
+    def test_malformed_string_widths_are_400(self, server, verb, patterns, detail):
+        faults = [
+            serde.fault_to_payload(f, envelope=False) for f in all_faults(c17())
+        ]
+        request = stamp(
+            f"repro/request.{verb}",
+            {"circuit": "c17", "patterns": patterns, "faults": faults},
+        )
+        assert request["schema_version"] == 2
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(server, verb, request)
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read())["error"]["detail"] == detail
+
+    @pytest.mark.parametrize("verb", ["grade", "simulate"])
+    @pytest.mark.parametrize("bad", ["2", " ", "x", "\uff11"])
+    def test_non_binary_characters_are_400(self, server, verb, bad):
+        faults = [
+            serde.fault_to_payload(f, envelope=False) for f in all_faults(c17())
+        ]
+        request = stamp(
+            f"repro/request.{verb}",
+            {
+                "circuit": "c17",
+                "patterns": [
+                    {"v1": "00000", "v2": "11111"},
+                    {"v1": "00000", "v2": f"1{bad}111"},
+                ],
+                "faults": faults,
+            },
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(server, verb, request)
+        assert excinfo.value.code == 400
+        detail = json.loads(excinfo.value.read())["error"]["detail"]
+        assert detail == f"pattern 1: v2 bit 1 is {bad!r}, expected 0 or 1"
+
+    @pytest.mark.parametrize("verb", ["grade", "simulate"])
+    def test_empty_signal_fault_with_string_patterns_is_400(self, server, verb):
+        request = stamp(
+            f"repro/request.{verb}",
+            {
+                "circuit": "c17",
+                "patterns": [{"v1": "00000", "v2": "11111"}],
+                "faults": [{"signals": [], "transition": "R"}],
+            },
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(server, verb, request)
+        assert excinfo.value.code == 400
+        detail = json.loads(excinfo.value.read())["error"]["detail"]
+        assert "at least one signal" in detail
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_empty_pattern_list_grades_nothing(self, server, version):
+        faults = [
+            serde.fault_to_payload(f, envelope=False) for f in all_faults(c17())
+        ]
+        request = stamp(
+            "repro/request.grade",
+            {"circuit": "c17", "patterns": [], "faults": faults},
+            version=version,
+        )
+        envelope = _post(server, "grade", request)
+        assert envelope["ok"]
+        assert envelope["result"]["patterns"] == 0
+        assert envelope["result"]["detected_flags"] == [False] * len(faults)
 
     @pytest.mark.parametrize("verb", ["campaign", "bist"])
     def test_invalid_async_options_are_400_like_sync(self, server, verb):
@@ -434,6 +609,9 @@ class TestLiveGrade:
                     ],
                 },
             )
+            # the "0101…" string form, decoded straight into lane planes
+            assert body["schema_version"] == 2
+            assert isinstance(body["patterns"][0]["v1"], str)
             bodies.append(json.dumps(body).encode())
             expected.append(session.grade(patterns, faults)["detected_flags"])
         # a server answering all-"detected" or all-"not detected" fails
