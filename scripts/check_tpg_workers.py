@@ -4,24 +4,35 @@ Runs the ``tpg`` workload's input — c1355-like x2, its first 2048
 structural faults (``strategy="all"``), nonrobust, width 32 — through
 ``AtpgSession.campaign`` with ``workers=1`` and ``workers=2``, and
 exits non-zero unless both runs settle every fault the same way,
-return the same test set, and reproduce the pinned counts below.
-Pool workers unpickle the circuit and rebuild its memoized kernel and
-implication tables, which the small circuits of the test suite barely
-exercise.
+return the same test set, and reproduce the pinned counts and digest
+below.  Pool workers unpickle the circuit and rebuild its memoized
+kernel and implication tables, which the small circuits of the test
+suite barely exercise.
+
+The digest pins the statuses and the test set bit for bit.  The same
+constant holds on the C TPG engine and on the Python one
+(``CC=/nonexistent`` with an empty ``REPRO_NATIVE_CACHE``), so one
+value checks both engines against each other — the C sensitizer
+against the Python sensitizer among them.
 
     PYTHONPATH=src python scripts/check_tpg_workers.py
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
 from collections import Counter
 
 from repro.api import AtpgSession, resolve
+from repro.core.state import tpg_tier
 from repro.paths import fault_list
 
 #: the statuses and test-set size this input settles to
 EXPECTED = {"tested": 366, "redundant": 722, "simulated": 960, "patterns": 366}
+#: SHA-256 of the JSON of [statuses, [[v1, v2] per pattern]] (see digest)
+EXPECTED_DIGEST = "463c6d7636840c8c049f58a6e33c70b8887ed7e9f03683c4f7a2bc53d70c304d"
 
 
 def run(session: AtpgSession, faults, workers: int):
@@ -33,6 +44,12 @@ def run(session: AtpgSession, faults, workers: int):
     return statuses, patterns
 
 
+def digest(statuses, patterns) -> str:
+    """SHA-256 of ``json.dumps([statuses, [[v1, v2] per pattern]])``."""
+    rows = [[list(v1), list(v2)] for v1, v2 in patterns]
+    return hashlib.sha256(json.dumps([statuses, rows]).encode()).hexdigest()
+
+
 def main() -> int:
     circuit = resolve.resolve_circuit("c1355", 2)
     session = AtpgSession(circuit)
@@ -40,8 +57,10 @@ def main() -> int:
     serial = run(session, faults, workers=1)
     pooled = run(session, faults, workers=2)
     counts = dict(Counter(serial[0]), patterns=len(serial[1]))
-    print(f"workers=1: {counts}")
+    print(f"workers=1 on the {tpg_tier(32)} TPG engine: {counts}")
     errors = []
+    if digest(*serial) != EXPECTED_DIGEST:
+        errors.append(f"digest {digest(*serial)} != expected {EXPECTED_DIGEST}")
     if pooled[0] != serial[0]:
         errors.append("workers=2 settled faults differently from workers=1")
     if pooled[1] != serial[1]:
@@ -52,7 +71,10 @@ def main() -> int:
     for message in errors:
         print(f"FAIL {message}")
     if not errors:
-        print("ok: workers=1 and workers=2 agree and match the expected counts")
+        print(
+            "ok: workers=1 and workers=2 agree and match the expected "
+            "counts and digest"
+        )
     return 1 if errors else 0
 
 

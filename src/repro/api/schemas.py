@@ -479,7 +479,9 @@ def _campaign_report_spec(
     optional = {}
     if errors:
         # [index, envelope] pairs for skipped_error faults; emitted
-        # only when a shard was quarantined
+        # only when some fault has one: its shard was quarantined, or
+        # its path names a signal outside the circuit (refused at
+        # admission, "attempts": 0)
         optional["errors"] = arr(arr(ANY))
     return obj(
         {

@@ -26,6 +26,18 @@ set:
   set still detects everything the report claims, while bounding the
   memory and admission-check cost of long campaigns.
 
+The faults live in one :class:`repro.paths.FaultTable` the bus owns:
+every fault is flattened and range-checked once, when it is admitted
+(or restored on resume), and each drop round hands the simulator a
+:class:`repro.paths.FaultRows` view of the pending rows — one index
+array for the C walk instead of every pending path re-flattened from
+Python tuples.  A fault naming a signal outside the circuit fails that
+check alone and is handed back for the campaign to settle
+``skipped_error``; it is never simulated or scheduled.  Rows of settled
+faults are released, and the table is rebuilt from the live rows once
+those are outnumbered, so under a ``window`` the table stays bounded
+by the window, not the universe.
+
 One :class:`repro.sim.delay_sim.DelayFaultSimulator` instance is
 reused for every admission check and drop round — the compiled kernel
 and backend selection are paid once per campaign.  The ``backend``
@@ -37,16 +49,36 @@ native module whenever it loads.
 from __future__ import annotations
 
 import time
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..circuit import Circuit
 from ..core.patterns import TestPattern
-from ..paths import PathDelayFault, TestClass
+from ..paths import FaultTable, PathDelayFault, TestClass
+from ..paths.table import signal_range_error
 from ..sim.delay_sim import DelayFaultSimulator
+
+#: (stream index, fault) pairs, as the campaign streams them.
+Arrivals = List[Tuple[int, PathDelayFault]]
+#: (stream index, fault, error) of faults the fault table refused.
+Rejected = List[Tuple[int, PathDelayFault, ValueError]]
 
 
 class DropBus:
-    """Merges fresh patterns and drops detected pending faults."""
+    """Merges fresh patterns and drops detected pending faults.
+
+    The bus owns the campaign's :class:`repro.paths.FaultTable`: every
+    fault gets a row when it is admitted (:meth:`admit`) or restored
+    from a checkpoint (:meth:`register`), and gives it back when it
+    settles (:meth:`release`).  The live rows are exactly the
+    campaign's pending faults, in the same order, so a drop round hands
+    the C walk one index array instead of re-flattening every pending
+    path.  Once released rows outnumber live ones, the next
+    registration rebuilds the table from the live rows: memory follows
+    the pending window, not the universe.
+    """
 
     def __init__(
         self,
@@ -76,51 +108,92 @@ class DropBus:
         # *targets* them.  Only tracked when compaction is on (the
         # list grows with every drop).
         self.obligations: List[PathDelayFault] = []
+        self.table = FaultTable(self.simulator.compiled.n_signals)
+        # stream index -> table row of every live (registered, not yet
+        # released) fault, in registration order
+        self._rows: Dict[int, int] = {}
+
+    # ------------------------------------------------------------ rows
+    def register(self, arrivals: Arrivals) -> Tuple[Arrivals, Rejected]:
+        """Give each arrival a table row; split off the malformed ones.
+
+        Returns the registered arrivals, in order, and
+        ``(index, fault, error)`` for each one whose path names a
+        signal outside the circuit — those get no row and are never
+        simulated or scheduled.
+        """
+        if len(self.table) > 2 * len(self._rows):
+            self._rebuild()
+        faults = [fault for _index, fault in arrivals]
+        rows, bad = self.table.extend_valid(faults)
+        rejected: Rejected = []
+        if bad:
+            error = signal_range_error(self.table.n_signals)
+            rejected = [(*arrivals[k], error) for k in bad]
+            skipped = set(bad)
+            arrivals = [a for k, a in enumerate(arrivals) if k not in skipped]
+        for (index, _fault), row in zip(arrivals, rows):
+            self._rows[index] = row
+        return list(arrivals), rejected
+
+    def release(self, index: int) -> None:
+        """Forget a settled fault's row (a no-op for unknown indices)."""
+        self._rows.pop(index, None)
+
+    def _rebuild(self) -> None:
+        """Rebuild the table from the live rows, renumbering them."""
+        live = np.fromiter(self._rows.values(), np.int32, count=len(self._rows))
+        self.table = self.table.take(live)
+        self._rows = dict(zip(self._rows, range(len(live))))
 
     # ------------------------------------------------------------ rounds
-    def absorb(
-        self,
-        fresh: Sequence[TestPattern],
-        pending: Dict[int, PathDelayFault],
-    ) -> List[int]:
-        """Retain *fresh* patterns; return pending indices they detect.
+    def absorb(self, fresh: Sequence[TestPattern]) -> List[int]:
+        """Retain *fresh* patterns; return the live indices they detect.
 
-        *pending* is the campaign's live index->fault map (already
-        stripped of settled faults, so no rescan of the full universe
-        happens here — the set only ever shrinks).
+        The live rows are the campaign's pending faults (settled
+        faults were released, so no rescan of the full universe
+        happens here — the set only ever shrinks between admissions).
         """
         dropped: List[int] = []
-        if fresh and self.enabled and pending:
+        if fresh and self.enabled and self._rows:
             t0 = time.perf_counter()
-            indices = list(pending)
-            masks = self.simulator.detection_masks(
-                list(fresh), [pending[i] for i in indices]
+            indices = list(self._rows)
+            view = self.table.view(
+                np.fromiter(self._rows.values(), np.int32, count=len(indices))
             )
-            dropped = [i for i, mask in zip(indices, masks) if mask]
+            masks = self.simulator.detection_masks(list(fresh), view)
+            dropped = list(compress(indices, masks))
             self.seconds_simulate += time.perf_counter() - t0
             if self.compact_every is not None:
-                self.obligations.extend(pending[i] for i in dropped)
+                self.obligations.extend(compress(view, masks))
         self.patterns.extend(fresh)
         self._since_compaction += len(fresh)
         self._maybe_compact()
         return dropped
 
-    def admit(
-        self, arrivals: Sequence[Tuple[int, PathDelayFault]]
-    ) -> Tuple[List[Tuple[int, PathDelayFault]], List[int]]:
-        """Split newly streamed faults into (still pending, dropped).
+    def admit(self, arrivals: Arrivals) -> Tuple[Arrivals, List[int], Rejected]:
+        """Split newly streamed faults into (pending, dropped, rejected).
 
-        Checks each arrival against the full retained pattern set in
-        one bulk pass; order is preserved for the pending survivors.
+        Registers every well-formed arrival (:meth:`register`) and
+        checks them against the full retained pattern set in one bulk
+        pass; order is preserved for the pending survivors.  Dropped
+        indices keep their rows until the campaign settles (and
+        releases) them.
         """
+        arrivals, rejected = self.register(arrivals)
         if not arrivals or not self.enabled or not self.patterns:
-            return list(arrivals), []
+            return arrivals, [], rejected
         t0 = time.perf_counter()
-        masks = self.simulator.detection_masks(
-            self.patterns, [fault for _index, fault in arrivals]
+        view = self.table.view(
+            np.fromiter(
+                (self._rows[index] for index, _fault in arrivals),
+                np.int32,
+                count=len(arrivals),
+            )
         )
+        masks = self.simulator.detection_masks(self.patterns, view)
         self.seconds_simulate += time.perf_counter() - t0
-        fresh: List[Tuple[int, PathDelayFault]] = []
+        fresh: Arrivals = []
         dropped: List[int] = []
         for (index, fault), mask in zip(arrivals, masks):
             if mask:
@@ -129,7 +202,7 @@ class DropBus:
                     self.obligations.append(fault)
             else:
                 fresh.append((index, fault))
-        return fresh, dropped
+        return fresh, dropped, rejected
 
     # ------------------------------------------------------------ compaction
     def _maybe_compact(self) -> None:

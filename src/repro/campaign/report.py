@@ -130,8 +130,9 @@ class CampaignReport:
     patterns: List[TestPattern] = field(default_factory=list)
     stats: CampaignStats = field(default_factory=CampaignStats)
     complete: bool = False
-    #: stream index -> error envelope of a quarantined shard's faults
-    #: (those faults' statuses are ``skipped_error``).
+    #: stream index -> error envelope of every ``skipped_error`` fault:
+    #: a quarantined shard's faults, and faults whose path names a
+    #: signal outside the circuit (refused at admission, 0 attempts).
     errors: Dict[int, Dict[str, object]] = field(default_factory=dict)
 
     # ------------------------------------------------------------ queries

@@ -41,7 +41,7 @@ from ..circuit import Circuit
 from ..core.patterns import TestPattern
 from ..core.results import FaultRecord, FaultStatus
 from ..paths import PathDelayFault, TestClass
-from .bus import DropBus
+from .bus import DropBus, Rejected
 from .report import (
     CampaignReport,
     checkpoint_payload,
@@ -50,7 +50,7 @@ from .report import (
     schedule_fingerprint,
     write_checkpoint,
 )
-from .scheduler import Supervision, make_executor
+from .scheduler import Supervision, error_envelope, make_executor
 from .universe import FaultUniverse
 
 #: Admission checks run in bounded slices so an unbounded-window pull
@@ -146,20 +146,23 @@ class _Campaign:
             self.report.records[index] = FaultRecord(fault, status, pattern, mode)
         self.pending.pop(index, None)
         self.queued.discard(index)
+        self.bus.release(index)
 
-    def _settle_quarantined(
-        self, indices: Sequence[int], envelope: Dict[str, object]
+    def _settle_error(
+        self,
+        index: int,
+        fault: Optional[PathDelayFault],
+        envelope: Dict[str, object],
     ) -> None:
-        """Settle a quarantined shard's faults as ``skipped_error``."""
-        for index in indices:
-            self.report.errors[index] = dict(envelope)
-            self.settle(
-                index,
-                self.pending.get(index),
-                FaultStatus.SKIPPED_ERROR,
-                None,
-                "error",
-            )
+        """Settle one fault as ``skipped_error`` with its error envelope."""
+        self.report.errors[index] = dict(envelope)
+        self.settle(index, fault, FaultStatus.SKIPPED_ERROR, None, "error")
+
+    def _settle_rejected(self, rejected: Rejected) -> None:
+        """Settle faults the fault table refused (a signal outside the
+        circuit): never scheduled, so no attempt was made."""
+        for index, fault, error in rejected:
+            self._settle_error(index, fault, error_envelope(error, 0))
 
     def _note_pending_peak(self) -> None:
         if len(self.pending) > self.report.stats.peak_pending:
@@ -167,7 +170,8 @@ class _Campaign:
 
     # ------------------------------------------------------------ admission
     def _admit(self, arrivals: List[Tuple[int, PathDelayFault]]) -> None:
-        survivors, dropped = self.bus.admit(arrivals)
+        survivors, dropped, rejected = self.bus.admit(arrivals)
+        self._settle_rejected(rejected)
         lookup = dict(arrivals)
         for index in dropped:
             self.settle(
@@ -239,7 +243,8 @@ class _Campaign:
             if result.error is not None:
                 # quarantined shard: its faults are settled as
                 # skipped_error with the envelope, never retried again
-                self._settle_quarantined(batch, result.error)
+                for index in batch:
+                    self._settle_error(index, self.pending[index], result.error)
                 continue
             stats.decisions += result.decisions
             stats.implication_passes += result.implication_passes
@@ -255,7 +260,7 @@ class _Campaign:
                 else:  # deferred to APTPG; stays pending (and droppable)
                     self.queued.add(index)
                     self.queue.append(index)
-        self._apply_drops(self.bus.absorb(fresh, self.pending))
+        self._apply_drops(self.bus.absorb(fresh))
         stats.rounds += 1
         stats.fptpg_rounds += 1
         return True
@@ -275,7 +280,7 @@ class _Campaign:
         fresh: List[TestPattern] = []
         for index, result in zip(targets, results):
             if result.error is not None:
-                self._settle_quarantined([index], result.error)
+                self._settle_error(index, self.pending[index], result.error)
                 continue
             stats.decisions += result.decisions
             stats.backtracks += result.backtracks
@@ -286,7 +291,7 @@ class _Campaign:
             self.settle(index, self.pending[index], status, pattern, "aptpg")
             if pattern is not None:
                 fresh.append(pattern)
-        self._apply_drops(self.bus.absorb(fresh, self.pending))
+        self._apply_drops(self.bus.absorb(fresh))
         stats.rounds += 1
         stats.aptpg_rounds += 1
         return True
@@ -356,6 +361,12 @@ class _Campaign:
         )
         self.bus.obligations = obligations
         self.pending = pending
+        # the restored pending faults take table rows again, in pending
+        # order; one the table refuses is settled like at admission
+        _, rejected = self.bus.register(list(pending.items()))
+        if rejected:
+            self._settle_rejected(rejected)
+            queue = [index for index in queue if index in pending]
         self.queued = set(queue)
         # pending serializes in stream order, so the rebuilt backlog
         # preserves the batching cursor of the interrupted run

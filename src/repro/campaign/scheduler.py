@@ -124,7 +124,8 @@ def _quarantined(n_faults: int, error: dict) -> ShardResult:
     )
 
 
-def _error_envelope(exc: BaseException, attempts: int) -> dict:
+def error_envelope(exc: BaseException, attempts: int) -> dict:
+    """The ``report.errors`` entry of a fault settled ``skipped_error``."""
     return {
         "error": type(exc).__name__,
         "detail": str(exc),
@@ -283,7 +284,7 @@ class SerialExecutor:
             except Exception as exc:  # noqa: BLE001 - supervision boundary
                 if attempt >= policy.attempts:
                     self.quarantined_shards += 1
-                    return _quarantined(n_faults, _error_envelope(exc, attempt))
+                    return _quarantined(n_faults, error_envelope(exc, attempt))
                 self.shard_retries += 1
                 backoff = policy.backoff_s(index, attempt)
                 if backoff:
@@ -426,7 +427,7 @@ class PoolExecutor:
                     self.quarantined_shards += 1
                     results[index] = _quarantined(
                         _payload_size(payloads[index]),
-                        _error_envelope(exc, attempts[index]),
+                        error_envelope(exc, attempts[index]),
                     )
                     pending.discard(index)
                 else:

@@ -211,13 +211,12 @@ def _sensitized_state(
 
     Returns the state and the seconds spent sensitizing.
     """
-    sensitize, algebra = sensitizer_for(test_class)
+    _, algebra = sensitizer_for(test_class)
     state = TpgState(
         circuit, algebra, width, use_backward=use_backward, fusion=fusion
     )
     t0 = time.perf_counter()
-    for signal, planes in sensitize(circuit, fault, state.mask, xor_sides=xor_sides):
-        state.assign(signal, planes)
+    state.sensitize(fault, state.mask, xor_sides)
     seconds_sensitize = time.perf_counter() - t0
     state.imply()
     return state, seconds_sensitize

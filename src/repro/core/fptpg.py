@@ -131,7 +131,7 @@ def run_fptpg(
         raise ValueError("run_fptpg needs at least one fault")
     if len(faults) > width:
         raise ValueError(f"{len(faults)} faults do not fit in {width} lanes")
-    sensitize, algebra = sensitizer_for(test_class)
+    _, algebra = sensitizer_for(test_class)
     cc = controllability or compute_controllability(circuit)
     state = TpgState(
         circuit, algebra, width, use_backward=use_backward, fusion=fusion
@@ -140,8 +140,7 @@ def run_fptpg(
 
     t0 = time.perf_counter()
     for lane, fault in enumerate(faults):
-        for signal, planes in sensitize(circuit, fault, 1 << lane):
-            state.assign(signal, planes)
+        state.sensitize(fault, 1 << lane)
     seconds_sensitize = time.perf_counter() - t0
 
     state.imply(stop_when_all_conflicted=False)

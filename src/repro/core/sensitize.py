@@ -39,6 +39,13 @@ The sensitizer only *emits* assignments; conflicts (e.g. a signal that
 is both on-path rising and required stable off-path through
 reconvergence) surface later as per-lane conflict bits — such paths
 are exactly the unsensitizable ones.
+
+Generation applies them through :meth:`repro.core.state.TpgState.
+sensitize`.  On the C engine a nonrobust path is one call into the
+native module (``repro_tpg_sensitize``), which assigns exactly what
+:func:`sensitize_nonrobust` emits in the order it emits it; these
+functions stay the oracle it is tested against, and every other engine
+— and every robust state — assigns their lists one by one.
 """
 
 from __future__ import annotations

@@ -33,8 +33,13 @@ One class, three engines, chosen per state by :func:`tpg_tier` the way
 * ``python/interp`` — the same worklist dispatching through the
   :class:`Algebra` rules: the oracle the other two are tested against.
 
-The decision policy (FPTPG/APTPG, backtrace, sensitization) is Python
-on every engine.
+:meth:`TpgState.sensitize` applies a fault's sensitization.  On the C
+engine a 3-valued (nonrobust) state takes the whole path in one call,
+assigning in exactly the order the Python sensitizer of
+:mod:`repro.core.sensitize` emits — the same trail, worklist, conflict
+sites and later implication passes; every other state feeds that
+sensitizer's list to :meth:`TpgState.assign`.  Backtrace, the decision
+step and robust sensitization are Python on every engine.
 """
 
 from __future__ import annotations
@@ -43,11 +48,13 @@ import struct
 from collections import deque
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..circuit import Circuit, GateType
 from ..logic import seven_valued, three_valued
 from ..logic.words import mask_for
+from ..paths import PathDelayFault, Transition
+from .sensitize import sensitize_nonrobust, sensitize_robust
 
 Planes = Tuple[int, ...]
 
@@ -362,6 +369,58 @@ class TpgState:
         self._assignments += 1
         self._enqueue_around(signal)
         return True
+
+    def sensitize(
+        self,
+        fault: PathDelayFault,
+        lanes: int,
+        xor_sides: Optional[Dict[int, int]] = None,
+    ) -> None:
+        """Assign *fault*'s sensitization in lane mask *lanes*.
+
+        The assignments of :func:`repro.core.sensitize.sensitize_nonrobust`
+        (3-valued state) or :func:`~repro.core.sensitize.sensitize_robust`
+        (7-valued), in the order they emit them; *xor_sides* maps an
+        XOR side input to the lanes where it is 1.  On the C engine a
+        3-valued state takes the whole path in one call, which assigns
+        in that same order, so planes, trail, worklist, conflict sites
+        and every later :meth:`imply` match the engines that feed the
+        Python list to :meth:`assign`.  A path id outside
+        ``[0, n_signals)`` raises the :class:`IndexError` of
+        :meth:`assign` before anything is assigned.
+        """
+        signals = fault.signals
+        n = self._n_signals
+        if min(signals) < 0 or max(signals) >= n:
+            bad = next(s for s in signals if not 0 <= s < n)
+            raise IndexError(f"signal {bad} outside [0, {n})")
+        c = self._c
+        if c is not None and self.algebra.n_planes == 2:
+            mask = self.mask
+            null = self._ffi.NULL
+            # no key outside the circuit can name a fanin
+            sides = [
+                (side, ones & mask)
+                for side, ones in (xor_sides or {}).items()
+                if 0 <= side < n
+            ]
+            # cffi passes the id tuple and the side lists as C arrays
+            if self._lib.repro_tpg_sensitize(
+                c,
+                signals,
+                len(signals),
+                fault.transition is Transition.RISING,
+                lanes & mask,
+                [side for side, _ in sides] or null,
+                [ones for _, ones in sides] or null,
+                len(sides),
+            ):
+                raise MemoryError("cannot grow the native TPG trail")
+            return
+        rule = sensitize_nonrobust if self.algebra.n_planes == 2 else sensitize_robust
+        assign = self.assign if c is not None else self._assign
+        for signal, planes in rule(self.circuit, fault, lanes, xor_sides):
+            assign(signal, planes)
 
     def mark(self) -> int:
         """Open a checkpoint; returns a token for :meth:`rollback`."""

@@ -954,7 +954,11 @@ void repro_planes10_pass(const repro_plan *p, u64 *Z, u64 *O, u64 *S,
 # Each fault's mask is built in the next free output row, ANDing the
 # early exit into the same loop, and kept -- with its fault index --
 # only when some lane survives, so the caller converts detected rows
-# only.
+# only.  The faults are rows of a :class:`repro.paths.FaultTable` (a
+# signal CSR plus launch values); ``rows`` gathers the walked ones by
+# row number, NULL meaning rows 0..n_faults-1, and the fault index
+# kept is the position in ``rows``.  Rows and ids are checked in
+# Python before the call.
 _C_WALKS = r"""
 #define REPRO_NO_TERM (-2)
 
@@ -1016,16 +1020,18 @@ static u64 _and_rows(u64 *restrict det, const u64 *restrict t, long n) {
 long repro_detect_walk(const repro_plan *p, const u64 *Z, const u64 *O,
                        const u64 *S, const u64 *I, long n,
                        const int32_t *path_flat, const int32_t *path_off,
-                       const uint8_t *final_one, long n_faults, int robust,
+                       const uint8_t *final_one, const int32_t *rows,
+                       long n_faults, int robust,
                        const u64 *valid, int32_t *slot, u64 *terms,
                        u64 *out, int32_t *out_idx) {
   long f, q, w, used = 0, n_det = 0;
   for (f = 0; f < n_faults; f++) {
-    const int32_t *path = path_flat + path_off[f];
-    long plen = path_off[f + 1] - path_off[f];
+    long r = rows ? rows[f] : f;
+    const int32_t *path = path_flat + path_off[r];
+    long plen = path_off[r + 1] - path_off[r];
     u64 *det = out + n_det * n;
     const u64 *ins = I + (long)path[0] * n;
-    const u64 *launch = (final_one[f] ? O : Z) + (long)path[0] * n;
+    const u64 *launch = (final_one[r] ? O : Z) + (long)path[0] * n;
     u64 any = 0;
     for (w = 0; w < n; w++) {
       det[w] = ins[w] & launch[w] & valid[w];
@@ -1083,19 +1089,21 @@ static const u64 *_strength_term(const repro_plan *p, const u64 *Z,
 long repro_strength_walk(const repro_plan *p, const u64 *Z, const u64 *O,
                          const u64 *S, const u64 *I, const u64 *H, long n,
                          const int32_t *path_flat, const int32_t *path_off,
-                         const uint8_t *final_one, long n_faults,
+                         const uint8_t *final_one, const int32_t *rows,
+                         long n_faults,
                          const u64 *valid, int32_t *slot, u64 *terms,
                          u64 *out_nr, u64 *out_r, u64 *out_st,
                          int32_t *out_idx) {
   long f, q, w, used = 0, n_det = 0;
   for (f = 0; f < n_faults; f++) {
-    const int32_t *path = path_flat + path_off[f];
-    long plen = path_off[f + 1] - path_off[f];
+    long row = rows ? rows[f] : f;
+    const int32_t *path = path_flat + path_off[row];
+    long plen = path_off[row + 1] - path_off[row];
     u64 *nr = out_nr + n_det * n;
     u64 *r = out_r + n_det * n;
     u64 *st = out_st + n_det * n;
     const u64 *ins = I + (long)path[0] * n;
-    const u64 *launch = (final_one[f] ? O : Z) + (long)path[0] * n;
+    const u64 *launch = (final_one[row] ? O : Z) + (long)path[0] * n;
     u64 any = 0;
     for (w = 0; w < n; w++) {
       u64 l = ins[w] & launch[w] & valid[w];
@@ -1186,6 +1194,9 @@ void repro_stuck_cone(const u64 *good, long n,
 # and NAND/OR/XNOR see value-swapped inputs/outputs, as the Python
 # dispatchers arrange); XOR chains fold in fanin CSR order.  Checkpoint
 # marks stay in Python: a mark is (trail length, conflict mask).
+# ``repro_tpg_sensitize`` applies a path's nonrobust sensitization as
+# the same sequence of ``assign`` steps the Python sensitizer's list
+# feeds one by one; robust sensitization stays in Python.
 _C_TPG_STRUCT = r"""
 typedef struct {
   const repro_plan *p;
@@ -1596,6 +1607,61 @@ void repro_tpg_flatten(repro_tpg *st, long lane) {
   st->trail_len = 0;
   for (k = 0; k < n; k++) _tpg_dirty(st, k);
 }
+
+/* The lanes where XOR side input f is 1: its entry in the side map, 0
+   when it has none. */
+static u64 _tpg_side(long f, const int32_t *xor_sig, const u64 *xor_lanes,
+                     long n_xor) {
+  long k;
+  for (k = 0; k < n_xor; k++)
+    if (xor_sig[k] == f) return xor_lanes[k];
+  return 0;
+}
+
+/* Nonrobust (3-valued) sensitization of one path in lanes ``lanes``:
+   what repro.core.sensitize.sensitize_nonrobust emits, assigned in the
+   order it emits it -- the path input, then per on-path gate its
+   output's final value and each off-path input in fanin order (the
+   non-controlling value, or an XOR side's polarity from the side map).
+   The running final value flips at every inverting gate and at every
+   XOR side that is 1.  0, -1 when the trail cannot grow, -2 on a
+   7-valued engine. */
+int repro_tpg_sensitize(repro_tpg *st, const int32_t *path, long plen,
+                        int final_one, uint64_t lanes,
+                        const int32_t *xor_sig, const uint64_t *xor_lanes,
+                        long n_xor) {
+  const repro_plan *p = st->p;
+  u64 value = final_one ? lanes : 0, add[2];
+  long q, k;
+  if (st->n_planes != 2) return -2;
+  add[0] = lanes ^ value; add[1] = value;
+  if (_tpg_assign(st, path[0], add) < 0) return -1;
+  for (q = 1; q < plen; q++) {
+    long s = path[q], on = path[q - 1];
+    int code = p->code[s], c = p->ctrl[s];
+    const int32_t *fi = p->fanin_idx + p->fanin_off[s];
+    long nf = p->fanin_off[s + 1] - p->fanin_off[s];
+    if (code == 2 || code == 4 || code == 6 || code == 8) value ^= lanes;
+    if (n_xor && code >= 7)
+      for (k = 0; k < nf; k++)
+        if (fi[k] != on)
+          value ^= _tpg_side(fi[k], xor_sig, xor_lanes, n_xor) & lanes;
+    add[0] = lanes ^ value; add[1] = value;
+    if (_tpg_assign(st, s, add) < 0) return -1;
+    for (k = 0; k < nf; k++) {
+      if (fi[k] == on) continue;
+      if (c < 0) { /* no controlling value: the side's polarity */
+        add[1] = _tpg_side(fi[k], xor_sig, xor_lanes, n_xor) & lanes;
+        add[0] = lanes ^ add[1];
+      } else {     /* the non-controlling final value */
+        add[0] = c ? lanes : 0;
+        add[1] = c ? 0 : lanes;
+      }
+      if (_tpg_assign(st, fi[k], add) < 0) return -1;
+    }
+  }
+  return 0;
+}
 """
 
 #: The cffi declarations of every entry point the native module exports.
@@ -1609,14 +1675,16 @@ long repro_detect_walk(const repro_plan *p, const uint64_t *z,
                        const uint64_t *o, const uint64_t *s,
                        const uint64_t *i, long n,
                        const int32_t *path_flat, const int32_t *path_off,
-                       const uint8_t *final_one, long n_faults, int robust,
+                       const uint8_t *final_one, const int32_t *rows,
+                       long n_faults, int robust,
                        const uint64_t *valid, int32_t *slot,
                        uint64_t *terms, uint64_t *out, int32_t *out_idx);
 long repro_strength_walk(const repro_plan *p, const uint64_t *z,
                          const uint64_t *o, const uint64_t *s,
                          const uint64_t *i, const uint64_t *h, long n,
                          const int32_t *path_flat, const int32_t *path_off,
-                         const uint8_t *final_one, long n_faults,
+                         const uint8_t *final_one, const int32_t *rows,
+                         long n_faults,
                          const uint64_t *valid, int32_t *slot,
                          uint64_t *terms, uint64_t *out_nr,
                          uint64_t *out_r, uint64_t *out_st,
@@ -1638,6 +1706,10 @@ int repro_tpg_rollback(repro_tpg *st, long trail_len, uint64_t conflict_mask);
 long repro_tpg_scan(repro_tpg *st, uint64_t live);
 uint64_t repro_tpg_all_justified(repro_tpg *st);
 void repro_tpg_flatten(repro_tpg *st, long lane);
+int repro_tpg_sensitize(repro_tpg *st, const int32_t *path, long plen,
+                        int final_one, uint64_t lanes,
+                        const int32_t *xor_sig, const uint64_t *xor_lanes,
+                        long n_xor);
 """
 
 #: The whole native kernel as one circuit-generic C translation unit:

@@ -165,29 +165,6 @@ class CompiledCircuit:
                     stack.append(f)
         return sorted(seen, key=self.order_position.__getitem__)
 
-    def signal_range_error(self) -> ValueError:
-        """The rejection of a fault path naming a signal outside the circuit.
-
-        Raised on every backend before a fault walk indexes planes with
-        the path's ids: the C walks index unchecked, and Python indexing
-        would wrap a negative id.  The session circuit breaker re-raises
-        ``ValueError`` instead of demoting.
-        """
-        return ValueError(
-            f"fault path names a signal outside the circuit's {self.n_signals}"
-        )
-
-    def check_fault_signals(self, faults) -> None:
-        """:meth:`signal_range_error` unless every path id is a signal.
-
-        The Python tiers' check; the native walks flatten the paths
-        anyway and check the flat array once.
-        """
-        n_signals = self.n_signals
-        for fault in faults:
-            if min(fault.signals) < 0 or max(fault.signals) >= n_signals:
-                raise self.signal_range_error()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CompiledCircuit({self.circuit.name!r}, signals={self.n_signals}, "

@@ -15,15 +15,19 @@ Covered end to end: the two-valued and 7-valued full passes, the
 fault inner loops — the detection and strength walks run *inside* the
 module, sharing each on-path edge's side-input term across the fault
 batch and returning only the detected faults' mask rows, so a whole
-fault batch costs one Python call.
+fault batch costs one Python call.  The walks read the faults as
+columns of a :class:`repro.paths.FaultTable` (signal CSR plus launch
+values) and gather the batch's rows through an index array, so the
+campaign drop bus passes its pending rows instead of re-flattening
+every path; a plain fault list becomes a table per call.
 
 The module also holds the TPG implication engine: a
 :class:`repro.core.state.TpgState` of at most 64 lanes keeps its
 planes, worklist, trail and justification cache in one C
 ``repro_tpg`` (:func:`native_tpg_engine`), and ``assign``/``imply``/
-``rollback``, the unjustified scan and lane flattening are single
-calls; the decision policy (FPTPG/APTPG, backtrace, sensitization)
-stays in Python.
+``rollback``, the unjustified scan, lane flattening and a path's
+nonrobust sensitization are single calls; backtrace, the decision
+step and robust sensitization stay in Python.
 
 Module lifecycle — one module per machine, not per circuit:
 
@@ -56,7 +60,6 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
-import itertools
 import os
 import shutil
 import stat
@@ -68,6 +71,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..paths.table import fault_rows
 from .backends import NumpyWordBackend, PlanesLike
 from .codegen import NATIVE_CDEF, NATIVE_SOURCE
 from .compiled import CompiledCircuit
@@ -75,7 +79,7 @@ from .packed import rows_to_ints, words_to_int
 
 #: Bump when the call ABI changes (the C text is hashed into the module
 #: name anyway), so stale disk-cached shared objects are never reloaded.
-NATIVE_ABI = 4
+NATIVE_ABI = 5
 
 # The C text is constant-size (data-driven plan interpreters), so a real
 # optimization level is affordable: -O2 runs the fault loops ~2x faster
@@ -331,34 +335,31 @@ def _i32_ptr(ffi, array: np.ndarray):
     return ffi.cast("int32_t *", ffi.from_buffer(array))
 
 
-def _path_arrays(
-    compiled: CompiledCircuit, faults: Sequence
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(path_flat, path_off, final_one) of one fault batch.
+def _fault_columns(ffi, compiled: CompiledCircuit, faults) -> Tuple:
+    """The walk arguments of one fault batch, range-checked.
 
-    Rebuilt per call (fault lists shrink between campaign rounds): one
-    ``np.fromiter`` over the chained paths, offsets from their lengths.
-    Signal ids are range-checked here: the C walks index slabs with
-    them unchecked, and faults can arrive off the wire.
+    ``(path_flat, path_off, final_one, rows)`` as C buffers: a
+    :class:`FaultRows` view hands over its table's columns and its row
+    array (NULL for the identity view); a fault list becomes a new
+    table first — one flatten per call.  The ids were checked against
+    the circuit when the rows were added; the rows are checked against
+    the table here, before the call, since the C walks index both
+    unchecked.
     """
-    outside = compiled.signal_range_error()
-    paths = [fault.signals for fault in faults]
-    offsets = np.zeros(len(paths) + 1, dtype=np.int32)
-    np.cumsum(
-        np.fromiter(map(len, paths), np.int32, count=len(paths)), out=offsets[1:]
+    view = fault_rows(faults, compiled.n_signals)
+    table, rows = view.table, view.rows
+    if rows is not None and len(rows) and (
+        rows.min() < 0 or rows.max() >= len(table)
+    ):
+        raise IndexError(f"fault rows outside [0, {len(table)})")
+    # typed buffers hold their arrays, so a table built here lives
+    # through the call
+    return (
+        ffi.from_buffer("int32_t[]", table.flat),
+        ffi.from_buffer("int32_t[]", table.offsets),
+        ffi.from_buffer("uint8_t[]", table.final_one),
+        ffi.NULL if rows is None else ffi.from_buffer("int32_t[]", rows),
     )
-    try:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(paths), np.int32, count=int(offsets[-1])
-        )
-    except OverflowError:  # an id past int32 is outside every circuit
-        raise outside from None
-    if len(flat) and (flat.min() < 0 or flat.max() >= compiled.n_signals):
-        raise outside
-    final_one = np.fromiter(
-        (fault.transition.final for fault in faults), np.uint8, count=len(faults)
-    )
-    return flat, offsets, final_one
 
 
 def cone_step_arrays(compiled: CompiledCircuit, site: int) -> Tuple:
@@ -525,24 +526,22 @@ class NativeWordBackend(NumpyWordBackend):
         """
         if not faults:
             return []
+        module = native_module()
+        ffi = module.ffi
+        columns = _fault_columns(ffi, compiled, faults)
         n_words = packed.n_words
         slabs = self._planes_pass(compiled, packed.planes7_arrays(), n_words)
         plan, n_edges = native_plan(compiled)
-        flat, offsets, final_one = _path_arrays(compiled, faults)
         valid = packed.lane_valid()
         slot = np.full(n_edges + 1, -1, dtype=np.int32)
         terms = np.empty((n_edges + 1, n_words), dtype=np.uint64)
         out = np.empty((len(faults), n_words), dtype=np.uint64)
         index = np.empty(len(faults), dtype=np.int32)
-        module = native_module()
-        ffi = module.ffi
         count = module.lib.repro_detect_walk(
             plan,
             *(_u64_ptr(ffi, slab) for slab in slabs),
             n_words,
-            _i32_ptr(ffi, flat),
-            _i32_ptr(ffi, offsets),
-            ffi.cast("uint8_t *", ffi.from_buffer(final_one)),
+            *columns,
             len(faults),
             int(robust),
             _u64_ptr(ffi, valid),
@@ -567,26 +566,24 @@ class NativeWordBackend(NumpyWordBackend):
         """
         if not faults:
             return []
+        module = native_module()
+        ffi = module.ffi
+        columns = _fault_columns(ffi, compiled, faults)
         n_words = packed.n_words
         valid = packed.lane_valid()
         slabs = self._planes_pass(
             compiled, (*packed.planes7_arrays(), valid), n_words
         )
         plan, n_edges = native_plan(compiled)
-        flat, offsets, final_one = _path_arrays(compiled, faults)
         slot = np.full(n_edges + 1, -1, dtype=np.int32)
         terms = np.empty((n_edges + 1, 3, n_words), dtype=np.uint64)
         out = np.empty((3, len(faults), n_words), dtype=np.uint64)
         index = np.empty(len(faults), dtype=np.int32)
-        module = native_module()
-        ffi = module.ffi
         count = module.lib.repro_strength_walk(
             plan,
             *(_u64_ptr(ffi, slab) for slab in slabs),
             n_words,
-            _i32_ptr(ffi, flat),
-            _i32_ptr(ffi, offsets),
-            ffi.cast("uint8_t *", ffi.from_buffer(final_one)),
+            *columns,
             len(faults),
             _u64_ptr(ffi, valid),
             _i32_ptr(ffi, slot),

@@ -10,7 +10,8 @@ from hardware words.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import functools
+from typing import Iterator, List, Tuple
 
 #: The paper's default machine word length (DECstation 3000/500).
 DEFAULT_WORD_LENGTH = 64
@@ -78,7 +79,15 @@ def split_masks(width: int) -> List[tuple]:
     ``log2(width)`` decisions the partitions enumerate every value
     combination across lanes — the paper's "we can consider all
     possible value assignments at log2(L) primary inputs".
+
+    Memoized per width (APTPG asks for the same few widths on every
+    fault); each call returns a fresh list, so callers may edit it.
     """
+    return list(_split_masks(width))
+
+
+@functools.lru_cache(maxsize=128)
+def _split_masks(width: int) -> Tuple[tuple, ...]:
     mask = mask_for(width)
     result = []
     k = 0
@@ -89,7 +98,7 @@ def split_masks(width: int) -> List[tuple]:
                 ones |= 1 << lane
         result.append(((~ones) & mask, ones))
         k += 1
-    return result
+    return tuple(result)
 
 
 def max_split_decisions(width: int) -> int:

@@ -1,4 +1,5 @@
-"""Path delay fault model: faults, enumeration, counting, selection."""
+"""Path delay fault model: faults, enumeration, counting, selection,
+and the columnar :class:`FaultTable` the fault walks read."""
 
 from .fault import PathDelayFault, TestClass, Transition, both_transitions
 from .enumerate import collect_faults, iter_faults, iter_paths, longest_paths
@@ -10,8 +11,11 @@ from .selection import (
     longest_path_faults,
     sampled_faults,
 )
+from .table import FaultRows, FaultTable
 
 __all__ = [
+    "FaultRows",
+    "FaultTable",
     "PathDelayFault",
     "TestClass",
     "Transition",

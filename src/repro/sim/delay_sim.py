@@ -59,6 +59,7 @@ from ..kernel.packed import bit_error, width_error
 from ..logic import ten_valued
 from ..logic.words import mask_for
 from ..paths import PathDelayFault, TestClass
+from ..paths.table import fault_rows
 
 
 class PatternLike(Protocol):
@@ -380,7 +381,12 @@ class DelayFaultSimulator:
 
         Hot callers that reuse one batch across many calls may pass a
         pre-built :class:`PackedPatterns` instead of the pattern
-        sequence, skipping the per-call packing cost.
+        sequence, skipping the per-call packing cost, and a
+        :class:`repro.paths.FaultRows` view of a fault table instead
+        of the fault list, skipping the per-call flatten and range
+        check of every path (the campaign drop bus does both).  A
+        fault naming a signal outside the circuit raises
+        ``ValueError`` on every backend.
         """
         chaos.maybe_raise("kernel_fault")
         width = len(patterns)
@@ -389,6 +395,7 @@ class DelayFaultSimulator:
         check_pattern_widths(patterns, len(self.circuit.inputs))
         robust = self.test_class is TestClass.ROBUST
         compiled = self.compiled
+        faults = fault_rows(faults, compiled.n_signals)  # the range check
         backend = backend_for(width, self.backend, fusion=self.fusion)
         pre_packed = isinstance(patterns, PackedPatterns)
         if getattr(backend, "kind", None) == "native":
@@ -396,7 +403,6 @@ class DelayFaultSimulator:
             # module: one Python call per batch
             packed = patterns if pre_packed else PackedPatterns.from_patterns(patterns)
             return backend.ppsfp_masks(compiled, packed, faults, robust)
-        compiled.check_fault_signals(faults)
         if isinstance(backend, NumpyWordBackend):
             packed = patterns if pre_packed else PackedPatterns.from_patterns(patterns)
             values = _LazyIntPlanes(
@@ -591,19 +597,19 @@ def strength_masks_all(
 
     Like :meth:`DelayFaultSimulator.detection_masks`, *patterns* may
     be a pre-built :class:`PackedPatterns` batch to skip the per-call
-    packing cost.
+    packing cost, and *faults* a :class:`repro.paths.FaultRows` view.
     """
     width = len(patterns)
     if width == 0:
         return [(0, 0, 0)] * len(faults)
     check_pattern_widths(patterns, len(circuit.inputs))
     compiled = circuit.compiled()
+    faults = fault_rows(faults, compiled.n_signals)  # the range check
     word_backend = backend_for(width, backend, fusion=fusion)
     pre_packed = isinstance(patterns, PackedPatterns)
     if getattr(word_backend, "kind", None) == "native":
         packed = patterns if pre_packed else PackedPatterns.from_patterns(patterns)
         return word_backend.strength_triples(compiled, packed, faults)
-    compiled.check_fault_signals(faults)
     if isinstance(word_backend, NumpyWordBackend):
         packed = patterns if pre_packed else PackedPatterns.from_patterns(patterns)
         valid = packed.lane_valid()

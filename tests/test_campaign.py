@@ -28,6 +28,7 @@ from repro.circuit import CircuitBuilder
 from repro.circuit.generators import random_dag, ripple_carry_adder
 from repro.circuit.suites import suite_circuit
 from repro.core import FaultStatus, TpgOptions, generate_tests
+from repro.kernel import native_available
 from repro.paths import TestClass, all_faults, fault_list
 from repro.sim import DelayFaultSimulator
 
@@ -486,3 +487,157 @@ class TestDetectionMasks:
         masks = sim.detection_masks(patterns, faults)
         by_fault = sim.detected_faults(patterns, faults)
         assert masks == [by_fault[f] for f in faults]
+
+
+class TestFaultTableRows:
+    """The drop bus's fault table: rows follow the pending window, and
+    a resumed run registers its restored pending faults again."""
+
+    @pytest.mark.parametrize("stop_after", [1, 5, 12])
+    def test_windowed_stop_and_resume_matches_an_uninterrupted_run(
+        self, tmp_path, stop_after
+    ):
+        from repro.api import AtpgSession
+        from repro.campaign import CampaignControl
+
+        circuit = random_dag(10, 40, seed=7)
+        session = AtpgSession(circuit)
+
+        def universe():
+            return FaultUniverse.from_circuit(circuit, max_faults=160)
+
+        options = dict(width=4, window=16, workers=1)
+        baseline = session.campaign(universe=universe(), **options)
+
+        class StopAfter(CampaignControl):
+            rounds = 0
+
+            def should_stop(self):
+                return self.rounds >= stop_after
+
+            def on_round(self, progress):
+                self.rounds = progress["rounds"]
+
+        path = str(tmp_path / "windowed.json")
+        partial = session.campaign(
+            universe=universe(), control=StopAfter(), checkpoint=path,
+            resume=True, **options,
+        )
+        assert not partial.complete and partial.stats.rounds == stop_after
+        resumed = session.campaign(
+            universe=universe(), checkpoint=path, resume=True, **options
+        )
+        assert resumed.complete
+        assert campaign_statuses(resumed) == campaign_statuses(baseline)
+        assert resumed.modes == baseline.modes
+        assert [(p.v1, p.v2) for p in resumed.patterns] == [
+            (p.v1, p.v2) for p in baseline.patterns
+        ]
+        for name in ("rounds", "decisions", "backtracks", "implication_passes",
+                     "admitted_dropped", "streamed"):
+            assert getattr(resumed.stats, name) == getattr(baseline.stats, name)
+
+    def test_streaming_through_a_small_window_keeps_the_table_bounded(
+        self, monkeypatch
+    ):
+        from repro.api import AtpgSession
+        from repro.campaign.bus import DropBus
+
+        sizes = []
+        register = DropBus.register
+
+        def recording(self, arrivals):
+            result = register(self, arrivals)
+            sizes.append((len(self.table), len(self._rows)))
+            return result
+
+        monkeypatch.setattr(DropBus, "register", recording)
+        circuit = suite_circuit("c880", 1)
+        window = 16
+        report = AtpgSession(circuit).campaign(
+            universe=FaultUniverse.from_circuit(circuit, max_faults=400),
+            width=8,
+            window=window,
+        )
+        assert report.n_faults == 400 and report.complete
+        assert len(sizes) > 20
+        assert max(rows for _table, rows in sizes) <= window
+        assert max(table for table, _rows in sizes) <= 2 * window
+
+
+class TestMalformedFaults:
+    """A fault naming a signal outside the circuit settles alone, at
+    admission: ``skipped_error`` with an error envelope, never
+    scheduled, and every other fault settles as in a clean run."""
+
+    ENGINES = [
+        pytest.param(
+            "auto",
+            marks=pytest.mark.skipif(
+                not native_available(),
+                reason="no C toolchain and no cached native module",
+            ),
+        ),
+        "codegen",
+    ]
+
+    @staticmethod
+    def setup(fusion):
+        from repro.api import AtpgSession, Options
+
+        circuit = suite_circuit("c880", 1)
+        session = AtpgSession(circuit, options=Options(fusion=fusion))
+        return session, fault_list(circuit, cap=64)
+
+    @pytest.mark.parametrize("fusion", ENGINES)
+    @pytest.mark.parametrize("bad_id", [99999, -3])
+    def test_campaign(self, fusion, bad_id):
+        from repro.paths import PathDelayFault, Transition
+        from repro.paths.table import signal_range_error
+
+        session, faults = self.setup(fusion)
+        bad = PathDelayFault((0, bad_id), Transition.RISING)
+        clean = session.campaign(faults=faults)
+        report = session.campaign(faults=[bad] + faults)
+        assert report.complete and report.n_faults == 65
+        assert report.statuses[0] is FaultStatus.SKIPPED_ERROR
+        assert report.modes[0] == "error"
+        assert report.errors == {
+            0: {
+                "error": "ValueError",
+                "detail": str(signal_range_error(session.compiled.n_signals)),
+                "attempts": 0,
+            }
+        }
+        assert report.stats.shard_retries == 0
+        assert report.stats.quarantined_shards == 0
+        assert [report.statuses[i + 1] for i in range(64)] == campaign_statuses(clean)
+        assert [report.modes[i + 1] for i in range(64)] == [
+            clean.modes[i] for i in range(64)
+        ]
+        assert [(p.v1, p.v2) for p in report.patterns] == [
+            (p.v1, p.v2) for p in clean.patterns
+        ]
+        for name in ("rounds", "decisions", "backtracks", "implication_passes"):
+            assert getattr(report.stats, name) == getattr(clean.stats, name)
+        assert clean.count(FaultStatus.TESTED) == 64
+
+    @pytest.mark.parametrize("fusion", ENGINES)
+    @pytest.mark.parametrize("bad_id", [99999, -3])
+    def test_generate(self, fusion, bad_id):
+        from repro.paths import PathDelayFault, Transition
+
+        session, faults = self.setup(fusion)
+        bad = PathDelayFault((0, bad_id), Transition.RISING)
+        clean = session.generate(faults)
+        report = session.generate([bad] + faults)
+        assert report.records[0].status is FaultStatus.SKIPPED_ERROR
+        assert report.records[0].mode == "error"
+        assert report.records[0].fault == bad
+        assert [
+            (r.status, r.mode, r.pattern and (r.pattern.v1, r.pattern.v2))
+            for r in report.records[1:]
+        ] == [
+            (r.status, r.mode, r.pattern and (r.pattern.v1, r.pattern.v2))
+            for r in clean.records
+        ]

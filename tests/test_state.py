@@ -583,3 +583,118 @@ class TestEnginesMatchInterp:
                 result = (got.all_justified_mask(), want.all_justified_mask())
             assert result[0] == result[1], op
             assert_same_state(got, want)
+
+
+# ---------------------------------------------------------------------------
+# sensitization: the C call against the Python sensitizer list
+# ---------------------------------------------------------------------------
+
+
+def trail_len(state: TpgState) -> int:
+    return state._c.trail_len if state._c is not None else len(state._trail)
+
+
+def worklist(state: TpgState) -> list:
+    """The gates queued for :meth:`TpgState.imply`, in pop order."""
+    c = state._c
+    if c is None:
+        return list(state._queue)
+    n = state.circuit.num_signals
+    return [c.queue[(c.q_head + k) % n] for k in range(c.q_len)]
+
+
+def draw_path(data, circuit: Circuit) -> tuple:
+    """A structural path (a random fanout walk from an input), or now and
+    then any signal sequence: the sensitizers take off-structure paths."""
+    compiled = circuit.compiled()
+    if data.draw(hst.integers(0, 4), label="off-structure") == 0:
+        signal = hst.integers(0, circuit.num_signals - 1)
+        return tuple(data.draw(hst.lists(signal, min_size=1, max_size=6)))
+    path = [data.draw(hst.sampled_from(compiled.py_inputs), label="input")]
+    while compiled.py_fanout[path[-1]] and data.draw(hst.integers(0, 5)):
+        path.append(data.draw(hst.sampled_from(compiled.py_fanout[path[-1]])))
+    return tuple(path)
+
+
+class TestSensitizeMatchesPython:
+    """``TpgState.sensitize`` on the C engine assigns what the Python
+    sensitizer's list assigns, in the same order, as the interp and
+    codegen engines apply it with ``assign``."""
+
+    @needs_native
+    @settings(max_examples=150, deadline=None)
+    @given(data=hst.data())
+    def test_random_paths_lanes_and_xor_sides(self, data):
+        from repro.core.sensitize import (
+            sensitize_nonrobust,
+            sensitize_robust,
+            xor_side_signals,
+        )
+        from repro.paths import PathDelayFault, Transition
+
+        circuit = data.draw(
+            hst.builds(
+                mixed_dag,
+                hst.integers(0, 10_000),
+                hst.integers(2, 6),
+                hst.integers(1, 30),
+            ),
+            label="circuit",
+        )
+        width = data.draw(hst.sampled_from([1, 7, 32, 64]), label="width")
+        algebra = data.draw(hst.sampled_from([THREE_VALUED, SEVEN_VALUED]))
+        use_backward = data.draw(hst.booleans(), label="use_backward")
+        got = TpgState(circuit, algebra, width, use_backward, fusion="auto")
+        assert got.tier == "native/c"
+        wants = [
+            TpgState(circuit, algebra, width, use_backward, fusion=engine)
+            for engine in ("interp", "codegen")
+        ]
+        rule = sensitize_nonrobust if algebra is THREE_VALUED else sensitize_robust
+        lane_word = hst.integers(0, got.mask) | hst.integers(-(1 << 70), 1 << 70)
+        for _ in range(data.draw(hst.integers(1, 4), label="n_faults")):
+            fault = PathDelayFault(
+                draw_path(data, circuit),
+                data.draw(hst.sampled_from(list(Transition))),
+            )
+            lanes = data.draw(lane_word, label="lanes")
+            candidates = xor_side_signals(circuit, fault) + list(
+                range(circuit.num_signals)
+            )
+            xor_sides = data.draw(
+                hst.none()
+                | hst.dictionaries(hst.sampled_from(candidates), lane_word, max_size=4),
+                label="xor_sides",
+            )
+            got.sensitize(fault, lanes, xor_sides)
+            for want in wants:
+                for signal, planes in rule(circuit, fault, lanes, xor_sides):
+                    want.assign(signal, planes)
+                assert got.planes == want.planes
+                assert got.conflict_mask == want.conflict_mask
+                assert got.conflict_sites == want.conflict_sites
+                assert got.assignments == want.assignments
+                assert trail_len(got) == trail_len(want)
+                assert worklist(got) == worklist(want)
+        stop = data.draw(hst.booleans(), label="stop")
+        conflicts = got.imply(stop)
+        for want in wants:
+            assert want.imply(stop) == conflicts
+            assert got.planes == want.planes
+            assert got.implication_passes == want.implication_passes
+
+    @pytest.mark.parametrize("algebra", [THREE_VALUED, SEVEN_VALUED])
+    def test_ids_outside_the_circuit(self, engine, algebra):
+        from repro.paths import PathDelayFault, Transition
+
+        c = and_or_circuit()
+        st = TpgState(c, algebra, 4, fusion=engine)
+        a, y = c.index_of("a"), c.index_of("y")
+        for bad in (-1, -3, c.num_signals, 2**31, 1 << 70):
+            with pytest.raises(IndexError) as via_assign:
+                st.assign(bad, (0,) * algebra.n_planes)
+            for path in ((a, bad, y), (bad,)):
+                with pytest.raises(IndexError) as via_sensitize:
+                    st.sensitize(PathDelayFault(path, Transition.RISING), 0b1111)
+                assert str(via_sensitize.value) == str(via_assign.value)
+        assert st.assignments == 0 and trail_len(st) == 0 and not worklist(st)

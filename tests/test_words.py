@@ -92,6 +92,15 @@ class TestSplitMasks:
         assert split_masks(1) == []
         assert max_split_decisions(1) == 0
 
+    def test_each_call_returns_a_fresh_list(self):
+        splits = split_masks(8)
+        splits.pop()
+        splits.append((0, 0))
+        edited = split_masks(1)
+        edited.append((0, 1))
+        assert split_masks(8) == [(0x55, 0xAA), (0x33, 0xCC), (0x0F, 0xF0)]
+        assert split_masks(1) == []
+
     def test_max_split_decisions(self):
         assert max_split_decisions(2) == 1
         assert max_split_decisions(4) == 2
