@@ -1,10 +1,12 @@
 """Shared helpers for the benchmark harness.
 
-Every module regenerates one table or figure of the paper (see
-DESIGN.md's per-experiment index).  The experiment runners are invoked
-once per benchmark (``pedantic`` mode) because each run is itself a
-full ATPG campaign; the rendered paper-style table is printed so the
-output can be compared with the publication row by row.
+Each ``bench_tableN.py`` module regenerates the paper's Table N and
+``bench_figures.py`` its figures; ``bench_ablation.py``,
+``bench_stuck_at.py`` and ``bench_primitives.py`` go beyond the paper.
+The experiment runners are invoked once per benchmark (``pedantic``
+mode) because each run is itself a full ATPG campaign; the rendered
+paper-style table is printed so the output can be compared with the
+publication row by row.
 """
 
 import pytest

@@ -4,16 +4,17 @@ Runs the ``tpg`` workload's input — c1355-like x2, its first 2048
 structural faults (``strategy="all"``), nonrobust, width 32 — through
 ``AtpgSession.campaign`` with ``workers=1`` and ``workers=2``, and
 exits non-zero unless both runs settle every fault the same way,
-return the same test set, and reproduce the pinned counts and digest
-below.  Pool workers unpickle the circuit and rebuild its memoized
-kernel and implication tables, which the small circuits of the test
-suite barely exercise.
+return the same test set, and reproduce the pinned counts, search
+counters and digest below.  Pool workers unpickle the circuit and
+rebuild its memoized kernel and implication tables, which the small
+circuits of the test suite barely exercise.
 
-The digest pins the statuses and the test set bit for bit.  The same
-constant holds on the C TPG engine and on the Python one
-(``CC=/nonexistent`` with an empty ``REPRO_NATIVE_CACHE``), so one
-value checks both engines against each other — the C sensitizer
-against the Python sensitizer among them.
+The digest pins the statuses and the test set bit for bit; the search
+counters pin how the search got there.  The same constants hold on the
+C TPG engine and on the Python one (``CC=/nonexistent`` with an empty
+``REPRO_NATIVE_CACHE``), so one set of values checks both engines
+against each other — the C sensitizer and the C decision step against
+their Python oracles among them.
 
     PYTHONPATH=src python scripts/check_tpg_workers.py
 """
@@ -33,6 +34,13 @@ from repro.paths import fault_list
 EXPECTED = {"tested": 366, "redundant": 722, "simulated": 960, "patterns": 366}
 #: SHA-256 of the JSON of [statuses, [[v1, v2] per pattern]] (see digest)
 EXPECTED_DIGEST = "463c6d7636840c8c049f58a6e33c70b8887ed7e9f03683c4f7a2bc53d70c304d"
+#: the campaign's search counters, for every worker count
+EXPECTED_SEARCH = {
+    "rounds": 437,
+    "decisions": 1660,
+    "backtracks": 463,
+    "implication_passes": 303022,
+}
 
 
 def run(session: AtpgSession, faults, workers: int):
@@ -41,7 +49,8 @@ def run(session: AtpgSession, faults, workers: int):
     )
     statuses = [report.statuses[i].value for i in sorted(report.statuses)]
     patterns = [(p.v1, p.v2) for p in report.patterns]
-    return statuses, patterns
+    search = {name: getattr(report.stats, name) for name in EXPECTED_SEARCH}
+    return statuses, patterns, search
 
 
 def digest(statuses, patterns) -> str:
@@ -57,10 +66,10 @@ def main() -> int:
     serial = run(session, faults, workers=1)
     pooled = run(session, faults, workers=2)
     counts = dict(Counter(serial[0]), patterns=len(serial[1]))
-    print(f"workers=1 on the {tpg_tier(32)} TPG engine: {counts}")
+    print(f"workers=1 on the {tpg_tier(32)} TPG engine: {counts}, {serial[2]}")
     errors = []
-    if digest(*serial) != EXPECTED_DIGEST:
-        errors.append(f"digest {digest(*serial)} != expected {EXPECTED_DIGEST}")
+    if digest(*serial[:2]) != EXPECTED_DIGEST:
+        errors.append(f"digest {digest(*serial[:2])} != expected {EXPECTED_DIGEST}")
     if pooled[0] != serial[0]:
         errors.append("workers=2 settled faults differently from workers=1")
     if pooled[1] != serial[1]:
@@ -68,12 +77,18 @@ def main() -> int:
     for name, value in EXPECTED.items():
         if counts.get(name) != value:
             errors.append(f"{name}: {counts.get(name)} != expected {value}")
+    for workers, (_, _, search) in ((1, serial), (2, pooled)):
+        for name, value in EXPECTED_SEARCH.items():
+            if search[name] != value:
+                errors.append(
+                    f"workers={workers} {name}: {search[name]} != expected {value}"
+                )
     for message in errors:
         print(f"FAIL {message}")
     if not errors:
         print(
             "ok: workers=1 and workers=2 agree and match the expected "
-            "counts and digest"
+            "counts, search counters and digest"
         )
     return 1 if errors else 0
 

@@ -43,7 +43,8 @@ def main() -> None:
         "this file was produced by `scripts/make_experiments_md.py`).\n\n"
         "**Reading guide.**  The paper ran 1995 C code on DECstations "
         "against the real ISCAS85/89 netlists; we run CPython on "
-        "synthetic ISCAS-like substitutes (see DESIGN.md).  Absolute "
+        "synthetic ISCAS-like substitutes, since the real netlists are "
+        "not distributed with this code.  Absolute "
         "numbers are therefore not comparable; the *shape* claims are "
         "what each section checks.\n\n"
         f"Environment: Python {platform.python_version()}, "

@@ -6,10 +6,11 @@ in the paper's layout.  The benchmark harness under ``benchmarks/``
 wraps these runners one-to-one, and the CLI exposes them as
 ``tip-experiments``.
 
-Workloads come from the synthetic ISCAS-like suites (see DESIGN.md,
-"Substitutions"); fault lists are capped (``fault_cap``) because full
-path enumeration of the larger circuits is exactly the explosion the
-paper documents — the cap is reported in the rows.
+Workloads come from the synthetic ISCAS-like suites of
+:mod:`repro.circuit.suites`, which stand in for the ISCAS netlists
+this code cannot distribute; fault lists are capped (``fault_cap``)
+because full path enumeration of the larger circuits is exactly the
+explosion the paper documents — the cap is reported in the rows.
 """
 
 from __future__ import annotations

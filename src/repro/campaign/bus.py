@@ -33,7 +33,9 @@ every fault is flattened and range-checked once, when it is admitted
 array for the C walk instead of every pending path re-flattened from
 Python tuples.  A fault naming a signal outside the circuit fails that
 check alone and is handed back for the campaign to settle
-``skipped_error``; it is never simulated or scheduled.  Rows of settled
+``skipped_error``; it is never simulated or scheduled.  So is a fault
+whose path does not start at a primary input, where no test can launch
+its transition (one look-up of the new rows' first ids).  Rows of settled
 faults are released, and the table is rebuilt from the live rows once
 those are outnumbered, so under a ``window`` the table stays bounded
 by the window, not the universe.
@@ -57,12 +59,12 @@ import numpy as np
 from ..circuit import Circuit
 from ..core.patterns import TestPattern
 from ..paths import FaultTable, PathDelayFault, TestClass
-from ..paths.table import signal_range_error
+from ..paths.table import path_input_error, signal_range_error
 from ..sim.delay_sim import DelayFaultSimulator
 
 #: (stream index, fault) pairs, as the campaign streams them.
 Arrivals = List[Tuple[int, PathDelayFault]]
-#: (stream index, fault, error) of faults the fault table refused.
+#: (stream index, fault, error) of faults the bus refused.
 Rejected = List[Tuple[int, PathDelayFault, ValueError]]
 
 
@@ -109,6 +111,7 @@ class DropBus:
         # list grows with every drop).
         self.obligations: List[PathDelayFault] = []
         self.table = FaultTable(self.simulator.compiled.n_signals)
+        self._is_input = np.asarray(self.simulator.compiled.is_input, dtype=bool)
         # stream index -> table row of every live (registered, not yet
         # released) fault, in registration order
         self._rows: Dict[int, int] = {}
@@ -118,23 +121,31 @@ class DropBus:
         """Give each arrival a table row; split off the malformed ones.
 
         Returns the registered arrivals, in order, and
-        ``(index, fault, error)`` for each one whose path names a
-        signal outside the circuit — those get no row and are never
-        simulated or scheduled.
+        ``(index, fault, error)``, in arrival order, for each one whose
+        path names a signal outside the circuit or does not start at a
+        primary input — those get no live row and are never simulated
+        or scheduled.
         """
         if len(self.table) > 2 * len(self._rows):
             self._rebuild()
-        faults = [fault for _index, fault in arrivals]
-        rows, bad = self.table.extend_valid(faults)
-        rejected: Rejected = []
-        if bad:
-            error = signal_range_error(self.table.n_signals)
-            rejected = [(*arrivals[k], error) for k in bad]
-            skipped = set(bad)
-            arrivals = [a for k, a in enumerate(arrivals) if k not in skipped]
-        for (index, _fault), row in zip(arrivals, rows):
-            self._rows[index] = row
-        return list(arrivals), rejected
+        table = self.table
+        rows, bad = table.extend_valid([fault for _index, fault in arrivals])
+        errors = dict.fromkeys(bad, signal_range_error(table.n_signals))
+        # the arrival position of each new row
+        positions = [k for k in range(len(arrivals)) if k not in errors]
+        firsts = table.flat[table.offsets[rows.start : rows.stop]]
+        for j in np.flatnonzero(~self._is_input[firsts]).tolist():
+            signal = int(firsts[j])
+            errors[positions[j]] = path_input_error(
+                signal, self.circuit.signal_name(signal)
+            )
+        # a refused path's row is never live, so the next rebuild drops it
+        for k, row in zip(positions, rows):
+            if k not in errors:
+                self._rows[arrivals[k][0]] = row
+        rejected: Rejected = [(*arrivals[k], errors[k]) for k in sorted(errors)]
+        kept = [a for k, a in enumerate(arrivals) if k not in errors]
+        return kept, rejected
 
     def release(self, index: int) -> None:
         """Forget a settled fault's row (a no-op for unknown indices)."""

@@ -1,8 +1,10 @@
 """Parameterized synthetic circuit generators.
 
-The paper evaluates on the ISCAS85/89 suites, which cannot be shipped
-here (see DESIGN.md).  These generators produce deterministic circuits
-with the structural features that drive path-delay ATPG behaviour:
+The paper evaluates on the ISCAS85/89 suites, whose netlists are not
+distributed with this code (:mod:`repro.circuit.suites` maps their
+names onto these generators).  The generators produce deterministic
+circuits with the structural features that drive path-delay ATPG
+behaviour:
 
 * arithmetic carry chains (ripple/lookahead adders) — long paths,
 * array multipliers — the c6288-style exponential path blow-up,

@@ -2,8 +2,8 @@
 
 Small circuits that are public knowledge are embedded verbatim (c17);
 the example circuit of the paper's Figures 1 and 2 is reconstructed so
-that the published FPTPG/APTPG walkthroughs reproduce *exactly* (see
-``DESIGN.md``, "Substitutions").  Everything here returns a frozen
+that the published FPTPG/APTPG walkthroughs reproduce *exactly*, which
+is what the figure tests check.  Everything here returns a frozen
 :class:`repro.circuit.Circuit`.
 """
 

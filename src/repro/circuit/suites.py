@@ -3,7 +3,7 @@
 The paper's tables are keyed by ISCAS circuit names.  The real
 netlists are not distributable here, so each named row maps to a
 deterministic synthetic circuit with a comparable structural flavour
-(gate-type mix, depth, reconvergence; see DESIGN.md "Substitutions").
+(gate-type mix, depth, reconvergence).
 Sizes are scaled down so the full experiment tables regenerate in
 minutes under CPython rather than hours; the ``scale`` parameter lets
 a patient user grow them.

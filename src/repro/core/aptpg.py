@@ -46,6 +46,11 @@ independent and the implication rules monotone, so a lane conflicts
 exactly when that combination's own state would, whichever chunk
 holds it.  Only the survivors run the full search above, one after
 another in combination order, each with every lane to itself.
+
+A search step is one :meth:`TpgState.decide` call (the objective and
+backtrace; one C call on the ``native/c`` engine).  The split or
+uniform assignment, the checkpoints and the backtracking stay here, as
+``assign``, ``mark``, ``rollback`` and ``imply`` calls on the state.
 """
 
 from __future__ import annotations
@@ -57,9 +62,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..circuit import Circuit
 from ..logic.words import lowest_set_lane, mask_for, split_masks
 from ..paths import PathDelayFault, TestClass
-from .backtrace import PiObjective, backtrace
+from .backtrace import PiObjective
 from .controllability import Controllability, compute_controllability
-from .fptpg import objective_for_lane, pi_assignment_planes, sensitizer_for
+from .fptpg import pi_assignment_planes, sensitizer_for
 from .patterns import TestPattern, extract_pattern
 from .results import FaultStatus
 from .sensitize import xor_side_signals
@@ -308,19 +313,12 @@ def _attempt(
         active = live & ~stuck
         if not active:
             return finish(FaultStatus.ABORTED, None)
-        unjustified = state.scan_unjustified(lanes=active)
-        if not unjustified:
+        step = state.decide(cc, active)
+        if step is None:
             # active lanes are justified but the justified mask above
             # was empty: can only happen transiently — treat as abort
             return finish(FaultStatus.ABORTED, None)
-        signal, lanemask = unjustified[0]
-        rep = lowest_set_lane(lanemask)
-        objective = objective_for_lane(state, signal, rep)
-        if objective is None:
-            stuck |= 1 << rep
-            continue
-        value, need_stable = objective
-        pi_objective = backtrace(state, cc, signal, value, need_stable, rep)
+        rep, _lanes, pi_objective = step
         if pi_objective is None:
             stuck |= 1 << rep
             continue

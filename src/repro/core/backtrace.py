@@ -1,8 +1,13 @@
-"""The backtrace procedure: from an unjustified value to a primary input.
+"""The decision step: from an unjustified value to a primary input.
 
-When the implication fixpoint leaves an unjustified value, a
-PODEM-style backtrace walks from the unjustified gate toward the
-primary inputs, at each gate ranking the candidate inputs:
+FPTPG and APTPG run "as long as there is at least one logic value that
+is not justified".  Each turn takes the first signal (in id order) with
+an unjustified live lane, derives that lane's objective — the value,
+and for the robust logic the stability, its gate still lacks
+(:func:`objective_for_lane`; :func:`objective_group` collects the lanes
+sharing it) — and backtraces it to a primary input.  The backtrace is
+PODEM-style: it walks from the unjustified gate toward the primary
+inputs, at each gate ranking the candidate inputs:
 
 * to justify a *controlled* output value (AND = 0, OR = 1) the
   cheapest input by SCOAP controllability is preferred ("easiest
@@ -21,16 +26,25 @@ branch dead-ends (everything in its cone already assigned the wrong
 way in the inspected lane), the next candidate is tried before giving
 up — a measurable reducer of aborted faults on reconvergent circuits.
 A ``None`` return means no candidate branch can advance the objective.
+
+:func:`decide` composes the three into one step.  It is the oracle of
+:meth:`repro.core.state.TpgState.decide`, which on the C engine runs
+the whole step as one call into the native module; the stuck-at
+generator calls :func:`objective_for_lane` and :func:`backtrace`
+directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Set, Tuple
 
 from ..circuit import GateType
+from ..logic.words import lowest_set_lane
 from .controllability import Controllability
-from .state import TpgState
+
+if TYPE_CHECKING:  # the state module imports this one
+    from .state import TpgState
 
 Objective = Tuple[int, int, bool]  # (signal, value, need_stable)
 
@@ -42,6 +56,77 @@ class PiObjective:
     signal: int
     value: int
     stable: bool
+
+
+def objective_for_lane(state: TpgState, signal: int, lane: int) -> Optional[Tuple[int, bool]]:
+    """Derive the (value, need_stable) objective of an unjustified lane.
+
+    Returns ``None`` when the only missing aspect is instability, which
+    the backtrace does not pursue: instability requirements only
+    originate at the path input, which is a primary input and needs no
+    justification.
+    """
+    gate = state.circuit.gates[signal]
+    ins = [state.planes[f] for f in gate.fanin]
+    miss = state.algebra.unjustified_planes(
+        gate.gate_type, state.planes[signal], ins, state.mask
+    )
+    bits = [(m >> lane) & 1 for m in miss]
+    out_bits = [(p >> lane) & 1 for p in state.planes[signal]]
+    need_stable = len(bits) >= 4 and bool(out_bits[2])
+    if bits[1]:
+        return 1, need_stable
+    if bits[0]:
+        return 0, need_stable
+    if len(bits) >= 4 and bits[2]:
+        # stable bit missing; the value itself is assigned (or free)
+        if out_bits[1]:
+            return 1, True
+        if out_bits[0]:
+            return 0, True
+        return 0, True  # value free: stabilize at 0 (an optional choice)
+    return None
+
+
+def objective_group(
+    state: TpgState, signal: int, lanemask: int, rep: int
+) -> Tuple[Optional[Tuple[int, bool]], int]:
+    """Group the lanes of *lanemask* that share the rep lane's objective."""
+    rep_objective = objective_for_lane(state, signal, rep)
+    if rep_objective is None:
+        return None, 1 << rep
+    group = 0
+    lanes = lanemask
+    while lanes:
+        lane = lowest_set_lane(lanes)
+        lanes &= lanes - 1
+        if objective_for_lane(state, signal, lane) == rep_objective:
+            group |= 1 << lane
+    return rep_objective, group
+
+
+def decide(
+    state: TpgState, cc: Controllability, lanes: int, group: bool = False
+) -> Optional[Tuple[int, int, Optional[PiObjective]]]:
+    """The decision step in Python, as :meth:`TpgState.decide` defines it.
+
+    ``scan_unjustified(lanes)[0]``, its lowest lane *rep*, rep's
+    objective (with *group*, the lanes sharing it) and the backtrace in
+    lane rep.
+    """
+    unjustified = state.scan_unjustified(lanes)
+    if not unjustified:
+        return None
+    signal, lanemask = unjustified[0]
+    rep = lowest_set_lane(lanemask)
+    if group:
+        objective, chosen = objective_group(state, signal, lanemask, rep)
+    else:
+        objective, chosen = objective_for_lane(state, signal, rep), 1 << rep
+    if objective is None:
+        return rep, 1 << rep, None
+    value, need_stable = objective
+    return rep, chosen, backtrace(state, cc, signal, value, need_stable, rep)
 
 
 def _lane_bits(state: TpgState, signal: int, lane: int) -> Tuple[int, ...]:

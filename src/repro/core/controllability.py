@@ -7,12 +7,17 @@ set).  These are the classic SCOAP combinational controllabilities:
 CC0/CC1 = 1 for primary inputs, and each gate adds 1 plus the cost of
 the cheapest (for the controlled value) or the sum (for the
 non-controlled value) of its inputs.
+
+The native decision step reads them as :attr:`Controllability.ranks`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List
+
+import numpy as np
 
 from ..circuit import Circuit, GateType
 
@@ -26,6 +31,19 @@ class Controllability:
 
     def cost(self, signal: int, value: int) -> int:
         return self.cc1[signal] if value else self.cc0[signal]
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """``cc0`` then ``cc1`` as dense int32 ranks over their union.
+
+        A lower cost gets a lower rank and equal costs an equal one, so
+        every comparison between costs, ties included, comes out the
+        same on the ranks, which fit in 32 bits however large the costs
+        are.  Computed once per instance, for the C backtrace.
+        """
+        costs = [*self.cc0, *self.cc1]
+        rank = {cost: k for k, cost in enumerate(sorted(set(costs)))}
+        return np.fromiter(map(rank.__getitem__, costs), np.int32, count=len(costs))
 
 
 def compute_controllability(circuit: Circuit) -> Controllability:

@@ -16,6 +16,12 @@ cases of the paper's Figure 1 discussion:
 * a lane that conflicts *after* optional assignments (or where the
   backtrace cannot advance) would need backtracking and is **deferred**
   to APTPG.
+
+Each turn of the loop is one :meth:`TpgState.decide` step — the first
+unjustified signal, its lowest live lane's objective, the lanes sharing
+that objective, and the backtrace to a primary input (one C call on the
+``native/c`` engine) — followed by one ``assign`` of the primary-input
+objective to the whole group and one ``imply``.
 """
 
 from __future__ import annotations
@@ -25,9 +31,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..circuit import Circuit
-from ..logic.words import lowest_set_lane, mask_for
+from ..logic.words import mask_for
 from ..paths import PathDelayFault, TestClass
-from .backtrace import PiObjective, backtrace
+# objective_for_lane and objective_group are importable from here too
+from .backtrace import PiObjective, objective_for_lane, objective_group  # noqa: F401
 from .controllability import Controllability, compute_controllability
 from .patterns import TestPattern, extract_pattern
 from .results import FaultStatus
@@ -44,53 +51,6 @@ class FptpgOutcome:
     state: TpgState
     decisions: int = 0
     seconds_sensitize: float = 0.0
-
-
-def objective_for_lane(state: TpgState, signal: int, lane: int) -> Optional[Tuple[int, bool]]:
-    """Derive the (value, need_stable) objective of an unjustified lane.
-
-    Returns ``None`` when the only missing aspect is instability,
-    which the backtrace does not pursue (see DESIGN.md: instability
-    requirements only originate at the path input, which needs no
-    justification).
-    """
-    gate = state.circuit.gates[signal]
-    ins = [state.planes[f] for f in gate.fanin]
-    miss = state.algebra.unjustified_planes(
-        gate.gate_type, state.planes[signal], ins, state.mask
-    )
-    bits = [(m >> lane) & 1 for m in miss]
-    out_bits = [(p >> lane) & 1 for p in state.planes[signal]]
-    need_stable = len(bits) >= 4 and bool(out_bits[2])
-    if bits[1]:
-        return 1, need_stable
-    if bits[0]:
-        return 0, need_stable
-    if len(bits) >= 4 and bits[2]:
-        # stable bit missing; the value itself is assigned (or free)
-        if out_bits[1]:
-            return 1, True
-        if out_bits[0]:
-            return 0, True
-        return 0, True  # value free: stabilize at 0 (an optional choice)
-    return None
-
-
-def objective_group(
-    state: TpgState, signal: int, lanemask: int, rep: int
-) -> Tuple[Optional[Tuple[int, bool]], int]:
-    """Group the lanes of *lanemask* that share the rep lane's objective."""
-    rep_objective = objective_for_lane(state, signal, rep)
-    if rep_objective is None:
-        return None, 1 << rep
-    group = 0
-    lanes = lanemask
-    while lanes:
-        lane = lowest_set_lane(lanes)
-        lanes &= lanes - 1
-        if objective_for_lane(state, signal, lane) == rep_objective:
-            group |= 1 << lane
-    return rep_objective, group
 
 
 def pi_assignment_planes(state: TpgState, objective: PiObjective, lanes: int) -> Tuple[int, ...]:
@@ -154,17 +114,10 @@ def run_fptpg(
         live = used_mask & ~state.conflict_mask & ~stuck
         if not live:
             break
-        unjustified = state.scan_unjustified(lanes=live)
-        if not unjustified:
+        step = state.decide(cc, live, group=True)
+        if step is None:
             break
-        signal, lanemask = unjustified[0]
-        rep = lowest_set_lane(lanemask)
-        objective, group = objective_group(state, signal, lanemask, rep)
-        if objective is None:
-            stuck |= 1 << rep
-            continue
-        value, need_stable = objective
-        pi_objective = backtrace(state, cc, signal, value, need_stable, rep)
+        rep, group, pi_objective = step
         if pi_objective is None:
             stuck |= group
             continue

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import xor
 from typing import Dict, List, Optional, Tuple
 
 from ..circuit import Circuit
 from ..paths import PathDelayFault
+from ..paths.table import path_input_error
 from .state import TpgState
 
 
@@ -62,34 +64,30 @@ def extract_pattern(
 
     * 3-valued (nonrobust) states carry final values only: ``V2`` is
       the lane image and ``V1`` equals ``V2`` with the path input
-      flipped (the standard nonrobust launch).
+      flipped (the standard nonrobust launch).  A path whose first
+      signal is not a primary input has no launch: :class:`ValueError`
+      naming the signal.
     * 7-valued (robust) states carry initial values implicitly:
       stable inputs keep their final value, instable inputs start
       inverted, history-free inputs start at their final value (the
       safest concrete choice — it adds no transitions).
+
+    Reads only the planes it needs: the final-value 1-plane, and the
+    instable plane of a 7-valued state.
     """
-    circuit = state.circuit
-    robust = state.algebra.n_planes >= 4
-    v1: List[int] = []
-    v2: List[int] = []
-    for pi in circuit.inputs:
-        bits = tuple((p >> lane) & 1 for p in state.planes[pi])
-        final = 1 if bits[1] else 0
-        if robust:
-            instable = bool(bits[3])
-            initial = 1 - final if instable else final
-        else:
-            initial = final
-        v1.append(initial)
-        v2.append(final)
-    pattern = TestPattern(tuple(v1), tuple(v2), fault)
-    if not robust:
-        # launch the transition at the path input
-        position = circuit.inputs.index(fault.input_signal)
-        launched = list(pattern.v1)
-        launched[position] = 1 - pattern.v2[position]
-        pattern = TestPattern(tuple(launched), pattern.v2, fault)
-    return pattern
+    final = state.input_bits(1, lane)
+    if state.algebra.n_planes >= 4:
+        instable = state.input_bits(3, lane)
+        return TestPattern(tuple(map(xor, final, instable)), final, fault)
+    signal = fault.input_signal
+    position = state.compiled.input_position.get(signal)
+    if position is None:
+        inside = 0 <= signal < state.compiled.n_signals
+        name = state.circuit.signal_name(signal) if inside else "outside the circuit"
+        raise path_input_error(signal, name)
+    initial = list(final)
+    initial[position] ^= 1  # launch the transition at the path input
+    return TestPattern(tuple(initial), final, fault)
 
 
 def random_patterns(

@@ -38,8 +38,13 @@ engine a 3-valued (nonrobust) state takes the whole path in one call,
 assigning in exactly the order the Python sensitizer of
 :mod:`repro.core.sensitize` emits — the same trail, worklist, conflict
 sites and later implication passes; every other state feeds that
-sensitizer's list to :meth:`TpgState.assign`.  Backtrace, the decision
-step and robust sensitization are Python on every engine.
+sensitizer's list to :meth:`TpgState.assign`.  Robust sensitization is
+Python on every engine.
+
+:meth:`TpgState.decide` is the FPTPG/APTPG decision step: the first
+unjustified signal, its objective and the backtrace to a primary input.
+On the C engine it is one call; elsewhere it runs the Python functions
+of :mod:`repro.core.backtrace`, which stay its oracle.
 """
 
 from __future__ import annotations
@@ -51,9 +56,13 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..circuit import Circuit, GateType
+from ..kernel import FUSION_MODES
+from ..kernel import native as _native
 from ..logic import seven_valued, three_valued
 from ..logic.words import mask_for
 from ..paths import PathDelayFault, Transition
+from .backtrace import PiObjective, decide as _decide_python
+from .controllability import Controllability
 from .sensitize import sensitize_nonrobust, sensitize_robust
 
 Planes = Tuple[int, ...]
@@ -121,19 +130,15 @@ def tpg_tier(
     or an *algebra* without compiled rules; ``"python/codegen"``
     otherwise.  Raises :class:`ValueError` for an unknown *fusion*.
     """
-    from ..kernel import FUSION_MODES  # lazy: keep core imports light
-
     if fusion not in FUSION_MODES:
         raise ValueError(f"unknown fusion strategy {fusion!r}")
     if fusion == "interp" or (
         algebra is not None and algebra.name not in _COMPILED_ALGEBRAS
     ):
         return "python/interp"
-    if fusion == "auto" and width <= NATIVE_MAX_WIDTH:
-        from ..kernel.native import native_available
-
-        if native_available():
-            return "native/c"
+    # asked every time: the module can be swapped out for the fallback
+    if fusion == "auto" and width <= NATIVE_MAX_WIDTH and _native.native_available():
+        return "native/c"
     return "python/codegen"
 
 
@@ -231,12 +236,10 @@ class TpgState:
         self._marks: List[Tuple[int, int]] = []
         self._c = None
         if self.tier == "native/c":
-            from ..kernel.native import native_module, native_tpg_engine
-
-            module = native_module()
+            module = _native.native_module()
             self._lib = module.lib
             self._ffi = module.ffi
-            self._c = native_tpg_engine(
+            self._c = _native.native_tpg_engine(
                 self.compiled, algebra.n_planes, width, use_backward
             )
             self._assign_c = (
@@ -421,6 +424,53 @@ class TpgState:
         assign = self.assign if c is not None else self._assign
         for signal, planes in rule(self.circuit, fault, lanes, xor_sides):
             assign(signal, planes)
+
+    def decide(
+        self, cc: Controllability, lanes: int, group: bool = False
+    ) -> Optional[Tuple[int, int, Optional[PiObjective]]]:
+        """One FPTPG/APTPG decision step in lane mask *lanes*.
+
+        Takes the first signal, in id order, with unjustified live lanes
+        (``scan_unjustified(lanes)[0]``) and its lowest such lane *rep*,
+        derives rep's objective and backtraces it in lane rep with the
+        SCOAP costs *cc* (:mod:`repro.core.backtrace`).  Returns
+        ``None`` when no live lane of *lanes* is unjustified, else
+        ``(rep, lanes, objective)``: *objective* is the
+        :class:`~repro.core.backtrace.PiObjective` to assign, or
+        ``None`` when rep has no objective or the backtrace dead-ends.
+        The lanes are rep's alone, except that with *group* and an
+        objective they are the signal's lanes sharing rep's objective.
+        On the C engine this is one call, which reads *cc* as
+        :attr:`Controllability.ranks`; the other engines run
+        :func:`repro.core.backtrace.decide`, its oracle.  A *cc* not
+        covering exactly this circuit's signals raises
+        :class:`ValueError`.
+        """
+        n = self._n_signals
+        if len(cc.cc0) != n or len(cc.cc1) != n:
+            raise ValueError(
+                f"controllability covers {len(cc.cc0)}/{len(cc.cc1)} "
+                f"signals, the circuit has {n}"
+            )
+        c = self._c
+        if c is None:
+            return _decide_python(self, cc, lanes, group)
+        code = self._lib.repro_tpg_decide(
+            c,
+            lanes & self.mask,
+            group,
+            self._ffi.from_buffer("int32_t[]", cc.ranks),
+        )
+        if code <= 0:
+            if code < 0:
+                raise MemoryError("cannot grow the native backtrace scratch")
+            return None
+        rep = c.d_rep
+        if code == 1:
+            return rep, 1 << rep, None
+        if code == 2:
+            return rep, c.d_lanes, None
+        return rep, c.d_lanes, PiObjective(c.d_pi, c.d_value, c.d_stable == 1)
 
     def mark(self) -> int:
         """Open a checkpoint; returns a token for :meth:`rollback`."""
@@ -664,6 +714,23 @@ class TpgState:
         self._trail.clear()
         # every plane changed: the whole justification cache is stale
         self._dirty.update(range(self._n_signals))
+
+    def input_bits(self, plane: int, lane: int) -> Tuple[int, ...]:
+        """Bit *lane* of plane *plane* of every primary input, in order.
+
+        Reads that one word per input (on the C engine straight from its
+        plane buffer); lanes outside ``[0, width)`` raise
+        :class:`ValueError`.
+        """
+        if not 0 <= lane < self.width:
+            raise ValueError(f"lane {lane} outside [0, {self.width})")
+        inputs = self.compiled.py_inputs
+        if self._c is None:
+            planes = self.planes
+            return tuple([planes[pi][plane] >> lane & 1 for pi in inputs])
+        words = memoryview(self.planes._buf).cast("Q")
+        n_planes = self.algebra.n_planes
+        return tuple([words[pi * n_planes + plane] >> lane & 1 for pi in inputs])
 
     def lane_values(self, lane: int) -> dict:
         """Decode one lane into {signal name: value letter} for display."""

@@ -32,9 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..circuit import Circuit, GateType, controlling_value
 from ..logic import three_valued as tv
 from ..logic.words import lowest_set_lane, mask_for, split_masks
-from .backtrace import PiObjective, backtrace
+from .backtrace import PiObjective, backtrace, objective_for_lane
 from .controllability import Controllability, compute_controllability
-from .fptpg import objective_for_lane
 from .state import THREE_VALUED, TpgState
 
 

@@ -1197,6 +1197,12 @@ void repro_stuck_cone(const u64 *good, long n,
 # ``repro_tpg_sensitize`` applies a path's nonrobust sensitization as
 # the same sequence of ``assign`` steps the Python sensitizer's list
 # feeds one by one; robust sensitization stays in Python.
+# ``repro_tpg_decide`` is the FPTPG/APTPG decision step of
+# :mod:`repro.core.backtrace` -- the first unjustified signal, its
+# objective and lane group, the backtrace to a primary input -- with its
+# result in the ``d_*`` fields.  The backtrace's scratch (objective
+# flags, node and candidate stacks) lives here too, grown on demand:
+# states share nothing mutable, so each can run on its own thread.
 _C_TPG_STRUCT = r"""
 typedef struct {
   const repro_plan *p;
@@ -1221,6 +1227,11 @@ typedef struct {
   uint64_t *work;
   int32_t *scan_sig;
   uint64_t *scan_mask;
+  int32_t d_rep, d_pi, d_value, d_stable;
+  uint64_t d_lanes;
+  uint8_t *bt_flag;
+  long *bt_touched, *bt_nodes, *bt_cands;
+  long n_touched, cap_touched, depth, cap_nodes, n_cands, cap_cands;
 } repro_tpg;
 """
 
@@ -1231,6 +1242,8 @@ void repro_tpg_free(repro_tpg *st) {
   free(st->trail_sig); free(st->trail_old);
   free(st->unjust); free(st->dirty); free(st->is_dirty);
   free(st->work); free(st->scan_sig); free(st->scan_mask);
+  free(st->bt_flag); free(st->bt_touched); free(st->bt_nodes);
+  free(st->bt_cands);
   free(st);
 }
 
@@ -1662,6 +1675,242 @@ int repro_tpg_sensitize(repro_tpg *st, const int32_t *path, long plen,
   }
   return 0;
 }
+
+/* The decision step: repro.core.backtrace's decide over one lane, rep.
+   An objective (signal, value, stable) is the key signal * 4 + value * 2
+   + stable; bt_flag holds one flag per key, reset through bt_touched. */
+#define BT_KEY(s, v, t) ((long)(s) * 4 + (v) * 2 + (t))
+#define BT_FAILED 1
+#define BT_ON_STACK 2
+
+/* *buf grown to at least need longs (doubling): 0, -1 when it cannot
+   grow (*buf is kept then). */
+static int _bt_grow(long **buf, long *cap, long need) {
+  long c;
+  long *grown;
+  if (need <= *cap) return 0;
+  for (c = *cap ? 2 * *cap : 64; c < need; c *= 2) ;
+  grown = realloc(*buf, c * sizeof(long));
+  if (!grown) return -1;
+  *buf = grown;
+  *cap = c;
+  return 0;
+}
+
+/* Signal f's value in lane: 0, 1, or -1 when unknown or conflicted. */
+static int _bt_value(const repro_tpg *st, long f, long lane) {
+  const u64 *a = st->planes + f * st->n_planes;
+  int z = a[0] >> lane & 1, o = a[1] >> lane & 1;
+  return z == o ? -1 : o;
+}
+
+/* f can still be made stable in lane: not known-instable. */
+static int _bt_free(const repro_tpg *st, long f, long lane) {
+  return st->n_planes < 4 || !(st->planes[f * 4 + 3] >> lane & 1);
+}
+
+static int _bt_stable(const repro_tpg *st, long f, long lane) {
+  return st->n_planes < 4 || (st->planes[f * 4 + 2] >> lane & 1);
+}
+
+/* Stable insertion sort of n candidate keys by cost rank r[signal]:
+   ascending, or descending (hardest first); ties keep fanin order. */
+static void _bt_sort(long *c, long n, const int32_t *r, int hardest_first) {
+  long i, j;
+  for (i = 1; i < n; i++) {
+    long x = c[i];
+    int32_t rx = r[x >> 2];
+    for (j = i; j > 0; j--) {
+      int32_t q = r[c[j - 1] >> 2];
+      if (hardest_first ? q >= rx : q <= rx) break;
+      c[j] = c[j - 1];
+    }
+    c[j] = x;
+  }
+}
+
+/* Append what _candidates yields for internal objective key, in that
+   order, to bt_cands.  Eager, which is equivalent: the planes do not
+   change during a backtrace.  0, -1 when the stack cannot grow. */
+static int _bt_candidates(repro_tpg *st, long key, long lane,
+                          const int32_t *rank) {
+  const repro_plan *p = st->p;
+  long s = key >> 2, n = p->n_signals, k, j, start;
+  int val = key >> 1 & 1, stable = key & 1, code = p->code[s];
+  const int32_t *fi = p->fanin_idx + p->fanin_off[s];
+  long nf = p->fanin_off[s + 1] - p->fanin_off[s];
+  long *c;
+  if (_bt_grow(&st->bt_cands, &st->cap_cands, st->n_cands + 2 * nf + 1))
+    return -1;
+  c = st->bt_cands;
+  start = st->n_cands;
+  if (code == 1 || code == 2) {          /* BUF / NOT */
+    c[st->n_cands++] = BT_KEY(fi[0], code == 2 ? 1 - val : val, stable);
+  } else if (code <= 6) {                /* AND NAND OR NOR */
+    int all = code <= 4, target = code == 4 || code == 6 ? 1 - val : val;
+    int want = target == all ? all : !all;
+    /* value-unknown inputs: all of them take the non-controlling value,
+       hardest first; one controlling input suffices, easiest first */
+    for (k = 0; k < nf; k++)
+      if (_bt_value(st, fi[k], lane) < 0 &&
+          ((target != all && !stable) || _bt_free(st, fi[k], lane)))
+        c[st->n_cands++] = BT_KEY(fi[k], want, stable);
+    _bt_sort(c + start, st->n_cands - start, rank + want * n, target == all);
+    if (stable) {                        /* then the stability chase */
+      start = st->n_cands;
+      for (k = 0; k < nf; k++)
+        if (_bt_value(st, fi[k], lane) == want &&
+            !_bt_stable(st, fi[k], lane) && _bt_free(st, fi[k], lane))
+          c[st->n_cands++] = BT_KEY(fi[k], want, 1);
+      _bt_sort(c + start, st->n_cands - start, rank + want * n, 0);
+    }
+  } else {                               /* XOR / XNOR */
+    int target = code == 8 ? 1 - val : val;
+    for (k = 0; k < nf; k++) {
+      long chosen = fi[k];
+      int parity = 0, complete = 1;
+      if (_bt_value(st, chosen, lane) >= 0 ||
+          (stable && !_bt_free(st, chosen, lane)))
+        continue;
+      /* the parity completion over every other fanin, else 0 */
+      for (j = 0; j < nf; j++) {
+        int v;
+        if (fi[j] == chosen) continue;
+        v = _bt_value(st, fi[j], lane);
+        if (v < 0) { complete = 0; break; }
+        parity ^= v;
+      }
+      c[st->n_cands++] = BT_KEY(chosen, complete ? target ^ parity : 0, stable);
+    }
+    if (stable)
+      for (k = 0; k < nf; k++)
+        if (!_bt_stable(st, fi[k], lane) && _bt_free(st, fi[k], lane)) {
+          int v = _bt_value(st, fi[k], lane);
+          c[st->n_cands++] = BT_KEY(fi[k], v < 0 ? 0 : v, 1);
+        }
+  }
+  return 0;
+}
+
+static int _bt_flag_key(repro_tpg *st, long key, uint8_t flag) {
+  if (!st->bt_flag[key]) {
+    if (_bt_grow(&st->bt_touched, &st->cap_touched, st->n_touched + 1))
+      return -1;
+    st->bt_touched[st->n_touched++] = key;
+  }
+  st->bt_flag[key] = flag;
+  return 0;
+}
+
+/* Open objective key: 1 when it is a primary-input assignment to make
+   (into d_pi, d_value, d_stable); 0 when it was failed or on the stack
+   already, refuted at its input, or pushed with its candidates; -1 when
+   scratch cannot grow.  A node is 4 longs: key, candidate base, cursor,
+   candidate end. */
+static int _bt_open(repro_tpg *st, long key, long lane, const int32_t *rank) {
+  long s = key >> 2, base = st->n_cands, *node;
+  int val = key >> 1 & 1, stable = key & 1;
+  if (st->bt_flag[key]) return 0;
+  if (st->p->code[s] == 0) {
+    int cur = _bt_value(st, s, lane);
+    int ok = cur < 0 || (cur == val && stable && !_bt_stable(st, s, lane));
+    if (ok && (!stable || _bt_free(st, s, lane))) {
+      st->d_pi = (int32_t)s;
+      st->d_value = val;
+      st->d_stable = stable;
+      return 1;
+    }
+    return _bt_flag_key(st, key, BT_FAILED);
+  }
+  if (_bt_grow(&st->bt_nodes, &st->cap_nodes, 4 * (st->depth + 1)) ||
+      _bt_candidates(st, key, lane, rank) ||
+      _bt_flag_key(st, key, BT_ON_STACK))
+    return -1;
+  node = st->bt_nodes + 4 * st->depth++;
+  node[0] = key;
+  node[1] = node[2] = base;
+  node[3] = st->n_cands;
+  return 0;
+}
+
+/* backtrace from objective root in lane: 1 with the primary-input
+   assignment in d_*, 0 when no branch can advance, -1 when scratch
+   cannot grow.  An exhausted node is popped and fails. */
+static int _bt_run(repro_tpg *st, long root, long lane, const int32_t *rank) {
+  int rc;
+  long k;
+  if (!st->bt_flag) {
+    st->bt_flag = calloc(4 * st->p->n_signals + 4, 1);
+    if (!st->bt_flag) return -1;
+  }
+  st->depth = st->n_cands = 0;
+  rc = _bt_open(st, root, lane, rank);
+  while (!rc && st->depth) {
+    long depth = st->depth, *node = st->bt_nodes + 4 * (depth - 1);
+    /* a push may move bt_nodes, but it ends the scan of this node */
+    while (node[2] < node[3]) {
+      rc = _bt_open(st, st->bt_cands[node[2]++], lane, rank);
+      if (rc || st->depth != depth) break;
+    }
+    if (!rc && st->depth == depth) {
+      st->depth--;
+      st->n_cands = node[1];
+      st->bt_flag[node[0]] = BT_FAILED;
+    }
+  }
+  for (k = 0; k < st->n_touched; k++) st->bt_flag[st->bt_touched[k]] = 0;
+  st->n_touched = 0;
+  return rc;
+}
+
+/* One FPTPG/APTPG decision step in lanes (see TpgState.decide): the
+   first signal in id order with unjustified live lanes, its lowest such
+   lane rep, rep's objective from the miss planes have & ~forward, with
+   group the signal's lanes sharing it (computed word-wide), then the
+   backtrace in lane rep.  rank holds cc0 then cc1 as dense ranks.
+   Returns 0 when no live lane is unjustified, 1 when rep has no
+   objective, 2 when the backtrace dead-ends, 3 with a primary-input
+   assignment in d_pi, d_value, d_stable; -1 when scratch cannot grow.
+   From 1 on, d_rep is rep and d_lanes rep's lane, or the group. */
+int repro_tpg_decide(repro_tpg *st, uint64_t lanes, int group,
+                     const int32_t *rank) {
+  const repro_plan *p = st->p;
+  long n = p->n_signals, np = st->n_planes, s, rep, k;
+  u64 live = lanes & st->mask & ~st->conflict_mask, found;
+  u64 fwd[4], m[4] = {0, 0, 0, 0};
+  const u64 *have;
+  int val, stable, rc;
+  if (!live) return 0;
+  _tpg_refresh(st);
+  for (s = 0; s < n && !(st->unjust[s] & live); s++) ;
+  if (s == n) return 0;
+  found = st->unjust[s] & live;
+  for (rep = 0; !(found >> rep & 1); rep++) ;
+  have = st->planes + s * np;
+  _tpg_forward(st, s, fwd);
+  for (k = 0; k < np; k++) m[k] = have[k] & ~fwd[k] & st->mask;
+  st->d_rep = (int32_t)rep;
+  st->d_lanes = (u64)1 << rep;
+  stable = np == 4 && (have[2] >> rep & 1);
+  if (m[1] >> rep & 1) {
+    val = 1;
+  } else if (m[0] >> rep & 1) {
+    val = 0;
+  } else if (m[2] >> rep & 1) {          /* only the stable bit missing */
+    val = have[1] >> rep & 1;
+    stable = 1;
+  } else {
+    return 1;
+  }
+  if (group) {
+    u64 need = np == 4 ? have[2] : 0;
+    u64 same = (val ? m[1] : m[0] & ~m[1]) & (stable ? need : ~need);
+    if (stable) same |= ~m[0] & ~m[1] & m[2] & (val ? have[1] : ~have[1]);
+    st->d_lanes = found & same;
+  }
+  rc = _bt_run(st, BT_KEY(s, val, stable), rep, rank);
+  return rc < 0 ? -1 : rc ? 3 : 2;
+}
 """
 
 #: The cffi declarations of every entry point the native module exports.
@@ -1710,6 +1959,8 @@ int repro_tpg_sensitize(repro_tpg *st, const int32_t *path, long plen,
                         int final_one, uint64_t lanes,
                         const int32_t *xor_sig, const uint64_t *xor_lanes,
                         long n_xor);
+int repro_tpg_decide(repro_tpg *st, uint64_t lanes, int group,
+                     const int32_t *rank);
 """
 
 #: The whole native kernel as one circuit-generic C translation unit:

@@ -30,7 +30,7 @@ cached on the circuit forever (:meth:`repro.circuit.Circuit.compiled`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -107,6 +107,7 @@ class CompiledCircuit:
 
     # python mirrors (interpreter loops)
     py_inputs: List[int] = field(default_factory=list)
+    input_position: Dict[int, int] = field(default_factory=dict)  # input -> k
     py_outputs: List[int] = field(default_factory=list)
     py_order: List[int] = field(default_factory=list)
     order_position: List[int] = field(default_factory=list)  # signal -> rank in order
@@ -242,6 +243,7 @@ def compile_circuit(circuit: "Circuit") -> CompiledCircuit:
         input_index=np.asarray(circuit.inputs, dtype=np.int32),
         output_index=np.asarray(circuit.outputs, dtype=np.int32),
         py_inputs=list(circuit.inputs),
+        input_position={signal: k for k, signal in enumerate(circuit.inputs)},
         py_outputs=list(circuit.outputs),
         py_order=py_order,
         order_position=order_position,

@@ -25,9 +25,10 @@ The module also holds the TPG implication engine: a
 :class:`repro.core.state.TpgState` of at most 64 lanes keeps its
 planes, worklist, trail and justification cache in one C
 ``repro_tpg`` (:func:`native_tpg_engine`), and ``assign``/``imply``/
-``rollback``, the unjustified scan, lane flattening and a path's
-nonrobust sensitization are single calls; backtrace, the decision
-step and robust sensitization stay in Python.
+``rollback``, the unjustified scan, lane flattening, a path's
+nonrobust sensitization and the FPTPG/APTPG decision step (objective,
+lane group and SCOAP-ranked backtrace) are single calls; robust
+sensitization stays in Python.
 
 Module lifecycle — one module per machine, not per circuit:
 
@@ -79,7 +80,7 @@ from .packed import rows_to_ints, words_to_int
 
 #: Bump when the call ABI changes (the C text is hashed into the module
 #: name anyway), so stale disk-cached shared objects are never reloaded.
-NATIVE_ABI = 5
+NATIVE_ABI = 6
 
 # The C text is constant-size (data-driven plan interpreters), so a real
 # optimization level is affordable: -O2 runs the fault loops ~2x faster

@@ -50,6 +50,16 @@ def signal_range_error(n_signals: int) -> ValueError:
     )
 
 
+def path_input_error(signal: int, name: str) -> ValueError:
+    """The rejection of a fault path whose first signal is not a primary
+    input: a test launches the path's transition at a primary input, so
+    no pattern exists for it.  *name* is the signal's name."""
+    return ValueError(
+        f"fault path starts at signal {signal} ({name}), which is not a "
+        "primary input"
+    )
+
+
 def _checked_rows(rows: Sequence[int], n_rows: int) -> np.ndarray:
     """*rows* as a read-only int32 array, each in ``[0, n_rows)``."""
     try:

@@ -160,9 +160,10 @@ def prefix_independent(circuit: Circuit, fault: PathDelayFault) -> bool:
     and therefore sufficient for every test of the fault.
 
     The oracle-based property tests use this predicate to select the
-    faults where the model's guarantee is physically testable; see
-    DESIGN.md ("Oracle-based validation") for the reconvergence
-    counterexample that motivates it.
+    faults where the model's guarantee is physically testable: where
+    the path reconverges, an off-path input reading the slowed signal
+    settles late in the faulty circuit too, so a test that meets every
+    robust condition can still miss the injected slowdown.
     """
     if fault.length < 1:
         return False

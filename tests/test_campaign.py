@@ -566,9 +566,10 @@ class TestFaultTableRows:
 
 
 class TestMalformedFaults:
-    """A fault naming a signal outside the circuit settles alone, at
-    admission: ``skipped_error`` with an error envelope, never
-    scheduled, and every other fault settles as in a clean run."""
+    """A fault naming a signal outside the circuit, or whose path does not
+    start at a primary input, settles alone, at admission:
+    ``skipped_error`` with an error envelope, never scheduled, and every
+    other fault settles as in a clean run."""
 
     ENGINES = [
         pytest.param(
@@ -589,25 +590,28 @@ class TestMalformedFaults:
         session = AtpgSession(circuit, options=Options(fusion=fusion))
         return session, fault_list(circuit, cap=64)
 
-    @pytest.mark.parametrize("fusion", ENGINES)
-    @pytest.mark.parametrize("bad_id", [99999, -3])
-    def test_campaign(self, fusion, bad_id):
+    @staticmethod
+    def off_input(session, faults):
+        """The first fault's path without its primary input, and the
+        rejection naming the internal signal it now starts at."""
         from repro.paths import PathDelayFault, Transition
-        from repro.paths.table import signal_range_error
+        from repro.paths.table import path_input_error
 
-        session, faults = self.setup(fusion)
-        bad = PathDelayFault((0, bad_id), Transition.RISING)
-        clean = session.campaign(faults=faults)
-        report = session.campaign(faults=[bad] + faults)
+        bad = PathDelayFault(faults[0].signals[1:], Transition.RISING)
+        start = bad.input_signal
+        assert 0 <= start < session.compiled.n_signals
+        assert not session.compiled.is_input[start]
+        return bad, path_input_error(start, session.circuit.signal_name(start))
+
+    @staticmethod
+    def assert_campaign_settles_alone(session, faults, bad, error, test_class):
+        clean = session.campaign(faults=faults, test_class=test_class)
+        report = session.campaign(faults=[bad] + faults, test_class=test_class)
         assert report.complete and report.n_faults == 65
         assert report.statuses[0] is FaultStatus.SKIPPED_ERROR
         assert report.modes[0] == "error"
         assert report.errors == {
-            0: {
-                "error": "ValueError",
-                "detail": str(signal_range_error(session.compiled.n_signals)),
-                "attempts": 0,
-            }
+            0: {"error": "ValueError", "detail": str(error), "attempts": 0}
         }
         assert report.stats.shard_retries == 0
         assert report.stats.quarantined_shards == 0
@@ -622,15 +626,10 @@ class TestMalformedFaults:
             assert getattr(report.stats, name) == getattr(clean.stats, name)
         assert clean.count(FaultStatus.TESTED) == 64
 
-    @pytest.mark.parametrize("fusion", ENGINES)
-    @pytest.mark.parametrize("bad_id", [99999, -3])
-    def test_generate(self, fusion, bad_id):
-        from repro.paths import PathDelayFault, Transition
-
-        session, faults = self.setup(fusion)
-        bad = PathDelayFault((0, bad_id), Transition.RISING)
-        clean = session.generate(faults)
-        report = session.generate([bad] + faults)
+    @staticmethod
+    def assert_generate_settles_alone(session, faults, bad, test_class):
+        clean = session.generate(faults, test_class=test_class)
+        report = session.generate([bad] + faults, test_class=test_class)
         assert report.records[0].status is FaultStatus.SKIPPED_ERROR
         assert report.records[0].mode == "error"
         assert report.records[0].fault == bad
@@ -641,3 +640,108 @@ class TestMalformedFaults:
             (r.status, r.mode, r.pattern and (r.pattern.v1, r.pattern.v2))
             for r in clean.records
         ]
+
+    @pytest.mark.parametrize("fusion", ENGINES)
+    @pytest.mark.parametrize("bad_id", [99999, -3])
+    def test_campaign(self, fusion, bad_id):
+        from repro.paths import PathDelayFault, Transition
+        from repro.paths.table import signal_range_error
+
+        session, faults = self.setup(fusion)
+        bad = PathDelayFault((0, bad_id), Transition.RISING)
+        error = signal_range_error(session.compiled.n_signals)
+        self.assert_campaign_settles_alone(session, faults, bad, error, "nonrobust")
+
+    @pytest.mark.parametrize("fusion", ENGINES)
+    @pytest.mark.parametrize("bad_id", [99999, -3])
+    def test_generate(self, fusion, bad_id):
+        from repro.paths import PathDelayFault, Transition
+
+        session, faults = self.setup(fusion)
+        bad = PathDelayFault((0, bad_id), Transition.RISING)
+        self.assert_generate_settles_alone(session, faults, bad, "nonrobust")
+
+    @pytest.mark.parametrize("test_class", ["nonrobust", "robust"])
+    @pytest.mark.parametrize("fusion", ENGINES)
+    def test_campaign_path_off_a_primary_input(self, fusion, test_class):
+        session, faults = self.setup(fusion)
+        bad, error = self.off_input(session, faults)
+        assert "not a primary input" in str(error)
+        self.assert_campaign_settles_alone(session, faults, bad, error, test_class)
+
+    @pytest.mark.parametrize("test_class", ["nonrobust", "robust"])
+    @pytest.mark.parametrize("fusion", ENGINES)
+    def test_generate_path_off_a_primary_input(self, fusion, test_class):
+        session, faults = self.setup(fusion)
+        bad, _error = self.off_input(session, faults)
+        self.assert_generate_settles_alone(session, faults, bad, test_class)
+
+    def test_refused_rows_are_never_live(self):
+        from repro.campaign.bus import DropBus
+        from repro.paths import PathDelayFault, Transition
+
+        session, faults = self.setup("codegen")
+        bad, error = self.off_input(session, faults)
+        bus = DropBus(session.circuit, TestClass.NONROBUST)
+        outside = PathDelayFault((0, -1), Transition.RISING)
+        arrivals = [(0, faults[0]), (1, bad), (2, outside), (3, faults[1])]
+        kept, rejected = bus.register(arrivals)
+        assert kept == [arrivals[0], arrivals[3]]
+        assert [(index, fault) for index, fault, _ in rejected] == arrivals[1:3]
+        assert str(rejected[0][2]) == str(error)
+        assert list(bus._rows) == [0, 3]
+        assert [bus.table.faults[row] for row in bus._rows.values()] == [
+            faults[0], faults[1]
+        ]
+
+
+class TestTpgEnginesAgree:
+    """The C decision step against the Python one, end to end: on the C
+    TPG engine a campaign settles every fault as ``fusion="codegen"``
+    does, with the same patterns and search counters.  Narrow words
+    leave APTPG few lane splits, so most of these inputs backtrack."""
+
+    CASES = [
+        # circuit, scale, test class, width, faults, backtracks at least
+        ("c880", 1, "robust", 1, 96, 0),
+        ("s1423", 1, "robust", 1, 256, 1),
+        ("c1355", 1, "robust", 2, 128, 1),
+        ("s838", 1, "robust", 1, 96, 0),
+        ("c7552", 1, "robust", 2, 128, 1),
+        ("c880", 2, "nonrobust", 1, 96, 0),
+        ("c6288", 1, "robust", 1, 96, 1),
+        ("c6288", 1, "nonrobust", 1, 96, 1),
+    ]
+
+    @pytest.mark.skipif(
+        not native_available(), reason="no C toolchain and no cached native module"
+    )
+    @pytest.mark.parametrize("name,scale,test_class,width,cap,backtracks", CASES)
+    def test_statuses_patterns_and_counters(
+        self, name, scale, test_class, width, cap, backtracks
+    ):
+        from repro.api import AtpgSession, Options
+        from repro.core.state import tpg_tier
+
+        assert tpg_tier(width, "auto") == "native/c"
+        assert tpg_tier(width, "codegen") == "python/codegen"
+        circuit = suite_circuit(name, scale)
+        faults = fault_list(circuit, cap=cap)
+        native, python = (
+            AtpgSession(circuit, options=Options(fusion=fusion)).campaign(
+                faults=faults, test_class=test_class, width=width
+            )
+            for fusion in ("auto", "codegen")
+        )
+        assert campaign_statuses(native) == campaign_statuses(python)
+        assert native.modes == python.modes
+        assert [(p.v1, p.v2, p.fault) for p in native.patterns] == [
+            (p.v1, p.v2, p.fault) for p in python.patterns
+        ]
+        for counter in (
+            "rounds", "fptpg_rounds", "aptpg_rounds",
+            "decisions", "backtracks", "implication_passes",
+        ):
+            assert getattr(native.stats, counter) == getattr(python.stats, counter)
+        assert native.stats.decisions > 0
+        assert native.stats.backtracks >= backtracks

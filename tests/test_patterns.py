@@ -71,6 +71,49 @@ class TestExtraction:
         assert pattern.v1[a_pos] == 0 and pattern.v2[a_pos] == 0
 
 
+class TestExtractionAcrossEngines:
+    """``extract_pattern`` reads only the planes it needs, straight from
+    the C engine's buffer there: the same pattern on every engine."""
+
+    @pytest.mark.parametrize("algebra", [THREE_VALUED, SEVEN_VALUED])
+    def test_same_pattern_on_every_engine(self, algebra):
+        import random
+
+        from repro.kernel import native_available
+
+        c = paper_example()
+        fault = PathDelayFault.from_names(c, ("b", "p", "x"), Transition.RISING)
+        engines = ["auto", "codegen", "interp"] if native_available() else ["codegen", "interp"]
+        states = [TpgState(c, algebra, 64, fusion=engine) for engine in engines]
+        rng = random.Random(7)
+        for signal in range(c.num_signals):
+            planes = tuple(rng.getrandbits(64) for _ in range(algebra.n_planes))
+            for state in states:
+                state.assign(signal, planes)
+        for lane in (0, 17, 63):
+            patterns = {extract_pattern(state, lane, fault) for state in states}
+            assert len(patterns) == 1
+            for plane in range(algebra.n_planes):
+                want = tuple(states[-1].planes[pi][plane] >> lane & 1 for pi in c.inputs)
+                assert all(state.input_bits(plane, lane) == want for state in states)
+        for state in states:
+            with pytest.raises(ValueError, match="lane 64 outside"):
+                state.input_bits(1, 64)
+
+    @pytest.mark.parametrize("fusion", ["auto", "codegen", "interp"])
+    def test_nonrobust_path_off_a_primary_input_names_the_signal(self, fusion):
+        c = paper_example()
+        p = c.index_of("p")
+        fault = PathDelayFault((p, c.index_of("x")), Transition.RISING)
+        state = TpgState(c, THREE_VALUED, 1, fusion=fusion)
+        with pytest.raises(ValueError, match=rf"signal {p} \(p\), which is not a primary input"):
+            extract_pattern(state, 0, fault)
+        for bad in (-1, c.num_signals):
+            outside = PathDelayFault((bad, p), Transition.RISING)
+            with pytest.raises(ValueError, match=rf"signal {bad} \(outside the circuit\)"):
+                extract_pattern(state, 0, outside)
+
+
 class TestTestSet:
     def test_dedup(self):
         ts = TestSet()

@@ -698,3 +698,215 @@ class TestSensitizeMatchesPython:
                     st.sensitize(PathDelayFault(path, Transition.RISING), 0b1111)
                 assert str(via_sensitize.value) == str(via_assign.value)
         assert st.assignments == 0 and trail_len(st) == 0 and not worklist(st)
+
+
+# ---------------------------------------------------------------------------
+# the decision step: the C call against the Python functions
+# ---------------------------------------------------------------------------
+
+#: costs with ties and past 2**63: the C backtrace compares their ranks
+COSTS = [0, 1, 1, 2, 3, 2**63 - 1, 2**63, 2**63 + 1, 2**70]
+
+#: every conflict-free lane pattern but X, per algebra: the named values
+#: and the partial ones implication leaves (stable or instable alone)
+PATTERNS = {
+    THREE_VALUED.name: [(1, 0), (0, 1)],
+    SEVEN_VALUED.name: [
+        (z, o, s, i)
+        for z, o in ((0, 0), (1, 0), (0, 1))
+        for s, i in ((0, 0), (1, 0), (0, 1))
+        if z or o or s or i
+    ],
+}
+
+
+def draw_controllability(data, circuit: Circuit):
+    """The circuit's SCOAP table, or random costs with ties and huge ones."""
+    from repro.core.controllability import Controllability, compute_controllability
+
+    if data.draw(hst.booleans(), label="scoap"):
+        return compute_controllability(circuit)
+    costs = hst.lists(
+        hst.sampled_from(COSTS),
+        min_size=circuit.num_signals,
+        max_size=circuit.num_signals,
+    )
+    return Controllability(data.draw(costs, label="cc0"), data.draw(costs, label="cc1"))
+
+
+def deep_circuit(depth: int, arity: int) -> Circuit:
+    """A chain of alternating AND/XOR gates, each also reading *arity*
+    fresh inputs: a backtrace through it holds a deep node stack and many
+    candidates, past the C scratch's first allocation."""
+    circuit = Circuit(name=f"deep_{depth}_{arity}")
+    signal = circuit.add_input("i")
+    for g in range(depth):
+        sides = [circuit.add_input(f"i{g}_{k}") for k in range(arity)]
+        kind = GateType.XOR if g % 2 else GateType.AND
+        signal = circuit.add_gate(f"g{g}", kind, [signal, *sides, signal])
+    circuit.mark_output(signal)
+    return circuit.freeze()
+
+
+class TestDecideMatchesPython:
+    """``TpgState.decide`` on the C engine returns what the Python decision
+    step (:func:`repro.core.backtrace.decide`) returns over the same
+    planes, and what the interp and codegen engines' ``decide`` returns."""
+
+    @needs_native
+    @settings(max_examples=300, deadline=None)
+    @given(data=hst.data())
+    def test_random_states_lanes_and_costs(self, data):
+        from repro.core.backtrace import decide
+
+        circuit = data.draw(
+            hst.builds(
+                mixed_dag,
+                hst.integers(0, 10_000),
+                hst.integers(2, 6),
+                hst.integers(1, 30),
+            ),
+            label="circuit",
+        )
+        width = data.draw(hst.integers(1, 64), label="width")
+        algebra = data.draw(hst.sampled_from([THREE_VALUED, SEVEN_VALUED]))
+        use_backward = data.draw(hst.booleans(), label="use_backward")
+        got = TpgState(circuit, algebra, width, use_backward, fusion="auto")
+        assert got.tier == "native/c"
+        wants = [
+            TpgState(circuit, algebra, width, use_backward, fusion=engine)
+            for engine in ("interp", "codegen")
+        ]
+        cc = draw_controllability(data, circuit)
+        patterns = PATTERNS[algebra.name]
+        # per-lane draws leave half the lanes X
+        choices = [(0,) * algebra.n_planes] * len(patterns) + patterns
+        rng = random.Random(data.draw(hst.integers(0, 2**32), label="seed"))
+        mask = got.mask
+        lane_word = hst.integers(0, mask) | hst.integers(-(1 << 70), 1 << 70)
+        for _ in range(data.draw(hst.integers(1, 6), label="n_steps")):
+            for _ in range(data.draw(hst.integers(0, 6), label="n_assign")):
+                signal = data.draw(hst.integers(0, circuit.num_signals - 1))
+                if data.draw(hst.booleans(), label="one pattern"):
+                    lanes = data.draw(hst.integers(1, mask))
+                    picks = [data.draw(hst.sampled_from(patterns))] * width
+                else:
+                    lanes = mask
+                    picks = [rng.choice(choices) for _ in range(width)]
+                planes = tuple(
+                    sum(bits[p] << lane for lane, bits in enumerate(picks)) & lanes
+                    for p in range(algebra.n_planes)
+                )
+                for state in (got, *wants):
+                    state.assign(signal, planes)
+            if data.draw(hst.booleans(), label="imply"):
+                for state in (got, *wants):
+                    state.imply(False)
+            for want in wants:
+                assert got.planes == want.planes
+                assert got.conflict_mask == want.conflict_mask
+            for _ in range(data.draw(hst.integers(1, 3), label="n_decide")):
+                lanes = data.draw(lane_word, label="live")
+                group = data.draw(hst.booleans(), label="group")
+                step = got.decide(cc, lanes, group)
+                assert step == decide(got, cc, lanes, group)
+                for want in wants:
+                    assert want.decide(cc, lanes, group) == step
+            for want in wants:  # deciding changes nothing
+                assert_same_state(got, want)
+
+    @needs_native
+    @pytest.mark.parametrize("algebra", [THREE_VALUED, SEVEN_VALUED])
+    def test_deep_backtrace_grows_the_scratch(self, algebra):
+        from repro.core.backtrace import decide
+        from repro.core.controllability import compute_controllability
+
+        circuit = deep_circuit(depth=150, arity=3)
+        cc = compute_controllability(circuit)
+        got = TpgState(circuit, algebra, 64)
+        want = TpgState(circuit, algebra, 64, fusion="interp")
+        value = sv.encode_word("S1", 0b1011) if algebra is SEVEN_VALUED else (0, 0b1011)
+        out = circuit.outputs[0]
+        for state in (got, want):
+            state.assign(out, value)
+            state.imply(False)
+        for group in (False, True):
+            step = got.decide(cc, -1, group)
+            assert step is not None and step[2] is not None
+            assert step == decide(got, cc, -1, group) == want.decide(cc, -1, group)
+
+    def test_nothing_unjustified(self, engine):
+        from repro.core.controllability import compute_controllability
+
+        c = and_or_circuit()
+        cc = compute_controllability(c)
+        st = TpgState(c, THREE_VALUED, 4, fusion=engine)
+        assert st.decide(cc, 0b1111) is None
+        st.assign(c.index_of("y"), tv.encode_word(1, 0b0110))
+        assert st.decide(cc, 0b1001, group=True) is None  # other lanes only
+        assert st.decide(cc, 0) is None
+        rep, lanes, objective = st.decide(cc, 0b1111, group=True)
+        assert (rep, lanes) == (1, 0b0110)
+        assert objective is not None and c.gates[objective.signal].is_input
+
+    def test_controllability_must_cover_the_circuit(self, engine):
+        from repro.core.controllability import Controllability
+
+        c = and_or_circuit()
+        st = TpgState(c, THREE_VALUED, 4, fusion=engine)
+        n = c.num_signals
+        for cc0, cc1 in (([1] * (n - 1), [1] * (n - 1)), ([1] * n, [1] * (n + 1))):
+            with pytest.raises(ValueError, match="controllability covers"):
+                st.decide(Controllability(cc0, cc1), 0b1111)
+
+
+class TestDecideRules:
+    """Two backtrace rules the random test seldom reaches, checked by hand
+    on every engine: AND(a, b, d) = 1 without backward implication."""
+
+    @staticmethod
+    def and3():
+        circuit = Circuit(name="and3")
+        a, b, d = (circuit.add_input(name) for name in "abd")
+        g = circuit.add_gate("g", GateType.AND, [a, b, d])
+        circuit.mark_output(g)
+        return circuit.freeze(), a, b, d, g
+
+    def test_all_inputs_objective_skips_known_instable_inputs(self, engine):
+        from repro.core.backtrace import PiObjective
+        from repro.core.controllability import Controllability
+
+        c, a, b, d, g = self.and3()
+        cc = Controllability(cc0=[1] * 4, cc1=[9, 2, 3, 1])  # a is hardest
+        st = TpgState(c, SEVEN_VALUED, 1, use_backward=False, fusion=engine)
+        st.assign(g, sv.encode_word("U1", 1))
+        st.assign(a, (0, 0, 0, 1))  # instable, value unknown
+        # hardest first among the inputs that can still be stable
+        assert st.decide(cc, 1) == (0, 1, PiObjective(d, 1, False))
+
+    def test_stability_chase_goes_easiest_first(self, engine):
+        from repro.core.backtrace import PiObjective
+        from repro.core.controllability import Controllability
+
+        c, a, b, d, g = self.and3()
+        cc = Controllability(cc0=[1] * 4, cc1=[5, 4, 2, 1])  # d is easiest
+        st = TpgState(c, SEVEN_VALUED, 1, use_backward=False, fusion=engine)
+        for pi in (a, b, d):
+            st.assign(pi, sv.encode_word("U1", 1))
+        st.assign(g, sv.encode_word("S1", 1))  # only stability is missing
+        assert st.decide(cc, 1, group=True) == (0, 1, PiObjective(d, 1, True))
+
+
+class TestControllabilityRanks:
+    def test_ranks_keep_every_comparison_and_tie(self):
+        from repro.core.controllability import Controllability
+
+        cc = Controllability([5, 2**70, 5, 0], [2**63, 1, 2**70, 5])
+        costs = [*cc.cc0, *cc.cc1]
+        ranks = cc.ranks.tolist()
+        assert cc.ranks.dtype.name == "int32"
+        assert sorted(set(ranks)) == list(range(len(set(costs))))
+        for a, ra in zip(costs, ranks):
+            for b, rb in zip(costs, ranks):
+                assert (a < b) == (ra < rb) and (a == b) == (ra == rb)
+        assert cc.ranks is cc.ranks  # built once per table
