@@ -47,16 +47,22 @@ exactly when that combination's own state would, whichever chunk
 holds it.  Only the survivors run the full search above, one after
 another in combination order, each with every lane to itself.
 
-A search step is one :meth:`TpgState.decide` call (the objective and
-backtrace; one C call on the ``native/c`` engine).  The split or
-uniform assignment, the checkpoints and the backtracking stay here, as
-``assign``, ``mark``, ``rollback`` and ``imply`` calls on the state.
+On the ``native/c`` engine a nonrobust fault is one C call,
+:meth:`TpgState.aptpg`: it derives the XOR sides from the fanin CSR,
+screens the combinations and searches the survivors on one engine.  A
+robust fault is still sensitized here, chunk by chunk and survivor by
+survivor, but each survivor's search is one C call too,
+:meth:`TpgState.search`.  The loops below stay as their oracle and as
+the engine of every other tier, where a search step is one
+:meth:`TpgState.decide` call and the split or uniform assignment, the
+checkpoints and the backtracking are ``assign``, ``mark``,
+``rollback`` and ``imply`` calls on the state.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuit import Circuit
@@ -68,7 +74,17 @@ from .fptpg import pi_assignment_planes, sensitizer_for
 from .patterns import TestPattern, extract_pattern
 from .results import FaultStatus
 from .sensitize import xor_side_signals
-from .state import NATIVE_MAX_WIDTH, TpgState
+from .state import (
+    ABORTED,
+    NATIVE_MAX_WIDTH,
+    REDUNDANT,
+    TESTED,
+    THREE_VALUED,
+    SearchRun,
+    TpgState,
+    check_xor_polarity_bits,
+    tpg_tier,
+)
 
 
 @dataclass
@@ -85,6 +101,37 @@ class AptpgOutcome:
     #: implication passes over every state the run built (the polarity
     #: screen and each search), not just the returned one
     implication_passes: int = 0
+    #: the XOR polarity combinations the screen passed, in combination
+    #: order — ``[0]`` when nothing was screened (no XOR side, or too
+    #: many); empty for a single search
+    survivors: List[int] = field(default_factory=list)
+
+
+_STATUSES = {
+    TESTED: FaultStatus.TESTED,
+    REDUNDANT: FaultStatus.REDUNDANT,
+    ABORTED: FaultStatus.ABORTED,
+}
+
+
+def _outcome(
+    state: TpgState, fault: PathDelayFault, run: SearchRun, seconds: float = 0.0
+) -> AptpgOutcome:
+    """The outcome of a search or whole-fault run on *state*, *seconds*
+    of sensitizing added."""
+    status = _STATUSES[run.status]
+    tested = status is FaultStatus.TESTED
+    return AptpgOutcome(
+        status,
+        extract_pattern(state, run.lane, fault) if tested else None,
+        state,
+        decisions=run.decisions,
+        backtracks=run.backtracks,
+        splits_used=run.splits_used,
+        seconds_sensitize=run.seconds_sensitize + seconds,
+        implication_passes=run.implication_passes,
+        survivors=list(run.survivors),
+    )
 
 
 def _split_assignment_planes(
@@ -117,12 +164,21 @@ def run_aptpg(
     ``max_xor_polarity_bits`` caps the enumeration at
     ``2**max_xor_polarity_bits`` combinations — beyond that one
     combination is searched and the fault is aborted rather than
-    unsoundly declared redundant.  The returned state is the last
-    search's, or the last screen chunk's when no combination survived
-    the screen.  ``implication_passes`` counts every screen chunk and
-    every search.
+    unsoundly declared redundant.  It must lie in ``[0, 16]``, else
+    :class:`ValueError` before any state is built.  The returned state
+    is the last search's, or the last screen chunk's when no
+    combination survived the screen.  ``implication_passes`` counts
+    every screen chunk and every search.  A nonrobust fault on the
+    ``native/c`` engine is one C call (:meth:`TpgState.aptpg`).
     """
+    check_xor_polarity_bits(max_xor_polarity_bits)
     cc = controllability or compute_controllability(circuit)
+    if test_class is TestClass.NONROBUST and tpg_tier(width, fusion) == "native/c":
+        state = TpgState(
+            circuit, THREE_VALUED, width, use_backward=use_backward, fusion=fusion
+        )
+        run = state.aptpg(fault, cc, backtrack_limit, max_xor_polarity_bits)
+        return _outcome(state, fault, run)
     sides = xor_side_signals(circuit, fault)
     exhaustive = len(sides) <= max_xor_polarity_bits
     survivors = [0]
@@ -179,6 +235,7 @@ def run_aptpg(
         splits_used=last.splits_used,
         seconds_sensitize=seconds_sensitize,
         implication_passes=implication_passes,
+        survivors=survivors,
     )
 
 
@@ -246,34 +303,38 @@ def _attempt(
     state, seconds_sensitize = _sensitized_state(
         circuit, fault, test_class, width, xor_sides, use_backward, fusion
     )
+    if state.tier == "native/c":
+        run = state.search(cc, backtrack_limit)
+    else:
+        run = _search(state, cc, backtrack_limit)
+    return _outcome(state, fault, run, seconds_sensitize)
+
+
+def _search(state: TpgState, cc: Controllability, backtrack_limit: int) -> SearchRun:
+    """APTPG's checkpointed search from a sensitized state, in Python.
+
+    Implies, then decides, checkpoints and backtracks until a lane is
+    conflict-free and justified (see the module docstring).
+    :meth:`TpgState.search` runs the same loop as one C call; this one
+    is its oracle and the search of every other engine.
+    """
+    state.imply()
     if state.conflict_mask == state.mask:
         # conflict from necessary implications alone: redundant
-        return AptpgOutcome(
-            FaultStatus.REDUNDANT,
-            None,
-            state,
-            seconds_sensitize=seconds_sensitize,
-            implication_passes=state.implication_passes,
-        )
+        return SearchRun(REDUNDANT, 0, 0, 0, 0, state.implication_passes, 0.0, ())
 
-    splits = split_masks(width)
+    splits = split_masks(state.width)
     splits_used = 0
     stack: List[Tuple[int, PiObjective, int]] = []  # (token, objective, tried)
     decisions = 0
     backtracks = 0
     stuck = 0
-    guard = circuit.num_signals * width * 4 + 256
+    guard = state.circuit.num_signals * state.width * 4 + 256
 
-    def finish(status: FaultStatus, pattern: Optional[TestPattern]) -> AptpgOutcome:
-        return AptpgOutcome(
-            status,
-            pattern,
-            state,
-            decisions=decisions,
-            backtracks=backtracks,
-            splits_used=splits_used,
-            seconds_sensitize=seconds_sensitize,
-            implication_passes=state.implication_passes,
+    def finish(status: int, lane: int = 0) -> SearchRun:
+        return SearchRun(
+            status, lane, decisions, backtracks, splits_used,
+            state.implication_passes, 0.0, (),
         )
 
     while guard:
@@ -282,8 +343,7 @@ def _attempt(
         if live:
             justified = state.all_justified_mask()
             if justified:
-                lane = lowest_set_lane(justified)
-                return finish(FaultStatus.TESTED, extract_pattern(state, lane, fault))
+                return finish(TESTED, lowest_set_lane(justified))
         if not live:
             # every alternative in flight has contradicted: backtrack
             progressed = False
@@ -291,7 +351,7 @@ def _attempt(
                 token, objective, tried = stack.pop()
                 backtracks += 1
                 if backtracks > backtrack_limit:
-                    return finish(FaultStatus.ABORTED, None)
+                    return finish(ABORTED)
                 state.rollback(token)
                 if tried == 1:
                     flipped = PiObjective(
@@ -307,17 +367,17 @@ def _attempt(
                     progressed = True
                     break
             if not progressed:
-                return finish(FaultStatus.REDUNDANT, None)
+                return finish(REDUNDANT)
             stuck = 0
             continue
         active = live & ~stuck
         if not active:
-            return finish(FaultStatus.ABORTED, None)
+            return finish(ABORTED)
         step = state.decide(cc, active)
         if step is None:
             # active lanes are justified but the justified mask above
             # was empty: can only happen transiently — treat as abort
-            return finish(FaultStatus.ABORTED, None)
+            return finish(ABORTED)
         rep, _lanes, pi_objective = step
         if pi_objective is None:
             stuck |= 1 << rep
@@ -347,4 +407,4 @@ def _attempt(
             stack.append((token, pi_objective, 1))
             state.imply()
             stuck = 0
-    return finish(FaultStatus.ABORTED, None)
+    return finish(ABORTED)

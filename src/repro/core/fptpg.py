@@ -19,9 +19,14 @@ cases of the paper's Figure 1 discussion:
 
 Each turn of the loop is one :meth:`TpgState.decide` step — the first
 unjustified signal, its lowest live lane's objective, the lanes sharing
-that objective, and the backtrace to a primary input (one C call on the
-``native/c`` engine) — followed by one ``assign`` of the primary-input
-objective to the whole group and one ``imply``.
+that objective, and the backtrace to a primary input — followed by one
+``assign`` of the primary-input objective to the whole group and one
+``imply``.  On the ``native/c`` engine the whole batch is one C call,
+:meth:`TpgState.fptpg`: the sensitization of every lane (a robust batch
+is still sensitized here first), the implication, the loop and the
+masks the verdicts below are read from, the lanes whose path has an
+XOR side among them.  The loop here is its oracle and the engine of
+every other tier.
 """
 
 from __future__ import annotations
@@ -96,46 +101,34 @@ def run_fptpg(
     state = TpgState(
         circuit, algebra, width, use_backward=use_backward, fusion=fusion
     )
-    used_mask = mask_for(len(faults))
+    native = state.tier == "native/c"
+    sensitize_in_c = native and algebra is THREE_VALUED
+    seconds_sensitize = 0.0
+    if not sensitize_in_c:
+        t0 = time.perf_counter()
+        for lane, fault in enumerate(faults):
+            state.sensitize(fault, 1 << lane)
+        seconds_sensitize = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    for lane, fault in enumerate(faults):
-        state.sensitize(fault, 1 << lane)
-    seconds_sensitize = time.perf_counter() - t0
+    if native:
+        decided, decisions, justified, xor_lanes, seconds = state.fptpg(
+            faults, cc, sensitize_in_c
+        )
+        seconds_sensitize += seconds
+    else:
+        decided, decisions, justified = _justify(state, cc, len(faults))
+        conflicted = state.conflict_mask & ~decided
+        xor_lanes = 0
+        for lane, fault in enumerate(faults):
+            if conflicted >> lane & 1 and xor_side_signals(circuit, fault):
+                xor_lanes |= 1 << lane
 
-    state.imply(stop_when_all_conflicted=False)
-
-    decided = 0
-    stuck = 0
-    decisions = 0
-    guard = circuit.num_signals * max(1, len(faults)) + 64
-    while guard:
-        guard -= 1
-        live = used_mask & ~state.conflict_mask & ~stuck
-        if not live:
-            break
-        step = state.decide(cc, live, group=True)
-        if step is None:
-            break
-        rep, group, pi_objective = step
-        if pi_objective is None:
-            stuck |= group
-            continue
-        additions = pi_assignment_planes(state, pi_objective, group)
-        decided |= group
-        decisions += 1
-        if not state.assign(pi_objective.signal, additions):
-            stuck |= 1 << rep
-            continue
-        state.imply(stop_when_all_conflicted=False)
-
-    justified = state.all_justified_mask() & used_mask
     statuses: List[FaultStatus] = []
     patterns: List[Optional[TestPattern]] = []
     for lane, fault in enumerate(faults):
         bit = 1 << lane
         if state.conflict_mask & bit:
-            if decided & bit or xor_side_signals(circuit, fault):
+            if (decided | xor_lanes) & bit:
                 # conflicts after optional assignments prove nothing;
                 # neither does a conflict under one XOR polarity choice
                 statuses.append(FaultStatus.DEFERRED)
@@ -155,3 +148,41 @@ def run_fptpg(
         decisions=decisions,
         seconds_sensitize=seconds_sensitize,
     )
+
+
+def _justify(
+    state: TpgState, cc: Controllability, n_faults: int
+) -> Tuple[int, int, int]:
+    """The batch loop on a sensitized state, lanes ``0..n_faults-1``.
+
+    Returns ``(decided, decisions, justified)``: the lanes that took an
+    optional assignment, the decision count and the conflict-free,
+    justified lanes.  :meth:`TpgState.fptpg` runs it in C.
+    """
+    used_mask = mask_for(n_faults)
+    state.imply(stop_when_all_conflicted=False)
+
+    decided = 0
+    stuck = 0
+    decisions = 0
+    guard = state.circuit.num_signals * max(1, n_faults) + 64
+    while guard:
+        guard -= 1
+        live = used_mask & ~state.conflict_mask & ~stuck
+        if not live:
+            break
+        step = state.decide(cc, live, group=True)
+        if step is None:
+            break
+        rep, group, pi_objective = step
+        if pi_objective is None:
+            stuck |= group
+            continue
+        additions = pi_assignment_planes(state, pi_objective, group)
+        decided |= group
+        decisions += 1
+        if not state.assign(pi_objective.signal, additions):
+            stuck |= 1 << rep
+            continue
+        state.imply(stop_when_all_conflicted=False)
+    return decided, decisions, state.all_justified_mask() & used_mask

@@ -45,6 +45,14 @@ Python on every engine.
 unjustified signal, its objective and the backtrace to a primary input.
 On the C engine it is one call; elsewhere it runs the Python functions
 of :mod:`repro.core.backtrace`, which stay its oracle.
+
+The C engine also runs whole generation shards, each one call:
+:meth:`TpgState.search` is APTPG's checkpointed search on a sensitized
+state (either algebra), :meth:`TpgState.aptpg` a fault's whole
+nonrobust APTPG (XOR sides, polarity screen, every survivor's search)
+and :meth:`TpgState.fptpg` an FPTPG batch.  Their oracles are the
+Python loops of :mod:`repro.core.aptpg` and :mod:`repro.core.fptpg`,
+which drive every other engine through the methods above.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ import struct
 from collections import deque
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..circuit import Circuit, GateType
 from ..kernel import FUSION_MODES
@@ -143,6 +151,45 @@ def tpg_tier(
 
 
 _ROWS = {n: struct.Struct(f"{n}Q") for n in (2, 4)}
+
+#: Status codes of :meth:`TpgState.search` and :meth:`TpgState.aptpg`
+#: (the C engine's ``TPG_TESTED``, ``TPG_REDUNDANT``, ``TPG_ABORTED``).
+TESTED, REDUNDANT, ABORTED = 1, 2, 3
+
+#: The most XOR side inputs whose polarity combinations APTPG screens:
+#: 2**16 combinations, in 1024 chunks of 64 lanes.
+MAX_XOR_POLARITY_BITS = 16
+
+
+def check_xor_polarity_bits(bits: int) -> None:
+    """Raise :class:`ValueError` unless *bits* is in ``[0, 16]``."""
+    if bits not in range(MAX_XOR_POLARITY_BITS + 1):
+        raise ValueError(
+            f"max_xor_polarity_bits={bits!r} outside [0, {MAX_XOR_POLARITY_BITS}]"
+        )
+
+
+class SearchRun(NamedTuple):
+    """What an APTPG search or a whole-fault native run reports.
+
+    *status* is :data:`TESTED`, :data:`REDUNDANT` or :data:`ABORTED`;
+    *lane* is the tested lane (meaningless otherwise).  A whole-fault
+    run sums *decisions*, *backtracks*, *implication_passes* and
+    *seconds_sensitize* over its screen chunks and searches, reports
+    the last search's *splits_used*, and lists the polarity
+    combinations the screen passed, in order, as *survivors* (``(0,)``
+    when nothing was screened).  A single search reports its own
+    state's passes, no sensitization time and no survivors.
+    """
+
+    status: int
+    lane: int
+    decisions: int
+    backtracks: int
+    splits_used: int
+    implication_passes: int
+    seconds_sensitize: float
+    survivors: Tuple[int, ...]
 
 
 class _NativePlanes(SequenceABC):
@@ -393,10 +440,7 @@ class TpgState:
         :meth:`assign` before anything is assigned.
         """
         signals = fault.signals
-        n = self._n_signals
-        if min(signals) < 0 or max(signals) >= n:
-            bad = next(s for s in signals if not 0 <= s < n)
-            raise IndexError(f"signal {bad} outside [0, {n})")
+        n = self._check_signals(signals)
         c = self._c
         if c is not None and self.algebra.n_planes == 2:
             mask = self.mask
@@ -425,6 +469,35 @@ class TpgState:
         for signal, planes in rule(self.circuit, fault, lanes, xor_sides):
             assign(signal, planes)
 
+    def _check_signals(self, signals: Sequence[int]) -> int:
+        """Raise :class:`IndexError` for an id outside the circuit.
+
+        Returns the signal count.
+        """
+        n = self._n_signals
+        if min(signals) < 0 or max(signals) >= n:
+            bad = next(s for s in signals if not 0 <= s < n)
+            raise IndexError(f"signal {bad} outside [0, {n})")
+        return n
+
+    def _ranks(self, cc: Controllability):
+        """*cc* as the C engine reads it, checked against the circuit."""
+        n = self._n_signals
+        if len(cc.cc0) != n or len(cc.cc1) != n:
+            raise ValueError(
+                f"controllability covers {len(cc.cc0)}/{len(cc.cc1)} "
+                f"signals, the circuit has {n}"
+            )
+        return None if self._c is None else self._ffi.from_buffer(
+            "int32_t[]", cc.ranks
+        )
+
+    def _native(self, what: str):
+        c = self._c
+        if c is None:
+            raise RuntimeError(f"{what} runs on the native/c engine, not {self.tier}")
+        return c
+
     def decide(
         self, cc: Controllability, lanes: int, group: bool = False
     ) -> Optional[Tuple[int, int, Optional[PiObjective]]]:
@@ -446,21 +519,11 @@ class TpgState:
         covering exactly this circuit's signals raises
         :class:`ValueError`.
         """
-        n = self._n_signals
-        if len(cc.cc0) != n or len(cc.cc1) != n:
-            raise ValueError(
-                f"controllability covers {len(cc.cc0)}/{len(cc.cc1)} "
-                f"signals, the circuit has {n}"
-            )
+        ranks = self._ranks(cc)
         c = self._c
         if c is None:
             return _decide_python(self, cc, lanes, group)
-        code = self._lib.repro_tpg_decide(
-            c,
-            lanes & self.mask,
-            group,
-            self._ffi.from_buffer("int32_t[]", cc.ranks),
-        )
+        code = self._lib.repro_tpg_decide(c, lanes & self.mask, group, ranks)
         if code <= 0:
             if code < 0:
                 raise MemoryError("cannot grow the native backtrace scratch")
@@ -471,6 +534,127 @@ class TpgState:
         if code == 2:
             return rep, c.d_lanes, None
         return rep, c.d_lanes, PiObjective(c.d_pi, c.d_value, c.d_stable == 1)
+
+    # ------------------------------------------------------------------
+    # generation shards (native engine only: one C call each)
+    # ------------------------------------------------------------------
+    def search(self, cc: Controllability, backtrack_limit: int) -> SearchRun:
+        """APTPG's checkpointed search from this sensitized state.
+
+        Implies, then runs the loop of :func:`repro.core.aptpg._search`
+        (its oracle) step for step, on either algebra, in one C call:
+        lane splits for the first ``floor(log2 width)`` decisions, then
+        marked uniform decisions, flipped once and popped when every
+        lane conflicts, with at most *backtrack_limit* backtracks.  The
+        state is left where the search stopped.  Native engine only
+        (:class:`RuntimeError` elsewhere); a *cc* not covering exactly
+        this circuit's signals raises :class:`ValueError`.
+        """
+        c = self._native("search")
+        code = self._lib.repro_tpg_search(c, backtrack_limit, self._ranks(cc))
+        if code < 0:
+            raise MemoryError("cannot grow the native TPG scratch")
+        return SearchRun(
+            code, c.r_lane, c.r_decisions, c.r_backtracks, c.r_splits,
+            c.implication_passes, 0.0, (),
+        )
+
+    def aptpg(
+        self,
+        fault: PathDelayFault,
+        cc: Controllability,
+        backtrack_limit: int,
+        max_xor_polarity_bits: int,
+    ) -> SearchRun:
+        """A fault's whole nonrobust APTPG in one C call.
+
+        What :func:`repro.core.aptpg.run_aptpg` does from Python (its
+        oracle): the XOR sides of the path, derived from the fanin CSR;
+        when there are 1 to *max_xor_polarity_bits* of them, the polarity
+        screen in chunks of at most 64 lanes; then the search of every
+        surviving combination at this state's width, until one tests the
+        fault.  Every screen chunk and search runs on this one engine,
+        reset in between (what it held before does not matter), and the
+        state is left as the last of them left it — ``width`` and
+        ``mask`` included, so a screen that refutes every combination
+        leaves a chunk-wide state.  3-valued states on the native engine
+        only (:class:`ValueError` and :class:`RuntimeError` elsewhere).
+        Path ids outside the circuit raise :class:`IndexError`,
+        *max_xor_polarity_bits* outside ``[0, 16]`` :class:`ValueError`.
+        """
+        c = self._native("aptpg")
+        if self.algebra.n_planes != 2:
+            raise ValueError("the native APTPG run sensitizes nonrobust faults only")
+        check_xor_polarity_bits(max_xor_polarity_bits)
+        signals = fault.signals
+        self._check_signals(signals)
+        code = self._lib.repro_tpg_aptpg(
+            c,
+            signals,
+            len(signals),
+            fault.transition is Transition.RISING,
+            self.width,
+            max_xor_polarity_bits,
+            backtrack_limit,
+            self._ranks(cc),
+        )
+        if code < 0:
+            raise MemoryError("cannot grow the native TPG scratch")
+        if c.r_width != self.width:
+            self.width = c.r_width
+            self.mask = mask_for(self.width)
+        survivors = tuple(self._ffi.unpack(c.surv, c.n_surv)) if c.n_surv else ()
+        return SearchRun(
+            code, c.r_lane, c.r_decisions, c.r_backtracks, c.r_splits,
+            c.r_passes, c.r_seconds, survivors,
+        )
+
+    def fptpg(
+        self,
+        faults: Sequence[PathDelayFault],
+        cc: Controllability,
+        sensitize: bool,
+    ) -> Tuple[int, int, int, int, float]:
+        """An FPTPG batch's loop in one C call, fault *k* in lane *k*.
+
+        What :func:`repro.core.fptpg.run_fptpg` does from Python (its
+        oracle): with *sensitize* (3-valued states only) each path's
+        nonrobust sensitization first, in batch order; a robust batch
+        comes sensitized.  Then ``imply(stop_when_all_conflicted=False)``
+        and grouped decision steps, each objective assigned to its group
+        and implied, while a lane is live and not stuck.  Returns
+        ``(decided, decisions, justified, xor_lanes, seconds_sensitize)``:
+        the lanes that took an optional assignment, the decision count,
+        the conflict-free justified lanes of the batch, and the lanes
+        whose path has an XOR side input.  Native engine only
+        (:class:`RuntimeError` elsewhere); path ids outside the circuit
+        raise :class:`IndexError` before anything is assigned, and an
+        empty batch or more faults than lanes :class:`ValueError`.
+        """
+        c = self._native("fptpg")
+        if not faults:
+            raise ValueError("an FPTPG batch needs at least one fault")
+        if len(faults) > self.width:
+            raise ValueError(f"{len(faults)} faults do not fit in {self.width} lanes")
+        if sensitize and self.algebra.n_planes != 2:
+            raise ValueError("the native FPTPG batch sensitizes nonrobust faults only")
+        flat = [s for fault in faults for s in fault.signals]
+        self._check_signals(flat)
+        offsets = [0]
+        for fault in faults:
+            offsets.append(offsets[-1] + len(fault.signals))
+        code = self._lib.repro_tpg_fptpg(
+            c,
+            flat,
+            offsets,
+            [fault.transition is Transition.RISING for fault in faults],
+            len(faults),
+            sensitize,
+            self._ranks(cc),
+        )
+        if code < 0:
+            raise MemoryError("cannot grow the native TPG scratch")
+        return c.r_decided, c.r_decisions, c.r_justified, c.r_xor_lanes, c.r_seconds
 
     def mark(self) -> int:
         """Open a checkpoint; returns a token for :meth:`rollback`."""

@@ -1192,17 +1192,25 @@ void repro_stuck_cone(const u64 *good, long n,
 # The rules are the ``Algebra`` rules of :mod:`repro.logic.three_valued`
 # and :mod:`repro.logic.seven_valued` transcribed over words (OR/NOR
 # and NAND/OR/XNOR see value-swapped inputs/outputs, as the Python
-# dispatchers arrange); XOR chains fold in fanin CSR order.  Checkpoint
-# marks stay in Python: a mark is (trail length, conflict mask).
+# dispatchers arrange); XOR chains fold in fanin CSR order.  A
+# checkpoint mark is (trail length, conflict mask).
 # ``repro_tpg_sensitize`` applies a path's nonrobust sensitization as
 # the same sequence of ``assign`` steps the Python sensitizer's list
 # feeds one by one; robust sensitization stays in Python.
 # ``repro_tpg_decide`` is the FPTPG/APTPG decision step of
 # :mod:`repro.core.backtrace` -- the first unjustified signal, its
 # objective and lane group, the backtrace to a primary input -- with its
-# result in the ``d_*`` fields.  The backtrace's scratch (objective
-# flags, node and candidate stacks) lives here too, grown on demand:
-# states share nothing mutable, so each can run on its own thread.
+# result in the ``d_*`` fields.  On top of it sit the generation shards,
+# each one call with its result in the ``r_*`` fields:
+# ``repro_tpg_search`` is APTPG's checkpointed search loop
+# (``_search`` of :mod:`repro.core.aptpg`; its backtrack stack is
+# ``bk``), ``repro_tpg_aptpg`` a fault's whole nonrobust APTPG -- the
+# XOR sides from the fanin CSR, the chunked polarity screen (survivors
+# in ``surv``) and every survivor's search, on this one engine reset
+# between states -- and ``repro_tpg_fptpg`` an FPTPG batch.  The
+# scratch (backtrace flags, node and candidate stacks, the backtrack
+# stack, the survivors) lives here too, grown on demand: states share
+# nothing mutable, so each can run on its own thread.
 _C_TPG_STRUCT = r"""
 typedef struct {
   const repro_plan *p;
@@ -1232,6 +1240,13 @@ typedef struct {
   uint8_t *bt_flag;
   long *bt_touched, *bt_nodes, *bt_cands;
   long n_touched, cap_touched, depth, cap_nodes, n_cands, cap_cands;
+  uint64_t *bk;
+  long n_bk, cap_bk;
+  long *surv;
+  long n_surv, cap_surv;
+  long r_lane, r_width, r_decisions, r_backtracks, r_splits, r_passes;
+  uint64_t r_decided, r_justified, r_xor_lanes;
+  double r_seconds;
 } repro_tpg;
 """
 
@@ -1243,7 +1258,7 @@ void repro_tpg_free(repro_tpg *st) {
   free(st->unjust); free(st->dirty); free(st->is_dirty);
   free(st->work); free(st->scan_sig); free(st->scan_mask);
   free(st->bt_flag); free(st->bt_touched); free(st->bt_nodes);
-  free(st->bt_cands);
+  free(st->bt_cands); free(st->bk); free(st->surv);
   free(st);
 }
 
@@ -1911,6 +1926,355 @@ int repro_tpg_decide(repro_tpg *st, uint64_t lanes, int group,
   rc = _bt_run(st, BT_KEY(s, val, stable), rep, rank);
   return rc < 0 ? -1 : rc ? 3 : 2;
 }
+
+/* The generation shards.  Statuses: */
+#define TPG_TESTED 1
+#define TPG_REDUNDANT 2
+#define TPG_ABORTED 3
+/* the widest polarity screen: 2^16 combinations in 1024 chunks */
+#define TPG_MAX_XOR_BITS 16
+
+static double _tpg_now(void) {
+#ifdef CLOCK_MONOTONIC
+  struct timespec ts;
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
+#else
+  return (double)clock() / CLOCKS_PER_SEC;
+#endif
+}
+
+/* Back to what repro_tpg_new returns, at width lanes: every plane X, no
+   worklist, trail, dirty signal, conflict or count.  Scratch stays. */
+static void _tpg_reset(repro_tpg *st, long width) {
+  long n = st->p->n_signals, d;
+  memset(st->planes, 0, (size_t)(n * st->n_planes) * sizeof(u64));
+  memset(st->unjust, 0, (size_t)n * sizeof(u64));
+  memset(st->sites, 0, sizeof st->sites);
+  _tpg_drain(st);
+  st->q_head = 0;
+  for (d = 0; d < st->n_dirty; d++) st->is_dirty[st->dirty[d]] = 0;
+  st->n_dirty = 0;
+  st->trail_len = 0;
+  st->conflict_mask = 0;
+  st->implication_passes = st->assignments = 0;
+  st->mask = width >= 64 ? ~(u64)0 : ((u64)1 << width) - 1;
+}
+
+/* The lanes whose index has bit k set: the ones half of split_masks. */
+static u64 _tpg_split_ones(long k) {
+  u64 ones = 0;
+  long lane;
+  for (lane = 0; lane < 64; lane++)
+    if (lane >> k & 1) ones |= (u64)1 << lane;
+  return ones;
+}
+
+/* Planes assigning primary input pi 0 in lanes zeros and 1 in ones; a
+   7-valued stable objective adds the stable bit only outside pi's
+   known-instable lanes (pi_assignment_planes, _split_assignment_planes
+   of repro.core). */
+static void _tpg_pi_planes(const repro_tpg *st, long pi, int stable,
+                           u64 zeros, u64 ones, u64 *add) {
+  add[0] = zeros;
+  add[1] = ones;
+  if (st->n_planes == 4) {
+    add[2] = stable ? (zeros | ones) & ~st->planes[pi * 4 + 3] : 0;
+    add[3] = 0;
+  }
+}
+
+/* Push a backtrack entry: a mark (trail length, conflict mask) and the
+   objective key * 4 + times tried.  0, -1 when the stack cannot grow. */
+static int _tpg_bk_push(repro_tpg *st, long trail_len, u64 conflict,
+                        long entry) {
+  u64 *e;
+  if (st->n_bk == st->cap_bk) {
+    long cap = st->cap_bk ? 2 * st->cap_bk : 16;
+    u64 *grown = realloc(st->bk, (size_t)(3 * cap) * sizeof(u64));
+    if (!grown) return -1;
+    st->bk = grown;
+    st->cap_bk = cap;
+  }
+  e = st->bk + 3 * st->n_bk++;
+  e[0] = (u64)trail_len;
+  e[1] = conflict;
+  e[2] = (u64)entry;
+  return 0;
+}
+
+/* APTPG's search on a sensitized state, step for step the loop of
+   repro.core.aptpg._search (its oracle).  Imply; every lane conflicting
+   is TPG_REDUNDANT.  Then, until a lane is conflict-free and justified
+   (TPG_TESTED, the lowest such lane in r_lane), decide in the live
+   lanes that are not stuck, without grouping: the first
+   floor(log2 width) decisions split the lanes, later ones are uniform,
+   under a mark pushed with the objective.  When every lane conflicts,
+   pop entries -- each counts against limit, then is rolled back --
+   until one tried once is flipped under a fresh mark; an empty stack is
+   TPG_REDUNDANT.  Past the limit, with every live lane stuck, without an
+   unjustified lane or at the guard it is TPG_ABORTED.  An objective that
+   dead-ends, or an assignment that changes nothing, sticks its lane
+   until the next implication.  Adds to r_decisions and r_backtracks,
+   sets r_splits; -1 when scratch or the trail cannot grow. */
+static int _tpg_search(repro_tpg *st, long limit, const int32_t *rank) {
+  const u64 mask = st->mask;
+  long width = 0, n_splits = 0, backtracks = 0, guard, pi, key;
+  u64 stuck = 0, add[4];
+  int rc;
+  st->r_splits = 0;
+  st->n_bk = 0;
+  while (width < 64 && (mask >> width & 1)) width++;
+  while (((long)1 << n_splits) < width) n_splits++;
+  if (repro_tpg_imply(st, 1) < 0) return -1;
+  if (st->conflict_mask == mask) return TPG_REDUNDANT;
+  for (guard = st->p->n_signals * width * 4 + 256; guard > 0; guard--) {
+    u64 live = mask & ~st->conflict_mask, active;
+    if (live) {
+      u64 justified = repro_tpg_all_justified(st);
+      if (justified) {
+        for (st->r_lane = 0; !(justified >> st->r_lane & 1); st->r_lane++) ;
+        return TPG_TESTED;
+      }
+    } else {                             /* every lane conflicts */
+      int progressed = 0;
+      while (st->n_bk && !progressed) {
+        const u64 *e = st->bk + 3 * --st->n_bk;
+        long trail_len = (long)e[0], entry = (long)e[2];
+        u64 conflict = e[1];
+        st->r_backtracks++;
+        if (++backtracks > limit) return TPG_ABORTED;
+        repro_tpg_rollback(st, trail_len, conflict);
+        if ((entry & 3) == 1) {          /* tried once: flip the value */
+          key = (entry >> 2) ^ 2;
+          pi = key >> 2;
+          if (_tpg_bk_push(st, st->trail_len, st->conflict_mask, key << 2 | 2))
+            return -1;
+          _tpg_pi_planes(st, pi, key & 1, key & 2 ? 0 : mask,
+                         key & 2 ? mask : 0, add);
+          if (_tpg_assign(st, pi, add) < 0 || repro_tpg_imply(st, 1) < 0)
+            return -1;
+          progressed = 1;
+        }
+      }
+      if (!progressed) return TPG_REDUNDANT;
+      stuck = 0;
+      continue;
+    }
+    active = live & ~stuck;
+    if (!active) return TPG_ABORTED;
+    rc = repro_tpg_decide(st, active, 0, rank);
+    if (rc < 0) return -1;
+    if (rc == 0) return TPG_ABORTED;
+    if (rc < 3) {
+      stuck |= (u64)1 << st->d_rep;
+      continue;
+    }
+    st->r_decisions++;
+    pi = st->d_pi;
+    if (st->r_splits < n_splits) {     /* 0 and 1 in halves of the lanes */
+      u64 ones = _tpg_split_ones(st->r_splits++) & mask;
+      _tpg_pi_planes(st, pi, st->d_stable, ~ones & mask, ones, add);
+      rc = _tpg_assign(st, pi, add);
+      if (rc < 0) return -1;
+      if (!rc) {
+        stuck |= (u64)1 << st->d_rep;
+        continue;
+      }
+    } else {                           /* uniform, under a mark */
+      long trail_len = st->trail_len;
+      u64 conflict = st->conflict_mask;
+      _tpg_pi_planes(st, pi, st->d_stable, st->d_value ? 0 : mask,
+                     st->d_value ? mask : 0, add);
+      rc = _tpg_assign(st, pi, add);
+      if (rc < 0) return -1;
+      if (!rc) {
+        repro_tpg_rollback(st, trail_len, conflict);
+        stuck |= (u64)1 << st->d_rep;
+        continue;
+      }
+      key = BT_KEY(pi, st->d_value, st->d_stable);
+      if (_tpg_bk_push(st, trail_len, conflict, key << 2 | 1)) return -1;
+    }
+    if (repro_tpg_imply(st, 1) < 0) return -1;
+    stuck = 0;
+  }
+  return TPG_ABORTED;
+}
+
+/* _tpg_search as one call, with r_decisions and r_backtracks from 0. */
+int repro_tpg_search(repro_tpg *st, long limit, const int32_t *rank) {
+  st->r_decisions = st->r_backtracks = 0;
+  return _tpg_search(st, limit, rank);
+}
+
+/* The off-path inputs of the path's XOR/XNOR gates, unique, in path
+   order (repro.core.sensitize.xor_side_signals), into out until there
+   are cap of them; returns how many. */
+static long _tpg_xor_sides(const repro_plan *p, const int32_t *path,
+                           long plen, int32_t *out, long cap) {
+  long q, k, j, n = 0;
+  for (q = 1; q < plen; q++) {
+    long s = path[q];
+    const int32_t *fi = p->fanin_idx + p->fanin_off[s];
+    long nf = p->fanin_off[s + 1] - p->fanin_off[s];
+    if (p->code[s] < 7) continue;
+    for (k = 0; k < nf; k++) {
+      if (fi[k] == path[q - 1]) continue;
+      for (j = 0; j < n && out[j] != fi[k]; j++) ;
+      if (j < n) continue;
+      out[n++] = fi[k];
+      if (n == cap) return n;
+    }
+  }
+  return n;
+}
+
+/* One fault's nonrobust APTPG, as repro.core.aptpg.run_aptpg runs it
+   from Python (its oracle), on this one engine, reset for every state.
+   The XOR sides are screened when there are 1 to max_bits of them:
+   combination c of 2^k goes to lane c % 64 of chunk c / 64, chunks
+   min(2^k, 64) lanes wide, where the low sides split the lanes and the
+   high ones hold the chunk's bits of c; one sensitization and one
+   imply per chunk, and the combinations whose lane does not conflict
+   survive, in order, into surv.  Otherwise surv is the all-zero
+   combination.  Each survivor is sensitized in every one of width
+   lanes and searched, up to the first TPG_TESTED; else the fault is
+   TPG_ABORTED when a search aborted or the screen was skipped for too
+   many sides, TPG_REDUNDANT otherwise.  The engine is left as the last
+   state left it, r_width lanes wide.  r_decisions and r_backtracks sum
+   the searches, r_passes every state's implication passes, r_seconds
+   the sensitizations; r_splits is the last search's.  -1 when scratch
+   or the trail cannot grow, -2 on a 7-valued engine, -3 for max_bits
+   outside [0, TPG_MAX_XOR_BITS]. */
+int repro_tpg_aptpg(repro_tpg *st, const int32_t *path, long plen,
+                    int final_one, long width, long max_bits, long limit,
+                    const int32_t *rank) {
+  int32_t sides[TPG_MAX_XOR_BITS + 1];
+  u64 polarity[TPG_MAX_XOR_BITS + 1];
+  long n_sides, n_screened, k, j;
+  int status, aborted = 0;
+  double t0;
+  if (st->n_planes != 2) return -2;
+  if (max_bits < 0 || max_bits > TPG_MAX_XOR_BITS) return -3;
+  st->r_decisions = st->r_backtracks = st->r_splits = st->r_passes = 0;
+  st->r_seconds = 0;
+  st->n_surv = 0;
+  n_sides = _tpg_xor_sides(st->p, path, plen, sides, max_bits + 1);
+  n_screened = n_sides <= max_bits ? n_sides : 0;
+  if (n_screened) {
+    long n_combos = (long)1 << n_screened, chunk = n_combos < 64 ? n_combos : 64;
+    long n_split = 0, first, c;
+    while (((long)1 << n_split) < chunk) n_split++;
+    for (first = 0; first < n_combos; first += chunk) {
+      u64 live;
+      _tpg_reset(st, chunk);
+      for (k = 0; k < n_screened; k++)
+        polarity[k] = k < n_split ? _tpg_split_ones(k) & st->mask
+                      : (first >> k & 1) ? st->mask : 0;
+      t0 = _tpg_now();
+      if (repro_tpg_sensitize(st, path, plen, final_one, st->mask, sides,
+                              polarity, n_screened))
+        return -1;
+      st->r_seconds += _tpg_now() - t0;
+      if (repro_tpg_imply(st, 1) < 0) return -1;
+      st->r_passes += st->implication_passes;
+      live = st->mask & ~st->conflict_mask;
+      for (c = 0; c < chunk; c++) {
+        if (!(live >> c & 1)) continue;
+        if (_bt_grow(&st->surv, &st->cap_surv, st->n_surv + 1)) return -1;
+        st->surv[st->n_surv++] = first + c;
+      }
+    }
+    st->r_width = chunk;
+  } else {
+    if (_bt_grow(&st->surv, &st->cap_surv, 1)) return -1;
+    st->surv[st->n_surv++] = 0;
+  }
+  for (j = 0; j < st->n_surv; j++) {
+    long combo = st->surv[j];
+    _tpg_reset(st, width);
+    for (k = 0; k < n_screened; k++)
+      polarity[k] = combo >> k & 1 ? st->mask : 0;
+    t0 = _tpg_now();
+    if (repro_tpg_sensitize(st, path, plen, final_one, st->mask, sides,
+                            polarity, n_screened))
+      return -1;
+    st->r_seconds += _tpg_now() - t0;
+    status = _tpg_search(st, limit, rank);
+    if (status < 0) return -1;
+    st->r_passes += st->implication_passes;
+    st->r_width = width;
+    if (status == TPG_TESTED) return status;
+    if (status == TPG_ABORTED) aborted = 1;
+  }
+  return aborted || n_sides > max_bits ? TPG_ABORTED : TPG_REDUNDANT;
+}
+
+/* One FPTPG batch, step for step the loop of repro.core.fptpg.run_fptpg
+   (its oracle): fault k, the path flat[off[k]:off[k + 1]] launching a
+   rising transition where final_one[k], holds lane k.  With sensitize
+   each path's nonrobust sensitization is assigned first, in batch order
+   (timed into r_seconds; robust batches arrive sensitized).  Then
+   imply without stopping and, while a lane of the batch is live and
+   not stuck, one grouped decision step, its objective assigned to its
+   group and implied; an objective that dead-ends sticks its group, an
+   assignment that changes nothing its rep lane.  Sets r_decided (the
+   lanes that took an optional assignment), r_decisions, r_justified
+   (the batch's conflict-free, justified lanes) and r_xor_lanes (the
+   lanes whose path has an XOR side).  0, -1 when scratch or the trail
+   cannot grow, -2 to sensitize a 7-valued engine. */
+int repro_tpg_fptpg(repro_tpg *st, const int32_t *flat, const int32_t *off,
+                    const uint8_t *final_one, long n_faults, int sensitize,
+                    const int32_t *rank) {
+  u64 used = (n_faults >= 64 ? ~(u64)0 : ((u64)1 << n_faults) - 1) & st->mask;
+  u64 stuck = 0, add[4];
+  long k, guard;
+  int32_t side;
+  int rc;
+  st->r_decided = st->r_xor_lanes = 0;
+  st->r_decisions = 0;
+  st->r_seconds = 0;
+  if (sensitize) {
+    double t0 = _tpg_now();
+    for (k = 0; k < n_faults; k++) {
+      rc = repro_tpg_sensitize(st, flat + off[k], off[k + 1] - off[k],
+                               final_one[k], (u64)1 << k, 0, 0, 0);
+      if (rc) return rc;
+    }
+    st->r_seconds = _tpg_now() - t0;
+  }
+  for (k = 0; k < n_faults; k++)
+    if (_tpg_xor_sides(st->p, flat + off[k], off[k + 1] - off[k], &side, 1))
+      st->r_xor_lanes |= (u64)1 << k;
+  if (repro_tpg_imply(st, 0) < 0) return -1;
+  for (guard = st->p->n_signals * (n_faults > 1 ? n_faults : 1) + 64;
+       guard > 0; guard--) {
+    u64 live = used & ~st->conflict_mask & ~stuck, lanes;
+    if (!live) break;
+    rc = repro_tpg_decide(st, live, 1, rank);
+    if (rc < 0) return -1;
+    if (rc == 0) break;
+    lanes = st->d_lanes;
+    if (rc < 3) {
+      stuck |= lanes;
+      continue;
+    }
+    _tpg_pi_planes(st, st->d_pi, st->d_stable, st->d_value ? 0 : lanes,
+                   st->d_value ? lanes : 0, add);
+    st->r_decided |= lanes;
+    st->r_decisions++;
+    rc = _tpg_assign(st, st->d_pi, add);
+    if (rc < 0) return -1;
+    if (!rc) {
+      stuck |= (u64)1 << st->d_rep;
+      continue;
+    }
+    if (repro_tpg_imply(st, 0) < 0) return -1;
+  }
+  st->r_justified = repro_tpg_all_justified(st) & used;
+  return 0;
+}
 """
 
 #: The cffi declarations of every entry point the native module exports.
@@ -1961,6 +2325,13 @@ int repro_tpg_sensitize(repro_tpg *st, const int32_t *path, long plen,
                         long n_xor);
 int repro_tpg_decide(repro_tpg *st, uint64_t lanes, int group,
                      const int32_t *rank);
+int repro_tpg_search(repro_tpg *st, long limit, const int32_t *rank);
+int repro_tpg_aptpg(repro_tpg *st, const int32_t *path, long plen,
+                    int final_one, long width, long max_bits, long limit,
+                    const int32_t *rank);
+int repro_tpg_fptpg(repro_tpg *st, const int32_t *flat, const int32_t *off,
+                    const uint8_t *final_one, long n_faults, int sensitize,
+                    const int32_t *rank);
 """
 
 #: The whole native kernel as one circuit-generic C translation unit:
@@ -1972,8 +2343,14 @@ int repro_tpg_decide(repro_tpg *st, uint64_t lanes, int group,
 #: once per machine.
 NATIVE_SOURCE = "\n".join(
     [
+        # clock_gettime under -std=c99; a host header may have set it
+        "#ifndef _POSIX_C_SOURCE",
+        "#define _POSIX_C_SOURCE 199309L",
+        "#endif",
         "#include <stdint.h>",
         "#include <stdlib.h>",
+        "#include <string.h>",
+        "#include <time.h>",
         "typedef uint64_t u64;",
         _C_PLAN,
         _C_TPG_STRUCT,

@@ -27,8 +27,12 @@ planes, worklist, trail and justification cache in one C
 ``repro_tpg`` (:func:`native_tpg_engine`), and ``assign``/``imply``/
 ``rollback``, the unjustified scan, lane flattening, a path's
 nonrobust sensitization and the FPTPG/APTPG decision step (objective,
-lane group and SCOAP-ranked backtrace) are single calls; robust
-sensitization stays in Python.
+lane group and SCOAP-ranked backtrace) are single calls.  So are the
+generation shards built on them: APTPG's checkpointed search on a
+sensitized state, a fault's whole nonrobust APTPG (XOR sides derived
+from the fanin CSR, the chunked polarity screen and every survivor's
+search, on one engine reset between states) and an FPTPG batch.
+Robust sensitization stays in Python.
 
 Module lifecycle — one module per machine, not per circuit:
 
@@ -80,12 +84,14 @@ from .packed import rows_to_ints, words_to_int
 
 #: Bump when the call ABI changes (the C text is hashed into the module
 #: name anyway), so stale disk-cached shared objects are never reloaded.
-NATIVE_ABI = 6
+NATIVE_ABI = 7
 
 # The C text is constant-size (data-driven plan interpreters), so a real
 # optimization level is affordable: -O2 runs the fault loops ~2x faster
-# than -O0.  -w: machine-written code trips set-but-unused warnings by
-# construction; the noise helps nobody.
+# than -O0.  -w: the C text itself is held warning-free under -Wall
+# -Wextra -Werror by scripts/check_native_source.py (a CI step); this
+# build adds cffi's generated wrappers and runs on whatever compiler the
+# host has, whose extra warnings at first import would only be noise.
 _COMPILE_ARGS = [] if os.name == "nt" else ["-O2", "-w"]
 
 

@@ -10,13 +10,17 @@ each layer of that to its one-combination-at-a-time meaning:
 * the screen's survivors are exactly the combinations whose own
   one-combination state is conflict-free after sensitize + imply;
 * ``run_aptpg`` settles every fault exactly as the serial loop over
-  all combinations below does.
+  all combinations below does;
+* on the ``native/c`` engine, where a nonrobust fault's whole run, a
+  search and an FPTPG batch are one C call each, every outcome equals
+  the Python loops' on the ``codegen`` and ``interp`` engines.
 """
 
 import random
 from typing import Tuple
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -25,10 +29,11 @@ from repro.circuit import Circuit, CircuitBuilder, GateType
 from repro.core import aptpg
 from repro.core.aptpg import AptpgOutcome, _attempt, polarity_lanes, run_aptpg
 from repro.core.controllability import compute_controllability
-from repro.core.fptpg import sensitizer_for
+from repro.core.fptpg import run_fptpg, sensitizer_for
 from repro.core.results import FaultStatus
 from repro.core.sensitize import path_final_values, xor_side_signals
-from repro.core.state import TpgState
+from repro.core.state import SEVEN_VALUED, TESTED, TpgState
+from repro.kernel import native_available
 from repro.logic import seven_valued as sv
 from repro.logic import three_valued as tv
 from repro.logic.words import mask_for
@@ -41,9 +46,17 @@ SETTINGS = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="no C toolchain and no cached native module"
+)
 
-def xor_dag(seed: int, n_inputs: int, n_gates: int) -> Circuit:
-    """A random DAG rich in XOR/XNOR gates, some with three inputs."""
+
+def xor_dag(seed: int, n_inputs: int, n_gates: int, repeats: bool = False) -> Circuit:
+    """A random DAG rich in XOR/XNOR gates, some with three inputs.
+
+    With *repeats* fanins are drawn with replacement, so ``XOR(a, a)``
+    and ``XOR(a, b, b)`` occur.
+    """
     rng = random.Random(seed)
     circuit = Circuit(name=f"xor_dag_{seed}")
     signals = [circuit.add_input(f"i{k}") for k in range(n_inputs)]
@@ -53,7 +66,11 @@ def xor_dag(seed: int, n_inputs: int, n_gates: int) -> Circuit:
         kind = rng.choice(kinds)
         arity = 1 if kind is GateType.NOT else rng.choice((2, 2, 3))
         window = signals[-8:] if rng.random() < 0.7 else signals
-        signals.append(circuit.add_gate(f"g{g}", kind, rng.sample(window, arity)))
+        if repeats:
+            fanin = [rng.choice(window) for _ in range(arity)]
+        else:
+            fanin = rng.sample(window, arity)
+        signals.append(circuit.add_gate(f"g{g}", kind, fanin))
     for signal in signals[-3:]:
         circuit.mark_output(signal)
     return circuit.freeze()
@@ -147,6 +164,31 @@ def settle(outcome: AptpgOutcome):
     return outcome.status, outcome.pattern, outcome.decisions, outcome.backtracks
 
 
+def assert_same_outcome(got: AptpgOutcome, want: AptpgOutcome) -> None:
+    """Same settlement, counters, survivors and returned state."""
+    assert settle(got) == settle(want)
+    assert got.splits_used == want.splits_used
+    assert got.implication_passes == want.implication_passes
+    assert got.survivors == want.survivors
+    assert got.state.width == want.state.width
+    assert got.state.mask == want.state.mask
+    assert got.state.implication_passes == want.state.implication_passes
+    assert got.state.planes == want.state.planes
+
+
+def spy_searches(sides, searched):
+    """An ``_attempt`` stand-in that records each combination searched,
+    in order, and runs the real search."""
+    real = aptpg._attempt
+
+    def record(*args):
+        xor_sides = args[7]  # _attempt(..., use_backward, xor_sides, fusion)
+        searched.append(sum(1 << k for k, s in enumerate(sides) if xor_sides[s]))
+        return real(*args)
+
+    return record
+
+
 dags = st.builds(
     xor_dag,
     st.integers(min_value=0, max_value=10_000),
@@ -211,16 +253,15 @@ class TestScreen:
                 if not own_state(circuit, fault, test_class, sides, combo).conflict_mask
             ]
             searched = []
-
-            def record(*args):
-                xor_sides = args[7]  # _attempt(..., use_backward, xor_sides, fusion)
-                combo = sum(1 << k for k, s in enumerate(sides) if xor_sides[s])
-                searched.append(combo)
-                return AptpgOutcome(FaultStatus.REDUNDANT, None, None)
-
-            with mock.patch.object(aptpg, "_attempt", record):
-                outcome = run_aptpg(circuit, fault, test_class, 8)
-            assert searched == expected
+            # the C run never calls _attempt: spy on the Python loop
+            with mock.patch.object(aptpg, "_attempt", spy_searches(sides, searched)):
+                outcome = run_aptpg(circuit, fault, test_class, 8, fusion="codegen")
+            native = run_aptpg(circuit, fault, test_class, 8)
+            assert outcome.survivors == native.survivors == expected
+            # survivors are searched in order, up to the first test
+            assert searched == expected[: len(searched)]
+            assert len(searched) == len(expected) or outcome.status is FaultStatus.TESTED
+            assert_same_outcome(native, outcome)
             if not expected:
                 assert outcome.status is FaultStatus.REDUNDANT
                 assert outcome.state.width == 1 << len(sides)
@@ -286,6 +327,49 @@ class TestMatchesSerialLoop:
                 )
 
 
+class TestPolarityBitsRange:
+    """``max_xor_polarity_bits`` must lie in [0, 16] on every engine."""
+
+    @pytest.mark.parametrize(
+        "fusion", [pytest.param("auto", marks=needs_native), "codegen", "interp"]
+    )
+    def test_both_ends(self, fusion):
+        c, fault = xor_chain(2, 0)
+        for test_class in TestClass:
+            for bits in (0, 16):
+                got = run_aptpg(c, fault, test_class, 8, fusion=fusion,
+                                max_xor_polarity_bits=bits)
+                assert got.status is (
+                    FaultStatus.TESTED if bits else FaultStatus.ABORTED
+                )
+                assert settle(got) == serial_reference(c, fault, test_class, 8, bits)
+            for bits in (-1, 17, 40):
+                # refused before any state is built
+                with mock.patch.object(aptpg, "TpgState", side_effect=AssertionError):
+                    with pytest.raises(ValueError, match=f"max_xor_polarity_bits={bits}"):
+                        run_aptpg(c, fault, test_class, 8, fusion=fusion,
+                                  max_xor_polarity_bits=bits)
+
+    def test_a_path_without_xor_sides(self):
+        """A negative cap used to turn this redundant fault, which has no
+        XOR side, into an abort: y needs b = 1, z needs NOT b = 1."""
+        b = CircuitBuilder("and_not_chain")
+        b.inputs("a", "b")
+        b.and_("y", "a", "b")
+        b.not_("nb", "b")
+        b.and_("z", "y", "nb")
+        b.outputs("z")
+        c = b.build()
+        fault = PathDelayFault.from_names(c, ("a", "y", "z"), Transition.RISING)
+        assert xor_side_signals(c, fault) == []
+        for fusion in ("auto", "codegen"):
+            got = run_aptpg(c, fault, TestClass.NONROBUST, 32, fusion=fusion)
+            assert got.status is FaultStatus.REDUNDANT
+            with pytest.raises(ValueError, match="max_xor_polarity_bits=-1"):
+                run_aptpg(c, fault, TestClass.NONROBUST, 32, fusion=fusion,
+                          max_xor_polarity_bits=-1)
+
+
 def xor_chain(n_sides: int, anded: int) -> Tuple[Circuit, PathDelayFault]:
     """a -> x0 -> ... -> x{n-1} -> z with side s_k on XOR x_k, and side
     s_{anded} also on the final AND: every combination with bit
@@ -332,17 +416,16 @@ class TestChunkedScreen:
                     ]
                     assert expected and len(expected) < 1 << n_sides
                     searched = []
-
-                    def record(*args):
-                        xor_sides = args[7]
-                        searched.append(
-                            sum(1 << k for k, s in enumerate(sides) if xor_sides[s])
-                        )
-                        return AptpgOutcome(FaultStatus.REDUNDANT, None, None)
-
-                    with mock.patch.object(aptpg, "_attempt", record):
-                        run_aptpg(c, fault, test_class, 32)
-                    assert searched == expected
+                    with mock.patch.object(
+                        aptpg, "_attempt", spy_searches(sides, searched)
+                    ):
+                        spied = run_aptpg(c, fault, test_class, 32, fusion="codegen")
+                    native = run_aptpg(c, fault, test_class, 32)
+                    assert spied.survivors == native.survivors == expected
+                    # the first survivor is searched and tested
+                    assert spied.status is FaultStatus.TESTED
+                    assert searched == expected[:1]
+                    assert_same_outcome(native, spied)
                     for width in (1, 32, 64):
                         got = run_aptpg(c, fault, test_class, width)
                         assert got.status is FaultStatus.TESTED
@@ -360,8 +443,9 @@ class TestChunkedScreen:
             widths.append((width, state.implication_passes))
             return state, seconds
 
+        # the C run never calls _sensitized_state: spy on the Python loop
         with mock.patch.object(aptpg, "_sensitized_state", spy):
-            outcome = run_aptpg(c, fault, TestClass.NONROBUST, 32)
+            outcome = run_aptpg(c, fault, TestClass.NONROBUST, 32, fusion="codegen")
         assert outcome.status is FaultStatus.TESTED
         screens, searches = widths[:4], widths[4:]
         assert [w for w, _ in screens] == [64] * 4
@@ -371,3 +455,122 @@ class TestChunkedScreen:
         assert outcome.implication_passes == (
             sum(passes for _, passes in screens) + outcome.state.implication_passes
         )
+        assert outcome.survivors[0] == 128
+        native = run_aptpg(c, fault, TestClass.NONROBUST, 32)
+        assert_same_outcome(native, outcome)
+
+
+repeat_dags = st.builds(
+    xor_dag,
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=3, max_value=12),
+    st.integers(min_value=6, max_value=60),
+    st.just(True),
+)
+#: every width, small ones (no or few lane splits: more backtracking) often
+widths = st.integers(min_value=1, max_value=4) | st.integers(min_value=1, max_value=64)
+
+
+def assert_aptpg_matches_python(circuit, fault, test_class, width, **options):
+    """The native run equals the Python loops on codegen and interp."""
+    got = run_aptpg(circuit, fault, test_class, width, **options)
+    assert got.state.tier == "native/c"
+    for fusion in ("codegen", "interp"):
+        want = run_aptpg(circuit, fault, test_class, width, fusion=fusion, **options)
+        assert want.state.tier != "native/c"
+        assert_same_outcome(got, want)
+    return got
+
+
+@needs_native
+class TestNativeShardsMatchPython:
+    """The one-call native APTPG run, search and FPTPG batch against the
+    Python loops on the ``codegen`` and ``interp`` engines."""
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        st.data(),
+        repeat_dags,
+        test_classes,
+        widths,
+        st.sampled_from([0, 1, 2, 64]),
+        st.integers(min_value=0, max_value=8),
+    )
+    def test_aptpg(self, data, circuit, test_class, width, limit, max_bits):
+        faults = [
+            fault
+            for fault in fault_list(circuit, cap=96, strategy="all")
+            if len(xor_side_signals(circuit, fault)) <= MAX_SIDES
+        ]
+        picks = data.draw(
+            st.lists(st.integers(0, 95), min_size=1, max_size=6), label="faults"
+        )
+        for fault in [faults[k % len(faults)] for k in picks if faults]:
+            assert_aptpg_matches_python(
+                circuit, fault, test_class, width,
+                backtrack_limit=limit, max_xor_polarity_bits=max_bits,
+            )
+
+    @pytest.mark.parametrize("seed", [8, 10])
+    def test_backtracking_searches(self, seed):
+        """Faults whose one-lane search backtracks, at every backtrack
+        limit and with zero or one lane split."""
+        circuit = xor_dag(seed, 10, 50, repeats=True)
+        hard = [
+            (fault, test_class)
+            for fault in fault_list(circuit, cap=96, strategy="all")
+            for test_class in TestClass
+            if run_aptpg(circuit, fault, test_class, 1, fusion="codegen").backtracks
+        ]
+        assert len(hard) >= 5
+        for fault, test_class in hard:
+            for width in (1, 2, 3):
+                for limit in (0, 1, 2, 64):
+                    assert_aptpg_matches_python(
+                        circuit, fault, test_class, width, backtrack_limit=limit
+                    )
+
+    def test_a_stuck_lane_rejoins_after_an_implication(self):
+        """Lane 1 of this robust state reaches no primary input, so it
+        sticks while lane 0 decides; each implication after a decision
+        puts lane 1 back into play, and the second time it decides
+        again.  (Found by a random search over states.)"""
+        circuit = xor_dag(9649, 9, 32, repeats=True)
+        cc = compute_controllability(circuit)
+        fault = PathDelayFault((0, 40), Transition.FALLING)
+        extra = [(15, (0, 0, 0, 0)), (4, (0, 0, 0, 0)), (5, (4, 0, 4, 0)),
+                 (19, (2, 0, 0, 2))]
+        runs = []
+        for fusion in ("auto", "codegen", "interp"):
+            state = TpgState(circuit, SEVEN_VALUED, 3, fusion=fusion)
+            state.sensitize(fault, state.mask)
+            for signal, planes in extra:
+                state.assign(signal, planes)
+            if fusion == "auto":
+                runs.append((state.search(cc, 64), list(state.planes)))
+            else:
+                runs.append((aptpg._search(state, cc, 64), state.planes))
+        assert runs[0][0].status == TESTED
+        assert runs[0] == runs[1] == runs[2]
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(st.data(), repeat_dags, test_classes, widths)
+    def test_fptpg(self, data, circuit, test_class, width):
+        faults = fault_list(circuit, cap=96, strategy="all")
+        batch = data.draw(
+            st.lists(st.sampled_from(faults), min_size=1, max_size=width), label="batch"
+        )
+        got = run_fptpg(circuit, batch, test_class, width)
+        assert got.state.tier == "native/c"
+        for fusion in ("codegen", "interp"):
+            want = run_fptpg(circuit, batch, test_class, width, fusion=fusion)
+            assert want.state.tier != "native/c"
+            assert got.statuses == want.statuses
+            assert got.patterns == want.patterns
+            assert got.decisions == want.decisions
+            assert got.state.implication_passes == want.state.implication_passes
+            assert got.state.planes == want.state.planes

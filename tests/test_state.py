@@ -860,6 +860,121 @@ class TestDecideMatchesPython:
                 st.decide(Controllability(cc0, cc1), 0b1111)
 
 
+class TestShardLoopsMatchPython:
+    """``TpgState.search`` and ``TpgState.fptpg`` on the C engine (one
+    call each) run the Python loops -- :func:`repro.core.aptpg._search`
+    and :func:`repro.core.fptpg._justify` -- step for step, from any
+    state: random values, often conflicting or known-instable in some
+    lanes, implied or not, on both algebras.  The loops run on the
+    interp and codegen engines and, through the single-step calls, on
+    a second C state.  Everything but the few discrete choices comes
+    from one seed, so circuits, paths and values spread evenly."""
+
+    @needs_native
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32),
+        width=hst.sampled_from([1, 2, 3, 4, 8, 33, 64]),
+        algebra=hst.sampled_from([THREE_VALUED, SEVEN_VALUED]),
+        use_backward=hst.booleans(),
+        search=hst.booleans(),
+    )
+    def test_random_states(self, seed, width, algebra, use_backward, search):
+        from repro.core.aptpg import _search
+        from repro.core.controllability import compute_controllability
+        from repro.core.fptpg import _justify
+        from repro.core.sensitize import xor_side_signals
+        from repro.paths import PathDelayFault, Transition
+
+        rng = random.Random(seed)
+        circuit = mixed_dag(rng.randint(0, 10_000), rng.randint(2, 8), rng.randint(1, 40))
+        compiled = circuit.compiled()
+
+        def random_fault():
+            path = [rng.choice(compiled.py_inputs)]
+            while compiled.py_fanout[path[-1]] and rng.random() < 0.85:
+                path.append(rng.choice(compiled.py_fanout[path[-1]]))
+            return PathDelayFault(tuple(path), rng.choice(list(Transition)))
+
+        got, twin = (
+            TpgState(circuit, algebra, width, use_backward, fusion="auto")
+            for _ in range(2)
+        )
+        assert got.tier == twin.tier == "native/c"
+        wants = [twin] + [
+            TpgState(circuit, algebra, width, use_backward, fusion=engine)
+            for engine in ("interp", "codegen")
+        ]
+        cc = compute_controllability(circuit)
+        patterns = PATTERNS[algebra.name]
+        # per-lane draws leave three lanes in four X
+        choices = [(0,) * algebra.n_planes] * 3 * len(patterns) + patterns
+        fault = random_fault()
+        for state in (got, *wants):
+            state.sensitize(fault, got.mask)
+        for _ in range(rng.randint(0, 4)):
+            signal = rng.randrange(circuit.num_signals)
+            picks = [rng.choice(choices) for _ in range(width)]
+            planes = tuple(
+                sum(bits[p] << lane for lane, bits in enumerate(picks))
+                for p in range(algebra.n_planes)
+            )
+            for state in (got, *wants):
+                state.assign(signal, planes)
+        if rng.random() < 0.5:
+            for state in (got, *wants):
+                state.imply(False)
+        if search:
+            limit = rng.choice([0, 1, 2, 64])
+            run = got.search(cc, limit)
+            for want in wants:
+                assert _search(want, cc, limit) == run
+                assert_same_state(got, want)
+            return
+        faults = [random_fault() for _ in range(rng.randint(1, width))]
+        decided, decisions, justified, xor_lanes, seconds = got.fptpg(
+            faults, cc, sensitize=False
+        )
+        assert seconds == 0.0
+        assert xor_lanes == sum(
+            1 << k for k, f in enumerate(faults) if xor_side_signals(circuit, f)
+        )
+        for want in wants:
+            assert _justify(want, cc, len(faults)) == (decided, decisions, justified)
+            assert_same_state(got, want)
+
+
+    @needs_native
+    def test_a_stable_split_skips_known_instable_lanes(self):
+        """h = AND(a, c) must be S1 in lane 0 and g = AND(a, b) end at 1
+        in lane 1, where a is known-instable.  The first decision splits
+        a for h's stable 1: lane 0 gets S0 and conflicts, lane 1 gets a
+        1 but no stable bit (a rises there), so b = 1 tests it."""
+        from repro.core.aptpg import _search
+        from repro.core.controllability import compute_controllability
+        from repro.core.state import TESTED
+
+        circuit = Circuit(name="stable_split")
+        a, b, c = (circuit.add_input(name) for name in "abc")
+        h = circuit.add_gate("h", GateType.AND, [a, c])
+        g = circuit.add_gate("g", GateType.AND, [a, b])
+        circuit.mark_output(h)
+        circuit.mark_output(g)
+        circuit.freeze()
+        cc = compute_controllability(circuit)
+        runs = []
+        for fusion in ("auto", "codegen", "interp"):
+            state = TpgState(circuit, SEVEN_VALUED, 2, use_backward=False, fusion=fusion)
+            state.assign(a, (0, 0, 0, 0b10))
+            state.assign(h, sv.encode_word("S1", 0b01))
+            state.assign(g, sv.encode_word("U1", 0b10))
+            run = state.search(cc, 64) if fusion == "auto" else _search(state, cc, 64)
+            runs.append((run, list(state.planes)))
+        (run, planes), *wants = runs
+        assert (run.status, run.lane, run.decisions, run.splits_used) == (TESTED, 1, 2, 1)
+        assert planes[a] == (0b01, 0b10, 0b01, 0b10)  # S0 in lane 0, R in lane 1
+        assert all(want == runs[0] for want in wants)
+
 class TestDecideRules:
     """Two backtrace rules the random test seldom reaches, checked by hand
     on every engine: AND(a, b, d) = 1 without backward implication."""
