@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..circuit import Circuit
-from ..core.patterns import TestPattern
+from ..core.patterns import PatternTable, TestPattern
 from ..core.results import TpgReport
 from ..paths import (
     PathDelayFault,
@@ -372,7 +372,7 @@ class AtpgSession:
     # ------------------------------------------------------------ grade
     def grade(
         self,
-        patterns: Sequence[TestPattern],
+        patterns: Union[Sequence[TestPattern], PatternTable],
         faults: Sequence[PathDelayFault],
         *,
         test_class: Union[str, TestClass] = TestClass.NONROBUST,
@@ -394,8 +394,15 @@ class AtpgSession:
         any pattern detects it (``"hazard_free_robust"`` ⊂
         ``"robust"`` ⊂ ``"nonrobust"``, or ``None``) — and the
         aggregated ``strength_counts``.
+
+        *patterns* may be a :class:`repro.core.patterns.PatternTable`,
+        packed from its row columns (one ``pack_bits`` per vector), or
+        a pre-packed :class:`repro.kernel.PackedPatterns`; a tuple
+        sequence is packed with ``PackedPatterns.from_patterns``.
         """
         faults = list(faults)
+        if isinstance(patterns, PatternTable):
+            patterns = patterns.packed() if len(patterns) else []
         resolved_class = resolve_test_class(test_class)
         if strength:
             from ..sim.delay_sim import strength_masks_all  # lazy: cycle

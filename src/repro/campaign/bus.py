@@ -26,38 +26,45 @@ set:
   set still detects everything the report claims, while bounding the
   memory and admission-check cost of long campaigns.
 
-The faults live in one :class:`repro.paths.FaultTable` the bus owns:
-every fault is flattened and range-checked once, when it is admitted
-(or restored on resume), and each drop round hands the simulator a
-:class:`repro.paths.FaultRows` view of the pending rows — one index
-array for the C walk instead of every pending path re-flattened from
-Python tuples.  A fault naming a signal outside the circuit fails that
-check alone and is handed back for the campaign to settle
-``skipped_error``; it is never simulated or scheduled.  So is a fault
-whose path does not start at a primary input, where no test can launch
-its transition (one look-up of the new rows' first ids).  Rows of settled
-faults are released, and the table is rebuilt from the live rows once
-those are outnumbered, so under a ``window`` the table stays bounded
-by the window, not the universe.
+Both sets are columns.  The faults live in one
+:class:`repro.paths.FaultTable` the bus owns: every fault is flattened
+and range-checked once, when it is admitted (or restored on resume).
+Beside the table the bus keeps a live mask over its rows and each row's
+stream index, so a drop round's pending rows are one
+``np.flatnonzero`` (registration order) and the detected rows map back
+to stream indices with one array gather.  A fault naming a signal
+outside the circuit fails that check alone and is handed back for the
+campaign to settle ``skipped_error``; it is never simulated or
+scheduled.  So is a fault whose path does not start at a primary input,
+where no test can launch its transition (one look-up of the new rows'
+first ids).  Rows of settled faults are released, and the table is
+rebuilt from the live rows once those are outnumbered, so under a
+``window`` the table stays bounded by the window, not the universe.
 
-One :class:`repro.sim.delay_sim.DelayFaultSimulator` instance is
-reused for every admission check and drop round — the compiled kernel
-and backend selection are paid once per campaign.  The ``backend``
-knob passes straight through to the simulator; under the default
-``"auto"`` every admission and drop pass runs inside the compiled-C
-native module whenever it loads.
+The retained patterns are a :class:`repro.core.patterns.PatternTable`.
+A round appends its fresh rows — as the shards read them from the C
+engine, or decoded from pattern tuples — and packs only that slice
+(:meth:`PatternTable.packed`); admission packs the whole table.  On
+the native backend (the default wherever the module loads) each round
+is then one :meth:`repro.sim.delay_sim.DelayFaultSimulator.drop_pass`
+on a :class:`repro.kernel.native.DropScratch` the bus allocates once
+and grows on demand; the other backends, and any explicit fusion, run
+:meth:`~repro.sim.delay_sim.DelayFaultSimulator.detection_masks` as
+admission does.  The bus owns one simulator for every pass, so the
+compiled kernel and backend selection are paid once per campaign; the
+``backend`` knob passes straight through to it.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..circuit import Circuit
-from ..core.patterns import TestPattern
+from ..core.patterns import PatternTable, Rows, TestPattern
+from ..kernel.native import DropScratch
 from ..paths import FaultTable, PathDelayFault, TestClass
 from ..paths.table import path_input_error, signal_range_error
 from ..sim.delay_sim import DelayFaultSimulator
@@ -79,7 +86,8 @@ class DropBus:
     the C walk one index array instead of re-flattening every pending
     path.  Once released rows outnumber live ones, the next
     registration rebuilds the table from the live rows: memory follows
-    the pending window, not the universe.
+    the pending window, not the universe.  :attr:`patterns` is the
+    retained set's pattern list (:attr:`retained` holds its rows).
     """
 
     def __init__(
@@ -99,7 +107,8 @@ class DropBus:
         self.test_class = test_class
         self.enabled = enabled
         self.compact_every = compact_every
-        self.patterns: List[TestPattern] = []
+        self.n_inputs = len(circuit.inputs)
+        self.retained = PatternTable(self.n_inputs)
         self.seconds_simulate = 0.0
         self.compactions = 0
         self.patterns_compacted_away = 0
@@ -115,6 +124,25 @@ class DropBus:
         # stream index -> table row of every live (registered, not yet
         # released) fault, in registration order
         self._rows: Dict[int, int] = {}
+        # per table row: live (registered, not released) and its stream
+        # index; rows are appended in registration order, so the live
+        # rows in row order are the pending faults in registration order
+        self._live = np.zeros(0, dtype=bool)
+        self._index = np.zeros(0, dtype=np.int64)
+        # the native backend drop rounds run on, and its scratch: both
+        # settled at the first round (the backend choice does not depend
+        # on the batch width)
+        self._native: Optional[Tuple[object, DropScratch]] = None
+        self._native_checked = False
+
+    @property
+    def patterns(self) -> List[TestPattern]:
+        """The retained patterns, in order (the report's test set)."""
+        return self.retained.patterns
+
+    @patterns.setter
+    def patterns(self, patterns: Sequence[TestPattern]) -> None:
+        self.retained = PatternTable.from_patterns(list(patterns), self.n_inputs)
 
     # ------------------------------------------------------------ rows
     def register(self, arrivals: Arrivals) -> Tuple[Arrivals, Rejected]:
@@ -140,44 +168,102 @@ class DropBus:
                 signal, self.circuit.signal_name(signal)
             )
         # a refused path's row is never live, so the next rebuild drops it
-        for k, row in zip(positions, rows):
-            if k not in errors:
-                self._rows[arrivals[k][0]] = row
+        live = [
+            (arrivals[k][0], row)
+            for k, row in zip(positions, rows)
+            if k not in errors
+        ]
+        indices = [index for index, _row in live]
+        self._grow(len(table))
+        if self._rows.keys().isdisjoint(indices) and len(set(indices)) == len(live):
+            self._rows.update(live)
+            new_rows = np.fromiter((row for _index, row in live), np.int64, len(live))
+            self._live[new_rows] = True
+            self._index[new_rows] = indices
+        else:
+            for index, row in live:  # a re-registered index moves to the end
+                self.release(index)
+                self._rows[index] = row
+                self._live[row] = True
+                self._index[row] = index
         rejected: Rejected = [(*arrivals[k], errors[k]) for k in sorted(errors)]
         kept = [a for k, a in enumerate(arrivals) if k not in errors]
         return kept, rejected
 
     def release(self, index: int) -> None:
         """Forget a settled fault's row (a no-op for unknown indices)."""
-        self._rows.pop(index, None)
+        row = self._rows.pop(index, None)
+        if row is not None:
+            self._live[row] = False
+
+    def _grow(self, n_rows: int) -> None:
+        """Room for *n_rows* table rows in the live mask and index."""
+        if n_rows > len(self._live):
+            size = max(n_rows, 2 * len(self._live))
+            live = np.zeros(size, dtype=bool)
+            live[: len(self._live)] = self._live
+            index = np.zeros(size, dtype=np.int64)
+            index[: len(self._index)] = self._index
+            self._live, self._index = live, index
+
+    def _pending_rows(self) -> np.ndarray:
+        """The live rows, in registration order."""
+        return np.flatnonzero(self._live[: len(self.table)])
 
     def _rebuild(self) -> None:
         """Rebuild the table from the live rows, renumbering them."""
-        live = np.fromiter(self._rows.values(), np.int32, count=len(self._rows))
+        live = self._pending_rows()
         self.table = self.table.take(live)
-        self._rows = dict(zip(self._rows, range(len(live))))
+        n = len(live)
+        self._index[:n] = self._index[live]
+        self._live[:n] = True
+        self._live[n:] = False
+        self._rows = dict(zip(self._index[:n].tolist(), range(n)))
 
     # ------------------------------------------------------------ rounds
-    def absorb(self, fresh: Sequence[TestPattern]) -> List[int]:
+    def absorb(
+        self,
+        fresh: Sequence[TestPattern],
+        rows: Optional[Rows] = None,
+    ) -> List[int]:
         """Retain *fresh* patterns; return the live indices they detect.
 
-        The live rows are the campaign's pending faults (settled
-        faults were released, so no rescan of the full universe
-        happens here — the set only ever shrinks between admissions).
+        *rows*, when given, are the fresh patterns' (V1, V2) uint8 rows
+        as the generator wrote them (``n_inputs`` wide, 0/1); without
+        them the tuples are decoded and checked.  The live rows are the
+        campaign's pending faults (settled faults were released, so no
+        rescan of the full universe happens here — the set only ever
+        shrinks between admissions).
         """
+        retained = self.retained
+        start = len(retained)
+        if rows is None:
+            retained.extend(fresh)
+        else:
+            retained.append(rows[0], rows[1], fresh)
         dropped: List[int] = []
         if fresh and self.enabled and self._rows:
             t0 = time.perf_counter()
-            indices = list(self._rows)
-            view = self.table.view(
-                np.fromiter(self._rows.values(), np.int32, count=len(indices))
-            )
-            masks = self.simulator.detection_masks(list(fresh), view)
-            dropped = list(compress(indices, masks))
+            pending = self._pending_rows()
+            packed = retained.packed(start, len(retained))
+            simulator = self.simulator
+            if not self._native_checked:
+                backend = simulator.native_backend(len(fresh))
+                if backend is not None:
+                    self._native = (backend, DropScratch(simulator.compiled))
+                self._native_checked = True
+            view = self.table.view(pending)
+            if self._native is not None:
+                backend, scratch = self._native
+                detected = pending[simulator.drop_pass(backend, packed, view, scratch)]
+            else:
+                masks = simulator.detection_masks(packed, view)
+                detected = pending[[k for k, mask in enumerate(masks) if mask]]
+            dropped = self._index[detected].tolist()
             self.seconds_simulate += time.perf_counter() - t0
             if self.compact_every is not None:
-                self.obligations.extend(compress(view, masks))
-        self.patterns.extend(fresh)
+                faults = self.table.faults
+                self.obligations.extend(faults[row] for row in detected.tolist())
         self._since_compaction += len(fresh)
         self._maybe_compact()
         return dropped
@@ -192,7 +278,7 @@ class DropBus:
         releases) them.
         """
         arrivals, rejected = self.register(arrivals)
-        if not arrivals or not self.enabled or not self.patterns:
+        if not arrivals or not self.enabled or not len(self.retained):
             return arrivals, [], rejected
         t0 = time.perf_counter()
         view = self.table.view(
@@ -202,7 +288,7 @@ class DropBus:
                 count=len(arrivals),
             )
         )
-        masks = self.simulator.detection_masks(self.patterns, view)
+        masks = self.simulator.detection_masks(self.retained.packed(), view)
         self.seconds_simulate += time.perf_counter() - t0
         fresh: Arrivals = []
         dropped: List[int] = []
@@ -251,7 +337,8 @@ class DropBus:
             for p in self.patterns
             if id(p) not in kept_ids and p.fault is not None
         )
-        self.patterns = list(kept)
+        positions = {id(p): k for k, p in enumerate(self.patterns)}
+        self.retained = self.retained.take([positions[id(p)] for p in kept])
         self.compactions += 1
         self.patterns_compacted_away += before - len(self.patterns)
         self._since_compaction = 0

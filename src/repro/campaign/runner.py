@@ -34,11 +34,13 @@ import warnings
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .. import chaos
 from ..api import integrity
 from ..api.options import Options
 from ..circuit import Circuit
-from ..core.patterns import TestPattern
+from ..core.patterns import Rows, TestPattern
 from ..core.results import FaultRecord, FaultStatus
 from ..paths import PathDelayFault, TestClass
 from .bus import DropBus, Rejected
@@ -56,6 +58,17 @@ from .universe import FaultUniverse
 #: Admission checks run in bounded slices so an unbounded-window pull
 #: of a huge universe never builds one giant simulation batch.
 _ADMIT_CHUNK = 4096
+
+def _stacked(blocks: List[Rows]) -> Optional[Rows]:
+    """A round's fresh (V1, V2) rows: its shards' row blocks, in order."""
+    if not blocks:
+        return None
+    if len(blocks) == 1:
+        return blocks[0]
+    return (
+        np.concatenate([v1 for v1, _ in blocks]),
+        np.concatenate([v2 for _, v2 in blocks]),
+    )
 
 
 class CampaignControl:
@@ -239,6 +252,7 @@ class _Campaign:
         )
         stats = self.report.stats
         fresh: List[TestPattern] = []
+        rows: List[Rows] = []
         for batch, result in zip(batches, results):
             if result.error is not None:
                 # quarantined shard: its faults are settled as
@@ -249,6 +263,8 @@ class _Campaign:
             stats.decisions += result.decisions
             stats.implication_passes += result.implication_passes
             stats.seconds_sensitize += result.seconds_sensitize
+            if result.rows is not None:
+                rows.append(result.rows)
             for index, status, pattern in zip(
                 batch, result.statuses, result.patterns
             ):
@@ -260,7 +276,7 @@ class _Campaign:
                 else:  # deferred to APTPG; stays pending (and droppable)
                     self.queued.add(index)
                     self.queue.append(index)
-        self._apply_drops(self.bus.absorb(fresh))
+        self._apply_drops(self.bus.absorb(fresh, _stacked(rows)))
         stats.rounds += 1
         stats.fptpg_rounds += 1
         return True
@@ -278,6 +294,7 @@ class _Campaign:
         results = executor.run_aptpg([self.pending[i] for i in targets])
         stats = self.report.stats
         fresh: List[TestPattern] = []
+        rows: List[Rows] = []
         for index, result in zip(targets, results):
             if result.error is not None:
                 self._settle_error(index, self.pending[index], result.error)
@@ -291,7 +308,8 @@ class _Campaign:
             self.settle(index, self.pending[index], status, pattern, "aptpg")
             if pattern is not None:
                 fresh.append(pattern)
-        self._apply_drops(self.bus.absorb(fresh))
+                rows.append(result.rows)
+        self._apply_drops(self.bus.absorb(fresh, _stacked(rows)))
         stats.rounds += 1
         stats.aptpg_rounds += 1
         return True

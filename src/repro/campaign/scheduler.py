@@ -10,11 +10,27 @@ searches.  This module executes one round's shards, either in-process
 Each pool worker receives the circuit once, at initialization, and
 rebuilds the shared :class:`repro.kernel.CompiledCircuit` plus the
 controllability tables exactly once; per-shard messages carry only the
-fault structures in and plain :class:`ShardResult` rows out (never a
+fault structures in and plain :class:`ShardResult` records out (never a
 ``TpgState``), so IPC stays proportional to the work, not the circuit.
 Shards are submitted with ``apply_async`` and collected *in submission
 order*, which keeps the campaign's outcome independent of worker count
 and timing.
+
+**One engine per executor context.**  Every :class:`_WorkerContext` —
+the serial executor's, and one per pool worker — owns one 3-valued C
+TPG engine (:class:`repro.core.state.TpgEngine`) at the campaign width,
+built on first use.  On the ``native/c`` tier a nonrobust APTPG shard
+is one call on it (:func:`repro.core.aptpg.aptpg_record`, which resets
+the engine for every screen chunk and search) and an FPTPG shard is a
+reset plus one call (:func:`repro.core.fptpg.fptpg_record`); the tested
+lanes come back as pattern rows read straight from the engine's
+primary-input planes, and the shard returns its :class:`ShardResult`
+without building a ``TpgState`` or an outcome.  Every shard starts
+from an engine reset to the campaign width, so it stays a pure
+function of its payload: a retried or reordered shard is bit-identical.
+Robust shards and the Python tiers run :func:`run_fptpg` /
+:func:`run_aptpg` as before (their oracles), and their rows are decoded
+from the pattern tuples.
 
 **Supervision.**  Long campaigns must survive losing pieces.  Every
 shard runs under a :class:`Supervision` policy:
@@ -50,11 +66,13 @@ from typing import Callable, List, Optional, Sequence
 
 from ..chaos import ChaosError, shard_action
 from ..circuit import Circuit
-from ..core.aptpg import run_aptpg
+from ..core.aptpg import STATUSES, aptpg_record, run_aptpg
 from ..core.controllability import Controllability, compute_controllability
-from ..core.fptpg import run_fptpg
-from ..core.patterns import TestPattern
+from ..core.fptpg import fptpg_record, run_fptpg
+from ..core.patterns import Rows, TestPattern
 from ..core.results import FaultStatus
+from ..core.state import THREE_VALUED, TpgEngine, tpg_tier
+from ..kernel.packed import pattern_rows
 from ..paths import PathDelayFault, TestClass
 
 #: How long an injected ``shard_hang`` sleeps.  The supervising parent
@@ -100,10 +118,12 @@ class ShardResult:
     """Outcome of one generation shard, cheap to pickle.
 
     For an FPTPG shard the lists are parallel to the batch's faults;
-    for an APTPG shard they have length one.  A quarantined shard
-    (supervision gave up after repeated failures) carries
-    ``skipped_error`` statuses, no patterns, and the ``error``
-    envelope describing the last failure.
+    for an APTPG shard they have length one.  ``rows`` holds the (V1,
+    V2) uint8 rows of the shard's tested patterns, in order (``None``
+    when it tested none): the drop bus appends them to its pattern
+    table as they are.  A quarantined shard (supervision gave up after
+    repeated failures) carries ``skipped_error`` statuses, no patterns,
+    and the ``error`` envelope describing the last failure.
     """
 
     statuses: List[FaultStatus]
@@ -113,6 +133,15 @@ class ShardResult:
     implication_passes: int = 0
     seconds_sensitize: float = 0.0
     error: Optional[dict] = None
+    rows: Optional[Rows] = None
+
+
+def _tuple_rows(
+    patterns: Sequence[Optional[TestPattern]],
+) -> Optional[Rows]:
+    """The rows of a shard's tested tuple patterns, through the codec."""
+    tested = [pattern for pattern in patterns if pattern is not None]
+    return pattern_rows(tested) if tested else None
 
 
 def _quarantined(n_faults: int, error: dict) -> ShardResult:
@@ -147,7 +176,10 @@ def _apply_chaos_action(action: Optional[str]) -> None:
 
 @dataclass
 class _WorkerContext:
-    """Per-process generation state, built once per worker."""
+    """Per-process generation state, built once per worker.
+
+    Owns the executor's C TPG engine (see the module docstring).
+    """
 
     circuit: Circuit
     test_class: TestClass
@@ -156,13 +188,50 @@ class _WorkerContext:
     backtrack_limit: int
     fusion: str = "auto"
     controllability: Controllability = field(init=False)
+    #: the C engine once built, ``False`` once shards cannot use one
+    _engine: object = field(init=False, default=None)
+    _ranks: object = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         self.circuit.compiled()  # lower the netlist once per process
         self.controllability = compute_controllability(self.circuit)
 
+    def engine(self) -> Optional[TpgEngine]:
+        """The context's 3-valued C engine, built on first use.
+
+        ``None`` where shards do not run on it: robust campaigns, and
+        every tier but ``native/c`` (settled at the first shard).
+        """
+        engine = self._engine
+        if engine is None:
+            engine = False
+            if self.test_class is TestClass.NONROBUST and (
+                tpg_tier(self.width, self.fusion, THREE_VALUED) == "native/c"
+            ):
+                engine = TpgEngine(
+                    self.circuit.compiled(), THREE_VALUED.n_planes, self.width,
+                    self.use_backward,
+                )
+                self._ranks = engine.ranks(self.controllability)
+            self._engine = engine
+        return engine or None
+
     # ------------------------------------------------------------ shards
     def fptpg_shard(self, faults: Sequence[PathDelayFault]) -> ShardResult:
+        engine = self.engine()
+        if engine is not None:
+            engine.reset()
+            statuses, patterns, rows, decisions, seconds = fptpg_record(
+                engine, faults, self._ranks, True
+            )
+            return ShardResult(
+                statuses=statuses,
+                patterns=patterns,
+                decisions=decisions,
+                implication_passes=engine.c.implication_passes,
+                seconds_sensitize=seconds,
+                rows=rows,
+            )
         outcome = run_fptpg(
             self.circuit,
             list(faults),
@@ -178,9 +247,24 @@ class _WorkerContext:
             decisions=outcome.decisions,
             implication_passes=outcome.state.implication_passes,
             seconds_sensitize=outcome.seconds_sensitize,
+            rows=_tuple_rows(outcome.patterns),
         )
 
     def aptpg_shard(self, fault: PathDelayFault) -> ShardResult:
+        engine = self.engine()
+        if engine is not None:
+            run, pattern, rows = aptpg_record(
+                engine, fault, self._ranks, self.backtrack_limit
+            )
+            return ShardResult(
+                statuses=[STATUSES[run.status]],
+                patterns=[pattern],
+                decisions=run.decisions,
+                backtracks=run.backtracks,
+                implication_passes=run.implication_passes,
+                seconds_sensitize=run.seconds_sensitize,
+                rows=rows,
+            )
         outcome = run_aptpg(
             self.circuit,
             fault,
@@ -198,6 +282,7 @@ class _WorkerContext:
             backtracks=outcome.backtracks,
             implication_passes=outcome.implication_passes,
             seconds_sensitize=outcome.seconds_sensitize,
+            rows=_tuple_rows([outcome.pattern]),
         )
 
 

@@ -48,8 +48,12 @@ holds it.  Only the survivors run the full search above, one after
 another in combination order, each with every lane to itself.
 
 On the ``native/c`` engine a nonrobust fault is one C call,
-:meth:`TpgState.aptpg`: it derives the XOR sides from the fanin CSR,
-screens the combinations and searches the survivors on one engine.  A
+:meth:`TpgEngine.aptpg`: it derives the XOR sides from the fanin CSR,
+screens the combinations and searches the survivors on one engine, and
+a tested lane is read back as a pattern row in one vectorized pass.
+:func:`aptpg_record` is that run on any engine — a campaign executor
+reuses one for every shard — and :func:`run_aptpg` makes the same calls
+on a fresh :class:`TpgState`'s engine.  A
 robust fault is still sensitized here, chunk by chunk and survivor by
 survivor, but each survivor's search is one C call too,
 :meth:`TpgState.search`.  The loops below stay as their oracle and as
@@ -71,7 +75,7 @@ from ..paths import PathDelayFault, TestClass
 from .backtrace import PiObjective
 from .controllability import Controllability, compute_controllability
 from .fptpg import pi_assignment_planes, sensitizer_for
-from .patterns import TestPattern, extract_pattern
+from .patterns import Rows, TestPattern, engine_patterns, extract_pattern
 from .results import FaultStatus
 from .sensitize import xor_side_signals
 from .state import (
@@ -81,6 +85,7 @@ from .state import (
     TESTED,
     THREE_VALUED,
     SearchRun,
+    TpgEngine,
     TpgState,
     check_xor_polarity_bits,
     tpg_tier,
@@ -107,23 +112,55 @@ class AptpgOutcome:
     survivors: List[int] = field(default_factory=list)
 
 
-_STATUSES = {
+#: The XOR polarity enumeration cap :func:`run_aptpg` and campaign
+#: shards use unless told otherwise.
+DEFAULT_XOR_POLARITY_BITS = 8
+
+#: :class:`FaultStatus` of each :class:`SearchRun` status code.
+STATUSES = {
     TESTED: FaultStatus.TESTED,
     REDUNDANT: FaultStatus.REDUNDANT,
     ABORTED: FaultStatus.ABORTED,
 }
 
+def aptpg_record(
+    engine: TpgEngine,
+    fault: PathDelayFault,
+    ranks,
+    backtrack_limit: int,
+    max_xor_polarity_bits: int = DEFAULT_XOR_POLARITY_BITS,
+) -> Tuple[SearchRun, Optional[TestPattern], Optional[Rows]]:
+    """A nonrobust fault's whole APTPG on a 3-valued C *engine*.
+
+    One :meth:`TpgEngine.aptpg` call, at the engine's width whatever it
+    held before, then the tested lane's (V1, V2) row read — no
+    :class:`TpgState`.  Returns the run, the tested pattern and its
+    rows (``None`` twice unless tested).  *ranks* is
+    :meth:`TpgEngine.ranks` of the controllability.
+    """
+    run = engine.aptpg(fault, ranks, backtrack_limit, max_xor_polarity_bits)
+    if run.status != TESTED:
+        return run, None, None
+    (pattern,), rows = engine_patterns(engine, [run.lane], [fault])
+    return run, pattern, rows
+
 
 def _outcome(
-    state: TpgState, fault: PathDelayFault, run: SearchRun, seconds: float = 0.0
+    state: TpgState,
+    fault: PathDelayFault,
+    run: SearchRun,
+    seconds: float = 0.0,
+    pattern: Optional[TestPattern] = None,
 ) -> AptpgOutcome:
     """The outcome of a search or whole-fault run on *state*, *seconds*
-    of sensitizing added."""
-    status = _STATUSES[run.status]
-    tested = status is FaultStatus.TESTED
+    of sensitizing added; a tested lane is extracted unless *pattern*
+    is given."""
+    status = STATUSES[run.status]
+    if status is FaultStatus.TESTED and pattern is None:
+        pattern = extract_pattern(state, run.lane, fault)
     return AptpgOutcome(
         status,
-        extract_pattern(state, run.lane, fault) if tested else None,
+        pattern,
         state,
         decisions=run.decisions,
         backtracks=run.backtracks,
@@ -155,7 +192,7 @@ def run_aptpg(
     backtrack_limit: int = 64,
     use_backward: bool = True,
     fusion: str = "auto",
-    max_xor_polarity_bits: int = 8,
+    max_xor_polarity_bits: int = DEFAULT_XOR_POLARITY_BITS,
 ) -> AptpgOutcome:
     """Generate (or refute) a test for one fault with lane alternatives.
 
@@ -169,7 +206,8 @@ def run_aptpg(
     is the last search's, or the last screen chunk's when no
     combination survived the screen.  ``implication_passes`` counts
     every screen chunk and every search.  A nonrobust fault on the
-    ``native/c`` engine is one C call (:meth:`TpgState.aptpg`).
+    ``native/c`` engine is :func:`aptpg_record` on a fresh state's
+    engine: one C call and one row read.
     """
     check_xor_polarity_bits(max_xor_polarity_bits)
     cc = controllability or compute_controllability(circuit)
@@ -177,8 +215,12 @@ def run_aptpg(
         state = TpgState(
             circuit, THREE_VALUED, width, use_backward=use_backward, fusion=fusion
         )
-        run = state.aptpg(fault, cc, backtrack_limit, max_xor_polarity_bits)
-        return _outcome(state, fault, run)
+        run, pattern, _ = aptpg_record(
+            state.engine, fault, state.engine.ranks(cc), backtrack_limit,
+            max_xor_polarity_bits,
+        )
+        state.follow_engine()
+        return _outcome(state, fault, run, pattern=pattern)
     sides = xor_side_signals(circuit, fault)
     exhaustive = len(sides) <= max_xor_polarity_bits
     survivors = [0]

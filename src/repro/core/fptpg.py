@@ -22,11 +22,16 @@ unjustified signal, its lowest live lane's objective, the lanes sharing
 that objective, and the backtrace to a primary input — followed by one
 ``assign`` of the primary-input objective to the whole group and one
 ``imply``.  On the ``native/c`` engine the whole batch is one C call,
-:meth:`TpgState.fptpg`: the sensitization of every lane (a robust batch
+:meth:`TpgEngine.fptpg`: the sensitization of every lane (a robust batch
 is still sensitized here first), the implication, the loop and the
 masks the verdicts below are read from, the lanes whose path has an
-XOR side among them.  The loop here is its oracle and the engine of
-every other tier.
+XOR side among them; the tested lanes are then read back as pattern
+rows in one vectorized pass.  :func:`fptpg_record` is that batch on any
+engine — a campaign executor resets one engine and reuses it for every
+shard — and :func:`run_fptpg` makes the same call on a fresh
+:class:`TpgState`'s engine.  The loop here is its oracle and the engine
+of every other tier, which extracts each pattern with
+:func:`repro.core.patterns.extract_pattern`.
 """
 
 from __future__ import annotations
@@ -41,10 +46,10 @@ from ..paths import PathDelayFault, TestClass
 # objective_for_lane and objective_group are importable from here too
 from .backtrace import PiObjective, objective_for_lane, objective_group  # noqa: F401
 from .controllability import Controllability, compute_controllability
-from .patterns import TestPattern, extract_pattern
+from .patterns import Rows, TestPattern, engine_patterns, extract_pattern
 from .results import FaultStatus
 from .sensitize import sensitize_nonrobust, sensitize_robust, xor_side_signals
-from .state import SEVEN_VALUED, THREE_VALUED, TpgState
+from .state import SEVEN_VALUED, THREE_VALUED, TpgEngine, TpgState
 
 
 @dataclass
@@ -101,7 +106,7 @@ def run_fptpg(
     state = TpgState(
         circuit, algebra, width, use_backward=use_backward, fusion=fusion
     )
-    native = state.tier == "native/c"
+    native = state.engine is not None
     sensitize_in_c = native and algebra is THREE_VALUED
     seconds_sensitize = 0.0
     if not sensitize_in_c:
@@ -111,8 +116,8 @@ def run_fptpg(
         seconds_sensitize = time.perf_counter() - t0
 
     if native:
-        decided, decisions, justified, xor_lanes, seconds = state.fptpg(
-            faults, cc, sensitize_in_c
+        statuses, patterns, _rows, decisions, seconds = fptpg_record(
+            state.engine, faults, state.engine.ranks(cc), sensitize_in_c
         )
         seconds_sensitize += seconds
     else:
@@ -122,25 +127,12 @@ def run_fptpg(
         for lane, fault in enumerate(faults):
             if conflicted >> lane & 1 and xor_side_signals(circuit, fault):
                 xor_lanes |= 1 << lane
-
-    statuses: List[FaultStatus] = []
-    patterns: List[Optional[TestPattern]] = []
-    for lane, fault in enumerate(faults):
-        bit = 1 << lane
-        if state.conflict_mask & bit:
-            if (decided | xor_lanes) & bit:
-                # conflicts after optional assignments prove nothing;
-                # neither does a conflict under one XOR polarity choice
-                statuses.append(FaultStatus.DEFERRED)
-            else:
-                statuses.append(FaultStatus.REDUNDANT)
-            patterns.append(None)
-        elif justified & bit:
-            statuses.append(FaultStatus.TESTED)
-            patterns.append(extract_pattern(state, lane, fault))
-        else:
-            statuses.append(FaultStatus.DEFERRED)
-            patterns.append(None)
+        statuses, tested = _verdicts(
+            len(faults), state.conflict_mask, decided, xor_lanes, justified
+        )
+        patterns = [None] * len(faults)
+        for lane in tested:
+            patterns[lane] = extract_pattern(state, lane, faults[lane])
     return FptpgOutcome(
         statuses=statuses,
         patterns=patterns,
@@ -148,6 +140,64 @@ def run_fptpg(
         decisions=decisions,
         seconds_sensitize=seconds_sensitize,
     )
+
+
+def _verdicts(
+    n_faults: int, conflicted: int, decided: int, xor_lanes: int, justified: int
+) -> Tuple[List[FaultStatus], List[int]]:
+    """Each lane's status, and the tested lanes in order.
+
+    A conflicted lane is redundant unless it took an optional assignment
+    or its path has an XOR side (a conflict under one polarity choice
+    proves nothing): then it is deferred, like a lane left unjustified.
+    """
+    statuses: List[FaultStatus] = []
+    tested: List[int] = []
+    for lane in range(n_faults):
+        bit = 1 << lane
+        if conflicted & bit:
+            if (decided | xor_lanes) & bit:
+                statuses.append(FaultStatus.DEFERRED)
+            else:
+                statuses.append(FaultStatus.REDUNDANT)
+        elif justified & bit:
+            statuses.append(FaultStatus.TESTED)
+            tested.append(lane)
+        else:
+            statuses.append(FaultStatus.DEFERRED)
+    return statuses, tested
+
+
+def fptpg_record(
+    engine: TpgEngine,
+    faults: Sequence[PathDelayFault],
+    ranks,
+    sensitize: bool,
+) -> Tuple[List[FaultStatus], List[Optional[TestPattern]], Optional[Rows], int, float]:
+    """One FPTPG batch on a C *engine*, fault *k* in lane *k*.
+
+    One :meth:`TpgEngine.fptpg` call on the engine as it stands (a
+    reused engine is :meth:`TpgEngine.reset` first; a robust batch
+    arrives sensitized, else *sensitize*), then the verdicts and one
+    row read of the tested lanes — no :class:`TpgState`.  Returns
+    ``(statuses, patterns, rows, decisions, seconds_sensitize)``:
+    *patterns* parallel to *faults* (``None`` where untested), *rows*
+    the tested patterns' (V1, V2) rows in lane order (``None`` when none
+    tested).  *ranks* is :meth:`TpgEngine.ranks` of the controllability.
+    """
+    decided, decisions, justified, xor_lanes, seconds = engine.fptpg(
+        faults, ranks, sensitize
+    )
+    statuses, tested = _verdicts(
+        len(faults), engine.c.conflict_mask, decided, xor_lanes, justified
+    )
+    patterns: List[Optional[TestPattern]] = [None] * len(faults)
+    rows = None
+    if tested:
+        found, rows = engine_patterns(engine, tested, [faults[k] for k in tested])
+        for lane, pattern in zip(tested, found):
+            patterns[lane] = pattern
+    return statuses, patterns, rows, decisions, seconds
 
 
 def _justify(

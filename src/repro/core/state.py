@@ -53,6 +53,17 @@ nonrobust APTPG (XOR sides, polarity screen, every survivor's search)
 and :meth:`TpgState.fptpg` an FPTPG batch.  Their oracles are the
 Python loops of :mod:`repro.core.aptpg` and :mod:`repro.core.fptpg`,
 which drive every other engine through the methods above.
+
+The C half of a ``native/c`` state is a :class:`TpgEngine`, which a
+campaign executor context also owns on its own and reuses for every
+shard: its shard calls start from an engine reset to the width it was
+built with, whatever the engine held before.  So :meth:`TpgState.aptpg`
+searches at the built width even after a polarity screen that refuted
+every combination left the state (``width``, ``mask``) one chunk wide,
+and a run on a reused state equals a run on a fresh one.
+:meth:`TpgEngine.input_rows` reads tested lanes as pattern rows in one
+vectorized pass (:func:`repro.core.patterns.extract_pattern` is its
+oracle).
 """
 
 from __future__ import annotations
@@ -63,12 +74,15 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..circuit import Circuit, GateType
 from ..kernel import FUSION_MODES
 from ..kernel import native as _native
 from ..logic import seven_valued, three_valued
 from ..logic.words import mask_for
 from ..paths import PathDelayFault, Transition
+from ..paths.table import path_input_error
 from .backtrace import PiObjective, decide as _decide_python
 from .controllability import Controllability
 from .sensitize import sensitize_nonrobust, sensitize_robust
@@ -192,6 +206,190 @@ class SearchRun(NamedTuple):
     survivors: Tuple[int, ...]
 
 
+
+def _check_signals(signals: Sequence[int], n: int) -> None:
+    """Raise :class:`IndexError` for an id outside ``[0, n)``."""
+    if min(signals) < 0 or max(signals) >= n:
+        bad = next(s for s in signals if not 0 <= s < n)
+        raise IndexError(f"signal {bad} outside [0, {n})")
+
+
+_ONE = np.uint64(1)
+
+
+class TpgEngine:
+    """One C TPG engine of a fixed width and the shard calls made on it.
+
+    A ``repro_tpg`` (:func:`repro.kernel.native.native_tpg_engine`) of
+    *n_planes* planes (2: 3-valued, 4: 7-valued) built at *width* lanes
+    (1..64).  It is the ``native/c`` half of a :class:`TpgState`, and a
+    campaign executor context owns one directly
+    (:class:`repro.campaign.scheduler._WorkerContext`) and reuses it for
+    every nonrobust shard it runs.
+
+    The shard calls start from an engine reset to :attr:`width`
+    whatever it held before: :meth:`aptpg` resets in C for every screen
+    chunk and search, and a reused engine calls :meth:`reset` before
+    :meth:`fptpg`.  So on a reused engine a shard gives what it gives on
+    a fresh one.  :meth:`input_rows` reads tested lanes as pattern rows.
+    One thread at a time.
+    """
+
+    __slots__ = (
+        "compiled", "n_planes", "width", "c", "lib", "ffi", "_words", "_launch",
+    )
+
+    def __init__(
+        self, compiled, n_planes: int, width: int, use_backward: bool = True
+    ):
+        module = _native.native_module()
+        self.lib = module.lib
+        self.ffi = module.ffi
+        self.compiled = compiled
+        self.n_planes = n_planes
+        self.width = width
+        self.c = _native.native_tpg_engine(compiled, n_planes, width, use_backward)
+        self._words: Optional[np.ndarray] = None
+        #: row k flips input k: a 3-valued lane's V1 is V2 XOR the row of
+        #: its path input
+        self._launch: Optional[np.ndarray] = None
+
+    def reset(self) -> None:
+        """Back to a fresh engine of :attr:`width` lanes (scratch kept)."""
+        self.lib.repro_tpg_reset(self.c, self.width)
+
+    def ranks(self, cc: Controllability):
+        """*cc* as the C calls read it, checked against the circuit."""
+        n = self.compiled.n_signals
+        if len(cc.cc0) != n or len(cc.cc1) != n:
+            raise ValueError(
+                f"controllability covers {len(cc.cc0)}/{len(cc.cc1)} "
+                f"signals, the circuit has {n}"
+            )
+        return self.ffi.from_buffer("int32_t[]", cc.ranks)
+
+    def aptpg(
+        self,
+        fault: PathDelayFault,
+        ranks,
+        backtrack_limit: int,
+        max_xor_polarity_bits: int,
+    ) -> SearchRun:
+        """A fault's whole nonrobust APTPG at :attr:`width` lanes.
+
+        See :meth:`TpgState.aptpg`; *ranks* is :meth:`ranks`.  The
+        engine is left as the last screen chunk or search left it,
+        ``c.r_width`` lanes wide.
+        """
+        if self.n_planes != 2:
+            raise ValueError("the native APTPG run sensitizes nonrobust faults only")
+        check_xor_polarity_bits(max_xor_polarity_bits)
+        signals = fault.signals
+        _check_signals(signals, self.compiled.n_signals)
+        c = self.c
+        code = self.lib.repro_tpg_aptpg(
+            c,
+            signals,
+            len(signals),
+            fault.transition is Transition.RISING,
+            self.width,
+            max_xor_polarity_bits,
+            backtrack_limit,
+            ranks,
+        )
+        if code < 0:
+            raise MemoryError("cannot grow the native TPG scratch")
+        survivors = tuple(self.ffi.unpack(c.surv, c.n_surv)) if c.n_surv else ()
+        return SearchRun(
+            code, c.r_lane, c.r_decisions, c.r_backtracks, c.r_splits,
+            c.r_passes, c.r_seconds, survivors,
+        )
+
+    def fptpg(
+        self, faults: Sequence[PathDelayFault], ranks, sensitize: bool
+    ) -> Tuple[int, int, int, int, float]:
+        """An FPTPG batch's loop on the engine as it stands.
+
+        See :meth:`TpgState.fptpg`; *ranks* is :meth:`ranks`.  A
+        reused engine is :meth:`reset` first.
+        """
+        if not faults:
+            raise ValueError("an FPTPG batch needs at least one fault")
+        if len(faults) > self.width:
+            raise ValueError(f"{len(faults)} faults do not fit in {self.width} lanes")
+        if sensitize and self.n_planes != 2:
+            raise ValueError("the native FPTPG batch sensitizes nonrobust faults only")
+        flat = [s for fault in faults for s in fault.signals]
+        _check_signals(flat, self.compiled.n_signals)
+        offsets = [0]
+        for fault in faults:
+            offsets.append(offsets[-1] + len(fault.signals))
+        c = self.c
+        code = self.lib.repro_tpg_fptpg(
+            c,
+            flat,
+            offsets,
+            [fault.transition is Transition.RISING for fault in faults],
+            len(faults),
+            sensitize,
+            ranks,
+        )
+        if code < 0:
+            raise MemoryError("cannot grow the native TPG scratch")
+        return c.r_decided, c.r_decisions, c.r_justified, c.r_xor_lanes, c.r_seconds
+
+    def input_rows(
+        self, lanes: Sequence[int], faults: Sequence[PathDelayFault]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The (V1, V2) rows of *lanes*, lane ``lanes[k]`` testing ``faults[k]``.
+
+        Two ``(len(lanes), n_inputs)`` uint8 arrays read from the primary
+        inputs' plane words in one vectorized pass — the rows
+        :func:`repro.core.patterns.extract_pattern` (the oracle) builds
+        one input at a time: V2 is the final-value plane; V1 is V2 XOR
+        the instable plane on a 7-valued engine, and V2 with the path
+        input's column flipped on a 3-valued one, where a path that does
+        not start at a primary input raises the :class:`ValueError` of
+        :func:`repro.paths.table.path_input_error`.
+        """
+        words = self._words
+        if words is None:
+            n, planes = self.compiled.n_signals, self.n_planes
+            words = self._words = np.frombuffer(
+                self.ffi.buffer(self.c.planes, n * planes * 8), dtype=np.uint64
+            ).reshape(n, planes)
+            self._launch = np.eye(self.compiled.n_inputs, dtype=np.uint8)
+        at_pis = words[self.compiled.input_index]
+        if len(lanes) == 1:  # one lane: a scalar shift, no lane array
+            lane = lanes[0]
+            v2 = (at_pis[:, 1] >> lane & _ONE).astype(np.uint8)[None, :]
+            if self.n_planes >= 4:
+                v1 = v2 ^ (at_pis[:, 3] >> lane & _ONE).astype(np.uint8)
+                return v1, v2
+        else:
+            shifts = np.asarray(lanes, dtype=np.uint64)[:, None]
+            v2 = (at_pis[:, 1] >> shifts & _ONE).astype(np.uint8)
+            if self.n_planes >= 4:
+                return v2 ^ (at_pis[:, 3] >> shifts & _ONE).astype(np.uint8), v2
+        position = self.compiled.input_position
+        columns = []
+        for fault in faults:
+            signal = fault.input_signal
+            column = position.get(signal)
+            if column is None:
+                inside = 0 <= signal < self.compiled.n_signals
+                name = (
+                    self.compiled.circuit.signal_name(signal)
+                    if inside
+                    else "outside the circuit"
+                )
+                raise path_input_error(signal, name)
+            columns.append(column)
+        # launch at the path input (a basic-index row for one lane)
+        launch = self._launch[columns[0] if len(columns) == 1 else columns]
+        return v2 ^ launch, v2
+
+
 class _NativePlanes(SequenceABC):
     """Read-only view of a C engine's planes: one int tuple per signal.
 
@@ -282,20 +480,22 @@ class TpgState:
         self._n_signals = n = circuit.num_signals
         self._marks: List[Tuple[int, int]] = []
         self._c = None
+        #: the C engine on ``native/c`` (:class:`TpgEngine`), else None
+        self.engine: Optional[TpgEngine] = None
         if self.tier == "native/c":
-            module = _native.native_module()
-            self._lib = module.lib
-            self._ffi = module.ffi
-            self._c = _native.native_tpg_engine(
+            engine = self.engine = TpgEngine(
                 self.compiled, algebra.n_planes, width, use_backward
             )
+            self._lib = engine.lib
+            self._ffi = engine.ffi
+            self._c = engine.c
             self._assign_c = (
-                module.lib.repro_tpg_assign2
+                engine.lib.repro_tpg_assign2
                 if algebra.n_planes == 2
-                else module.lib.repro_tpg_assign4
+                else engine.lib.repro_tpg_assign4
             )
             self.planes = _NativePlanes(
-                self._c, module.ffi, n, algebra.n_planes
+                self._c, engine.ffi, n, algebra.n_planes
             )
             return
         self.planes = [algebra.x] * n
@@ -440,7 +640,8 @@ class TpgState:
         :meth:`assign` before anything is assigned.
         """
         signals = fault.signals
-        n = self._check_signals(signals)
+        n = self._n_signals
+        _check_signals(signals, n)
         c = self._c
         if c is not None and self.algebra.n_planes == 2:
             mask = self.mask
@@ -469,28 +670,17 @@ class TpgState:
         for signal, planes in rule(self.circuit, fault, lanes, xor_sides):
             assign(signal, planes)
 
-    def _check_signals(self, signals: Sequence[int]) -> int:
-        """Raise :class:`IndexError` for an id outside the circuit.
-
-        Returns the signal count.
-        """
-        n = self._n_signals
-        if min(signals) < 0 or max(signals) >= n:
-            bad = next(s for s in signals if not 0 <= s < n)
-            raise IndexError(f"signal {bad} outside [0, {n})")
-        return n
-
     def _ranks(self, cc: Controllability):
         """*cc* as the C engine reads it, checked against the circuit."""
+        if self.engine is not None:
+            return self.engine.ranks(cc)
         n = self._n_signals
         if len(cc.cc0) != n or len(cc.cc1) != n:
             raise ValueError(
                 f"controllability covers {len(cc.cc0)}/{len(cc.cc1)} "
                 f"signals, the circuit has {n}"
             )
-        return None if self._c is None else self._ffi.from_buffer(
-            "int32_t[]", cc.ranks
-        )
+        return None
 
     def _native(self, what: str):
         c = self._c
@@ -572,42 +762,32 @@ class TpgState:
         oracle): the XOR sides of the path, derived from the fanin CSR;
         when there are 1 to *max_xor_polarity_bits* of them, the polarity
         screen in chunks of at most 64 lanes; then the search of every
-        surviving combination at this state's width, until one tests the
-        fault.  Every screen chunk and search runs on this one engine,
-        reset in between (what it held before does not matter), and the
-        state is left as the last of them left it — ``width`` and
-        ``mask`` included, so a screen that refutes every combination
-        leaves a chunk-wide state.  3-valued states on the native engine
-        only (:class:`ValueError` and :class:`RuntimeError` elsewhere).
-        Path ids outside the circuit raise :class:`IndexError`,
-        *max_xor_polarity_bits* outside ``[0, 16]`` :class:`ValueError`.
+        surviving combination, until one tests the fault.  Every screen
+        chunk and search runs on this one engine, reset in between (what
+        it held before does not matter), and every search runs at the
+        width the state was built with.  The state is left as the last
+        of them left it — ``width`` and ``mask`` included, so a screen
+        that refutes every combination leaves a chunk-wide state; a
+        later call still searches at the built width.  3-valued states
+        on the native engine only (:class:`ValueError` and
+        :class:`RuntimeError` elsewhere).  Path ids outside the circuit
+        raise :class:`IndexError`, *max_xor_polarity_bits* outside
+        ``[0, 16]`` :class:`ValueError`.
         """
-        c = self._native("aptpg")
-        if self.algebra.n_planes != 2:
-            raise ValueError("the native APTPG run sensitizes nonrobust faults only")
-        check_xor_polarity_bits(max_xor_polarity_bits)
-        signals = fault.signals
-        self._check_signals(signals)
-        code = self._lib.repro_tpg_aptpg(
-            c,
-            signals,
-            len(signals),
-            fault.transition is Transition.RISING,
-            self.width,
-            max_xor_polarity_bits,
-            backtrack_limit,
-            self._ranks(cc),
+        self._native("aptpg")
+        run = self.engine.aptpg(
+            fault, self._ranks(cc), backtrack_limit, max_xor_polarity_bits
         )
-        if code < 0:
-            raise MemoryError("cannot grow the native TPG scratch")
-        if c.r_width != self.width:
-            self.width = c.r_width
-            self.mask = mask_for(self.width)
-        survivors = tuple(self._ffi.unpack(c.surv, c.n_surv)) if c.n_surv else ()
-        return SearchRun(
-            code, c.r_lane, c.r_decisions, c.r_backtracks, c.r_splits,
-            c.r_passes, c.r_seconds, survivors,
-        )
+        self.follow_engine()
+        return run
+
+    def follow_engine(self) -> None:
+        """Take ``width`` and ``mask`` from the last state a whole-fault
+        C run (:meth:`TpgEngine.aptpg`) left on this state's engine."""
+        width = self._c.r_width
+        if width != self.width:
+            self.width = width
+            self.mask = mask_for(width)
 
     def fptpg(
         self,
@@ -631,30 +811,8 @@ class TpgState:
         raise :class:`IndexError` before anything is assigned, and an
         empty batch or more faults than lanes :class:`ValueError`.
         """
-        c = self._native("fptpg")
-        if not faults:
-            raise ValueError("an FPTPG batch needs at least one fault")
-        if len(faults) > self.width:
-            raise ValueError(f"{len(faults)} faults do not fit in {self.width} lanes")
-        if sensitize and self.algebra.n_planes != 2:
-            raise ValueError("the native FPTPG batch sensitizes nonrobust faults only")
-        flat = [s for fault in faults for s in fault.signals]
-        self._check_signals(flat)
-        offsets = [0]
-        for fault in faults:
-            offsets.append(offsets[-1] + len(fault.signals))
-        code = self._lib.repro_tpg_fptpg(
-            c,
-            flat,
-            offsets,
-            [fault.transition is Transition.RISING for fault in faults],
-            len(faults),
-            sensitize,
-            self._ranks(cc),
-        )
-        if code < 0:
-            raise MemoryError("cannot grow the native TPG scratch")
-        return c.r_decided, c.r_decisions, c.r_justified, c.r_xor_lanes, c.r_seconds
+        self._native("fptpg")
+        return self.engine.fptpg(faults, self._ranks(cc), sensitize)
 
     def mark(self) -> int:
         """Open a checkpoint; returns a token for :meth:`rollback`."""

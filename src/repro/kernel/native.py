@@ -1,8 +1,9 @@
 """Native word backend: the lowered plan compiled to machine code.
 
-The third word backend, and the default one.  :mod:`repro.kernel.
-codegen` holds one circuit-generic C translation unit
-(:data:`repro.kernel.codegen.NATIVE_SOURCE`) that interprets the same
+The third word backend, and the default one.  One circuit-generic C
+translation unit, ``native.c`` beside this module
+(:data:`NATIVE_SOURCE`, its cffi declarations ``native.cdef`` in
+:data:`NATIVE_CDEF`, both read at import), interprets the same
 level-major plan the Python strategies execute over contiguous
 row-major ``(n_signals, n_words)`` uint64 lane slabs; this module
 compiles it via :mod:`cffi` and exposes it behind the
@@ -19,7 +20,12 @@ fault batch costs one Python call.  The walks read the faults as
 columns of a :class:`repro.paths.FaultTable` (signal CSR plus launch
 values) and gather the batch's rows through an index array, so the
 campaign drop bus passes its pending rows instead of re-flattening
-every path; a plain fault list becomes a table per call.
+every path; a plain fault list becomes a table per call.  One PPSFP
+pass serves both callers (:meth:`NativeWordBackend.ppsfp_pass`):
+``detection_masks`` runs it on buffers allocated per call and converts
+the detected rows to lane masks, and the drop bus runs it on a
+:class:`DropScratch` it allocates once and grows on demand, taking back
+only the detected faults' positions.
 
 The module also holds the TPG implication engine: a
 :class:`repro.core.state.TpgState` of at most 64 lanes keeps its
@@ -32,7 +38,10 @@ generation shards built on them: APTPG's checkpointed search on a
 sensitized state, a fault's whole nonrobust APTPG (XOR sides derived
 from the fanin CSR, the chunked polarity screen and every survivor's
 search, on one engine reset between states) and an FPTPG batch.
-Robust sensitization stays in Python.
+``repro_tpg_reset`` returns an engine to its fresh state at a given
+width, so one engine can run shard after shard
+(:class:`repro.core.state.TpgEngine`).  Robust sensitization stays in
+Python.
 
 Module lifecycle — one module per machine, not per circuit:
 
@@ -44,7 +53,10 @@ Module lifecycle — one module per machine, not per circuit:
   circuits stay pickling-safe (campaign pool workers rebuild the
   struct, cheaply, per process),
 * the module is named by a hash of :data:`NATIVE_ABI`, the C text and
-  the compile flags, and lives in a per-user disk cache
+  the compile and link flags (``_COMPILE_ARGS``, ``_LINK_ARGS``: a
+  sanitized build, ``scripts/check_native_sanitizers.py``, never
+  shares a cached object with the normal one), and lives in a per-user
+  disk cache
   (``REPRO_NATIVE_CACHE`` overrides the location) that must be private
   — created ``0o700``, owned by this user, not writable by others, not
   a link — or nothing is loaded from it: a process loads the module
@@ -78,13 +90,30 @@ import numpy as np
 
 from ..paths.table import fault_rows
 from .backends import NumpyWordBackend, PlanesLike
-from .codegen import NATIVE_CDEF, NATIVE_SOURCE
 from .compiled import CompiledCircuit
 from .packed import rows_to_ints, words_to_int
 
+
+def _package_text(name: str) -> str:
+    path = os.path.join(os.path.dirname(__file__), name)
+    with open(path, encoding="ascii") as handle:
+        return handle.read()
+
+
+#: The whole native kernel as one circuit-generic C translation unit
+#: (``native.c``): the three forward passes over row-major
+#: ``(n_signals, n_words)`` uint64 slabs, the per-batch PPSFP detection
+#: and strength walks, the stuck-at cone resimulation and the TPG
+#: implication engine.  Circuits arrive per call as a ``repro_plan``
+#: struct, so this text never changes between circuits and is compiled
+#: once per machine.
+NATIVE_SOURCE = _package_text("native.c")
+#: The cffi declarations of every entry point it exports (``native.cdef``).
+NATIVE_CDEF = _package_text("native.cdef")
+
 #: Bump when the call ABI changes (the C text is hashed into the module
 #: name anyway), so stale disk-cached shared objects are never reloaded.
-NATIVE_ABI = 7
+NATIVE_ABI = 8
 
 # The C text is constant-size (data-driven plan interpreters), so a real
 # optimization level is affordable: -O2 runs the fault loops ~2x faster
@@ -93,6 +122,10 @@ NATIVE_ABI = 7
 # build adds cffi's generated wrappers and runs on whatever compiler the
 # host has, whose extra warnings at first import would only be noise.
 _COMPILE_ARGS = [] if os.name == "nt" else ["-O2", "-w"]
+#: Extra linker flags, none by default.  Hashed into the module name
+#: like the compile flags, so a build with other flags (a sanitized one,
+#: scripts/check_native_sanitizers.py) never shares a cached object.
+_LINK_ARGS: List[str] = []
 
 
 class NativeBackendUnavailableWarning(RuntimeWarning):
@@ -124,8 +157,8 @@ def native_cache_dir() -> str:
 
 
 def module_name() -> str:
-    """The native module's name: ABI, C text and compile flags, hashed."""
-    h = hashlib.sha256(f"abi{NATIVE_ABI};{_COMPILE_ARGS};".encode())
+    """The native module's name: ABI, C text, compile and link flags, hashed."""
+    h = hashlib.sha256(f"abi{NATIVE_ABI};{_COMPILE_ARGS};{_LINK_ARGS};".encode())
     h.update(NATIVE_CDEF.encode())
     h.update(NATIVE_SOURCE.encode())
     return f"_repro_native_{h.hexdigest()[:16]}"
@@ -177,7 +210,12 @@ def _build_module(name: str, path: str) -> None:
     try:
         ffi = cffi.FFI()
         ffi.cdef(NATIVE_CDEF)
-        ffi.set_source(name, NATIVE_SOURCE, extra_compile_args=_COMPILE_ARGS)
+        ffi.set_source(
+            name,
+            NATIVE_SOURCE,
+            extra_compile_args=_COMPILE_ARGS,
+            extra_link_args=_LINK_ARGS,
+        )
         os.replace(ffi.compile(tmpdir=build_dir), path)
     finally:
         shutil.rmtree(build_dir, ignore_errors=True)
@@ -214,8 +252,8 @@ def _native_state() -> Tuple[object, str]:
 def native_module():
     """The loaded native module (see module doc for the lifecycle).
 
-    Exposes ``lib`` (the entry points of
-    :data:`repro.kernel.codegen.NATIVE_CDEF`) and ``ffi``; raises
+    Exposes ``lib`` (the entry points of :data:`NATIVE_CDEF`) and
+    ``ffi``; raises
     :class:`RuntimeError` with :func:`native_unavailable_reason` when
     the module can be neither loaded nor built.
     """
@@ -413,6 +451,83 @@ def cone_step_arrays(compiled: CompiledCircuit, site: int) -> Tuple:
     return arrays
 
 
+class DropScratch:
+    """The buffers of :meth:`NativeWordBackend.ppsfp_pass`, kept between passes.
+
+    Four ``(n_signals, n_words)`` value slabs (one per 7-valued plane),
+    the primary inputs' four planes, the walk's edge slots and
+    ``(n_edges + 1, n_words)`` term rows, and ``(n_faults, n_words)``
+    output rows with their fault indices — plus the C pointers into
+    them.  Each buffer grows on demand, at least doubling, and is never
+    shrunk, so a campaign drop bus that holds one allocates it a handful
+    of times, keeps nothing of a round past the next one, and reuses
+    the pointers while the batch width stays.
+    """
+
+    __slots__ = (
+        "inputs", "slot", "_n_signals", "_n_inputs", "_slabs", "_planes",
+        "_terms", "_out", "_index", "_views",
+    )
+
+    def __init__(self, compiled: CompiledCircuit):
+        _, n_edges = native_plan(compiled)
+        self._n_signals = compiled.n_signals
+        self._n_inputs = compiled.n_inputs
+        index = compiled.input_index
+        first = int(index[0]) if len(index) else 0
+        contiguous = np.array_equal(index, np.arange(first, first + len(index)))
+        #: the slab rows of the primary inputs: a slice where contiguous
+        self.inputs = slice(first, first + len(index)) if contiguous else index
+        self.slot = np.empty(n_edges + 1, dtype=np.int32)
+        self._slabs = self._planes = self._terms = self._out = np.empty(
+            0, dtype=np.uint64
+        )
+        self._index = np.empty(0, dtype=np.int32)
+        #: (n_words, fault capacity, slabs, planes, C pointers) of the
+        #: last pass
+        self._views: Optional[Tuple] = None
+
+    @staticmethod
+    def _reserve(buffer: np.ndarray, size: int) -> np.ndarray:
+        if buffer.size >= size:
+            return buffer
+        return np.empty(max(size, 2 * buffer.size), dtype=buffer.dtype)
+
+    def buffers(self, ffi, n_words: int, n_faults: int) -> Tuple:
+        """``(slabs, planes, pointers)`` for a pass of this shape.
+
+        *slabs* is ``(4, n_signals, n_words)``, *planes* ``(4, n_inputs,
+        n_words)``; *pointers* are the four slabs, the slots, the terms,
+        the output rows and the indices.
+        """
+        views = self._views
+        if views is not None and views[0] == n_words and views[1] >= n_faults:
+            return views[2], views[3], views[4]
+        n, w, n_terms = self._n_signals, n_words, len(self.slot)
+        capacity = max(1, n_faults)
+        self._slabs = self._reserve(self._slabs, 4 * n * w)
+        self._planes = self._reserve(self._planes, 4 * self._n_inputs * w)
+        self._terms = self._reserve(self._terms, n_terms * w)
+        self._out = self._reserve(self._out, capacity * w)
+        self._index = self._reserve(self._index, capacity)
+        capacity = min(len(self._index), self._out.size // w)
+        slabs = self._slabs[: 4 * n * w].reshape(4, n, w)
+        planes = self._planes[: 4 * self._n_inputs * w].reshape(4, -1, w)
+        pointers = (
+            *(_u64_ptr(ffi, slab) for slab in slabs),
+            _i32_ptr(ffi, self.slot),
+            _u64_ptr(ffi, self._terms),
+            _u64_ptr(ffi, self._out),
+            _i32_ptr(ffi, self._index),
+        )
+        self._views = (w, capacity, slabs, planes, pointers)
+        return slabs, planes, pointers
+
+    def detected(self, count: int, n_words: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The first *count* fault indices and output rows of the last pass."""
+        return self._index[:count], self._out[: count * n_words].reshape(-1, n_words)
+
+
 class NativeWordBackend(NumpyWordBackend):
     """Execute the plan as compiled C over uint64 lane slabs.
 
@@ -515,6 +630,53 @@ class NativeWordBackend(NumpyWordBackend):
     # ------------------------------------------------------------------
     # fault-batch inner loops (one Python call per batch)
     # ------------------------------------------------------------------
+    def ppsfp_pass(
+        self,
+        compiled: CompiledCircuit,
+        packed,
+        faults: Sequence,
+        robust: bool,
+        scratch: Optional["DropScratch"] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The native PPSFP pass: which faults does *packed* detect?
+
+        One 7-valued forward pass plus the whole detection walk
+        (launch, off-path side conditions shared per on-path edge,
+        early-out, validity masking) inside the native module, on the
+        buffers of *scratch* (a new :class:`DropScratch` when ``None``).
+        *faults* is a fault list or a :class:`repro.paths.FaultRows`
+        view, range-checked here.  Returns ``(positions, rows)``: the
+        int32 positions in *faults* of the detected faults, ascending,
+        and their ``(count, n_words)`` lane-mask rows — views into the
+        scratch, valid until its next pass.
+        """
+        module = native_module()
+        ffi = module.ffi
+        columns = _fault_columns(ffi, compiled, faults)
+        if scratch is None:
+            scratch = DropScratch(compiled)
+        n_words = packed.n_words
+        slabs, planes, pointers = scratch.buffers(ffi, n_words, len(faults))
+        packed.planes7_arrays(out=planes)
+        slabs[:, scratch.inputs] = planes
+        plan, _ = native_plan(compiled)
+        lib = module.lib
+        lib.repro_planes7_pass(plan, *pointers[:4], n_words)
+        scratch.slot.fill(-1)
+        # a cast pointer does not keep its array alive: hold it here
+        valid = packed.lane_valid()
+        count = lib.repro_detect_walk(
+            plan,
+            *pointers[:4],
+            n_words,
+            *columns,
+            len(faults),
+            int(robust),
+            _u64_ptr(ffi, valid),
+            *pointers[4:],
+        )
+        return scratch.detected(count, n_words)
+
     def ppsfp_masks(
         self,
         compiled: CompiledCircuit,
@@ -524,41 +686,16 @@ class NativeWordBackend(NumpyWordBackend):
     ) -> List[int]:
         """Detection lane masks of *faults* over one packed batch.
 
-        One 7-valued forward pass plus the whole detection walk
-        (launch, off-path side conditions shared per on-path edge,
-        early-out, validity masking) inside the native module; returns
+        :meth:`ppsfp_pass` on buffers allocated for this call; returns
         Python-int lane masks index-aligned with *faults*, bit-identical
         to the interpreted oracle walk.  Only detected faults' rows come
         back from C and get converted.
         """
         if not faults:
             return []
-        module = native_module()
-        ffi = module.ffi
-        columns = _fault_columns(ffi, compiled, faults)
-        n_words = packed.n_words
-        slabs = self._planes_pass(compiled, packed.planes7_arrays(), n_words)
-        plan, n_edges = native_plan(compiled)
-        valid = packed.lane_valid()
-        slot = np.full(n_edges + 1, -1, dtype=np.int32)
-        terms = np.empty((n_edges + 1, n_words), dtype=np.uint64)
-        out = np.empty((len(faults), n_words), dtype=np.uint64)
-        index = np.empty(len(faults), dtype=np.int32)
-        count = module.lib.repro_detect_walk(
-            plan,
-            *(_u64_ptr(ffi, slab) for slab in slabs),
-            n_words,
-            *columns,
-            len(faults),
-            int(robust),
-            _u64_ptr(ffi, valid),
-            _i32_ptr(ffi, slot),
-            _u64_ptr(ffi, terms),
-            _u64_ptr(ffi, out),
-            _i32_ptr(ffi, index),
-        )
+        index, rows = self.ppsfp_pass(compiled, packed, faults, robust)
         masks = [0] * len(faults)
-        for k, mask in zip(index[:count].tolist(), rows_to_ints(out[:count])):
+        for k, mask in zip(index.tolist(), rows_to_ints(rows)):
             masks[k] = mask
         return masks
 

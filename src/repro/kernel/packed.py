@@ -11,6 +11,17 @@ patterns through the compiled netlist in one topological pass.
 Lane numbering matches :mod:`repro.logic.words`: the Python-int lane
 mask of a packed quantity is simply the little-endian concatenation of
 its words (:func:`words_to_int`).
+
+One row codec turns vectors into ``(n, n_inputs)`` uint8 rows, pattern
+``k`` in row ``k``: :func:`text_rows` decodes the ``"0101…"`` wire form
+and :func:`pattern_rows` int tuples, each with its width and bit
+checks.  Everything that packs goes through it —
+:meth:`PackedPatterns.from_text` and :meth:`PackedPatterns.from_patterns`
+here, :class:`repro.core.patterns.PatternTable` (the generator's
+pattern set) above — and rows become lane planes with
+:func:`pack_bits`.  A :class:`PackedPatterns` refuses planes whose
+shape its lane count does not describe, so no walk reads past its
+valid-lane mask.
 """
 
 from __future__ import annotations
@@ -87,8 +98,9 @@ def pack_bits(rows: np.ndarray) -> np.ndarray:
     padded[:, :n_patterns] = rows.T
     packed = np.packbits(padded, axis=1, bitorder="little")
     # explicit little-endian view so lane k lands in bit k % 64 of word
-    # k // 64 regardless of host byte order
-    return np.ascontiguousarray(packed).view("<u8").astype(np.uint64)
+    # k // 64 regardless of host byte order (a copy only on big-endian
+    # hosts)
+    return packed.view("<u8").astype(np.uint64, copy=False)
 
 
 def unpack_bits(planes: np.ndarray, n_patterns: int) -> np.ndarray:
@@ -160,6 +172,11 @@ def bits_text(bits: Sequence[int]) -> str:
     return raw.translate(_CHAR_OF_BIT).decode("ascii")
 
 
+# ---------------------------------------------------------------------------
+# the row codec: vectors in, (n, n_inputs) uint8 rows out
+# ---------------------------------------------------------------------------
+
+
 def _first_bad_bit(patterns: Sequence) -> Optional[ValueError]:
     """:func:`bit_error` for the first bit other than 0 or 1, if any."""
     for index, pattern in enumerate(patterns):
@@ -184,6 +201,63 @@ def _rows_to_u8(rows, n_rows: int, n_columns: int) -> np.ndarray:
     return np.frombuffer(flat, dtype=np.uint8).reshape(n_rows, n_columns)
 
 
+def pattern_rows(patterns: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    """The v1 and v2 rows of PatternLike objects (``.v1``/``.v2`` tuples).
+
+    Two ``(n, n_inputs)`` uint8 arrays, row ``k`` pattern ``k``.  Every
+    vector must have the first pattern's width: the rows are joined
+    into one buffer and reshaped, so ragged rows whose bits add up
+    would decode shifted (the simulators check widths first,
+    :func:`repro.sim.delay_sim.check_pattern_widths`).  Every bit must
+    be 0 or 1 (:func:`bit_error` otherwise).
+    """
+    if not patterns:
+        raise ValueError("cannot pack an empty pattern batch")
+    n_inputs = len(patterns[0].v1)
+    try:
+        a = _rows_to_u8([p.v1 for p in patterns], len(patterns), n_inputs)
+        b = _rows_to_u8([p.v2 for p in patterns], len(patterns), n_inputs)
+    except ValueError as exc:  # bytes() rejects values outside range(0, 256)
+        raise _first_bad_bit(patterns) or exc
+    if a.max() > 1 or b.max() > 1:
+        raise _first_bad_bit(patterns)
+    return a, b
+
+
+def text_rows(v1: Sequence[str], v2: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """The v1 and v2 rows of ``"0101…"`` vectors, character ``k`` input ``k``.
+
+    The ``repro/pattern`` v2 wire form (kyupy's ``PackedVectors``
+    idiom), decoded with no per-pattern object: one length check per
+    vector, then per vector list one :func:`text_bits` translate (which
+    also maps every character other than ``0``/``1`` to 0xFF) and one
+    ``np.frombuffer``.  Every vector must be as wide as the first
+    ``v1`` (:func:`width_error`; the simulators check that width
+    against the circuit), and the first character other than
+    ``0``/``1`` in pattern order raises :func:`bit_error`.
+    """
+    if not v1:
+        raise ValueError("cannot pack an empty pattern batch")
+    if len(v1) != len(v2):
+        raise ValueError(f"{len(v1)} v1 vectors but {len(v2)} v2 vectors")
+    width = len(v1[0])
+    for index, (a, b) in enumerate(zip(v1, v2)):
+        if len(a) != width or len(b) != width:
+            name, bits = ("v1", len(a)) if len(a) != width else ("v2", len(b))
+            raise width_error(index, name, bits, width, "as wide as pattern 0's v1")
+    rows, errors = [], []
+    for name, vectors in (("v1", v1), ("v2", v2)):
+        text = "".join(vectors)
+        bits = text_bits(text)
+        bad = bits.find(0xFF)
+        if bad >= 0:
+            errors.append((bad // width, name, bad % width, text[bad]))
+        rows.append(np.frombuffer(bits, dtype=np.uint8).reshape(len(v1), width))
+    if errors:
+        raise bit_error(*min(errors))
+    return rows[0], rows[1]
+
+
 @dataclass(frozen=True)
 class PackedPatterns:
     """``n`` two-vector tests packed into per-input uint64 lane planes.
@@ -199,68 +273,60 @@ class PackedPatterns:
     v2: np.ndarray
     n_patterns: int
 
+    def __post_init__(self) -> None:
+        """Refuse planes the lane count does not describe.
+
+        v1 and v2 are 2-D uint64 arrays of one shape, ``n_patterns``
+        is at least 1 and fills exactly the last of their words: the C
+        walks read ``n_words`` words of every plane and of
+        :meth:`lane_valid`, so a disagreement would read past the
+        valid-lane mask.  (The planes' row count is checked against a
+        circuit by :func:`repro.sim.delay_sim.check_pattern_widths`.)
+        """
+        v1, v2, n = self.v1, self.v2, self.n_patterns
+        if not (
+            isinstance(v1, np.ndarray)
+            and isinstance(v2, np.ndarray)
+            and v1.dtype == np.uint64
+            and v2.dtype == np.uint64
+            and v1.ndim == 2
+            and v1.shape == v2.shape
+        ):
+            raise ValueError(
+                "v1 and v2 must be 2-D uint64 arrays of one shape, got "
+                f"{getattr(v1, 'shape', type(v1))} and "
+                f"{getattr(v2, 'shape', type(v2))}"
+            )
+        if n < 1:
+            raise ValueError(f"n_patterns={n}: a batch holds at least one pattern")
+        if -(-n // 64) != v1.shape[1]:
+            raise ValueError(
+                f"n_patterns={n} needs {-(-n // 64)} words per plane, "
+                f"but the planes have {v1.shape[1]}"
+            )
+
+    @classmethod
+    def from_rows(cls, v1: np.ndarray, v2: np.ndarray) -> "PackedPatterns":
+        """Pack ``(n, n_inputs)`` 0/1 uint8 rows: one :func:`pack_bits` each."""
+        return cls(v1=pack_bits(v1), v2=pack_bits(v2), n_patterns=len(v1))
+
     @classmethod
     def from_patterns(cls, patterns: Sequence) -> "PackedPatterns":
         """Pack PatternLike objects (``.v1``/``.v2`` input tuples).
 
-        Every vector must have the first pattern's width: the rows are
-        joined into one buffer and reshaped, so ragged rows whose bits
-        add up would pack shifted.  The simulators check widths before
-        packing (:func:`repro.sim.delay_sim.check_pattern_widths`).
-        Every bit must be 0 or 1 (:func:`bit_error` otherwise).
+        Decoded by :func:`pattern_rows` (one width for every vector,
+        bits 0 or 1), then :meth:`from_rows`.
         """
-        if not patterns:
-            raise ValueError("cannot pack an empty pattern batch")
-        n_inputs = len(patterns[0].v1)
-        try:
-            a = _rows_to_u8([p.v1 for p in patterns], len(patterns), n_inputs)
-            b = _rows_to_u8([p.v2 for p in patterns], len(patterns), n_inputs)
-        except ValueError as exc:  # bytes() rejects values outside range(0, 256)
-            raise _first_bad_bit(patterns) or exc
-        if a.max() > 1 or b.max() > 1:
-            raise _first_bad_bit(patterns)
-        return cls(v1=pack_bits(a), v2=pack_bits(b), n_patterns=len(patterns))
+        return cls.from_rows(*pattern_rows(patterns))
 
     @classmethod
     def from_text(cls, v1: Sequence[str], v2: Sequence[str]) -> "PackedPatterns":
         """Pack ``"0101…"`` vectors, where character ``k`` is input ``k``.
 
-        The ``repro/pattern`` v2 wire form (kyupy's ``PackedVectors``
-        idiom), decoded with no per-pattern object: one length check
-        per vector, then per plane one :func:`text_bits` translate
-        (which also maps every character other than ``0``/``1`` to
-        0xFF), one ``np.frombuffer`` and one :func:`pack_bits`.  Every
-        vector must be as wide as the first ``v1`` (:func:`width_error`;
-        the simulators check that width against the circuit), and the
-        first character other than ``0``/``1`` in pattern order raises
-        :func:`bit_error`.
+        Decoded by :func:`text_rows` (widths and bits checked there),
+        then :meth:`from_rows`.
         """
-        if not v1:
-            raise ValueError("cannot pack an empty pattern batch")
-        if len(v1) != len(v2):
-            raise ValueError(f"{len(v1)} v1 vectors but {len(v2)} v2 vectors")
-        width = len(v1[0])
-        for index, (a, b) in enumerate(zip(v1, v2)):
-            if len(a) != width or len(b) != width:
-                name, bits = ("v1", len(a)) if len(a) != width else ("v2", len(b))
-                raise width_error(
-                    index, name, bits, width, "as wide as pattern 0's v1"
-                )
-        planes, errors = [], []
-        for name, vectors in (("v1", v1), ("v2", v2)):
-            text = "".join(vectors)
-            bits = text_bits(text)
-            bad = bits.find(0xFF)
-            if bad >= 0:
-                errors.append((bad // width, name, bad % width, text[bad]))
-            planes.append(
-                np.frombuffer(bits, dtype=np.uint8).reshape(len(v1), width)
-            )
-        if errors:
-            raise bit_error(*min(errors))
-        return cls(
-            v1=pack_bits(planes[0]), v2=pack_bits(planes[1]), n_patterns=len(v1)
-        )
+        return cls.from_rows(*text_rows(v1, v2))
 
     @classmethod
     def from_vectors(cls, vectors: Sequence[Sequence[int]]) -> "PackedPatterns":
@@ -290,19 +356,29 @@ class PackedPatterns:
         """Per-word mask of valid lanes (padding lanes cleared)."""
         return lane_valid_words(self.n_patterns)
 
-    def planes7_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def planes7_arrays(
+        self, out: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The 7-valued (zero, one, stable, instable) planes of all inputs.
 
-        Four ``(n_inputs, n_words)`` arrays, computed whole.  Lane ``k``
-        encodes S0/S1 where the vectors agree and F/R where they differ
-        — the PPSFP input encoding of :func:`repro.sim.delay_sim.
-        pack_patterns`, vectorized.  Padding lanes are left all-zero
-        (the 7-valued ``X``), which propagates as ``X`` and never
-        contributes a detection.
+        Four ``(n_inputs, n_words)`` arrays, computed whole — in place
+        into *out*, a ``(4, n_inputs, n_words)`` uint64 array, when
+        given.  Lane ``k`` encodes S0/S1 where the vectors agree and F/R
+        where they differ — the PPSFP input encoding of
+        :func:`repro.sim.delay_sim.pack_patterns`, vectorized.  Padding
+        lanes are left all-zero (the 7-valued ``X``), which propagates
+        as ``X`` and never contributes a detection.
         """
         valid = self.lane_valid()
-        changed = (self.v1 ^ self.v2) & valid
-        return ~self.v2 & valid, self.v2 & valid, ~changed & valid, changed
+        if out is None:
+            out = np.empty((4, *self.v1.shape), dtype=np.uint64)
+        zero, one, stable, instable = out
+        np.bitwise_xor(self.v1, self.v2, out=instable)
+        instable &= valid
+        np.bitwise_xor(valid, instable, out=stable)  # ~instable & valid
+        np.bitwise_and(self.v2, valid, out=one)
+        np.bitwise_xor(valid, one, out=zero)  # ~v2 & valid
+        return zero, one, stable, instable
 
     def planes7(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """Per-input 7-valued plane tuples: the rows of :meth:`planes7_arrays`."""

@@ -426,6 +426,38 @@ class DelayFaultSimulator:
             for fault in faults
         ]
 
+    def native_backend(self, width: int):
+        """The native backend a *width*-pattern batch runs on, else ``None``.
+
+        What :meth:`detection_masks` resolves: ``backend="auto"`` or
+        ``"native"`` under ``fusion="auto"`` where the module loads.
+        """
+        backend = backend_for(width, self.backend, fusion=self.fusion)
+        return backend if getattr(backend, "kind", None) == "native" else None
+
+    def drop_pass(self, backend, packed: PackedPatterns, faults, scratch) -> np.ndarray:
+        """Positions in *faults* that some lane of *packed* detects.
+
+        The campaign drop bus's round on the native *backend*
+        (:meth:`native_backend`): the ``kernel_fault`` chaos site and the
+        fault range check of :meth:`detection_masks`, then one
+        :meth:`repro.kernel.native.NativeWordBackend.ppsfp_pass` on the
+        caller's :class:`repro.kernel.native.DropScratch` — the pass
+        :meth:`detection_masks` builds its native masks from.  Returns
+        the int32 positions, ascending (a view into *scratch*).
+        *packed* must be as wide as the circuit's inputs (a
+        :class:`repro.core.patterns.PatternTable` slice is).
+        """
+        chaos.maybe_raise("kernel_fault")
+        faults = fault_rows(faults, self.compiled.n_signals)  # the range check
+        return backend.ppsfp_pass(
+            self.compiled,
+            packed,
+            faults,
+            self.test_class is TestClass.ROBUST,
+            scratch,
+        )[0]
+
     def detected_faults(
         self,
         patterns: Sequence[PatternLike],
