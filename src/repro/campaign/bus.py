@@ -66,7 +66,7 @@ from ..circuit import Circuit
 from ..core.patterns import PatternTable, Rows, TestPattern
 from ..kernel.native import DropScratch
 from ..paths import FaultTable, PathDelayFault, TestClass
-from ..paths.table import path_input_error, signal_range_error
+from ..paths.table import grown, path_input_error, signal_range_error
 from ..sim.delay_sim import DelayFaultSimulator
 
 #: (stream index, fault) pairs, as the campaign streams them.
@@ -152,7 +152,8 @@ class DropBus:
         ``(index, fault, error)``, in arrival order, for each one whose
         path names a signal outside the circuit or does not start at a
         primary input — those get no live row and are never simulated
-        or scheduled.
+        or scheduled.  Each stream index is registered once: admission
+        registers fresh indices, and resume a fresh bus.
         """
         if len(self.table) > 2 * len(self._rows):
             self._rebuild()
@@ -167,25 +168,20 @@ class DropBus:
             errors[positions[j]] = path_input_error(
                 signal, self.circuit.signal_name(signal)
             )
-        # a refused path's row is never live, so the next rebuild drops it
         live = [
             (arrivals[k][0], row)
             for k, row in zip(positions, rows)
             if k not in errors
         ]
-        indices = [index for index, _row in live]
-        self._grow(len(table))
-        if self._rows.keys().isdisjoint(indices) and len(set(indices)) == len(live):
-            self._rows.update(live)
-            new_rows = np.fromiter((row for _index, row in live), np.int64, len(live))
-            self._live[new_rows] = True
-            self._index[new_rows] = indices
-        else:
-            for index, row in live:  # a re-registered index moves to the end
-                self.release(index)
-                self._rows[index] = row
-                self._live[row] = True
-                self._index[row] = index
+        self._rows.update(live)
+        self._live = grown(self._live, len(table))
+        self._index = grown(self._index, len(table))
+        # the new rows start dead: a refused path's row stays so, and the
+        # next rebuild drops it
+        self._live[rows.start : rows.stop] = False
+        new_rows = [row for _index, row in live]
+        self._live[new_rows] = True
+        self._index[new_rows] = [index for index, _row in live]
         rejected: Rejected = [(*arrivals[k], errors[k]) for k in sorted(errors)]
         kept = [a for k, a in enumerate(arrivals) if k not in errors]
         return kept, rejected
@@ -195,16 +191,6 @@ class DropBus:
         row = self._rows.pop(index, None)
         if row is not None:
             self._live[row] = False
-
-    def _grow(self, n_rows: int) -> None:
-        """Room for *n_rows* table rows in the live mask and index."""
-        if n_rows > len(self._live):
-            size = max(n_rows, 2 * len(self._live))
-            live = np.zeros(size, dtype=bool)
-            live[: len(self._live)] = self._live
-            index = np.zeros(size, dtype=np.int64)
-            index[: len(self._index)] = self._index
-            self._live, self._index = live, index
 
     def _pending_rows(self) -> np.ndarray:
         """The live rows, in registration order."""

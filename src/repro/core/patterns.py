@@ -36,7 +36,7 @@ import numpy as np
 from ..circuit import Circuit
 from ..kernel.packed import PackedPatterns, pack_bits, pattern_rows, text_rows
 from ..paths import PathDelayFault
-from ..paths.table import path_input_error
+from ..paths.table import grown, path_input_error
 from .state import TpgState
 
 
@@ -133,15 +133,6 @@ def engine_patterns(
     return patterns_from_rows(v1, v2, faults), (v1, v2)
 
 
-def _grown(rows: np.ndarray, need: int) -> np.ndarray:
-    """*rows* with room for at least *need* rows (doubling)."""
-    if need <= len(rows):
-        return rows
-    grown = np.empty((max(need, 2 * len(rows)), rows.shape[1]), dtype=np.uint8)
-    grown[: len(rows)] = rows
-    return grown
-
-
 class PatternTable:
     """A pattern set as columns: v1/v2 uint8 rows plus the pattern objects.
 
@@ -185,7 +176,7 @@ class PatternTable:
         """
         start = len(self.patterns)
         stop = start + len(patterns)
-        rows = self._rows = _grown(self._rows, stop)
+        rows = self._rows = grown(self._rows, stop)
         n = self.n_inputs
         rows[start:stop, :n] = v1
         rows[start:stop, n:] = v2

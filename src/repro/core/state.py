@@ -360,17 +360,10 @@ class TpgEngine:
             ).reshape(n, planes)
             self._launch = np.eye(self.compiled.n_inputs, dtype=np.uint8)
         at_pis = words[self.compiled.input_index]
-        if len(lanes) == 1:  # one lane: a scalar shift, no lane array
-            lane = lanes[0]
-            v2 = (at_pis[:, 1] >> lane & _ONE).astype(np.uint8)[None, :]
-            if self.n_planes >= 4:
-                v1 = v2 ^ (at_pis[:, 3] >> lane & _ONE).astype(np.uint8)
-                return v1, v2
-        else:
-            shifts = np.asarray(lanes, dtype=np.uint64)[:, None]
-            v2 = (at_pis[:, 1] >> shifts & _ONE).astype(np.uint8)
-            if self.n_planes >= 4:
-                return v2 ^ (at_pis[:, 3] >> shifts & _ONE).astype(np.uint8), v2
+        shifts = np.asarray(lanes, dtype=np.uint64)[:, None]
+        v2 = (at_pis[:, 1] >> shifts & _ONE).astype(np.uint8)
+        if self.n_planes >= 4:
+            return v2 ^ (at_pis[:, 3] >> shifts & _ONE).astype(np.uint8), v2
         position = self.compiled.input_position
         columns = []
         for fault in faults:
@@ -385,9 +378,7 @@ class TpgEngine:
                 )
                 raise path_input_error(signal, name)
             columns.append(column)
-        # launch at the path input (a basic-index row for one lane)
-        launch = self._launch[columns[0] if len(columns) == 1 else columns]
-        return v2 ^ launch, v2
+        return v2 ^ self._launch[columns], v2  # launch at the path input
 
 
 class _NativePlanes(SequenceABC):

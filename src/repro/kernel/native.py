@@ -88,7 +88,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..paths.table import fault_rows
+from ..paths.table import fault_rows, grown
 from .backends import NumpyWordBackend, PlanesLike
 from .compiled import CompiledCircuit
 from .packed import rows_to_ints, words_to_int
@@ -465,19 +465,14 @@ class DropScratch:
     """
 
     __slots__ = (
-        "inputs", "slot", "_n_signals", "_n_inputs", "_slabs", "_planes",
-        "_terms", "_out", "_index", "_views",
+        "slot", "_n_signals", "_n_inputs", "_slabs", "_planes", "_terms",
+        "_out", "_index", "_views",
     )
 
     def __init__(self, compiled: CompiledCircuit):
         _, n_edges = native_plan(compiled)
         self._n_signals = compiled.n_signals
         self._n_inputs = compiled.n_inputs
-        index = compiled.input_index
-        first = int(index[0]) if len(index) else 0
-        contiguous = np.array_equal(index, np.arange(first, first + len(index)))
-        #: the slab rows of the primary inputs: a slice where contiguous
-        self.inputs = slice(first, first + len(index)) if contiguous else index
         self.slot = np.empty(n_edges + 1, dtype=np.int32)
         self._slabs = self._planes = self._terms = self._out = np.empty(
             0, dtype=np.uint64
@@ -486,12 +481,6 @@ class DropScratch:
         #: (n_words, fault capacity, slabs, planes, C pointers) of the
         #: last pass
         self._views: Optional[Tuple] = None
-
-    @staticmethod
-    def _reserve(buffer: np.ndarray, size: int) -> np.ndarray:
-        if buffer.size >= size:
-            return buffer
-        return np.empty(max(size, 2 * buffer.size), dtype=buffer.dtype)
 
     def buffers(self, ffi, n_words: int, n_faults: int) -> Tuple:
         """``(slabs, planes, pointers)`` for a pass of this shape.
@@ -505,11 +494,11 @@ class DropScratch:
             return views[2], views[3], views[4]
         n, w, n_terms = self._n_signals, n_words, len(self.slot)
         capacity = max(1, n_faults)
-        self._slabs = self._reserve(self._slabs, 4 * n * w)
-        self._planes = self._reserve(self._planes, 4 * self._n_inputs * w)
-        self._terms = self._reserve(self._terms, n_terms * w)
-        self._out = self._reserve(self._out, capacity * w)
-        self._index = self._reserve(self._index, capacity)
+        self._slabs = grown(self._slabs, 4 * n * w)
+        self._planes = grown(self._planes, 4 * self._n_inputs * w)
+        self._terms = grown(self._terms, n_terms * w)
+        self._out = grown(self._out, capacity * w)
+        self._index = grown(self._index, capacity)
         capacity = min(len(self._index), self._out.size // w)
         slabs = self._slabs[: 4 * n * w].reshape(4, n, w)
         planes = self._planes[: 4 * self._n_inputs * w].reshape(4, -1, w)
@@ -658,7 +647,7 @@ class NativeWordBackend(NumpyWordBackend):
         n_words = packed.n_words
         slabs, planes, pointers = scratch.buffers(ffi, n_words, len(faults))
         packed.planes7_arrays(out=planes)
-        slabs[:, scratch.inputs] = planes
+        slabs[:, compiled.input_index] = planes
         plan, _ = native_plan(compiled)
         lib = module.lib
         lib.repro_planes7_pass(plan, *pointers[:4], n_words)

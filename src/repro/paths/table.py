@@ -102,13 +102,18 @@ def _columns(
     return flat, offsets, final_one
 
 
-def _grown(array: np.ndarray, need: int) -> np.ndarray:
-    """*array*, or a copy with room for *need* items (doubling)."""
+def grown(array: np.ndarray, need: int) -> np.ndarray:
+    """*array*, or a copy with room for *need* rows (doubling).
+
+    Rows are along the first axis; the copy's rows past *array*'s are
+    uninitialised (``np.empty``: zeroing would touch pages a buffer may
+    never use).  Every growable column of the package grows through here.
+    """
     if len(array) >= need:
         return array
-    grown = np.empty(max(need, 2 * len(array)), dtype=array.dtype)
-    grown[: len(array)] = array
-    return grown
+    copy = np.empty((max(need, 2 * len(array)), *array.shape[1:]), array.dtype)
+    copy[: len(array)] = array
+    return copy
 
 
 class FaultTable:
@@ -157,11 +162,11 @@ class FaultTable:
         flat, offsets, final_one = _columns(faults, self.n_signals)
         first, used = len(self.faults), int(self._offsets[len(self.faults)])
         last = first + len(faults)
-        self._flat = _grown(self._flat, used + len(flat))
+        self._flat = grown(self._flat, used + len(flat))
         self._flat[used : used + len(flat)] = flat
-        self._offsets = _grown(self._offsets, last + 1)
+        self._offsets = grown(self._offsets, last + 1)
         self._offsets[first + 1 : last + 1] = offsets[1:] + used
-        self._final = _grown(self._final, last)
+        self._final = grown(self._final, last)
         self._final[first:last] = final_one
         self.faults.extend(faults)
         return range(first, last)
