@@ -18,7 +18,7 @@ Quickstart — the front door is :class:`repro.api.AtpgSession`::
     print(report.summary())
 
     # same session, other workloads:
-    campaign = session.campaign(workers=2, window=4096)
+    campaign = session.campaign(window=4096)
     coverage = session.grade(report.patterns, faults=[...])
     stats = session.paths(histogram=True)
 

@@ -13,7 +13,6 @@ from .experiments import (
     run_ablation_modes,
     run_ablation_word_length,
     run_atpg_table,
-    run_campaign_scaling,
     run_comparison_table,
     run_figure1,
     run_figure2,
@@ -37,7 +36,6 @@ __all__ = [
     "run_ablation_modes",
     "run_ablation_word_length",
     "run_atpg_table",
-    "run_campaign_scaling",
     "run_comparison_table",
     "run_figure1",
     "run_figure2",

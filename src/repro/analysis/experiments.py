@@ -337,74 +337,3 @@ def run_ablation_implications(
             }
         )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# campaign scaling: serial engine vs sharded multi-process campaign
-# ---------------------------------------------------------------------------
-
-
-def run_campaign_scaling(
-    circuit_name: str = "c880",
-    scale: int = 1,
-    fault_cap: int = 256,
-    test_class: TestClass = TestClass.NONROBUST,
-    width: int = DEFAULT_WORD_LENGTH,
-    workers_list: Sequence[int] = (1, 2),
-    window: Optional[int] = None,
-) -> List[Row]:
-    """End-to-end campaign throughput at increasing worker counts.
-
-    The first row is the serial engine (the reference both for wall
-    time and for per-fault statuses); campaign rows must reproduce its
-    detected-fault count exactly — the schedule is worker-invariant —
-    so any speed-up is pure parallelism, never a semantics change.
-    """
-    session = AtpgSession(suite_circuit(circuit_name, scale))
-    circuit = session.circuit
-    faults = _suite_faults(circuit, fault_cap)
-    rows: List[Row] = []
-
-    t0 = time.perf_counter()
-    serial = session.generate(faults, test_class=test_class, width=width)
-    serial_wall = time.perf_counter() - t0
-    rows.append(
-        {
-            "runner": "engine(serial)",
-            "workers": 1,
-            "faults": serial.n_faults,
-            "detected": serial.n_tested,
-            "patterns": len(serial.patterns),
-            "faults_per_s": round(serial.n_faults / serial_wall, 1),
-            "speedup": 1.0,
-            "time_s": round(serial_wall, 4),
-        }
-    )
-    for workers in workers_list:
-        options = Options(width=width, workers=workers, window=window)
-        t0 = time.perf_counter()
-        report = session.campaign(
-            faults=faults, test_class=test_class, options=options
-        )
-        wall = time.perf_counter() - t0
-        # Worker count never changes outcomes; a finite window does
-        # (its schedule legitimately differs from the unbounded serial
-        # baseline), so equality is only asserted for window=None.
-        if window is None and report.n_detected != serial.n_tested:
-            raise AssertionError(
-                f"campaign(workers={workers}) detected {report.n_detected} "
-                f"faults, serial engine {serial.n_tested}"
-            )
-        rows.append(
-            {
-                "runner": f"campaign(workers={workers})",
-                "workers": workers,
-                "faults": report.n_faults,
-                "detected": report.n_detected,
-                "patterns": len(report.patterns),
-                "faults_per_s": round(report.n_faults / wall, 1),
-                "speedup": round(serial_wall / wall, 2),
-                "time_s": round(wall, 4),
-            }
-        )
-    return rows

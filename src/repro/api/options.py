@@ -18,8 +18,9 @@ which each layer adds one concern:
     (they are part of the schedule semantics) but never on anything
     below.
 ``ExecutionOptions``
-    adds ``workers`` — how many OS processes execute a round's
-    shards.  Never changes outcomes, only wall-clock.
+    adds shard supervision — attempts before quarantine, retry
+    backoff — and the test-only ``chaos`` schedule.  Never changes
+    the outcome of a shard that succeeds.
 ``PersistenceOptions``
     adds checkpoint/resume, incremental compaction cadence, and
     record retention.
@@ -32,8 +33,12 @@ which each layer adds one concern:
     service accept everywhere.
 
 Engine mode is not a separate type anymore: ``Options.engine_mode()``
-is a 1-worker, unbounded-window view of the same object — exactly the
-campaign the legacy serial engine always was.
+is an unbounded-window view of the same object — exactly the campaign
+the legacy serial engine always was.
+
+Every campaign runs its shards in-process.  The execution knobs that
+once chose a process pool (:data:`RETIRED_OPTIONS`) are still read from
+old payloads and dropped there: results never depended on them.
 
 The legacy names survive as deprecated aliases: ``TpgOptions`` (in
 :mod:`repro.core.engine`) subclasses :class:`GenerationOptions` and
@@ -45,6 +50,7 @@ identically, so every old call site keeps working.
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
@@ -52,11 +58,15 @@ from ..logic.words import DEFAULT_WORD_LENGTH
 
 #: Schedule constant shared by the engine-mode view and the default
 #: campaign: generation batches per drop round.  Rounds are barriers —
-#: batches inside one round are generated independently (possibly on
-#: different workers), then the drop bus runs once over the merged
-#: fresh patterns.  Because the schedule depends only on options, the
-#: per-fault outcome is identical for every worker count.
+#: batches inside one round are generated independently, then the drop
+#: bus runs once over the merged fresh patterns.
 DEFAULT_SHARDS = 2
+
+#: Execution-layer fields of options v1–v4 that no longer exist: the
+#: process-pool size and its per-shard deadline.  Old payloads that
+#: carry them decode without them (:meth:`Options.from_layers`), and
+#: :meth:`Options.merged` drops them with a ``DeprecationWarning``.
+RETIRED_OPTIONS = ("workers", "shard_deadline_s")
 
 
 @dataclass
@@ -128,7 +138,7 @@ class ScheduleOptions(GenerationOptions):
     Attributes:
         shards: batches per FPTPG round / faults per APTPG round.
             Part of the schedule semantics (like ``width``): results
-            depend on it, but never on ``workers``.
+            depend on it.
         window: peak number of *unsettled* faults held in memory, or
             ``None`` for unbounded (the engine-compatible mode: the
             whole universe is admitted up front).
@@ -149,19 +159,11 @@ class ScheduleOptions(GenerationOptions):
 
 @dataclass
 class ExecutionOptions(ScheduleOptions):
-    """Layer 3 — execution strategy (never outcome-relevant).
+    """Layer 3 — shard supervision (never outcome-relevant).
 
     Attributes:
-        workers: OS processes executing a round's shards.  ``1`` runs
-            in-process; ``>= 2`` spawns a multiprocessing pool whose
-            workers each rebuild the compiled circuit once.
-        shard_deadline_s: per-shard wall-clock deadline of the worker
-            supervisor.  A shard whose result hasn't arrived by then
-            is presumed lost (hung, or its worker process died); the
-            pool is rebuilt and the shard resubmitted.  ``None``
-            disables the watchdog.
-        shard_attempts: submission attempts per shard before the
-            supervisor quarantines it (its faults settle as
+        shard_attempts: attempts per shard before the supervisor
+            quarantines it (its faults settle as
             ``skipped_error`` with an error envelope instead of
             crashing the campaign).
         retry_base_ms: exponential-backoff base between retries of a
@@ -169,14 +171,12 @@ class ExecutionOptions(ScheduleOptions):
             2**(n-1)`` plus deterministic jitter; ``0`` disables the
             wait).
 
-    Supervision knobs bound *how failures are absorbed*; like
-    ``workers`` they never change per-fault outcomes — a retried shard
-    regenerates bit-identically, and quarantine only ever *removes*
-    faults from the report's detected set.
+    Supervision knobs bound *how failures are absorbed*; they never
+    change per-fault outcomes — a retried shard regenerates
+    bit-identically, and quarantine only ever *removes* faults from the
+    report's detected set.
     """
 
-    workers: int = 1
-    shard_deadline_s: Optional[float] = None
     shard_attempts: int = 3
     retry_base_ms: float = 50.0
     #: JSON fault-injection schedule (see :mod:`repro.chaos`); the
@@ -186,10 +186,6 @@ class ExecutionOptions(ScheduleOptions):
 
     def validate(self) -> None:
         super().validate()
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.shard_deadline_s is not None and self.shard_deadline_s <= 0:
-            raise ValueError("shard_deadline_s must be > 0 (or None)")
         if self.shard_attempts < 1:
             raise ValueError("shard_attempts must be >= 1")
         if self.retry_base_ms < 0:
@@ -307,23 +303,37 @@ class Options(BistOptions):
 
     ``Options()`` with no arguments is the production default: the
     bit-parallel engine at the native word length, fault dropping on,
-    one worker, unbounded window, no persistence.
+    unbounded window, no persistence.
     """
 
     # ------------------------------------------------------------ views
     def engine_mode(self) -> "Options":
-        """The serial-engine view: a 1-worker, unbounded-window campaign.
+        """The serial-engine view: an unbounded-window campaign.
 
         This is what ``AtpgSession.generate`` (and the legacy
         ``generate_tests`` shim) runs: same generation layer, default
-        schedule, no parallelism — exactly the historical engine.
+        schedule, no persistence — exactly the historical engine.
         """
         return dataclasses.replace(
-            self, workers=1, window=None, checkpoint=None, resume=False
+            self, window=None, checkpoint=None, resume=False
         )
 
     def merged(self, **overrides) -> "Options":
-        """A copy with keyword *overrides* applied (unknown keys raise)."""
+        """A copy with keyword *overrides* applied (unknown keys raise).
+
+        A :data:`RETIRED_OPTIONS` name is dropped with a
+        ``DeprecationWarning`` instead: shards always run in-process.
+        """
+        retired = [name for name in RETIRED_OPTIONS if name in overrides]
+        if retired:
+            warnings.warn(
+                f"retired option(s) {', '.join(retired)} ignored: every "
+                f"campaign runs its shards in-process",
+                DeprecationWarning,
+                stacklevel=4,  # merged <- AtpgSession._options <- verb
+            )
+            for name in retired:
+                del overrides[name]
         return dataclasses.replace(self, **overrides)
 
     # ------------------------------------------------------------ adoption
@@ -362,7 +372,10 @@ class Options(BistOptions):
 
     @classmethod
     def from_layers(cls, layers: Dict[str, Dict[str, object]]) -> "Options":
-        """Inverse of :meth:`layers`; unknown layers or fields raise."""
+        """Inverse of :meth:`layers`; unknown layers or fields raise.
+
+        :data:`RETIRED_OPTIONS` names (options v1–v4) are dropped.
+        """
         known = {f.name for f in fields(cls)}
         values: Dict[str, object] = {}
         for layer, entries in layers.items():
@@ -371,6 +384,8 @@ class Options(BistOptions):
             ):
                 raise ValueError(f"unknown options layer {layer!r}")
             for name, value in entries.items():
+                if name in RETIRED_OPTIONS:
+                    continue
                 if name not in known:
                     raise ValueError(f"unknown option {name!r} in {layer!r}")
                 values[name] = value

@@ -81,7 +81,7 @@ def opt(spec) -> Dict:
 TEST_CLASS = {"enum": ["robust", "nonrobust"]}
 STATUS = {"enum": ["tested", "redundant", "deferred", "aborted", "simulated"]}
 #: v2 adds ``skipped_error`` — a fault whose shard the campaign
-#: supervisor quarantined after repeated worker failures.
+#: supervisor quarantined after repeated failures.
 STATUS_V2 = {
     "enum": [
         "tested",
@@ -110,10 +110,16 @@ PATTERN_V2 = obj({"v1": STR, "v2": STR}, optional={"fault": opt(FAULT)})
 # decoder fills the rest with defaults.
 
 
+#: The execution layer of options v1–v3: the process-pool size.
+_WORKERS = {"workers": INT}
+#: Shard supervision and the test-only chaos schedule (options v4 on).
+_SUPERVISION = {"shard_attempts": INT, "retry_base_ms": NUM, "chaos": opt(STR)}
+
+
 def _options_spec(
     generation_extra: Optional[Dict] = None,
     bist: bool = False,
-    execution_extra: Optional[Dict] = None,
+    execution: Dict = _WORKERS,
 ) -> Dict:
     generation = {
         "width": INT,
@@ -125,8 +131,6 @@ def _options_spec(
         "sim_backend": {"enum": ["auto", "int", "numpy", "native"]},
     }
     generation.update(generation_extra or {})
-    execution = {"workers": INT}
-    execution.update(execution_extra or {})
     layers = {
         "generation": obj(optional=generation),
         "schedule": obj(optional={"shards": INT, "window": opt(INT)}),
@@ -169,19 +173,18 @@ OPTIONS_V2 = _options_spec({"fusion": FUSION})
 #: v3 adds the ``bist`` layer (the pseudorandom-BIST workload knobs
 #: of ``AtpgSession.bist``).
 OPTIONS_V3 = _options_spec({"fusion": FUSION}, bist=True)
-#: Current options wire shape: v4 adds the execution-layer worker
-#: supervision knobs (shard deadline / retry / quarantine) and the
-#: test-only ``chaos`` fault-injection schedule.
-OPTIONS = _options_spec(
+#: v4 adds the execution-layer supervision knobs (shard deadline /
+#: retry / quarantine) and the test-only ``chaos`` schedule.
+OPTIONS_V4 = _options_spec(
     {"fusion": FUSION},
     bist=True,
-    execution_extra={
-        "shard_deadline_s": opt(NUM),
-        "shard_attempts": INT,
-        "retry_base_ms": NUM,
-        "chaos": opt(STR),
-    },
+    execution={**_WORKERS, "shard_deadline_s": opt(NUM), **_SUPERVISION},
 )
+#: Current options wire shape: v5 drops the process pool's size and
+#: per-shard deadline; every campaign runs in-process.
+OPTIONS = _options_spec({"fusion": FUSION}, bist=True, execution=_SUPERVISION)
+
+
 def _fault_record(status: Dict, pattern: Dict) -> Dict:
     return obj(
         {
@@ -198,46 +201,30 @@ FAULT_RECORD = _fault_record(STATUS, PATTERN)
 FAULT_RECORD_V2 = _fault_record(STATUS_V2, PATTERN)
 #: v3: the pattern travels in its v2 string form.
 FAULT_RECORD_V3 = _fault_record(STATUS_V2, PATTERN_V2)
-CAMPAIGN_STATS = obj(
-    {
-        "rounds": INT,
-        "fptpg_rounds": INT,
-        "aptpg_rounds": INT,
-        "peak_pending": INT,
-        "streamed": INT,
-        "admitted_dropped": INT,
-        "compactions": INT,
-        "patterns_compacted_away": INT,
-        "decisions": INT,
-        "backtracks": INT,
-        "implication_passes": INT,
-        "seconds_sensitize": NUM,
-        "seconds_simulate": NUM,
-        "seconds_wall": NUM,
-    }
-)
-#: v2 adds the worker-supervision counters.
+_STATS = {
+    "rounds": INT,
+    "fptpg_rounds": INT,
+    "aptpg_rounds": INT,
+    "peak_pending": INT,
+    "streamed": INT,
+    "admitted_dropped": INT,
+    "compactions": INT,
+    "patterns_compacted_away": INT,
+    "decisions": INT,
+    "backtracks": INT,
+    "implication_passes": INT,
+    "seconds_sensitize": NUM,
+    "seconds_simulate": NUM,
+    "seconds_wall": NUM,
+}
+_SUPERVISION_STATS = {"shard_retries": INT, "quarantined_shards": INT}
+CAMPAIGN_STATS = obj(_STATS)
+#: v2 adds the supervision counters.
 CAMPAIGN_STATS_V2 = obj(
-    {
-        "rounds": INT,
-        "fptpg_rounds": INT,
-        "aptpg_rounds": INT,
-        "peak_pending": INT,
-        "streamed": INT,
-        "admitted_dropped": INT,
-        "compactions": INT,
-        "patterns_compacted_away": INT,
-        "decisions": INT,
-        "backtracks": INT,
-        "implication_passes": INT,
-        "seconds_sensitize": NUM,
-        "seconds_simulate": NUM,
-        "seconds_wall": NUM,
-        "worker_restarts": INT,
-        "shard_retries": INT,
-        "quarantined_shards": INT,
-    }
+    {**_STATS, "worker_restarts": INT, **_SUPERVISION_STATS}
 )
+#: v3 drops ``worker_restarts``: with no process pool it only read 0.
+CAMPAIGN_STATS_V3 = obj({**_STATS, **_SUPERVISION_STATS})
 
 _CIRCUIT_GATE = obj({"name": STR, "type": STR, "fanin": arr(STR)})
 
@@ -383,6 +370,8 @@ _METRICS_V3 = obj(
 
 # v4: the request-merge counters are gone with the merger itself;
 # simulate and grade requests run one session call each.
+# ``worker_restarts`` counts job-thread restarts (there is no process
+# pool whose restarts it could also count).
 _METRICS_V4 = obj(
     {
         "requests_ok": INT,
@@ -499,10 +488,70 @@ def _campaign_report_spec(
     )
 
 
+def _checkpoint_spec(version: int, stats: Dict, errors: bool = True) -> Dict:
+    required = {
+        "version": {"const": version},
+        "circuit": STR,
+        "test_class": TEST_CLASS,
+        "width": INT,
+        "shards": INT,
+        "schedule": obj(open_=True),
+        "stream_position": INT,
+        "exhausted": BOOL,
+        "complete": BOOL,
+        "settled": arr(arr(ANY)),
+        "pending": arr(arr(ANY)),
+        "queue": arr(INT),
+        "patterns": arr(arr(ANY)),
+        "obligations": arr(FAULT_BODY),
+        "stats": stats,
+    }
+    if errors:
+        required["errors"] = arr(arr(ANY))  # [index, envelope] pairs
+    return obj(required)
+
+
+def _generate_request_spec(options: Dict) -> Dict:
+    return obj(
+        optional={
+            **_REQUEST_CIRCUIT,
+            "options": options,
+            "max_faults": opt(INT),
+            "strategy": {"enum": ["all", "longest", "sample"]},
+            "include_patterns": BOOL,
+        }
+    )
+
+
+def _campaign_request_spec(options: Dict) -> Dict:
+    return obj(
+        optional={
+            **_REQUEST_CIRCUIT,
+            "options": options,
+            "max_faults": opt(INT),
+            "min_length": opt(INT),
+            "max_length": opt(INT),
+        }
+    )
+
+
+def _bist_request_spec(options: Dict) -> Dict:
+    return obj(
+        optional={
+            **_REQUEST_CIRCUIT,
+            "options": options,
+            "fault_model": FAULT_MODEL,
+            "max_faults": opt(INT),
+        }
+    )
+
+
 SCHEMAS: Dict[str, Dict[int, Dict]] = {
     "repro/fault": {1: FAULT},
     "repro/pattern": {1: PATTERN, 2: PATTERN_V2},
-    "repro/options": {1: OPTIONS_V1, 2: OPTIONS_V2, 3: OPTIONS_V3, 4: OPTIONS},
+    "repro/options": {
+        1: OPTIONS_V1, 2: OPTIONS_V2, 3: OPTIONS_V3, 4: OPTIONS_V4, 5: OPTIONS
+    },
     "repro/circuit": {
         1: obj(
             {
@@ -525,11 +574,15 @@ SCHEMAS: Dict[str, Dict[int, Dict]] = {
         2: _campaign_report_spec(OPTIONS_V2),
         3: _campaign_report_spec(OPTIONS_V3),
         # v4: supervision options + counters, quarantine error rows
-        4: _campaign_report_spec(OPTIONS, CAMPAIGN_STATS_V2, errors=True),
+        4: _campaign_report_spec(OPTIONS_V4, CAMPAIGN_STATS_V2, errors=True),
         # v5: patterns (and record patterns) in the repro/pattern v2
         # string form
         5: _campaign_report_spec(
-            OPTIONS, CAMPAIGN_STATS_V2, errors=True, pattern=PATTERN_V2
+            OPTIONS_V4, CAMPAIGN_STATS_V2, errors=True, pattern=PATTERN_V2
+        ),
+        # v6: options v5, stats without worker_restarts
+        6: _campaign_report_spec(
+            OPTIONS, CAMPAIGN_STATS_V3, errors=True, pattern=PATTERN_V2
         ),
     },
     "repro/simulate-report": {
@@ -597,141 +650,32 @@ SCHEMAS: Dict[str, Dict[int, Dict]] = {
         )
     },
     "repro/campaign-checkpoint": {
-        2: obj(
-            {
-                "version": {"const": 2},
-                "circuit": STR,
-                "test_class": TEST_CLASS,
-                "width": INT,
-                "shards": INT,
-                "schedule": obj(open_=True),
-                "stream_position": INT,
-                "exhausted": BOOL,
-                "complete": BOOL,
-                "settled": arr(arr(ANY)),
-                "pending": arr(arr(ANY)),
-                "queue": arr(INT),
-                "patterns": arr(arr(ANY)),
-                "obligations": arr(FAULT_BODY),
-                "stats": CAMPAIGN_STATS,
-            }
-        ),
+        2: _checkpoint_spec(2, CAMPAIGN_STATS, errors=False),
         # v3: supervision counters in stats plus the quarantine error
         # rows (``[index, envelope]``); statuses may be skipped_error
-        3: obj(
-            {
-                "version": {"const": 3},
-                "circuit": STR,
-                "test_class": TEST_CLASS,
-                "width": INT,
-                "shards": INT,
-                "schedule": obj(open_=True),
-                "stream_position": INT,
-                "exhausted": BOOL,
-                "complete": BOOL,
-                "settled": arr(arr(ANY)),
-                "pending": arr(arr(ANY)),
-                "queue": arr(INT),
-                "patterns": arr(arr(ANY)),
-                "obligations": arr(FAULT_BODY),
-                "stats": CAMPAIGN_STATS_V2,
-                "errors": arr(arr(ANY)),
-            }
-        ),
+        3: _checkpoint_spec(3, CAMPAIGN_STATS_V2),
+        # v4: stats without worker_restarts
+        4: _checkpoint_spec(4, CAMPAIGN_STATS_V3),
     },
+    # request v5 (generate, campaign) and v3 (bist): options v5
     "repro/request.generate": {
-        1: obj(
-            optional={
-                **_REQUEST_CIRCUIT,
-                "options": OPTIONS_V1,
-                "max_faults": opt(INT),
-                "strategy": {"enum": ["all", "longest", "sample"]},
-                "include_patterns": BOOL,
-            }
-        ),
-        2: obj(
-            optional={
-                **_REQUEST_CIRCUIT,
-                "options": OPTIONS_V2,
-                "max_faults": opt(INT),
-                "strategy": {"enum": ["all", "longest", "sample"]},
-                "include_patterns": BOOL,
-            }
-        ),
-        3: obj(
-            optional={
-                **_REQUEST_CIRCUIT,
-                "options": OPTIONS_V3,
-                "max_faults": opt(INT),
-                "strategy": {"enum": ["all", "longest", "sample"]},
-                "include_patterns": BOOL,
-            }
-        ),
-        4: obj(
-            optional={
-                **_REQUEST_CIRCUIT,
-                "options": OPTIONS,
-                "max_faults": opt(INT),
-                "strategy": {"enum": ["all", "longest", "sample"]},
-                "include_patterns": BOOL,
-            }
-        ),
+        1: _generate_request_spec(OPTIONS_V1),
+        2: _generate_request_spec(OPTIONS_V2),
+        3: _generate_request_spec(OPTIONS_V3),
+        4: _generate_request_spec(OPTIONS_V4),
+        5: _generate_request_spec(OPTIONS),
     },
     "repro/request.campaign": {
-        1: obj(
-            optional={
-                **_REQUEST_CIRCUIT,
-                "options": OPTIONS_V1,
-                "max_faults": opt(INT),
-                "min_length": opt(INT),
-                "max_length": opt(INT),
-            }
-        ),
-        2: obj(
-            optional={
-                **_REQUEST_CIRCUIT,
-                "options": OPTIONS_V2,
-                "max_faults": opt(INT),
-                "min_length": opt(INT),
-                "max_length": opt(INT),
-            }
-        ),
-        3: obj(
-            optional={
-                **_REQUEST_CIRCUIT,
-                "options": OPTIONS_V3,
-                "max_faults": opt(INT),
-                "min_length": opt(INT),
-                "max_length": opt(INT),
-            }
-        ),
-        4: obj(
-            optional={
-                **_REQUEST_CIRCUIT,
-                "options": OPTIONS,
-                "max_faults": opt(INT),
-                "min_length": opt(INT),
-                "max_length": opt(INT),
-            }
-        ),
+        1: _campaign_request_spec(OPTIONS_V1),
+        2: _campaign_request_spec(OPTIONS_V2),
+        3: _campaign_request_spec(OPTIONS_V3),
+        4: _campaign_request_spec(OPTIONS_V4),
+        5: _campaign_request_spec(OPTIONS),
     },
     "repro/request.bist": {
-        1: obj(
-            optional={
-                **_REQUEST_CIRCUIT,
-                "options": OPTIONS_V3,
-                "fault_model": FAULT_MODEL,
-                "max_faults": opt(INT),
-            }
-        ),
-        2: obj(
-            optional={
-                **_REQUEST_CIRCUIT,
-                "options": OPTIONS,
-                "fault_model": FAULT_MODEL,
-                "max_faults": opt(INT),
-            }
-        ),
+        1: _bist_request_spec(OPTIONS_V3),
+        2: _bist_request_spec(OPTIONS_V4),
+        3: _bist_request_spec(OPTIONS),
     },
     "repro/request.simulate": {
         1: obj(

@@ -326,9 +326,8 @@ class AtpgService:
         self.sessions_opened = 0
         self.sessions_cached = 0
         # resilience counters absorbed from completed campaign reports
-        # (pool-level supervision) — the job-thread restarts live on
-        # the JobManager; metrics() adds the two together
-        self._pool_worker_restarts = 0
+        # (shard supervision); the job-thread restarts live on the
+        # JobManager
         self._shard_retries = 0
         self._quarantined_shards = 0
         self._jobs: Optional[JobManager] = None
@@ -460,7 +459,6 @@ class AtpgService:
         """Fold a completed campaign's supervision counters into metrics."""
         stats = report.stats
         with self._lock:
-            self._pool_worker_restarts += stats.worker_restarts
             self._shard_retries += stats.shard_retries
             self._quarantined_shards += stats.quarantined_shards
 
@@ -720,7 +718,6 @@ class AtpgService:
                 "sessions_opened": self.sessions_opened,
                 "sessions_cached": self.sessions_cached,
             }
-            pool_restarts = self._pool_worker_restarts
             shard_retries = self._shard_retries
             quarantined = self._quarantined_shards
             degraded = sum(
@@ -738,15 +735,14 @@ class AtpgService:
                 )
             }
             body["jobs_by_verb"] = {verb: 0 for verb in ASYNC_VERBS}
-            thread_restarts = 0
+            body["worker_restarts"] = 0
         else:
             body["queue_depth"] = manager.queue_depth()
             body["jobs"] = manager.counts()
             by_verb = {verb: 0 for verb in ASYNC_VERBS}
             by_verb.update(manager.verb_counts())
             body["jobs_by_verb"] = by_verb
-            thread_restarts = manager.worker_restarts
-        body["worker_restarts"] = thread_restarts + pool_restarts
+            body["worker_restarts"] = manager.worker_restarts
         body["shard_retries"] = shard_retries
         body["quarantined_shards"] = quarantined
         body["degraded_circuits"] = degraded
@@ -768,8 +764,8 @@ def _scrub_options(options: Optional[Options]) -> Optional[Options]:
     A request must never steer the server's filesystem: checkpoint
     paths (arbitrary file writes) and resume (arbitrary file reads)
     are host decisions, not request parameters.  Chaos specs are
-    likewise host-only — a client must not be able to crash the
-    server's pool workers by asking nicely.
+    likewise host-only — a client must not be able to inject failures
+    into the server's campaigns by asking nicely.
     """
     if options is None:
         return None

@@ -5,7 +5,7 @@ frozen circuit plus its lowered kernel form (compiled once, in the
 constructor) and exposes each workload as a method behind that shared
 substrate:
 
-* :meth:`generate` — engine-mode test generation (a 1-worker,
+* :meth:`generate` — engine-mode test generation (an
   unbounded-window campaign, bit-identical to the legacy
   ``generate_tests``),
 * :meth:`campaign` — the staged, sharded, checkpointable pipeline,
@@ -204,7 +204,7 @@ class AtpgSession:
         With ``faults=None`` the structural fault list of the circuit
         is materialized (optionally capped/selected via *max_faults* /
         *strategy*, as the CLI always did).  Runs the identical
-        1-worker unbounded-window campaign as the deprecated
+        unbounded-window campaign as the deprecated
         ``generate_tests`` — per-fault statuses are bit-identical.
         """
         from ..core.engine import _generate  # lazy: import cycle

@@ -4,7 +4,7 @@ generation, global fault dropping, checkpoint/resume.
 Public API:
 
 * :func:`run_campaign` with :class:`CampaignOptions` — the managed
-  pipeline (the serial engine is a 1-worker instance of it),
+  pipeline (the serial engine is an unbounded-window instance of it),
 * :class:`FaultUniverse` — lazily streamed, filtered, budget-capped
   fault sources,
 * :class:`CampaignReport` / :class:`CampaignStats` — results and the
@@ -21,7 +21,7 @@ from .report import (
     CampaignStats,
 )
 from .runner import CampaignControl, execute_campaign, run_campaign
-from .scheduler import PoolExecutor, SerialExecutor, ShardResult
+from .scheduler import SerialExecutor, ShardResult
 from .universe import FaultUniverse
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "DEFAULT_SHARDS",
     "DropBus",
     "FaultUniverse",
-    "PoolExecutor",
     "SerialExecutor",
     "ShardResult",
     "run_campaign",

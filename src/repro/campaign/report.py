@@ -22,7 +22,7 @@ from ..paths import PathDelayFault, TestClass, Transition
 from ..core.patterns import TestPattern
 from ..core.results import FaultRecord, FaultStatus, TpgReport
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -43,8 +43,8 @@ class CampaignOptions(Options):
     """Deprecated alias for the unified :class:`repro.api.Options`.
 
     The staged-campaign tunables are all still here — they *are* the
-    unified model (``width``/``shards``/``window``/``workers``/
-    checkpointing/compaction, see :mod:`repro.api.options` for the
+    unified model (``width``/``shards``/``window``/checkpointing/
+    compaction, see :mod:`repro.api.options` for the
     layer-by-layer documentation).  Construction warns; use
     ``repro.api.Options`` in new code.
     """
@@ -76,7 +76,6 @@ class CampaignStats:
     seconds_sensitize: float = 0.0
     seconds_simulate: float = 0.0
     seconds_wall: float = 0.0
-    worker_restarts: int = 0
     shard_retries: int = 0
     quarantined_shards: int = 0
 
@@ -96,7 +95,6 @@ class CampaignStats:
             "seconds_sensitize": self.seconds_sensitize,
             "seconds_simulate": self.seconds_simulate,
             "seconds_wall": self.seconds_wall,
-            "worker_restarts": self.worker_restarts,
             "shard_retries": self.shard_retries,
             "quarantined_shards": self.quarantined_shards,
         }
@@ -177,7 +175,6 @@ class CampaignReport:
             "class": self.test_class.value,
             "L": self.options.width,
             "shards": self.options.shards,
-            "workers": self.options.workers,
             "faults": self.n_faults,
             "tested": self.count(FaultStatus.TESTED),
             "simulated": self.count(FaultStatus.SIMULATED),
@@ -251,10 +248,10 @@ def schedule_fingerprint(
     interrupted campaign under a different schedule (or a differently
     filtered fault stream, whose indices would denote different
     faults) would silently corrupt the merged report.  ``sim_backend``
-    and ``workers`` are deliberately absent — they never change
-    outcomes.  A universe ``predicate`` is only visible as a boolean
-    (callables don't serialize), so swapping one filter function for
-    another between runs cannot be detected.
+    is deliberately absent — it never changes outcomes.  A universe
+    ``predicate`` is only visible as a boolean (callables don't
+    serialize), so swapping one filter function for another between
+    runs cannot be detected.
     """
     return {
         "window": options.window,
@@ -355,9 +352,11 @@ def load_checkpoint(path: str) -> Dict[str, object]:
             stacklevel=2,
         )
     version = payload.get("version")
-    if version != CHECKPOINT_VERSION:
+    # v3 differs only by a worker_restarts stats counter, which
+    # CampaignStats.from_dict skips
+    if version not in (3, CHECKPOINT_VERSION):
         raise ValueError(
-            f"checkpoint {path!r} has version {version}, expected "
+            f"checkpoint {path!r} has version {version}, expected 3 or "
             f"{CHECKPOINT_VERSION}"
         )
     return payload

@@ -7,10 +7,10 @@
    first drop-checked against the retained pattern set (faults already
    covered are settled as SIMULATED without ever being scheduled).
 2. **FPTPG rounds.**  The next ``shards`` lane-width batches of
-   pending faults are generated *independently* — in-process or on a
-   worker pool — then the round's fresh patterns are merged on the
-   global drop bus, which runs one batched PPSFP pass over every
-   still-pending fault (window and deferred queue alike).
+   pending faults are generated *independently*, then the round's
+   fresh patterns are merged on the global drop bus, which runs one
+   batched PPSFP pass over every still-pending fault (window and
+   deferred queue alike).
 3. **APTPG rounds.**  Once the stream is drained (or the window is
    saturated with deferred faults), rounds of ``shards`` single-fault
    APTPG searches run the hard residue, again followed by the bus.
@@ -19,12 +19,11 @@
    stream by position.
 
 The schedule — window fills, batch composition, drop cadence — is a
-pure function of :class:`CampaignOptions`; worker count and timing
-never influence which faults share a batch or when drops are applied.
-A campaign with ``workers=8`` therefore produces bit-identical
-per-fault statuses to ``workers=1``, and the serial engine
-(:func:`repro.core.engine.generate_tests`) is literally a 1-worker
-campaign over a pre-materialized universe.
+pure function of :class:`CampaignOptions`; timing, shard retries and
+checkpoint/resume never influence which faults share a batch or when
+drops are applied.  The serial engine
+(:func:`repro.core.engine.generate_tests`) is literally an
+unbounded-window campaign over a pre-materialized universe.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from .report import (
     schedule_fingerprint,
     write_checkpoint,
 )
-from .scheduler import Supervision, error_envelope, make_executor
+from .scheduler import SerialExecutor, Supervision, error_envelope
 from .universe import FaultUniverse
 
 #: Admission checks run in bounded slices so an unbounded-window pull
@@ -415,8 +414,8 @@ class _Campaign:
     def run(self) -> CampaignReport:
         if self.options.chaos is None:
             return self._run()
-        # scoped install: pool workers inherit the controller at fork,
-        # and the process is clean again once the campaign returns
+        # scoped install: the process is clean again once the
+        # campaign returns
         chaos.install(self.options.chaos)
         try:
             return self._run()
@@ -431,16 +430,14 @@ class _Campaign:
         if resumed and self.report.complete:
             return self.report
         stream = self.universe.stream(start=self.stream_position)
-        executor = make_executor(
+        executor = SerialExecutor(
             self.circuit,
             self.test_class,
             options.width,
             options.unique_backward,
             options.backtrack_limit,
-            options.workers,
             options.fusion,
-            supervision=Supervision(
-                deadline_s=options.shard_deadline_s,
+            Supervision(
                 attempts=options.shard_attempts,
                 retry_base_ms=options.retry_base_ms,
             ),
@@ -448,62 +445,55 @@ class _Campaign:
         # supervision counters restored from a checkpoint are the
         # baseline; the executor counts this run's incidents on top
         base = (
-            self.report.stats.worker_restarts,
             self.report.stats.shard_retries,
             self.report.stats.quarantined_shards,
         )
 
         def sync_supervision_stats() -> None:
             stats = self.report.stats
-            stats.worker_restarts = base[0] + executor.worker_restarts
-            stats.shard_retries = base[1] + executor.shard_retries
-            stats.quarantined_shards = base[2] + executor.quarantined_shards
+            stats.shard_retries = base[0] + executor.shard_retries
+            stats.quarantined_shards = base[1] + executor.quarantined_shards
 
         rounds_since_checkpoint = 0
         stopped = False
-        try:
-            while True:
-                if control is not None and control.should_stop():
-                    stopped = True
-                    break
-                self.pull(stream)
-                progressed = False
-                if options.use_fptpg:
-                    progressed = self.fptpg_round(executor)
-                if not progressed and options.use_aptpg:
-                    progressed = self.aptpg_round(executor)
-                if progressed:
-                    if control is not None:
-                        control.on_round(self._progress())
-                    rounds_since_checkpoint += 1
-                    if rounds_since_checkpoint >= options.checkpoint_every:
-                        self.report.stats.seconds_simulate = (
-                            self.bus.seconds_simulate
-                        )
-                        sync_supervision_stats()
-                        self.save_checkpoint()
-                        rounds_since_checkpoint = 0
-                    continue
-                if not self.exhausted:
-                    if (
-                        options.window is not None
-                        and len(self.pending) >= options.window
-                    ):
-                        # Window saturated with faults nothing can run
-                        # (deferred residue with APTPG disabled): settle
-                        # them so the stream can advance.
-                        for index in list(self.pending):
-                            self.settle(
-                                index,
-                                self.pending[index],
-                                FaultStatus.DEFERRED,
-                                None,
-                                "fptpg",
-                            )
-                    continue
+        while True:
+            if control is not None and control.should_stop():
+                stopped = True
                 break
-        finally:
-            executor.close()
+            self.pull(stream)
+            progressed = False
+            if options.use_fptpg:
+                progressed = self.fptpg_round(executor)
+            if not progressed and options.use_aptpg:
+                progressed = self.aptpg_round(executor)
+            if progressed:
+                if control is not None:
+                    control.on_round(self._progress())
+                rounds_since_checkpoint += 1
+                if rounds_since_checkpoint >= options.checkpoint_every:
+                    self.report.stats.seconds_simulate = self.bus.seconds_simulate
+                    sync_supervision_stats()
+                    self.save_checkpoint()
+                    rounds_since_checkpoint = 0
+                continue
+            if not self.exhausted:
+                if (
+                    options.window is not None
+                    and len(self.pending) >= options.window
+                ):
+                    # Window saturated with faults nothing can run
+                    # (deferred residue with APTPG disabled): settle
+                    # them so the stream can advance.
+                    for index in list(self.pending):
+                        self.settle(
+                            index,
+                            self.pending[index],
+                            FaultStatus.DEFERRED,
+                            None,
+                            "fptpg",
+                        )
+                continue
+            break
         if stopped:
             # interrupted at a round boundary: flush a resumable
             # snapshot (pending faults stay pending) and hand back the
@@ -561,7 +551,7 @@ def execute_campaign(
             universe = FaultUniverse.from_circuit(circuit)
     elif faults is not None:
         raise ValueError("pass either faults or universe, not both")
-    circuit.compiled()  # lower once; workers rebuild from the same form
+    circuit.compiled()  # lower once; the bus and the executor share it
     return _Campaign(circuit, universe, test_class, options, control).run()
 
 

@@ -1,24 +1,14 @@
-"""Shard execution: supervised lane-width batches across a process pool.
+"""Shard execution: supervised lane-width batches, in-process.
 
 The campaign schedule (see :mod:`repro.campaign.runner`) is a sequence
 of *rounds*; each round is ``shards`` independent units of generation
 work — FPTPG batches of up to ``width`` faults, or single-fault APTPG
-searches.  This module executes one round's shards, either in-process
-(:class:`SerialExecutor`) or on a :mod:`multiprocessing` pool
-(:class:`PoolExecutor`).
+searches.  :class:`SerialExecutor` runs one round's shards in the
+calling process, in order, and returns one plain :class:`ShardResult`
+per shard (never a ``TpgState``).
 
-Each pool worker receives the circuit once, at initialization, and
-rebuilds the shared :class:`repro.kernel.CompiledCircuit` plus the
-controllability tables exactly once; per-shard messages carry only the
-fault structures in and plain :class:`ShardResult` records out (never a
-``TpgState``), so IPC stays proportional to the work, not the circuit.
-Shards are submitted with ``apply_async`` and collected *in submission
-order*, which keeps the campaign's outcome independent of worker count
-and timing.
-
-**One engine per executor context.**  Every :class:`_WorkerContext` —
-the serial executor's, and one per pool worker — owns one 3-valued C
-TPG engine (:class:`repro.core.state.TpgEngine`) at the campaign width,
+**One engine per executor.**  The executor owns one 3-valued C TPG
+engine (:class:`repro.core.state.TpgEngine`) at the campaign width,
 built on first use.  On the ``native/c`` tier a nonrobust APTPG shard
 is one call on it (:func:`repro.core.aptpg.aptpg_record`, which resets
 the engine for every screen chunk and search) and an FPTPG shard is a
@@ -27,7 +17,7 @@ lanes come back as pattern rows read straight from the engine's
 primary-input planes, and the shard returns its :class:`ShardResult`
 without building a ``TpgState`` or an outcome.  Every shard starts
 from an engine reset to the campaign width, so it stays a pure
-function of its payload: a retried or reordered shard is bit-identical.
+function of its payload: a retried shard is bit-identical.
 Robust shards and the Python tiers run :func:`run_fptpg` /
 :func:`run_aptpg` as before (their oracles), and their rows are decoded
 from the pattern tuples.
@@ -35,11 +25,6 @@ from the pattern tuples.
 **Supervision.**  Long campaigns must survive losing pieces.  Every
 shard runs under a :class:`Supervision` policy:
 
-* a per-shard wall-clock **deadline** (``shard_deadline_s``) catches
-  both hung shards and killed worker processes — in either case the
-  shard's result never arrives, the pool is torn down and rebuilt
-  (``worker_restarts``), and every uncollected shard of the round is
-  resubmitted;
 * a shard that **raises** is retried with exponential backoff plus
   deterministic jitter (``shard_retries``), because generation is a
   pure function of the shard payload — a successful retry is
@@ -49,25 +34,21 @@ shard runs under a :class:`Supervision` policy:
   carries ``skipped_error`` statuses and an error envelope instead of
   crashing the round, and the runner settles its faults accordingly.
 
-Failures are injected deterministically through :mod:`repro.chaos`
-(sites ``shard_crash`` / ``shard_hang`` / ``shard_error``): the
-*submitting* process decides per submission, and the decision travels
-to the worker inside the task payload, so schedules are independent of
-which worker picks up which shard.
+Failures are injected deterministically through :mod:`repro.chaos`:
+the ``shard_error`` site is queried once per shard attempt, so its
+``at`` indices number attempts, retries included.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from ..chaos import ChaosError, shard_action
+from ..chaos import maybe_raise
 from ..circuit import Circuit
 from ..core.aptpg import STATUSES, aptpg_record, run_aptpg
-from ..core.controllability import Controllability, compute_controllability
+from ..core.controllability import compute_controllability
 from ..core.fptpg import fptpg_record, run_fptpg
 from ..core.patterns import Rows, TestPattern
 from ..core.results import FaultStatus
@@ -75,32 +56,22 @@ from ..core.state import THREE_VALUED, TpgEngine, tpg_tier
 from ..kernel.packed import pattern_rows
 from ..paths import PathDelayFault, TestClass
 
-#: How long an injected ``shard_hang`` sleeps.  The supervising parent
-#: is expected to kill it at the shard deadline long before this; the
-#: cap just bounds the damage if a hang is injected without one.
-_HANG_SECONDS = 60.0
-
 
 @dataclass
 class Supervision:
-    """Worker-supervision policy (never outcome-relevant).
+    """Shard-supervision policy (never outcome-relevant).
 
     Attributes:
-        deadline_s: per-shard wall-clock deadline; a shard whose
-            result hasn't arrived by then is presumed lost (hung or
-            its worker died) and the pool is rebuilt.  ``None``
-            disables the watchdog (the pre-supervision behavior).
-        attempts: submission attempts per shard before quarantine.
+        attempts: attempts per shard before quarantine.
         retry_base_ms: exponential-backoff base — retry *n* sleeps
             ``retry_base_ms * 2**(n-1)`` plus deterministic jitter.
     """
 
-    deadline_s: Optional[float] = None
     attempts: int = 3
     retry_base_ms: float = 50.0
 
     def backoff_s(self, shard_index: int, attempt: int) -> float:
-        """Backoff before re-submitting *shard_index*'s *attempt*-th try.
+        """Backoff before re-running *shard_index*'s *attempt*-th try.
 
         The jitter term decorrelates retries without randomness: a
         Knuth-hash of (shard, attempt) spreads sleeps over +0..25% of
@@ -115,7 +86,7 @@ class Supervision:
 
 @dataclass
 class ShardResult:
-    """Outcome of one generation shard, cheap to pickle.
+    """Outcome of one generation shard.
 
     For an FPTPG shard the lists are parallel to the batch's faults;
     for an APTPG shard they have length one.  ``rows`` holds the (V1,
@@ -162,42 +133,43 @@ def error_envelope(exc: BaseException, attempts: int) -> dict:
     }
 
 
-def _apply_chaos_action(action: Optional[str]) -> None:
-    """Execute an injected failure inside the worker process."""
-    if action is None:
-        return
-    if action == "shard_crash":
-        os._exit(3)  # die without cleanup, like a real killed worker
-    if action == "shard_hang":
-        time.sleep(_HANG_SECONDS)
-        return
-    raise ChaosError(f"chaos: injected fault at site {action!r}")
+class SerialExecutor:
+    """Run every shard of a round in the calling process, in order.
 
-
-@dataclass
-class _WorkerContext:
-    """Per-process generation state, built once per worker.
-
-    Owns the executor's C TPG engine (see the module docstring).
+    Owns the campaign's generation state, built once: the lowered
+    circuit, its controllability tables and the C TPG engine (see the
+    module docstring).  :meth:`fptpg_shard` and :meth:`aptpg_shard` run
+    one shard unsupervised; :meth:`run_fptpg` and :meth:`run_aptpg` run
+    a round's shards under the :class:`Supervision` policy.
     """
 
-    circuit: Circuit
-    test_class: TestClass
-    width: int
-    use_backward: bool
-    backtrack_limit: int
-    fusion: str = "auto"
-    controllability: Controllability = field(init=False)
-    #: the C engine once built, ``False`` once shards cannot use one
-    _engine: object = field(init=False, default=None)
-    _ranks: object = field(init=False, default=None)
-
-    def __post_init__(self) -> None:
-        self.circuit.compiled()  # lower the netlist once per process
-        self.controllability = compute_controllability(self.circuit)
+    def __init__(
+        self,
+        circuit: Circuit,
+        test_class: TestClass,
+        width: int,
+        use_backward: bool,
+        backtrack_limit: int,
+        fusion: str = "auto",
+        supervision: Optional[Supervision] = None,
+    ):
+        self.circuit = circuit
+        self.test_class = test_class
+        self.width = width
+        self.use_backward = use_backward
+        self.backtrack_limit = backtrack_limit
+        self.fusion = fusion
+        self.supervision = supervision or Supervision()
+        circuit.compiled()  # lower the netlist once
+        self.controllability = compute_controllability(circuit)
+        #: the C engine once built, ``False`` once shards cannot use one
+        self._engine = None
+        self._ranks = None
+        self.shard_retries = 0
+        self.quarantined_shards = 0
 
     def engine(self) -> Optional[TpgEngine]:
-        """The context's 3-valued C engine, built on first use.
+        """The executor's 3-valued C engine, built on first use.
 
         ``None`` where shards do not run on it: robust campaigns, and
         every tier but ``native/c`` (settled at the first shard).
@@ -285,86 +257,14 @@ class _WorkerContext:
             rows=_tuple_rows([outcome.pattern]),
         )
 
-
-# ---------------------------------------------------------------------------
-# pool worker plumbing (module-level for picklability)
-# ---------------------------------------------------------------------------
-
-_WORKER: Optional[_WorkerContext] = None
-
-
-def _init_worker(
-    circuit: Circuit,
-    test_class: TestClass,
-    width: int,
-    use_backward: bool,
-    backtrack_limit: int,
-    fusion: str,
-) -> None:
-    global _WORKER
-    _WORKER = _WorkerContext(
-        circuit, test_class, width, use_backward, backtrack_limit, fusion
-    )
-
-
-def _pool_fptpg(task) -> ShardResult:
-    faults, action = task
-    assert _WORKER is not None, "worker pool not initialized"
-    _apply_chaos_action(action)
-    return _WORKER.fptpg_shard(faults)
-
-
-def _pool_aptpg(task) -> ShardResult:
-    fault, action = task
-    assert _WORKER is not None, "worker pool not initialized"
-    _apply_chaos_action(action)
-    return _WORKER.aptpg_shard(fault)
-
-
-# ---------------------------------------------------------------------------
-# executors
-# ---------------------------------------------------------------------------
-
-
-class SerialExecutor:
-    """Run every shard in the calling process (workers = 1).
-
-    The same retry/quarantine policy applies as on the pool; injected
-    ``shard_crash``/``shard_hang`` actions degrade to an in-process
-    raise (the calling process cannot kill or stall itself without
-    taking the campaign down — the pool executor is where those two
-    are meaningful).
-    """
-
-    def __init__(
-        self,
-        circuit: Circuit,
-        test_class: TestClass,
-        width: int,
-        use_backward: bool,
-        backtrack_limit: int,
-        fusion: str = "auto",
-        supervision: Optional[Supervision] = None,
-    ):
-        self._context = _WorkerContext(
-            circuit, test_class, width, use_backward, backtrack_limit, fusion
-        )
-        self.supervision = supervision or Supervision()
-        self.worker_restarts = 0
-        self.shard_retries = 0
-        self.quarantined_shards = 0
-
+    # ------------------------------------------------------------ rounds
     def _supervised(
         self, run: Callable[[], ShardResult], index: int, n_faults: int
     ) -> ShardResult:
         policy = self.supervision
         for attempt in range(1, policy.attempts + 1):
-            action = shard_action()
             try:
-                if action is not None:
-                    raise ChaosError(
-                        f"chaos: injected fault at site {action!r}"
-                    )
+                maybe_raise("shard_error")
                 return run()
             except Exception as exc:  # noqa: BLE001 - supervision boundary
                 if attempt >= policy.attempts:
@@ -381,7 +281,7 @@ class SerialExecutor:
     ) -> List[ShardResult]:
         return [
             self._supervised(
-                lambda b=batch: self._context.fptpg_shard(b), k, len(batch)
+                lambda b=batch: self.fptpg_shard(b), k, len(batch)
             )
             for k, batch in enumerate(batches)
         ]
@@ -390,176 +290,6 @@ class SerialExecutor:
         self, faults: Sequence[PathDelayFault]
     ) -> List[ShardResult]:
         return [
-            self._supervised(
-                lambda f=fault: self._context.aptpg_shard(f), k, 1
-            )
+            self._supervised(lambda f=fault: self.aptpg_shard(f), k, 1)
             for k, fault in enumerate(faults)
         ]
-
-    def close(self) -> None:
-        pass
-
-
-class PoolExecutor:
-    """Run shards on a supervised multiprocessing pool (workers >= 2).
-
-    Prefers the ``fork`` start method (workers inherit the already
-    compiled circuit copy-on-write); falls back to the platform
-    default, where the initializer rebuilds it from the pickled
-    circuit.
-
-    Shards are submitted with ``apply_async`` and collected in
-    submission order under the supervision policy's per-shard
-    deadline.  A missed deadline means the shard's worker hung or
-    died: the whole pool is terminated and rebuilt (in-flight results
-    of the round are lost and resubmitted — regeneration is
-    deterministic, so nothing changes but wall-clock), while a raised
-    exception retries just that shard with backoff.  Either way a
-    shard that keeps failing is quarantined rather than allowed to
-    take the campaign down.
-    """
-
-    def __init__(
-        self,
-        circuit: Circuit,
-        test_class: TestClass,
-        width: int,
-        use_backward: bool,
-        backtrack_limit: int,
-        workers: int,
-        fusion: str = "auto",
-        supervision: Optional[Supervision] = None,
-    ):
-        circuit.compiled()  # compile before fork so children inherit it
-        self._initargs = (
-            circuit, test_class, width, use_backward, backtrack_limit, fusion
-        )
-        self._workers = workers
-        self.supervision = supervision or Supervision()
-        self.worker_restarts = 0
-        self.shard_retries = 0
-        self.quarantined_shards = 0
-        self._pool = self._make_pool()
-
-    def _make_pool(self):
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-        else:  # pragma: no cover - non-POSIX platforms
-            context = multiprocessing.get_context()
-        return context.Pool(
-            processes=self._workers,
-            initializer=_init_worker,
-            initargs=self._initargs,
-        )
-
-    def _rebuild_pool(self) -> None:
-        """Tear down the (hung/broken) pool and start a fresh one."""
-        self.worker_restarts += 1
-        try:
-            self._pool.terminate()
-            self._pool.join()
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
-        self._pool = self._make_pool()
-
-    def _execute(self, fn, payloads: List) -> List[ShardResult]:
-        """Run one round's shards under supervision, order-preserving."""
-        policy = self.supervision
-        n = len(payloads)
-        results: List[Optional[ShardResult]] = [None] * n
-        attempts = [0] * n
-        pending = set(range(n))
-
-        def submit(index: int):
-            attempts[index] += 1
-            return self._pool.apply_async(
-                fn, ((payloads[index], shard_action()),)
-            )
-
-        futures = {index: submit(index) for index in range(n)}
-        while pending:
-            index = min(pending)  # collect in submission order
-            try:
-                results[index] = futures[index].get(timeout=policy.deadline_s)
-                pending.discard(index)
-                continue
-            except multiprocessing.TimeoutError:
-                # hung shard or dead worker: the result will never
-                # arrive.  Rebuild the pool; every uncollected shard
-                # of the round is lost with it and resubmitted.
-                self._rebuild_pool()
-                if attempts[index] >= policy.attempts:
-                    self.quarantined_shards += 1
-                    results[index] = _quarantined(
-                        _payload_size(payloads[index]),
-                        {
-                            "error": "ShardTimeout",
-                            "detail": (
-                                f"shard exceeded the {policy.deadline_s}s "
-                                f"deadline {attempts[index]} time(s)"
-                            ),
-                            "attempts": attempts[index],
-                        },
-                    )
-                    pending.discard(index)
-                else:
-                    self.shard_retries += 1
-                futures = {j: submit(j) for j in sorted(pending)}
-            except Exception as exc:  # noqa: BLE001 - supervision boundary
-                # the shard raised inside a healthy worker: retry it
-                # alone, with backoff, then quarantine
-                if attempts[index] >= policy.attempts:
-                    self.quarantined_shards += 1
-                    results[index] = _quarantined(
-                        _payload_size(payloads[index]),
-                        error_envelope(exc, attempts[index]),
-                    )
-                    pending.discard(index)
-                else:
-                    self.shard_retries += 1
-                    backoff = policy.backoff_s(index, attempts[index])
-                    if backoff:
-                        time.sleep(backoff)
-                    futures[index] = submit(index)
-        return results  # type: ignore[return-value] - all slots filled
-
-    def run_fptpg(
-        self, batches: Sequence[Sequence[PathDelayFault]]
-    ) -> List[ShardResult]:
-        return self._execute(_pool_fptpg, [list(b) for b in batches])
-
-    def run_aptpg(
-        self, faults: Sequence[PathDelayFault]
-    ) -> List[ShardResult]:
-        return self._execute(_pool_aptpg, list(faults))
-
-    def close(self) -> None:
-        self._pool.close()
-        self._pool.join()
-
-
-def _payload_size(payload) -> int:
-    """Fault count of a shard payload (batch list vs single fault)."""
-    return len(payload) if isinstance(payload, list) else 1
-
-
-def make_executor(
-    circuit: Circuit,
-    test_class: TestClass,
-    width: int,
-    use_backward: bool,
-    backtrack_limit: int,
-    workers: int,
-    fusion: str = "auto",
-    supervision: Optional[Supervision] = None,
-):
-    """The executor for *workers* processes (1 = in-process)."""
-    if workers <= 1:
-        return SerialExecutor(
-            circuit, test_class, width, use_backward, backtrack_limit, fusion,
-            supervision,
-        )
-    return PoolExecutor(
-        circuit, test_class, width, use_backward, backtrack_limit, workers,
-        fusion, supervision,
-    )

@@ -12,12 +12,11 @@ of thread or process timing.
 
 Sites instrumented across the project:
 
-``shard_crash`` / ``shard_hang`` / ``shard_error``
-    queried *in the campaign scheduler's submitting process*, once per
-    shard submission (retries are new submissions, so an ``at`` index
-    denotes the n-th submission attempt overall).  The decision
-    travels to the worker with the shard payload; the worker then
-    dies (``os._exit``), sleeps past the shard deadline, or raises.
+``shard_error``
+    queried by the campaign's shard executor once per shard attempt
+    (retries are new attempts, so an ``at`` index denotes the n-th
+    attempt overall); a firing attempt raises before the shard runs,
+    exercising retry with backoff and quarantine.
 ``torn_checkpoint``
     queried per rotated-JSON write (:mod:`repro.api.integrity`); a
     firing write leaves a truncated primary file on disk — exactly
@@ -41,7 +40,7 @@ not sampled) and seeds any derived jitter a consumer wants.  Install a
 controller programmatically (:func:`install`), via ``Options.chaos``
 (the campaign runner installs it), or through the ``REPRO_CHAOS``
 environment variable (read once, lazily — the path by which
-``tip serve`` and forked pool workers inherit a schedule).
+``tip serve`` inherits a schedule).
 """
 
 from __future__ import annotations
@@ -58,17 +57,11 @@ ENV_VAR = "REPRO_CHAOS"
 #: Every site an instrumented code path may query — unknown sites in a
 #: spec are rejected up front (a typo would otherwise never fire).
 SITES = (
-    "shard_crash",
-    "shard_hang",
     "shard_error",
     "torn_checkpoint",
     "kernel_fault",
     "job_worker_death",
 )
-
-#: The shard-level sites, queried together per shard submission (one
-#: shared occurrence counter, so ``at`` indices denote submissions).
-SHARD_SITES = ("shard_crash", "shard_hang", "shard_error")
 
 
 class ChaosError(RuntimeError):
@@ -113,22 +106,6 @@ class ChaosController:
                 self._fired.append({"site": site, "occurrence": index})
             return fired
 
-    def shard_action(self) -> Optional[str]:
-        """The injected action for the next shard submission, if any.
-
-        All three shard sites share one occurrence counter (the
-        submission sequence number); the first scheduled site wins
-        when several target the same submission.
-        """
-        with self._lock:
-            index = self._counts.get("shard", 0)
-            self._counts["shard"] = index + 1
-            for site in SHARD_SITES:
-                if index in self._at.get(site, ()):
-                    self._fired.append({"site": site, "occurrence": index})
-                    return site
-            return None
-
     def fired(self) -> List[Dict[str, object]]:
         """The injection log so far (site + occurrence, in order)."""
         with self._lock:
@@ -146,7 +123,7 @@ class ChaosController:
 
 
 # ---------------------------------------------------------------------------
-# the process-wide controller (inherited by forked pool workers)
+# the process-wide controller
 # ---------------------------------------------------------------------------
 
 _CONTROLLER: Optional[ChaosController] = None
@@ -194,9 +171,3 @@ def maybe_raise(site: str) -> None:
     """Raise :class:`ChaosError` iff this occurrence is scheduled."""
     if should_fire(site):
         raise ChaosError(f"chaos: injected fault at site {site!r}")
-
-
-def shard_action() -> Optional[str]:
-    """The injected action for the next shard submission (or None)."""
-    controller = get_controller()
-    return None if controller is None else controller.shard_action()

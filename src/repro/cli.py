@@ -12,8 +12,8 @@ subcommands that are all thin adapters over the same
   generation in packed lane-slab form, fault-dropping coverage
   curves, and MISR signature compaction.
 * ``tip campaign`` — staged ATPG campaign: stream the fault universe,
-  shard generation across worker processes, drop collaterally
-  detected faults globally, checkpoint and resume.
+  generate in rounds of shards, drop collaterally detected faults
+  globally, checkpoint and resume.
 * ``tip paths`` — count/enumerate structural paths and faults.
 * ``tip experiments`` — regenerate the paper's tables and figures.
 * ``tip serve`` — the long-lived JSON service endpoint
@@ -43,7 +43,6 @@ from .analysis import (
     run_ablation_implications,
     run_ablation_modes,
     run_ablation_word_length,
-    run_campaign_scaling,
     run_figure1,
     run_figure2,
     run_table3,
@@ -167,9 +166,9 @@ def main_campaign(argv: Optional[List[str]] = None) -> int:
         prog="tip-campaign",
         description=(
             "Staged ATPG campaign: stream the structural fault universe "
-            "lazily, shard lane-width generation batches across worker "
-            "processes, and drop collaterally detected faults on a global "
-            "simulation bus after every round."
+            "lazily, generate lane-width batches in rounds of shards, and "
+            "drop collaterally detected faults on a global simulation bus "
+            "after every round."
         ),
         epilog=(
             "Checkpoint/resume: with --checkpoint PATH, progress (settled "
@@ -187,21 +186,11 @@ def main_campaign(argv: Optional[List[str]] = None) -> int:
         "--width", type=int, default=DEFAULT_WORD_LENGTH, help="word length L"
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes (1 = in-process; statuses are identical "
-        "for every worker count)",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
-        default=None,
-        help="generation batches per drop round (default: 2, independent of "
-        "--workers so worker count never changes results; raise it "
-        "explicitly to give every worker a batch per round — that widens "
-        "the schedule deterministically and changes per-fault statuses "
-        "the same way for every worker count)",
+        default=DEFAULT_SHARDS,
+        help="generation batches per drop round (default: 2); part of the "
+        "schedule, so changing it changes per-fault statuses",
     )
     parser.add_argument(
         "--window",
@@ -257,14 +246,6 @@ def main_campaign(argv: Optional[List[str]] = None) -> int:
         "--json", dest="json_path", default=None, help="write the summary as JSON"
     )
     parser.add_argument(
-        "--shard-deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-shard wall-clock deadline; a shard past the deadline is "
-        "treated as a dead/hung worker and resubmitted (default: off)",
-    )
-    parser.add_argument(
         "--shard-attempts",
         type=int,
         default=3,
@@ -281,7 +262,7 @@ def main_campaign(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="SPEC",
         help="deterministic fault-injection JSON spec, e.g. "
-        '\'{"points": [{"site": "shard_crash", "at": [1]}]}\' (testing only)',
+        '\'{"points": [{"site": "shard_error", "at": [1]}]}\' (testing only)',
     )
     args = parser.parse_args(argv)
 
@@ -301,8 +282,7 @@ def main_campaign(argv: Optional[List[str]] = None) -> int:
     )
     options = Options(
         width=args.width,
-        shards=args.shards if args.shards is not None else DEFAULT_SHARDS,
-        workers=args.workers,
+        shards=args.shards,
         window=args.window if args.window > 0 else None,
         drop_faults=not args.no_drop,
         checkpoint=args.checkpoint,
@@ -310,7 +290,6 @@ def main_campaign(argv: Optional[List[str]] = None) -> int:
         resume=args.resume,
         compact_every=args.compact_every,
         keep_records=not args.no_records,
-        shard_deadline_s=args.shard_deadline,
         shard_attempts=args.shard_attempts,
         retry_base_ms=args.retry_base_ms,
         chaos=args.chaos,
@@ -335,10 +314,9 @@ def main_campaign(argv: Optional[List[str]] = None) -> int:
         f"implication passes: {stats.implication_passes}, "
         f"tpg tier: {tpg_tier(options.width, options.fusion)}"
     )
-    if stats.worker_restarts or stats.shard_retries or stats.quarantined_shards:
+    if stats.shard_retries or stats.quarantined_shards:
         print(
-            f"supervision: worker restarts {stats.worker_restarts}, "
-            f"shard retries {stats.shard_retries}, "
+            f"supervision: shard retries {stats.shard_retries}, "
             f"quarantined shards {stats.quarantined_shards}"
         )
     if args.checkpoint:
@@ -545,7 +523,6 @@ _EXPERIMENTS = {
     "ablation-L": run_ablation_word_length,
     "ablation-modes": run_ablation_modes,
     "ablation-implications": run_ablation_implications,
-    "campaign-scaling": run_campaign_scaling,
 }
 
 

@@ -13,12 +13,12 @@ dropped (status ``SIMULATED``), which is where a large part of the
 practical speed-up comes from.
 
 Since the campaign refactor this module is a thin façade: the engine
-*is* a 1-worker :func:`repro.campaign.run_campaign` over a
-pre-materialized fault universe with an unbounded window.  The
-campaign's round schedule (``DEFAULT_SHARDS`` lane-width batches per
-drop round) is shared verbatim, so a multi-worker campaign produces
-bit-identical per-fault statuses to this serial engine — that
-equivalence is asserted by ``tests/test_campaign.py``.
+*is* a :func:`repro.campaign.run_campaign` over a pre-materialized
+fault universe with an unbounded window.  The campaign's round
+schedule (``DEFAULT_SHARDS`` lane-width batches per drop round) is
+shared verbatim, so such a campaign produces bit-identical per-fault
+statuses to this serial engine — that equivalence is asserted by
+``tests/test_campaign.py``.
 
 Note the drop *cadence* this implies: PPSFP dropping runs after every
 round of ``DEFAULT_SHARDS`` batches (and after every round of
@@ -86,8 +86,8 @@ def _generate(
     :meth:`repro.api.AtpgSession.generate`, so both produce
     bit-identical per-fault statuses by construction.
     """
-    # Imported lazily: campaign workers import the core generation
-    # modules, so a top-level import here would be circular.
+    # Imported lazily: the campaign scheduler imports the core
+    # generation modules, so a top-level import here would be circular.
     from ..campaign.runner import execute_campaign
 
     options = options.engine_mode()

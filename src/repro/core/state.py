@@ -222,9 +222,9 @@ class TpgEngine:
 
     A ``repro_tpg`` (:func:`repro.kernel.native.native_tpg_engine`) of
     *n_planes* planes (2: 3-valued, 4: 7-valued) built at *width* lanes
-    (1..64).  It is the ``native/c`` half of a :class:`TpgState`, and a
-    campaign executor context owns one directly
-    (:class:`repro.campaign.scheduler._WorkerContext`) and reuses it for
+    (1..64).  It is the ``native/c`` half of a :class:`TpgState`, and the
+    campaign's executor owns one directly
+    (:class:`repro.campaign.scheduler.SerialExecutor`) and reuses it for
     every nonrobust shard it runs.
 
     The shard calls start from an engine reset to :attr:`width`

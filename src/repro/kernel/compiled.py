@@ -127,9 +127,8 @@ class CompiledCircuit:
     _fusion_cache: dict = field(default_factory=dict, repr=False)
 
     def __getstate__(self):
-        # exec-compiled plan bodies don't pickle (and campaign workers
-        # pickle circuits on spawn-only platforms); the cache is a
-        # memo, so ship it empty and let each process rebuild on use
+        # exec-compiled plan bodies don't pickle; the cache is a memo,
+        # so a pickled circuit ships it empty and rebuilds it on use
         state = self.__dict__.copy()
         state["_fusion_cache"] = {}
         return state

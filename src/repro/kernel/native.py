@@ -50,8 +50,8 @@ Module lifecycle — one module per machine, not per circuit:
   fanin and fanout CSR, controlling values), built once per
   :class:`CompiledCircuit` and memoized on its
   ``_fusion_cache`` — which ``__getstate__`` drops, so compiled
-  circuits stay pickling-safe (campaign pool workers rebuild the
-  struct, cheaply, per process),
+  circuits stay pickling-safe (an unpickled circuit rebuilds the
+  struct, cheaply, on use),
 * the module is named by a hash of :data:`NATIVE_ABI`, the C text and
   the compile and link flags (``_COMPILE_ARGS``, ``_LINK_ARGS``: a
   sanitized build, ``scripts/check_native_sanitizers.py``, never

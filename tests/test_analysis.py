@@ -94,21 +94,6 @@ class TestRunners:
         rows = run_table8(circuits=["s641"], fault_cap=24)
         assert "TSUNAMI_tested" in rows[0]
 
-    def test_campaign_scaling_rows(self):
-        from repro.analysis import run_campaign_scaling
-
-        rows = run_campaign_scaling(
-            circuit_name="s838", fault_cap=48, workers_list=(1, 2), width=16
-        )
-        assert [row["runner"] for row in rows] == [
-            "engine(serial)",
-            "campaign(workers=1)",
-            "campaign(workers=2)",
-        ]
-        # the schedule is worker-invariant: identical detection everywhere
-        assert len({row["detected"] for row in rows}) == 1
-        assert all(row["faults_per_s"] > 0 for row in rows)
-
     def test_figures(self):
         fig1 = run_figure1()
         assert fig1["statuses"] == ["tested", "redundant", "tested", "tested"]

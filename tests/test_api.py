@@ -75,11 +75,9 @@ class TestSessionGenerate:
         assert session.options.width == 4
 
     def test_engine_mode_ignores_parallel_fields(self):
-        # generate() must behave as a 1-worker unbounded-window campaign
-        # even when the session defaults say otherwise
-        session = AtpgSession(
-            ripple_carry_adder(2), options=Options(workers=4, window=64)
-        )
+        # generate() must behave as an unbounded-window campaign even
+        # when the session defaults say otherwise
+        session = AtpgSession(ripple_carry_adder(2), options=Options(window=64))
         report = session.generate(width=4)
         baseline = AtpgSession(ripple_carry_adder(2)).generate(width=4)
         assert [r.status for r in report.records] == [
@@ -266,21 +264,20 @@ class TestUnifiedOptions:
         options = Options.adopt(legacy)
         assert options.width == 8
         assert options.drop_faults is False
-        assert options.workers == 1  # defaulted, TpgOptions never had it
+        assert options.window is None  # defaulted, TpgOptions never had it
 
     def test_adopt_overrides_win(self):
         assert Options.adopt(Options(width=8), width=2).width == 2
 
     def test_engine_mode_view(self):
-        options = Options(width=8, workers=4, window=32, checkpoint="x.json")
+        options = Options(width=8, window=32, checkpoint="x.json")
         engine = options.engine_mode()
-        assert engine.workers == 1
         assert engine.window is None
         assert engine.checkpoint is None
         assert engine.width == 8
 
     def test_layers_round_trip(self):
-        options = Options(width=8, shards=3, workers=2, compact_every=16)
+        options = Options(width=8, shards=3, compact_every=16)
         assert Options.from_layers(options.layers()) == options
 
     def test_from_layers_rejects_unknown(self):
@@ -294,8 +291,48 @@ class TestUnifiedOptions:
             Options(width=0).validate()
         with pytest.raises(ValueError, match="window"):
             Options(width=32, window=8).validate()
-        with pytest.raises(ValueError, match="workers"):
-            Options(workers=0).validate()
+        with pytest.raises(ValueError, match="shard_attempts"):
+            Options(shard_attempts=0).validate()
+
+    def test_retired_execution_fields(self):
+        # the process pool's knobs are gone: constructing them fails,
+        # old layered payloads drop them, and a per-call override is
+        # dropped with one DeprecationWarning
+        for name, value in (("workers", 1), ("shard_deadline_s", 5.0)):
+            with pytest.raises(TypeError):
+                Options(**{name: value})
+        old = Options(width=8).layers()
+        old["execution"].update(workers=3, shard_deadline_s=5.0)
+        assert Options.from_layers(old) == Options(width=8)
+        with pytest.warns(DeprecationWarning, match="workers") as caught:
+            merged = Options(width=8).merged(workers=2, window=64)
+        assert len(caught) == 1
+        assert merged == Options(width=8, window=64)
+
+    def test_workers_keyword_on_campaign_is_ignored_with_a_warning(self):
+        # the benchmark's tpg workload passes workers=1 to every campaign
+        from repro.campaign import CampaignControl
+
+        session = AtpgSession(random_dag(10, 40, seed=7))
+        faults = all_faults(session.circuit, cap=120)
+        control = CampaignControl()
+        plain = session.campaign(
+            faults=faults, test_class="nonrobust", width=32, control=control
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = session.campaign(
+                faults=faults, test_class="nonrobust", width=32, workers=1,
+                control=control,
+            )
+        assert [w.category for w in caught] == [DeprecationWarning]
+        assert caught[0].filename == __file__  # points at the caller
+        assert report.statuses == plain.statuses
+        assert report.modes == plain.modes
+        assert report.patterns == plain.patterns
+        assert report.options == plain.options
+        for name in ("rounds", "decisions", "backtracks", "implication_passes"):
+            assert getattr(report.stats, name) == getattr(plain.stats, name)
 
 
 class TestDeprecationShims:
@@ -428,7 +465,7 @@ class TestTipDispatcher:
         capsys.readouterr()
         assert main(["validate", str(checkpoint)]) == 0
         out = capsys.readouterr().out
-        assert out.startswith(f"ok   {checkpoint}: repro/campaign-checkpoint v3")
+        assert out.startswith(f"ok   {checkpoint}: repro/campaign-checkpoint v4")
         # tpg reports: the current string-vector v3 and a v1-era file
         # with int-list vectors both validate
         import json

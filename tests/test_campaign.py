@@ -1,11 +1,11 @@
 """Tests for the staged ATPG campaign pipeline.
 
 The load-bearing invariant: the campaign schedule is a pure function
-of its options, never of worker count or timing — so a multi-process
-campaign produces *bit-identical* per-fault statuses to the serial
-engine (which is a 1-worker campaign by construction).  The tests
-assert that equivalence on the c880-scale suite and on random
-circuits (property-based), plus the streaming window bound,
+of its options, never of timing — so a campaign produces
+*bit-identical* per-fault statuses to the serial engine (which is an
+unbounded-window campaign by construction).  The tests assert that
+equivalence on the c880-scale suite and on random circuits
+(property-based), plus the streaming window bound,
 checkpoint/resume, incremental compaction, and the fault universe's
 filtering/dedup/budget semantics.
 """
@@ -17,10 +17,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import AtpgSession, Options
 from repro.campaign import (
     CampaignOptions,
     CampaignReport,
     FaultUniverse,
+    SerialExecutor,
     run_campaign,
 )
 from repro.campaign.runner import _Campaign
@@ -50,18 +52,16 @@ def detected_set(report):
 
 
 class TestSerialEquivalence:
-    """campaign(workers=k) == serial engine, for every k."""
+    """campaign == serial engine (``AtpgSession.generate``)."""
 
     @pytest.mark.parametrize("test_class", [TestClass.NONROBUST, TestClass.ROBUST])
-    def test_c880_scale_workers2_identical(self, test_class):
-        circuit = suite_circuit("c880", 1)
+    def test_c880_scale_identical(self, test_class):
+        session = AtpgSession(suite_circuit("c880", 1))
+        circuit = session.circuit
         faults = fault_list(circuit, cap=160, strategy="all")
-        serial = generate_tests(circuit, faults, test_class, TpgOptions(width=16))
-        campaign = run_campaign(
-            circuit,
-            faults=faults,
-            test_class=test_class,
-            options=CampaignOptions(width=16, workers=2),
+        serial = session.generate(faults, test_class=test_class, width=16)
+        campaign = session.campaign(
+            faults=faults, test_class=test_class, options=Options(width=16)
         )
         assert campaign_statuses(campaign) == engine_statuses(serial)
         assert set(campaign.detected_indices()) == detected_set(serial)
@@ -71,20 +71,14 @@ class TestSerialEquivalence:
             sim.coverage(serial.patterns, faults)
         )
 
-    def test_workers_do_not_change_statuses_with_drops(self):
+    def test_campaign_matches_generate_with_drops(self):
         # this workload exercises SIMULATED, REDUNDANT and TESTED at once
-        circuit = random_dag(10, 40, seed=7)
-        faults = all_faults(circuit, cap=200)
-        reports = [
-            run_campaign(
-                circuit,
-                faults=faults,
-                options=CampaignOptions(width=4, workers=workers),
-            )
-            for workers in (1, 2)
-        ]
-        assert campaign_statuses(reports[0]) == campaign_statuses(reports[1])
-        statuses = set(campaign_statuses(reports[0]))
+        session = AtpgSession(random_dag(10, 40, seed=7))
+        faults = all_faults(session.circuit, cap=200)
+        campaign = session.campaign(faults=faults, options=Options(width=4))
+        serial = session.generate(faults, options=Options(width=4))
+        assert campaign_statuses(campaign) == engine_statuses(serial)
+        statuses = set(campaign_statuses(campaign))
         assert FaultStatus.SIMULATED in statuses  # drops really happened
 
     @settings(
@@ -98,17 +92,12 @@ class TestSerialEquivalence:
         robust=st.booleans(),
     )
     def test_property_random_circuits(self, seed, width, robust):
-        circuit = random_dag(8, 30, seed=seed)
-        faults = all_faults(circuit, cap=80)
+        session = AtpgSession(random_dag(8, 30, seed=seed))
+        faults = all_faults(session.circuit, cap=80)
         test_class = TestClass.ROBUST if robust else TestClass.NONROBUST
-        serial = generate_tests(
-            circuit, faults, test_class, TpgOptions(width=width)
-        )
-        campaign = run_campaign(
-            circuit,
-            faults=faults,
-            test_class=test_class,
-            options=CampaignOptions(width=width, workers=2),
+        serial = session.generate(faults, test_class=test_class, width=width)
+        campaign = session.campaign(
+            faults=faults, test_class=test_class, options=Options(width=width)
         )
         assert campaign_statuses(campaign) == engine_statuses(serial)
         assert set(campaign.detected_indices()) == detected_set(serial)
@@ -199,44 +188,94 @@ class TestFaultUniverse:
 
 class TestCheckpointResume:
     def test_interrupted_campaign_resumes_identically(self, tmp_path):
-        circuit = random_dag(10, 40, seed=7)
+        session = AtpgSession(random_dag(10, 40, seed=7))
+        circuit = session.circuit
         faults = all_faults(circuit, cap=120)
-        options = CampaignOptions(width=4, window=32)
-        baseline = run_campaign(
-            circuit, universe=FaultUniverse.from_faults(faults), options=options
+        baseline = session.campaign(
+            universe=FaultUniverse.from_faults(faults),
+            options=Options(width=4, window=32),
         )
 
         # run a few rounds by hand, checkpoint, and abandon the run
         path = str(tmp_path / "campaign.json")
-        partial_options = CampaignOptions(
-            width=4, window=32, checkpoint=path, resume=True
-        )
+        partial_options = Options(width=4, window=32, checkpoint=path, resume=True)
         partial = _Campaign(
             circuit,
             FaultUniverse.from_faults(faults),
             TestClass.NONROBUST,
             partial_options,
         )
-        from repro.campaign.scheduler import make_executor
-
-        executor = make_executor(circuit, TestClass.NONROBUST, 4, True, 64, 1)
+        executor = SerialExecutor(circuit, TestClass.NONROBUST, 4, True, 64)
         stream = partial.universe.stream()
         for _round in range(3):
             partial.pull(stream)
             partial.fptpg_round(executor)
-        executor.close()
         partial.save_checkpoint()
         settled_at_interrupt = len(partial.report.statuses)
         assert 0 < settled_at_interrupt < len(faults)
 
-        resumed = run_campaign(
-            circuit,
-            universe=FaultUniverse.from_faults(faults),
-            options=partial_options,
+        resumed = session.campaign(
+            universe=FaultUniverse.from_faults(faults), options=partial_options
         )
         assert resumed.complete
         assert campaign_statuses(resumed) == campaign_statuses(baseline)
         assert len(resumed.patterns) == len(baseline.patterns)
+
+    def test_v3_checkpoint_resumes_and_other_versions_are_refused(
+        self, tmp_path
+    ):
+        """A checkpoint whose stats still carry ``worker_restarts`` (v3)
+        resumes to the uninterrupted result; v2 and v5 are refused."""
+        from repro.api import integrity
+        from repro.api.schemas import validate
+        from repro.campaign import CampaignControl
+
+        session = AtpgSession(random_dag(10, 40, seed=7))
+        faults = all_faults(session.circuit, cap=120)
+        options = dict(width=4, window=32)
+        baseline = session.campaign(faults=faults, **options)
+
+        class StopAfter(CampaignControl):
+            rounds = 0
+
+            def should_stop(self):
+                return self.rounds >= 3
+
+            def on_round(self, progress):
+                self.rounds = progress["rounds"]
+
+        path = str(tmp_path / "campaign.json")
+        partial = session.campaign(
+            faults=faults, control=StopAfter(), checkpoint=path, resume=True,
+            **options,
+        )
+        assert not partial.complete
+        payload, _ = integrity.load_json_verified(path)
+        assert payload["version"] == 4
+        assert "worker_restarts" not in payload["stats"]
+        payload["stats"]["worker_restarts"] = 0
+
+        def rewrite(version):
+            integrity.write_json_rotated(
+                path, {**payload, "schema_version": version, "version": version}
+            )
+
+        for version in (2, 5):
+            rewrite(version)
+            with pytest.raises(ValueError, match=f"has version {version}"):
+                session.campaign(
+                    faults=faults, checkpoint=path, resume=True, **options
+                )
+        rewrite(3)
+        validate(integrity.load_json_verified(path)[0])  # a well-formed v3
+        resumed = session.campaign(
+            faults=faults, checkpoint=path, resume=True, **options
+        )
+        assert resumed.complete
+        assert campaign_statuses(resumed) == campaign_statuses(baseline)
+        assert [(p.v1, p.v2) for p in resumed.patterns] == [
+            (p.v1, p.v2) for p in baseline.patterns
+        ]
 
     @settings(
         max_examples=5,
@@ -258,37 +297,31 @@ class TestCheckpointResume:
         """
         import tempfile
 
-        circuit = random_dag(9, 35, seed=seed)
+        session = AtpgSession(random_dag(9, 35, seed=seed))
+        circuit = session.circuit
         faults = all_faults(circuit, cap=100)
-        baseline = run_campaign(
-            circuit,
-            universe=FaultUniverse.from_faults(faults),
-            options=CampaignOptions(width=4),
+        baseline = session.campaign(
+            universe=FaultUniverse.from_faults(faults), options=Options(width=4)
         )
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "campaign.json")
-            options = CampaignOptions(width=4, checkpoint=path, resume=True)
+            options = Options(width=4, checkpoint=path, resume=True)
             partial = _Campaign(
                 circuit,
                 FaultUniverse.from_faults(faults),
                 TestClass.NONROBUST,
                 options,
             )
-            from repro.campaign.scheduler import make_executor
-
-            executor = make_executor(circuit, TestClass.NONROBUST, 4, True, 64, 1)
+            executor = SerialExecutor(circuit, TestClass.NONROBUST, 4, True, 64)
             stream = partial.universe.stream()
             for _round in range(interrupt_after):
                 partial.pull(stream)
                 if not partial.fptpg_round(executor):
                     break
-            executor.close()
             partial.save_checkpoint()
 
-            resumed = run_campaign(
-                circuit,
-                universe=FaultUniverse.from_faults(faults),
-                options=options,
+            resumed = session.campaign(
+                universe=FaultUniverse.from_faults(faults), options=options
             )
         assert resumed.complete
         assert campaign_statuses(resumed) == campaign_statuses(baseline)
@@ -404,31 +437,27 @@ class TestIncrementalCompaction:
     def test_compaction_after_resume_preserves_coverage(self, tmp_path):
         """Pre-resume patterns and obligations survive the checkpoint,
         so post-resume compaction cannot discard claimed coverage."""
-        circuit = random_dag(10, 40, seed=7)
+        session = AtpgSession(random_dag(10, 40, seed=7))
+        circuit = session.circuit
         faults = all_faults(circuit, cap=150)
         path = str(tmp_path / "compact.json")
-        options = CampaignOptions(
-            width=4, compact_every=8, checkpoint=path, resume=True
-        )
+        options = Options(width=4, compact_every=8, checkpoint=path, resume=True)
         partial = _Campaign(
             circuit,
             FaultUniverse.from_faults(faults),
             TestClass.NONROBUST,
             options,
         )
-        from repro.campaign.scheduler import make_executor
-
-        executor = make_executor(circuit, TestClass.NONROBUST, 4, True, 64, 1)
+        executor = SerialExecutor(circuit, TestClass.NONROBUST, 4, True, 64)
         stream = partial.universe.stream()
         for _round in range(6):
             partial.pull(stream)
             partial.fptpg_round(executor)
-        executor.close()
         partial.save_checkpoint()
         assert 0 < len(partial.report.statuses) < len(faults)
 
-        resumed = run_campaign(
-            circuit, universe=FaultUniverse.from_faults(faults), options=options
+        resumed = session.campaign(
+            universe=FaultUniverse.from_faults(faults), options=options
         )
         assert resumed.stats.compactions > 0
         sim = DelayFaultSimulator(circuit, TestClass.NONROBUST)
@@ -497,7 +526,6 @@ class TestFaultTableRows:
     def test_windowed_stop_and_resume_matches_an_uninterrupted_run(
         self, tmp_path, stop_after
     ):
-        from repro.api import AtpgSession
         from repro.campaign import CampaignControl
 
         circuit = random_dag(10, 40, seed=7)
@@ -506,7 +534,7 @@ class TestFaultTableRows:
         def universe():
             return FaultUniverse.from_circuit(circuit, max_faults=160)
 
-        options = dict(width=4, window=16, workers=1)
+        options = dict(width=4, window=16)
         baseline = session.campaign(universe=universe(), **options)
 
         class StopAfter(CampaignControl):

@@ -63,13 +63,12 @@ class TestPathsCommand:
 
 
 class TestCampaignCommand:
-    def test_basic_run_with_workers(self, capsys):
+    def test_basic_run(self, capsys):
         assert (
             main_campaign(
                 [
                     "c880",
                     "--width", "16",
-                    "--workers", "2",
                     "--max-faults", "120",
                     "--window", "64",
                 ]

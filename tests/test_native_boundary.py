@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.api import AtpgSession, Options
 from repro.api.resolve import resolve_circuit
 from repro.campaign.bus import DropBus
-from repro.campaign.scheduler import ShardResult, _WorkerContext
+from repro.campaign.scheduler import SerialExecutor, ShardResult
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.generators import random_dag
 from repro.core.aptpg import run_aptpg
@@ -399,22 +399,22 @@ class _Shards:
                     return sub
         raise AssertionError("no internal path tests")
 
-    def context(self):
-        return _WorkerContext(self.circuit, TestClass.NONROBUST, 32, True, 2)
+    def executor(self):
+        return SerialExecutor(self.circuit, TestClass.NONROBUST, 32, True, 2)
 
-    def run(self, context, shard):
+    def run(self, executor, shard):
         kind, faults = shard
         try:
             if kind == "aptpg":
-                return shard_key(context.aptpg_shard(faults[0]))
-            return shard_key(context.fptpg_shard(faults))
+                return shard_key(executor.aptpg_shard(faults[0]))
+            return shard_key(executor.fptpg_shard(faults))
         except ValueError as exc:
             return ("raised", str(exc))
 
     def fresh(self, shard):
         key = (shard[0], tuple(shard[1]))
         if key not in self._fresh:
-            self._fresh[key] = self.run(self.context(), shard)
+            self._fresh[key] = self.run(self.executor(), shard)
         return self._fresh[key]
 
 
@@ -449,10 +449,10 @@ class TestReusedEngine:
             ),
         )
         sequence = data.draw(st.lists(shard, min_size=1, max_size=8))
-        context = shards.context()
+        executor = shards.executor()
         for item in sequence:
-            assert shards.run(context, item) == shards.fresh(item)
-        assert context.engine() is not None
+            assert shards.run(executor, item) == shards.fresh(item)
+        assert executor.engine() is not None
 
     def test_run_outcomes_read_rows_like_extract_pattern(self, shards):
         circuit, cc = shards.circuit, shards.cc

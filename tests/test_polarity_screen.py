@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.campaign.scheduler import _WorkerContext
+from repro.campaign import SerialExecutor
 from repro.circuit import Circuit, CircuitBuilder, GateType
 from repro.core import aptpg
 from repro.core.aptpg import AptpgOutcome, _attempt, polarity_lanes, run_aptpg
@@ -281,7 +281,7 @@ class TestScreen:
         assert outcome.state.width == 8
         assert outcome.implication_passes > outcome.state.implication_passes > 0
         # the campaign's APTPG shards report the same total
-        shard = _WorkerContext(c, TestClass.NONROBUST, 8, True, 64).aptpg_shard(fault)
+        shard = SerialExecutor(c, TestClass.NONROBUST, 8, True, 64).aptpg_shard(fault)
         assert shard.implication_passes == outcome.implication_passes
 
 

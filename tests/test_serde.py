@@ -57,7 +57,7 @@ options_strategy = st.builds(
     sim_backend=st.sampled_from(["auto", "int", "numpy"]),
     shards=st.integers(min_value=1, max_value=8),
     window=st.none() | st.integers(min_value=256, max_value=10_000),
-    workers=st.integers(min_value=1, max_value=8),
+    shard_attempts=st.integers(min_value=1, max_value=8),
     checkpoint=st.none() | st.text(min_size=1, max_size=20),
     checkpoint_every=st.integers(min_value=1, max_value=64),
     resume=st.booleans(),
@@ -147,7 +147,17 @@ class TestRoundTrips:
     @given(options=options_strategy)
     def test_options(self, options):
         payload = json_round(serde.options_to_payload(options))
+        assert payload["schema_version"] == 5
         assert serde.options_from_payload(payload) == options
+        # v4 still carried the process pool's knobs: they decode away
+        v4 = {**payload, "schema_version": 4}
+        v4["execution"] = {
+            **payload["execution"], "workers": 3, "shard_deadline_s": 5.0
+        }
+        assert serde.options_from_payload(v4) == options
+        # and v5 refuses them
+        with pytest.raises(SchemaError, match="workers"):
+            serde.options_from_payload({**v4, "schema_version": 5})
 
     @settings(max_examples=25)
     @given(report=tpg_reports)
@@ -184,14 +194,24 @@ class TestRoundTrips:
             universe=None, test_class="nonrobust", width=4, compact_every=8
         )
         payload = json_round(serde.campaign_report_to_payload(report))
-        assert payload["schema_version"] == 5
+        assert payload["schema_version"] == 6
         assert isinstance(payload["patterns"][0]["v1"], str)
         rebuilt = serde.campaign_report_from_payload(payload)
         assert rebuilt == report
         assert serde.load(payload) == report
-        # the v4 int-list form still decodes to the same report
-        v4 = {
+        # the v5 form, with the process pool's workers option and
+        # restart counter, still decodes to the same report
+        options = payload["options"]
+        v5 = {
             **payload,
+            "schema_version": 5,
+            "options": {**options, "execution": {**options["execution"], "workers": 1}},
+            "stats": {**payload["stats"], "worker_restarts": 0},
+        }
+        assert serde.load(v5) == report
+        # and so does the v4 int-list form
+        v4 = {
+            **v5,
             "schema_version": 4,
             "patterns": [int_list_pattern(p) for p in payload["patterns"]],
             "records": [
@@ -291,4 +311,4 @@ class TestArtifacts:
         session.campaign(width=4, checkpoint=str(path))
         kind, version = validate_file(str(path))
         assert kind == "repro/campaign-checkpoint"
-        assert version == 3
+        assert version == 4

@@ -733,6 +733,39 @@ class TestJobQueue:
         assert result["statuses"] == sync.payload["statuses"]
         service.shutdown()
 
+    def test_v4_workers_option_starts_no_process(self, monkeypatch):
+        """A v4 campaign request's ``workers``/``shard_deadline_s`` are
+        read and dropped: the job runs in-process, settling like the
+        same request without them.  Options v5 refuses both keys."""
+        import multiprocessing.pool
+
+        def no_pool(self, *args, **kwargs):
+            raise AssertionError("a campaign job started a process pool")
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", no_pool)
+        service = AtpgService()
+        body = {"circuit": "c17", "max_faults": 16}
+        retired = {"execution": {"workers": 3, "shard_deadline_s": 5.0}}
+        results = []
+        for request in (body, {**body, "options": retired}):
+            submitted = service.submit_campaign(
+                stamp("repro/request.campaign", request, version=4)
+            )
+            assert submitted.ok and submitted.status == 202
+            job_id = submitted.payload["id"]
+            record = _poll_until(service, job_id, ("done", "failed"))
+            assert record["state"] == "done", record.get("error")
+            results.append(record["result"])
+        plain, with_workers = results
+        assert with_workers["statuses"] == plain["statuses"]
+        assert with_workers["patterns"] == plain["patterns"]
+        refused = service.submit_campaign(
+            stamp("repro/request.campaign", {**body, "options": retired})
+        )
+        assert refused.status == 400
+        assert "workers" in refused.payload["detail"]
+        service.shutdown()
+
     def test_malformed_submission_fails_fast_before_the_queue(self):
         service = AtpgService()
         response = service.submit_campaign(
