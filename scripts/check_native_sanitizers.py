@@ -52,6 +52,7 @@ SUITES = [
     "tests/test_fault_table.py",
     "tests/test_campaign.py",
     "tests/test_native_boundary.py",
+    "tests/test_chaos.py",
 ]
 
 _CHILD = """

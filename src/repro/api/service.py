@@ -335,6 +335,11 @@ class AtpgService:
         self._started = time.time()
 
     # ------------------------------------------------------------ counters
+    def count_refused(self) -> None:
+        """Count a request the HTTP transport refused before decoding it."""
+        with self._lock:
+            self.requests_failed += 1
+
     @property
     def requests_served(self) -> int:
         """Total requests (ok + failed) — the historical counter."""
@@ -829,6 +834,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
         self._status = status
 
+    def _refuse(
+        self, status: int, error: str, detail: str, close: bool = False
+    ) -> None:
+        """Answer a request refused before its body was decoded (a failed one)."""
+        self.service.count_refused()
+        self._send(status, {"error": error, "detail": detail}, close=close)
+
     def _send_envelope(self, response: Response) -> None:
         self._send(
             response.status, response.envelope(), retry_after=response.retry_after
@@ -885,6 +897,19 @@ class _Handler(BaseHTTPRequestHandler):
             self._access("POST", started)
             return
         verb = parts[0]
+        if "Transfer-Encoding" in self.headers:
+            # only Content-Length bodies are read; close, as for 413:
+            # the unread (e.g. chunked) body would parse as the next
+            # request on this connection
+            self._refuse(
+                411,
+                "LengthRequired",
+                "send the body with a Content-Length, not Transfer-Encoding "
+                f"{self.headers['Transfer-Encoding']!r}",
+                close=True,
+            )
+            self._access("POST", started)
+            return
         try:
             length = int(self.headers.get("Content-Length", "0"))
             if length < 0:
@@ -892,20 +917,17 @@ class _Handler(BaseHTTPRequestHandler):
                 raise ValueError(f"negative Content-Length {length}")
             if length > MAX_BODY_BYTES:
                 # close: the unread body would parse as the next request
-                self._send(
+                self._refuse(
                     413,
-                    {
-                        "error": "PayloadTooLarge",
-                        "detail": f"Content-Length {length} exceeds "
-                        f"{MAX_BODY_BYTES} bytes",
-                    },
+                    "PayloadTooLarge",
+                    f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes",
                     close=True,
                 )
                 self._access("POST", started)
                 return
             payload = json.loads(self.rfile.read(length) or b"{}")
         except (ValueError, json.JSONDecodeError) as exc:
-            self._send(400, {"error": "BadRequest", "detail": str(exc)})
+            self._refuse(400, "BadRequest", str(exc))
             self._access("POST", started)
             return
         if verb in ASYNC_VERBS:

@@ -21,7 +21,7 @@ from .report import (
     CampaignStats,
 )
 from .runner import CampaignControl, execute_campaign, run_campaign
-from .scheduler import SerialExecutor, ShardResult
+from .scheduler import RoundResult, SerialExecutor, ShardResult
 from .universe import FaultUniverse
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "DEFAULT_SHARDS",
     "DropBus",
     "FaultUniverse",
+    "RoundResult",
     "SerialExecutor",
     "ShardResult",
     "run_campaign",

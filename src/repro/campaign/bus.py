@@ -42,17 +42,21 @@ rebuilt from the live rows once those are outnumbered, so under a
 ``window`` the table stays bounded by the window, not the universe.
 
 The retained patterns are a :class:`repro.core.patterns.PatternTable`.
-A round appends its fresh rows — as the shards read them from the C
-engine, or decoded from pattern tuples — and packs only that slice
-(:meth:`PatternTable.packed`); admission packs the whole table.  On
-the native backend (the default wherever the module loads) each round
-is then one :meth:`repro.sim.delay_sim.DelayFaultSimulator.drop_pass`
-on a :class:`repro.kernel.native.DropScratch` the bus allocates once
-and grows on demand; the other backends, and any explicit fusion, run
-:meth:`~repro.sim.delay_sim.DelayFaultSimulator.detection_masks` as
-admission does.  The bus owns one simulator for every pass, so the
-compiled kernel and backend selection are paid once per campaign; the
-``backend`` knob passes straight through to it.
+A round appends its fresh rows — as the C generation round wrote them,
+or decoded from pattern tuples — and drops against only that slice;
+admission packs the whole table.  On the native backend (the default
+wherever the module loads) a drop round is one C call on a
+:class:`repro.kernel.native.DropRound` the bus builds once: it packs
+the fresh rows into input planes, runs the forward pass and the
+detection walk over the live rows in row order, and clears the live
+bits of the rows it detects, so no pending array, fault view or packed
+batch is built in Python.  The other backends, and any explicit
+fusion, pack the slice (:meth:`PatternTable.packed`) and run
+:meth:`~repro.sim.delay_sim.DelayFaultSimulator.detection_masks` over
+a view of the live rows, as admission does.  The bus owns one
+simulator for every pass, so the compiled kernel and backend selection
+are paid once per campaign; the ``backend`` knob passes straight
+through to it.
 """
 
 from __future__ import annotations
@@ -62,9 +66,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import chaos
 from ..circuit import Circuit
 from ..core.patterns import PatternTable, Rows, TestPattern
-from ..kernel.native import DropScratch
+from ..kernel.native import DropRound
 from ..paths import FaultTable, PathDelayFault, TestClass
 from ..paths.table import grown, path_input_error, signal_range_error
 from ..sim.delay_sim import DelayFaultSimulator
@@ -129,10 +134,10 @@ class DropBus:
         # rows in row order are the pending faults in registration order
         self._live = np.zeros(0, dtype=bool)
         self._index = np.zeros(0, dtype=np.int64)
-        # the native backend drop rounds run on, and its scratch: both
+        # the native drop round, when rounds run on the native backend:
         # settled at the first round (the backend choice does not depend
         # on the batch width)
-        self._native: Optional[Tuple[object, DropScratch]] = None
+        self._native: Optional[DropRound] = None
         self._native_checked = False
 
     @property
@@ -186,6 +191,11 @@ class DropBus:
         kept = [a for k, a in enumerate(arrivals) if k not in errors]
         return kept, rejected
 
+    def table_rows(self, indices: Sequence[int]) -> List[int]:
+        """The table rows of live stream *indices*, in that order."""
+        rows = self._rows
+        return [rows[index] for index in indices]
+
     def release(self, index: int) -> None:
         """Forget a settled fault's row (a no-op for unknown indices)."""
         row = self._rows.pop(index, None)
@@ -219,8 +229,11 @@ class DropBus:
         them the tuples are decoded and checked.  The live rows are the
         campaign's pending faults (settled faults were released, so no
         rescan of the full universe happens here — the set only ever
-        shrinks between admissions).
+        shrinks between admissions).  The detected rows stop being
+        live here; the campaign settles (and releases) their indices.
         """
+        if not fresh:
+            return []
         retained = self.retained
         start = len(retained)
         if rows is None:
@@ -228,28 +241,32 @@ class DropBus:
         else:
             retained.append(rows[0], rows[1], fresh)
         dropped: List[int] = []
-        if fresh and self.enabled and self._rows:
+        if self.enabled and self._rows:
             t0 = time.perf_counter()
-            pending = self._pending_rows()
-            packed = retained.packed(start, len(retained))
             simulator = self.simulator
             if not self._native_checked:
-                backend = simulator.native_backend(len(fresh))
-                if backend is not None:
-                    self._native = (backend, DropScratch(simulator.compiled))
+                if simulator.native_backend(len(fresh)) is not None:
+                    self._native = DropRound(
+                        simulator.compiled, self.test_class is TestClass.ROBUST
+                    )
                 self._native_checked = True
-            view = self.table.view(pending)
             if self._native is not None:
-                backend, scratch = self._native
-                detected = pending[simulator.drop_pass(backend, packed, view, scratch)]
+                chaos.maybe_raise("kernel_fault")
+                detected = self._native.run(
+                    retained.rows[start:], self.table, self._live
+                )
             else:
-                masks = simulator.detection_masks(packed, view)
-                detected = pending[[k for k, mask in enumerate(masks) if mask]]
-            dropped = self._index[detected].tolist()
+                pending = self._pending_rows()
+                masks = simulator.detection_masks(
+                    retained.packed(start, len(retained)), self.table.view(pending)
+                )
+                detected = pending[[k for k, mask in enumerate(masks) if mask]].tolist()
+            if detected:
+                dropped = self._index[detected].tolist()
             self.seconds_simulate += time.perf_counter() - t0
             if self.compact_every is not None:
                 faults = self.table.faults
-                self.obligations.extend(faults[row] for row in detected.tolist())
+                self.obligations.extend(faults[row] for row in detected)
         self._since_compaction += len(fresh)
         self._maybe_compact()
         return dropped

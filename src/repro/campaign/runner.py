@@ -18,6 +18,13 @@
    interrupted campaign resumes from the snapshot, re-entering the
    stream by position.
 
+A round's Python is four steps: choosing its targets (by their rows in
+the bus's fault table), the executor's supervision pre-checks,
+settling what the round decided and the faults its patterns drop, and
+``on_round``.  The generation and the drop pass themselves are one call
+each — on the ``native/c`` tier and the native backend, one C call
+each (:meth:`SerialExecutor.run_round`, :meth:`DropBus.absorb`).
+
 The schedule — window fills, batch composition, drop cadence — is a
 pure function of :class:`CampaignOptions`; timing, shard retries and
 checkpoint/resume never influence which faults share a batch or when
@@ -33,13 +40,11 @@ import warnings
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .. import chaos
 from ..api import integrity
 from ..api.options import Options
 from ..circuit import Circuit
-from ..core.patterns import Rows, TestPattern
+from ..core.patterns import TestPattern
 from ..core.results import FaultRecord, FaultStatus
 from ..paths import PathDelayFault, TestClass
 from .bus import DropBus, Rejected
@@ -57,17 +62,6 @@ from .universe import FaultUniverse
 #: Admission checks run in bounded slices so an unbounded-window pull
 #: of a huge universe never builds one giant simulation batch.
 _ADMIT_CHUNK = 4096
-
-def _stacked(blocks: List[Rows]) -> Optional[Rows]:
-    """A round's fresh (V1, V2) rows: its shards' row blocks, in order."""
-    if not blocks:
-        return None
-    if len(blocks) == 1:
-        return blocks[0]
-    return (
-        np.concatenate([v1 for v1, _ in blocks]),
-        np.concatenate([v2 for _, v2 in blocks]),
-    )
 
 
 class CampaignControl:
@@ -152,10 +146,11 @@ class _Campaign:
         pattern: Optional[TestPattern],
         mode: str,
     ) -> None:
-        self.report.statuses[index] = status
-        self.report.modes[index] = mode
-        if self.report.records is not None:
-            self.report.records[index] = FaultRecord(fault, status, pattern, mode)
+        report = self.report
+        report.statuses[index] = status
+        report.modes[index] = mode
+        if report.records is not None:
+            report.records[index] = FaultRecord(fault, status, pattern, mode)
         self.pending.pop(index, None)
         self.queued.discard(index)
         self.bus.release(index)
@@ -231,6 +226,49 @@ class _Campaign:
                 "simulation",
             )
 
+    def _generate(
+        self, executor, aptpg: bool, targets: List[int], bounds: List[int]
+    ) -> None:
+        """Run one round of *targets*, settle what it decided, then drop.
+
+        Shard *k* is ``targets[bounds[k]:bounds[k + 1]]``.  Settles each
+        shard's faults in order — a quarantined shard's as
+        ``skipped_error``, an FPTPG lane left unjustified onto the APTPG
+        queue — adds the round's counters, hands the tested patterns and
+        their rows to the drop bus and settles the faults they detect.
+        """
+        result = executor.run_round(
+            aptpg, self.bus.table, self.bus.table_rows(targets), bounds
+        )
+        stats = self.report.stats
+        stats.decisions += result.decisions
+        stats.backtracks += result.backtracks
+        stats.implication_passes += result.implication_passes
+        stats.seconds_sensitize += result.seconds_sensitize
+        mode = "aptpg" if aptpg else "fptpg"
+        pending = self.pending
+        fresh: List[TestPattern] = []
+        for k, error in enumerate(result.errors):
+            lo, hi = bounds[k], bounds[k + 1]
+            if error is not None:
+                # quarantined shard: its faults are settled as
+                # skipped_error with the envelope, never retried again
+                for index in targets[lo:hi]:
+                    self._settle_error(index, pending[index], error)
+                continue
+            for index, status, pattern in zip(
+                targets[lo:hi], result.statuses[lo:hi], result.patterns[lo:hi]
+            ):
+                if status is FaultStatus.DEFERRED:
+                    # deferred to APTPG; stays pending (and droppable)
+                    self.queued.add(index)
+                    self.queue.append(index)
+                    continue
+                self.settle(index, pending[index], status, pattern, mode)
+                if pattern is not None:
+                    fresh.append(pattern)
+        self._apply_drops(self.bus.absorb(fresh, result.rows))
+
     def fptpg_round(self, executor) -> bool:
         """Generate one round of up to ``shards`` lane-width batches."""
         options = self.options
@@ -242,40 +280,9 @@ class _Campaign:
                 targets.append(index)
         if not targets:
             return False
-        batches = [
-            targets[start : start + options.width]
-            for start in range(0, len(targets), options.width)
-        ]
-        results = executor.run_fptpg(
-            [[self.pending[i] for i in batch] for batch in batches]
-        )
+        bounds = list(range(0, len(targets), options.width)) + [len(targets)]
+        self._generate(executor, False, targets, bounds)
         stats = self.report.stats
-        fresh: List[TestPattern] = []
-        rows: List[Rows] = []
-        for batch, result in zip(batches, results):
-            if result.error is not None:
-                # quarantined shard: its faults are settled as
-                # skipped_error with the envelope, never retried again
-                for index in batch:
-                    self._settle_error(index, self.pending[index], result.error)
-                continue
-            stats.decisions += result.decisions
-            stats.implication_passes += result.implication_passes
-            stats.seconds_sensitize += result.seconds_sensitize
-            if result.rows is not None:
-                rows.append(result.rows)
-            for index, status, pattern in zip(
-                batch, result.statuses, result.patterns
-            ):
-                if status is FaultStatus.TESTED:
-                    self.settle(index, self.pending[index], status, pattern, "fptpg")
-                    fresh.append(pattern)
-                elif status is FaultStatus.REDUNDANT:
-                    self.settle(index, self.pending[index], status, None, "fptpg")
-                else:  # deferred to APTPG; stays pending (and droppable)
-                    self.queued.add(index)
-                    self.queue.append(index)
-        self._apply_drops(self.bus.absorb(fresh, _stacked(rows)))
         stats.rounds += 1
         stats.fptpg_rounds += 1
         return True
@@ -290,25 +297,8 @@ class _Campaign:
                 targets.append(index)
         if not targets:
             return False
-        results = executor.run_aptpg([self.pending[i] for i in targets])
+        self._generate(executor, True, targets, list(range(len(targets) + 1)))
         stats = self.report.stats
-        fresh: List[TestPattern] = []
-        rows: List[Rows] = []
-        for index, result in zip(targets, results):
-            if result.error is not None:
-                self._settle_error(index, self.pending[index], result.error)
-                continue
-            stats.decisions += result.decisions
-            stats.backtracks += result.backtracks
-            stats.implication_passes += result.implication_passes
-            stats.seconds_sensitize += result.seconds_sensitize
-            status = result.statuses[0]
-            pattern = result.patterns[0]
-            self.settle(index, self.pending[index], status, pattern, "aptpg")
-            if pattern is not None:
-                fresh.append(pattern)
-                rows.append(result.rows)
-        self._apply_drops(self.bus.absorb(fresh, _stacked(rows)))
         stats.rounds += 1
         stats.aptpg_rounds += 1
         return True

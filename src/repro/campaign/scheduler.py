@@ -1,26 +1,27 @@
-"""Shard execution: supervised lane-width batches, in-process.
+"""Shard execution: supervised lane-width batches, a round at a time.
 
 The campaign schedule (see :mod:`repro.campaign.runner`) is a sequence
 of *rounds*; each round is ``shards`` independent units of generation
 work — FPTPG batches of up to ``width`` faults, or single-fault APTPG
 searches.  :class:`SerialExecutor` runs one round's shards in the
-calling process, in order, and returns one plain :class:`ShardResult`
-per shard (never a ``TpgState``).
+calling process, in order, and returns one :class:`RoundResult`: each
+fault's status and pattern, each shard's quarantine envelope, the
+tested patterns' rows and the summed search counters.  A round names
+its faults by their rows in the drop bus's
+:class:`repro.paths.FaultTable` and its shards by bounds over them.
 
-**One engine per executor.**  The executor owns one 3-valued C TPG
-engine (:class:`repro.core.state.TpgEngine`) at the campaign width,
-built on first use.  On the ``native/c`` tier a nonrobust APTPG shard
-is one call on it (:func:`repro.core.aptpg.aptpg_record`, which resets
-the engine for every screen chunk and search) and an FPTPG shard is a
-reset plus one call (:func:`repro.core.fptpg.fptpg_record`); the tested
-lanes come back as pattern rows read straight from the engine's
-primary-input planes, and the shard returns its :class:`ShardResult`
-without building a ``TpgState`` or an outcome.  Every shard starts
-from an engine reset to the campaign width, so it stays a pure
-function of its payload: a retried shard is bit-identical.
-Robust shards and the Python tiers run :func:`run_fptpg` /
-:func:`run_aptpg` as before (their oracles), and their rows are decoded
-from the pattern tuples.
+**One C call per round.**  The executor owns one 3-valued C TPG engine
+(:class:`repro.core.state.TpgEngine`) at the campaign width, built on
+first use.  On the ``native/c`` tier a nonrobust round is one call on
+it (:meth:`TpgEngine.round`): every shard reads its paths from the
+table's columns by row, starts from an engine reset to the campaign
+width (an FPTPG batch) or resets for each of its states (an APTPG
+fault), and leaves its verdicts, tested rows and counters in the
+engine, so a retried shard is bit-identical and no ``TpgState``,
+outcome or pattern tuple is built until the round is read back.
+Robust rounds and the Python tiers run each shard through
+:func:`run_fptpg` / :func:`run_aptpg` (their oracles, looked up here at
+call time), and their rows are decoded from the pattern tuples.
 
 **Supervision.**  Long campaigns must survive losing pieces.  Every
 shard runs under a :class:`Supervision` policy:
@@ -30,31 +31,55 @@ shard runs under a :class:`Supervision` policy:
   pure function of the shard payload — a successful retry is
   bit-identical to a never-failed run;
 * a shard still failing after ``shard_attempts`` attempts is
-  **quarantined** (``quarantined_shards``): its :class:`ShardResult`
-  carries ``skipped_error`` statuses and an error envelope instead of
-  crashing the round, and the runner settles its faults accordingly.
+  **quarantined** (``quarantined_shards``): the round carries its
+  error envelope instead of crashing, and the runner settles its
+  faults ``skipped_error``.
 
 Failures are injected deterministically through :mod:`repro.chaos`:
 the ``shard_error`` site is queried once per shard attempt, so its
-``at`` indices number attempts, retries included.
+``at`` indices number attempts, retries included.  On the native tier
+every shard's attempts are queried first, in shard order, and the one
+round call then runs the shards that passed; a shard that fails inside
+the call takes its next attempt from there, and the call resumes at it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..chaos import maybe_raise
 from ..circuit import Circuit
-from ..core.aptpg import STATUSES, aptpg_record, run_aptpg
+from ..core.aptpg import DEFAULT_XOR_POLARITY_BITS, run_aptpg
 from ..core.controllability import compute_controllability
-from ..core.fptpg import fptpg_record, run_fptpg
+from ..core.fptpg import run_fptpg
 from ..core.patterns import Rows, TestPattern
 from ..core.results import FaultStatus
-from ..core.state import THREE_VALUED, TpgEngine, tpg_tier
+from ..core.state import (
+    ABORTED,
+    DEFERRED,
+    REDUNDANT,
+    TESTED,
+    THREE_VALUED,
+    ShardFailure,
+    TpgEngine,
+    tpg_tier,
+)
 from ..kernel.packed import pattern_rows
-from ..paths import PathDelayFault, TestClass
+from ..paths import FaultTable, PathDelayFault, TestClass
+
+#: The :class:`FaultStatus` of each status code of a native round; a
+#: skipped (quarantined) shard's faults read ``skipped_error``.
+_STATUS = {
+    0: FaultStatus.SKIPPED_ERROR,
+    TESTED: FaultStatus.TESTED,
+    REDUNDANT: FaultStatus.REDUNDANT,
+    ABORTED: FaultStatus.ABORTED,
+    DEFERRED: FaultStatus.DEFERRED,
+}
 
 
 @dataclass
@@ -86,15 +111,11 @@ class Supervision:
 
 @dataclass
 class ShardResult:
-    """Outcome of one generation shard.
+    """Outcome of one shard on a Python tier (:meth:`SerialExecutor.fptpg_shard`,
+    :meth:`SerialExecutor.aptpg_shard`).
 
     For an FPTPG shard the lists are parallel to the batch's faults;
-    for an APTPG shard they have length one.  ``rows`` holds the (V1,
-    V2) uint8 rows of the shard's tested patterns, in order (``None``
-    when it tested none): the drop bus appends them to its pattern
-    table as they are.  A quarantined shard (supervision gave up after
-    repeated failures) carries ``skipped_error`` statuses, no patterns,
-    and the ``error`` envelope describing the last failure.
+    for an APTPG shard they have length one.
     """
 
     statuses: List[FaultStatus]
@@ -103,25 +124,30 @@ class ShardResult:
     backtracks: int = 0
     implication_passes: int = 0
     seconds_sensitize: float = 0.0
-    error: Optional[dict] = None
+
+
+@dataclass
+class RoundResult:
+    """Outcome of one generation round.
+
+    ``statuses`` and ``patterns`` are parallel to the round's faults
+    (``None`` where untested); ``errors`` holds each shard's error
+    envelope, ``None`` unless supervision quarantined it (then its
+    faults read ``skipped_error`` and have no patterns).  ``rows`` are
+    the (V1, V2) uint8 rows of the tested patterns, in fault order
+    (``None`` when none tested): the drop bus appends them to its
+    pattern table as they are.  The counters sum the shards that were
+    not quarantined.
+    """
+
+    statuses: List[FaultStatus]
+    patterns: List[Optional[TestPattern]]
+    errors: List[Optional[dict]]
     rows: Optional[Rows] = None
-
-
-def _tuple_rows(
-    patterns: Sequence[Optional[TestPattern]],
-) -> Optional[Rows]:
-    """The rows of a shard's tested tuple patterns, through the codec."""
-    tested = [pattern for pattern in patterns if pattern is not None]
-    return pattern_rows(tested) if tested else None
-
-
-def _quarantined(n_faults: int, error: dict) -> ShardResult:
-    """The ShardResult of a shard supervision gave up on."""
-    return ShardResult(
-        statuses=[FaultStatus.SKIPPED_ERROR] * n_faults,
-        patterns=[None] * n_faults,
-        error=error,
-    )
+    decisions: int = 0
+    backtracks: int = 0
+    implication_passes: int = 0
+    seconds_sensitize: float = 0.0
 
 
 def error_envelope(exc: BaseException, attempts: int) -> dict:
@@ -138,9 +164,9 @@ class SerialExecutor:
 
     Owns the campaign's generation state, built once: the lowered
     circuit, its controllability tables and the C TPG engine (see the
-    module docstring).  :meth:`fptpg_shard` and :meth:`aptpg_shard` run
-    one shard unsupervised; :meth:`run_fptpg` and :meth:`run_aptpg` run
-    a round's shards under the :class:`Supervision` policy.
+    module docstring).  :meth:`run_round` runs a round's shards under
+    the :class:`Supervision` policy; :meth:`fptpg_shard` and
+    :meth:`aptpg_shard` run one shard of a Python tier, unsupervised.
     """
 
     def __init__(
@@ -171,8 +197,8 @@ class SerialExecutor:
     def engine(self) -> Optional[TpgEngine]:
         """The executor's 3-valued C engine, built on first use.
 
-        ``None`` where shards do not run on it: robust campaigns, and
-        every tier but ``native/c`` (settled at the first shard).
+        ``None`` where rounds do not run on it: robust campaigns, and
+        every tier but ``native/c`` (settled at the first round).
         """
         engine = self._engine
         if engine is None:
@@ -190,20 +216,6 @@ class SerialExecutor:
 
     # ------------------------------------------------------------ shards
     def fptpg_shard(self, faults: Sequence[PathDelayFault]) -> ShardResult:
-        engine = self.engine()
-        if engine is not None:
-            engine.reset()
-            statuses, patterns, rows, decisions, seconds = fptpg_record(
-                engine, faults, self._ranks, True
-            )
-            return ShardResult(
-                statuses=statuses,
-                patterns=patterns,
-                decisions=decisions,
-                implication_passes=engine.c.implication_passes,
-                seconds_sensitize=seconds,
-                rows=rows,
-            )
         outcome = run_fptpg(
             self.circuit,
             list(faults),
@@ -219,24 +231,9 @@ class SerialExecutor:
             decisions=outcome.decisions,
             implication_passes=outcome.state.implication_passes,
             seconds_sensitize=outcome.seconds_sensitize,
-            rows=_tuple_rows(outcome.patterns),
         )
 
     def aptpg_shard(self, fault: PathDelayFault) -> ShardResult:
-        engine = self.engine()
-        if engine is not None:
-            run, pattern, rows = aptpg_record(
-                engine, fault, self._ranks, self.backtrack_limit
-            )
-            return ShardResult(
-                statuses=[STATUSES[run.status]],
-                patterns=[pattern],
-                decisions=run.decisions,
-                backtracks=run.backtracks,
-                implication_passes=run.implication_passes,
-                seconds_sensitize=run.seconds_sensitize,
-                rows=rows,
-            )
         outcome = run_aptpg(
             self.circuit,
             fault,
@@ -254,42 +251,135 @@ class SerialExecutor:
             backtracks=outcome.backtracks,
             implication_passes=outcome.implication_passes,
             seconds_sensitize=outcome.seconds_sensitize,
-            rows=_tuple_rows([outcome.pattern]),
         )
 
     # ------------------------------------------------------------ rounds
-    def _supervised(
-        self, run: Callable[[], ShardResult], index: int, n_faults: int
-    ) -> ShardResult:
+    def _attempt(
+        self, index: int, attempt: int, failure: Optional[Exception] = None
+    ) -> Tuple[int, Optional[dict]]:
+        """Shard *index*'s next attempt that passes the ``shard_error`` query.
+
+        *failure* is how attempt *attempt* failed (``None``: make
+        attempt *attempt* now).  Each failed attempt is retried after
+        its backoff until ``attempts`` ran out.  Returns ``(attempt,
+        None)`` for the attempt that passed, or ``(attempt, envelope)``
+        once the shard is quarantined.
+        """
         policy = self.supervision
-        for attempt in range(1, policy.attempts + 1):
-            try:
-                maybe_raise("shard_error")
-                return run()
-            except Exception as exc:  # noqa: BLE001 - supervision boundary
+        while True:
+            if failure is not None:
                 if attempt >= policy.attempts:
                     self.quarantined_shards += 1
-                    return _quarantined(n_faults, error_envelope(exc, attempt))
+                    return attempt, error_envelope(failure, attempt)
                 self.shard_retries += 1
                 backoff = policy.backoff_s(index, attempt)
                 if backoff:
                     time.sleep(backoff)
-        raise AssertionError("unreachable")  # pragma: no cover
+                attempt += 1
+            try:
+                maybe_raise("shard_error")
+                return attempt, None
+            except Exception as exc:  # noqa: BLE001 - supervision boundary
+                failure = exc
 
-    def run_fptpg(
-        self, batches: Sequence[Sequence[PathDelayFault]]
-    ) -> List[ShardResult]:
-        return [
-            self._supervised(
-                lambda b=batch: self.fptpg_shard(b), k, len(batch)
-            )
-            for k, batch in enumerate(batches)
-        ]
+    def run_round(
+        self,
+        aptpg: bool,
+        table: FaultTable,
+        rows: Sequence[int],
+        bounds: Sequence[int],
+    ) -> RoundResult:
+        """Run one round's shards under supervision.
 
-    def run_aptpg(
-        self, faults: Sequence[PathDelayFault]
-    ) -> List[ShardResult]:
-        return [
-            self._supervised(lambda f=fault: self.aptpg_shard(f), k, 1)
-            for k, fault in enumerate(faults)
-        ]
+        The round's faults are rows *rows* of *table*; shard *k* is the
+        faults at positions ``bounds[k]`` to ``bounds[k + 1] - 1`` — an
+        FPTPG batch of up to :attr:`width` faults, or one APTPG fault
+        when *aptpg*.
+        """
+        engine = self.engine()
+        if engine is None:
+            return self._python_round(aptpg, table, rows, bounds)
+        n_shards = len(bounds) - 1
+        attempts = [1] * n_shards
+        errors: List[Optional[dict]] = [None] * n_shards
+        for k in range(n_shards):
+            try:
+                maybe_raise("shard_error")
+            except Exception as exc:  # noqa: BLE001 - supervision boundary
+                attempts[k], errors[k] = self._attempt(k, 1, exc)
+        first = 0
+        while True:
+            skip = bytes(map(bool, errors))
+            try:
+                run = engine.round(
+                    aptpg, table, rows, bounds, skip, self._ranks,
+                    self.backtrack_limit, DEFAULT_XOR_POLARITY_BITS, first,
+                )
+                break
+            except ShardFailure as failure:
+                first = failure.shard
+                attempts[first], errors[first] = self._attempt(
+                    first, attempts[first], failure.error
+                )
+        patterns: List[Optional[TestPattern]] = [None] * len(rows)
+        block = None
+        if run.tested:
+            faults, raw = table.faults, run.rows
+            n = self.circuit.compiled().n_inputs
+            for start, position in zip(range(0, len(raw), 2 * n), run.tested):
+                patterns[position] = TestPattern(
+                    tuple(raw[start : start + n]),
+                    tuple(raw[start + n : start + 2 * n]),
+                    faults[rows[position]],
+                )
+            block = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 2 * n)
+        return RoundResult(
+            statuses=[_STATUS[code] for code in run.codes],
+            patterns=patterns,
+            errors=errors,
+            rows=None if block is None else (block[:, :n], block[:, n:]),
+            decisions=run.decisions,
+            backtracks=run.backtracks,
+            implication_passes=run.implication_passes,
+            seconds_sensitize=run.seconds_sensitize,
+        )
+
+    def _python_round(
+        self,
+        aptpg: bool,
+        table: FaultTable,
+        rows: Sequence[int],
+        bounds: Sequence[int],
+    ) -> RoundResult:
+        """:meth:`run_round` one shard at a time, each right after its query."""
+        faults = [table.faults[row] for row in rows]
+        result = RoundResult(
+            statuses=[FaultStatus.SKIPPED_ERROR] * len(rows),
+            patterns=[None] * len(rows),
+            errors=[],
+        )
+        for k in range(len(bounds) - 1):
+            batch = faults[bounds[k] : bounds[k + 1]]
+            attempt, error = self._attempt(k, 1)
+            while error is None:
+                try:
+                    if aptpg:
+                        shard = self.aptpg_shard(batch[0])
+                    else:
+                        shard = self.fptpg_shard(batch)
+                    break
+                except Exception as exc:  # noqa: BLE001 - supervision boundary
+                    attempt, error = self._attempt(k, attempt, exc)
+            result.errors.append(error)
+            if error is not None:
+                continue
+            result.statuses[bounds[k] : bounds[k + 1]] = shard.statuses
+            result.patterns[bounds[k] : bounds[k + 1]] = shard.patterns
+            result.decisions += shard.decisions
+            result.backtracks += shard.backtracks
+            result.implication_passes += shard.implication_passes
+            result.seconds_sensitize += shard.seconds_sensitize
+        tested = [pattern for pattern in result.patterns if pattern is not None]
+        if tested:
+            result.rows = pattern_rows(tested)
+        return result

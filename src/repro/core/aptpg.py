@@ -50,10 +50,10 @@ another in combination order, each with every lane to itself.
 On the ``native/c`` engine a nonrobust fault is one C call,
 :meth:`TpgEngine.aptpg`: it derives the XOR sides from the fanin CSR,
 screens the combinations and searches the survivors on one engine, and
-a tested lane is read back as a pattern row in one vectorized pass.
-:func:`aptpg_record` is that run on any engine — a campaign executor
-reuses one for every shard — and :func:`run_aptpg` makes the same calls
-on a fresh :class:`TpgState`'s engine.  A
+a tested lane is read back as a pattern row in one vectorized pass:
+:func:`aptpg_record`, which :func:`run_aptpg` runs on a fresh
+:class:`TpgState`'s engine (a campaign runs its nonrobust faults
+through :meth:`TpgEngine.round`, a round of them in one C call).  A
 robust fault is still sensitized here, chunk by chunk and survivor by
 survivor, but each survivor's search is one C call too,
 :meth:`TpgState.search`.  The loops below stay as their oracle and as

@@ -26,12 +26,12 @@ that objective, and the backtrace to a primary input — followed by one
 is still sensitized here first), the implication, the loop and the
 masks the verdicts below are read from, the lanes whose path has an
 XOR side among them; the tested lanes are then read back as pattern
-rows in one vectorized pass.  :func:`fptpg_record` is that batch on any
-engine — a campaign executor resets one engine and reuses it for every
-shard — and :func:`run_fptpg` makes the same call on a fresh
-:class:`TpgState`'s engine.  The loop here is its oracle and the engine
-of every other tier, which extracts each pattern with
-:func:`repro.core.patterns.extract_pattern`.
+rows in one vectorized pass: :func:`fptpg_record`, which
+:func:`run_fptpg` runs on a fresh :class:`TpgState`'s engine.  A
+campaign runs its batches through :meth:`TpgEngine.round` instead,
+whole rounds of them in one C call with the same verdicts.  The loop
+here is its oracle and the engine of every other tier, which extracts
+each pattern with :func:`repro.core.patterns.extract_pattern`.
 """
 
 from __future__ import annotations
@@ -177,9 +177,9 @@ def fptpg_record(
     """One FPTPG batch on a C *engine*, fault *k* in lane *k*.
 
     One :meth:`TpgEngine.fptpg` call on the engine as it stands (a
-    reused engine is :meth:`TpgEngine.reset` first; a robust batch
-    arrives sensitized, else *sensitize*), then the verdicts and one
-    row read of the tested lanes — no :class:`TpgState`.  Returns
+    robust batch arrives sensitized, else *sensitize*), then the
+    verdicts and one row read of the tested lanes — no
+    :class:`TpgState`.  Returns
     ``(statuses, patterns, rows, decisions, seconds_sensitize)``:
     *patterns* parallel to *faults* (``None`` where untested), *rows*
     the tested patterns' (V1, V2) rows in lane order (``None`` when none

@@ -166,6 +166,11 @@ class PatternTable:
     def v2(self) -> np.ndarray:
         return self._rows[: len(self.patterns), self.n_inputs :]
 
+    @property
+    def rows(self) -> np.ndarray:
+        """Every row, V1 then V2: a C-contiguous ``(n, 2 * n_inputs)`` view."""
+        return self._rows[: len(self.patterns)]
+
     def append(
         self, v1: np.ndarray, v2: np.ndarray, patterns: Sequence[TestPattern]
     ) -> range:

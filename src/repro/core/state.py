@@ -55,12 +55,14 @@ Python loops of :mod:`repro.core.aptpg` and :mod:`repro.core.fptpg`,
 which drive every other engine through the methods above.
 
 The C half of a ``native/c`` state is a :class:`TpgEngine`, which a
-campaign executor context also owns on its own and reuses for every
-shard: its shard calls start from an engine reset to the width it was
-built with, whatever the engine held before.  So :meth:`TpgState.aptpg`
-searches at the built width even after a polarity screen that refuted
-every combination left the state (``width``, ``mask``) one chunk wide,
-and a run on a reused state equals a run on a fresh one.
+campaign executor also owns on its own and reuses for every round
+(:meth:`TpgEngine.round`, a round's shards in one call): its APTPG
+and round calls start each shard from an engine reset to the width it
+was built with, whatever the engine held before.  So
+:meth:`TpgState.aptpg` searches at the built width even after a
+polarity screen that refuted every combination left the state
+(``width``, ``mask``) one chunk wide, and a run on a reused state
+equals a run on a fresh one.
 :meth:`TpgEngine.input_rows` reads tested lanes as pattern rows in one
 vectorized pass (:func:`repro.core.patterns.extract_pattern` is its
 oracle).
@@ -167,8 +169,10 @@ def tpg_tier(
 _ROWS = {n: struct.Struct(f"{n}Q") for n in (2, 4)}
 
 #: Status codes of :meth:`TpgState.search` and :meth:`TpgState.aptpg`
-#: (the C engine's ``TPG_TESTED``, ``TPG_REDUNDANT``, ``TPG_ABORTED``).
-TESTED, REDUNDANT, ABORTED = 1, 2, 3
+#: (the C engine's ``TPG_TESTED``, ``TPG_REDUNDANT``, ``TPG_ABORTED``),
+#: and of an FPTPG lane left to APTPG in :meth:`TpgEngine.round`
+#: (``TPG_DEFERRED``).
+TESTED, REDUNDANT, ABORTED, DEFERRED = 1, 2, 3, 4
 
 #: The most XOR side inputs whose polarity combinations APTPG screens:
 #: 2**16 combinations, in 1024 chunks of 64 lanes.
@@ -207,6 +211,38 @@ class SearchRun(NamedTuple):
 
 
 
+class RoundRun(NamedTuple):
+    """What :meth:`TpgEngine.round` reports for a generation round.
+
+    *codes* holds each fault's status code, by position in the round
+    (:data:`TESTED`, :data:`REDUNDANT`, :data:`ABORTED`,
+    :data:`DEFERRED`; 0 in a skipped shard); *tested* the positions of
+    the tested faults, ascending, and *rows* their rows back to back,
+    ``2 * n_inputs`` bytes each: V1 then V2, one 0/1 byte per primary
+    input.  The counters sum the shards that ran.
+    """
+
+    codes: bytes
+    tested: List[int]
+    rows: bytes
+    decisions: int
+    backtracks: int
+    implication_passes: int
+    seconds_sensitize: float
+
+
+class ShardFailure(Exception):
+    """Shard *shard* of a :meth:`TpgEngine.round` raised *error*.
+
+    The shards before it ran to completion; the call can resume at it.
+    """
+
+    def __init__(self, shard: int, error: Exception):
+        super().__init__(shard, error)
+        self.shard = shard
+        self.error = error
+
+
 def _check_signals(signals: Sequence[int], n: int) -> None:
     """Raise :class:`IndexError` for an id outside ``[0, n)``."""
     if min(signals) < 0 or max(signals) >= n:
@@ -225,18 +261,21 @@ class TpgEngine:
     (1..64).  It is the ``native/c`` half of a :class:`TpgState`, and the
     campaign's executor owns one directly
     (:class:`repro.campaign.scheduler.SerialExecutor`) and reuses it for
-    every nonrobust shard it runs.
+    every nonrobust round it runs.
 
-    The shard calls start from an engine reset to :attr:`width`
-    whatever it held before: :meth:`aptpg` resets in C for every screen
-    chunk and search, and a reused engine calls :meth:`reset` before
-    :meth:`fptpg`.  So on a reused engine a shard gives what it gives on
-    a fresh one.  :meth:`input_rows` reads tested lanes as pattern rows.
-    One thread at a time.
+    :meth:`aptpg` starts from an engine reset to :attr:`width` whatever
+    it held before (C resets it for every screen chunk and search), and
+    :meth:`fptpg` runs on the engine as it stands.  :meth:`round` runs a
+    campaign round's shards, faults read from a fault table by row, in
+    one call that resets the engine for every shard: so on a reused
+    engine a round gives what it gives on a fresh one.
+    :meth:`input_rows` reads tested lanes as pattern rows.  One thread
+    at a time.
     """
 
     __slots__ = (
         "compiled", "n_planes", "width", "c", "lib", "ffi", "_words", "_launch",
+        "_columns",
     )
 
     def __init__(
@@ -253,10 +292,8 @@ class TpgEngine:
         #: row k flips input k: a 3-valued lane's V1 is V2 XOR the row of
         #: its path input
         self._launch: Optional[np.ndarray] = None
-
-    def reset(self) -> None:
-        """Back to a fresh engine of :attr:`width` lanes (scratch kept)."""
-        self.lib.repro_tpg_reset(self.c, self.width)
+        #: the fault-table column views of the last round
+        self._columns = _native.ColumnViews()
 
     def ranks(self, cc: Controllability):
         """*cc* as the C calls read it, checked against the circuit."""
@@ -310,8 +347,7 @@ class TpgEngine:
     ) -> Tuple[int, int, int, int, float]:
         """An FPTPG batch's loop on the engine as it stands.
 
-        See :meth:`TpgState.fptpg`; *ranks* is :meth:`ranks`.  A
-        reused engine is :meth:`reset` first.
+        See :meth:`TpgState.fptpg`; *ranks* is :meth:`ranks`.
         """
         if not faults:
             raise ValueError("an FPTPG batch needs at least one fault")
@@ -337,6 +373,91 @@ class TpgEngine:
         if code < 0:
             raise MemoryError("cannot grow the native TPG scratch")
         return c.r_decided, c.r_decisions, c.r_justified, c.r_xor_lanes, c.r_seconds
+
+    def round(
+        self,
+        aptpg: bool,
+        table,
+        rows: Sequence[int],
+        bounds: Sequence[int],
+        skip: bytes,
+        ranks,
+        backtrack_limit: int,
+        max_xor_polarity_bits: int,
+        first: int = 0,
+    ) -> RoundRun:
+        """Shards *first* onward of a nonrobust generation round, one C call.
+
+        Shard *k* holds the faults at positions ``bounds[k]`` to
+        ``bounds[k + 1] - 1`` of the round, fault *f* being row
+        ``rows[f]`` of *table* (a :class:`repro.paths.FaultTable`); a
+        shard with ``skip[k]`` set is passed over.  An FPTPG round runs
+        each shard as one batch (:meth:`fptpg`, sensitized in C) on the
+        engine reset to :attr:`width`, an APTPG round (*aptpg*) its one
+        fault's :meth:`aptpg`.  Each tested lane is read as
+        :meth:`input_rows` reads it.  A call with *first* > 0 continues
+        the outputs of the calls before it (a retried shard).
+
+        The rows are checked against the table here, and the shard
+        bounds (each shard 1 to :attr:`width` faults, one in an APTPG
+        round) and the limits before any shard runs, since the C call
+        indexes with them unchecked: :class:`IndexError` and
+        :class:`ValueError`.  A shard that fails raises
+        :class:`ShardFailure` with the error: :class:`MemoryError` when
+        the C scratch cannot grow, the :class:`ValueError` of
+        :func:`repro.paths.table.path_input_error` for a tested path
+        that does not start at a primary input.
+        """
+        if rows and (min(rows) < 0 or max(rows) >= len(table)):
+            raise IndexError(f"fault rows outside [0, {len(table)})")
+        if not bounds or bounds[0] != 0 or bounds[-1] != len(rows) or (
+            len(skip) != len(bounds) - 1
+        ):
+            raise ValueError(
+                f"shard bounds {list(bounds)!r} do not cover {len(rows)} faults"
+            )
+        ffi, c = self.ffi, self.c
+        code = self.lib.repro_tpg_round(
+            c,
+            aptpg,
+            self.width,
+            max_xor_polarity_bits,
+            backtrack_limit,
+            ranks,
+            *self._columns(table),
+            rows,
+            bounds,
+            first,
+            len(skip),
+            skip,
+        )
+        if code < 0:
+            if code == -2:
+                raise ValueError("the native round sensitizes nonrobust faults only")
+            if code == -3:
+                check_xor_polarity_bits(max_xor_polarity_bits)
+            if code == -5:
+                raise ValueError(
+                    f"shard bounds {list(bounds)!r} from shard {first} are not "
+                    f"shards of 1 to {1 if aptpg else self.width} faults"
+                )
+            shard = c.g_shard
+            error: Exception = MemoryError("cannot grow the native TPG scratch")
+            if code == -4:
+                lane = 0 if aptpg else c.r_lane
+                signal = table.faults[rows[bounds[shard] + lane]].input_signal
+                name = self.compiled.circuit.signal_name(signal)
+                error = path_input_error(signal, name)
+            raise ShardFailure(shard, error)
+        return RoundRun(
+            ffi.buffer(c.g_status, len(rows))[:],
+            ffi.unpack(c.g_pos, code) if code else [],
+            ffi.buffer(c.g_rows, code * 2 * self.compiled.n_inputs)[:],
+            c.g_decisions,
+            c.g_backtracks,
+            c.g_passes,
+            c.g_seconds,
+        )
 
     def input_rows(
         self, lanes: Sequence[int], faults: Sequence[PathDelayFault]

@@ -2,7 +2,8 @@
 
    The three forward passes over row-major (n_signals, n_words) uint64
    slabs, the per-batch PPSFP detection and strength walks, the stuck-at
-   cone resimulation and the TPG implication engine.  Circuits arrive
+   cone resimulation, the TPG implication engine, and a campaign's
+   generation and drop rounds built from them.  Circuits arrive
    per call as a repro_plan struct, so this text never changes between
    circuits; repro/kernel/native.py compiles it once per machine with
    cffi, against the declarations in native.cdef, and names the module
@@ -33,7 +34,8 @@ typedef uint64_t u64;
    accumulators: bitwise AND/OR folds are order-insensitive, and the
    order-sensitive XOR chains iterate fanins in CSR order, which is plan
    fanin order, so every pass stays bit-identical to the Python
-   oracles. */
+   oracles.  The primary inputs are input_sig in circuit order, and
+   input_pos maps a signal to its position there, -1 for the others. */
 typedef struct {
   long n_signals;
   long n_plan;
@@ -44,12 +46,15 @@ typedef struct {
   const int32_t *fanout_off;
   const int32_t *fanout_idx;
   const int8_t *ctrl;
+  long n_inputs;
+  const int32_t *input_sig;
+  const int32_t *input_pos;
 } repro_plan;
 
 
 /* The TPG implication engine: one repro_tpg per TpgEngine (the C half
    of a TpgState, or the engine a campaign executor reuses for every
-   shard, repro_tpg_reset between them) of at most 64 lanes, so every
+   round, reset between shards) of at most 64 lanes, so every
    plane of a signal is one u64 word.  It holds
    the state the Python engine of repro.core.state keeps in lists
    and sets -- planes, conflict lanes and sites, the FIFO worklist, the
@@ -76,10 +81,13 @@ typedef struct {
    bk), repro_tpg_aptpg a fault's whole nonrobust APTPG -- the
    XOR sides from the fanin CSR, the chunked polarity screen (survivors
    in surv) and every survivor's search, on this one engine reset
-   between states -- and repro_tpg_fptpg an FPTPG batch.  The
+   between states -- and repro_tpg_fptpg an FPTPG batch; a campaign
+   runs a whole round of them as one repro_tpg_round, its verdicts,
+   tested rows and summed counters in the g_* fields.  The
    scratch (backtrace flags, node and candidate stacks, the backtrack
-   stack, the survivors) lives here too, grown on demand: states share
-   nothing mutable, so each can run on its own thread. */
+   stack, the survivors, the round's outputs) lives here too, grown on
+   demand: states share nothing mutable, so each can run on its own
+   thread. */
 typedef struct {
   const repro_plan *p;
   long n_planes;
@@ -115,6 +123,11 @@ typedef struct {
   long r_lane, r_width, r_decisions, r_backtracks, r_splits, r_passes;
   uint64_t r_decided, r_justified, r_xor_lanes;
   double r_seconds;
+  uint8_t *g_status, *g_rows;
+  int32_t *g_pos;
+  long cap_status, cap_rows, cap_pos;
+  long g_tested, g_shard, g_decisions, g_backtracks, g_passes;
+  double g_seconds;
 } repro_tpg;
 
 
@@ -435,6 +448,30 @@ static u64 _and_rows(u64 *restrict det, const u64 *restrict t, long n) {
   return any;
 }
 
+/* One fault's mask into det: the launch at the path input, then each
+   on-path edge's side term, until no lane survives.  Returns whether
+   some lane does. */
+static u64 _detect_fault(const repro_plan *p, const u64 *Z, const u64 *O,
+                         const u64 *S, const u64 *I, long n,
+                         const int32_t *path, long plen, int final_one,
+                         int robust, const u64 *valid, int32_t *slot,
+                         u64 *terms, long *used, u64 *det) {
+  const u64 *ins = I + (long)path[0] * n;
+  const u64 *launch = (final_one ? O : Z) + (long)path[0] * n;
+  u64 any = 0;
+  long q, w;
+  for (w = 0; w < n; w++) {
+    det[w] = ins[w] & launch[w] & valid[w];
+    any |= det[w];
+  }
+  for (q = 1; q < plen && any; q++) {
+    const u64 *t = _detect_term(p, Z, O, S, n, robust, path[q - 1],
+                                path[q], slot, terms, used);
+    if (t) any = _and_rows(det, t, n);
+  }
+  return any;
+}
+
 long repro_detect_walk(const repro_plan *p, const u64 *Z, const u64 *O,
                        const u64 *S, const u64 *I, long n,
                        const int32_t *path_flat, const int32_t *path_off,
@@ -442,25 +479,13 @@ long repro_detect_walk(const repro_plan *p, const u64 *Z, const u64 *O,
                        long n_faults, int robust,
                        const u64 *valid, int32_t *slot, u64 *terms,
                        u64 *out, int32_t *out_idx) {
-  long f, q, w, used = 0, n_det = 0;
+  long f, used = 0, n_det = 0;
   for (f = 0; f < n_faults; f++) {
     long r = rows ? rows[f] : f;
-    const int32_t *path = path_flat + path_off[r];
-    long plen = path_off[r + 1] - path_off[r];
-    u64 *det = out + n_det * n;
-    const u64 *ins = I + (long)path[0] * n;
-    const u64 *launch = (final_one[r] ? O : Z) + (long)path[0] * n;
-    u64 any = 0;
-    for (w = 0; w < n; w++) {
-      det[w] = ins[w] & launch[w] & valid[w];
-      any |= det[w];
-    }
-    for (q = 1; q < plen && any; q++) {
-      const u64 *t = _detect_term(p, Z, O, S, n, robust, path[q - 1],
-                                  path[q], slot, terms, &used);
-      if (t) any = _and_rows(det, t, n);
-    }
-    if (any) out_idx[n_det++] = (int32_t)f;
+    if (_detect_fault(p, Z, O, S, I, n, path_flat + path_off[r],
+                      path_off[r + 1] - path_off[r], final_one[r], robust,
+                      valid, slot, terms, &used, out + n_det * n))
+      out_idx[n_det++] = (int32_t)f;
   }
   return n_det;
 }
@@ -606,6 +631,7 @@ void repro_tpg_free(repro_tpg *st) {
   free(st->work); free(st->scan_sig); free(st->scan_mask);
   free(st->bt_flag); free(st->bt_touched); free(st->bt_nodes);
   free(st->bt_cands); free(st->bk); free(st->surv);
+  free(st->g_status); free(st->g_rows); free(st->g_pos);
   free(st);
 }
 
@@ -1308,10 +1334,6 @@ static void _tpg_reset(repro_tpg *st, long width) {
   st->mask = width >= 64 ? ~(u64)0 : ((u64)1 << width) - 1;
 }
 
-/* _tpg_reset for Python: an engine reused across generation shards
-   (one per campaign executor) starts every FPTPG batch from here. */
-void repro_tpg_reset(repro_tpg *st, long width) { _tpg_reset(st, width); }
-
 /* The lanes whose index has bit k set: the ones half of split_masks. */
 static u64 _tpg_split_ones(long k) {
   u64 ones = 0;
@@ -1575,13 +1597,15 @@ int repro_tpg_aptpg(repro_tpg *st, const int32_t *path, long plen,
    lanes that took an optional assignment), r_decisions, r_justified
    (the batch's conflict-free, justified lanes) and r_xor_lanes (the
    lanes whose path has an XOR side).  0, -1 when scratch or the trail
-   cannot grow, -2 to sensitize a 7-valued engine. */
-int repro_tpg_fptpg(repro_tpg *st, const int32_t *flat, const int32_t *off,
-                    const uint8_t *final_one, long n_faults, int sensitize,
-                    const int32_t *rank) {
+   cannot grow, -2 to sensitize a 7-valued engine.  _tpg_fptpg reads
+   fault k from row rows[k] of the CSR instead, the detection walk's
+   row gather (rows NULL: fault k is row k). */
+static int _tpg_fptpg(repro_tpg *st, const int32_t *flat, const int32_t *off,
+                      const uint8_t *final_one, const int32_t *rows,
+                      long n_faults, int sensitize, const int32_t *rank) {
   u64 used = (n_faults >= 64 ? ~(u64)0 : ((u64)1 << n_faults) - 1) & st->mask;
   u64 stuck = 0, add[4];
-  long k, guard;
+  long k, r, guard;
   int32_t side;
   int rc;
   st->r_decided = st->r_xor_lanes = 0;
@@ -1590,15 +1614,18 @@ int repro_tpg_fptpg(repro_tpg *st, const int32_t *flat, const int32_t *off,
   if (sensitize) {
     double t0 = _tpg_now();
     for (k = 0; k < n_faults; k++) {
-      rc = repro_tpg_sensitize(st, flat + off[k], off[k + 1] - off[k],
-                               final_one[k], (u64)1 << k, 0, 0, 0);
+      r = rows ? rows[k] : k;
+      rc = repro_tpg_sensitize(st, flat + off[r], off[r + 1] - off[r],
+                               final_one[r], (u64)1 << k, 0, 0, 0);
       if (rc) return rc;
     }
     st->r_seconds = _tpg_now() - t0;
   }
-  for (k = 0; k < n_faults; k++)
-    if (_tpg_xor_sides(st->p, flat + off[k], off[k + 1] - off[k], &side, 1))
+  for (k = 0; k < n_faults; k++) {
+    r = rows ? rows[k] : k;
+    if (_tpg_xor_sides(st->p, flat + off[r], off[r + 1] - off[r], &side, 1))
       st->r_xor_lanes |= (u64)1 << k;
+  }
   if (repro_tpg_imply(st, 0) < 0) return -1;
   for (guard = st->p->n_signals * (n_faults > 1 ? n_faults : 1) + 64;
        guard > 0; guard--) {
@@ -1626,4 +1653,279 @@ int repro_tpg_fptpg(repro_tpg *st, const int32_t *flat, const int32_t *off,
   }
   st->r_justified = repro_tpg_all_justified(st) & used;
   return 0;
+}
+
+int repro_tpg_fptpg(repro_tpg *st, const int32_t *flat, const int32_t *off,
+                    const uint8_t *final_one, long n_faults, int sensitize,
+                    const int32_t *rank) {
+  return _tpg_fptpg(st, flat, off, final_one, 0, n_faults, sensitize, rank);
+}
+
+
+
+/* The campaign rounds: repro_tpg_round runs a round's generation shards
+   on the executor's engine and repro_drop_round the drop bus's pass
+   over its live faults, each as one call. */
+
+/* An FPTPG lane left for APTPG: conflicted after an optional
+   assignment or with an XOR side, or left unjustified. */
+#define TPG_DEFERRED 4
+
+/* buf, or a larger copy with room for need items of size bytes
+   (doubling, from 64); NULL when it cannot grow, buf left to its
+   owner then. */
+static void *_grown(void *buf, long *cap, long need, size_t size) {
+  long c;
+  void *grown;
+  if (need <= *cap && buf) return buf;
+  for (c = *cap ? 2 * *cap : 64; c < need; c *= 2) ;
+  grown = realloc(buf, (size_t)c * size);
+  if (grown) *cap = c;
+  return grown;
+}
+
+/* The tested lane's V1/V2 row, as TpgEngine.input_rows reads a
+   3-valued lane: V2 the final values of the primary inputs, V1 the
+   same with the path input flipped.  -4 when the path does not start
+   at a primary input. */
+static int _tpg_row(const repro_tpg *st, const int32_t *path, long lane,
+                    uint8_t *row) {
+  const repro_plan *p = st->p;
+  long k, ni = p->n_inputs, column = p->input_pos[path[0]];
+  if (column < 0) return -4;
+  for (k = 0; k < ni; k++)
+    row[k] = row[ni + k] =
+        (uint8_t)(st->planes[(long)p->input_sig[k] * 2 + 1] >> lane & 1);
+  row[column] ^= 1;
+  return 0;
+}
+
+/* Room in the round outputs for faults up to position stop and tested
+   rows up to n_tested: 0, -1 when they cannot grow. */
+static int _round_room(repro_tpg *st, long stop, long n_tested) {
+  void *grown = _grown(st->g_status, &st->cap_status, stop, 1);
+  if (!grown) return -1;
+  st->g_status = grown;
+  grown = _grown(st->g_rows, &st->cap_rows, n_tested * 2 * st->p->n_inputs,
+                 1);
+  if (!grown) return -1;
+  st->g_rows = grown;
+  grown = _grown(st->g_pos, &st->cap_pos, n_tested, sizeof(int32_t));
+  if (!grown) return -1;
+  st->g_pos = grown;
+  return 0;
+}
+
+/* One generation round of a nonrobust campaign
+   (repro.campaign.scheduler.SerialExecutor.run_round): shards first to
+   stop - 1, shard k the faults at positions bounds[k] to
+   bounds[k + 1] - 1, fault f the row rows[f] of the signal CSR
+   flat/off with launch final_one; a shard with skip[k] set
+   (quarantined) is passed over.  With aptpg 0 a shard is one FPTPG
+   batch (_tpg_fptpg, sensitized here, its fault j in lane j) on the
+   engine reset to width lanes; else its one fault's repro_tpg_aptpg at
+   width lanes, max_bits and limit.  Fault f's verdict goes to
+   g_status[f]: TPG_TESTED, TPG_REDUNDANT, TPG_ABORTED, or for an FPTPG
+   lane TPG_DEFERRED (the verdicts of repro.core.fptpg, a conflicted
+   lane redundant unless it took an optional assignment or has an XOR
+   side); 0 in a skipped shard.  Each tested lane's row (_tpg_row) is
+   appended to g_rows and its position to g_pos.  g_decisions,
+   g_backtracks, g_passes (implication passes) and g_seconds
+   (sensitizing) sum the shards' counters, and g_tested counts the
+   rows; all are cleared when first is 0.  A shard's rows and counters
+   land once it completes.  Returns g_tested, or on failure the code of
+   _tpg_fptpg, repro_tpg_aptpg or _tpg_row with the failing shard in
+   g_shard (and for _tpg_row's, the tested lane in r_lane).  Before any
+   shard runs: -2 on a 7-valued engine, -3 for max_bits outside
+   [0, TPG_MAX_XOR_BITS], -5 unless first <= stop and every shard from
+   first holds 1 to width faults (1 in an APTPG round); the caller
+   checks bounds[0] and bounds[stop] against its rows. */
+long repro_tpg_round(repro_tpg *st, int aptpg, long width, long max_bits,
+                     long limit, const int32_t *rank, const int32_t *flat,
+                     const int32_t *off, const uint8_t *final_one,
+                     const int32_t *rows, const int32_t *bounds, long first,
+                     long stop, const uint8_t *skip) {
+  long k, j, ni2 = 2 * st->p->n_inputs;
+  if (st->n_planes != 2) return -2;
+  if (max_bits < 0 || max_bits > TPG_MAX_XOR_BITS) return -3;
+  if (first < 0 || first > stop) return -5;
+  for (k = first; k < stop; k++) {
+    long nf = bounds[k + 1] - bounds[k];
+    if (nf < 1 || nf > (aptpg ? 1 : width)) return -5;
+  }
+  if (first == 0) {
+    st->g_tested = st->g_decisions = st->g_backtracks = st->g_passes = 0;
+    st->g_seconds = 0;
+  }
+  st->g_shard = first;
+  if (_round_room(st, bounds[stop], st->g_tested)) return -1;
+  for (k = first; k < stop; k++) {
+    long lo = bounds[k], nf = bounds[k + 1] - lo, tested = st->g_tested;
+    long decisions, backtracks = 0, passes;
+    int rc = 0;
+    st->g_shard = k;
+    if (skip[k]) {
+      memset(st->g_status + lo, 0, (size_t)nf);
+      continue;
+    }
+    if (_round_room(st, bounds[stop], tested + nf)) return -1;
+    if (aptpg) {
+      long r = rows[lo];
+      const int32_t *path = flat + off[r];
+      int status = repro_tpg_aptpg(st, path, off[r + 1] - off[r],
+                                   final_one[r], width, max_bits, limit,
+                                   rank);
+      if (status < 0) return status;
+      st->g_status[lo] = (uint8_t)status;
+      if (status == TPG_TESTED) {
+        rc = _tpg_row(st, path, st->r_lane, st->g_rows + tested * ni2);
+        st->g_pos[tested++] = (int32_t)lo;
+      }
+      decisions = st->r_decisions;
+      backtracks = st->r_backtracks;
+      passes = st->r_passes;
+    } else {
+      u64 conflicted, excused;
+      _tpg_reset(st, width);
+      rc = _tpg_fptpg(st, flat, off, final_one, rows + lo, nf, 1, rank);
+      if (rc) return rc;
+      conflicted = st->conflict_mask;
+      excused = st->r_decided | st->r_xor_lanes;
+      for (j = 0; j < nf; j++) {
+        u64 bit = (u64)1 << j;
+        int status = TPG_DEFERRED;
+        if (conflicted & bit) {
+          if (!(excused & bit)) status = TPG_REDUNDANT;
+        } else if (st->r_justified & bit) {
+          status = TPG_TESTED;
+          rc = _tpg_row(st, flat + off[rows[lo + j]], j,
+                        st->g_rows + tested * ni2);
+          if (rc) {
+            st->r_lane = j;
+            break;
+          }
+          st->g_pos[tested++] = (int32_t)(lo + j);
+        }
+        st->g_status[lo + j] = (uint8_t)status;
+      }
+      decisions = st->r_decisions;
+      passes = st->implication_passes;
+    }
+    if (rc) return rc;
+    st->g_tested = tested;
+    st->g_decisions += decisions;
+    st->g_backtracks += backtracks;
+    st->g_passes += passes;
+    st->g_seconds += st->r_seconds;
+  }
+  return st->g_tested;
+}
+
+
+/* A campaign drop bus's native round (repro.kernel.native.DropRound):
+   the slabs, side-term memo, valid lanes and mask row of
+   repro_drop_round, and the rows it detected, grown on demand and kept
+   between rounds. */
+typedef struct {
+  const repro_plan *p;
+  long cap_words;
+  u64 *words;
+  int32_t *slot;
+  int32_t *out;
+  long cap_out;
+} repro_drop;
+
+void repro_drop_free(repro_drop *d) {
+  if (!d) return;
+  free(d->words); free(d->slot); free(d->out);
+  free(d);
+}
+
+repro_drop *repro_drop_new(const repro_plan *p) {
+  repro_drop *d = calloc(1, sizeof *d);
+  if (!d) return 0;
+  d->p = p;
+  d->slot = malloc((size_t)(p->fanin_off[p->n_signals] + 1) * sizeof(int32_t));
+  if (!d->slot) {
+    repro_drop_free(d);
+    return 0;
+  }
+  return d;
+}
+
+/* One drop round of a campaign (repro.campaign.bus.DropBus.absorb):
+   the n_fresh rows at fresh -- V1 then V2, one byte per primary input
+   each -- packed into the 7-valued input planes (S0/S1 where the
+   vectors agree, F/R where they differ, the padding lanes X: what
+   PackedPatterns.planes7_arrays computes), one repro_planes7_pass, then
+   the detection walk of repro_detect_walk over every table row r of
+   the signal CSR flat/off with live[r] set, in row order.  A detected
+   row's live byte is cleared and the row appended to out.  Returns how
+   many rows were detected, ascending in out; -1 when the buffers
+   cannot grow. */
+long repro_drop_round(repro_drop *d, const uint8_t *fresh, long n_fresh,
+                      const int32_t *flat, const int32_t *off,
+                      const uint8_t *final_one, uint8_t *live, long n_rows,
+                      int robust) {
+  const repro_plan *p = d->p;
+  long N = p->n_signals, E = p->fanin_off[N], ni = p->n_inputs;
+  long n = (n_fresh + 63) / 64, k, w, r, used = 0, n_det = 0;
+  u64 *Z, *O, *S, *I, *terms, *valid, *det;
+  void *grown;
+  if (n_fresh <= 0) return 0;
+  if (n > d->cap_words) {
+    /* nothing is kept between rounds: a fresh block, not a copy */
+    long c;
+    for (c = d->cap_words ? 2 * d->cap_words : 1; c < n; c *= 2) ;
+    free(d->words);
+    d->cap_words = 0;
+    d->words = malloc((size_t)((4 * N + E + 3) * c) * sizeof(u64));
+    if (!d->words) return -1;
+    d->cap_words = c;
+  }
+  grown = _grown(d->out, &d->cap_out, n_rows, sizeof(int32_t));
+  if (!grown) return -1;
+  d->out = grown;
+  Z = d->words;
+  O = Z + N * n;
+  S = O + N * n;
+  I = S + N * n;
+  terms = I + N * n;
+  valid = terms + (E + 1) * n;
+  det = valid + n;
+  for (w = 0; w < n; w++) valid[w] = ~(u64)0;
+  if (n_fresh % 64) valid[n - 1] = ((u64)1 << (n_fresh % 64)) - 1;
+  for (k = 0; k < ni; k++) {
+    long s = p->input_sig[k];
+    for (w = 0; w < n; w++) O[s * n + w] = I[s * n + w] = 0;
+  }
+  for (r = 0; r < n_fresh; r++) {
+    const uint8_t *v1 = fresh + r * 2 * ni, *v2 = v1 + ni;
+    u64 bit = (u64)1 << (r % 64);
+    w = r / 64;
+    for (k = 0; k < ni; k++) {
+      long s = p->input_sig[k];
+      if (v2[k]) O[s * n + w] |= bit;
+      if (v1[k] != v2[k]) I[s * n + w] |= bit;
+    }
+  }
+  for (k = 0; k < ni; k++) {
+    long s = p->input_sig[k];
+    for (w = 0; w < n; w++) {
+      Z[s * n + w] = valid[w] & ~O[s * n + w];
+      S[s * n + w] = valid[w] & ~I[s * n + w];
+    }
+  }
+  repro_planes7_pass(p, Z, O, S, I, n);
+  for (k = 0; k <= E; k++) d->slot[k] = -1;
+  for (r = 0; r < n_rows; r++) {
+    if (!live[r]) continue;
+    if (_detect_fault(p, Z, O, S, I, n, flat + off[r], off[r + 1] - off[r],
+                      final_one[r], robust, valid, d->slot, terms, &used,
+                      det)) {
+      live[r] = 0;
+      d->out[n_det++] = (int32_t)r;
+    }
+  }
+  return n_det;
 }

@@ -19,13 +19,12 @@ batch and returning only the detected faults' mask rows, so a whole
 fault batch costs one Python call.  The walks read the faults as
 columns of a :class:`repro.paths.FaultTable` (signal CSR plus launch
 values) and gather the batch's rows through an index array, so the
-campaign drop bus passes its pending rows instead of re-flattening
-every path; a plain fault list becomes a table per call.  One PPSFP
-pass serves both callers (:meth:`NativeWordBackend.ppsfp_pass`):
-``detection_masks`` runs it on buffers allocated per call and converts
-the detected rows to lane masks, and the drop bus runs it on a
-:class:`DropScratch` it allocates once and grows on demand, taking back
-only the detected faults' positions.
+grading caller passes a table view instead of re-flattening every
+path; a plain fault list becomes a table per call.  The campaign drop
+bus runs each round as one call on a :class:`DropRound` it builds once:
+the round's fresh pattern rows packed into input planes, the forward
+pass and the walk over the table's live rows, all in C, on buffers the
+struct grows on demand; only the detected rows come back.
 
 The module also holds the TPG implication engine: a
 :class:`repro.core.state.TpgState` of at most 64 lanes keeps its
@@ -37,9 +36,9 @@ lane group and SCOAP-ranked backtrace) are single calls.  So are the
 generation shards built on them: APTPG's checkpointed search on a
 sensitized state, a fault's whole nonrobust APTPG (XOR sides derived
 from the fanin CSR, the chunked polarity screen and every survivor's
-search, on one engine reset between states) and an FPTPG batch.
-``repro_tpg_reset`` returns an engine to its fresh state at a given
-width, so one engine can run shard after shard
+search, on one engine reset between states) and an FPTPG batch, and
+a campaign's whole generation round of them, each shard from an engine
+reset to the campaign width, so one engine runs round after round
 (:class:`repro.core.state.TpgEngine`).  Robust sensitization stays in
 Python.
 
@@ -88,7 +87,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..paths.table import fault_rows, grown
+from ..paths.table import fault_rows
 from .backends import NumpyWordBackend, PlanesLike
 from .compiled import CompiledCircuit
 from .packed import rows_to_ints, words_to_int
@@ -113,7 +112,7 @@ NATIVE_CDEF = _package_text("native.cdef")
 
 #: Bump when the call ABI changes (the C text is hashed into the module
 #: name anyway), so stale disk-cached shared objects are never reloaded.
-NATIVE_ABI = 8
+NATIVE_ABI = 9
 
 # The C text is constant-size (data-driven plan interpreters), so a real
 # optimization level is affordable: -O2 runs the fault loops ~2x faster
@@ -308,8 +307,10 @@ def native_plan(compiled: CompiledCircuit):
     """The ``repro_plan`` struct of *compiled* (memoized, see module doc).
 
     Returns ``(struct, n_edges)``; the struct points into arrays kept
-    alive by the memo entry.  ``n_edges`` (the fanin CSR length) sizes
-    the fault walks' edge-term memo.
+    alive by the memo entry, among them the primary inputs in circuit
+    order and each signal's position there (-1 off the inputs).
+    ``n_edges`` (the fanin CSR length) sizes the fault walks' edge-term
+    memo.
     """
     entry = compiled._fusion_cache.get("native_plan")
     if entry is None:
@@ -329,7 +330,12 @@ def native_plan(compiled: CompiledCircuit):
                 [-1 if c is None else c for c in compiled.controlling],
                 dtype=np.int8,
             ),
+            "input_sig": np.ascontiguousarray(compiled.input_index, np.int32),
+            "input_pos": np.full(compiled.n_signals, -1, dtype=np.int32),
         }
+        tables["input_pos"][tables["input_sig"]] = np.arange(
+            compiled.n_inputs, dtype=np.int32
+        )
         views = {
             key: ffi.from_buffer(
                 "int8_t[]" if table.dtype == np.int8 else "int32_t[]", table
@@ -341,6 +347,7 @@ def native_plan(compiled: CompiledCircuit):
             {
                 "n_signals": compiled.n_signals,
                 "n_plan": len(compiled.plan),
+                "n_inputs": compiled.n_inputs,
                 **views,
             },
         )
@@ -451,70 +458,94 @@ def cone_step_arrays(compiled: CompiledCircuit, site: int) -> Tuple:
     return arrays
 
 
-class DropScratch:
-    """The buffers of :meth:`NativeWordBackend.ppsfp_pass`, kept between passes.
+class ColumnViews:
+    """C views of a :class:`repro.paths.FaultTable`'s columns, kept.
 
-    Four ``(n_signals, n_words)`` value slabs (one per 7-valued plane),
-    the primary inputs' four planes, the walk's edge slots and
-    ``(n_edges + 1, n_words)`` term rows, and ``(n_faults, n_words)``
-    output rows with their fault indices — plus the C pointers into
-    them.  Each buffer grows on demand, at least doubling, and is never
-    shrunk, so a campaign drop bus that holds one allocates it a handful
-    of times, keeps nothing of a round past the next one, and reuses
-    the pointers while the batch width stays.
+    Calling it returns the ``(flat, offsets, final_one)`` buffers a C
+    call reads by row.  A table replaces its arrays when it grows, and a
+    rebuilt table has new ones, so the views are rebuilt whenever an
+    array is not the one they were made from.
     """
 
-    __slots__ = (
-        "slot", "_n_signals", "_n_inputs", "_slabs", "_planes", "_terms",
-        "_out", "_index", "_views",
-    )
+    __slots__ = ("_arrays", "_views")
 
-    def __init__(self, compiled: CompiledCircuit):
-        _, n_edges = native_plan(compiled)
-        self._n_signals = compiled.n_signals
-        self._n_inputs = compiled.n_inputs
-        self.slot = np.empty(n_edges + 1, dtype=np.int32)
-        self._slabs = self._planes = self._terms = self._out = np.empty(
-            0, dtype=np.uint64
-        )
-        self._index = np.empty(0, dtype=np.int32)
-        #: (n_words, fault capacity, slabs, planes, C pointers) of the
-        #: last pass
-        self._views: Optional[Tuple] = None
+    def __init__(self):
+        self._arrays: Tuple = (None, None, None)
+        self._views: Tuple = ()
 
-    def buffers(self, ffi, n_words: int, n_faults: int) -> Tuple:
-        """``(slabs, planes, pointers)`` for a pass of this shape.
+    def __call__(self, table) -> Tuple:
+        flat, offsets, final_one = arrays = table.columns
+        old = self._arrays
+        if flat is not old[0] or offsets is not old[1] or final_one is not old[2]:
+            ffi = native_module().ffi
+            self._views = (
+                ffi.from_buffer("int32_t[]", flat),
+                ffi.from_buffer("int32_t[]", offsets),
+                ffi.from_buffer("uint8_t[]", final_one),
+            )
+            self._arrays = arrays
+        return self._views
 
-        *slabs* is ``(4, n_signals, n_words)``, *planes* ``(4, n_inputs,
-        n_words)``; *pointers* are the four slabs, the slots, the terms,
-        the output rows and the indices.
+
+class DropRound:
+    """A campaign drop bus's native round: one C ``repro_drop``, kept.
+
+    The bus builds one over its circuit and calls :meth:`run` once per
+    round.  The C struct holds the round's slabs, side-term memo and
+    detected rows, grows them on demand (at least doubling) and never
+    shrinks them, so a campaign allocates a handful of times; the
+    buffers are freed with this object.
+    """
+
+    __slots__ = ("lib", "ffi", "c", "compiled", "robust", "_columns")
+
+    def __init__(self, compiled: CompiledCircuit, robust: bool):
+        module = native_module()
+        self.lib, self.ffi = module.lib, module.ffi
+        plan, _ = native_plan(compiled)
+        raw = self.lib.repro_drop_new(plan)
+        if raw == self.ffi.NULL:
+            raise MemoryError("cannot allocate the native drop round")
+        self.c = self.ffi.gc(raw, self.lib.repro_drop_free)
+        # the struct points at compiled's memoized plan: keep it alive
+        self.compiled = compiled
+        self.robust = int(robust)
+        self._columns = ColumnViews()
+
+    def run(self, fresh: np.ndarray, table, live: np.ndarray) -> List[int]:
+        """The rows of *table* live in *live* that a row of *fresh* detects.
+
+        *fresh* is a C-contiguous ``(n, 2 * n_inputs)`` uint8 block of
+        0/1 pattern rows, V1 then V2 (a
+        :attr:`repro.core.patterns.PatternTable.rows` slice); *live* a
+        bool array over at least the table's rows.  One
+        ``repro_drop_round``: the block packed into 7-valued input
+        planes, one forward pass, the detection walk over the live rows
+        in row order.  The detected rows' *live* entries are cleared,
+        and the rows returned, ascending.  Shapes are checked here, since
+        the C call indexes all three unchecked.
         """
-        views = self._views
-        if views is not None and views[0] == n_words and views[1] >= n_faults:
-            return views[2], views[3], views[4]
-        n, w, n_terms = self._n_signals, n_words, len(self.slot)
-        capacity = max(1, n_faults)
-        self._slabs = grown(self._slabs, 4 * n * w)
-        self._planes = grown(self._planes, 4 * self._n_inputs * w)
-        self._terms = grown(self._terms, n_terms * w)
-        self._out = grown(self._out, capacity * w)
-        self._index = grown(self._index, capacity)
-        capacity = min(len(self._index), self._out.size // w)
-        slabs = self._slabs[: 4 * n * w].reshape(4, n, w)
-        planes = self._planes[: 4 * self._n_inputs * w].reshape(4, -1, w)
-        pointers = (
-            *(_u64_ptr(ffi, slab) for slab in slabs),
-            _i32_ptr(ffi, self.slot),
-            _u64_ptr(ffi, self._terms),
-            _u64_ptr(ffi, self._out),
-            _i32_ptr(ffi, self._index),
+        width = 2 * self.compiled.n_inputs
+        if fresh.dtype != np.uint8 or fresh.shape[1:] != (width,):
+            raise ValueError(
+                f"pattern rows of {fresh.dtype} and shape {fresh.shape}, "
+                f"expected uint8 and (n, {width})"
+            )
+        if live.dtype != np.bool_ or len(live) < len(table):
+            raise ValueError("the live mask must be a bool array over every table row")
+        ffi = self.ffi
+        count = self.lib.repro_drop_round(
+            self.c,
+            ffi.from_buffer("uint8_t[]", fresh),
+            len(fresh),
+            *self._columns(table),
+            ffi.from_buffer("uint8_t[]", live),
+            len(table),
+            self.robust,
         )
-        self._views = (w, capacity, slabs, planes, pointers)
-        return slabs, planes, pointers
-
-    def detected(self, count: int, n_words: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The first *count* fault indices and output rows of the last pass."""
-        return self._index[:count], self._out[: count * n_words].reshape(-1, n_words)
+        if count < 0:
+            raise MemoryError("cannot grow the native drop round buffers")
+        return ffi.unpack(self.c.out, count) if count else []
 
 
 class NativeWordBackend(NumpyWordBackend):
@@ -619,53 +650,6 @@ class NativeWordBackend(NumpyWordBackend):
     # ------------------------------------------------------------------
     # fault-batch inner loops (one Python call per batch)
     # ------------------------------------------------------------------
-    def ppsfp_pass(
-        self,
-        compiled: CompiledCircuit,
-        packed,
-        faults: Sequence,
-        robust: bool,
-        scratch: Optional["DropScratch"] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The native PPSFP pass: which faults does *packed* detect?
-
-        One 7-valued forward pass plus the whole detection walk
-        (launch, off-path side conditions shared per on-path edge,
-        early-out, validity masking) inside the native module, on the
-        buffers of *scratch* (a new :class:`DropScratch` when ``None``).
-        *faults* is a fault list or a :class:`repro.paths.FaultRows`
-        view, range-checked here.  Returns ``(positions, rows)``: the
-        int32 positions in *faults* of the detected faults, ascending,
-        and their ``(count, n_words)`` lane-mask rows — views into the
-        scratch, valid until its next pass.
-        """
-        module = native_module()
-        ffi = module.ffi
-        columns = _fault_columns(ffi, compiled, faults)
-        if scratch is None:
-            scratch = DropScratch(compiled)
-        n_words = packed.n_words
-        slabs, planes, pointers = scratch.buffers(ffi, n_words, len(faults))
-        packed.planes7_arrays(out=planes)
-        slabs[:, compiled.input_index] = planes
-        plan, _ = native_plan(compiled)
-        lib = module.lib
-        lib.repro_planes7_pass(plan, *pointers[:4], n_words)
-        scratch.slot.fill(-1)
-        # a cast pointer does not keep its array alive: hold it here
-        valid = packed.lane_valid()
-        count = lib.repro_detect_walk(
-            plan,
-            *pointers[:4],
-            n_words,
-            *columns,
-            len(faults),
-            int(robust),
-            _u64_ptr(ffi, valid),
-            *pointers[4:],
-        )
-        return scratch.detected(count, n_words)
-
     def ppsfp_masks(
         self,
         compiled: CompiledCircuit,
@@ -675,16 +659,44 @@ class NativeWordBackend(NumpyWordBackend):
     ) -> List[int]:
         """Detection lane masks of *faults* over one packed batch.
 
-        :meth:`ppsfp_pass` on buffers allocated for this call; returns
+        One 7-valued forward pass plus the whole detection walk (launch,
+        off-path side conditions shared per on-path edge, early-out,
+        validity masking) inside the native module, on buffers allocated
+        for this call.  *faults* is a fault list or a
+        :class:`repro.paths.FaultRows` view, range-checked here.  Returns
         Python-int lane masks index-aligned with *faults*, bit-identical
-        to the interpreted oracle walk.  Only detected faults' rows come
+        to the interpreted oracle walk; only detected faults' rows come
         back from C and get converted.
         """
         if not faults:
             return []
-        index, rows = self.ppsfp_pass(compiled, packed, faults, robust)
+        module = native_module()
+        ffi = module.ffi
+        columns = _fault_columns(ffi, compiled, faults)
+        n_words = packed.n_words
+        # a cast pointer does not keep its array alive: hold it here
+        valid = packed.lane_valid()
+        slabs = self._planes_pass(compiled, packed.planes7_arrays(), n_words)
+        plan, n_edges = native_plan(compiled)
+        slot = np.full(n_edges + 1, -1, dtype=np.int32)
+        terms = np.empty((n_edges + 1, n_words), dtype=np.uint64)
+        out = np.empty((len(faults), n_words), dtype=np.uint64)
+        index = np.empty(len(faults), dtype=np.int32)
+        count = module.lib.repro_detect_walk(
+            plan,
+            *(_u64_ptr(ffi, slab) for slab in slabs),
+            n_words,
+            *columns,
+            len(faults),
+            int(robust),
+            _u64_ptr(ffi, valid),
+            _i32_ptr(ffi, slot),
+            _u64_ptr(ffi, terms),
+            _u64_ptr(ffi, out),
+            _i32_ptr(ffi, index),
+        )
         masks = [0] * len(faults)
-        for k, mask in zip(index.tolist(), rows_to_ints(rows)):
+        for k, mask in zip(index[:count].tolist(), rows_to_ints(out[:count])):
             masks[k] = mask
         return masks
 

@@ -152,6 +152,15 @@ class FaultTable:
         """1 where the row's launch ends at 1 (rising), else 0 (uint8)."""
         return self._final[: len(self.faults)]
 
+    @property
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(flat, offsets, final_one)`` as stored, spare rows included.
+
+        What a C call reads by row number: the arrays are replaced when
+        the table grows, so read them again for every call.
+        """
+        return self._flat, self._offsets, self._final
+
     def extend(self, faults: Iterable[PathDelayFault]) -> range:
         """Append *faults* as rows; returns their row numbers.
 

@@ -377,7 +377,8 @@ class DelayFaultSimulator:
         ``k`` of a returned mask corresponds to ``patterns[k]``
         regardless of backend.  Index-aligned output
         avoids hashing long path tuples on hot drop loops (the
-        campaign drop bus calls this after every round).
+        campaign drop bus calls this at admission, and after every
+        round off the native backend).
 
         Hot callers that reuse one batch across many calls may pass a
         pre-built :class:`PackedPatterns` instead of the pattern
@@ -434,29 +435,6 @@ class DelayFaultSimulator:
         """
         backend = backend_for(width, self.backend, fusion=self.fusion)
         return backend if getattr(backend, "kind", None) == "native" else None
-
-    def drop_pass(self, backend, packed: PackedPatterns, faults, scratch) -> np.ndarray:
-        """Positions in *faults* that some lane of *packed* detects.
-
-        The campaign drop bus's round on the native *backend*
-        (:meth:`native_backend`): the ``kernel_fault`` chaos site and the
-        fault range check of :meth:`detection_masks`, then one
-        :meth:`repro.kernel.native.NativeWordBackend.ppsfp_pass` on the
-        caller's :class:`repro.kernel.native.DropScratch` — the pass
-        :meth:`detection_masks` builds its native masks from.  Returns
-        the int32 positions, ascending (a view into *scratch*).
-        *packed* must be as wide as the circuit's inputs (a
-        :class:`repro.core.patterns.PatternTable` slice is).
-        """
-        chaos.maybe_raise("kernel_fault")
-        faults = fault_rows(faults, self.compiled.n_signals)  # the range check
-        return backend.ppsfp_pass(
-            self.compiled,
-            packed,
-            faults,
-            self.test_class is TestClass.ROBUST,
-            scratch,
-        )[0]
 
     def detected_faults(
         self,

@@ -773,3 +773,116 @@ class TestTpgEnginesAgree:
             assert getattr(native.stats, counter) == getattr(python.stats, counter)
         assert native.stats.decisions > 0
         assert native.stats.backtracks >= backtracks
+
+
+#: Every CampaignStats counter but the timers.
+COUNTERS = (
+    "rounds", "fptpg_rounds", "aptpg_rounds", "peak_pending", "streamed",
+    "admitted_dropped", "compactions", "patterns_compacted_away",
+    "decisions", "backtracks", "implication_passes", "shard_retries",
+    "quarantined_shards",
+)
+
+
+def _differential_input(name, seed):
+    if name == "dag":
+        circuit = random_dag(8, 30, seed=seed)
+        return circuit, all_faults(circuit, cap=80)
+    from repro.api.resolve import resolve_circuit
+
+    circuit = resolve_circuit(name)
+    return circuit, fault_list(circuit, cap=96, strategy="all")
+
+
+@pytest.mark.skipif(
+    not native_available(), reason="no C toolchain and no cached native module"
+)
+class TestNativeRoundsMatchPython:
+    """The native round path — each generation round one
+    ``repro_tpg_round`` call, each drop round one ``repro_drop_round``
+    call (a robust round keeps its Python-sensitized shards) — against
+    the ``python/codegen`` tier, which runs every shard through
+    ``run_fptpg``/``run_aptpg`` and every drop through
+    ``detection_masks``.  Both runs stop at the same round boundary with
+    a checkpoint and resume from it, under the same chaos schedule."""
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        source=st.one_of(
+            st.tuples(st.just("dag"), st.integers(min_value=0, max_value=10_000)),
+            st.tuples(st.sampled_from(["c17", "c880"]), st.just(0)),
+        ),
+        test_class=st.sampled_from(["nonrobust", "robust"]),
+        shards=st.sampled_from([1, 2, 3]),
+        width=st.sampled_from([1, 17, 63, 64]),
+        windowed=st.booleans(),
+        drop_faults=st.booleans(),
+        compact_every=st.sampled_from([None, 24]),
+        sim_backend=st.sampled_from(["auto", "int"]),
+        stop_after=st.integers(min_value=0, max_value=5),
+        chaos_at=st.sampled_from([None, [1], [0, 1, 2]]),
+    )
+    def test_statuses_patterns_errors_and_counters(
+        self, source, test_class, shards, width, windowed, drop_faults,
+        compact_every, sim_backend, stop_after, chaos_at,
+    ):
+        import tempfile
+
+        from repro.campaign import CampaignControl
+
+        circuit, faults = _differential_input(*source)
+        options = dict(
+            test_class=test_class,
+            width=width,
+            shards=shards,
+            window=width if windowed else None,
+            drop_faults=drop_faults,
+            compact_every=compact_every,
+            sim_backend=sim_backend,
+            retry_base_ms=0,
+            chaos=(
+                None if chaos_at is None
+                else {"points": [{"site": "shard_error", "at": chaos_at}]}
+            ),
+        )
+
+        class StopAfter(CampaignControl):
+            rounds = 0
+
+            def should_stop(self):
+                return self.rounds >= stop_after
+
+            def on_round(self, progress):
+                self.rounds = progress["rounds"]
+
+        reports = []
+        for fusion in ("auto", "codegen"):
+            session = AtpgSession(circuit, options=Options(fusion=fusion))
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "campaign.json")
+                if stop_after:
+                    partial = session.campaign(
+                        faults=faults, control=StopAfter(), checkpoint=path,
+                        resume=True, **options,
+                    )
+                    assert not partial.complete or partial.stats.rounds < stop_after
+                reports.append(
+                    session.campaign(
+                        faults=faults, checkpoint=path, resume=True, **options
+                    )
+                )
+        native, python = reports
+        assert native.complete and python.complete
+        assert list(native.statuses.items()) == list(python.statuses.items())
+        assert native.modes == python.modes
+        assert native.errors == python.errors
+        assert [(p.v1, p.v2, p.fault) for p in native.patterns] == [
+            (p.v1, p.v2, p.fault) for p in python.patterns
+        ]
+        for counter in COUNTERS:
+            got, want = getattr(native.stats, counter), getattr(python.stats, counter)
+            assert got == want, counter

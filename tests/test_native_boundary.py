@@ -6,11 +6,14 @@ oracle: empty batches, lane counts around a word (1, 63, 64, 65),
 paths of one signal and through every signal, the full 16-bit XOR
 polarity screen, duplicate fanins, extreme backtrack limits and fault
 views over tables that changed between calls.  The campaign's
-generated patterns travel as rows — from the executor's reused C
-engine, through a :class:`PatternTable`, to the drop bus's native pass
-on its own scratch — and each hop is checked against the path it
-replaced.  ``scripts/check_native_sanitizers.py`` runs this file on an
-ASan + UBSan build of the C unit.
+generated patterns travel as rows — from the executor's one C round
+call, through a :class:`PatternTable`, to the drop bus's one C drop
+round — and each hop is checked against its Python oracle, down to the
+edges of both round calls: empty rounds, skipped shards, fresh rows
+past one word, tables rebuilt between rounds, no live rows, and rows
+or bounds the C code would index out of range.
+``scripts/check_native_sanitizers.py`` runs this file on an ASan +
+UBSan build of the C unit.
 """
 
 import random
@@ -22,8 +25,11 @@ from hypothesis import strategies as st
 
 from repro.api import AtpgSession, Options
 from repro.api.resolve import resolve_circuit
+from repro import chaos
 from repro.campaign.bus import DropBus
-from repro.campaign.scheduler import SerialExecutor, ShardResult
+from repro.campaign.runner import _Campaign
+from repro.campaign.scheduler import RoundResult, SerialExecutor, Supervision
+from repro.campaign.universe import FaultUniverse
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.generators import random_dag
 from repro.core.aptpg import run_aptpg
@@ -35,6 +41,7 @@ from repro.core.patterns import (
     extract_pattern,
     random_patterns,
 )
+from repro.core.results import FaultStatus
 from repro.core.state import (
     SEVEN_VALUED,
     THREE_VALUED,
@@ -43,7 +50,7 @@ from repro.core.state import (
     TpgState,
 )
 from repro.kernel import native_available
-from repro.kernel.native import DropScratch
+from repro.kernel.native import DropRound
 from repro.kernel.packed import (
     PackedPatterns,
     bits_text,
@@ -206,13 +213,11 @@ class TestEmpty:
         assert strength_masks_all(dag, patterns, [], backend=backend) == []
 
     @needs_native
-    def test_native_pass_with_no_faults(self, dag):
-        sim = DelayFaultSimulator(dag, TestClass.NONROBUST)
-        backend = sim.native_backend(3)
-        packed = PackedPatterns.from_patterns(random_patterns(dag, 3))
-        scratch = DropScratch(dag.compiled())
-        empty = FaultTable(dag.num_signals).view()
-        assert len(sim.drop_pass(backend, packed, empty, scratch)) == 0
+    def test_native_drop_round_with_no_faults(self, dag):
+        block = PatternTable.from_patterns(random_patterns(dag, 3)).rows
+        empty = FaultTable(dag.num_signals)
+        live = np.zeros(0, dtype=bool)
+        assert DropRound(dag.compiled(), False).run(block, empty, live) == []
 
     @needs_native
     def test_empty_fptpg_batch(self, dag):
@@ -355,7 +360,8 @@ class TestViewsOverChangedTables:
 # ---------------------------------------------------------------------------
 
 
-def shard_key(result: ShardResult):
+def round_key(result: RoundResult):
+    """What a round decided, without its wall-clock seconds."""
     rows = None
     if result.rows is not None:
         rows = (result.rows[0].tolist(), result.rows[1].tolist())
@@ -366,31 +372,45 @@ def shard_key(result: ShardResult):
         result.decisions,
         result.backtracks,
         result.implication_passes,
-        result.error,
+        result.errors,
     )
 
 
+def bounds_of(shards):
+    bounds = [0]
+    for shard in shards:
+        bounds.append(bounds[-1] + len(shard))
+    return bounds
+
+
 class _Shards:
-    """A pool of shards on c1355-like, and each one's fresh-engine result."""
+    """A table of faults on c1355-like, and each round's fresh-engine result.
+
+    Rows ``0..159`` are structural faults; :attr:`narrowing` lists the
+    rows whose polarity screen narrows the engine, and :attr:`raising`
+    is the row of a path from an internal signal that APTPG tests: its
+    row read fails after the C search has run.
+    """
 
     def __init__(self):
         self.circuit = resolve_circuit("c1355")
-        self.faults = fault_list(self.circuit, cap=160, strategy="all")
+        faults = fault_list(self.circuit, cap=160, strategy="all")
         self.cc = compute_controllability(self.circuit)
         self.narrowing = []
-        for fault in self.faults:
+        for row, fault in enumerate(faults):
             state = TpgState(self.circuit, THREE_VALUED, 32)
             state.aptpg(fault, self.cc, 2, 8)
             if state.width < 32:
-                self.narrowing.append(fault)
-        self.raising = self._raising_fault()
+                self.narrowing.append(row)
+        self.raising = len(faults)
+        self.table = FaultTable(
+            self.circuit.num_signals, faults + [self._raising_fault(faults)]
+        )
         self._fresh = {}
 
-    def _raising_fault(self):
-        """A path from an internal signal that APTPG tests: its row read
-        raises after the C call has run."""
+    def _raising_fault(self, faults):
         compiled = self.circuit.compiled()
-        for fault in self.faults:
+        for fault in faults:
             for start in range(1, len(fault.signals) - 1):
                 sub = PathDelayFault(fault.signals[start:], fault.transition)
                 engine = TpgEngine(compiled, 2, 32)
@@ -400,21 +420,23 @@ class _Shards:
         raise AssertionError("no internal path tests")
 
     def executor(self):
-        return SerialExecutor(self.circuit, TestClass.NONROBUST, 32, True, 2)
+        return SerialExecutor(
+            self.circuit, TestClass.NONROBUST, 32, True, 2,
+            supervision=Supervision(retry_base_ms=0),
+        )
 
-    def run(self, executor, shard):
-        kind, faults = shard
-        try:
-            if kind == "aptpg":
-                return shard_key(executor.aptpg_shard(faults[0]))
-            return shard_key(executor.fptpg_shard(faults))
-        except ValueError as exc:
-            return ("raised", str(exc))
+    def run(self, executor, item):
+        kind, groups = item
+        rows = [row for group in groups for row in group]
+        result = executor.run_round(
+            kind == "aptpg", self.table, rows, bounds_of(groups)
+        )
+        return round_key(result)
 
-    def fresh(self, shard):
-        key = (shard[0], tuple(shard[1]))
+    def fresh(self, item):
+        key = (item[0], tuple(map(tuple, item[1])))
         if key not in self._fresh:
-            self._fresh[key] = self.run(self.executor(), shard)
+            self._fresh[key] = self.run(self.executor(), item)
         return self._fresh[key]
 
 
@@ -429,34 +451,96 @@ def shards():
 class TestReusedEngine:
     def test_pool_has_every_kind(self, shards):
         assert shards.narrowing
-        assert shards.fresh(("aptpg", [shards.raising]))[0] == "raised"
+        errors = shards.fresh(("aptpg", [[shards.raising]]))[-1]
+        assert errors[0]["error"] == "ValueError"
+        assert "not a primary input" in errors[0]["detail"]
 
     @SETTINGS
     @given(data=st.data())
-    def test_shards_match_fresh_engines(self, shards, data):
-        pool = shards.faults + shards.narrowing * 4
-        one = st.sampled_from(pool)
-        narrowing = st.sampled_from(shards.narrowing)
-        raising = [shards.raising]
-        shard = st.one_of(
-            st.tuples(st.just("aptpg"), st.lists(one, min_size=1, max_size=1)),
-            st.tuples(st.just("aptpg"), st.lists(narrowing, min_size=1, max_size=1)),
-            st.tuples(st.just("fptpg"), st.lists(one, min_size=1, max_size=32)),
-            st.tuples(st.just("aptpg"), st.just(raising)),
-            st.tuples(
-                st.just("fptpg"),
-                st.lists(one, max_size=31).map(lambda batch: raising + batch),
-            ),
+    def test_rounds_match_fresh_engines(self, shards, data):
+        """A round on the executor's reused engine, after any earlier
+        rounds, equals the same round on a fresh executor."""
+        one = st.sampled_from(list(range(shards.raising)) + shards.narrowing * 4)
+        aptpg_shard = st.one_of(
+            st.lists(one, min_size=1, max_size=1),
+            st.lists(st.sampled_from(shards.narrowing), min_size=1, max_size=1),
+            st.just([shards.raising]),
         )
-        sequence = data.draw(st.lists(shard, min_size=1, max_size=8))
+        fptpg_shard = st.one_of(
+            st.lists(one, min_size=1, max_size=32),
+            st.lists(one, max_size=31).map(lambda batch: [shards.raising] + batch),
+        )
+        item = st.one_of(
+            st.tuples(st.just("aptpg"), st.lists(aptpg_shard, min_size=1, max_size=3)),
+            st.tuples(st.just("fptpg"), st.lists(fptpg_shard, min_size=1, max_size=3)),
+        )
+        sequence = data.draw(st.lists(item, min_size=1, max_size=6))
         executor = shards.executor()
-        for item in sequence:
-            assert shards.run(executor, item) == shards.fresh(item)
+        for round_ in sequence:
+            assert shards.run(executor, round_) == shards.fresh(round_)
         assert executor.engine() is not None
+
+    def test_rounds_match_the_python_shards(self, shards):
+        """Every status, pattern, row and counter of a C round equals the
+        same shards run one by one through run_fptpg / run_aptpg."""
+        faults = shards.table.faults
+        executor = shards.executor()
+        for kind, groups in (
+            ("fptpg", [list(range(0, 32)), list(range(32, 50))]),
+            ("aptpg", [[row] for row in range(50, 90)]),
+        ):
+            got = executor.run_round(
+                kind == "aptpg", shards.table, sum(groups, []), bounds_of(groups)
+            )
+            if kind == "aptpg":
+                want = [executor.aptpg_shard(faults[group[0]]) for group in groups]
+            else:
+                want = [
+                    executor.fptpg_shard([faults[row] for row in group])
+                    for group in groups
+                ]
+            assert got.statuses == sum((w.statuses for w in want), [])
+            assert got.patterns == sum((w.patterns for w in want), [])
+            for counter in ("decisions", "backtracks", "implication_passes"):
+                assert getattr(got, counter) == sum(getattr(w, counter) for w in want)
+            tested = [p for p in got.patterns if p is not None]
+            assert tested
+            assert got.rows[0].tolist() == [list(p.v1) for p in tested]
+            assert got.rows[1].tolist() == [list(p.v2) for p in tested]
+
+    def test_failing_shard_is_retried_then_quarantined(self, shards):
+        """A shard that fails inside the round call takes its next
+        attempts from there; the shards around it are unaffected and
+        the chaos queries keep numbering attempts."""
+        groups = [[3], [shards.raising], [7]]
+        executor = shards.executor()
+        controller = chaos.install({"points": [{"site": "shard_error", "at": [1]}]})
+        try:
+            got = executor.run_round(
+                True, shards.table, sum(groups, []), bounds_of(groups)
+            )
+            chaos.maybe_raise("shard_error")  # the next query's index
+            fired = controller.fired()
+        finally:
+            chaos.uninstall()
+        # shard 1: attempt 1 injected, attempts 2 and 3 fail in C; the
+        # queries were 0..4 (shard 0, shard 1 twice, shard 2, shard 1)
+        assert fired == [{"site": "shard_error", "occurrence": 1}]
+        assert controller._counts["shard_error"] == 6
+        assert executor.shard_retries == 2
+        assert executor.quarantined_shards == 1
+        assert got.errors[0] is None and got.errors[2] is None
+        assert got.errors[1]["error"] == "ValueError"
+        assert got.errors[1]["attempts"] == 3
+        assert got.statuses[1] is FaultStatus.SKIPPED_ERROR
+        assert got.patterns[1] is None
+        for k in (0, 2):
+            alone = shards.fresh(("aptpg", [groups[k]]))
+            assert (got.statuses[k], got.patterns[k]) == (alone[0][0], alone[1][0])
 
     def test_run_outcomes_read_rows_like_extract_pattern(self, shards):
         circuit, cc = shards.circuit, shards.cc
-        for fault in shards.faults[:60]:
+        for fault in shards.table.faults[:60]:
             outcome = run_aptpg(circuit, fault, TestClass.NONROBUST, 32, cc)
             if outcome.pattern is None:
                 continue
@@ -548,21 +632,21 @@ class TestNativeDropRound:
         ]
 
     @needs_native
-    def test_pass_positions_match_masks(self, dag):
+    @pytest.mark.parametrize("test_class", list(TestClass))
+    def test_drop_round_rows_match_masks(self, dag, test_class):
         faults = fault_list(dag, cap=80, strategy="all")
         table = FaultTable(dag.num_signals, faults)
-        sim = DelayFaultSimulator(dag, TestClass.ROBUST)
-        backend = sim.native_backend(200)
-        scratch = DropScratch(dag.compiled())
-        for n, rows in ((200, range(0, 80, 3)), (1, range(80)), (65, [7, 7, 1])):
-            packed = PackedPatterns.from_patterns(random_patterns(dag, n, seed=n))
-            view = table.view(list(rows))
-            masks = oracle_masks(dag, TestClass.ROBUST, packed, view)
-            got = sim.drop_pass(backend, packed, view, scratch)
-            assert got.tolist() == [k for k, mask in enumerate(masks) if mask]
-        with pytest.raises(ValueError, match="outside the circuit"):
-            bad = [PathDelayFault((0, 999), Transition.RISING)]
-            sim.drop_pass(backend, packed, bad, scratch)
+        drop = DropRound(dag.compiled(), test_class is TestClass.ROBUST)
+        for n, rows in ((200, range(0, 80, 3)), (1, range(80)), (65, [7, 1])):
+            patterns = random_patterns(dag, n, seed=n)
+            live = np.zeros(len(table), dtype=bool)
+            live[list(rows)] = True
+            masks = oracle_masks(dag, test_class, patterns, faults)
+            want = [row for row in sorted(rows) if masks[row]]
+            block = PatternTable.from_patterns(patterns).rows
+            assert drop.run(block, table, live) == want
+            assert not live[want].any()
+            assert live.sum() == len(rows) - len(want)
 
     def test_released_faults_never_drop(self, dag):
         faults = fault_list(dag, cap=80, strategy="all")
@@ -602,6 +686,157 @@ class TestNativeDropRound:
         patterns = random_patterns(dag, 100, seed=4)
         masks = oracle_masks(dag, TestClass.NONROBUST, patterns, [f for _, f in live])
         assert bus.absorb(patterns) == [i for (i, _), m in zip(live, masks) if m]
+
+
+# ---------------------------------------------------------------------------
+# the two round calls at their edges
+# ---------------------------------------------------------------------------
+
+
+def round_engine(circuit, width=32):
+    engine = TpgEngine(circuit.compiled(), 2, width)
+    return engine, engine.ranks(compute_controllability(circuit))
+
+
+@needs_native
+class TestRoundEdges:
+    """``repro_tpg_round`` and ``repro_drop_round`` at the shapes a
+    campaign can hand them, each against its Python oracle."""
+
+    def test_empty_rounds(self, dag):
+        table = FaultTable(dag.num_signals, fault_list(dag, cap=8, strategy="all"))
+        engine, ranks = round_engine(dag)
+        for aptpg in (False, True):
+            run = engine.round(aptpg, table, [], [0], b"", ranks, 64, 8)
+            assert run.codes == b"" and run.tested == [] and run.rows == b""
+            assert run.decisions == run.backtracks == run.implication_passes == 0
+        executor = SerialExecutor(dag, TestClass.NONROBUST, 32, True, 64)
+        result = executor.run_round(True, table, [], [0])
+        assert (result.statuses, result.errors, result.rows) == ([], [], None)
+        live = np.ones(len(table), dtype=bool)
+        none = PatternTable(len(dag.inputs)).rows
+        assert DropRound(dag.compiled(), False).run(none, table, live) == []
+        assert live.all()
+
+    def test_rounds_whose_targets_were_all_dropped(self, dag):
+        """Skipped (quarantined) shards run nothing; a campaign round
+        whose targets all settled meanwhile makes no call at all."""
+        faults = fault_list(dag, cap=40, strategy="all")
+        table = FaultTable(dag.num_signals, faults)
+        engine, ranks = round_engine(dag)
+        run = engine.round(
+            False, table, list(range(12)), [0, 6, 12], b"\1\1", ranks, 64, 8
+        )
+        assert run.codes == bytes(12) and run.tested == []
+        assert run.decisions == run.implication_passes == 0
+        campaign = _Campaign(
+            dag, FaultUniverse.from_faults(faults), TestClass.NONROBUST,
+            Options(width=8),
+        )
+        campaign.pull(campaign.universe.stream())
+        for index, fault in list(campaign.pending.items()):
+            campaign.settle(index, fault, FaultStatus.SIMULATED, None, "simulation")
+
+        class NoCalls:
+            def run_round(self, *args):
+                raise AssertionError("a round without targets called the executor")
+
+        assert campaign.backlog and not campaign.fptpg_round(NoCalls())
+        assert not campaign.aptpg_round(NoCalls())
+
+    @pytest.mark.parametrize("shards, width", [(3, 64), (2, 33)])
+    def test_fresh_rows_spanning_words(self, shards, width):
+        """shards x width > 64: an FPTPG round's fresh rows fill more
+        than one word of the drop round's planes."""
+        circuit = resolve_circuit("c880")
+        faults = fault_list(circuit, cap=400, strategy="all")
+        reports = [
+            AtpgSession(circuit, options=Options(fusion=fusion)).campaign(
+                faults=faults, width=width, shards=shards
+            )
+            for fusion in ("auto", "codegen")
+        ]
+        native, python = reports
+        assert native.statuses == python.statuses
+        assert [(p.v1, p.v2) for p in native.patterns] == [
+            (p.v1, p.v2) for p in python.patterns
+        ]
+        table = FaultTable(circuit.num_signals, faults)
+        patterns = random_patterns(circuit, shards * width, seed=width)
+        masks = oracle_masks(circuit, TestClass.NONROBUST, patterns, faults)
+        live = np.ones(len(table), dtype=bool)
+        block = PatternTable.from_patterns(patterns).rows
+        got = DropRound(circuit.compiled(), False).run(block, table, live)
+        assert got == [row for row, mask in enumerate(masks) if mask]
+
+    def test_tables_rebuilt_between_rounds(self, dag):
+        """Both calls keep views of the table's columns between rounds;
+        a table grown or rebuilt in between must be read afresh."""
+        faults = fault_list(dag, cap=80, strategy="all")
+        bus, keep = live_bus(dag, TestClass.NONROBUST, faults[:40], "one")
+        executor = SerialExecutor(dag, TestClass.NONROBUST, 8, True, 64)
+        fresh = SerialExecutor(dag, TestClass.NONROBUST, 8, True, 64)
+
+        def generate(indices):
+            rows = bus.table_rows(indices)
+            got = executor.run_round(False, bus.table, rows, [0, len(rows)])
+            want = fresh.run_round(False, bus.table, rows, [0, len(rows)])
+            assert round_key(got) == round_key(want)
+
+        generate([index for index, _ in keep])
+        patterns = random_patterns(dag, 70, seed=5)
+        bus.absorb(patterns)  # the drop round's views of this table
+        extra = [(9000 + k, f) for k, f in enumerate(faults[40:])]
+        table = bus.table
+        bus.register(extra)  # released rows outnumber live ones: rebuilt
+        assert bus.table is not table
+        generate([index for index, _ in extra[:8]])
+        live = [(i, f) for i, f in keep + extra if i in bus._rows]
+        more = random_patterns(dag, 90, seed=6)
+        masks = oracle_masks(dag, TestClass.NONROBUST, more, [f for _, f in live])
+        assert bus.absorb(more) == [i for (i, _), m in zip(live, masks) if m]
+
+    def test_no_live_rows_left(self, dag):
+        faults = fault_list(dag, cap=30, strategy="all")
+        table = FaultTable(dag.num_signals, faults)
+        live = np.zeros(len(table) + 5, dtype=bool)
+        block = PatternTable.from_patterns(random_patterns(dag, 100, seed=1)).rows
+        assert DropRound(dag.compiled(), True).run(block, table, live) == []
+        assert not live.any()
+
+    def test_out_of_range_inputs_are_refused_before_the_call(self, dag):
+        faults = fault_list(dag, cap=20, strategy="all")
+        table = FaultTable(dag.num_signals, faults)
+        engine, ranks = round_engine(dag, 4)
+        for rows in ([len(table)], [0, -1], [2**40]):
+            with pytest.raises((IndexError, OverflowError)):
+                engine.round(False, table, rows, [0, len(rows)], b"\0", ranks, 64, 8)
+        for bounds, skip in (([0, 1], b"\0"), ([0, 3], b"\0\0"), ([1, 3], b"\0")):
+            with pytest.raises(ValueError, match="shard bounds"):
+                engine.round(False, table, [0, 1, 2], bounds, skip, ranks, 64, 8)
+        # refused in C before any shard runs: too wide, empty, two faults
+        # in an APTPG shard, and the XOR screen cap
+        for aptpg, bounds in ((False, [0, 5]), (False, [0, 0, 5]), (True, [0, 2])):
+            rows = list(range(bounds[-1]))
+            skip = bytes(len(bounds) - 1)
+            with pytest.raises(ValueError, match="shard bounds"):
+                engine.round(aptpg, table, rows, bounds, skip, ranks, 64, 8)
+        with pytest.raises(ValueError, match="max_xor_polarity_bits"):
+            engine.round(True, table, [0], [0, 1], b"\0", ranks, 64, 17)
+        executor = SerialExecutor(dag, TestClass.NONROBUST, 4, True, 64)
+        with pytest.raises(IndexError):
+            executor.run_round(True, table, [len(table)], [0, 1])
+        assert executor.quarantined_shards == executor.shard_retries == 0
+        drop = DropRound(dag.compiled(), False)
+        block = PatternTable.from_patterns(random_patterns(dag, 3)).rows
+        with pytest.raises(ValueError, match="pattern rows"):
+            drop.run(block[:, 1:], table, np.ones(len(table), dtype=bool))
+        with pytest.raises(ValueError, match="pattern rows"):
+            drop.run(block.astype(np.int64), table, np.ones(len(table), dtype=bool))
+        with pytest.raises(ValueError, match="live mask"):
+            drop.run(block, table, np.ones(len(table) - 1, dtype=bool))
+        with pytest.raises(ValueError, match="live mask"):
+            drop.run(block, table, np.ones(len(table), dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------

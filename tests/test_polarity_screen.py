@@ -37,7 +37,7 @@ from repro.kernel import native_available
 from repro.logic import seven_valued as sv
 from repro.logic import three_valued as tv
 from repro.logic.words import mask_for
-from repro.paths import PathDelayFault, TestClass, Transition, fault_list
+from repro.paths import FaultTable, PathDelayFault, TestClass, Transition, fault_list
 
 #: keep hypothesis examples small: at most 2**5 combinations per fault
 MAX_SIDES = 5
@@ -280,9 +280,11 @@ class TestScreen:
         assert outcome.status is FaultStatus.TESTED
         assert outcome.state.width == 8
         assert outcome.implication_passes > outcome.state.implication_passes > 0
-        # the campaign's APTPG shards report the same total
-        shard = SerialExecutor(c, TestClass.NONROBUST, 8, True, 64).aptpg_shard(fault)
-        assert shard.implication_passes == outcome.implication_passes
+        # the campaign's APTPG rounds report the same total
+        executor = SerialExecutor(c, TestClass.NONROBUST, 8, True, 64)
+        table = FaultTable(c.num_signals, [fault])
+        result = executor.run_round(True, table, [0], [0, 1])
+        assert result.implication_passes == outcome.implication_passes
 
 
 class TestMatchesSerialLoop:

@@ -399,6 +399,48 @@ class TestHttpEndpoint:
         assert b"Connection: close" in head
         assert json.loads(body)["error"] == "PayloadTooLarge"
 
+    def test_chunked_body_is_411_and_closes(self, server):
+        """A chunked body is refused before it is read, and the
+        connection closed: kept open, the unread chunks would parse as a
+        second request (an HTML 400 for the chunk-size line)."""
+        port = server.server_address[1]
+        body = json.dumps(
+            stamp(
+                "repro/request.grade",
+                {
+                    "circuit": "c17",
+                    "patterns": [{"v1": "00000", "v2": "11111"}],
+                    "faults": [{"signals": [0, 5, 9], "transition": "R"}],
+                },
+            )
+        ).encode()
+        failed = server.service.metrics()["requests_failed"]
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/grade HTTP/1.1\r\nHost: localhost\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n"
+            )
+            reply = b""
+            while True:  # the server closes: the body was never read
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        head, _, rest = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 411")
+        assert b"Connection: close" in head
+        length = int(
+            next(
+                line.split(b":")[1]
+                for line in head.split(b"\r\n")
+                if line.lower().startswith(b"content-length:")
+            )
+        )
+        assert json.loads(rest[:length])["error"] == "LengthRequired"
+        assert rest[length:] == b""  # exactly one response
+        assert server.service.metrics()["requests_failed"] == failed + 1
+
     @pytest.mark.parametrize("verb", ["grade", "simulate"])
     @pytest.mark.parametrize("bad", [2, -1, 256])
     def test_non_binary_bits_are_400(self, server, verb, bad):
