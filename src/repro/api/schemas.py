@@ -11,10 +11,20 @@ third envelope key, ``sha256`` (the body's integrity digest); the
 validator tolerates it on any kind, exactly like the schema keys.
 
 This module is the registry of those kinds: a declarative structural
-spec per ``(kind, version)`` plus a small validator (no third-party
+spec per ``(kind, version)`` plus a validator (no third-party
 dependency).  :func:`validate` rejects unknown kinds, unknown
 versions, and shape drift, so changing a payload without bumping its
 version fails the tests that round-trip it.
+
+The validator compiles each spec, on its first use, into a tree of
+checker closures, memoized by spec object so that a sub-spec several
+kinds share (``FAULT``, ``PATTERN_V2``, the option layers) compiles
+once.  A payload that passes costs one closure call per value, with
+no spec lookups and no path strings; a failure is worded on its way
+out, with the path of the first failing value in spec order (required
+keys, then optional keys, then unexpected keys).  It is the one
+validator: the service's request decode, the :mod:`repro.api.serde`
+loaders, ``tip validate`` and job-record recovery all call it.
 
 Spec mini-language (a nested dict per value):
 
@@ -42,7 +52,8 @@ characters.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, Optional, Tuple
+from collections.abc import Hashable
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 
 class SchemaError(ValueError):
@@ -739,102 +750,227 @@ def stamp(kind: str, payload: Dict, version: Optional[int] = None) -> Dict:
 
 
 # ---------------------------------------------------------------------------
-# structural validation
+# structural validation: each spec compiled once into a checker
 # ---------------------------------------------------------------------------
 
+#: Keys any object may carry beside its spec's own: the schema envelope,
+#: and "sha256", the integrity digest (see api.integrity).
+_ENVELOPE_KEYS = frozenset({"schema", "schema_version", "sha256"})
 
-def _check(spec: Dict, value, path: str) -> None:
+
+class _Mismatch(Exception):
+    """A failed check, worded only once its path is known.
+
+    A checker raises it with its own detail; each container it passes
+    on the way out adds its path segment, and :func:`validate` words
+    the whole message, so a payload that passes never builds a path.
+    """
+
+    def __init__(self, detail: str, alternatives: Optional[List] = None):
+        super().__init__(detail)
+        self.detail = detail
+        self.alternatives = alternatives  # an anyOf's failed branches
+        self.segments: List[str] = []  # innermost first
+
+    def word(self, path: str) -> str:
+        path += "".join(reversed(self.segments))
+        if self.alternatives is None:
+            return f"{path}: {self.detail}"
+        tried = "; ".join(failure.word(path) for failure in self.alternatives)
+        return f"{path}: no alternative matched ({tried})"
+
+
+def _expected(what: str, value) -> _Mismatch:
+    return _Mismatch(f"expected {what}, got {type(value).__name__}")
+
+
+def _accept(value) -> None:
+    """The checker of ``any``."""
+
+
+def _is_null(value) -> None:
+    if value is not None:
+        raise _expected("null", value)
+
+
+def _is_string(value) -> None:
+    if not isinstance(value, str):
+        raise _expected("string", value)
+
+
+def _is_bool(value) -> None:
+    if not isinstance(value, bool):
+        raise _expected("bool", value)
+
+
+def _is_int(value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _expected("int", value)
+
+
+def _is_number(value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _expected("number", value)
+
+
+_SCALARS: Dict[str, Callable] = {
+    "any": _accept,
+    "null": _is_null,
+    "string": _is_string,
+    "bool": _is_bool,
+    "int": _is_int,
+    "number": _is_number,
+}
+
+#: The exact types whose every value passes a scalar type.
+_EXACT: Dict[str, frozenset] = {
+    "null": frozenset({type(None)}),
+    "string": frozenset({str}),
+    "bool": frozenset({bool}),
+    "int": frozenset({int}),
+    "number": frozenset({int, float}),
+}
+
+#: id(spec) -> (spec, its checker); holding the spec keeps its id its
+#: own.  Two threads' first uses may both compile a spec; either
+#: checker is right.
+_CHECKERS: Dict[int, Tuple[Dict, Callable]] = {}
+
+
+def _checker(spec: Dict) -> Callable:
+    """*spec*'s checker, compiled on first use and shared thereafter, so
+    a sub-spec several kinds embed (``FAULT``, ``PATTERN_V2``, the
+    option layers) compiles once."""
+    entry = _CHECKERS.get(id(spec))
+    if entry is None:
+        entry = _CHECKERS[id(spec)] = (spec, _compile(spec))
+    return entry[1]
+
+
+def _exact(spec: Dict) -> frozenset:
+    """The exact types whose every value *spec* accepts.
+
+    A value of one of them passes without a checker call: an array of
+    them in one C-speed sweep (pattern bit vectors, fault signal
+    lists), an object key holding one (``"0101…"`` vectors, a null
+    ``fault``) with one set lookup.  Any other value gets the checker,
+    so an int subclass still passes ``int``.
+    """
     if "anyOf" in spec:
-        if value is None and NULL in spec["anyOf"]:
-            return  # an opt(...) field holding null: no failing try first
-        errors = []
-        for alternative in spec["anyOf"]:
-            try:
-                _check(alternative, value, path)
-                return
-            except SchemaError as exc:
-                errors.append(str(exc))
-        raise SchemaError(f"{path}: no alternative matched ({'; '.join(errors)})")
+        return frozenset().union(*map(_exact, spec["anyOf"]))
+    if len(spec) == 1:
+        return _EXACT.get(spec.get("type"), frozenset())
+    return frozenset()
+
+
+def _compile(spec: Dict) -> Callable:
+    if "anyOf" in spec:
+        return _any_of(spec["anyOf"])
     if "const" in spec:
-        if value != spec["const"]:
-            raise SchemaError(f"{path}: expected {spec['const']!r}, got {value!r}")
-        return
+        return _const(spec["const"])
     if "enum" in spec:
-        if value not in spec["enum"]:
-            raise SchemaError(f"{path}: {value!r} not in {spec['enum']!r}")
-        return
+        return _enum(spec["enum"])
     kind = spec["type"]
-    if kind == "any":
-        return
-    if kind == "null":
-        if value is not None:
-            raise SchemaError(f"{path}: expected null, got {type(value).__name__}")
-        return
-    if kind == "string":
-        if not isinstance(value, str):
-            raise SchemaError(f"{path}: expected string, got {type(value).__name__}")
-        return
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise SchemaError(f"{path}: expected bool, got {type(value).__name__}")
-        return
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaError(f"{path}: expected int, got {type(value).__name__}")
-        return
-    if kind == "number":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"{path}: expected number, got {type(value).__name__}")
-        return
     if kind == "array":
-        if not isinstance(value, list):
-            raise SchemaError(f"{path}: expected array, got {type(value).__name__}")
-        items = spec["items"]
-        # hot path: long scalar arrays (pattern bit vectors, fault
-        # signal lists, checkpoint rows) verified with one C-speed
-        # sweep over exact JSON types; the per-element walk below only
-        # runs when the sweep fails (its job is the indexed error
-        # message) or for non-scalar/shared item specs
-        if items is INT:
-            if all(type(item) is int for item in value):
-                return
-        elif items is STR:
-            if all(type(item) is str for item in value):
-                return
-        elif items is NUM:
-            if all(type(item) is int or type(item) is float for item in value):
-                return
-        elif items is BOOL:
-            if all(type(item) is bool for item in value):
-                return
-        for index, item in enumerate(value):
-            _check(items, item, f"{path}[{index}]")
-        return
+        return _array(spec["items"])
     if kind == "object":
+        return _object(spec["required"], spec["optional"], spec["open"])
+    if kind not in _SCALARS:  # pragma: no cover - a malformed registry spec
+        raise SchemaError(f"unknown spec type {kind!r}")
+    return _SCALARS[kind]
+
+
+def _any_of(alternatives: List[Dict]) -> Callable:
+    checks = [_checker(alternative) for alternative in alternatives]
+    takes_null = NULL in alternatives
+
+    def check(value) -> None:
+        if value is None and takes_null:
+            return  # an opt(...) field holding null: no failing try first
+        failures = []
+        for alternative in checks:
+            try:
+                alternative(value)
+                return
+            except _Mismatch as failure:
+                failures.append(failure)
+        raise _Mismatch("", failures)
+
+    return check
+
+
+def _const(expected) -> Callable:
+    def check(value) -> None:
+        if value != expected:
+            raise _Mismatch(f"expected {expected!r}, got {value!r}")
+
+    return check
+
+
+def _enum(members: List) -> Callable:
+    def check(value) -> None:
+        if value not in members:
+            raise _Mismatch(f"{value!r} not in {members!r}")
+
+    return check
+
+
+def _array(items: Dict) -> Callable:
+    check_item = _checker(items)
+    exact = _exact(items)
+
+    def check_list(value) -> None:
+        if not isinstance(value, list):
+            raise _expected("array", value)
+
+    def check(value) -> None:
+        if not isinstance(value, list):
+            raise _expected("array", value)
+        if exact and exact.issuperset(map(type, value)):
+            return
+        for index, item in enumerate(value):
+            try:
+                check_item(item)
+            except _Mismatch as failure:
+                failure.segments.append(f"[{index}]")
+                raise
+
+    return check_list if check_item is _accept else check
+
+
+def _object(required: Dict, optional: Dict, open_: bool) -> Callable:
+    # (key, exact types that pass without a call, checker, required?)
+    # in spec order: required keys first
+    keys = [
+        (name, _exact(sub), _checker(sub), needed)
+        for group, needed in ((required, True), (optional, False))
+        for name, sub in group.items()
+    ]
+    allowed = frozenset(required) | frozenset(optional) | _ENVELOPE_KEYS
+
+    def check(value) -> None:
         if not isinstance(value, dict):
-            raise SchemaError(f"{path}: expected object, got {type(value).__name__}")
-        for name, sub in spec["required"].items():
+            raise _expected("object", value)
+        for name, exact, check_key, needed in keys:
             if name not in value:
-                raise SchemaError(f"{path}: missing required key {name!r}")
-            _check(sub, value[name], f"{path}.{name}")
-        for name, sub in spec["optional"].items():
-            if name in value:
-                _check(sub, value[name], f"{path}.{name}")
-        if not spec["open"]:
-            known = set(spec["required"]) | set(spec["optional"])
-            # "sha256" is the integrity envelope (see api.integrity):
-            # like schema/schema_version it may ride on any enveloped
-            # payload without being part of the body spec
-            extra = sorted(
-                set(value) - known - {"schema", "schema_version", "sha256"}
+                if needed:
+                    raise _Mismatch(f"missing required key {name!r}")
+                continue
+            item = value[name]
+            if type(item) not in exact:
+                try:
+                    check_key(item)
+                except _Mismatch as failure:
+                    failure.segments.append(f".{name}")
+                    raise
+        if not open_ and not allowed.issuperset(value):
+            extra = sorted(set(value) - allowed)
+            raise _Mismatch(
+                f"unexpected keys {extra} (schema drift? bump the schema "
+                f"version and register the new shape)"
             )
-            if extra:
-                raise SchemaError(
-                    f"{path}: unexpected keys {extra} (schema drift? bump the "
-                    f"schema version and register the new shape)"
-                )
-        return
-    raise SchemaError(f"{path}: unknown spec type {kind!r}")  # pragma: no cover
+
+    return check
 
 
 def validate(payload: Dict, kind: Optional[str] = None) -> Tuple[str, int]:
@@ -852,16 +988,21 @@ def validate(payload: Dict, kind: Optional[str] = None) -> Tuple[str, int]:
         raise SchemaError("missing schema/schema_version envelope")
     if kind is not None and declared != kind:
         raise SchemaError(f"expected schema {kind!r}, got {declared!r}")
-    versions = SCHEMAS.get(declared)
+    # an unhashable kind or version (a JSON list or object) is unknown
+    # too, not a TypeError out of the lookup
+    versions = SCHEMAS.get(declared) if isinstance(declared, str) else None
     if versions is None:
         raise SchemaError(f"unknown schema kind {declared!r}")
-    spec = versions.get(version)
+    spec = versions.get(version) if isinstance(version, Hashable) else None
     if spec is None:
         raise SchemaError(
             f"unknown schema_version {version!r} for {declared!r} "
             f"(known: {sorted(versions)})"
         )
-    _check(spec, payload, "$")
+    try:
+        _checker(spec)(payload)
+    except _Mismatch as failure:
+        raise SchemaError(failure.word("$")) from None
     return declared, version
 
 

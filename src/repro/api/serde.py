@@ -63,11 +63,18 @@ def fault_to_payload(fault: PathDelayFault, envelope: bool = True) -> Dict:
     return stamp("repro/fault", body) if envelope else body
 
 
+#: Transition by wire letter: one dict lookup per decoded fault.
+_TRANSITIONS = {transition.value: transition for transition in Transition}
+
+
 def fault_from_payload(payload: Dict, envelope: bool = True) -> PathDelayFault:
     if envelope:
         validate(payload, kind="repro/fault")
+    letter = payload["transition"]
+    # any other value gets the Enum's own error
+    transition = _TRANSITIONS.get(letter) if type(letter) is str else None
     return PathDelayFault(
-        tuple(payload["signals"]), Transition(payload["transition"])
+        tuple(payload["signals"]), transition or Transition(letter)
     )
 
 

@@ -31,8 +31,11 @@ Three layers:
   themselves with the ``X-Tenant`` header; a full job queue or an
   exceeded tenant quota answers ``429`` with ``Retry-After``
   (backpressure), and every request emits one structured JSON access
-  log line with timing (unless ``quiet``).  The CLI front end is
-  ``tip serve``; SIGTERM/SIGINT drain the queue before exit.
+  log line with timing (unless ``quiet``).  Every error, including
+  what the stdlib refuses before a verb runs and a body that stalls
+  past :data:`REQUEST_TIMEOUT_S` (408), is a JSON ``{"error",
+  "detail"}`` body.  The CLI front end is ``tip serve``;
+  SIGTERM/SIGINT drain the queue before exit.
 
 Every request and response body is validated against
 :mod:`repro.api.schemas`; a request with an unknown
@@ -53,9 +56,10 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from ..circuit import Circuit
 from ..core.patterns import TestPattern
@@ -79,6 +83,12 @@ DEFAULT_PORT = 8470
 #: 129-input grade is ~4.8 MB with ``"0101…"`` string vectors (request
 #: v2) and ~13 MB with JSON int lists (v1).
 MAX_BODY_BYTES = 64 << 20
+
+#: Seconds a connection may wait on the client for any one read or
+#: write.  A body that stalls this long gets 408 and the connection
+#: closes; an idle keep-alive connection just closes.  Without it one
+#: slow client holds a handler thread for as long as it likes.
+REQUEST_TIMEOUT_S = 30.0
 
 
 # ---------------------------------------------------------------------------
@@ -226,18 +236,22 @@ _REQUEST_TYPES: Dict[str, type] = {
     )
 }
 
+#: Each verb's request field names, computed once.
+_REQUEST_FIELDS: Dict[str, FrozenSet[str]] = {
+    verb: frozenset(f.name for f in fields(cls))
+    for verb, cls in _REQUEST_TYPES.items()
+}
+
 
 def request_from_payload(verb: str, payload: Dict) -> Request:
     """Decode one enveloped JSON request body into its typed form."""
-    import dataclasses
-
     cls = _REQUEST_TYPES.get(verb)
     if cls is None:
         raise SchemaError(
             f"unknown verb {verb!r} (known: {sorted(_REQUEST_TYPES)})"
         )
     validate(payload, kind=f"repro/request.{verb}")
-    names = {f.name for f in dataclasses.fields(cls)}
+    names = _REQUEST_FIELDS[verb]
     values = {
         key: payload[key]
         for key in ("circuit", "bench", "scale", "test_class")
@@ -805,13 +819,38 @@ class _Handler(BaseHTTPRequestHandler):
     # the client's delayed ACK — a ~40 ms stall on every keep-alive
     # response after the first
     disable_nagle_algorithm = True
+    # the socket timeout of every read and write (StreamRequestHandler)
+    timeout = REQUEST_TIMEOUT_S
 
     # ------------------------------------------------------------ plumbing
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # replaced by the structured access log in _access
 
+    def send_error(self, code, message=None, explain=None):
+        """Answer what the stdlib refuses before a verb runs as JSON.
+
+        That is a request line it cannot parse (400), an unsupported
+        method (501), an over-long line or headers (414/431) and an
+        unsupported version (505).  Each is counted once in
+        ``requests_failed`` and closes the connection.
+        """
+        started = time.monotonic()
+        # a line too broken to name its version leaves HTTP/0.9's
+        # status-less replies selected; answer in our own version
+        self.request_version = self.protocol_version
+        status = HTTPStatus(code)
+        detail = message or status.phrase
+        if explain:
+            detail = f"{detail}: {explain}"
+        error = "".join(ch for ch in status.phrase if ch.isalnum())
+        self._refuse(code, error, detail, close=True)
+        self._access(self.command or "-", started)
+
     def _tenant(self) -> str:
-        return self.headers.get("X-Tenant", "anonymous")
+        headers = getattr(self, "headers", None)  # unset: no headers parsed
+        if headers is None:
+            return "anonymous"
+        return headers.get("X-Tenant", "anonymous")
 
     def _send(
         self,
@@ -853,7 +892,8 @@ class _Handler(BaseHTTPRequestHandler):
         record = {
             "ts": round(time.time(), 3),
             "method": method,
-            "path": self.path,
+            # the command and path are parsed together, or neither is
+            "path": self.path if self.command else None,
             "status": getattr(self, "_status", 0),
             "tenant": self._tenant(),
             "duration_ms": round((time.monotonic() - started) * 1000.0, 3),
@@ -926,6 +966,16 @@ class _Handler(BaseHTTPRequestHandler):
                 self._access("POST", started)
                 return
             payload = json.loads(self.rfile.read(length) or b"{}")
+        except TimeoutError:
+            # close: the rest of the body may still arrive
+            self._refuse(
+                408,
+                "RequestTimeout",
+                f"the {length}-byte body did not arrive within {self.timeout} s",
+                close=True,
+            )
+            self._access("POST", started)
+            return
         except (ValueError, json.JSONDecodeError) as exc:
             self._refuse(400, "BadRequest", str(exc))
             self._access("POST", started)

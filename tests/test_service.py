@@ -9,6 +9,7 @@ same engine behind a wire format, never a reimplementation.
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 import warnings
@@ -320,6 +321,19 @@ class TestHttpEndpoint:
         body = json.loads(excinfo.value.read())
         assert "unknown schema_version" in body["error"]["detail"]
 
+    def test_unhashable_schema_version_is_400(self, server):
+        """A list for ``schema_version`` is an unknown version, not a
+        TypeError that dropped the connection without an answer."""
+        failed = server.service.metrics()["requests_failed"]
+        request = stamp("repro/request.grade", {"patterns": [], "faults": []})
+        request["schema_version"] = [2]
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(server, "grade", request)
+        assert excinfo.value.code == 400
+        body = json.loads(excinfo.value.read())
+        assert "unknown schema_version [2]" in body["error"]["detail"]
+        assert server.service.metrics()["requests_failed"] == failed + 1
+
     def test_unknown_verb_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(server, "transmogrify", stamp("repro/request.generate", {}))
@@ -440,6 +454,86 @@ class TestHttpEndpoint:
         assert json.loads(rest[:length])["error"] == "LengthRequired"
         assert rest[length:] == b""  # exactly one response
         assert server.service.metrics()["requests_failed"] == failed + 1
+
+    @pytest.mark.parametrize(
+        "request_bytes,status,error",
+        [
+            (b"GARBAGE\r\n\r\n", 400, "BadRequest"),
+            (b"PUT /v1/grade HTTP/1.1\r\nHost: x\r\n\r\n", 501, "NotImplemented"),
+            (b"GET /v1/health HTTP/9.9\r\n\r\n", 505, "HTTPVersionNotSupported"),
+            (b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n", 414, "RequestURITooLong"),
+        ],
+        ids=["garbage-line", "put", "http-9.9", "long-line"],
+    )
+    def test_stdlib_refusals_are_json_and_close(
+        self, server, request_bytes, status, error
+    ):
+        """What the stdlib refuses before a verb runs gets one JSON
+        error with a status line, closes the connection and counts once
+        (it used to get an HTML page, without a status line for a
+        garbage line or HTTP/9.9, and count nowhere)."""
+        port = server.server_address[1]
+        failed = server.service.metrics()["requests_failed"]
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(request_bytes)
+            reply = b""
+            while True:  # the server closes after its one answer
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % status)
+        assert b"Connection: close" in head
+        assert b"Content-Type: application/json" in head
+        assert json.loads(body)["error"] == error
+        assert server.service.metrics()["requests_failed"] == failed + 1
+
+    def test_stalled_body_is_408_and_frees_the_thread(self):
+        """A body that stops arriving is answered 408 once the handler's
+        socket timeout passes; the connection closes and the handler
+        thread exits instead of waiting on the client for ever."""
+        server = make_server(port=0)
+        server.RequestHandlerClass.timeout = 0.5
+        loop = threading.Thread(target=server.serve_forever, daemon=True)
+        loop.start()
+        before = set(threading.enumerate())
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", server.server_address[1]), timeout=10
+            ) as sock:
+                sock.sendall(
+                    b"POST /v1/grade HTTP/1.1\r\nHost: localhost\r\n"
+                    b"Content-Length: 100\r\n\r\n{\"sch"
+                )
+                handlers = []  # the connection's handler thread
+                for _ in range(200):
+                    handlers = [
+                        t
+                        for t in threading.enumerate()
+                        if t not in before and "process_request" in t.name
+                    ]
+                    if handlers:
+                        break
+                    time.sleep(0.001)
+                assert handlers
+                reply = b""
+                while True:
+                    chunk = sock.recv(4096)
+                    if not chunk:
+                        break
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 408")
+            assert b"Connection: close" in head
+            assert json.loads(body)["error"] == "RequestTimeout"
+            for thread in handlers:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert server.service.metrics()["requests_failed"] == 1
+        finally:
+            server.shutdown()
+            server.server_close()
 
     @pytest.mark.parametrize("verb", ["grade", "simulate"])
     @pytest.mark.parametrize("bad", [2, -1, 256])
