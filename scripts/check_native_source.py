@@ -5,9 +5,12 @@ The native module is built with ``-w`` (see ``_COMPILE_ARGS`` in
 This script compiles ``src/repro/kernel/native.c`` alone, without
 cffi's wrappers, under
 
-    cc -std=c99 -O2 -Wall -Wextra -Werror -c -o /dev/null
+    cc -std=c99 -O2 -Wall -Wextra -Werror -I<python include> -c -o /dev/null
 
-exiting with the compiler's status.  ``CC`` names another compiler.
+exiting with the compiler's status.  The unit includes ``Python.h``
+(its row readers take Python objects), so the running interpreter's
+header directory (``sysconfig.get_paths()["include"]``) is on the
+include path.  ``CC`` names another compiler.
 
     python scripts/check_native_source.py
 """
@@ -18,12 +21,16 @@ import os
 import shlex
 import subprocess
 import sys
+import sysconfig
 
 SOURCE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "src", "repro", "kernel",
     "native.c",
 )
-FLAGS = ["-std=c99", "-O2", "-Wall", "-Wextra", "-Werror", "-c", "-o", os.devnull]
+FLAGS = [
+    "-std=c99", "-O2", "-Wall", "-Wextra", "-Werror",
+    "-I" + sysconfig.get_paths()["include"], "-c", "-o", os.devnull,
+]
 
 
 def main() -> int:

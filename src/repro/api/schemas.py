@@ -52,7 +52,6 @@ characters.
 from __future__ import annotations
 
 import json
-from collections.abc import Hashable
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 
@@ -989,11 +988,12 @@ def validate(payload: Dict, kind: Optional[str] = None) -> Tuple[str, int]:
     if kind is not None and declared != kind:
         raise SchemaError(f"expected schema {kind!r}, got {declared!r}")
     # an unhashable kind or version (a JSON list or object) is unknown
-    # too, not a TypeError out of the lookup
+    # too, not a TypeError out of the lookup; so is a version that only
+    # equals a registered int (true, 1.0), so the version returned is an int
     versions = SCHEMAS.get(declared) if isinstance(declared, str) else None
     if versions is None:
         raise SchemaError(f"unknown schema kind {declared!r}")
-    spec = versions.get(version) if isinstance(version, Hashable) else None
+    spec = versions.get(version) if type(version) is int else None
     if spec is None:
         raise SchemaError(
             f"unknown schema_version {version!r} for {declared!r} "

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..api import integrity
+from ..api import integrity, schemas
 from ..api.options import DEFAULT_SHARDS, Options
 from ..paths import PathDelayFault, TestClass, Transition
 from ..core.patterns import TestPattern
@@ -341,7 +341,11 @@ def load_checkpoint(path: str) -> Dict[str, object]:
     A primary file that is missing, truncated, unparseable, or fails
     its checksum falls back to ``<path>.prev``; only when both
     generations are unusable does the load fail
-    (:class:`repro.api.integrity.IntegrityError`).
+    (:class:`repro.api.integrity.IntegrityError`).  The loaded payload
+    must then have version 3 or 4 and the ``repro/campaign-checkpoint``
+    shape (:class:`repro.api.schemas.SchemaError` otherwise): a file
+    without a checksum verifies trivially, and a malformed row would
+    otherwise fail deep inside :func:`restore_from_payload`.
     """
     payload, used_previous = integrity.load_json_verified(path)
     if used_previous:
@@ -359,6 +363,7 @@ def load_checkpoint(path: str) -> Dict[str, object]:
             f"checkpoint {path!r} has version {version}, expected 3 or "
             f"{CHECKPOINT_VERSION}"
         )
+    schemas.validate(payload, "repro/campaign-checkpoint")
     return payload
 
 

@@ -7,10 +7,14 @@
    per call as a repro_plan struct, so this text never changes between
    circuits; repro/kernel/native.py compiles it once per machine with
    cffi, against the declarations in native.cdef, and names the module
-   by a hash of both texts.  scripts/check_native_source.py compiles it
-   alone under -std=c99 -Wall -Wextra -Werror, and
+   by a hash of both texts.  The row codec's two readers at the end of
+   the file read Python objects, so the unit includes Python.h, first,
+   as Python asks, and is built without the limited API.
+   scripts/check_native_source.py compiles it alone under -std=c99
+   -Wall -Wextra -Werror against Python's headers, and
    scripts/check_native_sanitizers.py runs the native test suites on an
    ASan + UBSan build. */
+#include <Python.h>
 #ifndef _POSIX_C_SOURCE
 #define _POSIX_C_SOURCE 199309L
 #endif
@@ -1928,4 +1932,68 @@ long repro_drop_round(repro_drop *d, const uint8_t *fresh, long n_fresh,
     }
   }
   return n_det;
+}
+
+/* The row codec's readers: Python objects read pointer by pointer.
+   repro.kernel.packed.pattern_rows turns pattern tuples into uint8
+   rows, and repro.paths.table builds a FaultTable's signal column from
+   path tuples; both try these first.  cffi cannot pass a PyObject *,
+   so repro.kernel.native binds the two with ctypes.PyDLL, whose calls
+   keep the GIL: nothing else runs while they read, and they call
+   nothing that could release it or run Python code.  Each accepts
+   only exact types -- an exact list of exact tuples -- and either
+   fills the caller's whole buffer and returns 0, or returns -1, with
+   no exception set, at the first value outside its contract.  The
+   caller then runs its Python path over the whole batch, which raises
+   the errors, so a refusal never changes a result or an error text. */
+
+/* n rows of width bytes at out from rows, an exact list of n exact
+   tuples of width items each.  An item must *be* zero or one, the
+   interpreter's cached ints 0 and 1: an identity test, no conversion,
+   so True, 1.0 or a numpy integer is refused like 2 or "1". */
+int repro_tuple_rows(PyObject *rows, long n, long width, PyObject *zero,
+                     PyObject *one, uint8_t *out) {
+  long k, j;
+  if (!PyList_CheckExact(rows) || PyList_GET_SIZE(rows) != n) return -1;
+  for (k = 0; k < n; k++) {
+    PyObject *row = PyList_GET_ITEM(rows, k), **items;
+    uint8_t *bits = out + k * width;
+    int bad = 0;
+    if (!PyTuple_CheckExact(row) || PyTuple_GET_SIZE(row) != width) return -1;
+    items = &PyTuple_GET_ITEM(row, 0);
+    for (j = 0; j < width; j++) {
+      bits[j] = (uint8_t)(items[j] == one);
+      bad |= (items[j] != zero) & (items[j] != one);
+    }
+    if (bad) return -1;
+  }
+  return 0;
+}
+
+/* The signal ids of paths, an exact list of exact tuples of exact ints
+   in [0, n_signals), back to back at flat, which holds size ids: 0 when
+   they fill it exactly, -1 otherwise (a bool, a numpy integer or an id
+   past a C long included). */
+int repro_path_flat(PyObject *paths, int32_t *flat, long size,
+                    long n_signals) {
+  long k, j, n, used = 0;
+  if (!PyList_CheckExact(paths)) return -1;
+  n = PyList_GET_SIZE(paths);
+  for (k = 0; k < n; k++) {
+    PyObject *path = PyList_GET_ITEM(paths, k), **items;
+    long len;
+    if (!PyTuple_CheckExact(path)) return -1;
+    len = PyTuple_GET_SIZE(path);
+    if (len > size - used) return -1;
+    items = &PyTuple_GET_ITEM(path, 0);
+    for (j = 0; j < len; j++) {
+      int overflow;
+      long id;
+      if (!PyLong_CheckExact(items[j])) return -1;
+      id = PyLong_AsLongAndOverflow(items[j], &overflow);
+      if (overflow || id < 0 || id >= n_signals) return -1;
+      flat[used++] = (int32_t)id;
+    }
+  }
+  return used == size ? 0 : -1;
 }

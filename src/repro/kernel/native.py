@@ -42,6 +42,20 @@ reset to the campaign width, so one engine runs round after round
 (:class:`repro.core.state.TpgEngine`).  Robust sensitization stays in
 Python.
 
+Two more entry points read Python objects for the row codec, with the
+GIL held: ``repro_tuple_rows`` (pattern tuples to uint8 rows, for
+:func:`repro.kernel.packed.pattern_rows`) and ``repro_path_flat``
+(path tuples to a :class:`repro.paths.FaultTable`'s int32 signal
+column).  They take ``PyObject *`` arguments, which cffi cannot pass,
+so they are not in ``native.cdef``: :func:`row_readers` binds them with
+:class:`ctypes.PyDLL` on the file of the loaded module (``py_object``
+arguments; a PyDLL call keeps the GIL), and the module is built
+without the limited API.  :func:`read_tuple_rows` and
+:func:`read_path_flat` wrap them; each returns None where the reader
+refuses its input (anything but exact tuples of the cached ints 0 and
+1, or of exact ints naming signals) or the module is missing, and the
+caller then runs its Python path.
+
 Module lifecycle — one module per machine, not per circuit:
 
 * the circuit travels per call as a ``repro_plan`` struct
@@ -74,6 +88,7 @@ asserted by ``tests/test_fusion.py``.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import importlib.util
 import os
@@ -112,7 +127,7 @@ NATIVE_CDEF = _package_text("native.cdef")
 
 #: Bump when the call ABI changes (the C text is hashed into the module
 #: name anyway), so stale disk-cached shared objects are never reloaded.
-NATIVE_ABI = 9
+NATIVE_ABI = 10
 
 # The C text is constant-size (data-driven plan interpreters), so a real
 # optimization level is affordable: -O2 runs the fault loops ~2x faster
@@ -139,6 +154,8 @@ _lock = threading.Lock()
 #: (loaded module or None, failure reason) — settled once per process.
 _state: Optional[Tuple[object, str]] = None
 _warned_fallback = False
+#: (module, its bound row readers or None) — see :func:`row_readers`.
+_readers: Optional[Tuple[object, Optional[Tuple]]] = None
 
 
 def native_cache_dir() -> str:
@@ -212,6 +229,9 @@ def _build_module(name: str, path: str) -> None:
         ffi.set_source(
             name,
             NATIVE_SOURCE,
+            # the row readers use the full C API (exact-type checks,
+            # tuple items in place), which cffi's default limited API hides
+            define_macros=[("_CFFI_NO_LIMITED_API", None)],
             extra_compile_args=_COMPILE_ARGS,
             extra_link_args=_LINK_ARGS,
         )
@@ -271,6 +291,72 @@ def native_available() -> bool:
 def native_unavailable_reason() -> str:
     """Why the module could not be loaded or built ("" when it was)."""
     return _native_state()[1]
+
+
+def row_readers() -> Optional[Tuple]:
+    """The row codec's two C readers, or None without the module.
+
+    ``(repro_tuple_rows, repro_path_flat)`` as :mod:`ctypes` functions
+    of a :class:`ctypes.PyDLL` on the loaded module's file (module doc),
+    bound once per module; use them through :func:`read_tuple_rows` and
+    :func:`read_path_flat`.
+    """
+    global _readers
+    module = _native_state()[0]
+    if module is None:
+        return None
+    bound = _readers
+    if bound is None or bound[0] is not module:
+        try:
+            dll = ctypes.PyDLL(module.__file__)
+            tuple_rows, path_flat = dll.repro_tuple_rows, dll.repro_path_flat
+        except (OSError, AttributeError):  # a loader without dlopen
+            _readers = (module, None)
+            return None
+        tuple_rows.argtypes = (
+            ctypes.py_object, ctypes.c_long, ctypes.c_long, ctypes.py_object,
+            ctypes.py_object, ctypes.c_void_p,
+        )
+        path_flat.argtypes = (
+            ctypes.py_object, ctypes.c_void_p, ctypes.c_long, ctypes.c_long
+        )
+        tuple_rows.restype = path_flat.restype = ctypes.c_int
+        bound = _readers = (module, (tuple_rows, path_flat))
+    return bound[1]
+
+
+def read_tuple_rows(vectors: list, width: int) -> Optional[np.ndarray]:
+    """*vectors* as a ``(len(vectors), width)`` uint8 array, read in C.
+
+    *vectors* is a list of exact tuples of *width* items, each the int
+    0 or 1 itself.  None when anything else is met, or when there is no
+    module: the caller decodes the whole batch in Python instead.
+    """
+    readers = row_readers()
+    if readers is None:
+        return None
+    out = np.empty((len(vectors), width), dtype=np.uint8)
+    if readers[0](vectors, len(vectors), width, 0, 1, out.ctypes.data):
+        return None
+    return out
+
+
+def read_path_flat(
+    paths: list, size: int, n_signals: int
+) -> Optional[np.ndarray]:
+    """The ids of *paths* back to back, *size* of them, as int32, read in C.
+
+    *paths* is a list of exact tuples of exact ints in ``[0,
+    n_signals)`` with *size* ids in all.  None when anything else is
+    met, or when there is no module: the caller flattens in Python.
+    """
+    readers = row_readers()
+    if readers is None:
+        return None
+    flat = np.empty(size, dtype=np.int32)
+    if readers[1](paths, flat.ctypes.data, size, n_signals):
+        return None
+    return flat
 
 
 def warn_native_fallback() -> None:

@@ -187,18 +187,37 @@ def _first_bad_bit(patterns: Sequence) -> Optional[ValueError]:
     return None
 
 
-def _rows_to_u8(rows, n_rows: int, n_columns: int) -> np.ndarray:
-    """Equal-length 0/1 int rows as a ``(n_rows, n_columns)`` uint8 array.
+def _rows_to_u8(rows, n_rows: int, n_columns: int) -> Optional[np.ndarray]:
+    """Equal-length int rows as a ``(n_rows, n_columns)`` uint8 array.
 
-    ``bytes()`` per row is ~2x faster than ``np.asarray`` on a nested
-    sequence (packing is on the hot path of every bulk simulation
-    call); anything ``bytes()`` cannot digest falls back to numpy.
+    The Python path of :func:`pattern_rows`: ``bytes()`` per row is ~2x
+    faster than ``np.asarray`` on a nested sequence.  None when
+    ``bytes()`` cannot digest a row (a bit that is no integer: ``1.0``,
+    ``0.5``, ``"1"``, ``None``); ``ValueError`` for a value outside
+    ``range(0, 256)``, or rows that do not add up to the shape.
     """
     try:
-        flat = b"".join(bytes(row) for row in rows)
+        flat = b"".join(map(bytes, rows))
     except TypeError:
-        return np.asarray([list(row) for row in rows], dtype=np.uint8)
+        return None
     return np.frombuffer(flat, dtype=np.uint8).reshape(n_rows, n_columns)
+
+
+def read_pattern_rows(
+    patterns: Sequence, width: int
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The v1 and v2 rows of *patterns* read in C, *width* bits each, or None.
+
+    Both vector lists go through :func:`repro.kernel.native.read_tuple_rows`
+    (exact tuples of the ints 0 and 1 only); None when it refuses
+    either, or there is no native module.  Raises nothing: an accepted
+    batch has every vector *width* wide and every bit 0 or 1.
+    """
+    from .native import read_tuple_rows  # lazy: native imports this module
+
+    a = read_tuple_rows([p.v1 for p in patterns], width)
+    b = None if a is None else read_tuple_rows([p.v2 for p in patterns], width)
+    return None if b is None else (a, b)
 
 
 def pattern_rows(patterns: Sequence) -> Tuple[np.ndarray, np.ndarray]:
@@ -209,16 +228,35 @@ def pattern_rows(patterns: Sequence) -> Tuple[np.ndarray, np.ndarray]:
     into one buffer and reshaped, so ragged rows whose bits add up
     would decode shifted (the simulators check widths first,
     :func:`repro.sim.delay_sim.check_pattern_widths`).  Every bit must
-    be 0 or 1 (:func:`bit_error` otherwise).
+    be 0 or 1 (:func:`bit_error` otherwise, checked before any bit is
+    converted).
+
+    The batch goes through the C reader first (:func:`read_pattern_rows`
+    at the first vector's width).  If it refuses either vector list, or
+    there is no native module, the whole batch takes the Python path,
+    which raises the errors.
     """
     if not patterns:
         raise ValueError("cannot pack an empty pattern batch")
-    n_inputs = len(patterns[0].v1)
+    n, n_inputs = len(patterns), len(patterns[0].v1)
+    rows = read_pattern_rows(patterns, n_inputs)
+    if rows is not None:
+        return rows
+    v1 = [p.v1 for p in patterns]
+    v2 = [p.v2 for p in patterns]
     try:
-        a = _rows_to_u8([p.v1 for p in patterns], len(patterns), n_inputs)
-        b = _rows_to_u8([p.v2 for p in patterns], len(patterns), n_inputs)
+        a = _rows_to_u8(v1, n, n_inputs)
+        b = _rows_to_u8(v2, n, n_inputs)
     except ValueError as exc:  # bytes() rejects values outside range(0, 256)
         raise _first_bad_bit(patterns) or exc
+    if a is None or b is None:
+        # a bit that is no integer: refused unless it equals 0 or 1
+        # (1.0), since a uint8 conversion would truncate 0.5 or parse "1"
+        error = _first_bad_bit(patterns)
+        if error is not None:
+            raise error
+        a = np.asarray([list(row) for row in v1], dtype=np.uint8)
+        b = np.asarray([list(row) for row in v2], dtype=np.uint8)
     if a.max() > 1 or b.max() > 1:
         raise _first_bad_bit(patterns)
     return a, b

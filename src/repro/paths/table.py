@@ -10,10 +10,11 @@ row per fault:
 * ``faults`` — the :class:`PathDelayFault` objects themselves, which
   stay the API and serde type.
 
-Rows are range-checked once, when they are added: every id must name a
-signal of the circuit, ``0 <= id < n_signals``.  That is the one check
-on every simulation tier — the native walks index slabs with the ids
-unchecked, and Python indexing would wrap a negative one.
+Rows are range-checked once, when they are added: every id must be an
+integer naming a signal of the circuit, ``0 <= id < n_signals``.  That
+is the one check on every simulation tier — the native walks index
+slabs with the ids unchecked, and Python indexing would wrap a negative
+one.
 
 A :class:`FaultRows` view selects rows of a table by index.  The
 simulators accept a view wherever they accept a fault list
@@ -30,6 +31,7 @@ a view stays valid for the life of its table.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Sequence as SequenceABC
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -72,30 +74,50 @@ def _checked_rows(rows: Sequence[int], n_rows: int) -> np.ndarray:
     return rows
 
 
+def _names_signals(signals: Sequence[int], n_signals: int) -> bool:
+    """Whether :func:`_columns` takes every id of one path."""
+    try:
+        return all(0 <= operator.index(s) < n_signals for s in signals)
+    except TypeError:
+        return False
+
+
 def _columns(
     faults: Sequence[PathDelayFault], n_signals: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(flat, offsets, final_one) of *faults*, range-checked.
 
-    One ``np.fromiter`` over the chained paths, offsets from their
-    lengths; raises :func:`signal_range_error` for an id outside
-    ``[0, n_signals)``.
+    Offsets from the paths' lengths.  The ids are read by the C reader
+    (:func:`repro.kernel.native.read_path_flat`: exact tuples of exact
+    ints in range only); if it refuses any, or there is no native
+    module, all of them go through one ``np.fromiter``.  An id must be
+    an integer (``operator.index``: a bool or a numpy integer is one,
+    ``5.5`` or ``"5"`` names no signal) in ``[0, n_signals)``;
+    :func:`signal_range_error` otherwise.
     """
+    from ..kernel.native import read_path_flat  # lazy: kernel is above paths
+
     paths = [fault.signals for fault in faults]
     offsets = np.zeros(len(paths) + 1, dtype=np.int32)
     np.cumsum(
         np.fromiter(map(len, paths), np.int32, count=len(paths)), out=offsets[1:]
     )
-    try:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(paths), np.int32, count=int(offsets[-1])
-        )
-    except OverflowError:  # an id past int32 is outside every circuit
-        raise signal_range_error(n_signals) from None
-    if len(flat) and (flat.min() < 0 or flat.max() >= n_signals):
-        raise signal_range_error(n_signals)
+    size = int(offsets[-1])
+    flat = read_path_flat(paths, size, n_signals)
+    if flat is None:
+        try:
+            flat = np.fromiter(
+                map(operator.index, itertools.chain.from_iterable(paths)),
+                np.int32,
+                count=size,
+            )
+        except (TypeError, OverflowError):  # no integer, or past int32
+            raise signal_range_error(n_signals) from None
+        if size and (flat.min() < 0 or flat.max() >= n_signals):
+            raise signal_range_error(n_signals)
+    rising = Transition.RISING  # once: looking up an Enum member is slow
     final_one = np.fromiter(
-        (fault.transition is Transition.RISING for fault in faults),
+        (fault.transition is rising for fault in faults),
         np.uint8,
         count=len(faults),
     )
@@ -196,7 +218,7 @@ class FaultTable:
         bad = [
             k
             for k, fault in enumerate(faults)
-            if min(fault.signals) < 0 or max(fault.signals) >= n
+            if not _names_signals(fault.signals, n)
         ]
         skipped = set(bad)
         valid = [fault for k, fault in enumerate(faults) if k not in skipped]

@@ -55,7 +55,7 @@ from ..kernel import (
     backend_for,
     words_to_int,
 )
-from ..kernel.packed import bit_error, width_error
+from ..kernel.packed import bit_error, read_pattern_rows, width_error
 from ..logic import ten_valued
 from ..logic.words import mask_for
 from ..paths import PathDelayFault, TestClass
@@ -132,6 +132,31 @@ def check_pattern_widths(patterns: Sequence[PatternLike], n_inputs: int) -> None
             name = "v1" if len(pattern.v1) != n_inputs else "v2"
             bits = len(getattr(pattern, name))
             raise width_error(index, name, bits, n_inputs, reason)
+
+
+def _checked_patterns(
+    patterns: Sequence[PatternLike], n_inputs: int, backend: str, fusion: str
+):
+    """*patterns* after the width check, packed where a C read stands in for it.
+
+    With ``fusion="auto"`` and a *backend* other than ``"int"`` the call
+    packs rows (native, or numpy), so a tuple batch is first read in C
+    at the circuit's width (:func:`repro.kernel.packed.read_pattern_rows`):
+    a batch the reader takes has every vector *n_inputs* wide and every
+    bit 0 or 1, and comes back as its :class:`PackedPatterns` without a
+    :func:`check_pattern_widths` pass.  Anything else — a packed batch, the
+    int tier (it packs with :func:`pack_patterns`), a pinned fusion, no
+    native module, a batch the reader refuses — goes through
+    :func:`check_pattern_widths` and comes back as it was, so every
+    error is raised as it would be without the reader.
+    """
+    packs_rows = fusion == "auto" and backend != "int"
+    if packs_rows and not isinstance(patterns, PackedPatterns):
+        rows = read_pattern_rows(patterns, n_inputs)
+        if rows is not None:
+            return PackedPatterns.from_rows(*rows)
+    check_pattern_widths(patterns, n_inputs)
+    return patterns
 
 
 def simulate_planes(
@@ -393,7 +418,9 @@ class DelayFaultSimulator:
         width = len(patterns)
         if width == 0:
             return [0] * len(faults)
-        check_pattern_widths(patterns, len(self.circuit.inputs))
+        patterns = _checked_patterns(
+            patterns, len(self.circuit.inputs), self.backend, self.fusion
+        )
         robust = self.test_class is TestClass.ROBUST
         compiled = self.compiled
         faults = fault_rows(faults, compiled.n_signals)  # the range check
@@ -612,7 +639,7 @@ def strength_masks_all(
     width = len(patterns)
     if width == 0:
         return [(0, 0, 0)] * len(faults)
-    check_pattern_widths(patterns, len(circuit.inputs))
+    patterns = _checked_patterns(patterns, len(circuit.inputs), backend, fusion)
     compiled = circuit.compiled()
     faults = fault_rows(faults, compiled.n_signals)  # the range check
     word_backend = backend_for(width, backend, fusion=fusion)

@@ -6,6 +6,7 @@ campaign underneath), and the deprecated names keep working while
 warning.
 """
 
+import re
 import warnings
 
 import pytest
@@ -154,7 +155,20 @@ class TestSessionSimulateGradePaths:
             pytest.param("native", "auto", marks=needs_native),
         ],
     )
-    @pytest.mark.parametrize("vector, bad", [("v1", 2), ("v2", 2), ("v2", -1)])
+    @pytest.mark.parametrize(
+        "vector, bad",
+        [
+            ("v1", 2),
+            ("v2", 2),
+            ("v2", -1),
+            # no integer: a uint8 conversion would truncate or parse these
+            ("v1", 0.5),
+            ("v2", 0.5),
+            ("v2", 1.7),
+            ("v1", "1"),
+            ("v2", None),
+        ],
+    )
     def test_non_binary_bits_raise_value_error(
         self, backend, fusion, vector, bad, strength
     ):
@@ -165,9 +179,8 @@ class TestSessionSimulateGradePaths:
         bits = {"v1": (0,) * 5, "v2": (1,) * 5}
         bits[vector] = bits[vector][:2] + (bad,) + bits[vector][3:]
         patterns = [TestPattern((0,) * 5, (1,) * 5), TestPattern(**bits)]
-        with pytest.raises(
-            ValueError, match=f"pattern 1: {vector} bit 2 is {bad}, expected 0 or 1"
-        ):
+        message = f"pattern 1: {vector} bit 2 is {bad!r}, expected 0 or 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
             session.grade(
                 patterns, faults, backend=backend, fusion=fusion, strength=strength
             )
@@ -213,7 +226,8 @@ class TestSessionSimulateGradePaths:
             pytest.param("native", "auto", marks=needs_native),
         ],
     )
-    @pytest.mark.parametrize("signal", [9999, -3])
+    # 5.5 and "5" are no integer: no tier may read either as signal 5
+    @pytest.mark.parametrize("signal", [9999, -3, 5.5, "5"])
     def test_fault_signal_outside_the_circuit_raises_value_error(
         self, backend, fusion, signal, strength
     ):

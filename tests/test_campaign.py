@@ -383,6 +383,25 @@ class TestCheckpointResume:
                 options=options,
             )
 
+    def test_malformed_checkpoint_is_refused_at_load(self, tmp_path):
+        """A checkpoint without a checksum verifies trivially, so its
+        shape is validated too: a malformed row is a SchemaError at
+        load, not a TypeError deep in the restore."""
+        from repro.api.schemas import SchemaError
+
+        session = AtpgSession(ripple_carry_adder(2))
+        faults = all_faults(session.circuit, cap=20)
+        path = str(tmp_path / "ckpt.json")
+        session.campaign(faults=faults, checkpoint=path, width=4)
+        with open(path) as handle:
+            payload = json.load(handle)
+        del payload["sha256"]
+        payload["settled"] = 5
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(SchemaError, match=r"\$\.settled"):
+            session.campaign(faults=faults, checkpoint=path, resume=True, width=4)
+
     def test_checkpoint_is_json(self, tmp_path):
         circuit = ripple_carry_adder(3)
         path = str(tmp_path / "ckpt.json")

@@ -72,7 +72,11 @@ class TestColumns:
         assert table.extend(faults[5:9]) == range(5, 9)
         assert table.extend([]) == range(9, 9)
 
-    @pytest.mark.parametrize("bad", [-1, "n_signals", 2**31])
+    # an id that is no integer names no signal either: 5.5 must not
+    # read as signal 5
+    @pytest.mark.parametrize(
+        "bad", [-1, "n_signals", 2**31, 5.5, "5", np.float64(5.0)]
+    )
     def test_ids_outside_the_circuit_fail_at_construction(self, circuit, faults, bad):
         n_signals = circuit.compiled().n_signals
         bad = n_signals if bad == "n_signals" else bad
@@ -90,10 +94,13 @@ class TestColumns:
         bad = [
             PathDelayFault((0, n_signals), Transition.RISING),
             PathDelayFault((-3, 1), Transition.FALLING),
+            PathDelayFault((0, "5"), Transition.FALLING),
         ]
         table = FaultTable(n_signals, faults[:2])
-        rows, skipped = table.extend_valid([bad[0], faults[2], bad[1], faults[3]])
-        assert rows == range(2, 4) and skipped == [0, 2]
+        rows, skipped = table.extend_valid(
+            [bad[0], faults[2], bad[1], faults[3], bad[2]]
+        )
+        assert rows == range(2, 4) and skipped == [0, 2, 4]
         assert table.faults == faults[:4]
 
     def test_take_gathers_rows(self, circuit, faults):

@@ -11,12 +11,16 @@ call, through a :class:`PatternTable`, to the drop bus's one C drop
 round — and each hop is checked against its Python oracle, down to the
 edges of both round calls: empty rounds, skipped shards, fresh rows
 past one word, tables rebuilt between rounds, no live rows, and rows
-or bounds the C code would index out of range.
+or bounds the C code would index out of range.  The row codec's C
+readers, which read pattern tuples and fault paths straight from the
+Python objects, must give the same arrays or the same error text as
+the Python path they stand in for, on exact and hostile input.
 ``scripts/check_native_sanitizers.py`` runs this file on an ASan +
 UBSan build of the C unit.
 """
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,7 +53,7 @@ from repro.core.state import (
     TpgEngine,
     TpgState,
 )
-from repro.kernel import native_available
+from repro.kernel import native, native_available
 from repro.kernel.native import DropRound
 from repro.kernel.packed import (
     PackedPatterns,
@@ -837,6 +841,200 @@ class TestRoundEdges:
             drop.run(block, table, np.ones(len(table) - 1, dtype=bool))
         with pytest.raises(ValueError, match="live mask"):
             drop.run(block, table, np.ones(len(table), dtype=np.uint8))
+
+
+# ---------------------------------------------------------------------------
+# the row codec's C readers: tuples and paths read pointer by pointer
+# ---------------------------------------------------------------------------
+
+
+class Row(tuple):
+    """A tuple subclass: no exact tuple, so both readers refuse it."""
+
+
+#: Bits each vector may hold besides the cached ints 0 and 1.  The
+#: reader takes none of them; the Python path converts the integers
+#: equal to 0 or 1 and refuses the rest.
+HOSTILE_BITS = [
+    True, np.uint8(1), np.int64(0), 1.0, 2, -1, 256, 2**70, 0.5, "1", None,
+]
+#: Path ids besides exact ints in range, the same way round.
+HOSTILE_IDS = [np.int32(3), True, 2**31, -1, 2**70, 5.5, "5", None]
+
+
+def readers_off():
+    """The same call with the C readers switched off: the Python path."""
+    return mock.patch.object(native, "row_readers", lambda: None)
+
+
+def outcome(call, *args):
+    """What *call* gives: its arrays or values, or its error's type and text."""
+    try:
+        result = call(*args)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc).__name__, str(exc)
+    return [
+        (a.dtype.str, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a
+        for a in result
+    ]
+
+
+def both_ways(call, *args):
+    """*call* with and without the readers; they must agree exactly."""
+    with_reader = outcome(call, *args)
+    with readers_off():
+        assert outcome(call, *args) == with_reader
+    return with_reader
+
+
+def table_columns(n_signals, faults):
+    table = FaultTable(n_signals, faults)
+    return table.flat, table.offsets, table.final_one
+
+
+def extended_columns(n_signals, faults):
+    """Two extends and an extend_valid on one table: the columns and
+    the skipped positions."""
+    table = FaultTable(n_signals, faults[:1])
+    table.extend(faults[1:2])
+    rows, skipped = table.extend_valid(faults[2:])
+    return (
+        table.flat, table.offsets, table.final_one,
+        np.array([rows.start, rows.stop, *skipped]),
+    )
+
+
+@st.composite
+def sized_tuple_batches(draw):
+    """``(width, patterns)``: random 0/1 tuples of *width* bits, some
+    cells, rows or types spoiled."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 129]))
+    width = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = rng.integers(0, 2, size=(2, n, width)).tolist()
+    kinds = [[tuple] * n, [tuple] * n]
+    for _ in range(draw(st.integers(0, 3))):
+        side, k = draw(st.integers(0, 1)), draw(st.integers(0, n - 1))
+        spoil = draw(st.sampled_from(["bit", "list", "subclass", "ragged"]))
+        row = vectors[side][k]
+        if spoil == "bit":
+            if row:  # a ragged row may be empty
+                position = draw(st.integers(0, len(row) - 1))
+                row[position] = draw(st.sampled_from(HOSTILE_BITS))
+        elif spoil == "ragged":
+            vectors[side][k] = row[: draw(st.integers(0, width - 1))]
+        else:
+            kinds[side][k] = list if spoil == "list" else Row
+    v1, v2 = (
+        [kind(row) for kind, row in zip(kinds[side], vectors[side])]
+        for side in (0, 1)
+    )
+    return width, [TestPattern(a, b) for a, b in zip(v1, v2)]
+
+
+def tuple_batches():
+    return sized_tuple_batches().map(lambda sized: sized[1])
+
+
+#: One small circuit per input count, for the simulator differential.
+_READER_CIRCUITS = {}
+
+
+def reader_circuit(n_inputs):
+    if n_inputs not in _READER_CIRCUITS:
+        _READER_CIRCUITS[n_inputs] = (
+            chain_circuit(3)
+            if n_inputs == 1
+            else random_dag(n_inputs, 12, seed=n_inputs)
+        )
+    return _READER_CIRCUITS[n_inputs]
+
+
+@st.composite
+def fault_batches(draw, n_signals=12):
+    """Faults on random paths, some ids or path types spoiled."""
+    count = draw(st.integers(0, 40))
+    faults = []
+    for _ in range(count):
+        ids = draw(st.lists(st.integers(0, n_signals - 1), min_size=1, max_size=6))
+        if draw(st.integers(0, 9)) == 0:
+            ids[draw(st.integers(0, len(ids) - 1))] = draw(
+                st.sampled_from(HOSTILE_IDS + [n_signals])
+            )
+        kind = draw(st.sampled_from([tuple] * 8 + [list, Row]))
+        transition = draw(st.sampled_from(list(Transition)))
+        faults.append(PathDelayFault(kind(ids), transition))
+    return faults
+
+
+class TestRowReaders:
+    """The readers against the Python path, on exact and hostile input.
+
+    The numpy interp oracle packs through the same codec, so these
+    differentials, with the int tier's own ``pack_patterns``, are the
+    check that does not share a reader.
+    """
+
+    @SETTINGS
+    @given(patterns=tuple_batches())
+    def test_pattern_rows_match_the_python_path(self, patterns):
+        both_ways(pattern_rows, patterns)
+        both_ways(lambda p: [PackedPatterns.from_patterns(p).v1], patterns)
+
+    @SETTINGS
+    @given(sized=sized_tuple_batches(), data=st.data())
+    def test_simulators_match_the_python_path(self, sized, data):
+        """On native and numpy the C read stands in for the width check:
+        masks, strength triples and errors must not depend on it."""
+        width, patterns = sized
+        circuit = reader_circuit(width + data.draw(st.integers(0, 1)))
+        faults = fault_list(circuit, cap=6, strategy="all")
+        backend = data.draw(st.sampled_from(["auto", "numpy", "int"]))
+        sim = DelayFaultSimulator(circuit, TestClass.ROBUST, backend=backend)
+        both_ways(sim.detection_masks, patterns, faults)
+        both_ways(strength_masks_all, circuit, patterns, faults, backend)
+
+    @SETTINGS
+    @given(faults=fault_batches())
+    def test_fault_columns_match_the_python_path(self, faults):
+        both_ways(table_columns, 12, faults)
+        if len(faults) >= 2:
+            both_ways(extended_columns, 12, faults)
+
+    @needs_native
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+    def test_exact_input_is_read_in_c(self, n):
+        """Clean input must take the reader, or the tests above compare
+        the Python path with itself."""
+        rng = np.random.default_rng(n)
+        vectors = [tuple(row) for row in rng.integers(0, 2, (n, 7)).tolist()]
+        rows = native.read_tuple_rows(vectors, 7)
+        assert rows is not None and rows.tolist() == [list(v) for v in vectors]
+        paths = [tuple(row) for row in rng.integers(0, 12, (n, 3)).tolist()]
+        flat = native.read_path_flat(paths, 3 * n, 12)
+        assert flat is not None and flat.tolist() == [i for p in paths for i in p]
+        # the empty list and one-signal paths
+        assert native.read_path_flat([], 0, 12).tolist() == []
+        assert native.read_path_flat([(0,), (11,)], 2, 12).tolist() == [0, 11]
+
+    @needs_native
+    @pytest.mark.parametrize("bad", HOSTILE_BITS)
+    def test_tuple_reader_refuses_all_but_the_cached_bits(self, bad):
+        assert native.read_tuple_rows([(0, 1), (1, bad)], 2) is None
+        assert native.read_tuple_rows([(0, 1), [1, 0]], 2) is None
+        assert native.read_tuple_rows([(0, 1), Row((1, 0))], 2) is None
+        assert native.read_tuple_rows([(0, 1), (1, 0, 1)], 2) is None
+        assert native.read_tuple_rows(((0, 1),), 2) is None  # no list
+
+    @needs_native
+    @pytest.mark.parametrize("bad", HOSTILE_IDS + [12])
+    def test_path_reader_refuses_all_but_exact_ids(self, bad):
+        assert native.read_path_flat([(0, 1), (2, bad)], 4, 12) is None
+        assert native.read_path_flat([(0, 1), [2, 3]], 4, 12) is None
+        assert native.read_path_flat([(0, 1), Row((2, 3))], 4, 12) is None
+        # the caller's buffer size must be the ids' count exactly
+        assert native.read_path_flat([(0, 1), (2, 3)], 3, 12) is None
+        assert native.read_path_flat([(0, 1), (2, 3)], 5, 12) is None
 
 
 # ---------------------------------------------------------------------------

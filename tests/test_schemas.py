@@ -10,6 +10,7 @@ accepts and raise the oracle's message.
 
 import copy
 import json
+import re
 import time
 
 import pytest
@@ -325,6 +326,17 @@ def test_int_subclass_passes_an_int_array():
 def test_unhashable_envelope_is_unknown(envelope, message):
     with pytest.raises(SchemaError, match=message):
         validate({**envelope, "signals": [0], "transition": "R"})
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_a_version_equal_to_an_int_is_unknown(version):
+    """``true`` and ``1.0`` equal version 1 as dict keys, but only an
+    int names a version: the caller must never get a non-int back."""
+    payload = {"schema": "repro/fault", "schema_version": version}
+    with pytest.raises(
+        SchemaError, match=re.escape(f"unknown schema_version {version!r} for")
+    ):
+        validate({**payload, "signals": [0], "transition": "R"})
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,18 @@ class TestHttpEndpoint:
         assert "unknown schema_version [2]" in body["error"]["detail"]
         assert server.service.metrics()["requests_failed"] == failed + 1
 
+    def test_bool_schema_version_is_400(self, server):
+        """``true`` equals version 1 as a dict key; it is still no version."""
+        failed = server.service.metrics()["requests_failed"]
+        request = stamp("repro/request.grade", {"patterns": [], "faults": []})
+        request["schema_version"] = True
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(server, "grade", request)
+        assert excinfo.value.code == 400
+        body = json.loads(excinfo.value.read())
+        assert "unknown schema_version True" in body["error"]["detail"]
+        assert server.service.metrics()["requests_failed"] == failed + 1
+
     def test_unknown_verb_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(server, "transmogrify", stamp("repro/request.generate", {}))
