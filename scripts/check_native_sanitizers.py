@@ -43,7 +43,9 @@ SANITIZE_LINK = ["-fsanitize=address,undefined"]
 
 #: The suites that drive the C unit: the TPG engine, the polarity
 #: screen, the passes and walks, the fault table and the campaign's
-#: shards and drop bus, plus the hostile-input boundary tests.
+#: shards and drop bus, the hostile-input boundary tests, and the
+#: simulators and packers that reach the tuple reader through their
+#: public calls.
 SUITES = [
     "tests/test_state.py",
     "tests/test_polarity_screen.py",
@@ -53,6 +55,10 @@ SUITES = [
     "tests/test_campaign.py",
     "tests/test_native_boundary.py",
     "tests/test_chaos.py",
+    "tests/test_delay_sim.py",
+    "tests/test_patterns.py",
+    "tests/test_logic_sim.py",
+    "tests/test_stuck_at.py",
 ]
 
 _CHILD = """

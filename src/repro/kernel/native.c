@@ -441,15 +441,46 @@ static const u64 *_detect_term(const repro_plan *p, const u64 *Z,
   return has_side ? t : 0;
 }
 
+/* The word loops of the walks, written for gcc's -O2 vectorizer: four
+   independent words per step, each with its own accumulator, then a
+   tail loop over the last n % 4 words (a one-word walk runs only the
+   tail). */
+
+/* det = a & b & c over n words; returns whether any lane is set. */
+static u64 _launch_rows(u64 *restrict det, const u64 *restrict a,
+                        const u64 *restrict b, const u64 *restrict c,
+                        long n) {
+  u64 any0 = 0, any1 = 0, any2 = 0, any3 = 0;
+  long w;
+  for (w = 0; w + 4 <= n; w += 4) {
+    u64 d0 = a[w] & b[w] & c[w], d1 = a[w + 1] & b[w + 1] & c[w + 1];
+    u64 d2 = a[w + 2] & b[w + 2] & c[w + 2];
+    u64 d3 = a[w + 3] & b[w + 3] & c[w + 3];
+    det[w] = d0; det[w + 1] = d1; det[w + 2] = d2; det[w + 3] = d3;
+    any0 |= d0; any1 |= d1; any2 |= d2; any3 |= d3;
+  }
+  for (; w < n; w++) {
+    det[w] = a[w] & b[w] & c[w];
+    any0 |= det[w];
+  }
+  return any0 | any1 | any2 | any3;
+}
+
 /* det &= t over n words; returns whether any lane survives. */
 static u64 _and_rows(u64 *restrict det, const u64 *restrict t, long n) {
-  u64 any = 0;
+  u64 any0 = 0, any1 = 0, any2 = 0, any3 = 0;
   long w;
-  for (w = 0; w < n; w++) {
-    det[w] &= t[w];
-    any |= det[w];
+  for (w = 0; w + 4 <= n; w += 4) {
+    u64 d0 = det[w] & t[w], d1 = det[w + 1] & t[w + 1];
+    u64 d2 = det[w + 2] & t[w + 2], d3 = det[w + 3] & t[w + 3];
+    det[w] = d0; det[w + 1] = d1; det[w + 2] = d2; det[w + 3] = d3;
+    any0 |= d0; any1 |= d1; any2 |= d2; any3 |= d3;
   }
-  return any;
+  for (; w < n; w++) {
+    det[w] &= t[w];
+    any0 |= det[w];
+  }
+  return any0 | any1 | any2 | any3;
 }
 
 /* One fault's mask into det: the launch at the path input, then each
@@ -462,12 +493,8 @@ static u64 _detect_fault(const repro_plan *p, const u64 *Z, const u64 *O,
                          u64 *terms, long *used, u64 *det) {
   const u64 *ins = I + (long)path[0] * n;
   const u64 *launch = (final_one ? O : Z) + (long)path[0] * n;
-  u64 any = 0;
-  long q, w;
-  for (w = 0; w < n; w++) {
-    det[w] = ins[w] & launch[w] & valid[w];
-    any |= det[w];
-  }
+  u64 any = _launch_rows(det, ins, launch, valid, n);
+  long q;
   for (q = 1; q < plen && any; q++) {
     const u64 *t = _detect_term(p, Z, O, S, n, robust, path[q - 1],
                                 path[q], slot, terms, used);
@@ -541,7 +568,7 @@ long repro_strength_walk(const repro_plan *p, const u64 *Z, const u64 *O,
                          const u64 *valid, int32_t *slot, u64 *terms,
                          u64 *out_nr, u64 *out_r, u64 *out_st,
                          int32_t *out_idx) {
-  long f, q, w, used = 0, n_det = 0;
+  long f, q, used = 0, n_det = 0;
   for (f = 0; f < n_faults; f++) {
     long row = rows ? rows[f] : f;
     const int32_t *path = path_flat + path_off[row];
@@ -551,12 +578,9 @@ long repro_strength_walk(const repro_plan *p, const u64 *Z, const u64 *O,
     u64 *st = out_st + n_det * n;
     const u64 *ins = I + (long)path[0] * n;
     const u64 *launch = (final_one[row] ? O : Z) + (long)path[0] * n;
-    u64 any = 0;
-    for (w = 0; w < n; w++) {
-      u64 l = ins[w] & launch[w] & valid[w];
-      nr[w] = l; r[w] = l; st[w] = l;
-      any |= l;
-    }
+    u64 any = _launch_rows(nr, ins, launch, valid, n);
+    memcpy(r, nr, (size_t)n * sizeof(u64));
+    memcpy(st, nr, (size_t)n * sizeof(u64));
     for (q = 1; q < plen && any; q++) {
       const u64 *t = _strength_term(p, Z, O, S, H, n, path[q - 1],
                                     path[q], slot, terms, &used);
@@ -1935,39 +1959,83 @@ long repro_drop_round(repro_drop *d, const uint8_t *fresh, long n_fresh,
 }
 
 /* The row codec's readers: Python objects read pointer by pointer.
-   repro.kernel.packed.pattern_rows turns pattern tuples into uint8
-   rows, and repro.paths.table builds a FaultTable's signal column from
-   path tuples; both try these first.  cffi cannot pass a PyObject *,
-   so repro.kernel.native binds the two with ctypes.PyDLL, whose calls
-   keep the GIL: nothing else runs while they read, and they call
-   nothing that could release it or run Python code.  Each accepts
+   repro.kernel.packed reads pattern tuples (and single vectors) into
+   lane planes, and repro.paths.table builds a FaultTable's signal
+   column from path tuples; both try these first.  cffi cannot pass a
+   PyObject *, so repro.kernel.native binds the two with ctypes.PyDLL,
+   whose calls keep the GIL: nothing else runs while they read, and they
+   call nothing that could release it or run Python code.  Each accepts
    only exact types -- an exact list of exact tuples -- and either
    fills the caller's whole buffer and returns 0, or returns -1, with
    no exception set, at the first value outside its contract.  The
    caller then runs its Python path over the whole batch, which raises
    the errors, so a refusal never changes a result or an error text. */
 
-/* n rows of width bytes at out from rows, an exact list of n exact
-   tuples of width items each.  An item must *be* zero or one, the
-   interpreter's cached ints 0 and 1: an identity test, no conversion,
-   so True, 1.0 or a numpy integer is refused like 2 or "1". */
-int repro_tuple_rows(PyObject *rows, long n, long width, PyObject *zero,
-                     PyObject *one, uint8_t *out) {
-  long k, j;
+/* repro_tuple_planes reads four tuples side by side and asks for the
+   tuples TUPLE_AHEAD places on while it does: the read is bound by the
+   latency of each tuple's cache lines, not by bandwidth, so it keeps
+   several tuples in flight. */
+#define TUPLE_AHEAD 8
+
+/* The n vectors of rows, an exact list of n exact tuples of width items
+   each, as lane planes at out: width rows of n_words = ceil(n / 64)
+   words, item j of vector k in bit k % 64 of word k / 64 of row j, the
+   padding lanes of the last word 0.  An item must *be* zero or one,
+   the interpreter's cached ints 0 and 1: an identity test, no
+   conversion, so True, 1.0 or a numpy integer is refused like 2 or
+   "1".  Each word is built for every row at once in a scratch row of
+   width words, then written out: writing the planes directly would
+   put one tuple's width writes n_words words apart, on a few cache
+   sets.  A step past the last vector repeats the step's first one and
+   masks its bits off.  The scratch is freed on every return. */
+int repro_tuple_planes(PyObject *rows, long n, long width, PyObject *zero,
+                       PyObject *one, u64 *out) {
+  long n_words = (n + 63) / 64, w, k, j, q;
+  /* a tuple's three header words and its items */
+  long bytes = (long)sizeof(PyObject *) * (width + 3);
+  u64 *word;
   if (!PyList_CheckExact(rows) || PyList_GET_SIZE(rows) != n) return -1;
-  for (k = 0; k < n; k++) {
-    PyObject *row = PyList_GET_ITEM(rows, k), **items;
-    uint8_t *bits = out + k * width;
-    int bad = 0;
-    if (!PyTuple_CheckExact(row) || PyTuple_GET_SIZE(row) != width) return -1;
-    items = &PyTuple_GET_ITEM(row, 0);
-    for (j = 0; j < width; j++) {
-      bits[j] = (uint8_t)(items[j] == one);
-      bad |= (items[j] != zero) & (items[j] != one);
+  word = malloc((size_t)(width > 0 ? width : 1) * sizeof(u64));
+  if (!word) return -1;
+  for (w = 0; w < n_words; w++) {
+    long first = w * 64, stop = n - first < 64 ? n - first : 64;
+    memset(word, 0, (size_t)width * sizeof(u64));
+    for (k = 0; k < stop; k += 4) {
+      PyObject **items[4];
+      u64 keep = stop - k < 4 ? ((u64)1 << (stop - k)) - 1 : 15;
+      u64 bad = 0;
+      for (q = 0; q < 4; q++) {
+        PyObject *row = PyList_GET_ITEM(rows, first + k + (k + q < stop ? q : 0));
+#ifdef __GNUC__
+        if (first + k + q + TUPLE_AHEAD < n) {
+          const char *ahead =
+              (const char *)PyList_GET_ITEM(rows, first + k + q + TUPLE_AHEAD);
+          long at;
+          for (at = 0; at < bytes + 64; at += 64) __builtin_prefetch(ahead + at);
+        }
+#endif
+        if (!PyTuple_CheckExact(row) || PyTuple_GET_SIZE(row) != width)
+          goto refuse;
+        items[q] = &PyTuple_GET_ITEM(row, 0);
+      }
+      for (j = 0; j < width; j++) {
+        PyObject *a = items[0][j], *b = items[1][j];
+        PyObject *c = items[2][j], *d = items[3][j];
+        u64 ones = (u64)(a == one) | (u64)(b == one) << 1 |
+                   (u64)(c == one) << 2 | (u64)(d == one) << 3;
+        word[j] |= (ones & keep) << k;
+        bad |= (u64)((a != zero) & (a != one)) | (u64)((b != zero) & (b != one)) |
+               (u64)((c != zero) & (c != one)) | (u64)((d != zero) & (d != one));
+      }
+      if (bad) goto refuse;
     }
-    if (bad) return -1;
+    for (j = 0; j < width; j++) out[j * n_words + w] = word[j];
   }
+  free(word);
   return 0;
+refuse:
+  free(word);
+  return -1;
 }
 
 /* The signal ids of paths, an exact list of exact tuples of exact ints

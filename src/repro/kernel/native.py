@@ -43,14 +43,15 @@ reset to the campaign width, so one engine runs round after round
 Python.
 
 Two more entry points read Python objects for the row codec, with the
-GIL held: ``repro_tuple_rows`` (pattern tuples to uint8 rows, for
-:func:`repro.kernel.packed.pattern_rows`) and ``repro_path_flat``
-(path tuples to a :class:`repro.paths.FaultTable`'s int32 signal
-column).  They take ``PyObject *`` arguments, which cffi cannot pass,
-so they are not in ``native.cdef``: :func:`row_readers` binds them with
-:class:`ctypes.PyDLL` on the file of the loaded module (``py_object``
-arguments; a PyDLL call keeps the GIL), and the module is built
-without the limited API.  :func:`read_tuple_rows` and
+GIL held: ``repro_tuple_planes`` (a list of vector tuples straight to
+uint64 lane planes, vector ``k`` in bit ``k % 64`` of word ``k // 64``,
+for :mod:`repro.kernel.packed`'s tuple and single-vector packers) and
+``repro_path_flat`` (path tuples to a :class:`repro.paths.FaultTable`'s
+int32 signal column).  They take ``PyObject *`` arguments, which cffi
+cannot pass, so they are not in ``native.cdef``: :func:`row_readers`
+binds them with :class:`ctypes.PyDLL` on the file of the loaded module
+(``py_object`` arguments; a PyDLL call keeps the GIL), and the module
+is built without the limited API.  :func:`read_tuple_planes` and
 :func:`read_path_flat` wrap them; each returns None where the reader
 refuses its input (anything but exact tuples of the cached ints 0 and
 1, or of exact ints naming signals) or the module is missing, and the
@@ -127,7 +128,7 @@ NATIVE_CDEF = _package_text("native.cdef")
 
 #: Bump when the call ABI changes (the C text is hashed into the module
 #: name anyway), so stale disk-cached shared objects are never reloaded.
-NATIVE_ABI = 10
+NATIVE_ABI = 11
 
 # The C text is constant-size (data-driven plan interpreters), so a real
 # optimization level is affordable: -O2 runs the fault loops ~2x faster
@@ -296,10 +297,10 @@ def native_unavailable_reason() -> str:
 def row_readers() -> Optional[Tuple]:
     """The row codec's two C readers, or None without the module.
 
-    ``(repro_tuple_rows, repro_path_flat)`` as :mod:`ctypes` functions
+    ``(repro_tuple_planes, repro_path_flat)`` as :mod:`ctypes` functions
     of a :class:`ctypes.PyDLL` on the loaded module's file (module doc),
-    bound once per module; use them through :func:`read_tuple_rows` and
-    :func:`read_path_flat`.
+    bound once per module; use them through :func:`read_tuple_planes`
+    and :func:`read_path_flat`.
     """
     global _readers
     module = _native_state()[0]
@@ -309,34 +310,38 @@ def row_readers() -> Optional[Tuple]:
     if bound is None or bound[0] is not module:
         try:
             dll = ctypes.PyDLL(module.__file__)
-            tuple_rows, path_flat = dll.repro_tuple_rows, dll.repro_path_flat
+            tuple_planes, path_flat = dll.repro_tuple_planes, dll.repro_path_flat
         except (OSError, AttributeError):  # a loader without dlopen
             _readers = (module, None)
             return None
-        tuple_rows.argtypes = (
+        tuple_planes.argtypes = (
             ctypes.py_object, ctypes.c_long, ctypes.c_long, ctypes.py_object,
             ctypes.py_object, ctypes.c_void_p,
         )
         path_flat.argtypes = (
             ctypes.py_object, ctypes.c_void_p, ctypes.c_long, ctypes.c_long
         )
-        tuple_rows.restype = path_flat.restype = ctypes.c_int
-        bound = _readers = (module, (tuple_rows, path_flat))
+        tuple_planes.restype = path_flat.restype = ctypes.c_int
+        bound = _readers = (module, (tuple_planes, path_flat))
     return bound[1]
 
 
-def read_tuple_rows(vectors: list, width: int) -> Optional[np.ndarray]:
-    """*vectors* as a ``(len(vectors), width)`` uint8 array, read in C.
+def read_tuple_planes(vectors: list, width: int) -> Optional[np.ndarray]:
+    """*vectors* as ``(width, n_words)`` uint64 lane planes, read in C.
 
-    *vectors* is a list of exact tuples of *width* items, each the int
-    0 or 1 itself.  None when anything else is met, or when there is no
-    module: the caller decodes the whole batch in Python instead.
+    Vector ``k`` lands in bit ``k % 64`` of word ``k // 64`` of every
+    row, the padding lanes 0: what :func:`repro.kernel.packed.pack_bits`
+    makes of the same vectors as rows.  *vectors* is a list of exact
+    tuples of *width* items, each the int 0 or 1 itself.  None when
+    anything else is met, or when there is no module: the caller decodes
+    the whole batch in Python instead.
     """
     readers = row_readers()
     if readers is None:
         return None
-    out = np.empty((len(vectors), width), dtype=np.uint8)
-    if readers[0](vectors, len(vectors), width, 0, 1, out.ctypes.data):
+    n = len(vectors)
+    out = np.empty((width, -(-n // 64)), dtype=np.uint64)
+    if readers[0](vectors, n, width, 0, 1, out.ctypes.data):
         return None
     return out
 

@@ -12,16 +12,17 @@ Lane numbering matches :mod:`repro.logic.words`: the Python-int lane
 mask of a packed quantity is simply the little-endian concatenation of
 its words (:func:`words_to_int`).
 
-One row codec turns vectors into ``(n, n_inputs)`` uint8 rows, pattern
-``k`` in row ``k``: :func:`text_rows` decodes the ``"0101…"`` wire form
-and :func:`pattern_rows` int tuples, each with its width and bit
-checks.  Everything that packs goes through it —
-:meth:`PackedPatterns.from_text` and :meth:`PackedPatterns.from_patterns`
-here, :class:`repro.core.patterns.PatternTable` (the generator's
-pattern set) above — and rows become lane planes with
-:func:`pack_bits`.  A :class:`PackedPatterns` refuses planes whose
-shape its lane count does not describe, so no walk reads past its
-valid-lane mask.
+One codec turns vectors into lane planes or ``(n, n_inputs)`` uint8
+rows, pattern ``k`` in lane or row ``k``, each with its width and bit
+checks: :func:`text_rows` decodes the ``"0101…"`` wire form, tuple
+batches are read in C straight into lane planes
+(:func:`read_pattern_planes`, for :meth:`PackedPatterns.from_patterns`
+and the simulators) and unpacked where rows are wanted
+(:func:`pattern_rows`, for :class:`repro.core.patterns.PatternTable`,
+the generator's pattern set, above), and :func:`vector_planes` packs
+single vectors.  Rows become lane planes with :func:`pack_bits`.  A
+:class:`PackedPatterns` refuses planes whose shape its lane count does
+not describe, so no walk reads past its valid-lane mask.
 """
 
 from __future__ import annotations
@@ -111,8 +112,8 @@ def unpack_bits(planes: np.ndarray, n_patterns: int) -> np.ndarray:
     (padding lanes past *n_patterns* are discarded).
     """
     words = np.ascontiguousarray(planes).astype("<u8")
-    n_columns = words.shape[0]
-    as_bytes = words.view(np.uint8).reshape(n_columns, -1)
+    n_columns, n_words = words.shape
+    as_bytes = words.view(np.uint8).reshape(n_columns, 8 * n_words)
     bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
     return np.ascontiguousarray(bits[:, :n_patterns].T)
 
@@ -187,6 +188,18 @@ def _first_bad_bit(patterns: Sequence) -> Optional[ValueError]:
     return None
 
 
+def _check_widths(v1: Sequence, v2: Sequence, width: int) -> None:
+    """:func:`width_error` for the first vector not *width* wide, if any.
+
+    ``v1[k]`` and ``v2[k]`` are pattern ``k``'s vectors, *width* pattern
+    0's v1 width: joined rows of other widths would decode shifted.
+    """
+    for index, (a, b) in enumerate(zip(v1, v2)):
+        if len(a) != width or len(b) != width:
+            name, bits = ("v1", len(a)) if len(a) != width else ("v2", len(b))
+            raise width_error(index, name, bits, width, "as wide as pattern 0's v1")
+
+
 def _rows_to_u8(rows, n_rows: int, n_columns: int) -> Optional[np.ndarray]:
     """Equal-length int rows as a ``(n_rows, n_columns)`` uint8 array.
 
@@ -194,7 +207,7 @@ def _rows_to_u8(rows, n_rows: int, n_columns: int) -> Optional[np.ndarray]:
     faster than ``np.asarray`` on a nested sequence.  None when
     ``bytes()`` cannot digest a row (a bit that is no integer: ``1.0``,
     ``0.5``, ``"1"``, ``None``); ``ValueError`` for a value outside
-    ``range(0, 256)``, or rows that do not add up to the shape.
+    ``range(0, 256)``.
     """
     try:
         flat = b"".join(map(bytes, rows))
@@ -203,47 +216,42 @@ def _rows_to_u8(rows, n_rows: int, n_columns: int) -> Optional[np.ndarray]:
     return np.frombuffer(flat, dtype=np.uint8).reshape(n_rows, n_columns)
 
 
-def read_pattern_rows(
+def read_pattern_planes(
     patterns: Sequence, width: int
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """The v1 and v2 rows of *patterns* read in C, *width* bits each, or None.
+    """The v1 and v2 lane planes of *patterns* read in C, *width* bits each, or None.
 
-    Both vector lists go through :func:`repro.kernel.native.read_tuple_rows`
-    (exact tuples of the ints 0 and 1 only); None when it refuses
-    either, or there is no native module.  Raises nothing: an accepted
-    batch has every vector *width* wide and every bit 0 or 1.
+    Both vector lists go through
+    :func:`repro.kernel.native.read_tuple_planes` (exact tuples of the
+    ints 0 and 1 only), straight into ``(width, n_words)`` uint64
+    planes; None when it refuses either, or there is no native module.
+    Raises nothing: an accepted batch has every vector *width* wide and
+    every bit 0 or 1.
     """
-    from .native import read_tuple_rows  # lazy: native imports this module
+    from .native import read_tuple_planes  # lazy: native imports this module
 
-    a = read_tuple_rows([p.v1 for p in patterns], width)
-    b = None if a is None else read_tuple_rows([p.v2 for p in patterns], width)
+    a = read_tuple_planes([p.v1 for p in patterns], width)
+    b = None if a is None else read_tuple_planes([p.v2 for p in patterns], width)
     return None if b is None else (a, b)
 
 
-def pattern_rows(patterns: Sequence) -> Tuple[np.ndarray, np.ndarray]:
-    """The v1 and v2 rows of PatternLike objects (``.v1``/``.v2`` tuples).
-
-    Two ``(n, n_inputs)`` uint8 arrays, row ``k`` pattern ``k``.  Every
-    vector must have the first pattern's width: the rows are joined
-    into one buffer and reshaped, so ragged rows whose bits add up
-    would decode shifted (the simulators check widths first,
-    :func:`repro.sim.delay_sim.check_pattern_widths`).  Every bit must
-    be 0 or 1 (:func:`bit_error` otherwise, checked before any bit is
-    converted).
-
-    The batch goes through the C reader first (:func:`read_pattern_rows`
-    at the first vector's width).  If it refuses either vector list, or
-    there is no native module, the whole batch takes the Python path,
-    which raises the errors.
-    """
+def _batch_planes(patterns: Sequence) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """:func:`read_pattern_planes` at pattern 0's v1 width; a batch is not empty."""
     if not patterns:
         raise ValueError("cannot pack an empty pattern batch")
+    return read_pattern_planes(patterns, len(patterns[0].v1))
+
+
+def _python_rows(patterns: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    """The Python path of the tuple codec: rows, or the batch's first error.
+
+    Widths first (:func:`_check_widths`), then bits (:func:`bit_error`,
+    checked before any bit is converted).
+    """
     n, n_inputs = len(patterns), len(patterns[0].v1)
-    rows = read_pattern_rows(patterns, n_inputs)
-    if rows is not None:
-        return rows
     v1 = [p.v1 for p in patterns]
     v2 = [p.v2 for p in patterns]
+    _check_widths(v1, v2, n_inputs)
     try:
         a = _rows_to_u8(v1, n, n_inputs)
         b = _rows_to_u8(v2, n, n_inputs)
@@ -257,9 +265,81 @@ def pattern_rows(patterns: Sequence) -> Tuple[np.ndarray, np.ndarray]:
             raise error
         a = np.asarray([list(row) for row in v1], dtype=np.uint8)
         b = np.asarray([list(row) for row in v2], dtype=np.uint8)
-    if a.max() > 1 or b.max() > 1:
+    if a.size and (a.max() > 1 or b.max() > 1):
         raise _first_bad_bit(patterns)
     return a, b
+
+
+def pattern_rows(patterns: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    """The v1 and v2 rows of PatternLike objects (``.v1``/``.v2`` tuples).
+
+    Two ``(n, n_inputs)`` uint8 arrays, row ``k`` pattern ``k``.  Every
+    vector must be as wide as pattern 0's v1 (:func:`width_error`) and
+    every bit 0 or 1 (:func:`bit_error`, checked before any bit is
+    converted).
+
+    The batch is read in C first, into lane planes
+    (:func:`read_pattern_planes` at pattern 0's v1 width), and unpacked
+    (:func:`unpack_bits`).  If the reader refuses either vector list, or
+    there is no native module, the whole batch takes the Python path,
+    which raises the errors.
+    """
+    planes = _batch_planes(patterns)
+    if planes is None:
+        return _python_rows(patterns)
+    return unpack_bits(planes[0], len(patterns)), unpack_bits(planes[1], len(patterns))
+
+
+def vector_planes(vectors: Sequence[Sequence[int]]) -> np.ndarray:
+    """Single vectors as ``(width, n_words)`` uint64 lane planes, vector ``k`` in lane ``k``.
+
+    The one packer of single-vector batches
+    (:meth:`PackedPatterns.from_vectors`,
+    :func:`repro.sim.logic_sim.pack_vectors` and the native stuck-at
+    grade).  Every vector must be as wide as vector 0
+    (:func:`width_error`) and every bit equal to 0 or 1 (:func:`bit_error`,
+    checked before any bit is converted: ``True`` and ``1.0`` read as 1,
+    ``0.5``, ``"x"``, ``None`` and ``2`` are refused), the rules of the
+    two-vector codec.  A list of tuples of the ints 0 and 1 is read in
+    C (:func:`repro.kernel.native.read_tuple_planes`); anything else, a
+    refusal or no module takes the Python path, which raises the errors.
+    """
+    if len(vectors) == 0:
+        raise ValueError("cannot pack an empty vector batch")
+    width = len(vectors[0])
+    if type(vectors) is list:
+        from .native import read_tuple_planes  # lazy: native imports this module
+
+        planes = read_tuple_planes(vectors, width)
+        if planes is not None:
+            return planes
+    return pack_bits(_vector_rows(vectors, width))
+
+
+def _vector_rows(vectors: Sequence, width: int) -> np.ndarray:
+    """The Python path of :func:`vector_planes`: ``(n, width)`` uint8 rows.
+
+    Numeric rows (BIST's numpy rows from :func:`unpack_bits` among them)
+    get one vectorized bit check; any other item is compared on its own.
+    """
+    for index, vector in enumerate(vectors):
+        if len(vector) != width:
+            raise width_error(index, "vector", len(vector), width, "as wide as vector 0")
+    try:
+        rows = np.asarray(vectors)
+    except (ValueError, TypeError):  # items that are sequences themselves
+        rows = None
+    if rows is None or rows.ndim != 2 or rows.dtype.kind not in "biuf":
+        for index, vector in enumerate(vectors):
+            for position, bit in enumerate(vector):
+                if bit != 0 and bit != 1:
+                    raise bit_error(index, "vector", position, bit)
+        return np.asarray(vectors, dtype=np.uint8)
+    bad = np.argwhere((rows != 0) & (rows != 1))
+    if len(bad):
+        index, position = bad[0].tolist()
+        raise bit_error(index, "vector", position, vectors[index][position])
+    return rows.astype(np.uint8)
 
 
 def text_rows(v1: Sequence[str], v2: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
@@ -279,10 +359,7 @@ def text_rows(v1: Sequence[str], v2: Sequence[str]) -> Tuple[np.ndarray, np.ndar
     if len(v1) != len(v2):
         raise ValueError(f"{len(v1)} v1 vectors but {len(v2)} v2 vectors")
     width = len(v1[0])
-    for index, (a, b) in enumerate(zip(v1, v2)):
-        if len(a) != width or len(b) != width:
-            name, bits = ("v1", len(a)) if len(a) != width else ("v2", len(b))
-            raise width_error(index, name, bits, width, "as wide as pattern 0's v1")
+    _check_widths(v1, v2, width)
     rows, errors = [], []
     for name, vectors in (("v1", v1), ("v2", v2)):
         text = "".join(vectors)
@@ -352,10 +429,15 @@ class PackedPatterns:
     def from_patterns(cls, patterns: Sequence) -> "PackedPatterns":
         """Pack PatternLike objects (``.v1``/``.v2`` input tuples).
 
-        Decoded by :func:`pattern_rows` (one width for every vector,
-        bits 0 or 1), then :meth:`from_rows`.
+        Read in C straight into lane planes (:func:`read_pattern_planes`),
+        with no rows between; a batch the reader refuses is decoded and
+        checked on the Python path of :func:`pattern_rows` (one width
+        for every vector, bits 0 or 1), then :meth:`from_rows`.
         """
-        return cls.from_rows(*pattern_rows(patterns))
+        planes = _batch_planes(patterns)
+        if planes is None:
+            return cls.from_rows(*_python_rows(patterns))
+        return cls(*planes, n_patterns=len(patterns))
 
     @classmethod
     def from_text(cls, v1: Sequence[str], v2: Sequence[str]) -> "PackedPatterns":
@@ -368,11 +450,11 @@ class PackedPatterns:
 
     @classmethod
     def from_vectors(cls, vectors: Sequence[Sequence[int]]) -> "PackedPatterns":
-        """Pack single-vector tests (V1 == V2, no transitions)."""
-        if not vectors:
-            raise ValueError("cannot pack an empty vector batch")
-        a = np.asarray(vectors, dtype=np.uint8)
-        bits = pack_bits(a)
+        """Pack single-vector tests (V1 == V2, no transitions).
+
+        Packed by :func:`vector_planes` (one width, bits 0 or 1).
+        """
+        bits = vector_planes(vectors)
         return cls(v1=bits, v2=bits, n_patterns=len(vectors))
 
     # ------------------------------------------------------------------

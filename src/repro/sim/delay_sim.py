@@ -55,7 +55,7 @@ from ..kernel import (
     backend_for,
     words_to_int,
 )
-from ..kernel.packed import bit_error, read_pattern_rows, width_error
+from ..kernel.packed import bit_error, read_pattern_planes, width_error
 from ..logic import ten_valued
 from ..logic.words import mask_for
 from ..paths import PathDelayFault, TestClass
@@ -140,21 +140,22 @@ def _checked_patterns(
     """*patterns* after the width check, packed where a C read stands in for it.
 
     With ``fusion="auto"`` and a *backend* other than ``"int"`` the call
-    packs rows (native, or numpy), so a tuple batch is first read in C
-    at the circuit's width (:func:`repro.kernel.packed.read_pattern_rows`):
-    a batch the reader takes has every vector *n_inputs* wide and every
-    bit 0 or 1, and comes back as its :class:`PackedPatterns` without a
+    packs lane planes (native, or numpy), so a tuple batch is first read
+    in C at the circuit's width, straight into planes
+    (:func:`repro.kernel.packed.read_pattern_planes`): a batch the
+    reader takes has every vector *n_inputs* wide and every bit 0 or 1,
+    and comes back as its :class:`PackedPatterns` without a
     :func:`check_pattern_widths` pass.  Anything else — a packed batch, the
     int tier (it packs with :func:`pack_patterns`), a pinned fusion, no
     native module, a batch the reader refuses — goes through
     :func:`check_pattern_widths` and comes back as it was, so every
     error is raised as it would be without the reader.
     """
-    packs_rows = fusion == "auto" and backend != "int"
-    if packs_rows and not isinstance(patterns, PackedPatterns):
-        rows = read_pattern_rows(patterns, n_inputs)
-        if rows is not None:
-            return PackedPatterns.from_rows(*rows)
+    packs_planes = fusion == "auto" and backend != "int"
+    if packs_planes and not isinstance(patterns, PackedPatterns):
+        planes = read_pattern_planes(patterns, n_inputs)
+        if planes is not None:
+            return PackedPatterns(*planes, n_patterns=len(patterns))
     check_pattern_widths(patterns, n_inputs)
     return patterns
 

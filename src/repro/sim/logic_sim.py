@@ -24,25 +24,21 @@ import numpy as np
 
 from ..circuit import Circuit
 from ..kernel import IntWordBackend, NumpyWordBackend, PackedPatterns, backend_for
+from ..kernel.packed import rows_to_ints, vector_planes
 
 
 def pack_vectors(vectors: Sequence[Sequence[int]]) -> List[int]:
     """Pack per-vector input values into per-input lane words.
 
     ``vectors[k][i]`` is the value of input *i* in vector *k*; the
-    result has one word per input with vector *k* in lane *k*.
+    result has one word per input with vector *k* in lane *k*.  The
+    vectors are checked and packed by
+    :func:`repro.kernel.packed.vector_planes`, as on every other tier:
+    one width, every bit 0 or 1.
     """
-    if not vectors:
+    if len(vectors) == 0:
         return []
-    n_inputs = len(vectors[0])
-    words = [0] * n_inputs
-    for lane, vector in enumerate(vectors):
-        if len(vector) != n_inputs:
-            raise ValueError("all vectors must have the same length")
-        for i, bit in enumerate(vector):
-            if bit:
-                words[i] |= 1 << lane
-    return words
+    return rows_to_ints(vector_planes(vectors))
 
 
 def simulate_words(

@@ -36,12 +36,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-import numpy as np
-
 from ..circuit import Circuit
 from ..kernel.backends import FUSION_MODES, eval_gate_word
 from ..kernel.codegen import cone_fault_fn
-from ..kernel.packed import pack_bits
+from ..kernel.packed import vector_planes
 from ..logic.words import mask_for
 from ..core.stuck_at import StuckAtFault
 from .logic_sim import pack_vectors, simulate_words
@@ -181,7 +179,7 @@ class StuckAtSimulator:
         """The compiled-C path: native good pass + C cone resims."""
         from ..kernel.native import NativeWordBackend
 
-        bits = pack_bits(np.asarray(vectors, dtype=np.uint8))
+        bits = vector_planes(vectors)
         good = NativeWordBackend(width).simulate_logic(self.compiled, bits)
         mask = mask_for(width)
         cones = self._native_cones

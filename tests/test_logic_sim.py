@@ -1,18 +1,37 @@
 """Unit tests for the bit-parallel two-valued logic simulators."""
 
+import contextlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.circuit.generators import random_dag, ripple_carry_adder
 from repro.circuit.library import c17, paper_example
+from repro.kernel import PackedPatterns, native, words_to_int
 from repro.sim.logic_sim import (
     pack_vectors,
     simulate_array,
     simulate_batch,
     simulate_words,
 )
+
+#: The two single-vector packers: the int tier's words and the lane
+#: planes of the numpy and native tiers, as lists of ints.
+PACKERS = {
+    "pack_vectors": pack_vectors,
+    "from_vectors": lambda vectors: [
+        words_to_int(plane) for plane in PackedPatterns.from_vectors(vectors).v1
+    ],
+}
+
+
+def readers(on):
+    """The C readers as they are, or switched off."""
+    if on:
+        return contextlib.nullcontext()
+    return mock.patch.object(native, "row_readers", lambda: None)
 
 
 class TestPackVectors:
@@ -26,6 +45,55 @@ class TestPackVectors:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             pack_vectors([[1, 0], [1]])
+
+
+class TestSingleVectorChecks:
+    """Every single-vector packer reads a bit and a width alike, with the
+    C reader on or off, from tuples, lists or numpy rows."""
+
+    @pytest.mark.parametrize("bad", [0.5, "x", None, 2, -1, 2**70])
+    @pytest.mark.parametrize("on", [True, False])
+    def test_bits_other_than_0_or_1_are_refused(self, bad, on):
+        message = f"pattern 2: vector bit 1 is {bad!r}, expected 0 or 1"
+        for kind in (tuple, list):
+            vectors = [kind(v) for v in ([0, 1], [1, 1], [1, bad])]
+            for name, packer in PACKERS.items():
+                with readers(on), pytest.raises(ValueError) as error:
+                    packer(vectors)
+                assert str(error.value) == message, name
+
+    @pytest.mark.parametrize("on", [True, False])
+    def test_bits_equal_to_0_or_1_read_alike(self, on):
+        vectors = [(True, 0, 1.0), (np.uint8(1), np.int64(0), False), (0, 1, 1)]
+        for name, packer in PACKERS.items():
+            with readers(on):
+                assert packer(vectors) == [0b011, 0b100, 0b101], name
+                assert packer(vectors[2:]) == [0, 1, 1], name
+
+    def test_numpy_rows_take_one_vectorized_check(self):
+        rows = np.array([[0, 1], [1, 1], [1, 0]], dtype=np.uint8)
+        for name, packer in PACKERS.items():
+            assert packer(list(rows)) == [0b110, 0b011], name
+            assert packer(rows) == [0b110, 0b011], name
+        rows[1, 0] = 2
+        for name, packer in PACKERS.items():
+            with pytest.raises(ValueError, match="pattern 1: vector bit 0 is"):
+                packer(list(rows))
+
+    @pytest.mark.parametrize("on", [True, False])
+    def test_ragged_vectors_are_refused_alike(self, on):
+        for vectors in ([[1, 0], [1]], [(1, 0), (1,)], [(1, 0), (1, 0, 1)]):
+            bits = len(vectors[1])
+            message = f"pattern 1: vector has {bits} bits, expected 2 (as wide as vector 0)"
+            for name, packer in PACKERS.items():
+                with readers(on), pytest.raises(ValueError) as error:
+                    packer(vectors)
+                assert str(error.value) == message, name
+
+    def test_simulate_batch_refuses_a_bad_bit(self):
+        vectors = [(0, 1, 0, 1, 0), (0, 1, 0.5, 1, 0)]
+        with pytest.raises(ValueError, match="pattern 1: vector bit 2 is 0.5"):
+            simulate_batch(c17(), vectors)
 
 
 class TestSimulateWords:

@@ -19,6 +19,7 @@ the Python path they stand in for, on exact and hostile input.
 UBSan build of the C unit.
 """
 
+import contextlib
 import random
 from unittest import mock
 
@@ -36,6 +37,7 @@ from repro.campaign.scheduler import RoundResult, SerialExecutor, Supervision
 from repro.campaign.universe import FaultUniverse
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.generators import random_dag
+from repro.circuit.library import c17
 from repro.core.aptpg import run_aptpg
 from repro.core.controllability import compute_controllability
 from repro.core.fptpg import run_fptpg
@@ -53,7 +55,7 @@ from repro.core.state import (
     TpgEngine,
     TpgState,
 )
-from repro.kernel import native, native_available
+from repro.kernel import native, native_available, words_to_int
 from repro.kernel.native import DropRound
 from repro.kernel.packed import (
     PackedPatterns,
@@ -64,6 +66,7 @@ from repro.kernel.packed import (
 )
 from repro.paths import FaultTable, PathDelayFault, TestClass, Transition, fault_list
 from repro.sim import DelayFaultSimulator, strength_masks_all
+from repro.sim.delay_sim import pack_patterns
 
 needs_native = pytest.mark.skipif(
     not native_available(), reason="no C toolchain and no cached native module"
@@ -905,17 +908,20 @@ def extended_columns(n_signals, faults):
 
 
 @st.composite
-def sized_tuple_batches(draw):
+def sized_tuple_batches(draw, sizes=(1, 63, 64, 65, 129), widths=st.integers(1, 9)):
     """``(width, patterns)``: random 0/1 tuples of *width* bits, some
-    cells, rows or types spoiled."""
-    n = draw(st.sampled_from([1, 63, 64, 65, 129]))
-    width = draw(st.integers(1, 9))
+    cells, rows or types spoiled.  ``"last"`` spoils a bit of the last
+    row, which the reader meets after it wrote every earlier word."""
+    n = draw(st.sampled_from(sizes))
+    width = draw(widths)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vectors = rng.integers(0, 2, size=(2, n, width)).tolist()
     kinds = [[tuple] * n, [tuple] * n]
     for _ in range(draw(st.integers(0, 3))):
         side, k = draw(st.integers(0, 1)), draw(st.integers(0, n - 1))
-        spoil = draw(st.sampled_from(["bit", "list", "subclass", "ragged"]))
+        spoil = draw(st.sampled_from(["bit", "list", "subclass", "ragged", "last"]))
+        if spoil == "last":
+            spoil, k = "bit", n - 1
         row = vectors[side][k]
         if spoil == "bit":
             if row:  # a ragged row may be empty
@@ -1002,14 +1008,18 @@ class TestRowReaders:
             both_ways(extended_columns, 12, faults)
 
     @needs_native
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
-    def test_exact_input_is_read_in_c(self, n):
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 4097])
+    @pytest.mark.parametrize("width", [1, 7, 64, 129])
+    def test_exact_input_is_read_in_c(self, n, width):
         """Clean input must take the reader, or the tests above compare
         the Python path with itself."""
         rng = np.random.default_rng(n)
-        vectors = [tuple(row) for row in rng.integers(0, 2, (n, 7)).tolist()]
-        rows = native.read_tuple_rows(vectors, 7)
-        assert rows is not None and rows.tolist() == [list(v) for v in vectors]
+        bits = rng.integers(0, 2, (n, width), dtype=np.uint8)
+        vectors = [tuple(row) for row in bits.tolist()]
+        planes = native.read_tuple_planes(vectors, width)
+        assert planes is not None and planes.dtype == np.uint64
+        assert planes.shape == (width, -(-n // 64))
+        assert (planes == pack_bits(bits)).all()
         paths = [tuple(row) for row in rng.integers(0, 12, (n, 3)).tolist()]
         flat = native.read_path_flat(paths, 3 * n, 12)
         assert flat is not None and flat.tolist() == [i for p in paths for i in p]
@@ -1020,11 +1030,14 @@ class TestRowReaders:
     @needs_native
     @pytest.mark.parametrize("bad", HOSTILE_BITS)
     def test_tuple_reader_refuses_all_but_the_cached_bits(self, bad):
-        assert native.read_tuple_rows([(0, 1), (1, bad)], 2) is None
-        assert native.read_tuple_rows([(0, 1), [1, 0]], 2) is None
-        assert native.read_tuple_rows([(0, 1), Row((1, 0))], 2) is None
-        assert native.read_tuple_rows([(0, 1), (1, 0, 1)], 2) is None
-        assert native.read_tuple_rows(((0, 1),), 2) is None  # no list
+        assert native.read_tuple_planes([(0, 1), (1, bad)], 2) is None
+        assert native.read_tuple_planes([(0, 1), [1, 0]], 2) is None
+        assert native.read_tuple_planes([(0, 1), Row((1, 0))], 2) is None
+        assert native.read_tuple_planes([(0, 1), (1, 0, 1)], 2) is None
+        assert native.read_tuple_planes(((0, 1),), 2) is None  # no list
+        # a bad bit in the last row, after every earlier word was written
+        vectors = [(k % 2, 1) for k in range(129)] + [(1, bad)]
+        assert native.read_tuple_planes(vectors, 2) is None
 
     @needs_native
     @pytest.mark.parametrize("bad", HOSTILE_IDS + [12])
@@ -1035,6 +1048,104 @@ class TestRowReaders:
         # the caller's buffer size must be the ids' count exactly
         assert native.read_path_flat([(0, 1), (2, 3)], 3, 12) is None
         assert native.read_path_flat([(0, 1), (2, 3)], 5, 12) is None
+
+
+#: The reader's lane counts and widths: a word and a bit either side of
+#: one and two words, and a long batch; one, a word either side of 64
+#: and two words of inputs.
+READER_SIZES = (1, 63, 64, 65, 127, 128, 129, 4097)
+READER_WIDTHS = (1, 63, 64, 65, 129)
+
+
+def packed_fields(patterns):
+    packed = PackedPatterns.from_patterns(patterns)
+    return packed.v1, packed.v2, packed.n_patterns
+
+
+class TestTuplePlanes:
+    """The C reader writes lane planes; off, the Python path packs rows.
+
+    These tests and :class:`TestWalkWords` fail on each of three
+    mutations of the C unit: the reader writing a word out one word
+    late, or bit ``k`` of a word at ``k + 1``, and a walk skipping its
+    tail loop.
+    """
+
+    @SETTINGS
+    @given(
+        sized=sized_tuple_batches(
+            sizes=READER_SIZES, widths=st.sampled_from(READER_WIDTHS)
+        )
+    )
+    def test_planes_match_the_python_path(self, sized):
+        """Planes, lane count and every error text must not depend on
+        the reader."""
+        _width, patterns = sized
+        both_ways(packed_fields, patterns)
+        both_ways(pattern_rows, patterns)
+
+    @pytest.mark.parametrize("n", READER_SIZES)
+    @pytest.mark.parametrize("width", READER_WIDTHS)
+    def test_planes_are_the_int_tiers_words(self, n, width):
+        """``pack_patterns``, the int tier's own packer, shares no reader:
+        lane ``k`` of every plane must be pattern ``k``'s bit there."""
+        rng = np.random.default_rng(n * 1000 + width)
+        bits = rng.integers(0, 2, (2, n, width)).tolist()
+        patterns = [TestPattern(tuple(a), tuple(b)) for a, b in zip(*bits)]
+        packed = PackedPatterns.from_patterns(patterns)
+        assert packed.n_patterns == n
+        planes, lanes = pack_patterns(reader_circuit(width), patterns)
+        assert lanes == n
+        for k, (_zero, one, _stable, instable) in enumerate(planes):
+            assert words_to_int(packed.v2[k]) == one
+            assert words_to_int(packed.v1[k]) == one ^ instable
+
+    def test_ragged_vectors_are_refused(self):
+        """Vectors whose bits add up to whole rows used to decode shifted
+        on the Python path."""
+        patterns = [
+            TestPattern((0, 0, 0), (1, 1, 1)),
+            TestPattern((1, 1, 1, 1), (0, 0, 0, 0)),
+            TestPattern((0, 1), (1, 0)),
+        ]
+        message = r"pattern 1: v1 has 4 bits, expected 3 \(as wide as pattern 0's v1\)"
+        for call in (PackedPatterns.from_patterns, pattern_rows):
+            for readers in (readers_off, contextlib.nullcontext):
+                with readers(), pytest.raises(ValueError, match=message):
+                    call(patterns)
+        short_v2 = [TestPattern((0, 1), (1, 0)), TestPattern((0, 1), (1,))]
+        assert both_ways(pattern_rows, short_v2) == (
+            "ValueError",
+            "pattern 1: v2 has 1 bits, expected 2 (as wide as pattern 0's v1)",
+        )
+
+
+@needs_native
+class TestWalkWords:
+    """The walks' word loops — a four-word body with one accumulator per
+    word, then a tail — against the numpy interp oracle at 1 to 9 words,
+    so the body runs 0 to 2 times and every tail length runs."""
+
+    CIRCUITS = {"c17": c17, "dag": lambda: random_dag(6, 16, seed=4)}
+
+    @pytest.mark.parametrize("name", sorted(CIRCUITS))
+    @pytest.mark.parametrize("n_words", range(1, 10))
+    def test_masks_and_strengths_match_the_oracle(self, name, n_words):
+        circuit = self.CIRCUITS[name]()
+        n = 64 * (n_words - 1) + 1 + (29 * n_words) % 64
+        patterns = random_patterns(circuit, n, seed=n_words)
+        faults = fault_list(circuit, cap=120, strategy="all")
+        for test_class in (TestClass.ROBUST, TestClass.NONROBUST):
+            got = DelayFaultSimulator(
+                circuit, test_class, backend="native"
+            ).detection_masks(patterns, faults)
+            assert got == oracle_masks(circuit, test_class, patterns, faults)
+            # lanes in the last word as well as the first
+            assert any(mask >> (64 * (n_words - 1)) for mask in got)
+        triples = strength_masks_all(circuit, patterns, faults, "native")
+        assert triples == strength_masks_all(
+            circuit, patterns, faults, "numpy", "interp"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ output differ between the good and the faulted circuit.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.circuit import CircuitBuilder
@@ -20,7 +21,12 @@ from repro.core.stuck_at import (
     run_stuck_at_aptpg,
     run_stuck_at_fptpg,
 )
+from repro.kernel import native_available
 from repro.sim.stuck_at_sim import StuckAtSimulator
+
+#: Without a native module ``"native"`` falls back to the int words
+#: with a warning, so only the int words are left to compare.
+BACKENDS = ("int", "native") if native_available() else ("int",)
 
 
 def faulted_output(circuit, fault, vector):
@@ -85,6 +91,34 @@ class TestSimulator:
                     fault.describe(circuit),
                     vector,
                 )
+
+    @pytest.mark.parametrize("bad", [0.5, "x", None, 2])
+    def test_every_backend_refuses_a_bit_other_than_0_or_1(self, bad):
+        """The int words and the native planes check single vectors
+        alike."""
+        circuit = c17()
+        faults = all_stuck_at_faults(circuit)
+        message = f"pattern 1: vector bit 3 is {bad!r}, expected 0 or 1"
+        for backend in BACKENDS:
+            simulator = StuckAtSimulator(circuit, backend=backend)
+            for vectors in ([(0,) * 5, (1, 1, 1, bad, 0)], [[0] * 5, [1, 1, 1, bad, 0]]):
+                with pytest.raises(ValueError) as error:
+                    simulator.detected_faults(vectors, faults)
+                assert str(error.value) == message, backend
+            with pytest.raises(ValueError, match=r"vector has 4 bits, expected 5"):
+                simulator.detected_faults([(0,) * 5, (1,) * 4], faults)
+
+    def test_every_backend_reads_numpy_rows(self):
+        """BIST hands the simulator the numpy rows of its lane planes."""
+        circuit = c17()
+        faults = all_stuck_at_faults(circuit)
+        rows = np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.uint8)
+        want = StuckAtSimulator(circuit).detected_faults(
+            [tuple(row) for row in rows.tolist()], faults
+        )
+        for backend in BACKENDS:
+            simulator = StuckAtSimulator(circuit, backend=backend)
+            assert simulator.detected_faults(list(rows), faults) == want, backend
 
     def test_coverage(self):
         circuit = c17()
