@@ -15,8 +15,8 @@ import tempfile
 from pathlib import Path
 
 from repro.analysis import render_table
+from repro.api import AtpgSession
 from repro.circuit import load_bench, write_bench
-from repro.core import generate_tests
 from repro.paths import TestClass, all_faults, count_paths
 
 SEQUENTIAL_BENCH = """\
@@ -50,7 +50,7 @@ def main() -> None:
         print(f"  structural paths: {count_paths(circuit)}\n")
 
         faults = all_faults(circuit)
-        report = generate_tests(circuit, faults, TestClass.ROBUST)
+        report = AtpgSession(circuit).generate(faults, test_class=TestClass.ROBUST)
         print(render_table([report.summary()], title="Robust ATPG"))
 
         print("\nGenerated two-vector tests:")

@@ -18,12 +18,10 @@ from repro.sim import DelayFaultSimulator
 
 
 def main() -> None:
-    # Every hot simulation loop runs on fused execution plans by
-    # default (Options(fusion="auto")): level-vectorized numpy kernels
-    # for bulk passes, straight-line compiled bodies for int-word and
-    # implication-engine work.  Pass Options(fusion="interp") to pin
-    # the per-gate oracle loop, or "vector"/"codegen" to pin one
-    # strategy — results are bit-identical either way.
+    # Options(fusion="auto"), the default, runs the fastest tier: the
+    # compiled-C native module where it loads, else the Python fast
+    # paths.  Options(fusion="interp") runs the per-gate oracle loop
+    # instead — results are bit-identical either way.
     session = AtpgSession.open("c17", options=Options(fusion="auto"))
     c17 = session.circuit
     print(f"Circuit: {c17.name} — {c17.stats()}")

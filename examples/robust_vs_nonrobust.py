@@ -19,8 +19,9 @@ Usage::
     python examples/robust_vs_nonrobust.py
 """
 
+from repro.api import AtpgSession
 from repro.circuit.library import paper_example
-from repro.core import TestPattern, generate_tests
+from repro.core import TestPattern
 from repro.paths import PathDelayFault, TestClass, Transition, all_faults
 from repro.sim import DelayFaultSimulator, robust_timing_holds, timing_detects
 
@@ -59,8 +60,9 @@ def classify_two_patterns() -> None:
 def class_statistics() -> None:
     circuit = paper_example()
     faults = all_faults(circuit)
-    nonrobust = generate_tests(circuit, faults, TestClass.NONROBUST)
-    robust = generate_tests(circuit, faults, TestClass.ROBUST)
+    session = AtpgSession(circuit)
+    nonrobust = session.generate(faults, test_class=TestClass.NONROBUST)
+    robust = session.generate(faults, test_class=TestClass.ROBUST)
     print("Whole-circuit comparison (robust detection implies nonrobust):")
     print(f"  faults            : {len(faults)}")
     print(f"  nonrobust testable: {nonrobust.n_tested}")

@@ -28,20 +28,13 @@ round-trips through one versioned JSON wire format
 session layer runs behind the ``tip serve`` HTTP endpoint
 (:mod:`repro.api.service`).
 
-Deprecation story: the pre-1.2 entry points still work unchanged —
-``generate_tests(c, faults, TpgOptions(...))`` and
-``run_campaign(..., CampaignOptions(...))`` produce bit-identical
-results — but they are shims now.  ``TpgOptions`` is the generation
-layer of the unified :class:`repro.api.Options` hierarchy,
-``CampaignOptions`` is an alias of the full model, and all four names
-emit ``DeprecationWarning`` pointing at the session API.
+The pre-1.2 shims (``generate_tests``, ``run_campaign``, ``TpgOptions``,
+``CampaignOptions``) are gone; :func:`generate_tests_single_bit` is the
+paper's single-bit reference generator (Tables 5/6).
 """
 
 #: The public surface: this list is the single source of truth — every
 #: name here is importable from ``repro`` and nothing else is public.
-#: Deprecated names (``TpgOptions``, ``CampaignOptions``,
-#: ``generate_tests``, ``run_campaign``, ``generate_tests_single_bit``)
-#: stay listed for compatibility; they warn on use.
 __all__ = [
     # the front door
     "api",
@@ -70,31 +63,19 @@ __all__ = [
     # functional entry points
     "all_faults",
     "count_paths",
+    "generate_tests_single_bit",
     "load_bench",
     "parse_bench",
-    # deprecated (warn on use; kept for compatibility)
-    "CampaignOptions",
-    "TpgOptions",
-    "generate_tests",
-    "generate_tests_single_bit",
-    "run_campaign",
 ]
 
 from . import api, campaign, circuit, core, logic, paths, sim
 from .api import AtpgService, AtpgSession, Options
-from .campaign import (
-    CampaignOptions,
-    CampaignReport,
-    FaultUniverse,
-    run_campaign,
-)
+from .campaign import CampaignReport, FaultUniverse
 from .circuit import Circuit, CircuitBuilder, GateType, load_bench, parse_bench
 from .core import (
     FaultStatus,
     TestPattern,
-    TpgOptions,
     TpgReport,
-    generate_tests,
     generate_tests_single_bit,
 )
 from .paths import PathDelayFault, TestClass, Transition, all_faults, count_paths

@@ -6,8 +6,7 @@ One typed surface for every workload the reproduction supports:
   ``generate`` / ``campaign`` / ``simulate`` / ``grade`` / ``bist`` /
   ``paths`` all execute behind it,
 * :class:`Options` — the unified layered options model (generation →
-  schedule → execution → persistence → bist) that subsumes the
-  deprecated ``TpgOptions`` and ``CampaignOptions``,
+  schedule → execution → persistence → bist),
 * :mod:`repro.api.schemas` / :mod:`repro.api.serde` — versioned JSON
   wire format (``schema`` / ``schema_version`` envelope) with
   round-trip codecs for circuits, faults, patterns, and reports,

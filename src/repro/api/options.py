@@ -1,11 +1,6 @@
 """The unified, layered options model — one dataclass hierarchy.
 
-Historically the project grew two divergent option types: the
-engine-style :class:`TpgOptions` (generation tunables only) and the
-campaign-style :class:`CampaignOptions` (generation tunables plus
-schedule, execution, and persistence knobs), with ad-hoc field copying
-between them.  This module replaces both with a single hierarchy in
-which each layer adds one concern:
+Each layer adds one concern:
 
 ``GenerationOptions``
     the paper's engine tunables — word length ``L``, backtrack limit,
@@ -38,13 +33,9 @@ the legacy serial engine always was.
 
 Every campaign runs its shards in-process.  The execution knobs that
 once chose a process pool (:data:`RETIRED_OPTIONS`) are still read from
-old payloads and dropped there: results never depended on them.
-
-The legacy names survive as deprecated aliases: ``TpgOptions`` (in
-:mod:`repro.core.engine`) subclasses :class:`GenerationOptions` and
-``CampaignOptions`` (in :mod:`repro.campaign.report`) subclasses
-:class:`Options`; both warn on construction and otherwise behave
-identically, so every old call site keeps working.
+old payloads and dropped there, and so are the retired ``fusion``
+strategies (:data:`RETIRED_FUSION`), read as ``"auto"``: results never
+depended on either.
 """
 
 from __future__ import annotations
@@ -68,6 +59,11 @@ DEFAULT_SHARDS = 2
 #: :meth:`Options.merged` drops them with a ``DeprecationWarning``.
 RETIRED_OPTIONS = ("workers", "shard_deadline_s")
 
+#: ``fusion`` values of options v2–v5 that no longer exist: the numpy
+#: straight-line strategy and its ``vector`` sibling.  Old payloads
+#: that carry them decode as ``"auto"`` (:meth:`Options.from_layers`).
+RETIRED_FUSION = ("vector", "codegen")
+
 
 @dataclass
 class GenerationOptions:
@@ -86,23 +82,20 @@ class GenerationOptions:
             ``"auto"`` (the default, with ``fusion="auto"``) runs the
             compiled-C native module at every width whenever it loads
             (disk-cached, built once per machine) and otherwise — no
-            cached module and no C toolchain, or an explicit
-            ``fusion`` strategy — Python-int words up to 64 lanes and
-            numpy beyond; ``"int"``/``"numpy"`` pin a Python backend;
-            ``"native"`` insists on compiled C and falls back to numpy
-            with a one-time warning (see
-            :func:`repro.kernel.backend_for`).  Never outcome-relevant:
-            every backend is bit-identical.
-        fusion: plan execution strategy of every hot simulation loop
-            and of the TPG implication engine —
-            ``"interp"`` (per-gate interpreter, the oracle),
-            ``"vector"`` (level-vectorized numpy groups), ``"codegen"``
-            (straight-line compiled bodies) or ``"auto"`` (the fastest
-            supported strategy per backend, and the C engine for TPG
-            states of at most 64 lanes; the default — see
-            :func:`repro.core.state.tpg_tier`).  Never
-            outcome-relevant: all strategies are bit-identical and the
-            test suite asserts it.
+            cached module and no C toolchain, or ``fusion="interp"`` —
+            Python-int words up to 64 lanes and numpy beyond;
+            ``"int"``/``"numpy"`` pin a Python backend; ``"native"``
+            insists on compiled C and falls back to numpy with a
+            one-time warning (see :func:`repro.kernel.backend_for`).
+            Never outcome-relevant: every backend is bit-identical.
+        fusion: ``"auto"`` (the default) runs the fastest tier of every
+            hot simulation loop and of the TPG implication engine (the
+            C engine for TPG states of at most 64 lanes where the
+            module loads; see :func:`repro.core.state.tpg_tier`);
+            ``"interp"`` runs the per-gate Python interpreter, the
+            oracle, and is refused with ``sim_backend="native"``.
+            Unknown values raise at construction.  Never
+            outcome-relevant: the test suite asserts bit-identity.
     """
 
     width: int = DEFAULT_WORD_LENGTH
@@ -114,21 +107,24 @@ class GenerationOptions:
     sim_backend: str = "auto"
     fusion: str = "auto"
 
+    def __post_init__(self) -> None:
+        from ..kernel import check_fusion  # lazy: avoid cycles
+
+        check_fusion(self.fusion)
+
     def validate(self) -> None:
         if self.width < 1:
             raise ValueError("width must be >= 1")
         if self.backtrack_limit < 0:
             raise ValueError("backtrack_limit must be >= 0")
-        from ..kernel import BACKEND_MODES, FUSION_MODES  # lazy: avoid cycles
+        from ..kernel import BACKEND_MODES, check_fusion  # lazy: avoid cycles
 
         if self.sim_backend not in BACKEND_MODES:
             raise ValueError(
                 f"unknown sim_backend {self.sim_backend!r} "
                 f"(choose from {BACKEND_MODES})"
             )
-
-        if self.fusion not in FUSION_MODES:
-            raise ValueError(f"unknown fusion strategy {self.fusion!r}")
+        check_fusion(self.fusion, self.sim_backend)
 
 
 @dataclass
@@ -310,9 +306,9 @@ class Options(BistOptions):
     def engine_mode(self) -> "Options":
         """The serial-engine view: an unbounded-window campaign.
 
-        This is what ``AtpgSession.generate`` (and the legacy
-        ``generate_tests`` shim) runs: same generation layer, default
-        schedule, no persistence — exactly the historical engine.
+        This is what ``AtpgSession.generate`` runs: same generation
+        layer, default schedule, no persistence — exactly the
+        historical engine.
         """
         return dataclasses.replace(
             self, window=None, checkpoint=None, resume=False
@@ -336,25 +332,6 @@ class Options(BistOptions):
                 del overrides[name]
         return dataclasses.replace(self, **overrides)
 
-    # ------------------------------------------------------------ adoption
-    @classmethod
-    def adopt(cls, other: object, **overrides) -> "Options":
-        """Lift any options-like object into a full :class:`Options`.
-
-        Accepts an :class:`Options` (or subclass, e.g. the deprecated
-        ``CampaignOptions``), a bare :class:`GenerationOptions` layer
-        (e.g. the deprecated ``TpgOptions``), or ``None``.  Fields the
-        source does not define fall back to defaults; *overrides* win
-        over everything.
-        """
-        values: Dict[str, object] = {}
-        if other is not None:
-            for f in fields(cls):
-                if hasattr(other, f.name):
-                    values[f.name] = getattr(other, f.name)
-        values.update(overrides)
-        return cls(**values)
-
     # ------------------------------------------------------------ layers
     def layers(self) -> Dict[str, Dict[str, object]]:
         """The model split by layer (the wire format of ``api.serde``)."""
@@ -374,7 +351,8 @@ class Options(BistOptions):
     def from_layers(cls, layers: Dict[str, Dict[str, object]]) -> "Options":
         """Inverse of :meth:`layers`; unknown layers or fields raise.
 
-        :data:`RETIRED_OPTIONS` names (options v1–v4) are dropped.
+        :data:`RETIRED_OPTIONS` names (options v1–v4) are dropped, and
+        a :data:`RETIRED_FUSION` value reads as ``"auto"``.
         """
         known = {f.name for f in fields(cls)}
         values: Dict[str, object] = {}
@@ -388,6 +366,8 @@ class Options(BistOptions):
                     continue
                 if name not in known:
                     raise ValueError(f"unknown option {name!r} in {layer!r}")
+                if name == "fusion" and value in RETIRED_FUSION:
+                    value = "auto"
                 values[name] = value
         return cls(**values)
 

@@ -172,6 +172,8 @@ def _options_spec(
     return obj(optional=layers)
 
 
+#: ``vector`` and ``codegen`` are retired, still accepted on the wire
+#: and read as ``"auto"`` (``api.options.RETIRED_FUSION``).
 FUSION = {"enum": ["auto", "interp", "vector", "codegen"]}
 LFSR_KIND = {"enum": ["fibonacci", "galois"]}
 FAULT_MODEL = {"enum": ["stuck_at", "path_delay"]}

@@ -161,7 +161,7 @@ def circuit_from_payload(payload: Dict, envelope: bool = True) -> Circuit:
 
 
 def options_to_payload(options: Options, envelope: bool = True) -> Dict:
-    body = Options.adopt(options).layers()
+    body = options.layers()
     return stamp("repro/options", body) if envelope else body
 
 
@@ -282,7 +282,7 @@ def campaign_report_to_payload(report, envelope: bool = True) -> Dict:
 
 def campaign_report_from_payload(payload: Dict, envelope: bool = True):
     # Imported lazily: repro.campaign imports this module's package at
-    # load time (CampaignOptions subclasses the unified Options).
+    # load time.
     from ..campaign.report import CampaignReport, CampaignStats
 
     if envelope:

@@ -583,7 +583,7 @@ class AtpgService:
                 min_length=request.min_length,
                 max_length=request.max_length,
             )
-            options = Options.adopt(_scrub_options(request.options))
+            options = _scrub_options(request.options) or Options()
             if job.checkpoint is not None:
                 options = options.merged(
                     checkpoint=job.checkpoint, checkpoint_every=1, resume=True
@@ -788,7 +788,7 @@ def _scrub_options(options: Optional[Options]) -> Optional[Options]:
     """
     if options is None:
         return None
-    return Options.adopt(options, checkpoint=None, resume=False, chaos=None)
+    return options.merged(checkpoint=None, resume=False, chaos=None)
 
 
 def _strip_patterns(report):

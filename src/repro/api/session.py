@@ -6,8 +6,7 @@ constructor) and exposes each workload as a method behind that shared
 substrate:
 
 * :meth:`generate` — engine-mode test generation (an
-  unbounded-window campaign, bit-identical to the legacy
-  ``generate_tests``),
+  unbounded-window campaign),
 * :meth:`campaign` — the staged, sharded, checkpointable pipeline,
 * :meth:`simulate` — batched PPSFP detection masks,
 * :meth:`grade` — pattern-set coverage grading with fault dropping,
@@ -68,7 +67,7 @@ class AtpgSession:
         circuit.freeze()
         self.circuit = circuit
         self.compiled = circuit.compiled()
-        self.options = Options.adopt(options)
+        self.options = Options() if options is None else options
         self._fingerprint: Optional[str] = None
         self._simulators: Dict = {}
         # circuit-breaker state: once a kernel fault demotes this
@@ -105,7 +104,7 @@ class AtpgSession:
 
     # ------------------------------------------------------------ helpers
     def _options(self, options: Optional[Options], overrides: Dict) -> Options:
-        base = self.options if options is None else Options.adopt(options)
+        base = self.options if options is None else options
         return base.merged(**overrides) if overrides else base
 
     def _faults(
@@ -152,7 +151,7 @@ class AtpgSession:
         Tier 0 runs the requested backend/fusion pair — with the
         defaults (``"auto"``/``"auto"``) that is the compiled-C native
         module whenever it loads, and otherwise Python-int codegen up
-        to 64 patterns and numpy ``vector`` beyond; a kernel *fault* —
+        to 64 patterns and ``numpy/vector`` beyond; a kernel *fault* —
         anything but the ``ValueError``/``TypeError`` input rejections,
         which no backend change can fix — demotes the session one tier
         and retries the same call: first to the numpy backend, then to
@@ -203,9 +202,9 @@ class AtpgSession:
 
         With ``faults=None`` the structural fault list of the circuit
         is materialized (optionally capped/selected via *max_faults* /
-        *strategy*, as the CLI always did).  Runs the identical
-        unbounded-window campaign as the deprecated
-        ``generate_tests`` — per-fault statuses are bit-identical.
+        *strategy*, as the CLI always did).  Runs an unbounded-window
+        campaign (:meth:`repro.api.Options.engine_mode`), so per-fault
+        statuses equal :meth:`campaign`'s with ``window=None``.
         """
         from ..core.engine import _generate  # lazy: import cycle
 

@@ -3,8 +3,9 @@ generation, global fault dropping, checkpoint/resume.
 
 Public API:
 
-* :func:`run_campaign` with :class:`CampaignOptions` — the managed
-  pipeline (the serial engine is an unbounded-window instance of it),
+* :func:`execute_campaign` with :class:`repro.api.Options` — the
+  managed pipeline (the serial engine is an unbounded-window instance
+  of it; :meth:`repro.api.AtpgSession.campaign` is its front door),
 * :class:`FaultUniverse` — lazily streamed, filtered, budget-capped
   fault sources,
 * :class:`CampaignReport` / :class:`CampaignStats` — results and the
@@ -14,19 +15,13 @@ Public API:
 """
 
 from .bus import DropBus
-from .report import (
-    DEFAULT_SHARDS,
-    CampaignOptions,
-    CampaignReport,
-    CampaignStats,
-)
-from .runner import CampaignControl, execute_campaign, run_campaign
+from .report import DEFAULT_SHARDS, CampaignReport, CampaignStats
+from .runner import CampaignControl, execute_campaign
 from .scheduler import RoundResult, SerialExecutor, ShardResult
 from .universe import FaultUniverse
 
 __all__ = [
     "CampaignControl",
-    "CampaignOptions",
     "execute_campaign",
     "CampaignReport",
     "CampaignStats",
@@ -36,5 +31,4 @@ __all__ = [
     "RoundResult",
     "SerialExecutor",
     "ShardResult",
-    "run_campaign",
 ]

@@ -1,4 +1,4 @@
-"""Campaign options, progress accounting, and checkpoint/resume.
+"""Campaign progress accounting and checkpoint/resume.
 
 A campaign is a long-running job: the report doubles as a durable
 progress record.  :meth:`CampaignReport.to_payload` emits a fully
@@ -27,7 +27,6 @@ CHECKPOINT_VERSION = 4
 __all__ = [
     "CHECKPOINT_VERSION",
     "DEFAULT_SHARDS",
-    "CampaignOptions",
     "CampaignReport",
     "CampaignStats",
     "checkpoint_payload",
@@ -36,26 +35,6 @@ __all__ = [
     "schedule_fingerprint",
     "write_checkpoint",
 ]
-
-
-@dataclass
-class CampaignOptions(Options):
-    """Deprecated alias for the unified :class:`repro.api.Options`.
-
-    The staged-campaign tunables are all still here — they *are* the
-    unified model (``width``/``shards``/``window``/checkpointing/
-    compaction, see :mod:`repro.api.options` for the
-    layer-by-layer documentation).  Construction warns; use
-    ``repro.api.Options`` in new code.
-    """
-
-    def __post_init__(self) -> None:
-        warnings.warn(
-            "CampaignOptions is deprecated; use repro.api.Options "
-            "(the unified layered options model)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
 
 
 @dataclass
@@ -191,8 +170,9 @@ class CampaignReport:
     def as_tpg_report(self) -> TpgReport:
         """Adapt to the engine's :class:`TpgReport` (fault order kept).
 
-        Requires ``keep_records``; this is how ``generate_tests``
-        preserves its public API on top of the campaign.
+        Requires ``keep_records``; this is how
+        :meth:`repro.api.AtpgSession.generate` returns an engine report
+        from the campaign underneath.
         """
         if self.records is None:
             raise ValueError("as_tpg_report needs a campaign with keep_records")

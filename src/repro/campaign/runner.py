@@ -1,6 +1,6 @@
 """The staged ATPG campaign: stream -> shard -> generate -> drop.
 
-``run_campaign`` turns the paper's engine into a managed pipeline:
+``execute_campaign`` turns the paper's engine into a managed pipeline:
 
 1. **Admission.**  Faults are pulled from a lazily streamed
    :class:`FaultUniverse` until the pending window is full, each one
@@ -26,17 +26,16 @@ each — on the ``native/c`` tier and the native backend, one C call
 each (:meth:`SerialExecutor.run_round`, :meth:`DropBus.absorb`).
 
 The schedule — window fills, batch composition, drop cadence — is a
-pure function of :class:`CampaignOptions`; timing, shard retries and
+pure function of :class:`repro.api.Options`; timing, shard retries and
 checkpoint/resume never influence which faults share a batch or when
 drops are applied.  The serial engine
-(:func:`repro.core.engine.generate_tests`) is literally an
+(:meth:`repro.api.AtpgSession.generate`) is literally an
 unbounded-window campaign over a pre-materialized universe.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -527,8 +526,7 @@ def execute_campaign(
     Provide either *faults* (a materialized list, engine-style) or a
     *universe* (the streaming path); with neither, the full structural
     fault universe of the circuit is streamed.  This is what
-    :meth:`repro.api.AtpgSession.campaign` (and the deprecated
-    :func:`run_campaign` shim) executes.  An optional
+    :meth:`repro.api.AtpgSession.campaign` executes.  An optional
     :class:`CampaignControl` lets the host observe round progress and
     stop the run at a round boundary with a resumable checkpoint (the
     service's job queue uses this for cancel and graceful shutdown).
@@ -544,29 +542,3 @@ def execute_campaign(
     circuit.compiled()  # lower once; the bus and the executor share it
     return _Campaign(circuit, universe, test_class, options, control).run()
 
-
-def run_campaign(
-    circuit: Circuit,
-    faults: Optional[Sequence[PathDelayFault]] = None,
-    test_class: TestClass = TestClass.NONROBUST,
-    options: Optional[Options] = None,
-    universe: Optional[FaultUniverse] = None,
-) -> CampaignReport:
-    """Run a staged ATPG campaign over *circuit*.
-
-    .. deprecated:: 1.2.0
-        Use :meth:`repro.api.AtpgSession.campaign`, which runs the
-        identical pipeline behind one session-owned compiled circuit.
-    """
-    warnings.warn(
-        "run_campaign is deprecated; use repro.api.AtpgSession.campaign",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_campaign(
-        circuit,
-        faults=faults,
-        test_class=test_class,
-        options=options,
-        universe=universe,
-    )

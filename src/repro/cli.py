@@ -21,11 +21,10 @@ subcommands that are all thin adapters over the same
 * ``tip validate`` — validate JSON artifacts (reports, campaign
   checkpoints) against the declared schemas.
 
-The historical per-command names survive as aliases: ``main_atpg``
-etc. are the same functions the dispatcher calls (``tip-atpg`` ==
-``tip atpg``), invoked as ``PYTHONPATH=src python -c "from repro.cli
-import main_<name>; main_<name>([...])"`` or through the registered
-console scripts.
+``main_atpg`` etc. are the functions the dispatcher calls
+(``main_atpg([...])`` == ``tip atpg ...``), also invoked as
+``PYTHONPATH=src python -c "from repro.cli import main_<name>;
+main_<name>([...])"``.
 
 Circuit and test-class resolution is shared with the API layer
 (:mod:`repro.api.resolve`) — no subcommand re-implements it.
@@ -58,6 +57,7 @@ from .api.options import DEFAULT_SHARDS
 from .api.resolve import resolve_test_class
 from .api.schemas import validate_file
 from .circuit import Circuit
+from .kernel import check_fusion
 from .logic.words import DEFAULT_WORD_LENGTH
 
 
@@ -100,7 +100,7 @@ def _add_test_class_argument(
 def main_atpg(argv: Optional[List[str]] = None) -> int:
     """Generate path delay tests for one circuit."""
     parser = argparse.ArgumentParser(
-        prog="tip-atpg",
+        prog="tip atpg",
         description="Bit-parallel path delay fault test generation (TIP).",
     )
     _add_circuit_arguments(parser)
@@ -163,7 +163,7 @@ def main_atpg(argv: Optional[List[str]] = None) -> int:
 def main_campaign(argv: Optional[List[str]] = None) -> int:
     """Staged ATPG campaign: stream, shard, drop, checkpoint."""
     parser = argparse.ArgumentParser(
-        prog="tip-campaign",
+        prog="tip campaign",
         description=(
             "Staged ATPG campaign: stream the structural fault universe "
             "lazily, generate lane-width batches in rounds of shards, and "
@@ -342,7 +342,7 @@ def main_campaign(argv: Optional[List[str]] = None) -> int:
 def main_paths(argv: Optional[List[str]] = None) -> int:
     """Count and enumerate structural paths and faults."""
     parser = argparse.ArgumentParser(
-        prog="tip-paths",
+        prog="tip paths",
         description="Structural path counting and enumeration.",
     )
     _add_circuit_arguments(parser)
@@ -389,7 +389,7 @@ def main_bist(argv: Optional[List[str]] = None) -> int:
     from .bist.lfsr import LFSR_KINDS
 
     parser = argparse.ArgumentParser(
-        prog="tip-bist",
+        prog="tip bist",
         description=(
             "Logic built-in self-test: a primitive-polynomial LFSR emits "
             "pseudorandom patterns directly in packed lane-slab form, the "
@@ -458,9 +458,10 @@ def main_bist(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--fusion",
-        choices=["auto", "interp", "vector", "codegen"],
+        choices=["auto", "interp"],
         default="auto",
-        help="plan-execution strategy (default: auto)",
+        help="auto, or interp: the per-gate Python oracle (default: auto; "
+        "not with --backend native)",
     )
     parser.add_argument(
         "--curve",
@@ -473,6 +474,10 @@ def main_bist(argv: Optional[List[str]] = None) -> int:
         "--json", dest="json_path", default=None, help="write the report as JSON"
     )
     args = parser.parse_args(argv)
+    try:
+        check_fusion(args.fusion, args.backend)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     session = AtpgSession(
         resolve_circuit(args.circuit, args.scale),
@@ -529,7 +534,7 @@ _EXPERIMENTS = {
 def main_experiments(argv: Optional[List[str]] = None) -> int:
     """Regenerate the paper's tables and figures."""
     parser = argparse.ArgumentParser(
-        prog="tip-experiments",
+        prog="tip experiments",
         description="Regenerate the paper's experiment tables and figures.",
     )
     parser.add_argument(
@@ -590,7 +595,7 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
     from .api.service import DEFAULT_PORT, AtpgService, run_server
 
     parser = argparse.ArgumentParser(
-        prog="tip-serve",
+        prog="tip serve",
         description=(
             "Long-lived multi-tenant JSON service over the AtpgSession "
             "façade: POST /v1/generate|simulate|grade|paths run "
@@ -694,7 +699,7 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
 def main_validate(argv: Optional[List[str]] = None) -> int:
     """Validate JSON artifacts against the schema registry."""
     parser = argparse.ArgumentParser(
-        prog="tip-validate",
+        prog="tip validate",
         description=(
             "Validate JSON artifacts (campaign checkpoints, serialized "
             "reports) against the versioned schema registry.  Fails on "

@@ -2,9 +2,9 @@
 
 Public API:
 
-* :func:`generate_tests` with :class:`TpgOptions` — the combined
-  FPTPG + APTPG engine (Section 3.3),
-* :func:`run_fptpg` / :func:`run_aptpg` — the two modes individually,
+* :func:`run_fptpg` / :func:`run_aptpg` — the two modes of the
+  combined engine (Section 3.3; :meth:`repro.api.AtpgSession.generate`
+  runs the combination),
 * :func:`generate_tests_single_bit` — the single-bit reference
   generator of Tables 5/6,
 * :class:`TestPattern`, :class:`TpgReport`, :class:`FaultStatus` —
@@ -25,7 +25,6 @@ from .patterns import TestPattern, TestSet, extract_pattern
 from .results import FaultRecord, FaultStatus, TpgReport
 from .fptpg import FptpgOutcome, run_fptpg
 from .aptpg import AptpgOutcome, run_aptpg
-from .engine import TpgOptions, generate_tests
 from .single_bit import generate_tests_single_bit, single_bit_options
 from .compaction import (
     compaction_report,
@@ -55,7 +54,6 @@ __all__ = [
     "THREE_VALUED",
     "TestPattern",
     "TestSet",
-    "TpgOptions",
     "TpgReport",
     "TpgState",
     "all_stuck_at_faults",
@@ -64,7 +62,6 @@ __all__ = [
     "compute_controllability",
     "extract_pattern",
     "generate_stuck_at_tests",
-    "generate_tests",
     "generate_tests_single_bit",
     "greedy_compaction",
     "reverse_order_compaction",

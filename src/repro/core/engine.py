@@ -13,7 +13,7 @@ dropped (status ``SIMULATED``), which is where a large part of the
 practical speed-up comes from.
 
 Since the campaign refactor this module is a thin façade: the engine
-*is* a :func:`repro.campaign.run_campaign` over a pre-materialized
+*is* a :func:`repro.campaign.execute_campaign` over a pre-materialized
 fault universe with an unbounded window.  The campaign's round
 schedule (``DEFAULT_SHARDS`` lane-width batches per drop round) is
 shared verbatim, so such a campaign produces bit-identical per-fault
@@ -31,12 +31,7 @@ from the pre-campaign engine on drop-heavy workloads; the detected
 fault set, redundancy verdicts, and the Tables 5/6 methodology are
 unaffected, and compaction recovers the extra patterns.
 
-Since the ``repro.api`` front door, both public names here are
-**deprecated compatibility shims**: :class:`TpgOptions` is the
-generation layer of the unified :class:`repro.api.Options` model and
-:func:`generate_tests` delegates to the same engine-mode campaign
-that :meth:`repro.api.AtpgSession.generate` runs.  They keep working
-(per-fault statuses are bit-identical) but emit ``DeprecationWarning``.
+:meth:`repro.api.AtpgSession.generate` is its front door.
 
 The same engine with ``width=1`` *is* the single-bit reference
 generator of the paper's Tables 5/6 (see
@@ -45,33 +40,12 @@ generator of the paper's Tables 5/6 (see
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..api.options import GenerationOptions, Options
+from ..api.options import Options
 from ..circuit import Circuit
 from ..paths import PathDelayFault, TestClass
 from .results import TpgReport
-
-
-@dataclass
-class TpgOptions(GenerationOptions):
-    """Deprecated alias for the generation layer of ``repro.api.Options``.
-
-    Same fields, same defaults, same semantics — construction warns
-    and every consumer lifts it into the unified model with
-    :meth:`repro.api.Options.adopt`.  Use
-    ``repro.api.Options(width=..., ...)`` in new code.
-    """
-
-    def __post_init__(self) -> None:
-        warnings.warn(
-            "TpgOptions is deprecated; use repro.api.Options "
-            "(the unified layered options model)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
 
 
 def _generate(
@@ -80,11 +54,11 @@ def _generate(
     test_class: TestClass,
     options: Options,
 ) -> TpgReport:
-    """The engine implementation: an engine-mode campaign, no warning.
+    """The engine: an engine-mode campaign over *faults*.
 
-    Shared by the :func:`generate_tests` shim and
-    :meth:`repro.api.AtpgSession.generate`, so both produce
-    bit-identical per-fault statuses by construction.
+    Shared by :meth:`repro.api.AtpgSession.generate` and the
+    single-bit reference generator
+    (:func:`repro.core.single_bit.generate_tests_single_bit`).
     """
     # Imported lazily: the campaign scheduler imports the core
     # generation modules, so a top-level import here would be circular.
@@ -102,27 +76,3 @@ def _generate(
     )
     return report.as_tpg_report()
 
-
-def generate_tests(
-    circuit: Circuit,
-    faults: Sequence[PathDelayFault],
-    test_class: TestClass = TestClass.NONROBUST,
-    options: Optional[TpgOptions] = None,
-) -> TpgReport:
-    """Generate a test set for *faults*; returns the full report.
-
-    Fault order is preserved in the report.  Each fault ends in one of
-    the :class:`FaultStatus` states; ``DEFERRED`` only survives when
-    APTPG is disabled by the options.
-
-    .. deprecated:: 1.2.0
-        Use :meth:`repro.api.AtpgSession.generate`, which runs the
-        identical engine-mode campaign behind one session-owned
-        compiled circuit.
-    """
-    warnings.warn(
-        "generate_tests is deprecated; use repro.api.AtpgSession.generate",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _generate(circuit, faults, test_class, Options.adopt(options))

@@ -28,8 +28,8 @@ One class, three engines, chosen per state by :func:`tpg_tier` the way
   one call into it;
 * ``python/codegen`` — the Python worklist below with the per-gate
   compiled forward/backward tables of :mod:`repro.kernel.codegen`
-  (explicit ``"codegen"``/``"vector"``, wider states, or no native
-  module — silently, as ``auto`` does for simulation);
+  (``fusion="auto"`` on wider states, or without the native module —
+  silently, as ``auto`` does for simulation);
 * ``python/interp`` — the same worklist dispatching through the
   :class:`Algebra` rules: the oracle the other two are tested against.
 
@@ -79,7 +79,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..circuit import Circuit, GateType
-from ..kernel import FUSION_MODES
+from ..kernel import check_fusion
 from ..kernel import native as _native
 from ..logic import seven_valued, three_valued
 from ..logic.words import mask_for
@@ -154,14 +154,12 @@ def tpg_tier(
     or an *algebra* without compiled rules; ``"python/codegen"``
     otherwise.  Raises :class:`ValueError` for an unknown *fusion*.
     """
-    if fusion not in FUSION_MODES:
-        raise ValueError(f"unknown fusion strategy {fusion!r}")
-    if fusion == "interp" or (
+    if check_fusion(fusion) == "interp" or (
         algebra is not None and algebra.name not in _COMPILED_ALGEBRAS
     ):
         return "python/interp"
     # asked every time: the module can be swapped out for the fallback
-    if fusion == "auto" and width <= NATIVE_MAX_WIDTH and _native.native_available():
+    if width <= NATIVE_MAX_WIDTH and _native.native_available():
         return "native/c"
     return "python/codegen"
 
@@ -557,14 +555,13 @@ class TpgState:
             ablation benchmark.
         fusion: selects the engine (see :func:`tpg_tier` and the
             module docstring).  ``"auto"`` runs the C engine up to 64
-            lanes where the native module loads; ``"codegen"`` and
-            ``"vector"`` run the Python worklist over the per-signal
-            compiled forward *and* backward tables of
-            :mod:`repro.kernel.codegen` (memoized per circuit, so every
-            state of one circuit shares them); ``"interp"`` dispatches
-            through ``Algebra.forward``/``Algebra.backward``, the
-            oracle.  All three are bit-identical, asserted so in the
-            test suite.
+            lanes where the native module loads, and otherwise the
+            Python worklist over the per-signal compiled forward *and*
+            backward tables of :mod:`repro.kernel.codegen` (memoized
+            per circuit, so every state of one circuit shares them);
+            ``"interp"`` dispatches through
+            ``Algebra.forward``/``Algebra.backward``, the oracle.  All
+            three are bit-identical, asserted so in the test suite.
 
     ``tier`` names the engine that runs.  ``planes[s]`` is signal
     *s*'s plane tuple; on the C engine ``planes`` is a read-only view.

@@ -13,11 +13,10 @@ The layers (see ARCHITECTURE.md):
   representation), :class:`NumpyWordBackend` (multi-word uint64 bulk
   simulation) and :func:`backend_for`, which picks native by default.
 * :mod:`repro.kernel.fusion` — the fused level-major group plan and
-  its vectorized numpy executors (the ``"vector"`` strategy).
+  its vectorized numpy executors (``numpy/vector``).
 * :mod:`repro.kernel.codegen` — straight-line compiled plan bodies
-  and the per-gate forward/backward tables of the Python TPG
-  implication engine (the ``"codegen"`` strategy), plus the C text of
-  the native module.
+  (``int/codegen``) and the per-gate forward/backward tables of the
+  Python TPG implication engine (``python/codegen``).
 * :mod:`repro.kernel.native` — :class:`NativeWordBackend`, the plan
   executed as compiled C over uint64 lane slabs, and the C TPG
   implication engine (one circuit-generic cffi module per machine,
@@ -31,6 +30,7 @@ from .backends import (
     NumpyWordBackend,
     WordBackend,
     backend_for,
+    check_fusion,
     eval_gate_word,
 )
 from .native import (
@@ -99,6 +99,7 @@ __all__ = [
     "PackedPatterns",
     "WordBackend",
     "backend_for",
+    "check_fusion",
     "native_available",
     "native_module",
     "native_plan",

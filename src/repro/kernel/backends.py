@@ -17,30 +17,23 @@ Three word representations share one compiled netlist
   thousand-pattern batches stream through the netlist at a fraction of
   the per-pattern cost; the Python bulk backend.
 
-Each Python backend additionally selects a **fusion strategy** — how
-the plan is *executed*, orthogonal to the word representation:
+``fusion`` (:data:`FUSION_MODES`) picks how a Python backend executes
+the plan:
 
+* ``"auto"`` — the fast path: the plan rendered once into
+  straight-line Python on int words (:mod:`repro.kernel.codegen`,
+  tier ``int/codegen``), level-vectorized groups on numpy
+  (:mod:`repro.kernel.fusion`, tier ``numpy/vector``),
 * ``"interp"`` — the original per-gate interpreter loop, retained
-  verbatim as the cross-check oracle,
-* ``"vector"`` — level-vectorized group execution
-  (:mod:`repro.kernel.fusion`; numpy backend only — the int backend
-  maps it to ``"codegen"``),
-* ``"codegen"`` — the plan rendered once into straight-line compiled
-  Python (:mod:`repro.kernel.codegen`),
-* ``"auto"`` — the fastest supported strategy: ``vector`` on numpy,
-  ``codegen`` on int words.
+  verbatim as the cross-check oracle (``int/interp``,
+  ``numpy/interp``).
 
 Which backend runs for ``prefer="auto"`` (:func:`backend_for`):
-
-* ``fusion="auto"`` and the native module loads: ``native/c``,
-* ``fusion="auto"`` without it: ``int/codegen`` up to 64 lanes,
-  ``numpy/vector`` beyond,
-* an explicit strategy *s*: ``int/<s>`` up to 64 lanes (``vector``
-  runs as ``codegen``), ``numpy/<s>`` beyond.
-
-An explicit strategy keeps the int/numpy crossover so the Python fast
-paths stay reachable; ``backend.tier`` names what runs.  All
-combinations execute the same plan with the same semantics and are
+``native/c`` under ``fusion="auto"`` where the module loads, else the
+int backend up to 64 lanes and numpy beyond.  The C backend has no
+interpreted form, so ``prefer="native"`` with ``fusion="interp"`` is
+refused.  ``backend.tier`` names what runs.
+All tiers execute the same plan with the same semantics and are
 cross-checked against each other and against the naive
 :meth:`repro.circuit.Circuit.evaluate` reference in the test suite
 (``tests/test_fusion.py``).
@@ -72,17 +65,29 @@ from .packed import FULL_WORD, lane_valid_words
 #: A 7-valued plane tuple in either representation (ints or arrays).
 PlanesLike = Tuple
 
-#: The fusion strategies accepted by every backend and ``Options``.
-FUSION_MODES = ("auto", "interp", "vector", "codegen")
+#: The fusion strategies accepted by every backend and ``Options``:
+#: the fast path, and the per-gate oracle.
+FUSION_MODES = ("auto", "interp")
 
 #: The backend preferences accepted by ``backend_for`` and ``Options``.
 BACKEND_MODES = ("auto", "int", "numpy", "native")
 
 
-def _check_fusion(fusion: str) -> str:
+def check_fusion(fusion: str, prefer: str = "auto") -> str:
+    """*fusion* if it is a known strategy that backend *prefer* can run.
+
+    Raises :class:`ValueError` for anything outside
+    :data:`FUSION_MODES`, and for ``"interp"`` with ``prefer="native"``:
+    the oracle is Python, the native backend compiled C.
+    """
     if fusion not in FUSION_MODES:
         raise ValueError(
             f"unknown fusion strategy {fusion!r} (choose from {FUSION_MODES})"
+        )
+    if fusion == "interp" and prefer == "native":
+        raise ValueError(
+            "fusion 'interp' is the Python oracle and cannot run on "
+            "backend 'native'"
         )
     return fusion
 
@@ -125,11 +130,9 @@ def eval_gate_word(code: int, values, fanin: Tuple[int, ...], mask: int) -> int:
 class IntWordBackend:
     """Execute the plan over Python-int lane words of a fixed width.
 
-    ``fusion`` selects the execution strategy: ``"interp"`` runs the
-    per-gate loop, ``"codegen"`` the straight-line compiled body;
-    ``"auto"`` and ``"vector"`` both resolve to ``"codegen"`` (level
+    ``fusion="auto"`` runs the straight-line compiled body (level
     vectorization needs numpy arrays — for int words codegen is the
-    fused strategy).
+    fused strategy), ``"interp"`` the per-gate loop.
     """
 
     kind = "int"
@@ -139,8 +142,8 @@ class IntWordBackend:
             raise ValueError("word length must be >= 1")
         self.width = width
         self.mask = mask_for(width)
-        self.fusion = _check_fusion(fusion)
-        self._fused = fusion != "interp"
+        self.fusion = check_fusion(fusion)
+        self._fused = fusion == "auto"
 
     @property
     def tier(self) -> str:
@@ -210,11 +213,9 @@ class IntWordBackend:
 class NumpyWordBackend:
     """Execute the plan over numpy uint64 multi-word lane arrays.
 
-    ``fusion``: ``"interp"`` is the per-gate loop, ``"vector"`` the
-    level-vectorized group execution, ``"codegen"`` the straight-line
-    compiled body; ``"auto"`` picks ``"vector"`` (one gather + one
-    ufunc reduce per gate group — O(groups) interpreter cost per
-    pass instead of O(gates)).
+    ``fusion="auto"`` runs the level-vectorized group execution (one
+    gather + one ufunc reduce per gate group — O(groups) interpreter
+    cost per pass instead of O(gates)), ``"interp"`` the per-gate loop.
     """
 
     kind = "numpy"
@@ -224,12 +225,12 @@ class NumpyWordBackend:
         self.n_lanes = n_lanes
         self.n_words = len(self.lane_valid)
         self.full = FULL_WORD
-        self.fusion = _check_fusion(fusion)
+        self.fusion = check_fusion(fusion)
 
     @property
     def tier(self) -> str:
-        """``kind/strategy`` of what runs (``numpy/vector`` under ``auto``)."""
-        return "numpy/" + ("vector" if self.fusion == "auto" else self.fusion)
+        """``kind/strategy`` of what runs: ``numpy/vector`` or ``numpy/interp``."""
+        return "numpy/vector" if self.fusion == "auto" else "numpy/interp"
 
     # ------------------------------------------------------------------
     def simulate_logic(
@@ -250,13 +251,9 @@ class NumpyWordBackend:
             )
         n_words = input_bits.shape[1]
         full = self.full
-        if self.fusion == "codegen":
-            return np.asarray(
-                logic_fn(compiled)(input_bits, full), dtype=np.uint64
-            )
         values = np.zeros((compiled.n_signals, n_words), dtype=np.uint64)
         values[compiled.input_index] = input_bits
-        if self.fusion != "interp":
+        if self.fusion == "auto":
             run_logic_fused(compiled, values, full)
             return values
         for code, out, fanin, _gt in compiled.plan:
@@ -303,9 +300,7 @@ class NumpyWordBackend:
                 f"expected {compiled.n_inputs} input planes, got {len(input_planes)}"
             )
         full = self.full
-        if self.fusion == "codegen":
-            return planes7_fn(compiled)(input_planes, full)
-        if self.fusion != "interp":
+        if self.fusion == "auto":
             n = compiled.n_signals
             shape = (n, self.n_words)
             slabs = [np.zeros(shape, dtype=np.uint64) for _ in range(4)]
@@ -334,18 +329,16 @@ class NumpyWordBackend:
 
         The hazard calculus of :mod:`repro.logic.ten_valued` is pure
         bitwise arithmetic like the 7-valued rules, so the same
-        strategy split applies: ``vector`` runs the slab-form group
-        executor, ``codegen`` the straight-line body, ``interp`` the
-        per-gate oracle loop.  Padding lanes stay ``X``.
+        strategy split applies: ``auto`` runs the slab-form group
+        executor, ``interp`` the per-gate oracle loop.  Padding lanes
+        stay ``X``.
         """
         if len(input_planes) != compiled.n_inputs:
             raise ValueError(
                 f"expected {compiled.n_inputs} input planes, got {len(input_planes)}"
             )
         full = self.full
-        if self.fusion == "codegen":
-            return planes10_fn(compiled)(input_planes, full)
-        if self.fusion != "interp":
+        if self.fusion == "auto":
             n = compiled.n_signals
             shape = (n, self.n_words)
             slabs = [np.zeros(shape, dtype=np.uint64) for _ in range(5)]
@@ -382,8 +375,8 @@ def backend_for(
     * ``"auto"`` (default) — with ``fusion="auto"``, the compiled-C
       backend (:class:`repro.kernel.native.NativeWordBackend`) at every
       width whenever the native module loads (from the disk cache, or
-      built once on a miss).  Otherwise — an explicit fusion strategy,
-      or no cached module and no C toolchain, silently — the crossover
+      built once on a miss).  Otherwise — ``fusion="interp"``, or no
+      cached module and no C toolchain, silently — the crossover
       between the two Python backends: int words up to one machine
       word (``n_lanes <= 64``, where CPython int bitwise ops beat
       numpy's per-gate dispatch), numpy multi-word arrays beyond it.
@@ -391,13 +384,13 @@ def backend_for(
     * ``"native"`` — the compiled-C backend; degrades to ``numpy``
       with a one-time
       :class:`repro.kernel.native.NativeBackendUnavailableWarning`
-      when the native module cannot be loaded or built.
+      when the native module cannot be loaded or built.  Refused with
+      ``fusion="interp"`` (:func:`check_fusion`).
 
-    ``fusion`` selects the execution strategy of a Python backend (see
-    the module docstring); the returned backend's ``tier`` names what
-    runs (``native/c``, ``int/codegen``, ``numpy/vector``, ...).
+    The returned backend's ``tier`` names what runs (``native/c``,
+    ``int/codegen``, ``numpy/vector``, ...).
     """
-    _check_fusion(fusion)
+    check_fusion(fusion, prefer)
     if prefer == "int":
         return IntWordBackend(n_lanes, fusion=fusion)
     if prefer == "numpy":
@@ -410,14 +403,14 @@ def backend_for(
     )
 
     if prefer == "native":
-        return native_backend_or_fallback(n_lanes, fusion=fusion)
+        return native_backend_or_fallback(n_lanes)
     if prefer != "auto":
         raise ValueError(
             f"unknown backend preference {prefer!r} "
             f"(choose from {BACKEND_MODES})"
         )
     if fusion == "auto" and native_available():
-        return NativeWordBackend(n_lanes, fusion=fusion)
+        return NativeWordBackend(n_lanes)
     if n_lanes > 64:
         return NumpyWordBackend(n_lanes, fusion=fusion)
     return IntWordBackend(n_lanes, fusion=fusion)

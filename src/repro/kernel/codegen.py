@@ -1,6 +1,7 @@
 """Straight-line code generation for the compiled evaluation plan.
 
-The second fused execution strategy: instead of interpreting the plan
+The int backend's fused strategy (``int/codegen``) and the Python TPG
+engine's tables (``python/codegen``): instead of interpreting the plan
 one ``(code, out, fanin)`` tuple at a time, render it **once** into
 straight-line Python source — one expression per gate, no loops, no
 gate-code dispatch — ``compile()`` it, and cache the function on the
@@ -11,10 +12,8 @@ gathers.
 
 Five generators live here:
 
-* :func:`logic_fn` — the two-valued pass.  The same rendered source
-  serves both word representations: Python-int lane words call it
-  with the int lane mask, numpy ``uint64`` arrays with the all-ones
-  word (``~x & mask`` is the polymorphic invert).
+* :func:`logic_fn` — the two-valued pass over Python-int lane words
+  (``~x & mask`` inverts within the lane mask).
 * :func:`planes7_fn` — the full 7-valued forward pass, the plane
   calculus of :mod:`repro.logic.seven_valued` inlined per gate.
 * :func:`planes10_fn` — the full 10-valued forward pass: the 7-valued
@@ -336,8 +335,7 @@ def logic_fn(compiled: CompiledCircuit) -> Callable:
     """The memoized compiled two-valued pass: ``fn(inputs, mask)``.
 
     Returns per-signal lane words as a list, index-aligned with
-    signal ids.  Works for Python-int words (pass the int lane mask)
-    and numpy ``uint64`` rows (pass the all-ones word) alike.
+    signal ids; *mask* is the int lane mask.
     """
     fn = compiled._fusion_cache.get("logic_fn")
     if fn is None:
@@ -355,8 +353,7 @@ def planes7_fn(compiled: CompiledCircuit) -> Callable:
 
     *inputs* is one (zero, one, stable, instable) tuple per primary
     input, aligned with ``compiled.py_inputs``; returns one plane
-    tuple per signal.  Representation-polymorphic like
-    :func:`logic_fn`.
+    tuple per signal.
     """
     fn = compiled._fusion_cache.get("planes7_fn")
     if fn is None:
@@ -374,8 +371,7 @@ def planes10_fn(compiled: CompiledCircuit) -> Callable:
 
     *inputs* is one (zero, one, stable, instable, hazard-free) tuple
     per primary input, aligned with ``compiled.py_inputs``; returns
-    one plane tuple per signal.  Representation-polymorphic like
-    :func:`logic_fn`.
+    one plane tuple per signal.
     """
     fn = compiled._fusion_cache.get("planes10_fn")
     if fn is None:

@@ -379,7 +379,7 @@ def warn_native_fallback() -> None:
     )
 
 
-def native_backend_or_fallback(n_lanes: int, fusion: str = "auto"):
+def native_backend_or_fallback(n_lanes: int):
     """A :class:`NativeWordBackend`, or numpy + one-time warning.
 
     The graceful-degradation seam ``backend_for(prefer="native")``
@@ -389,9 +389,9 @@ def native_backend_or_fallback(n_lanes: int, fusion: str = "auto"):
     emitted once per process.
     """
     if native_available():
-        return NativeWordBackend(n_lanes, fusion=fusion)
+        return NativeWordBackend(n_lanes)
     warn_native_fallback()
-    return NumpyWordBackend(n_lanes, fusion=fusion)
+    return NumpyWordBackend(n_lanes)
 
 
 def native_plan(compiled: CompiledCircuit):
@@ -645,15 +645,18 @@ class NativeWordBackend(NumpyWordBackend):
     A :class:`NumpyWordBackend` in every interface respect — same
     input/output shapes, same padding semantics (padding lanes of the
     last word are unspecified for two-valued values and stay ``X`` for
-    plane passes), same ``fusion`` attribute (the C body *is* the
-    fused plan; the attribute is kept for option plumbing) — but each
-    forward pass is one call into the native module, and the
-    fault-batch methods (:meth:`ppsfp_masks`, :meth:`strength_triples`)
-    keep the walks in C too.
+    plane passes) — but each forward pass is one call into the native
+    module, and the fault-batch methods (:meth:`ppsfp_masks`,
+    :meth:`strength_triples`) keep the walks in C too.  It takes no
+    ``fusion``: the C body *is* the fused plan (``fusion`` reads
+    ``"auto"``).
     """
 
     kind = "native"
     tier = "native/c"
+
+    def __init__(self, n_lanes: int):
+        super().__init__(n_lanes)
 
     # ------------------------------------------------------------------
     @staticmethod

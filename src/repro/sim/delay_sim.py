@@ -12,7 +12,8 @@ V1/V2 bits) and evaluates the conservative hazard calculus of
 netlist kernel (:class:`repro.kernel.CompiledCircuit`).  By default
 the pass and the whole fault walk run in the compiled-C native module
 (:mod:`repro.kernel.native`); the Python word backends run the same
-calculus where it is unavailable or a fusion strategy is pinned:
+calculus where it is unavailable or under the ``fusion="interp"``
+oracle:
 
 * Python-int planes (one arbitrary-width word per plane) for batches
   up to one machine word,
@@ -47,12 +48,12 @@ from .. import chaos
 from ..circuit import Circuit
 from ..kernel import (
     BACKEND_MODES,
-    FUSION_MODES,
     CompiledCircuit,
     IntWordBackend,
     NumpyWordBackend,
     PackedPatterns,
     backend_for,
+    check_fusion,
     words_to_int,
 )
 from ..kernel.packed import bit_error, read_pattern_planes, width_error
@@ -146,8 +147,8 @@ def _checked_patterns(
     reader takes has every vector *n_inputs* wide and every bit 0 or 1,
     and comes back as its :class:`PackedPatterns` without a
     :func:`check_pattern_widths` pass.  Anything else — a packed batch, the
-    int tier (it packs with :func:`pack_patterns`), a pinned fusion, no
-    native module, a batch the reader refuses — goes through
+    int tier (it packs with :func:`pack_patterns`), the ``interp``
+    oracle, no native module, a batch the reader refuses — goes through
     :func:`check_pattern_widths` and comes back as it was, so every
     error is raised as it would be without the reader.
     """
@@ -359,13 +360,10 @@ class DelayFaultSimulator:
             :func:`repro.kernel.backend_for`).  An explicit
             ``"native"`` falls back to numpy with a one-time warning
             when the module is unavailable.
-        fusion: execution strategy of a Python backend —
-            ``"interp"`` (the per-gate oracle loop), ``"vector"``
-            (level-vectorized fused groups, numpy), ``"codegen"``
-            (straight-line compiled body) or ``"auto"`` (default: the
-            native module where it loads, else the fastest supported
-            strategy per backend).  An explicit strategy keeps
-            ``backend="auto"`` on the Python backends.
+        fusion: ``"auto"`` (default: the native module where it loads,
+            else the fast path of each Python backend) or ``"interp"``
+            (the per-gate oracle loop, on the Python backends; refused
+            with ``backend="native"``).
     """
 
     def __init__(
@@ -379,8 +377,7 @@ class DelayFaultSimulator:
             raise ValueError(
                 f"unknown backend {backend!r} (choose from {BACKEND_MODES})"
             )
-        if fusion not in FUSION_MODES:
-            raise ValueError(f"unknown fusion strategy {fusion!r}")
+        check_fusion(fusion, backend)
         self.circuit = circuit
         self.compiled: CompiledCircuit = circuit.compiled()
         self.test_class = test_class
@@ -459,7 +456,8 @@ class DelayFaultSimulator:
         """The native backend a *width*-pattern batch runs on, else ``None``.
 
         What :meth:`detection_masks` resolves: ``backend="auto"`` or
-        ``"native"`` under ``fusion="auto"`` where the module loads.
+        ``"native"`` (both under ``fusion="auto"``) where the module
+        loads.
         """
         backend = backend_for(width, self.backend, fusion=self.fusion)
         return backend if getattr(backend, "kind", None) == "native" else None

@@ -13,7 +13,7 @@ Two execution strategies, selected by the ``fusion`` option:
 
 * ``"interp"`` — the per-gate cone walk (``eval_gate_word`` with
   dirty-set early-outs), retained verbatim as the oracle,
-* anything else — per-cone straight-line compiled functions
+* ``"auto"`` — per-cone straight-line compiled functions
   (:func:`repro.kernel.codegen.cone_fault_fn`): the whole cone
   resimulation plus the output-difference reduction as one body, no
   per-gate dispatch, memoized on the compiled circuit so the sa0/sa1
@@ -23,8 +23,9 @@ Orthogonally, ``backend="native"`` moves the whole workload into the
 circuit's compiled-C module (:mod:`repro.kernel.native`): the good
 machine runs as the native two-valued pass over uint64 lane slabs and
 each fault's cone resimulation plus output-difference reduction is
-one ``repro_stuck_cone`` call.  Without the native module it degrades
-to the default Python-int path with a one-time warning.
+one ``repro_stuck_cone`` call (refused with ``fusion="interp"``).
+Without the native module it degrades to the default Python-int path
+with a one-time warning.
 
 All strategies are cross-checked bit-identical in
 ``tests/test_fusion.py``.  The interpreted cone plans are cached on
@@ -37,7 +38,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..circuit import Circuit
-from ..kernel.backends import FUSION_MODES, eval_gate_word
+from ..kernel.backends import check_fusion, eval_gate_word
 from ..kernel.codegen import cone_fault_fn
 from ..kernel.packed import vector_planes
 from ..logic.words import mask_for
@@ -55,9 +56,9 @@ class StuckAtSimulator:
 
     Args:
         circuit: frozen target circuit (compiled once, cached).
-        fusion: execution strategy — ``"interp"`` runs the per-gate
-            cone walk, everything else the per-cone compiled bodies
-            (``"auto"``, the default, is fused).
+        fusion: execution strategy — ``"auto"`` (the default) runs the
+            per-cone compiled bodies, ``"interp"`` the per-gate cone
+            walk.
         backend: ``"auto"``/``"int"`` run Python-int lane words;
             ``"native"`` runs good-machine pass and cone resims in
             the circuit's compiled-C module (numpy-slab words), with
@@ -67,8 +68,7 @@ class StuckAtSimulator:
     def __init__(
         self, circuit: Circuit, fusion: str = "auto", backend: str = "auto"
     ):
-        if fusion not in FUSION_MODES:
-            raise ValueError(f"unknown fusion strategy {fusion!r}")
+        check_fusion(fusion, backend)
         if backend not in STUCK_AT_BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r} "
@@ -78,7 +78,6 @@ class StuckAtSimulator:
         self.compiled = circuit.compiled()
         self.fusion = fusion
         self.backend = backend
-        self._fused = fusion != "interp"
         self._native_cones: Optional[object] = None
         if backend == "native":
             from ..kernel.native import (
@@ -154,7 +153,7 @@ class StuckAtSimulator:
         good = simulate_words(self.circuit, words, width, fusion=self.fusion)
         mask = mask_for(width)
         result: Dict[StuckAtFault, int] = {}
-        if self._fused:
+        if self.fusion == "auto":
             compiled = self.compiled
             for fault in faults:
                 fn = cone_fault_fn(compiled, fault.signal)

@@ -19,7 +19,8 @@ from repro.analysis import (
     run_table8,
     speedup_row,
 )
-from repro.core import TpgOptions, generate_tests, generate_tests_single_bit
+from repro.api import AtpgSession
+from repro.core import generate_tests_single_bit
 from repro.circuit.library import c17
 from repro.paths import TestClass, all_faults
 
@@ -29,7 +30,7 @@ class TestMetrics:
         circuit = c17()
         faults = all_faults(circuit)
         single = generate_tests_single_bit(circuit, faults, TestClass.NONROBUST)
-        parallel = generate_tests(circuit, faults, TestClass.NONROBUST)
+        parallel = AtpgSession(circuit).generate(faults, test_class=TestClass.NONROBUST)
         row = speedup_row("c17", single, parallel)
         assert row.circuit == "c17"
         assert row.speedup > 0

@@ -1,9 +1,8 @@
-"""Tests of the repro.api front door: session, unified options, shims.
+"""Tests of the repro.api front door: session and unified options.
 
 The load-bearing acceptance property: ``AtpgSession.generate`` is
-bit-identical to the legacy ``generate_tests`` (same engine-mode
-campaign underneath), and the deprecated names keep working while
-warning.
+bit-identical to the engine-mode campaign underneath it, and
+``AtpgSession.campaign`` to the campaign it wraps.
 """
 
 import re
@@ -14,7 +13,6 @@ import pytest
 import repro
 from repro.api import (
     AtpgSession,
-    GenerationOptions,
     Options,
     ResolutionError,
     resolve_circuit,
@@ -32,29 +30,24 @@ needs_native = pytest.mark.skipif(
 )
 
 
-def _legacy_generate(circuit, faults, test_class, **options):
-    """Call the deprecated path with its warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        from repro.core import TpgOptions, generate_tests
-
-        return generate_tests(circuit, faults, test_class, TpgOptions(**options))
-
-
 class TestSessionGenerate:
     @pytest.mark.parametrize("test_class", [TestClass.NONROBUST, TestClass.ROBUST])
-    def test_c880_bit_identical_to_legacy_generate_tests(self, test_class):
+    def test_c880_bit_identical_to_the_engine_mode_campaign(self, test_class):
+        from repro.campaign import execute_campaign
+
         circuit = suite_circuit("c880", 1)
         faults = fault_list(circuit, cap=160, strategy="all")
-        legacy = _legacy_generate(circuit, faults, test_class, width=16)
+        engine = execute_campaign(
+            circuit, faults=faults, test_class=test_class, options=Options(width=16)
+        ).as_tpg_report()
 
         session = AtpgSession(suite_circuit("c880", 1))
         report = session.generate(faults, test_class=test_class, width=16)
         assert [r.status for r in report.records] == [
-            r.status for r in legacy.records
+            r.status for r in engine.records
         ]
         assert [r.pattern for r in report.records] == [
-            r.pattern for r in legacy.records
+            r.pattern for r in engine.records
         ]
 
     def test_default_fault_list_materialization(self):
@@ -87,20 +80,16 @@ class TestSessionGenerate:
 
 
 class TestSessionCampaign:
-    def test_campaign_equals_run_campaign(self):
+    def test_campaign_equals_execute_campaign(self):
+        from repro.campaign import execute_campaign
+
         circuit = random_dag(10, 40, seed=7)
         faults = all_faults(circuit, cap=120)
         session = AtpgSession(random_dag(10, 40, seed=7))
         report = session.campaign(faults=faults, width=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.campaign import run_campaign, CampaignOptions
-
-            legacy = run_campaign(
-                circuit, faults=faults, options=CampaignOptions(width=4)
-            )
-        assert report.statuses == legacy.statuses
-        assert report.patterns == legacy.patterns
+        direct = execute_campaign(circuit, faults=faults, options=Options(width=4))
+        assert report.statuses == direct.statuses
+        assert report.patterns == direct.patterns
 
 
 class TestSessionSimulateGradePaths:
@@ -269,20 +258,6 @@ class TestSessionSimulateGradePaths:
 
 
 class TestUnifiedOptions:
-    def test_adopt_lifts_generation_layer(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.core import TpgOptions
-
-            legacy = TpgOptions(width=8, drop_faults=False)
-        options = Options.adopt(legacy)
-        assert options.width == 8
-        assert options.drop_faults is False
-        assert options.window is None  # defaulted, TpgOptions never had it
-
-    def test_adopt_overrides_win(self):
-        assert Options.adopt(Options(width=8), width=2).width == 2
-
     def test_engine_mode_view(self):
         options = Options(width=8, window=32, checkpoint="x.json")
         engine = options.engine_mode()
@@ -349,40 +324,32 @@ class TestUnifiedOptions:
             assert getattr(report.stats, name) == getattr(plain.stats, name)
 
 
-class TestDeprecationShims:
-    def test_tpg_options_warns(self):
-        from repro.core import TpgOptions
+class TestRetiredNames:
+    """The pre-1.2 shims, ``Options.adopt`` and the ``vector``/``codegen``
+    strategies are gone; old payloads still read (``tests/test_serde.py``)."""
 
-        with pytest.warns(DeprecationWarning, match="TpgOptions"):
-            options = TpgOptions(width=8)
-        assert isinstance(options, GenerationOptions)
+    def test_shims_are_not_bound(self):
+        import repro.api
+        import repro.campaign
+        import repro.core
 
-    def test_campaign_options_warns(self):
-        from repro.campaign import CampaignOptions
+        for module in (repro, repro.core, repro.campaign, repro.api):
+            for name in (
+                "TpgOptions", "CampaignOptions", "generate_tests", "run_campaign"
+            ):
+                assert not hasattr(module, name), (module.__name__, name)
+                assert name not in getattr(module, "__all__", ()), name
+        assert not hasattr(Options, "adopt")
 
-        with pytest.warns(DeprecationWarning, match="CampaignOptions"):
-            options = CampaignOptions(width=8)
-        assert isinstance(options, Options)
+    @pytest.mark.parametrize("fusion", ["vector", "codegen", "jit"])
+    def test_unknown_fusion_raises_at_construction(self, fusion):
+        from repro.kernel import FUSION_MODES
 
-    def test_generate_tests_warns_and_matches(self):
-        from repro.core import generate_tests
-
-        circuit = ripple_carry_adder(2)
-        faults = all_faults(circuit, cap=10)
-        with pytest.warns(DeprecationWarning, match="AtpgSession.generate"):
-            legacy = generate_tests(circuit, faults)
-        session_report = AtpgSession(circuit).generate(faults)
-        assert [r.status for r in legacy.records] == [
-            r.status for r in session_report.records
-        ]
-
-    def test_run_campaign_warns(self):
-        from repro.campaign import run_campaign
-
-        circuit = ripple_carry_adder(2)
-        with pytest.warns(DeprecationWarning, match="AtpgSession.campaign"):
-            report = run_campaign(circuit)
-        assert report.complete
+        assert FUSION_MODES == ("auto", "interp")
+        with pytest.raises(ValueError, match="unknown fusion strategy"):
+            Options(fusion=fusion)
+        with pytest.raises(ValueError, match="unknown fusion strategy"):
+            Options().merged(fusion=fusion)
 
 
 class TestResolution:
@@ -417,9 +384,9 @@ class TestPublicSurface:
         # the front-door names are exported
         for name in ("api", "AtpgSession", "AtpgService", "Options"):
             assert name in repro.__all__
-        # deprecated names stay listed
-        for name in ("TpgOptions", "CampaignOptions", "generate_tests"):
-            assert name in repro.__all__
+        # the paper's single-bit reference generator is a functional
+        # entry point
+        assert "generate_tests_single_bit" in repro.__all__
 
 
 class TestTipDispatcher:

@@ -7,6 +7,7 @@ on which faults are testable — they implement the same fault model.
 
 import pytest
 
+from repro.api import AtpgSession
 from repro.baselines import (
     BddPathAtpg,
     generate_tests_bdd,
@@ -14,7 +15,7 @@ from repro.baselines import (
 )
 from repro.circuit.generators import random_dag
 from repro.circuit.library import c17, paper_example, redundant_and_chain
-from repro.core import FaultStatus, TpgOptions, generate_tests
+from repro.core import FaultStatus
 from repro.paths import PathDelayFault, TestClass, Transition, all_faults
 from repro.sim import DelayFaultSimulator
 
@@ -24,8 +25,8 @@ class TestBddAtpgNonrobust:
     def test_agrees_with_main_engine(self, factory):
         circuit = factory()
         faults = all_faults(circuit)
-        tip = generate_tests(
-            circuit, faults, TestClass.NONROBUST, TpgOptions(drop_faults=False)
+        tip = AtpgSession(circuit).generate(
+            faults, test_class=TestClass.NONROBUST, drop_faults=False
         )
         bdd = generate_tests_bdd(circuit, faults, TestClass.NONROBUST)
         for a, b in zip(tip.records, bdd.records):
@@ -63,8 +64,8 @@ class TestBddAtpgRobust:
         'slightly deviated test class' note about TSUNAMI-D)."""
         circuit = paper_example()
         faults = all_faults(circuit)
-        tip = generate_tests(
-            circuit, faults, TestClass.ROBUST, TpgOptions(drop_faults=False)
+        tip = AtpgSession(circuit).generate(
+            faults, test_class=TestClass.ROBUST, drop_faults=False
         )
         bdd = generate_tests_bdd(circuit, faults, TestClass.ROBUST)
         for a, b in zip(tip.records, bdd.records):
@@ -94,8 +95,8 @@ class TestStructuralBaseline:
     def test_agrees_on_paper_example(self, test_class):
         circuit = paper_example()
         faults = all_faults(circuit)
-        tip = generate_tests(
-            circuit, faults, test_class, TpgOptions(drop_faults=False)
+        tip = AtpgSession(circuit).generate(
+            faults, test_class=test_class, drop_faults=False
         )
         structural = generate_tests_structural(
             circuit, faults, test_class, drop_faults=False
@@ -119,8 +120,8 @@ class TestStructuralBaseline:
         engine's ground truth (conflicts are sound either way)."""
         circuit = random_dag(8, 30, seed=21)
         faults = all_faults(circuit, cap=80)
-        strong = generate_tests(
-            circuit, faults, TestClass.NONROBUST, TpgOptions(drop_faults=False)
+        strong = AtpgSession(circuit).generate(
+            faults, test_class=TestClass.NONROBUST, drop_faults=False
         )
         weak = generate_tests_structural(
             circuit, faults, TestClass.NONROBUST, drop_faults=False

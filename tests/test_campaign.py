@@ -10,6 +10,7 @@ checkpoint/resume, incremental compaction, and the fault universe's
 filtering/dedup/budget semantics.
 """
 
+import contextlib
 import json
 import os
 
@@ -19,20 +20,20 @@ from hypothesis import strategies as st
 
 from repro.api import AtpgSession, Options
 from repro.campaign import (
-    CampaignOptions,
     CampaignReport,
     FaultUniverse,
     SerialExecutor,
-    run_campaign,
+    execute_campaign,
 )
 from repro.campaign.runner import _Campaign
 from repro.circuit import CircuitBuilder
 from repro.circuit.generators import random_dag, ripple_carry_adder
 from repro.circuit.suites import suite_circuit
-from repro.core import FaultStatus, TpgOptions, generate_tests
+from repro.core import FaultStatus
 from repro.kernel import native_available
 from repro.paths import TestClass, all_faults, fault_list
 from repro.sim import DelayFaultSimulator
+from tiers import python_tiers
 
 
 def campaign_statuses(report: CampaignReport):
@@ -107,10 +108,10 @@ class TestStreaming:
     def test_window_bounds_pending_set(self):
         circuit = suite_circuit("c880", 1)
         universe = FaultUniverse.from_circuit(circuit, max_faults=300)
-        report = run_campaign(
+        report = execute_campaign(
             circuit,
             universe=universe,
-            options=CampaignOptions(width=16, window=48),
+            options=Options(width=16, window=48),
         )
         assert report.n_faults == 300
         assert report.stats.peak_pending <= 48
@@ -119,13 +120,13 @@ class TestStreaming:
     def test_windowed_detection_matches_serial(self):
         circuit = random_dag(10, 40, seed=7)
         faults = all_faults(circuit, cap=200)
-        serial = generate_tests(
-            circuit, faults, TestClass.NONROBUST, TpgOptions(width=4)
+        serial = AtpgSession(circuit).generate(
+            faults, test_class=TestClass.NONROBUST, width=4
         )
-        windowed = run_campaign(
+        windowed = execute_campaign(
             circuit,
             universe=FaultUniverse.from_faults(faults),
-            options=CampaignOptions(width=4, window=16),
+            options=Options(width=4, window=16),
         )
         # the drop schedule differs under a bounded window, so statuses
         # may trade TESTED for SIMULATED — but detection must agree
@@ -143,10 +144,10 @@ class TestStreaming:
         b.outputs("o1", "o2")
         circuit = b.build()
         faults = all_faults(circuit)
-        report = run_campaign(
+        report = execute_campaign(
             circuit,
             universe=FaultUniverse.from_faults(faults),
-            options=CampaignOptions(width=1, shards=2, window=2),
+            options=Options(width=1, shards=2, window=2),
         )
         assert report.count(FaultStatus.SIMULATED) > 0
         assert report.stats.admitted_dropped > 0
@@ -332,15 +333,15 @@ class TestCheckpointResume:
     def test_completed_checkpoint_short_circuits(self, tmp_path):
         circuit = ripple_carry_adder(3)
         path = str(tmp_path / "done.json")
-        options = CampaignOptions(
+        options = Options(
             width=8, checkpoint=path, checkpoint_every=1, resume=True
         )
-        first = run_campaign(
+        first = execute_campaign(
             circuit,
             universe=FaultUniverse.from_circuit(circuit, max_faults=60),
             options=options,
         )
-        again = run_campaign(
+        again = execute_campaign(
             circuit,
             universe=FaultUniverse.from_circuit(circuit, max_faults=60),
             options=options,
@@ -351,16 +352,16 @@ class TestCheckpointResume:
     def test_mismatched_checkpoint_rejected(self, tmp_path):
         circuit = ripple_carry_adder(3)
         path = str(tmp_path / "ckpt.json")
-        run_campaign(
+        execute_campaign(
             circuit,
             universe=FaultUniverse.from_circuit(circuit, max_faults=20),
-            options=CampaignOptions(width=8, checkpoint=path),
+            options=Options(width=8, checkpoint=path),
         )
         with pytest.raises(ValueError, match="width"):
-            run_campaign(
+            execute_campaign(
                 circuit,
                 universe=FaultUniverse.from_circuit(circuit, max_faults=20),
-                options=CampaignOptions(width=16, checkpoint=path, resume=True),
+                options=Options(width=16, checkpoint=path, resume=True),
             )
 
     def test_mismatched_universe_rejected(self, tmp_path):
@@ -368,14 +369,14 @@ class TestCheckpointResume:
         under them must be refused, not silently merged."""
         circuit = ripple_carry_adder(3)
         path = str(tmp_path / "ckpt.json")
-        options = CampaignOptions(width=8, checkpoint=path, resume=True)
-        run_campaign(
+        options = Options(width=8, checkpoint=path, resume=True)
+        execute_campaign(
             circuit,
             universe=FaultUniverse.from_circuit(circuit, max_faults=20),
             options=options,
         )
         with pytest.raises(ValueError, match="universe"):
-            run_campaign(
+            execute_campaign(
                 circuit,
                 universe=FaultUniverse.from_circuit(
                     circuit, max_faults=20, min_length=3
@@ -405,10 +406,10 @@ class TestCheckpointResume:
     def test_checkpoint_is_json(self, tmp_path):
         circuit = ripple_carry_adder(3)
         path = str(tmp_path / "ckpt.json")
-        run_campaign(
+        execute_campaign(
             circuit,
             universe=FaultUniverse.from_circuit(circuit, max_faults=30),
-            options=CampaignOptions(width=4, checkpoint=path),
+            options=Options(width=4, checkpoint=path),
         )
         with open(path) as handle:
             payload = json.load(handle)
@@ -421,15 +422,15 @@ class TestIncrementalCompaction:
     def test_compaction_bounds_patterns_and_keeps_target_coverage(self):
         circuit = ripple_carry_adder(5)
         faults = all_faults(circuit, cap=240)
-        plain = run_campaign(
+        plain = execute_campaign(
             circuit,
             faults=faults,
-            options=CampaignOptions(width=8),
+            options=Options(width=8),
         )
-        compacted = run_campaign(
+        compacted = execute_campaign(
             circuit,
             faults=faults,
-            options=CampaignOptions(width=8, compact_every=32),
+            options=Options(width=8, compact_every=32),
         )
         assert compacted.stats.compactions > 0
         assert len(compacted.patterns) <= len(plain.patterns)
@@ -444,10 +445,10 @@ class TestIncrementalCompaction:
         their own, but the compacted set must still detect them."""
         circuit = random_dag(10, 40, seed=seed)
         faults = all_faults(circuit, cap=150)
-        report = run_campaign(
+        report = execute_campaign(
             circuit,
             faults=faults,
-            options=CampaignOptions(width=4, compact_every=4),
+            options=Options(width=4, compact_every=4),
         )
         sim = DelayFaultSimulator(circuit, TestClass.NONROBUST)
         detected = [faults[i] for i in report.detected_indices()]
@@ -488,7 +489,7 @@ class TestReportAdapters:
     def test_as_tpg_report_round_trip(self):
         circuit = ripple_carry_adder(3)
         faults = all_faults(circuit, cap=60)
-        campaign = run_campaign(circuit, faults=faults)
+        campaign = execute_campaign(circuit, faults=faults)
         tpg = campaign.as_tpg_report()
         assert tpg.n_faults == len(faults)
         assert engine_statuses(tpg) == campaign_statuses(campaign)
@@ -498,7 +499,7 @@ class TestReportAdapters:
 
     def test_summary_shape(self):
         circuit = ripple_carry_adder(3)
-        report = run_campaign(
+        report = execute_campaign(
             circuit, universe=FaultUniverse.from_circuit(circuit, max_faults=40)
         )
         summary = report.summary()
@@ -513,10 +514,10 @@ class TestReportAdapters:
 
     def test_keep_records_false(self):
         circuit = ripple_carry_adder(3)
-        report = run_campaign(
+        report = execute_campaign(
             circuit,
             universe=FaultUniverse.from_circuit(circuit, max_faults=40),
-            options=CampaignOptions(keep_records=False),
+            options=Options(keep_records=False),
         )
         assert report.records is None
         assert report.n_faults == 40
@@ -618,24 +619,10 @@ class TestMalformedFaults:
     ``skipped_error`` with an error envelope, never scheduled, and every
     other fault settles as in a clean run."""
 
-    ENGINES = [
-        pytest.param(
-            "auto",
-            marks=pytest.mark.skipif(
-                not native_available(),
-                reason="no C toolchain and no cached native module",
-            ),
-        ),
-        "codegen",
-    ]
-
     @staticmethod
-    def setup(fusion):
-        from repro.api import AtpgSession, Options
-
+    def setup():
         circuit = suite_circuit("c880", 1)
-        session = AtpgSession(circuit, options=Options(fusion=fusion))
-        return session, fault_list(circuit, cap=64)
+        return AtpgSession(circuit), fault_list(circuit, cap=64)
 
     @staticmethod
     def off_input(session, faults):
@@ -688,38 +675,34 @@ class TestMalformedFaults:
             for r in clean.records
         ]
 
-    @pytest.mark.parametrize("fusion", ENGINES)
     @pytest.mark.parametrize("bad_id", [99999, -3])
-    def test_campaign(self, fusion, bad_id):
+    def test_campaign(self, auto_tier, bad_id):
         from repro.paths import PathDelayFault, Transition
         from repro.paths.table import signal_range_error
 
-        session, faults = self.setup(fusion)
+        session, faults = self.setup()
         bad = PathDelayFault((0, bad_id), Transition.RISING)
         error = signal_range_error(session.compiled.n_signals)
         self.assert_campaign_settles_alone(session, faults, bad, error, "nonrobust")
 
-    @pytest.mark.parametrize("fusion", ENGINES)
     @pytest.mark.parametrize("bad_id", [99999, -3])
-    def test_generate(self, fusion, bad_id):
+    def test_generate(self, auto_tier, bad_id):
         from repro.paths import PathDelayFault, Transition
 
-        session, faults = self.setup(fusion)
+        session, faults = self.setup()
         bad = PathDelayFault((0, bad_id), Transition.RISING)
         self.assert_generate_settles_alone(session, faults, bad, "nonrobust")
 
     @pytest.mark.parametrize("test_class", ["nonrobust", "robust"])
-    @pytest.mark.parametrize("fusion", ENGINES)
-    def test_campaign_path_off_a_primary_input(self, fusion, test_class):
-        session, faults = self.setup(fusion)
+    def test_campaign_path_off_a_primary_input(self, auto_tier, test_class):
+        session, faults = self.setup()
         bad, error = self.off_input(session, faults)
         assert "not a primary input" in str(error)
         self.assert_campaign_settles_alone(session, faults, bad, error, test_class)
 
     @pytest.mark.parametrize("test_class", ["nonrobust", "robust"])
-    @pytest.mark.parametrize("fusion", ENGINES)
-    def test_generate_path_off_a_primary_input(self, fusion, test_class):
-        session, faults = self.setup(fusion)
+    def test_generate_path_off_a_primary_input(self, auto_tier, test_class):
+        session, faults = self.setup()
         bad, _error = self.off_input(session, faults)
         self.assert_generate_settles_alone(session, faults, bad, test_class)
 
@@ -727,7 +710,7 @@ class TestMalformedFaults:
         from repro.campaign.bus import DropBus
         from repro.paths import PathDelayFault, Transition
 
-        session, faults = self.setup("codegen")
+        session, faults = self.setup()
         bad, error = self.off_input(session, faults)
         bus = DropBus(session.circuit, TestClass.NONROBUST)
         outside = PathDelayFault((0, -1), Transition.RISING)
@@ -744,8 +727,8 @@ class TestMalformedFaults:
 
 class TestTpgEnginesAgree:
     """The C decision step against the Python one, end to end: on the C
-    TPG engine a campaign settles every fault as ``fusion="codegen"``
-    does, with the same patterns and search counters.  Narrow words
+    TPG engine a campaign settles every fault as the ``python/codegen``
+    engine does, with the same patterns and search counters.  Narrow words
     leave APTPG few lane splits, so most of these inputs backtrack."""
 
     CASES = [
@@ -767,19 +750,19 @@ class TestTpgEnginesAgree:
     def test_statuses_patterns_and_counters(
         self, name, scale, test_class, width, cap, backtracks
     ):
-        from repro.api import AtpgSession, Options
         from repro.core.state import tpg_tier
 
-        assert tpg_tier(width, "auto") == "native/c"
-        assert tpg_tier(width, "codegen") == "python/codegen"
         circuit = suite_circuit(name, scale)
         faults = fault_list(circuit, cap=cap)
-        native, python = (
-            AtpgSession(circuit, options=Options(fusion=fusion)).campaign(
+        assert tpg_tier(width, "auto") == "native/c"
+        native = AtpgSession(circuit).campaign(
+            faults=faults, test_class=test_class, width=width
+        )
+        with python_tiers():
+            assert tpg_tier(width, "auto") == "python/codegen"
+            python = AtpgSession(circuit).campaign(
                 faults=faults, test_class=test_class, width=width
             )
-            for fusion in ("auto", "codegen")
-        )
         assert campaign_statuses(native) == campaign_statuses(python)
         assert native.modes == python.modes
         assert [(p.v1, p.v2, p.fault) for p in native.patterns] == [
@@ -879,9 +862,9 @@ class TestNativeRoundsMatchPython:
                 self.rounds = progress["rounds"]
 
         reports = []
-        for fusion in ("auto", "codegen"):
-            session = AtpgSession(circuit, options=Options(fusion=fusion))
-            with tempfile.TemporaryDirectory() as tmp:
+        for tiers in (contextlib.nullcontext, python_tiers):
+            with tiers(), tempfile.TemporaryDirectory() as tmp:
+                session = AtpgSession(circuit)
                 path = os.path.join(tmp, "campaign.json")
                 if stop_after:
                     partial = session.campaign(

@@ -18,10 +18,10 @@ import os
 import pytest
 
 from repro import chaos
-from repro.api import AtpgService, ServiceOptions, integrity, serde
+from repro.api import AtpgService, Options, ServiceOptions, integrity, serde
 from repro.api.schemas import stamp, validate
 from repro.api.session import AtpgSession
-from repro.campaign import CampaignOptions, FaultUniverse, run_campaign
+from repro.campaign import execute_campaign
 from repro.circuit.generators import random_dag
 from repro.circuit.suites import suite_circuit
 from repro.core import FaultStatus
@@ -163,13 +163,13 @@ class TestSerialSupervision:
     def test_shard_error_retries_to_identical_statuses(self):
         circuit = random_dag(10, 40, seed=7)
         faults = all_faults(circuit, cap=120)
-        baseline = run_campaign(
-            circuit, faults=faults, options=CampaignOptions(width=4)
+        baseline = execute_campaign(
+            circuit, faults=faults, options=Options(width=4)
         )
-        injected = run_campaign(
+        injected = execute_campaign(
             circuit,
             faults=faults,
-            options=CampaignOptions(
+            options=Options(
                 width=4, chaos=spec(("shard_error", [0, 3]))
             ),
         )
@@ -184,12 +184,12 @@ class TestSerialSupervision:
         # drop_faults=False keeps shard membership independent of
         # detection order, so "every fault outside the poisoned shard"
         # settles exactly as in the baseline
-        options = CampaignOptions(width=4, drop_faults=False)
-        baseline = run_campaign(circuit, faults=faults, options=options)
-        injected = run_campaign(
+        options = Options(width=4, drop_faults=False)
+        baseline = execute_campaign(circuit, faults=faults, options=options)
+        injected = execute_campaign(
             circuit,
             faults=faults,
-            options=CampaignOptions(
+            options=Options(
                 width=4,
                 drop_faults=False,
                 shard_attempts=3,
@@ -220,10 +220,10 @@ class TestSerialSupervision:
         circuit = random_dag(10, 40, seed=7)
         faults = all_faults(circuit, cap=80)
         path = str(tmp_path / "campaign.json")
-        report = run_campaign(
+        report = execute_campaign(
             circuit,
             faults=faults,
-            options=CampaignOptions(
+            options=Options(
                 width=4,
                 drop_faults=False,
                 checkpoint=path,
@@ -250,35 +250,35 @@ class TestCheckpointRecovery:
     def test_corrupted_checkpoint_resumes_from_previous(self, tmp_path):
         circuit = random_dag(10, 40, seed=7)
         faults = all_faults(circuit, cap=120)
-        baseline = run_campaign(
-            circuit, faults=faults, options=CampaignOptions(width=4)
+        baseline = execute_campaign(
+            circuit, faults=faults, options=Options(width=4)
         )
         path = str(tmp_path / "campaign.json")
-        options = CampaignOptions(
+        options = Options(
             width=4, checkpoint=path, checkpoint_every=1, resume=True
         )
-        run_campaign(circuit, faults=faults, options=options)
+        execute_campaign(circuit, faults=faults, options=options)
         # tear the final checkpoint; the one-generation-older .prev
         # (mid-campaign) must carry the resume
         assert os.path.exists(integrity.previous_path(path))
         with open(path, "w") as handle:
             handle.write('{"version": 3, "torn": ')
         with pytest.warns(RuntimeWarning, match="previous"):
-            resumed = run_campaign(circuit, faults=faults, options=options)
+            resumed = execute_campaign(circuit, faults=faults, options=options)
         assert resumed.complete
         assert campaign_statuses(resumed) == campaign_statuses(baseline)
 
     def test_torn_write_during_campaign_is_self_healing(self, tmp_path):
         circuit = random_dag(10, 40, seed=7)
         faults = all_faults(circuit, cap=120)
-        baseline = run_campaign(
-            circuit, faults=faults, options=CampaignOptions(width=4)
+        baseline = execute_campaign(
+            circuit, faults=faults, options=Options(width=4)
         )
         path = str(tmp_path / "campaign.json")
-        first = run_campaign(
+        first = execute_campaign(
             circuit,
             faults=faults,
-            options=CampaignOptions(
+            options=Options(
                 width=4,
                 checkpoint=path,
                 checkpoint_every=1,
@@ -290,10 +290,10 @@ class TestCheckpointRecovery:
         assert campaign_statuses(first) == campaign_statuses(baseline)
         # the torn generation was later overwritten by good ones;
         # a resume over the same path short-circuits to complete
-        resumed = run_campaign(
+        resumed = execute_campaign(
             circuit,
             faults=faults,
-            options=CampaignOptions(
+            options=Options(
                 width=4, checkpoint=path, checkpoint_every=1, resume=True
             ),
         )

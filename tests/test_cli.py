@@ -137,3 +137,33 @@ class TestExperimentsCommand:
     def test_invalid_choice(self):
         with pytest.raises(SystemExit):
             main_experiments(["table9"])
+
+
+class TestBistCommand:
+    def test_help_names_the_registered_command(self, capsys):
+        from repro.cli import COMMANDS, main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bist", "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tip bist ")
+        for name in COMMANDS:
+            with pytest.raises(SystemExit):
+                main([name, "--help"])
+            assert capsys.readouterr().out.startswith(f"usage: tip {name} ")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--fusion", "codegen"],
+            ["--fusion", "vector"],
+            ["--backend", "native", "--fusion", "interp"],
+        ],
+    )
+    def test_refused_fusion_exits_2(self, flags, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bist", "c17", *flags])
+        assert excinfo.value.code == 2
+        assert "tip bist: error:" in capsys.readouterr().err

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.api import AtpgSession
 from repro.circuit.generators import ripple_carry_adder
 from repro.circuit.library import c17, paper_example
-from repro.core import generate_tests
 from repro.core.compaction import (
     compaction_report,
     greedy_compaction,
@@ -18,7 +18,7 @@ from repro.sim import DelayFaultSimulator
 def setup(request):
     circuit = request.param()
     faults = all_faults(circuit)
-    report = generate_tests(circuit, faults, TestClass.NONROBUST)
+    report = AtpgSession(circuit).generate(faults, test_class=TestClass.NONROBUST)
     return circuit, faults, report.patterns
 
 
@@ -63,7 +63,9 @@ class TestReport:
     def test_report_shape(self):
         circuit = ripple_carry_adder(3)
         faults = all_faults(circuit, cap=60)
-        patterns = generate_tests(circuit, faults, TestClass.NONROBUST).patterns
+        patterns = AtpgSession(circuit).generate(
+            faults, test_class=TestClass.NONROBUST
+        ).patterns
         report = compaction_report(circuit, patterns, faults)
         assert report["reverse_order"] <= report["patterns"]
         assert report["greedy"] <= report["reverse_order"]
@@ -73,7 +75,9 @@ class TestReport:
         """On the adder, many early patterns are subsumed by later ones."""
         circuit = ripple_carry_adder(4)
         faults = all_faults(circuit, cap=100)
-        patterns = generate_tests(circuit, faults, TestClass.NONROBUST).patterns
+        patterns = AtpgSession(circuit).generate(
+            faults, test_class=TestClass.NONROBUST
+        ).patterns
         compacted = greedy_compaction(circuit, patterns, faults)
         assert len(compacted) < len(patterns)
 
@@ -90,7 +94,9 @@ class TestBackendThreading:
         # > 64 patterns so the numpy path really runs multi-word
         circuit = ripple_carry_adder(5)
         faults = all_faults(circuit, cap=200)
-        patterns = generate_tests(circuit, faults, TestClass.NONROBUST).patterns
+        patterns = AtpgSession(circuit).generate(
+            faults, test_class=TestClass.NONROBUST
+        ).patterns
         assert len(patterns) > 64
         for strategy in (reverse_order_compaction, greedy_compaction):
             via_int = strategy(
@@ -104,7 +110,9 @@ class TestBackendThreading:
     def test_report_accepts_backend(self):
         circuit = ripple_carry_adder(3)
         faults = all_faults(circuit, cap=40)
-        patterns = generate_tests(circuit, faults, TestClass.NONROBUST).patterns
+        patterns = AtpgSession(circuit).generate(
+            faults, test_class=TestClass.NONROBUST
+        ).patterns
         report = compaction_report(
             circuit, patterns, faults, TestClass.NONROBUST, backend="numpy"
         )

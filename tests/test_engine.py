@@ -15,19 +15,19 @@ import itertools
 
 import pytest
 
+from repro.api import AtpgSession
 from repro.circuit.generators import random_dag, ripple_carry_adder
 from repro.circuit.library import c17, paper_example, redundant_and_chain
-from repro.core import (
-    FaultStatus,
-    TestPattern,
-    TpgOptions,
-    generate_tests,
-    generate_tests_single_bit,
-)
+from repro.core import FaultStatus, TestPattern, generate_tests_single_bit
 from repro.paths import TestClass, all_faults
 from repro.sim import DelayFaultSimulator
 
 CIRCUITS = [c17, paper_example, redundant_and_chain]
+
+
+def generate(circuit, faults, test_class, **options):
+    """The combined engine through its front door."""
+    return AtpgSession(circuit).generate(faults, test_class=test_class, **options)
 
 
 def exhaustive_detectable(circuit, fault, test_class):
@@ -48,7 +48,7 @@ class TestGeneratedPatternsDetect:
     def test_every_pattern_detects_its_fault(self, factory, test_class):
         circuit = factory()
         faults = all_faults(circuit)
-        report = generate_tests(circuit, faults, test_class)
+        report = generate(circuit, faults, test_class)
         sim = DelayFaultSimulator(circuit, test_class)
         for record in report.records:
             if record.status is FaultStatus.TESTED:
@@ -60,7 +60,7 @@ class TestGeneratedPatternsDetect:
         circuit = random_dag(8, 30, seed=5)
         faults = all_faults(circuit, cap=120)
         for test_class in (TestClass.NONROBUST, TestClass.ROBUST):
-            report = generate_tests(circuit, faults, test_class)
+            report = generate(circuit, faults, test_class)
             sim = DelayFaultSimulator(circuit, test_class)
             for record in report.records:
                 if record.status is FaultStatus.TESTED:
@@ -73,7 +73,7 @@ class TestRedundancyVerdicts:
     def test_redundant_faults_have_no_test(self, factory, test_class):
         circuit = factory()
         faults = all_faults(circuit)
-        report = generate_tests(circuit, faults, test_class)
+        report = generate(circuit, faults, test_class)
         for record in report.records:
             if record.status is FaultStatus.REDUNDANT:
                 assert not exhaustive_detectable(circuit, record.fault, test_class), (
@@ -85,7 +85,7 @@ class TestRedundancyVerdicts:
         testable set must match the exhaustive ground truth."""
         circuit = paper_example()
         faults = all_faults(circuit)
-        report = generate_tests(circuit, faults, TestClass.NONROBUST)
+        report = generate(circuit, faults, TestClass.NONROBUST)
         assert report.n_aborted == 0
         for record in report.records:
             truth = exhaustive_detectable(circuit, record.fault, TestClass.NONROBUST)
@@ -102,7 +102,7 @@ class TestRedundancyVerdicts:
 
         circuit = redundant_and_chain()
         faults = all_faults(circuit)
-        report = generate_tests(circuit, faults, TestClass.NONROBUST)
+        report = generate(circuit, faults, TestClass.NONROBUST)
         n_idx = circuit.index_of("n")
         x_idx = circuit.index_of("x")
         expected = {
@@ -129,8 +129,8 @@ class TestClassContainment:
     def test_robust_testable_subset_of_nonrobust(self, factory):
         circuit = factory()
         faults = all_faults(circuit)
-        nonrobust = generate_tests(circuit, faults, TestClass.NONROBUST)
-        robust = generate_tests(circuit, faults, TestClass.ROBUST)
+        nonrobust = generate(circuit, faults, TestClass.NONROBUST)
+        robust = generate(circuit, faults, TestClass.ROBUST)
         for nr, r in zip(nonrobust.records, robust.records):
             if r.is_detected:
                 assert nr.is_detected or nr.status is FaultStatus.ABORTED
@@ -141,9 +141,7 @@ class TestSingleBitEquivalence:
     def test_same_verdicts(self, test_class):
         circuit = paper_example()
         faults = all_faults(circuit)
-        parallel = generate_tests(
-            circuit, faults, test_class, TpgOptions(width=64, drop_faults=False)
-        )
+        parallel = generate(circuit, faults, test_class, width=64, drop_faults=False)
         single = generate_tests_single_bit(
             circuit, faults, test_class, drop_faults=False
         )
@@ -169,12 +167,8 @@ class TestFaultDropping:
     def test_dropping_preserves_detected_set(self):
         circuit = ripple_carry_adder(3)
         faults = all_faults(circuit, cap=80)
-        dropped = generate_tests(
-            circuit, faults, TestClass.NONROBUST, TpgOptions(drop_faults=True)
-        )
-        undropped = generate_tests(
-            circuit, faults, TestClass.NONROBUST, TpgOptions(drop_faults=False)
-        )
+        dropped = generate(circuit, faults, TestClass.NONROBUST, drop_faults=True)
+        undropped = generate(circuit, faults, TestClass.NONROBUST, drop_faults=False)
         for d, u in zip(dropped.records, undropped.records):
             assert d.is_detected == u.is_detected
 
@@ -197,17 +191,13 @@ class TestFaultDropping:
         # round sees faults already covered by the first pattern
         circuit = self._fanout_tree()
         faults = all_faults(circuit)
-        report = generate_tests(
-            circuit, faults, TestClass.NONROBUST, TpgOptions(width=1)
-        )
+        report = generate(circuit, faults, TestClass.NONROBUST, width=1)
         assert report.count(FaultStatus.SIMULATED) > 0
 
     def test_dropped_faults_detected_by_existing_patterns(self):
         circuit = self._fanout_tree()
         faults = all_faults(circuit)
-        report = generate_tests(
-            circuit, faults, TestClass.NONROBUST, TpgOptions(width=1)
-        )
+        report = generate(circuit, faults, TestClass.NONROBUST, width=1)
         sim = DelayFaultSimulator(circuit, TestClass.NONROBUST)
         patterns = report.patterns
         for record in report.records:
@@ -218,15 +208,15 @@ class TestFaultDropping:
 
 class TestOptions:
     def test_empty_fault_list(self):
-        report = generate_tests(c17(), [], TestClass.NONROBUST)
+        report = generate(c17(), [], TestClass.NONROBUST)
         assert report.n_faults == 0
         assert report.efficiency == 100.0
 
     def test_aptpg_disabled_leaves_deferred(self):
         circuit = random_dag(8, 30, seed=5)
         faults = all_faults(circuit, cap=60)
-        options = TpgOptions(use_aptpg=False, drop_faults=False)
-        report = generate_tests(circuit, faults, TestClass.ROBUST, options)
+        options = dict(use_aptpg=False, drop_faults=False)
+        report = generate(circuit, faults, TestClass.ROBUST, **options)
         assert report.count(FaultStatus.ABORTED) == 0
         # deferred faults may exist and count against efficiency
         assert report.n_aborted == report.count(FaultStatus.DEFERRED)
@@ -234,18 +224,16 @@ class TestOptions:
     def test_fptpg_disabled_still_complete(self):
         circuit = paper_example()
         faults = all_faults(circuit)
-        options = TpgOptions(use_fptpg=False, drop_faults=False)
-        report = generate_tests(circuit, faults, TestClass.NONROBUST, options)
-        combined = generate_tests(
-            circuit, faults, TestClass.NONROBUST, TpgOptions(drop_faults=False)
-        )
+        options = dict(use_fptpg=False, drop_faults=False)
+        report = generate(circuit, faults, TestClass.NONROBUST, **options)
+        combined = generate(circuit, faults, TestClass.NONROBUST, drop_faults=False)
         for a, b in zip(report.records, combined.records):
             assert (a.status is FaultStatus.TESTED) == (b.status is FaultStatus.TESTED)
 
     def test_report_summary_shape(self):
         circuit = c17()
         faults = all_faults(circuit)
-        report = generate_tests(circuit, faults, TestClass.NONROBUST)
+        report = generate(circuit, faults, TestClass.NONROBUST)
         summary = report.summary()
         assert summary["faults"] == len(faults)
         assert summary["tested"] + summary["redundant"] + summary["aborted"] == len(

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from repro.api import AtpgSession
 from repro.circuit import CircuitBuilder
 from repro.circuit.generators import random_dag, ripple_carry_adder
 from repro.circuit.library import c17, paper_example
-from repro.core import TestPattern, generate_tests
+from repro.core import TestPattern
 from repro.core.results import FaultStatus
 from repro.paths import PathDelayFault, TestClass, Transition, all_faults
 from repro.sim import (
@@ -129,7 +130,7 @@ class TestOracle:
     def test_generated_nonrobust_tests_pass_nominal_oracle(self):
         circuit = paper_example()
         faults = all_faults(circuit)
-        report = generate_tests(circuit, faults, TestClass.NONROBUST)
+        report = AtpgSession(circuit).generate(faults, test_class=TestClass.NONROBUST)
         for record in report.records:
             if record.status is FaultStatus.TESTED and record.fault.length >= 1:
                 assert timing_detects(circuit, record.pattern, record.fault), (
@@ -141,7 +142,7 @@ class TestOracle:
 
         circuit = paper_example()
         faults = all_faults(circuit)
-        report = generate_tests(circuit, faults, TestClass.ROBUST)
+        report = AtpgSession(circuit).generate(faults, test_class=TestClass.ROBUST)
         checked = 0
         for record in report.records:
             if record.status is not FaultStatus.TESTED or record.fault.length < 1:
@@ -159,7 +160,7 @@ class TestOracle:
 
         circuit = c17()
         faults = all_faults(circuit)
-        report = generate_tests(circuit, faults, TestClass.ROBUST)
+        report = AtpgSession(circuit).generate(faults, test_class=TestClass.ROBUST)
         checked = 0
         for record in report.records:
             if record.status is not FaultStatus.TESTED:

@@ -1,9 +1,9 @@
 """Fused execution strategies are bit-identical to the interpreter.
 
 The contract of the plan-fusion layer: ``interp`` (the per-gate
-oracle loop), ``vector`` (level-vectorized numpy groups), ``codegen``
-(straight-line compiled bodies) and the compiled-C ``native`` word
-backend may differ only in speed.  These tests assert bit-identity on
+oracle loop), the ``auto`` fast paths (straight-line compiled bodies
+on int words, level-vectorized groups on numpy) and the compiled-C
+``native`` word backend may differ only in speed.  These tests assert bit-identity on
 randomized circuits and inputs for two-valued, seven-valued, and
 ten-valued simulation, for detection masks and detection-strength
 grading across both test classes, for stuck-at cone resimulation, for
@@ -48,6 +48,7 @@ from repro.sim.delay_sim import (
     strength_masks_all,
 )
 from repro.sim.logic_sim import pack_vectors
+from tiers import tpg_state
 
 circuit_params = st.tuples(
     st.integers(min_value=0, max_value=10_000),  # seed
@@ -79,16 +80,11 @@ class TestLogicStrategies:
         oracle = IntWordBackend(n_vectors, fusion="interp").simulate_logic(
             compiled, words
         )
-        assert (
-            IntWordBackend(n_vectors, fusion="codegen").simulate_logic(
-                compiled, words
-            )
-            == oracle
-        )
+        assert IntWordBackend(n_vectors).simulate_logic(compiled, words) == oracle
         packed = PackedPatterns.from_vectors(vectors)
         valid = words_to_int(packed.lane_valid())
         masked_oracle = [word & valid for word in oracle]
-        for fusion in ("interp", "vector", "codegen"):
+        for fusion in ("interp", "auto"):
             values = NumpyWordBackend(
                 n_vectors, fusion=fusion
             ).simulate_logic(compiled, packed.v2)
@@ -105,14 +101,9 @@ class TestLogicStrategies:
         oracle = IntWordBackend(width, fusion="interp").simulate_planes7(
             compiled, input_planes
         )
-        assert (
-            IntWordBackend(width, fusion="codegen").simulate_planes7(
-                compiled, input_planes
-            )
-            == oracle
-        )
+        assert IntWordBackend(width).simulate_planes7(compiled, input_planes) == oracle
         packed = PackedPatterns.from_patterns(patterns)
-        for fusion in ("interp", "vector", "codegen"):
+        for fusion in ("interp", "auto"):
             values = NumpyWordBackend(width, fusion=fusion).simulate_planes7(
                 compiled, packed.planes7()
             )
@@ -132,12 +123,12 @@ class TestTenValuedStrategies:
         compiled = circuit.compiled()
         patterns = random_patterns(circuit, n_patterns, seed + 6)
         oracle, width = simulate_planes10(circuit, patterns, fusion="interp")
-        fused, _ = simulate_planes10(circuit, patterns, fusion="codegen")
+        fused, _ = simulate_planes10(circuit, patterns)
         assert fused == oracle
         packed = PackedPatterns.from_patterns(patterns)
         valid = packed.lane_valid()
         inputs10 = [(z, o, s, i, valid) for z, o, s, i in packed.planes7()]
-        for fusion in ("interp", "vector", "codegen"):
+        for fusion in ("interp", "auto"):
             values = NumpyWordBackend(width, fusion=fusion).simulate_planes10(
                 compiled, inputs10
             )
@@ -166,7 +157,7 @@ class TestTenValuedStrategies:
             strength_masks(circuit, fault, values, width) for fault in faults
         ]
         for backend in ("int", "numpy"):
-            for fusion in ("interp", "vector", "codegen", "auto"):
+            for fusion in ("interp", "auto"):
                 triples = strength_masks_all(
                     circuit, patterns, faults, backend=backend, fusion=fusion
                 )
@@ -196,11 +187,10 @@ class TestStuckAtStrategies:
         oracle = StuckAtSimulator(circuit, fusion="interp").detected_faults(
             vectors, faults
         )
-        for fusion in ("codegen", "auto"):
-            sim = StuckAtSimulator(circuit, fusion=fusion)
-            assert sim.detected_faults(vectors, faults) == oracle, fusion
-            # repeated calls serve from the same memoized cone bodies
-            assert sim.detected_faults(vectors, faults) == oracle, fusion
+        sim = StuckAtSimulator(circuit)
+        assert sim.detected_faults(vectors, faults) == oracle
+        # repeated calls serve from the same memoized cone bodies
+        assert sim.detected_faults(vectors, faults) == oracle
 
     def test_interp_cone_plans_cached_across_calls(self):
         circuit = random_dag(5, 20, seed=11)
@@ -228,7 +218,7 @@ class TestDetectionMasks:
         patterns = random_patterns(circuit, 100, seed + 3)
         reference = None
         for backend in ("int", "numpy"):
-            for fusion in ("interp", "vector", "codegen"):
+            for fusion in ("interp", "auto"):
                 sim = DelayFaultSimulator(
                     circuit, test_class, backend=backend, fusion=fusion
                 )
@@ -264,16 +254,15 @@ class TestImplicationForwardTable:
             for _ in range(6)
         ]
         states = {}
-        for fusion in ("interp", "codegen"):
-            state = TpgState(circuit, algebra, width, fusion=fusion)
+        for tier in ("python/interp", "python/codegen"):
+            state = tpg_state(tier, circuit, algebra, width)
             for signal, planes in assignments:
                 state.assign(signal, planes)
             state.imply()
-            states[fusion] = state
-        assert states["interp"].planes == states["codegen"].planes
-        assert (
-            states["interp"].conflict_mask == states["codegen"].conflict_mask
-        )
+            states[tier] = state
+        interp, codegen = states["python/interp"], states["python/codegen"]
+        assert interp.planes == codegen.planes
+        assert interp.conflict_mask == codegen.conflict_mask
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))

@@ -10,15 +10,11 @@ every step.
 
 import pytest
 
+from repro.api import AtpgSession
 from repro.baselines import NestEstimator, generate_tests_bdd
 from repro.circuit.suites import suite_circuit
 from repro.circuit.validate import validate_circuit
-from repro.core import (
-    FaultStatus,
-    TpgOptions,
-    generate_tests,
-    generate_tests_single_bit,
-)
+from repro.core import FaultStatus, generate_tests_single_bit
 from repro.core.compaction import greedy_compaction
 from repro.paths import TestClass, fault_list
 from repro.sim import DelayFaultSimulator, detection_strength
@@ -35,7 +31,7 @@ def workload(request):
 class TestFullFlow:
     def test_generate_verify_grade_compact(self, workload):
         circuit, faults = workload
-        report = generate_tests(circuit, faults, TestClass.ROBUST)
+        report = AtpgSession(circuit).generate(faults, test_class=TestClass.ROBUST)
 
         # 1. every fault settled
         assert report.n_faults == len(faults)
@@ -71,7 +67,7 @@ class TestFullFlow:
 
     def test_nonrobust_flow_with_nest(self, workload):
         circuit, faults = workload
-        report = generate_tests(circuit, faults, TestClass.NONROBUST)
+        report = AtpgSession(circuit).generate(faults, test_class=TestClass.NONROBUST)
         assert report.efficiency == 100.0  # the paper's Table-4 claim
 
         patterns = report.patterns
@@ -84,8 +80,8 @@ class TestFullFlow:
     def test_single_bit_and_bdd_agree_on_verdicts(self, workload):
         circuit, faults = workload
         sample = faults[:60]
-        parallel = generate_tests(
-            circuit, sample, TestClass.NONROBUST, TpgOptions(drop_faults=False)
+        parallel = AtpgSession(circuit).generate(
+            sample, test_class=TestClass.NONROBUST, drop_faults=False
         )
         single = generate_tests_single_bit(
             circuit, sample, TestClass.NONROBUST, drop_faults=False
@@ -102,7 +98,7 @@ class TestFullFlow:
 
     def test_report_accounting(self, workload):
         circuit, faults = workload
-        report = generate_tests(circuit, faults, TestClass.NONROBUST)
+        report = AtpgSession(circuit).generate(faults, test_class=TestClass.NONROBUST)
         total = (
             report.count(FaultStatus.TESTED)
             + report.count(FaultStatus.SIMULATED)

@@ -351,13 +351,17 @@ class TestBatchedPpsfp:
                 assert type(backend) is IntWordBackend
             else:
                 assert type(backend) is NumpyWordBackend
-        # an explicit strategy keeps the Python fast paths reachable
-        assert type(backend_for(64, "auto", fusion="codegen")) is IntWordBackend
-        assert backend_for(64, "auto", fusion="vector").tier == "int/codegen"
-        numpy = backend_for(65, "auto", fusion="vector")
-        assert type(numpy) is NumpyWordBackend and numpy.tier == "numpy/vector"
-        assert type(backend_for(65, "auto", fusion="interp")) is NumpyWordBackend
+        # pinned Python backends run their fast paths under auto
+        assert backend_for(64, "int").tier == "int/codegen"
+        assert backend_for(65, "numpy").tier == "numpy/vector"
+        # the oracle keeps the int/numpy crossover
+        assert backend_for(64, "auto", fusion="interp").tier == "int/interp"
+        interp = backend_for(65, "auto", fusion="interp")
+        assert type(interp) is NumpyWordBackend and interp.tier == "numpy/interp"
         assert isinstance(backend_for(1, "numpy"), NumpyWordBackend)
+        for fusion in ("vector", "codegen"):
+            with pytest.raises(ValueError, match="unknown fusion strategy"):
+                backend_for(8, "auto", fusion=fusion)
         with pytest.raises(ValueError):
             backend_for(8, "gpu")
 
@@ -457,6 +461,40 @@ class TestNativeSelection:
             warnings.simplefilter("error")
             backend = backend_for(200, "native")
         assert type(backend) is NumpyWordBackend
+
+    def test_native_backend_refuses_the_interp_oracle(self):
+        """``interp`` means only the Python oracle: the native backend has
+        none, so every entry point that can name the pair refuses it."""
+        from repro.api import AtpgSession, Options
+        from repro.circuit.library import c17
+        from repro.core.patterns import TestPattern
+        from repro.kernel import NativeWordBackend, backend_for
+        from repro.sim import StuckAtSimulator
+
+        refused = "fusion 'interp' is the Python oracle"
+        with pytest.raises(ValueError, match=refused):
+            backend_for(4, "native", fusion="interp")
+        with pytest.raises(ValueError, match=refused):
+            DelayFaultSimulator(
+                c17(), TestClass.NONROBUST, backend="native", fusion="interp"
+            )
+        with pytest.raises(ValueError, match=refused):
+            StuckAtSimulator(c17(), fusion="interp", backend="native")
+        with pytest.raises(ValueError, match=refused):
+            Options(sim_backend="native", fusion="interp").validate()
+        session = AtpgSession(c17())
+        patterns = [TestPattern((0,) * 5, (1,) * 5)]
+        faults = fault_list(session.circuit, cap=4)
+        with pytest.raises(ValueError, match=refused):
+            session.grade(patterns, faults, backend="native", fusion="interp")
+        with pytest.raises(ValueError, match=refused):
+            session.bist(sim_backend="native", fusion="interp", bist_max_patterns=8)
+        assert not session.degraded
+        with pytest.raises(TypeError):
+            NativeWordBackend(4, fusion="interp")
+        # the pairs that remain: native under auto, interp on Python words
+        assert DelayFaultSimulator(c17(), TestClass.NONROBUST, backend="native")
+        assert backend_for(4, "numpy", fusion="interp").tier == "numpy/interp"
 
     def test_auto_falls_back_silently_without_module_or_toolchain(
         self, monkeypatch, tmp_path

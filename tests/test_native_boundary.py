@@ -67,6 +67,7 @@ from repro.kernel.packed import (
 from repro.paths import FaultTable, PathDelayFault, TestClass, Transition, fault_list
 from repro.sim import DelayFaultSimulator, strength_masks_all
 from repro.sim.delay_sim import pack_patterns
+from tiers import python_tiers
 
 needs_native = pytest.mark.skipif(
     not native_available(), reason="no C toolchain and no cached native module"
@@ -297,10 +298,10 @@ class TestTpgEdges:
             got = run_aptpg(
                 circuit, fault, TestClass.NONROBUST, 64, max_xor_polarity_bits=16
             )
-            want = run_aptpg(
-                circuit, fault, TestClass.NONROBUST, 64,
-                fusion="codegen", max_xor_polarity_bits=16,
-            )
+            with python_tiers():
+                want = run_aptpg(
+                    circuit, fault, TestClass.NONROBUST, 64, max_xor_polarity_bits=16
+                )
             assert settle(got) == settle(want)
             assert len(got.survivors) == 1 << 16
             assert got.implication_passes == want.implication_passes
@@ -308,12 +309,13 @@ class TestTpgEdges:
             over = run_aptpg(
                 circuit, fault, TestClass.NONROBUST, 64, max_xor_polarity_bits=15
             )
-            assert settle(over) == settle(
-                run_aptpg(
-                    circuit, fault, TestClass.NONROBUST, 64,
-                    fusion="codegen", max_xor_polarity_bits=15,
+            with python_tiers():
+                assert settle(over) == settle(
+                    run_aptpg(
+                        circuit, fault, TestClass.NONROBUST, 64,
+                        max_xor_polarity_bits=15,
+                    )
                 )
-            )
 
     @pytest.mark.parametrize("limit", [0, 10**6])
     @pytest.mark.parametrize("width", [1, 4])
@@ -757,13 +759,13 @@ class TestRoundEdges:
         than one word of the drop round's planes."""
         circuit = resolve_circuit("c880")
         faults = fault_list(circuit, cap=400, strategy="all")
-        reports = [
-            AtpgSession(circuit, options=Options(fusion=fusion)).campaign(
+        native = AtpgSession(circuit).campaign(
+            faults=faults, width=width, shards=shards
+        )
+        with python_tiers():
+            python = AtpgSession(circuit).campaign(
                 faults=faults, width=width, shards=shards
             )
-            for fusion in ("auto", "codegen")
-        ]
-        native, python = reports
         assert native.statuses == python.statuses
         assert [(p.v1, p.v2) for p in native.patterns] == [
             (p.v1, p.v2) for p in python.patterns

@@ -4,10 +4,11 @@ import itertools
 
 import pytest
 
+from repro.api import AtpgSession
 from repro.baselines import NestEstimator
 from repro.circuit.generators import reconvergent_ladder, ripple_carry_adder
 from repro.circuit.library import c17, paper_example
-from repro.core import TestPattern, generate_tests
+from repro.core import TestPattern
 from repro.paths import TestClass, all_faults, count_paths
 from repro.sim import DelayFaultSimulator
 
@@ -89,7 +90,7 @@ class TestEstimate:
     def test_atpg_patterns_cover_what_they_promise(self):
         circuit = paper_example()
         faults = all_faults(circuit)
-        report = generate_tests(circuit, faults, TestClass.NONROBUST)
+        report = AtpgSession(circuit).generate(faults, test_class=TestClass.NONROBUST)
         estimator = NestEstimator(circuit)
         estimate = estimator.estimate(report.patterns, exact_cap=1000)
         # the union of detected paths must cover every tested fault's path

@@ -8,6 +8,7 @@ from repro.core.patterns import extract_pattern
 from repro.core.sensitize import sensitize_nonrobust, sensitize_robust
 from repro.core.state import SEVEN_VALUED, THREE_VALUED, TpgState
 from repro.paths import PathDelayFault, Transition
+from tiers import TPG_TIERS, tpg_state
 
 
 class TestTestPattern:
@@ -83,8 +84,8 @@ class TestExtractionAcrossEngines:
 
         c = paper_example()
         fault = PathDelayFault.from_names(c, ("b", "p", "x"), Transition.RISING)
-        engines = ["auto", "codegen", "interp"] if native_available() else ["codegen", "interp"]
-        states = [TpgState(c, algebra, 64, fusion=engine) for engine in engines]
+        tiers = TPG_TIERS if native_available() else TPG_TIERS[1:]
+        states = [tpg_state(tier, c, algebra, 64) for tier in tiers]
         rng = random.Random(7)
         for signal in range(c.num_signals):
             planes = tuple(rng.getrandbits(64) for _ in range(algebra.n_planes))
@@ -100,12 +101,11 @@ class TestExtractionAcrossEngines:
             with pytest.raises(ValueError, match="lane 64 outside"):
                 state.input_bits(1, 64)
 
-    @pytest.mark.parametrize("fusion", ["auto", "codegen", "interp"])
-    def test_nonrobust_path_off_a_primary_input_names_the_signal(self, fusion):
+    def test_nonrobust_path_off_a_primary_input_names_the_signal(self, engine):
         c = paper_example()
         p = c.index_of("p")
         fault = PathDelayFault((p, c.index_of("x")), Transition.RISING)
-        state = TpgState(c, THREE_VALUED, 1, fusion=fusion)
+        state = TpgState(c, THREE_VALUED, 1, fusion=engine)
         with pytest.raises(ValueError, match=rf"signal {p} \(p\), which is not a primary input"):
             extract_pattern(state, 0, fault)
         for bad in (-1, c.num_signals):

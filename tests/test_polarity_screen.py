@@ -16,6 +16,7 @@ each layer of that to its one-combination-at-a-time meaning:
   the Python loops' on the ``codegen`` and ``interp`` engines.
 """
 
+import contextlib
 import random
 from typing import Tuple
 from unittest import mock
@@ -38,6 +39,7 @@ from repro.logic import seven_valued as sv
 from repro.logic import three_valued as tv
 from repro.logic.words import mask_for
 from repro.paths import FaultTable, PathDelayFault, TestClass, Transition, fault_list
+from tiers import TPG_TIERS, python_tiers, tpg_state
 
 #: keep hypothesis examples small: at most 2**5 combinations per fault
 MAX_SIDES = 5
@@ -254,8 +256,10 @@ class TestScreen:
             ]
             searched = []
             # the C run never calls _attempt: spy on the Python loop
-            with mock.patch.object(aptpg, "_attempt", spy_searches(sides, searched)):
-                outcome = run_aptpg(circuit, fault, test_class, 8, fusion="codegen")
+            with python_tiers(), mock.patch.object(
+                aptpg, "_attempt", spy_searches(sides, searched)
+            ):
+                outcome = run_aptpg(circuit, fault, test_class, 8)
             native = run_aptpg(circuit, fault, test_class, 8)
             assert outcome.survivors == native.survivors == expected
             # survivors are searched in order, up to the first test
@@ -332,14 +336,11 @@ class TestMatchesSerialLoop:
 class TestPolarityBitsRange:
     """``max_xor_polarity_bits`` must lie in [0, 16] on every engine."""
 
-    @pytest.mark.parametrize(
-        "fusion", [pytest.param("auto", marks=needs_native), "codegen", "interp"]
-    )
-    def test_both_ends(self, fusion):
+    def test_both_ends(self, engine):
         c, fault = xor_chain(2, 0)
         for test_class in TestClass:
             for bits in (0, 16):
-                got = run_aptpg(c, fault, test_class, 8, fusion=fusion,
+                got = run_aptpg(c, fault, test_class, 8, fusion=engine,
                                 max_xor_polarity_bits=bits)
                 assert got.status is (
                     FaultStatus.TESTED if bits else FaultStatus.ABORTED
@@ -349,7 +350,7 @@ class TestPolarityBitsRange:
                 # refused before any state is built
                 with mock.patch.object(aptpg, "TpgState", side_effect=AssertionError):
                     with pytest.raises(ValueError, match=f"max_xor_polarity_bits={bits}"):
-                        run_aptpg(c, fault, test_class, 8, fusion=fusion,
+                        run_aptpg(c, fault, test_class, 8, fusion=engine,
                                   max_xor_polarity_bits=bits)
 
     def test_a_path_without_xor_sides(self):
@@ -364,12 +365,13 @@ class TestPolarityBitsRange:
         c = b.build()
         fault = PathDelayFault.from_names(c, ("a", "y", "z"), Transition.RISING)
         assert xor_side_signals(c, fault) == []
-        for fusion in ("auto", "codegen"):
-            got = run_aptpg(c, fault, TestClass.NONROBUST, 32, fusion=fusion)
-            assert got.status is FaultStatus.REDUNDANT
-            with pytest.raises(ValueError, match="max_xor_polarity_bits=-1"):
-                run_aptpg(c, fault, TestClass.NONROBUST, 32, fusion=fusion,
-                          max_xor_polarity_bits=-1)
+        for tiers in (contextlib.nullcontext, python_tiers):
+            with tiers():
+                got = run_aptpg(c, fault, TestClass.NONROBUST, 32)
+                assert got.status is FaultStatus.REDUNDANT
+                with pytest.raises(ValueError, match="max_xor_polarity_bits=-1"):
+                    run_aptpg(c, fault, TestClass.NONROBUST, 32,
+                              max_xor_polarity_bits=-1)
 
 
 def xor_chain(n_sides: int, anded: int) -> Tuple[Circuit, PathDelayFault]:
@@ -418,10 +420,10 @@ class TestChunkedScreen:
                     ]
                     assert expected and len(expected) < 1 << n_sides
                     searched = []
-                    with mock.patch.object(
+                    with python_tiers(), mock.patch.object(
                         aptpg, "_attempt", spy_searches(sides, searched)
                     ):
-                        spied = run_aptpg(c, fault, test_class, 32, fusion="codegen")
+                        spied = run_aptpg(c, fault, test_class, 32)
                     native = run_aptpg(c, fault, test_class, 32)
                     assert spied.survivors == native.survivors == expected
                     # the first survivor is searched and tested
@@ -446,8 +448,8 @@ class TestChunkedScreen:
             return state, seconds
 
         # the C run never calls _sensitized_state: spy on the Python loop
-        with mock.patch.object(aptpg, "_sensitized_state", spy):
-            outcome = run_aptpg(c, fault, TestClass.NONROBUST, 32, fusion="codegen")
+        with python_tiers(), mock.patch.object(aptpg, "_sensitized_state", spy):
+            outcome = run_aptpg(c, fault, TestClass.NONROBUST, 32)
         assert outcome.status is FaultStatus.TESTED
         screens, searches = widths[:4], widths[4:]
         assert [w for w, _ in screens] == [64] * 4
@@ -477,10 +479,13 @@ def assert_aptpg_matches_python(circuit, fault, test_class, width, **options):
     """The native run equals the Python loops on codegen and interp."""
     got = run_aptpg(circuit, fault, test_class, width, **options)
     assert got.state.tier == "native/c"
-    for fusion in ("codegen", "interp"):
-        want = run_aptpg(circuit, fault, test_class, width, fusion=fusion, **options)
-        assert want.state.tier != "native/c"
-        assert_same_outcome(got, want)
+    with python_tiers():
+        for fusion in ("auto", "interp"):
+            want = run_aptpg(
+                circuit, fault, test_class, width, fusion=fusion, **options
+            )
+            assert want.state.tier != "native/c"
+            assert_same_outcome(got, want)
     return got
 
 
@@ -520,12 +525,13 @@ class TestNativeShardsMatchPython:
         """Faults whose one-lane search backtracks, at every backtrack
         limit and with zero or one lane split."""
         circuit = xor_dag(seed, 10, 50, repeats=True)
-        hard = [
-            (fault, test_class)
-            for fault in fault_list(circuit, cap=96, strategy="all")
-            for test_class in TestClass
-            if run_aptpg(circuit, fault, test_class, 1, fusion="codegen").backtracks
-        ]
+        with python_tiers():
+            hard = [
+                (fault, test_class)
+                for fault in fault_list(circuit, cap=96, strategy="all")
+                for test_class in TestClass
+                if run_aptpg(circuit, fault, test_class, 1).backtracks
+            ]
         assert len(hard) >= 5
         for fault, test_class in hard:
             for width in (1, 2, 3):
@@ -545,12 +551,12 @@ class TestNativeShardsMatchPython:
         extra = [(15, (0, 0, 0, 0)), (4, (0, 0, 0, 0)), (5, (4, 0, 4, 0)),
                  (19, (2, 0, 0, 2))]
         runs = []
-        for fusion in ("auto", "codegen", "interp"):
-            state = TpgState(circuit, SEVEN_VALUED, 3, fusion=fusion)
+        for tier in TPG_TIERS:
+            state = tpg_state(tier, circuit, SEVEN_VALUED, 3)
             state.sensitize(fault, state.mask)
             for signal, planes in extra:
                 state.assign(signal, planes)
-            if fusion == "auto":
+            if tier == "native/c":
                 runs.append((state.search(cc, 64), list(state.planes)))
             else:
                 runs.append((aptpg._search(state, cc, 64), state.planes))
@@ -568,8 +574,9 @@ class TestNativeShardsMatchPython:
         )
         got = run_fptpg(circuit, batch, test_class, width)
         assert got.state.tier == "native/c"
-        for fusion in ("codegen", "interp"):
-            want = run_fptpg(circuit, batch, test_class, width, fusion=fusion)
+        for fusion in ("auto", "interp"):
+            with python_tiers():
+                want = run_fptpg(circuit, batch, test_class, width, fusion=fusion)
             assert want.state.tier != "native/c"
             assert got.statuses == want.statuses
             assert got.patterns == want.patterns

@@ -18,9 +18,10 @@ import itertools
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import AtpgSession
 from repro.circuit import GateType
 from repro.circuit.generators import random_dag
-from repro.core import FaultStatus, TpgOptions, generate_tests
+from repro.core import FaultStatus
 from repro.logic import seven_valued as sv
 from repro.logic import three_valued as tv
 from repro.paths import TestClass, all_faults, count_paths, iter_paths
@@ -173,8 +174,8 @@ class TestGenerationProperties:
         circuit = random_dag(6, 18, seed=seed)
         faults = all_faults(circuit, cap=40)
         for test_class in (TestClass.NONROBUST, TestClass.ROBUST):
-            report = generate_tests(
-                circuit, faults, test_class, TpgOptions(drop_faults=False)
+            report = AtpgSession(circuit).generate(
+                faults, test_class=test_class, drop_faults=False
             )
             simulator = DelayFaultSimulator(circuit, test_class)
             for record in report.records:
@@ -198,8 +199,8 @@ class TestGenerationProperties:
 
         circuit = random_dag(5, 14, seed=seed)
         faults = all_faults(circuit, cap=20)
-        report = generate_tests(
-            circuit, faults, TestClass.ROBUST, TpgOptions(drop_faults=False)
+        report = AtpgSession(circuit).generate(
+            faults, test_class=TestClass.ROBUST, drop_faults=False
         )
         for record in report.records:
             if record.status is not FaultStatus.TESTED or record.fault.length < 1:

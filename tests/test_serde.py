@@ -159,6 +159,16 @@ class TestRoundTrips:
         with pytest.raises(SchemaError, match="workers"):
             serde.options_from_payload({**v4, "schema_version": 5})
 
+    @pytest.mark.parametrize("version", [2, 3, 4, 5])
+    @pytest.mark.parametrize("fusion", ["vector", "codegen"])
+    def test_retired_fusion_reads_as_auto(self, version, fusion):
+        """Options v2–v5 could name the retired numpy strategies; they
+        decode as ``auto``, which settles every fault the same way."""
+        layers = {"generation": {"width": 8, "fusion": fusion}}
+        payload = stamp("repro/options", layers, version=version)
+        assert serde.options_from_payload(payload) == Options(width=8)
+        assert Options.from_layers(layers).fusion == "auto"
+
     @settings(max_examples=25)
     @given(report=tpg_reports)
     def test_tpg_report(self, report):

@@ -1,9 +1,9 @@
 """Tests of the service endpoint (repro.api.service).
 
-The smoke contract from the issue: a POSTed c17/c880 generate request
-must return, through the JSON schema round-trip, exactly the per-fault
-statuses the legacy ``generate_tests`` produces — the server is the
-same engine behind a wire format, never a reimplementation.
+The smoke contract: a POSTed c17/c880 generate request must return,
+through the JSON schema round-trip, exactly the per-fault statuses an
+in-process ``AtpgSession.generate`` produces — the server is the same
+engine behind a wire format, never a reimplementation.
 """
 
 import json
@@ -12,7 +12,6 @@ import threading
 import time
 import urllib.error
 import urllib.request
-import warnings
 
 import pytest
 
@@ -37,12 +36,8 @@ needs_native = pytest.mark.skipif(
 )
 
 
-def legacy_statuses(circuit, faults, test_class):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        from repro.core import generate_tests
-
-        report = generate_tests(circuit, faults, test_class)
+def engine_statuses(circuit, faults, test_class):
+    report = AtpgSession(circuit).generate(faults, test_class=test_class)
     return [record.status.value for record in report.records]
 
 
@@ -52,7 +47,7 @@ def legacy_statuses(circuit, faults, test_class):
 
 
 class TestDispatcher:
-    def test_generate_matches_legacy_engine(self):
+    def test_generate_matches_the_engine(self):
         service = AtpgService()
         response = service.handle(
             GenerateRequest(circuit="c17", test_class="robust")
@@ -60,8 +55,29 @@ class TestDispatcher:
         assert response.ok
         validate(response.payload, kind="repro/tpg-report")
         circuit = c17()
-        expected = legacy_statuses(circuit, all_faults(circuit), TestClass.ROBUST)
+        expected = engine_statuses(circuit, all_faults(circuit), TestClass.ROBUST)
         assert [r["status"] for r in response.payload["records"]] == expected
+
+    @pytest.mark.parametrize("version", [2, 3, 4, 5])
+    @pytest.mark.parametrize("fusion", ["vector", "codegen"])
+    def test_retired_fusion_generate_runs_as_auto(self, version, fusion):
+        """A generate request whose options name a retired strategy runs
+        under ``auto``: the same statuses as the request without them."""
+        service = AtpgService()
+        body = {"circuit": "c17", "test_class": "robust"}
+        old = {**body, "options": {"generation": {"fusion": fusion}}}
+        requests = [
+            service_request(
+                "generate", stamp("repro/request.generate", b, version=version)
+            )
+            for b in (body, old)
+        ]
+        assert requests[1].options.fusion == "auto"
+        plain, retired = (service.handle(request) for request in requests)
+        assert plain.ok and retired.ok
+        assert [r["status"] for r in retired.payload["records"]] == [
+            r["status"] for r in plain.payload["records"]
+        ]
 
     def test_inline_bench_and_session_cache(self):
         service = AtpgService()
@@ -308,7 +324,7 @@ class TestHttpEndpoint:
         result = envelope["result"]
         validate(result, kind="repro/tpg-report")
         circuit = c17()
-        assert [r["status"] for r in result["records"]] == legacy_statuses(
+        assert [r["status"] for r in result["records"]] == engine_statuses(
             circuit, all_faults(circuit), TestClass.ROBUST
         )
 
@@ -703,7 +719,7 @@ class TestHttpEndpoint:
 
 
 class TestAcceptanceCriterion:
-    """c880 through the wire == c880 through the legacy engine."""
+    """c880 through the wire == c880 through the in-process engine."""
 
     def test_c880_statuses_round_trip_through_service(self, server):
         from repro.circuit.suites import suite_circuit
@@ -711,7 +727,7 @@ class TestAcceptanceCriterion:
 
         circuit = suite_circuit("c880", 1)
         faults = fault_list(circuit, cap=96, strategy="all")
-        expected = legacy_statuses(circuit, faults, TestClass.NONROBUST)
+        expected = engine_statuses(circuit, faults, TestClass.NONROBUST)
 
         request = stamp(
             "repro/request.generate",
@@ -1170,6 +1186,70 @@ class TestJobQueue:
         )
         assert result["statuses"] == sync.payload["statuses"]
         second.shutdown()
+
+
+    @pytest.mark.parametrize("fusion", ["vector", "codegen"])
+    def test_retired_fusion_job_resumes_its_v4_checkpoint(self, tmp_path, fusion):
+        """A campaign job left by a service that still took the retired
+        strategies: its v4 request names one, and its v4 checkpoint
+        holds two rounds.  A new service reads the job record, runs the
+        options as ``auto`` and resumes the checkpoint, settling every
+        fault as the request without options does."""
+        from repro.api import CampaignRequest, ServiceOptions, integrity
+        from repro.api.jobs import Job
+        from repro.campaign import CampaignControl, FaultUniverse
+
+        class StopAfterTwoRounds(CampaignControl):
+            rounds = 0
+
+            def should_stop(self):
+                return self.rounds >= 2
+
+            def on_round(self, progress):
+                self.rounds = progress["rounds"]
+
+        job_id = "0123456789abcdef"
+        checkpoint = str(tmp_path / f"{job_id}.ckpt.json")
+        session = AtpgSession.open("c880")
+        partial = session.campaign(
+            universe=FaultUniverse.from_circuit(session.circuit, max_faults=400),
+            control=StopAfterTwoRounds(),
+            checkpoint=checkpoint,
+            checkpoint_every=1,
+            resume=True,
+        )
+        assert not partial.complete
+        payload, _ = integrity.load_json_verified(checkpoint)
+        assert payload["version"] == 4 and payload["settled"]
+        request = stamp(
+            "repro/request.campaign",
+            {
+                "circuit": "c880",
+                "max_faults": 400,
+                "options": {"generation": {"fusion": fusion}},
+            },
+            version=4,
+        )
+        with open(tmp_path / f"{job_id}.request.json", "w") as handle:
+            json.dump(request, handle)
+        job = Job(
+            id=job_id, verb="campaign", payload=request, state="interrupted",
+            checkpoint=checkpoint,
+        )
+        integrity.write_json_rotated(
+            str(tmp_path / f"{job_id}.job.json"), job.snapshot()
+        )
+
+        service = AtpgService(config=ServiceOptions(workers=1, jobs_dir=str(tmp_path)))
+        record = _poll_until(service, job_id, ("done", "failed"))
+        assert record["state"] == "done", record.get("error")
+        result = record["result"]
+        assert result["complete"] is True
+        assert result["options"]["generation"]["fusion"] == "auto"
+        assert result["stats"]["rounds"] > 2
+        sync = AtpgService().handle(CampaignRequest(circuit="c880", max_faults=400))
+        assert result["statuses"] == sync.payload["statuses"]
+        service.shutdown()
 
 
 # ---------------------------------------------------------------------------

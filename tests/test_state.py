@@ -12,6 +12,7 @@ from repro.core.state import SEVEN_VALUED, THREE_VALUED, TpgState, tpg_tier
 from repro.kernel import native_available, native_plan
 from repro.logic import three_valued as tv
 from repro.logic import seven_valued as sv
+from tiers import TPG_TIERS, tpg_state
 
 
 needs_native = pytest.mark.skipif(
@@ -272,11 +273,11 @@ class TestSharedTables:
     def test_states_of_one_circuit_share_the_tables(self):
         """The Python engine's codegen tables."""
         c = c17()
-        first = TpgState(c, THREE_VALUED, 4, fusion="codegen")
-        second = TpgState(c, THREE_VALUED, 32, fusion="codegen")
+        first = tpg_state("python/codegen", c, THREE_VALUED, 4)
+        second = tpg_state("python/codegen", c, THREE_VALUED, 32)
         assert first._forward_fns is second._forward_fns
         assert first._backward_fns is second._backward_fns
-        robust = TpgState(c, SEVEN_VALUED, 4, fusion="codegen")
+        robust = tpg_state("python/codegen", c, SEVEN_VALUED, 4)
         assert robust._forward_fns is not first._forward_fns
         assert TpgState(c, THREE_VALUED, 4, fusion="interp")._forward_fns is None
 
@@ -285,10 +286,10 @@ class TestSharedTables:
         import pickle
 
         c = c17()
-        original = TpgState(c, THREE_VALUED, 4, fusion="codegen")
+        original = tpg_state("python/codegen", c, THREE_VALUED, 4)
         clone = pickle.loads(pickle.dumps(c))
         assert not clone.compiled()._fusion_cache
-        rebuilt = TpgState(clone, THREE_VALUED, 4, fusion="codegen")
+        rebuilt = tpg_state("python/codegen", clone, THREE_VALUED, 4)
         assert rebuilt._forward_fns is not original._forward_fns
         assert rebuilt._forward_fns == original._forward_fns
         assert rebuilt._backward_fns == original._backward_fns
@@ -307,13 +308,12 @@ class TestEngineSelection:
             assert tpg_tier(width) == "native/c"
         assert TpgState(c, SEVEN_VALUED, 65).tier == "python/codegen"
 
-    def test_explicit_strategies_run_python(self):
+    def test_interp_runs_the_oracle_and_other_strategies_raise(self):
         c = c17()
-        for fusion in ("codegen", "vector"):
-            assert TpgState(c, THREE_VALUED, 8, fusion=fusion).tier == "python/codegen"
         assert TpgState(c, THREE_VALUED, 8, fusion="interp").tier == "python/interp"
-        with pytest.raises(ValueError, match="unknown fusion"):
-            TpgState(c, THREE_VALUED, 8, fusion="jit")
+        for fusion in ("codegen", "vector", "jit"):
+            with pytest.raises(ValueError, match="unknown fusion"):
+                TpgState(c, THREE_VALUED, 8, fusion=fusion)
 
     def test_algebra_without_compiled_rules_runs_interp(self):
         from dataclasses import replace
@@ -357,14 +357,6 @@ class TestEngineSelection:
             st = TpgState(c17(), THREE_VALUED, 32)
         assert st.tier == "python/codegen"
         assert st._forward_fns is not None
-
-
-@pytest.fixture(params=["auto", "codegen", "interp"])
-def engine(request):
-    """The fusion value selecting each engine (auto: the C one)."""
-    if request.param == "auto" and not native_available():
-        pytest.skip("no C toolchain and no cached native module")
-    return request.param
 
 
 class TestValidation:
@@ -482,7 +474,7 @@ def assert_same_state(got: TpgState, want: TpgState) -> None:
 OPS = ["assign"] * 8 + ["imply"] * 4 + ["mark", "rollback"] * 3 + [
     "scan", "justified", "flatten"]
 
-ENGINES = [pytest.param("auto", marks=needs_native), "codegen"]
+ENGINES = [pytest.param("native/c", marks=needs_native), "python/codegen"]
 
 
 class TestGateRules:
@@ -505,7 +497,7 @@ class TestGateRules:
         width = data.draw(hst.sampled_from([1, 7, 32, 64]), label="width")
         algebra = data.draw(hst.sampled_from([THREE_VALUED, SEVEN_VALUED]))
         use_backward = data.draw(hst.booleans(), label="use_backward")
-        got = TpgState(circuit, algebra, width, use_backward, fusion=engine)
+        got = tpg_state(engine, circuit, algebra, width, use_backward)
         want = TpgState(circuit, algebra, width, use_backward, fusion="interp")
         # uniform bits: every plane combination shows up in some lane
         rng = random.Random(data.draw(hst.integers(0, 2**32), label="seed"))
@@ -537,7 +529,7 @@ class TestEnginesMatchInterp:
         width = data.draw(hst.sampled_from([1, 7, 32, 64]), label="width")
         algebra = data.draw(hst.sampled_from([THREE_VALUED, SEVEN_VALUED]))
         use_backward = data.draw(hst.booleans(), label="use_backward")
-        got = TpgState(circuit, algebra, width, use_backward, fusion=engine)
+        got = tpg_state(engine, circuit, algebra, width, use_backward)
         want = TpgState(circuit, algebra, width, use_backward, fusion="interp")
         names = list(sv.VALUES) if algebra is SEVEN_VALUED else ["0", "1"]
         mask = got.mask
@@ -647,8 +639,8 @@ class TestSensitizeMatchesPython:
         got = TpgState(circuit, algebra, width, use_backward, fusion="auto")
         assert got.tier == "native/c"
         wants = [
-            TpgState(circuit, algebra, width, use_backward, fusion=engine)
-            for engine in ("interp", "codegen")
+            tpg_state(tier, circuit, algebra, width, use_backward)
+            for tier in ("python/interp", "python/codegen")
         ]
         rule = sensitize_nonrobust if algebra is THREE_VALUED else sensitize_robust
         lane_word = hst.integers(0, got.mask) | hst.integers(-(1 << 70), 1 << 70)
@@ -774,8 +766,8 @@ class TestDecideMatchesPython:
         got = TpgState(circuit, algebra, width, use_backward, fusion="auto")
         assert got.tier == "native/c"
         wants = [
-            TpgState(circuit, algebra, width, use_backward, fusion=engine)
-            for engine in ("interp", "codegen")
+            tpg_state(tier, circuit, algebra, width, use_backward)
+            for tier in ("python/interp", "python/codegen")
         ]
         cc = draw_controllability(data, circuit)
         patterns = PATTERNS[algebra.name]
@@ -902,8 +894,8 @@ class TestShardLoopsMatchPython:
         )
         assert got.tier == twin.tier == "native/c"
         wants = [twin] + [
-            TpgState(circuit, algebra, width, use_backward, fusion=engine)
-            for engine in ("interp", "codegen")
+            tpg_state(tier, circuit, algebra, width, use_backward)
+            for tier in ("python/interp", "python/codegen")
         ]
         cc = compute_controllability(circuit)
         patterns = PATTERNS[algebra.name]
@@ -963,12 +955,13 @@ class TestShardLoopsMatchPython:
         circuit.freeze()
         cc = compute_controllability(circuit)
         runs = []
-        for fusion in ("auto", "codegen", "interp"):
-            state = TpgState(circuit, SEVEN_VALUED, 2, use_backward=False, fusion=fusion)
+        for tier in TPG_TIERS:
+            state = tpg_state(tier, circuit, SEVEN_VALUED, 2, use_backward=False)
             state.assign(a, (0, 0, 0, 0b10))
             state.assign(h, sv.encode_word("S1", 0b01))
             state.assign(g, sv.encode_word("U1", 0b10))
-            run = state.search(cc, 64) if fusion == "auto" else _search(state, cc, 64)
+            native = tier == "native/c"
+            run = state.search(cc, 64) if native else _search(state, cc, 64)
             runs.append((run, list(state.planes)))
         (run, planes), *wants = runs
         assert (run.status, run.lane, run.decisions, run.splits_used) == (TESTED, 1, 2, 1)

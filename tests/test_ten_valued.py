@@ -11,7 +11,7 @@ import pytest
 
 from repro.circuit import CircuitBuilder, GateType
 from repro.circuit.library import paper_example
-from repro.core import TestPattern, generate_tests
+from repro.core import TestPattern
 from repro.logic import seven_valued as sv
 from repro.logic import ten_valued as xv
 from repro.paths import PathDelayFault, TestClass, Transition, all_faults

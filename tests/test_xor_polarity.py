@@ -9,10 +9,11 @@ the fix.
 
 import pytest
 
+from repro.api import AtpgSession
 from repro.baselines import generate_tests_bdd
 from repro.circuit import CircuitBuilder
 from repro.circuit.suites import suite_circuit
-from repro.core import FaultStatus, TpgOptions, generate_tests
+from repro.core import FaultStatus
 from repro.core.aptpg import run_aptpg
 from repro.core.sensitize import path_final_values, xor_side_signals
 from repro.paths import PathDelayFault, TestClass, Transition, fault_list
@@ -60,7 +61,7 @@ class TestVerdicts:
     def test_polarity_path_is_tested(self, polarity_circuit, transition):
         c = polarity_circuit
         fault = PathDelayFault.from_names(c, ("a", "y", "z"), transition)
-        report = generate_tests(c, [fault], TestClass.NONROBUST)
+        report = AtpgSession(c).generate([fault], test_class=TestClass.NONROBUST)
         record = report.records[0]
         assert record.status in (FaultStatus.TESTED, FaultStatus.SIMULATED)
         sim = DelayFaultSimulator(c, TestClass.NONROBUST)
@@ -102,8 +103,8 @@ class TestWidthIndependence:
         circuit = suite_circuit("s1423", 1)
         faults = fault_list(circuit, cap=96, strategy="all")
         reports = {
-            width: generate_tests(
-                circuit, faults, TestClass.NONROBUST, TpgOptions(width=width)
+            width: AtpgSession(circuit).generate(
+                faults, test_class=TestClass.NONROBUST, width=width
             )
             for width in (1, 4, 64)
         }
