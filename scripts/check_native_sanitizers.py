@@ -43,9 +43,10 @@ SANITIZE_LINK = ["-fsanitize=address,undefined"]
 
 #: The suites that drive the C unit: the TPG engine, the polarity
 #: screen, the passes and walks, the fault table and the campaign's
-#: shards and drop bus, the hostile-input boundary tests, and the
-#: simulators and packers that reach the tuple reader through their
-#: public calls.
+#: shards and drop bus, the hostile-input boundary tests, the
+#: simulators and packers that reach the object readers through their
+#: public calls, and the session API, whose ``grade`` runs the walk
+#: for flags only (no mask rows written).
 SUITES = [
     "tests/test_state.py",
     "tests/test_polarity_screen.py",
@@ -59,6 +60,7 @@ SUITES = [
     "tests/test_patterns.py",
     "tests/test_logic_sim.py",
     "tests/test_stuck_at.py",
+    "tests/test_api.py",
 ]
 
 _CHILD = """

@@ -1001,6 +1001,22 @@ class _Server(ThreadingHTTPServer):
     # retransmits
     request_queue_size = 128
 
+    def handle_error(self, request, client_address) -> None:
+        """Drop a connection its client reset or closed, quietly.
+
+        The stdlib prints a traceback for every exception a handler
+        lets out; a client that resets mid-request (a read in
+        ``do_POST`` or the request line's ``readline``) is not the
+        server's fault, and there is nobody left to answer.  Everything
+        else still gets the stdlib's report.
+        """
+        if isinstance(
+            sys.exc_info()[1],
+            (ConnectionResetError, BrokenPipeError, ConnectionAbortedError),
+        ):
+            return
+        super().handle_error(request, client_address)
+
 
 def make_server(
     host: str = "127.0.0.1",

@@ -145,7 +145,8 @@ class AtpgSession:
         test_class: TestClass,
         backend: str = "auto",
         fusion: str = "auto",
-    ) -> List[int]:
+        flags: bool = False,
+    ) -> List:
         """Detection masks behind the runtime degradation chain.
 
         Tier 0 runs the requested backend/fusion pair — with the
@@ -161,7 +162,9 @@ class AtpgSession:
         surfaces the count as ``degraded_circuits`` in
         ``/v1/metrics``); only a call failing at the last tier
         propagates its exception.  All tiers are bit-identical, so a
-        degraded answer is still *the* answer, just slower.
+        degraded answer is still *the* answer, just slower.  *flags*
+        (from :meth:`grade`) reduces each mask to a ``bool``
+        (:meth:`repro.sim.DelayFaultSimulator.detection_masks`).
         """
         tiers = [(backend, fusion), ("numpy", "auto"), ("numpy", "interp")]
         level = min(self._degrade_level, len(tiers) - 1)
@@ -169,7 +172,7 @@ class AtpgSession:
             tier_backend, tier_fusion = tiers[level]
             sim = self._simulator(test_class, tier_backend, tier_fusion)
             try:
-                return sim.detection_masks(patterns, list(faults))
+                return sim.detection_masks(patterns, list(faults), flags=flags)
             except (ValueError, TypeError):
                 raise  # malformed input: no tier can answer it
             except Exception as exc:  # noqa: BLE001 - breaker boundary
@@ -395,9 +398,12 @@ class AtpgSession:
         aggregated ``strength_counts``.
 
         *patterns* may be a :class:`repro.core.patterns.PatternTable`,
-        packed from its row columns (one ``pack_bits`` per vector), or
-        a pre-packed :class:`repro.kernel.PackedPatterns`; a tuple
-        sequence is packed with ``PackedPatterns.from_patterns``.
+        packed from its row columns (one ``pack_bits`` over V1 and V2
+        together), or a pre-packed :class:`repro.kernel.PackedPatterns`;
+        a list of :class:`TestPattern` objects is read in C straight
+        into lane planes (:func:`repro.kernel.native.read_pattern_planes`).
+        Without *strength* the walk asks only whether each fault is
+        detected, so no mask rows are built.
         """
         faults = list(faults)
         if isinstance(patterns, PatternTable):
@@ -414,13 +420,16 @@ class AtpgSession:
                 self.circuit, patterns, faults, backend=backend, fusion=fusion
             )
             robust_class = resolved_class is TestClass.ROBUST
-            masks = [t[1] if robust_class else t[0] for t in triples]
+            flags = [bool(t[1] if robust_class else t[0]) for t in triples]
         else:
-            masks = self.simulate(
-                patterns, faults, test_class=test_class, backend=backend,
+            flags = self.resilient_masks(
+                patterns,
+                faults,
+                test_class=resolved_class,
+                backend=backend,
                 fusion=fusion,
+                flags=True,
             )
-        flags = [bool(mask) for mask in masks]
         detected = sum(flags)
         report: Dict[str, object] = {
             "circuit": self.circuit.name,

@@ -40,9 +40,13 @@ from ..paths.table import grown, path_input_error
 from .state import TpgState
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TestPattern:
     """A concrete two-vector test for one target fault.
+
+    Slotted, so the row codec's C reader
+    (:func:`repro.kernel.native.read_pattern_planes`) finds ``v1`` and
+    ``v2`` at fixed offsets in the object.
 
     Attributes:
         v1: initial vector, one 0/1 per primary input (circuit order).

@@ -15,6 +15,7 @@
    scripts/check_native_sanitizers.py runs the native test suites on an
    ASan + UBSan build. */
 #include <Python.h>
+#include <structmember.h>
 #ifndef _POSIX_C_SOURCE
 #define _POSIX_C_SOURCE 199309L
 #endif
@@ -387,14 +388,11 @@ void repro_planes10_pass(const repro_plan *p, u64 *Z, u64 *O, u64 *S,
    row recorded in slot (caller-filled with -1; -2 marks an edge
    with no side condition).  A path step whose on is not a fanin of
    sig uses the spare row after the last edge, recomputed each time.
-   Each fault's mask is built in the next free output row, ANDing the
-   early exit into the same loop, and kept -- with its fault index --
-   only when some lane survives, so the caller converts detected rows
-   only.  The faults are rows of a repro.paths.FaultTable (a
-   signal CSR plus launch values); rows gathers the walked ones by
-   row number, NULL meaning rows 0..n_faults-1, and the fault index
-   kept is the position in rows.  Rows and ids are checked in
-   Python before the call. */
+   The faults are rows of a repro.paths.FaultTable (a signal CSR plus
+   launch values); rows gathers the walked ones by row number, NULL
+   meaning rows 0..n_faults-1, and the fault index kept is the
+   position in rows.  Rows and ids are checked in Python before the
+   call. */
 #define REPRO_NO_TERM (-2)
 
 /* The memo key of the on-path edge on -> sig: the CSR position of the
@@ -406,14 +404,14 @@ static long _edge_id(const repro_plan *p, long on, long sig) {
   return -1;
 }
 
-static const u64 *_detect_term(const repro_plan *p, const u64 *Z,
-                               const u64 *O, const u64 *S, long n,
-                               int robust, long on, long sig,
-                               int32_t *slot, u64 *terms, long *used) {
-  long e = _edge_id(p, on, sig), w, k;
-  if (e >= 0 && slot[e] == REPRO_NO_TERM) return 0;
-  if (e >= 0 && slot[e] >= 0) return terms + slot[e] * n;
-  u64 *t = terms + (e >= 0 ? *used : p->fanin_off[p->n_signals]) * n;
+/* The side-input rule of one on-path edge on -> sig, the one place it
+   is written: the AND of every side input's condition into t (n
+   words, all ones where nothing applies).  Returns whether some side
+   input imposes one. */
+static int _detect_term(const repro_plan *p, const u64 *Z, const u64 *O,
+                        const u64 *S, long n, int robust, long on,
+                        long sig, u64 *t) {
+  long w, k;
   int c = p->ctrl[sig], has_side = 0;
   for (w = 0; w < n; w++) t[w] = ~(u64)0;
   for (k = p->fanin_off[sig]; k < p->fanin_off[sig + 1]; k++) {
@@ -436,6 +434,43 @@ static const u64 *_detect_term(const repro_plan *p, const u64 *Z,
         t[w] &= ncp[fs * n + w] & (S[fs * n + w] | ~ncp[on * n + w]);
     else
       for (w = 0; w < n; w++) t[w] &= ncp[fs * n + w];
+  }
+  return has_side;
+}
+
+/* The walk's kinds: the mask rows each fault carries and the terms
+   that AND into them. */
+#define WALK_NONROBUST 0
+#define WALK_ROBUST 1
+/* three rows: nonrobust, robust, hazard-free robust */
+#define WALK_STRENGTH 2
+
+/* The k = (kind == WALK_STRENGTH ? 3 : 1) term rows of edge on -> sig,
+   memoized in slot/terms (k rows a term), or 0 when no side input
+   imposes anything.  A strength term is the nonrobust and the robust
+   _detect_term, then the robust one ANDed with every controlled side
+   input's hazard-free plane H. */
+static const u64 *_edge_term(const repro_plan *p, const u64 *const *V,
+                             long n, int kind, long on, long sig,
+                             int32_t *slot, u64 *terms, long *used) {
+  long e = _edge_id(p, on, sig), rows = kind == WALK_STRENGTH ? 3 : 1, w, k;
+  int has_side;
+  if (e >= 0 && slot[e] == REPRO_NO_TERM) return 0;
+  if (e >= 0 && slot[e] >= 0) return terms + slot[e] * rows * n;
+  u64 *t = terms + (e >= 0 ? *used : p->fanin_off[p->n_signals]) * rows * n;
+  if (kind != WALK_STRENGTH) {
+    has_side = _detect_term(p, V[0], V[1], V[2], n, kind, on, sig, t);
+  } else {
+    u64 *st = t + 2 * n;
+    _detect_term(p, V[0], V[1], V[2], n, 0, on, sig, t);
+    has_side = _detect_term(p, V[0], V[1], V[2], n, 1, on, sig, t + n);
+    memcpy(st, t + n, (size_t)n * sizeof(u64));
+    if (p->ctrl[sig] >= 0)
+      for (k = p->fanin_off[sig]; k < p->fanin_off[sig + 1]; k++) {
+        long fs = p->fanin_idx[k];
+        if (fs == on) continue;
+        for (w = 0; w < n; w++) st[w] &= V[4][fs * n + w];
+      }
   }
   if (e >= 0) slot[e] = has_side ? (int32_t)(*used)++ : REPRO_NO_TERM;
   return has_side ? t : 0;
@@ -466,43 +501,120 @@ static u64 _launch_rows(u64 *restrict det, const u64 *restrict a,
   return any0 | any1 | any2 | any3;
 }
 
-/* det &= t over n words; returns whether any lane survives. */
-static u64 _and_rows(u64 *restrict det, const u64 *restrict t, long n) {
+/* det = a & t over n words; returns whether any lane survives. */
+static u64 _and_rows(u64 *restrict det, const u64 *restrict a,
+                     const u64 *restrict t, long n) {
   u64 any0 = 0, any1 = 0, any2 = 0, any3 = 0;
   long w;
   for (w = 0; w + 4 <= n; w += 4) {
-    u64 d0 = det[w] & t[w], d1 = det[w + 1] & t[w + 1];
-    u64 d2 = det[w + 2] & t[w + 2], d3 = det[w + 3] & t[w + 3];
+    u64 d0 = a[w] & t[w], d1 = a[w + 1] & t[w + 1];
+    u64 d2 = a[w + 2] & t[w + 2], d3 = a[w + 3] & t[w + 3];
     det[w] = d0; det[w + 1] = d1; det[w + 2] = d2; det[w + 3] = d3;
     any0 |= d0; any1 |= d1; any2 |= d2; any3 |= d3;
   }
   for (; w < n; w++) {
-    det[w] &= t[w];
+    det[w] = a[w] & t[w];
     any0 |= det[w];
   }
   return any0 | any1 | any2 | any3;
 }
 
-/* One fault's mask into det: the launch at the path input, then each
-   on-path edge's side term, until no lane survives.  Returns whether
-   some lane does. */
-static u64 _detect_fault(const repro_plan *p, const u64 *Z, const u64 *O,
-                         const u64 *S, const u64 *I, long n,
-                         const int32_t *path, long plen, int final_one,
-                         int robust, const u64 *valid, int32_t *slot,
-                         u64 *terms, long *used, u64 *det) {
-  const u64 *ins = I + (long)path[0] * n;
-  const u64 *launch = (final_one ? O : Z) + (long)path[0] * n;
-  u64 any = _launch_rows(det, ins, launch, valid, n);
-  long q;
-  for (q = 1; q < plen && any; q++) {
-    const u64 *t = _detect_term(p, Z, O, S, n, robust, path[q - 1],
-                                path[q], slot, terms, used);
-    if (t) any = _and_rows(det, t, n);
+/* What the walk keeps of the last path it walked with one launch
+   polarity: the path, its length, the position whose term killed its
+   mask (len when it survived), and at[q], its mask rows after
+   position q -- a row of the stack, or the row before it where no side
+   input imposed anything. */
+typedef struct {
+  const int32_t *path;
+  long len, dead;
+  const u64 **at;
+} walk_prefix;
+
+/* The walk of repro_detect_walk, repro_strength_walk and
+   repro_drop_round.  V holds the slabs Z, O, S, I (and H for
+   WALK_STRENGTH).  A fault's mask is its launch at the path input,
+   ANDed with each on-path edge's term until no lane survives, in k
+   rows.  Faults with the same launch polarity share path prefixes:
+   one whose path agrees with the last one walked beyond the position
+   that killed that one's mask is settled at once, and any other
+   resumes from the longest prefix the two share, so a batch in
+   depth-first order walks each edge of its path tree about once.  The
+   walked faults are positions f < n_faults, row rows[f] (f when rows
+   is NULL), skipping rows with live[row] == 0 when live is given.  A
+   detected fault's position goes to out_idx and, unless out is NULL,
+   its k rows to out[j] + n_det * n.  Returns how many were detected,
+   -1 when the prefix stack cannot be allocated; it is allocated per
+   call, since callers may walk concurrently. */
+static long _walk(const repro_plan *p, const u64 *const *V, long n,
+                  int kind, const int32_t *flat, const int32_t *off,
+                  const uint8_t *final_one, const int32_t *rows,
+                  const uint8_t *live, long n_faults, const u64 *valid,
+                  int32_t *slot, u64 *terms, u64 *const *out,
+                  int32_t *out_idx) {
+  long k = kind == WALK_STRENGTH ? 3 : 1, depth = 1, used = 0, n_det = 0;
+  long f, j, q;
+  walk_prefix pre[2];
+  const u64 **at;
+  u64 *stack;
+  for (f = 0; f < n_faults; f++) {
+    long r = rows ? rows[f] : f;
+    if (off[r + 1] - off[r] > depth) depth = off[r + 1] - off[r];
   }
-  return any;
+  stack = malloc((size_t)(2 * depth * k * n) * sizeof(u64));
+  at = malloc((size_t)(2 * depth) * sizeof(u64 *));
+  if (!stack || !at) {
+    free(stack);
+    free(at);
+    return -1;
+  }
+  for (j = 0; j < 2; j++) {
+    pre[j].path = 0;
+    pre[j].len = pre[j].dead = 0;
+    pre[j].at = at + j * depth;
+  }
+  for (f = 0; f < n_faults; f++) {
+    long r = rows ? rows[f] : f, len = off[r + 1] - off[r], s = 0;
+    const int32_t *path = flat + off[r];
+    int one = final_one[r] != 0;
+    walk_prefix *pf = pre + one;
+    u64 *base = stack + one * depth * k * n, any = 1;
+    if (live && !live[r]) continue;
+    while (s < len && s < pf->len && path[s] == pf->path[s]) s++;
+    if (s > pf->dead) continue; /* its mask died in the shared prefix */
+    pf->path = path;
+    pf->len = pf->dead = len;
+    for (q = s; q < len && any; q++) {
+      u64 *row = base + q * k * n;
+      if (q == 0) {
+        const u64 *launch = (one ? V[1] : V[0]) + (long)path[0] * n;
+        any = _launch_rows(row, V[3] + (long)path[0] * n, launch, valid, n);
+        for (j = 1; j < k; j++) memcpy(row + j * n, row, (size_t)n * sizeof(u64));
+      } else {
+        const u64 *t = _edge_term(p, V, n, kind, path[q - 1], path[q], slot,
+                                  terms, &used);
+        if (!t) {
+          pf->at[q] = pf->at[q - 1];
+          continue;
+        }
+        for (j = k - 1; j >= 0; j--)
+          any = _and_rows(row + j * n, pf->at[q - 1] + j * n, t + j * n, n);
+      }
+      pf->at[q] = row;
+      if (!any) pf->dead = q;
+    }
+    if (!any) continue;
+    if (out)
+      for (j = 0; j < k; j++)
+        memcpy(out[j] + n_det * n, pf->at[len - 1] + j * n,
+               (size_t)n * sizeof(u64));
+    out_idx[n_det++] = (int32_t)f;
+  }
+  free(stack);
+  free(at);
+  return n_det;
 }
 
+/* out NULL: only the detected positions, out_idx, are written. */
 long repro_detect_walk(const repro_plan *p, const u64 *Z, const u64 *O,
                        const u64 *S, const u64 *I, long n,
                        const int32_t *path_flat, const int32_t *path_off,
@@ -510,52 +622,11 @@ long repro_detect_walk(const repro_plan *p, const u64 *Z, const u64 *O,
                        long n_faults, int robust,
                        const u64 *valid, int32_t *slot, u64 *terms,
                        u64 *out, int32_t *out_idx) {
-  long f, used = 0, n_det = 0;
-  for (f = 0; f < n_faults; f++) {
-    long r = rows ? rows[f] : f;
-    if (_detect_fault(p, Z, O, S, I, n, path_flat + path_off[r],
-                      path_off[r + 1] - path_off[r], final_one[r], robust,
-                      valid, slot, terms, &used, out + n_det * n))
-      out_idx[n_det++] = (int32_t)f;
-  }
-  return n_det;
-}
-
-/* (nonrobust, robust, hazard-free-robust) side terms of one edge, as
-   three consecutive rows. */
-static const u64 *_strength_term(const repro_plan *p, const u64 *Z,
-                                 const u64 *O, const u64 *S,
-                                 const u64 *H, long n, long on, long sig,
-                                 int32_t *slot, u64 *terms, long *used) {
-  long e = _edge_id(p, on, sig), w, k;
-  if (e >= 0 && slot[e] == REPRO_NO_TERM) return 0;
-  if (e >= 0 && slot[e] >= 0) return terms + slot[e] * 3 * n;
-  u64 *nr = terms + (e >= 0 ? *used : p->fanin_off[p->n_signals]) * 3 * n;
-  u64 *r = nr + n, *st = r + n;
-  int c = p->ctrl[sig], has_side = 0;
-  for (w = 0; w < 3 * n; w++) nr[w] = ~(u64)0;
-  for (k = p->fanin_off[sig]; k < p->fanin_off[sig + 1]; k++) {
-    long fs = p->fanin_idx[k];
-    if (fs == on) continue;
-    has_side = 1;
-    if (c < 0) {
-      for (w = 0; w < n; w++) {
-        r[w] &= S[fs * n + w];
-        st[w] &= S[fs * n + w];
-      }
-      continue;
-    }
-    const u64 *ncp = c ? Z : O;
-    for (w = 0; w < n; w++) {
-      u64 has_nc = ncp[fs * n + w];
-      u64 stable_where = S[fs * n + w] | ~ncp[on * n + w];
-      nr[w] &= has_nc;
-      r[w] &= has_nc & stable_where;
-      st[w] &= has_nc & H[fs * n + w] & stable_where;
-    }
-  }
-  if (e >= 0) slot[e] = has_side ? (int32_t)(*used)++ : REPRO_NO_TERM;
-  return has_side ? nr : 0;
+  const u64 *V[4] = {Z, O, S, I};
+  u64 *outs[1] = {out};
+  return _walk(p, V, n, robust ? WALK_ROBUST : WALK_NONROBUST, path_flat,
+               path_off, final_one, rows, 0, n_faults, valid, slot, terms,
+               out ? outs : 0, out_idx);
 }
 
 /* Early exit on the nonrobust mask is safe for all three classes:
@@ -568,30 +639,10 @@ long repro_strength_walk(const repro_plan *p, const u64 *Z, const u64 *O,
                          const u64 *valid, int32_t *slot, u64 *terms,
                          u64 *out_nr, u64 *out_r, u64 *out_st,
                          int32_t *out_idx) {
-  long f, q, used = 0, n_det = 0;
-  for (f = 0; f < n_faults; f++) {
-    long row = rows ? rows[f] : f;
-    const int32_t *path = path_flat + path_off[row];
-    long plen = path_off[row + 1] - path_off[row];
-    u64 *nr = out_nr + n_det * n;
-    u64 *r = out_r + n_det * n;
-    u64 *st = out_st + n_det * n;
-    const u64 *ins = I + (long)path[0] * n;
-    const u64 *launch = (final_one[row] ? O : Z) + (long)path[0] * n;
-    u64 any = _launch_rows(nr, ins, launch, valid, n);
-    memcpy(r, nr, (size_t)n * sizeof(u64));
-    memcpy(st, nr, (size_t)n * sizeof(u64));
-    for (q = 1; q < plen && any; q++) {
-      const u64 *t = _strength_term(p, Z, O, S, H, n, path[q - 1],
-                                    path[q], slot, terms, &used);
-      if (!t) continue;
-      _and_rows(r, t + n, n);
-      _and_rows(st, t + 2 * n, n);
-      any = _and_rows(nr, t, n);
-    }
-    if (any) out_idx[n_det++] = (int32_t)f;
-  }
-  return n_det;
+  const u64 *V[5] = {Z, O, S, I, H};
+  u64 *outs[3] = {out_nr, out_r, out_st};
+  return _walk(p, V, n, WALK_STRENGTH, path_flat, path_off, final_one, rows,
+               0, n_faults, valid, slot, terms, outs, out_idx);
 }
 
 /* Cone step fanin encoding: value >= 0 is a cone-local scratch slot,
@@ -1851,9 +1902,8 @@ long repro_tpg_round(repro_tpg *st, int aptpg, long width, long max_bits,
 
 
 /* A campaign drop bus's native round (repro.kernel.native.DropRound):
-   the slabs, side-term memo, valid lanes and mask row of
-   repro_drop_round, and the rows it detected, grown on demand and kept
-   between rounds. */
+   the slabs, side-term memo and valid lanes of repro_drop_round, and
+   the rows it detected, grown on demand and kept between rounds. */
 typedef struct {
   const repro_plan *p;
   long cap_words;
@@ -1886,7 +1936,7 @@ repro_drop *repro_drop_new(const repro_plan *p) {
    each -- packed into the 7-valued input planes (S0/S1 where the
    vectors agree, F/R where they differ, the padding lanes X: what
    PackedPatterns.planes7_arrays computes), one repro_planes7_pass, then
-   the detection walk of repro_detect_walk over every table row r of
+   the detection walk (_walk, flags only) over every table row r of
    the signal CSR flat/off with live[r] set, in row order.  A detected
    row's live byte is cleared and the row appended to out.  Returns how
    many rows were detected, ascending in out; -1 when the buffers
@@ -1897,8 +1947,9 @@ long repro_drop_round(repro_drop *d, const uint8_t *fresh, long n_fresh,
                       int robust) {
   const repro_plan *p = d->p;
   long N = p->n_signals, E = p->fanin_off[N], ni = p->n_inputs;
-  long n = (n_fresh + 63) / 64, k, w, r, used = 0, n_det = 0;
-  u64 *Z, *O, *S, *I, *terms, *valid, *det;
+  long n = (n_fresh + 63) / 64, k, w, r, n_det;
+  u64 *Z, *O, *S, *I, *terms, *valid;
+  const u64 *V[4];
   void *grown;
   if (n_fresh <= 0) return 0;
   if (n > d->cap_words) {
@@ -1907,7 +1958,7 @@ long repro_drop_round(repro_drop *d, const uint8_t *fresh, long n_fresh,
     for (c = d->cap_words ? 2 * d->cap_words : 1; c < n; c *= 2) ;
     free(d->words);
     d->cap_words = 0;
-    d->words = malloc((size_t)((4 * N + E + 3) * c) * sizeof(u64));
+    d->words = malloc((size_t)((4 * N + E + 2) * c) * sizeof(u64));
     if (!d->words) return -1;
     d->cap_words = c;
   }
@@ -1920,7 +1971,7 @@ long repro_drop_round(repro_drop *d, const uint8_t *fresh, long n_fresh,
   I = S + N * n;
   terms = I + N * n;
   valid = terms + (E + 1) * n;
-  det = valid + n;
+  V[0] = Z; V[1] = O; V[2] = S; V[3] = I;
   for (w = 0; w < n; w++) valid[w] = ~(u64)0;
   if (n_fresh % 64) valid[n - 1] = ((u64)1 << (n_fresh % 64)) - 1;
   for (k = 0; k < ni; k++) {
@@ -1946,90 +1997,135 @@ long repro_drop_round(repro_drop *d, const uint8_t *fresh, long n_fresh,
   }
   repro_planes7_pass(p, Z, O, S, I, n);
   for (k = 0; k <= E; k++) d->slot[k] = -1;
-  for (r = 0; r < n_rows; r++) {
-    if (!live[r]) continue;
-    if (_detect_fault(p, Z, O, S, I, n, flat + off[r], off[r + 1] - off[r],
-                      final_one[r], robust, valid, d->slot, terms, &used,
-                      det)) {
-      live[r] = 0;
-      d->out[n_det++] = (int32_t)r;
-    }
-  }
+  n_det = _walk(p, V, n, robust ? WALK_ROBUST : WALK_NONROBUST, flat, off,
+                final_one, 0, live, n_rows, valid, d->slot, terms, 0, d->out);
+  for (r = 0; r < n_det; r++) live[d->out[r]] = 0;
   return n_det;
 }
 
 /* The row codec's readers: Python objects read pointer by pointer.
-   repro.kernel.packed reads pattern tuples (and single vectors) into
-   lane planes, and repro.paths.table builds a FaultTable's signal
-   column from path tuples; both try these first.  cffi cannot pass a
-   PyObject *, so repro.kernel.native binds the two with ctypes.PyDLL,
-   whose calls keep the GIL: nothing else runs while they read, and they
-   call nothing that could release it or run Python code.  Each accepts
-   only exact types -- an exact list of exact tuples -- and either
-   fills the caller's whole buffer and returns 0, or returns -1, with
-   no exception set, at the first value outside its contract.  The
-   caller then runs its Python path over the whole batch, which raises
-   the errors, so a refusal never changes a result or an error text. */
+   repro.kernel.packed reads pattern objects (and single vectors) into
+   lane planes, and repro.paths.table builds a FaultTable's columns from
+   fault objects; both try these first.  cffi cannot pass a PyObject *,
+   so repro.kernel.native binds them with ctypes.PyDLL, whose calls keep
+   the GIL: nothing else runs while they read, and they call nothing
+   that could release it or run Python code.  Each accepts only exact
+   types -- an exact list of objects of exactly the dataclass it was
+   handed, whose slots hold exact tuples -- and either fills the
+   caller's buffers and returns a count or 0, or returns -1, with no
+   exception set, at the first value outside its contract.  The caller
+   then runs its Python path over the whole batch, which raises the
+   errors, so a refusal never changes a result or an error text.  A
+   dataclass slot is read at the offset its member descriptor names
+   (descriptors of another kind or class are refused). */
 
-/* repro_tuple_planes reads four tuples side by side and asks for the
-   tuples TUPLE_AHEAD places on while it does: the read is bound by the
-   latency of each tuple's cache lines, not by bandwidth, so it keeps
-   several tuples in flight. */
-#define TUPLE_AHEAD 8
+/* The byte offset of the object slot that member descriptor member of
+   class cls describes, or -1. */
+static Py_ssize_t _slot_offset(PyObject *cls, PyObject *member) {
+  PyMemberDef *def;
+  if (!PyType_Check(cls) || Py_TYPE(member) != &PyMemberDescr_Type ||
+      PyDescr_TYPE(member) != (PyTypeObject *)cls)
+    return -1;
+  def = ((PyMemberDescrObject *)member)->d_member;
+  return def->type == T_OBJECT_EX ? def->offset : -1;
+}
 
-/* The n vectors of rows, an exact list of n exact tuples of width items
-   each, as lane planes at out: width rows of n_words = ceil(n / 64)
-   words, item j of vector k in bit k % 64 of word k / 64 of row j, the
-   padding lanes of the last word 0.  An item must *be* zero or one,
-   the interpreter's cached ints 0 and 1: an identity test, no
-   conversion, so True, 1.0 or a numpy integer is refused like 2 or
-   "1".  Each word is built for every row at once in a scratch row of
-   width words, then written out: writing the planes directly would
-   put one tuple's width writes n_words words apart, on a few cache
-   sets.  A step past the last vector repeats the step's first one and
-   masks its bits off.  The scratch is freed on every return. */
-int repro_tuple_planes(PyObject *rows, long n, long width, PyObject *zero,
-                       PyObject *one, u64 *out) {
-  long n_words = (n + 63) / 64, w, k, j, q;
-  /* a tuple's three header words and its items */
-  long bytes = (long)sizeof(PyObject *) * (width + 3);
+/* The object in the slot at byte offset at of obj: NULL when it was
+   never set. */
+static PyObject *_slot(PyObject *obj, Py_ssize_t at) {
+  return *(PyObject **)((char *)obj + at);
+}
+
+/* One vector's tuple items into bit k of each input's scratch word:
+   word[j] |= (items[j] is one) << k, for j < width.  Returns nonzero
+   when some item *is* neither zero nor one, the interpreter's cached
+   ints 0 and 1: an identity test, no conversion, so True, 1.0 or a
+   numpy integer is refused like 2 or "1".  GCC compares four item
+   pointers at once as one 32-byte vector, with an AVX2 clone on
+   x86-64 ELF targets. */
+#if defined(__GNUC__) && defined(__x86_64__) && defined(__ELF__)
+__attribute__((target_clones("avx2", "default")))
+#endif
+static u64 _tuple_bits(PyObject *const *items, long width, PyObject *zero,
+                       PyObject *one, int k, u64 *word) {
+  u64 bad = 0, z = (u64)(uintptr_t)zero, o = (u64)(uintptr_t)one;
+  long j = 0;
+#ifdef __GNUC__
+  typedef u64 u64x4 __attribute__((vector_size(32)));
+  u64x4 zv = {z, z, z, z}, ov = {o, o, o, o}, badv = {0, 0, 0, 0};
+  for (; j + 4 <= width; j += 4) {
+    u64x4 v, w;
+    memcpy(&v, items + j, sizeof v);
+    memcpy(&w, word + j, sizeof w);
+    w |= ((u64x4)(v == ov) & 1) << k;
+    badv |= (u64x4)(v != zv) & (u64x4)(v != ov);
+    memcpy(word + j, &w, sizeof w);
+  }
+  bad = badv[0] | badv[1] | badv[2] | badv[3];
+#endif
+  for (; j < width; j++) {
+    u64 v = (u64)(uintptr_t)items[j];
+    word[j] |= (u64)(v == o) << k;
+    bad |= (u64)((v != z) & (v != o));
+  }
+  return bad;
+}
+
+/* The tuple in slot at of item, NULL unless item is exactly a cls and
+   the slot holds an exact tuple of width items. */
+static PyObject *_vector(PyObject *item, PyObject *cls, Py_ssize_t at,
+                         long width) {
+  PyObject *vector;
+  if (Py_TYPE(item) != (PyTypeObject *)cls) return 0;
+  vector = _slot(item, at);
+  if (!vector || !PyTuple_CheckExact(vector) ||
+      PyTuple_GET_SIZE(vector) != width)
+    return 0;
+  return vector;
+}
+
+/* Lane planes of n objects in list items, each width bits: item k in
+   bit k % 64 of word k / 64 of every plane row, the padding lanes of
+   the last word 0, each plane width rows of ceil(n / 64) words.  With
+   cls NULL the items are the vectors (exact tuples) and out[0] gets
+   their planes; otherwise each item must be exactly a cls, and out[0]
+   and out[1] get the vectors in its slots at byte offsets at[0] and
+   at[1], both read per item.  Each 64-item word is built for every row
+   in a scratch row of width words per plane, then written out:
+   writing the planes directly would put one vector's width writes
+   n_words words apart, on a few cache sets.  The read is bound by the
+   bandwidth of the tuples' item arrays (a plain sum over the items
+   takes as long), and software prefetching measured no gain.  The
+   scratch is freed on every return. */
+static int _planes(PyObject *items, long n, long width, PyObject *cls,
+                   const Py_ssize_t *at, PyObject *zero, PyObject *one,
+                   u64 *const *out) {
+  long n_words = (n + 63) / 64, n_out = cls ? 2 : 1, w, k, j, v;
   u64 *word;
-  if (!PyList_CheckExact(rows) || PyList_GET_SIZE(rows) != n) return -1;
-  word = malloc((size_t)(width > 0 ? width : 1) * sizeof(u64));
+  if (!PyList_CheckExact(items) || PyList_GET_SIZE(items) != n) return -1;
+  word = malloc((size_t)(n_out * (width > 0 ? width : 1)) * sizeof(u64));
   if (!word) return -1;
   for (w = 0; w < n_words; w++) {
     long first = w * 64, stop = n - first < 64 ? n - first : 64;
-    memset(word, 0, (size_t)width * sizeof(u64));
-    for (k = 0; k < stop; k += 4) {
-      PyObject **items[4];
-      u64 keep = stop - k < 4 ? ((u64)1 << (stop - k)) - 1 : 15;
+    memset(word, 0, (size_t)(n_out * width) * sizeof(u64));
+    for (k = 0; k < stop; k++) {
+      PyObject *item = PyList_GET_ITEM(items, first + k);
       u64 bad = 0;
-      for (q = 0; q < 4; q++) {
-        PyObject *row = PyList_GET_ITEM(rows, first + k + (k + q < stop ? q : 0));
-#ifdef __GNUC__
-        if (first + k + q + TUPLE_AHEAD < n) {
-          const char *ahead =
-              (const char *)PyList_GET_ITEM(rows, first + k + q + TUPLE_AHEAD);
-          long at;
-          for (at = 0; at < bytes + 64; at += 64) __builtin_prefetch(ahead + at);
-        }
-#endif
-        if (!PyTuple_CheckExact(row) || PyTuple_GET_SIZE(row) != width)
-          goto refuse;
-        items[q] = &PyTuple_GET_ITEM(row, 0);
-      }
-      for (j = 0; j < width; j++) {
-        PyObject *a = items[0][j], *b = items[1][j];
-        PyObject *c = items[2][j], *d = items[3][j];
-        u64 ones = (u64)(a == one) | (u64)(b == one) << 1 |
-                   (u64)(c == one) << 2 | (u64)(d == one) << 3;
-        word[j] |= (ones & keep) << k;
-        bad |= (u64)((a != zero) & (a != one)) | (u64)((b != zero) & (b != one)) |
-               (u64)((c != zero) & (c != one)) | (u64)((d != zero) & (d != one));
+      for (v = 0; v < n_out; v++) {
+        PyObject *vector = item;
+        if (cls)
+          vector = _vector(item, cls, at[v], width);
+        else if (!PyTuple_CheckExact(item) || PyTuple_GET_SIZE(item) != width)
+          vector = 0;
+        if (!vector) goto refuse;
+        bad |= _tuple_bits(&PyTuple_GET_ITEM(vector, 0), width, zero, one,
+                           (int)k, word + v * width);
       }
       if (bad) goto refuse;
     }
-    for (j = 0; j < width; j++) out[j * n_words + w] = word[j];
+    for (v = 0; v < n_out; v++)
+      for (j = 0; j < width; j++)
+        out[v][j * n_words + w] = word[v * width + j];
   }
   free(word);
   return 0;
@@ -2038,30 +2134,91 @@ refuse:
   return -1;
 }
 
-/* The signal ids of paths, an exact list of exact tuples of exact ints
-   in [0, n_signals), back to back at flat, which holds size ids: 0 when
-   they fill it exactly, -1 otherwise (a bool, a numpy integer or an id
-   past a C long included). */
-int repro_path_flat(PyObject *paths, int32_t *flat, long size,
-                    long n_signals) {
-  long k, j, n, used = 0;
-  if (!PyList_CheckExact(paths)) return -1;
-  n = PyList_GET_SIZE(paths);
+/* The vectors of rows, an exact list of n exact tuples of width items,
+   as lane planes at out (see _planes). */
+int repro_tuple_planes(PyObject *rows, long n, long width, PyObject *zero,
+                       PyObject *one, u64 *out) {
+  u64 *outs[1] = {out};
+  return _planes(rows, n, width, 0, 0, zero, one, outs);
+}
+
+/* The v1 and v2 planes of patterns, an exact list of n objects of
+   exactly class cls (repro.core.patterns.TestPattern) whose member
+   descriptors v1 and v2 name slots holding exact tuples of width
+   items, at out_v1 and out_v2 (see _planes). */
+int repro_pattern_planes(PyObject *patterns, long n, long width,
+                         PyObject *cls, PyObject *v1, PyObject *v2,
+                         PyObject *zero, PyObject *one, u64 *out_v1,
+                         u64 *out_v2) {
+  Py_ssize_t at[2];
+  u64 *outs[2] = {out_v1, out_v2};
+  at[0] = _slot_offset(cls, v1);
+  at[1] = _slot_offset(cls, v2);
+  if (at[0] < 0 || at[1] < 0) return -1;
+  return _planes(patterns, n, width, cls, at, zero, one, outs);
+}
+
+/* The value of o, an exact int, when it is one digit long; -1 for any
+   other (so a negative one, or one past 2**30, is refused as out of
+   range).  Read in place, as a signal id is read per path step. */
+static long _digit_id(PyObject *o) {
+#if PY_VERSION_HEX >= 0x030C0000
+  if (!PyUnstable_Long_IsCompact((PyLongObject *)o)) return -1;
+  return (long)PyUnstable_Long_CompactValue((PyLongObject *)o);
+#else
+  Py_ssize_t size = Py_SIZE(o);
+  if (size == 0) return 0;
+  return size == 1 ? (long)((PyLongObject *)o)->ob_digit[0] : -1;
+#endif
+}
+
+/* The columns of faults, an exact list of n objects of exactly class
+   cls (repro.paths.PathDelayFault): member descriptor signals names a
+   slot holding a non-empty exact tuple of exact ints in [0, n_signals)
+   (a bool, a numpy integer or an id of more than one digit is
+   refused; the walks read a path's first id unchecked), transition one
+   holding rising or falling itself.  Fills offsets (n + 1 of them,
+   from 0) and final_one (1 where the launch is rising), and the ids
+   back to back at flat when all of them fit in its cap; returns how
+   many ids there are (more than cap: nothing was written to flat), or
+   -1. */
+long repro_fault_columns(PyObject *faults, long n, PyObject *cls,
+                         PyObject *signals, PyObject *transition,
+                         PyObject *rising, PyObject *falling,
+                         long n_signals, int32_t *offsets,
+                         uint8_t *final_one, int32_t *flat, long cap) {
+  Py_ssize_t at_signals = _slot_offset(cls, signals);
+  Py_ssize_t at_transition = _slot_offset(cls, transition);
+  long k, j, used = 0;
+  if (at_signals < 0 || at_transition < 0 || !PyList_CheckExact(faults) ||
+      PyList_GET_SIZE(faults) != n)
+    return -1;
+  offsets[0] = 0;
   for (k = 0; k < n; k++) {
-    PyObject *path = PyList_GET_ITEM(paths, k), **items;
-    long len;
-    if (!PyTuple_CheckExact(path)) return -1;
-    len = PyTuple_GET_SIZE(path);
-    if (len > size - used) return -1;
-    items = &PyTuple_GET_ITEM(path, 0);
-    for (j = 0; j < len; j++) {
-      int overflow;
+    PyObject *fault = PyList_GET_ITEM(faults, k), *path, *launch;
+    if (Py_TYPE(fault) != (PyTypeObject *)cls) return -1;
+    path = _slot(fault, at_signals);
+    launch = _slot(fault, at_transition);
+    if (!path || !PyTuple_CheckExact(path) || PyTuple_GET_SIZE(path) < 1 ||
+        (launch != rising && launch != falling))
+      return -1;
+    used += PyTuple_GET_SIZE(path);
+    if (used > INT32_MAX) return -1;
+    offsets[k + 1] = (int32_t)used;
+    final_one[k] = launch == rising;
+  }
+  if (used > cap) return used;
+  for (k = 0; k < n; k++) {
+    PyObject *path = _slot(PyList_GET_ITEM(faults, k), at_signals);
+    PyObject **ids = &PyTuple_GET_ITEM(path, 0);
+    int32_t *to = flat + offsets[k];
+    for (j = 0; j < PyTuple_GET_SIZE(path); j++) {
       long id;
-      if (!PyLong_CheckExact(items[j])) return -1;
-      id = PyLong_AsLongAndOverflow(items[j], &overflow);
-      if (overflow || id < 0 || id >= n_signals) return -1;
-      flat[used++] = (int32_t)id;
+      if (!PyLong_CheckExact(ids[j])) return -1;
+      id = _digit_id(ids[j]);
+      if (id < 0 || id >= n_signals) return -1;
+      to[j] = (int32_t)id;
     }
   }
-  return used == size ? 0 : -1;
+  return used;
 }

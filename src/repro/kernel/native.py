@@ -42,20 +42,34 @@ reset to the campaign width, so one engine runs round after round
 (:class:`repro.core.state.TpgEngine`).  Robust sensitization stays in
 Python.
 
-Two more entry points read Python objects for the row codec, with the
-GIL held: ``repro_tuple_planes`` (a list of vector tuples straight to
-uint64 lane planes, vector ``k`` in bit ``k % 64`` of word ``k // 64``,
-for :mod:`repro.kernel.packed`'s tuple and single-vector packers) and
-``repro_path_flat`` (path tuples to a :class:`repro.paths.FaultTable`'s
-int32 signal column).  They take ``PyObject *`` arguments, which cffi
-cannot pass, so they are not in ``native.cdef``: :func:`row_readers`
-binds them with :class:`ctypes.PyDLL` on the file of the loaded module
-(``py_object`` arguments; a PyDLL call keeps the GIL), and the module
-is built without the limited API.  :func:`read_tuple_planes` and
-:func:`read_path_flat` wrap them; each returns None where the reader
-refuses its input (anything but exact tuples of the cached ints 0 and
-1, or of exact ints naming signals) or the module is missing, and the
-caller then runs its Python path.
+Three more entry points read Python objects for the row codec, with
+the GIL held: ``repro_pattern_planes`` (a list of
+:class:`repro.core.patterns.TestPattern` objects straight to the v1
+and v2 uint64 lane planes, pattern ``k`` in bit ``k % 64`` of word
+``k // 64``, both tuples of a pattern read together from their slots),
+``repro_tuple_planes`` (the same for a list of single vectors, on the
+same per-tuple kernel) and ``repro_fault_columns`` (a list of
+:class:`repro.paths.PathDelayFault` objects to a
+:class:`repro.paths.FaultTable`'s three columns).  They take
+``PyObject *`` arguments, which cffi cannot pass, so they are not in
+``native.cdef``: :func:`row_readers` binds them with
+:class:`ctypes.PyDLL` on the file of the loaded module (``py_object``
+arguments; a PyDLL call keeps the GIL), and the module is built
+without the limited API.  :func:`read_pattern_planes`,
+:func:`read_tuple_planes` and :func:`read_fault_columns` wrap them;
+each returns None where the reader refuses its input (an object not of
+exactly the dataclass, anything but exact tuples of the cached ints 0
+and 1, or of exact ints naming signals, a launch that is not a
+:class:`repro.paths.Transition` member) or the module is missing, and
+the caller then runs its Python path.
+
+The walks share more than side terms: consecutive faults with the same
+launch polarity share the masks of their common path prefix, so a
+fault list in depth-first order (what :func:`repro.paths.fault_list`
+emits) walks each edge of its path tree about once, and a fault whose
+path runs on past the edge that killed the last one's mask is settled
+without a row AND.  Asked for flags only, the detection walk writes no
+mask rows at all.
 
 Module lifecycle — one module per machine, not per circuit:
 
@@ -103,6 +117,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..paths.fault import PathDelayFault, Transition
 from ..paths.table import fault_rows
 from .backends import NumpyWordBackend, PlanesLike
 from .compiled import CompiledCircuit
@@ -128,7 +143,7 @@ NATIVE_CDEF = _package_text("native.cdef")
 
 #: Bump when the call ABI changes (the C text is hashed into the module
 #: name anyway), so stale disk-cached shared objects are never reloaded.
-NATIVE_ABI = 11
+NATIVE_ABI = 12
 
 # The C text is constant-size (data-driven plan interpreters), so a real
 # optimization level is affordable: -O2 runs the fault loops ~2x faster
@@ -295,12 +310,13 @@ def native_unavailable_reason() -> str:
 
 
 def row_readers() -> Optional[Tuple]:
-    """The row codec's two C readers, or None without the module.
+    """The row codec's three C readers, or None without the module.
 
-    ``(repro_tuple_planes, repro_path_flat)`` as :mod:`ctypes` functions
-    of a :class:`ctypes.PyDLL` on the loaded module's file (module doc),
-    bound once per module; use them through :func:`read_tuple_planes`
-    and :func:`read_path_flat`.
+    ``(repro_pattern_planes, repro_tuple_planes, repro_fault_columns)``
+    as :mod:`ctypes` functions of a :class:`ctypes.PyDLL` on the loaded
+    module's file (module doc), bound once per module; use them through
+    :func:`read_pattern_planes`, :func:`read_tuple_planes` and
+    :func:`read_fault_columns`.
     """
     global _readers
     module = _native_state()[0]
@@ -310,58 +326,111 @@ def row_readers() -> Optional[Tuple]:
     if bound is None or bound[0] is not module:
         try:
             dll = ctypes.PyDLL(module.__file__)
-            tuple_planes, path_flat = dll.repro_tuple_planes, dll.repro_path_flat
+            functions = (
+                dll.repro_pattern_planes,
+                dll.repro_tuple_planes,
+                dll.repro_fault_columns,
+            )
         except (OSError, AttributeError):  # a loader without dlopen
             _readers = (module, None)
             return None
-        tuple_planes.argtypes = (
-            ctypes.py_object, ctypes.c_long, ctypes.c_long, ctypes.py_object,
-            ctypes.py_object, ctypes.c_void_p,
+        obj, long_, ptr = ctypes.py_object, ctypes.c_long, ctypes.c_void_p
+        pattern_planes, tuple_planes, fault_columns = functions
+        pattern_planes.argtypes = (
+            obj, long_, long_, obj, obj, obj, obj, obj, ptr, ptr
         )
-        path_flat.argtypes = (
-            ctypes.py_object, ctypes.c_void_p, ctypes.c_long, ctypes.c_long
+        tuple_planes.argtypes = (obj, long_, long_, obj, obj, ptr)
+        pattern_planes.restype = tuple_planes.restype = ctypes.c_int
+        fault_columns.argtypes = (
+            obj, long_, obj, obj, obj, obj, obj, long_, ptr, ptr, ptr, long_
         )
-        tuple_planes.restype = path_flat.restype = ctypes.c_int
-        bound = _readers = (module, (tuple_planes, path_flat))
+        fault_columns.restype = long_
+        bound = _readers = (module, functions)
     return bound[1]
+
+
+def read_pattern_planes(
+    patterns: list, width: int
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The v1 and v2 lane planes of *patterns*, read in C in one pass.
+
+    Two ``(width, n_words)`` uint64 arrays, pattern ``k`` in bit
+    ``k % 64`` of word ``k // 64`` of every row, the padding lanes 0:
+    what :func:`repro.kernel.packed.pack_bits` makes of the same vectors
+    as rows.  *patterns* is a list of objects of exactly
+    :class:`repro.core.patterns.TestPattern` whose ``v1`` and ``v2`` are
+    exact tuples of *width* items, each the int 0 or 1 itself; both are
+    read from their slots.  None when anything else is met, or when
+    there is no module: the caller decodes the whole batch in Python.
+    """
+    readers = row_readers()
+    if readers is None:
+        return None
+    from ..core.patterns import TestPattern  # lazy: core is above kernel
+
+    n = len(patterns)
+    out = np.empty((2, width, -(-n // 64)), dtype=np.uint64)
+    members = TestPattern.__dict__
+    if readers[0](
+        patterns, n, width, TestPattern, members["v1"], members["v2"], 0, 1,
+        out[0].ctypes.data, out[1].ctypes.data,
+    ):
+        return None
+    return out[0], out[1]
 
 
 def read_tuple_planes(vectors: list, width: int) -> Optional[np.ndarray]:
     """*vectors* as ``(width, n_words)`` uint64 lane planes, read in C.
 
-    Vector ``k`` lands in bit ``k % 64`` of word ``k // 64`` of every
-    row, the padding lanes 0: what :func:`repro.kernel.packed.pack_bits`
-    makes of the same vectors as rows.  *vectors* is a list of exact
-    tuples of *width* items, each the int 0 or 1 itself.  None when
-    anything else is met, or when there is no module: the caller decodes
-    the whole batch in Python instead.
+    The single-vector twin of :func:`read_pattern_planes`, on the same
+    C kernel: *vectors* is a list of exact tuples of *width* items,
+    each the int 0 or 1 itself.  None when anything else is met, or when
+    there is no module: the caller decodes the whole batch in Python
+    instead.
     """
     readers = row_readers()
     if readers is None:
         return None
     n = len(vectors)
     out = np.empty((width, -(-n // 64)), dtype=np.uint64)
-    if readers[0](vectors, n, width, 0, 1, out.ctypes.data):
+    if readers[1](vectors, n, width, 0, 1, out.ctypes.data):
         return None
     return out
 
 
-def read_path_flat(
-    paths: list, size: int, n_signals: int
-) -> Optional[np.ndarray]:
-    """The ids of *paths* back to back, *size* of them, as int32, read in C.
+def read_fault_columns(
+    faults: list, n_signals: int
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """A :class:`repro.paths.FaultTable`'s columns of *faults*, read in C.
 
-    *paths* is a list of exact tuples of exact ints in ``[0,
-    n_signals)`` with *size* ids in all.  None when anything else is
-    met, or when there is no module: the caller flattens in Python.
+    ``(flat, offsets, final_one)``: int32 ids back to back, int32 row
+    offsets from 0, uint8 1 for a rising launch.  *faults* is a list of
+    objects of exactly :class:`repro.paths.PathDelayFault` whose
+    ``signals`` is an exact tuple of exact ints in ``[0, n_signals)``
+    and whose ``transition`` is a :class:`repro.paths.Transition`
+    member.  The reader sizes the id column first, then fills it: two
+    calls.  None when anything else is met, or when there is no module:
+    the caller builds the columns in Python.
     """
     readers = row_readers()
     if readers is None:
         return None
-    flat = np.empty(size, dtype=np.int32)
-    if readers[1](paths, flat.ctypes.data, size, n_signals):
+    n = len(faults)
+    offsets = np.empty(n + 1, dtype=np.int32)
+    final_one = np.empty(n, dtype=np.uint8)
+    members = PathDelayFault.__dict__
+    head = (
+        faults, n, PathDelayFault, members["signals"], members["transition"],
+        Transition.RISING, Transition.FALLING, n_signals,
+        offsets.ctypes.data, final_one.ctypes.data,
+    )
+    size = readers[2](*head, None, 0)
+    if size < 0:
         return None
-    return flat
+    flat = np.empty(size, dtype=np.int32)
+    if size and readers[2](*head, flat.ctypes.data, size) != size:
+        return None
+    return flat, offsets, final_one
 
 
 def warn_native_fallback() -> None:
@@ -481,7 +550,7 @@ def _i32_ptr(ffi, array: np.ndarray):
 def _fault_columns(ffi, compiled: CompiledCircuit, faults) -> Tuple:
     """The walk arguments of one fault batch, range-checked.
 
-    ``(path_flat, path_off, final_one, rows)`` as C buffers: a
+    ``(flat, offsets, final_one, rows)`` as C buffers: a
     :class:`FaultRows` view hands over its table's columns and its row
     array (NULL for the identity view); a fault list becomes a new
     table first — one flatten per call.  The ids were checked against
@@ -750,17 +819,21 @@ class NativeWordBackend(NumpyWordBackend):
         packed,
         faults: Sequence,
         robust: bool,
-    ) -> List[int]:
+        *,
+        flags: bool = False,
+    ) -> List:
         """Detection lane masks of *faults* over one packed batch.
 
         One 7-valued forward pass plus the whole detection walk (launch,
-        off-path side conditions shared per on-path edge, early-out,
-        validity masking) inside the native module, on buffers allocated
-        for this call.  *faults* is a fault list or a
-        :class:`repro.paths.FaultRows` view, range-checked here.  Returns
-        Python-int lane masks index-aligned with *faults*, bit-identical
-        to the interpreted oracle walk; only detected faults' rows come
-        back from C and get converted.
+        off-path side conditions shared per on-path edge, path prefixes
+        shared between faults, early-out, validity masking) inside the
+        native module, on buffers allocated for this call.  *faults* is
+        a fault list or a :class:`repro.paths.FaultRows` view,
+        range-checked here.  Returns Python-int lane masks index-aligned
+        with *faults*, bit-identical to the interpreted oracle walk;
+        only detected faults' rows come back from C and get converted.
+        With *flags* the walk writes no mask rows and the result is one
+        ``bool`` per fault, whether any lane detects it.
         """
         if not faults:
             return []
@@ -774,7 +847,7 @@ class NativeWordBackend(NumpyWordBackend):
         plan, n_edges = native_plan(compiled)
         slot = np.full(n_edges + 1, -1, dtype=np.int32)
         terms = np.empty((n_edges + 1, n_words), dtype=np.uint64)
-        out = np.empty((len(faults), n_words), dtype=np.uint64)
+        out = None if flags else np.empty((len(faults), n_words), dtype=np.uint64)
         index = np.empty(len(faults), dtype=np.int32)
         count = module.lib.repro_detect_walk(
             plan,
@@ -786,11 +859,19 @@ class NativeWordBackend(NumpyWordBackend):
             _u64_ptr(ffi, valid),
             _i32_ptr(ffi, slot),
             _u64_ptr(ffi, terms),
-            _u64_ptr(ffi, out),
+            ffi.NULL if flags else _u64_ptr(ffi, out),
             _i32_ptr(ffi, index),
         )
+        if count < 0:
+            raise MemoryError("cannot allocate the native walk's prefix stack")
+        detected = index[:count].tolist()
+        if flags:
+            result = [False] * len(faults)
+            for k in detected:
+                result[k] = True
+            return result
         masks = [0] * len(faults)
-        for k, mask in zip(index[:count].tolist(), rows_to_ints(out[:count])):
+        for k, mask in zip(detected, rows_to_ints(out[:count])):
             masks[k] = mask
         return masks
 
@@ -801,7 +882,7 @@ class NativeWordBackend(NumpyWordBackend):
 
         The 10-valued analogue of :meth:`ppsfp_masks`: one 5-plane
         forward pass plus the three-class strength walk in C, with the
-        same per-edge sharing and detected-rows-only output.
+        same per-edge and prefix sharing and detected-rows-only output.
         """
         if not faults:
             return []
@@ -830,6 +911,8 @@ class NativeWordBackend(NumpyWordBackend):
             *(_u64_ptr(ffi, rows) for rows in out),
             _i32_ptr(ffi, index),
         )
+        if count < 0:
+            raise MemoryError("cannot allocate the native walk's prefix stack")
         triples = [(0, 0, 0)] * len(faults)
         detected = zip(*(rows_to_ints(rows[:count]) for rows in out))
         for k, triple in zip(index[:count].tolist(), detected):

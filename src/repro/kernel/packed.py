@@ -14,13 +14,14 @@ its words (:func:`words_to_int`).
 
 One codec turns vectors into lane planes or ``(n, n_inputs)`` uint8
 rows, pattern ``k`` in lane or row ``k``, each with its width and bit
-checks: :func:`text_rows` decodes the ``"0101…"`` wire form, tuple
-batches are read in C straight into lane planes
-(:func:`read_pattern_planes`, for :meth:`PackedPatterns.from_patterns`
-and the simulators) and unpacked where rows are wanted
-(:func:`pattern_rows`, for :class:`repro.core.patterns.PatternTable`,
-the generator's pattern set, above), and :func:`vector_planes` packs
-single vectors.  Rows become lane planes with :func:`pack_bits`.  A
+checks: :func:`text_rows` decodes the ``"0101…"`` wire form, pattern
+objects are read in C straight into lane planes, both tuples of a
+pattern together (:func:`repro.kernel.native.read_pattern_planes`, for
+:meth:`PackedPatterns.from_patterns` and the simulators) and unpacked
+where rows are wanted (:func:`pattern_rows`, for
+:class:`repro.core.patterns.PatternTable`, the generator's pattern
+set, above), and :func:`vector_planes` packs single vectors on the
+same C kernel.  Rows become lane planes with :func:`pack_bits`.  A
 :class:`PackedPatterns` refuses planes whose shape its lane count does
 not describe, so no walk reads past its valid-lane mask.
 """
@@ -216,30 +217,15 @@ def _rows_to_u8(rows, n_rows: int, n_columns: int) -> Optional[np.ndarray]:
     return np.frombuffer(flat, dtype=np.uint8).reshape(n_rows, n_columns)
 
 
-def read_pattern_planes(
-    patterns: Sequence, width: int
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """The v1 and v2 lane planes of *patterns* read in C, *width* bits each, or None.
-
-    Both vector lists go through
-    :func:`repro.kernel.native.read_tuple_planes` (exact tuples of the
-    ints 0 and 1 only), straight into ``(width, n_words)`` uint64
-    planes; None when it refuses either, or there is no native module.
-    Raises nothing: an accepted batch has every vector *width* wide and
-    every bit 0 or 1.
-    """
-    from .native import read_tuple_planes  # lazy: native imports this module
-
-    a = read_tuple_planes([p.v1 for p in patterns], width)
-    b = None if a is None else read_tuple_planes([p.v2 for p in patterns], width)
-    return None if b is None else (a, b)
-
-
 def _batch_planes(patterns: Sequence) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """:func:`read_pattern_planes` at pattern 0's v1 width; a batch is not empty."""
+    """The batch's v1 and v2 lane planes read in C at pattern 0's v1
+    width (:func:`repro.kernel.native.read_pattern_planes`), or None
+    when the reader refuses it; a batch is not empty."""
     if not patterns:
         raise ValueError("cannot pack an empty pattern batch")
-    return read_pattern_planes(patterns, len(patterns[0].v1))
+    from . import native  # lazy: native imports this module
+
+    return native.read_pattern_planes(patterns, len(patterns[0].v1))
 
 
 def _python_rows(patterns: Sequence) -> Tuple[np.ndarray, np.ndarray]:
@@ -279,10 +265,10 @@ def pattern_rows(patterns: Sequence) -> Tuple[np.ndarray, np.ndarray]:
     converted).
 
     The batch is read in C first, into lane planes
-    (:func:`read_pattern_planes` at pattern 0's v1 width), and unpacked
-    (:func:`unpack_bits`).  If the reader refuses either vector list, or
-    there is no native module, the whole batch takes the Python path,
-    which raises the errors.
+    (:func:`repro.kernel.native.read_pattern_planes` at pattern 0's v1
+    width), and unpacked (:func:`unpack_bits`).  If the reader refuses
+    the batch, or there is no native module, the whole batch takes the
+    Python path, which raises the errors.
     """
     planes = _batch_planes(patterns)
     if planes is None:
@@ -301,8 +287,9 @@ def vector_planes(vectors: Sequence[Sequence[int]]) -> np.ndarray:
     checked before any bit is converted: ``True`` and ``1.0`` read as 1,
     ``0.5``, ``"x"``, ``None`` and ``2`` are refused), the rules of the
     two-vector codec.  A list of tuples of the ints 0 and 1 is read in
-    C (:func:`repro.kernel.native.read_tuple_planes`); anything else, a
-    refusal or no module takes the Python path, which raises the errors.
+    C (:func:`repro.kernel.native.read_tuple_planes`, the pattern
+    reader's per-tuple kernel); anything else, a refusal or no module
+    takes the Python path, which raises the errors.
     """
     if len(vectors) == 0:
         raise ValueError("cannot pack an empty vector batch")
@@ -429,7 +416,7 @@ class PackedPatterns:
     def from_patterns(cls, patterns: Sequence) -> "PackedPatterns":
         """Pack PatternLike objects (``.v1``/``.v2`` input tuples).
 
-        Read in C straight into lane planes (:func:`read_pattern_planes`),
+        Read in C straight into lane planes (:func:`_batch_planes`),
         with no rows between; a batch the reader refuses is decoded and
         checked on the Python path of :func:`pattern_rows` (one width
         for every vector, bits 0 or 1), then :meth:`from_rows`.

@@ -51,15 +51,37 @@ class TestClass(enum.Enum):
     NONROBUST = "nonrobust"
 
 
-@dataclass(frozen=True)
+def empty_path_error() -> ValueError:
+    """The rejection of a fault path without a signal: it has no launch."""
+    return ValueError("a path needs at least one signal")
+
+
+def transition_error(value: object) -> TypeError:
+    """The rejection of a launch that is not a :class:`Transition` member.
+
+    A string such as ``"R"`` would read as a falling launch in the
+    fault table's columns and have no ``final`` on the Python walks, so
+    it is refused where a fault is made and where a table reads one.
+    """
+    return TypeError(
+        f"fault transition must be Transition.RISING or Transition.FALLING, "
+        f"got {value!r}"
+    )
+
+
+@dataclass(frozen=True, slots=True)
 class PathDelayFault:
     """A structural path plus the launch transition at its input.
+
+    Slotted, so :func:`repro.paths.table.FaultTable`'s C reader finds
+    ``signals`` and ``transition`` at fixed offsets in the object.
 
     Attributes:
         signals: on-path signal ids, primary input first, primary
             output last.
         transition: direction of the transition launched at
-            ``signals[0]``.
+            ``signals[0]``, a :class:`Transition` member
+            (:func:`transition_error` otherwise).
     """
 
     signals: Tuple[int, ...]
@@ -67,7 +89,12 @@ class PathDelayFault:
 
     def __post_init__(self) -> None:
         if len(self.signals) < 1:
-            raise ValueError("a path needs at least one signal")
+            raise empty_path_error()
+        if (
+            self.transition is not Transition.RISING
+            and self.transition is not Transition.FALLING
+        ):
+            raise transition_error(self.transition)
 
     # ------------------------------------------------------------------
     @property

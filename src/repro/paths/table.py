@@ -10,11 +10,13 @@ row per fault:
 * ``faults`` — the :class:`PathDelayFault` objects themselves, which
   stay the API and serde type.
 
-Rows are range-checked once, when they are added: every id must be an
-integer naming a signal of the circuit, ``0 <= id < n_signals``.  That
-is the one check on every simulation tier — the native walks index
-slabs with the ids unchecked, and Python indexing would wrap a negative
-one.
+Rows are range-checked once, when they are added: every path must have
+a signal, every id must be an integer naming a signal of the circuit,
+``0 <= id < n_signals``, and every launch must be a :class:`Transition`
+member.  That is the one check on every simulation tier — the native walks index slabs with the ids
+unchecked, and Python indexing would wrap a negative one.  A list of
+plain faults is read into the columns by one C reader, straight from
+the (slotted) fault objects; anything it refuses takes the Python path.
 
 A :class:`FaultRows` view selects rows of a table by index.  The
 simulators accept a view wherever they accept a fault list
@@ -37,7 +39,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fault import PathDelayFault, Transition
+from .fault import PathDelayFault, Transition, empty_path_error, transition_error
 
 
 def signal_range_error(n_signals: int) -> ValueError:
@@ -87,35 +89,44 @@ def _columns(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(flat, offsets, final_one) of *faults*, range-checked.
 
-    Offsets from the paths' lengths.  The ids are read by the C reader
-    (:func:`repro.kernel.native.read_path_flat`: exact tuples of exact
-    ints in range only); if it refuses any, or there is no native
-    module, all of them go through one ``np.fromiter``.  An id must be
-    an integer (``operator.index``: a bool or a numpy integer is one,
-    ``5.5`` or ``"5"`` names no signal) in ``[0, n_signals)``;
-    :func:`signal_range_error` otherwise.
+    Read in C straight from the fault objects
+    (:func:`repro.kernel.native.read_fault_columns`: a list of exact
+    :class:`PathDelayFault` objects whose paths are exact tuples of
+    exact ints in range).  If it refuses the list, or there is no native
+    module, the whole list takes the Python path: offsets from the
+    paths' lengths, the ids through one ``np.fromiter``.  A path must
+    have a signal (:func:`empty_path_error`), an id must be an integer
+    (``operator.index``: a bool or a numpy integer is one, ``5.5`` or
+    ``"5"`` names no signal) in ``[0, n_signals)``
+    (:func:`signal_range_error` otherwise), and a launch a
+    :class:`Transition` member (:func:`transition_error`).
     """
-    from ..kernel.native import read_path_flat  # lazy: kernel is above paths
+    from ..kernel.native import read_fault_columns  # lazy: kernel is above paths
 
+    columns = read_fault_columns(faults, n_signals)
+    if columns is not None:
+        return columns
     paths = [fault.signals for fault in faults]
+    lengths = np.fromiter(map(len, paths), np.int32, count=len(paths))
+    if len(paths) and lengths.min() < 1:
+        raise empty_path_error()
     offsets = np.zeros(len(paths) + 1, dtype=np.int32)
-    np.cumsum(
-        np.fromiter(map(len, paths), np.int32, count=len(paths)), out=offsets[1:]
-    )
+    np.cumsum(lengths, out=offsets[1:])
     size = int(offsets[-1])
-    flat = read_path_flat(paths, size, n_signals)
-    if flat is None:
-        try:
-            flat = np.fromiter(
-                map(operator.index, itertools.chain.from_iterable(paths)),
-                np.int32,
-                count=size,
-            )
-        except (TypeError, OverflowError):  # no integer, or past int32
-            raise signal_range_error(n_signals) from None
-        if size and (flat.min() < 0 or flat.max() >= n_signals):
-            raise signal_range_error(n_signals)
-    rising = Transition.RISING  # once: looking up an Enum member is slow
+    try:
+        flat = np.fromiter(
+            map(operator.index, itertools.chain.from_iterable(paths)),
+            np.int32,
+            count=size,
+        )
+    except (TypeError, OverflowError):  # no integer, or past int32
+        raise signal_range_error(n_signals) from None
+    if size and (flat.min() < 0 or flat.max() >= n_signals):
+        raise signal_range_error(n_signals)
+    rising, falling = Transition.RISING, Transition.FALLING
+    for fault in faults:
+        if fault.transition is not rising and fault.transition is not falling:
+            raise transition_error(fault.transition)
     final_one = np.fromiter(
         (fault.transition is rising for fault in faults),
         np.uint8,

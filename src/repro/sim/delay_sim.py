@@ -56,7 +56,8 @@ from ..kernel import (
     check_fusion,
     words_to_int,
 )
-from ..kernel.packed import bit_error, read_pattern_planes, width_error
+from ..kernel import native
+from ..kernel.packed import bit_error, width_error
 from ..logic import ten_valued
 from ..logic.words import mask_for
 from ..paths import PathDelayFault, TestClass
@@ -143,7 +144,7 @@ def _checked_patterns(
     With ``fusion="auto"`` and a *backend* other than ``"int"`` the call
     packs lane planes (native, or numpy), so a tuple batch is first read
     in C at the circuit's width, straight into planes
-    (:func:`repro.kernel.packed.read_pattern_planes`): a batch the
+    (:func:`repro.kernel.native.read_pattern_planes`): a batch the
     reader takes has every vector *n_inputs* wide and every bit 0 or 1,
     and comes back as its :class:`PackedPatterns` without a
     :func:`check_pattern_widths` pass.  Anything else — a packed batch, the
@@ -154,7 +155,7 @@ def _checked_patterns(
     """
     packs_planes = fusion == "auto" and backend != "int"
     if packs_planes and not isinstance(patterns, PackedPatterns):
-        planes = read_pattern_planes(patterns, n_inputs)
+        planes = native.read_pattern_planes(patterns, n_inputs)
         if planes is not None:
             return PackedPatterns(*planes, n_patterns=len(patterns))
     check_pattern_widths(patterns, n_inputs)
@@ -389,7 +390,9 @@ class DelayFaultSimulator:
         self,
         patterns: Sequence[PatternLike],
         faults: Sequence[PathDelayFault],
-    ) -> List[int]:
+        *,
+        flags: bool = False,
+    ) -> List:
         """Lane masks aligned with *faults* (``masks[k]`` for ``faults[k]``).
 
         All faults are checked against all patterns in one batched
@@ -411,11 +414,15 @@ class DelayFaultSimulator:
         check of every path (the campaign drop bus does both).  A
         fault naming a signal outside the circuit raises
         ``ValueError`` on every backend.
+
+        With *flags* (what :meth:`repro.api.AtpgSession.grade` asks
+        for) each mask is reduced to a ``bool``, whether any lane
+        detects the fault; the native walk then writes no mask rows.
         """
         chaos.maybe_raise("kernel_fault")
         width = len(patterns)
         if width == 0:
-            return [0] * len(faults)
+            return [False if flags else 0] * len(faults)
         patterns = _checked_patterns(
             patterns, len(self.circuit.inputs), self.backend, self.fusion
         )
@@ -428,7 +435,7 @@ class DelayFaultSimulator:
             # forward pass + whole fault walk inside the compiled-C
             # module: one Python call per batch
             packed = patterns if pre_packed else PackedPatterns.from_patterns(patterns)
-            return backend.ppsfp_masks(compiled, packed, faults, robust)
+            return backend.ppsfp_masks(compiled, packed, faults, robust, flags=flags)
         if isinstance(backend, NumpyWordBackend):
             packed = patterns if pre_packed else PackedPatterns.from_patterns(patterns)
             values = _LazyIntPlanes(
@@ -446,11 +453,13 @@ class DelayFaultSimulator:
             values = backend.simulate_planes7(compiled, input_planes)
             mask = backend.mask
         if self.fusion != "interp":
-            return _detection_masks_batched(compiled, faults, values, mask, robust)
-        return [
-            _detection_mask_compiled(compiled, fault, values, mask, robust)
-            for fault in faults
-        ]
+            masks = _detection_masks_batched(compiled, faults, values, mask, robust)
+        else:
+            masks = [
+                _detection_mask_compiled(compiled, fault, values, mask, robust)
+                for fault in faults
+            ]
+        return list(map(bool, masks)) if flags else masks
 
     def native_backend(self, width: int):
         """The native backend a *width*-pattern batch runs on, else ``None``.

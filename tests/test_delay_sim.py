@@ -8,6 +8,7 @@ import pytest
 from repro.circuit import CircuitBuilder
 from repro.circuit.library import c17, paper_example
 from repro.core import TestPattern
+from repro.kernel import native_available
 from repro.paths import PathDelayFault, TestClass, Transition, all_faults
 from repro.sim import DelayFaultSimulator
 from repro.sim.delay_sim import pack_patterns, simulate_planes
@@ -130,3 +131,122 @@ class TestCoverage:
     def test_empty_faults(self):
         sim = DelayFaultSimulator(paper_example(), TestClass.NONROBUST)
         assert sim.coverage([], []) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# fault order, flags, and launches that are not Transition members
+# ---------------------------------------------------------------------------
+
+
+def _c17_batch():
+    from repro.core.patterns import random_patterns
+    from repro.paths import fault_list
+
+    circuit = c17()
+    return circuit, fault_list(circuit, cap=22), random_patterns(circuit, 2, 0)
+
+
+def _oracle(circuit, test_class, patterns, faults):
+    return DelayFaultSimulator(
+        circuit, test_class, backend="numpy", fusion="interp"
+    ).detection_masks(patterns, faults)
+
+
+class TestWalkOrder:
+    """Every backend gives the oracle's masks, and their bools as flags,
+    whatever the order of the faults: the native walk shares path
+    prefixes between consecutive faults of one launch polarity."""
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "auto",
+            pytest.param(
+                "native",
+                marks=pytest.mark.skipif(
+                    not native_available(), reason="no native module"
+                ),
+            ),
+            "numpy",
+            "int",
+        ],
+    )
+    @pytest.mark.parametrize("test_class", list(TestClass))
+    def test_orders_and_flags(self, backend, test_class):
+        from repro.core.patterns import random_patterns
+        from repro.circuit.generators import random_dag
+
+        circuit = random_dag(7, 36, seed=3)
+        faults = all_faults(circuit)
+        patterns = random_patterns(circuit, 90, seed=1)
+        shuffled = list(faults)
+        random.Random(2).shuffle(shuffled)
+        rising = [f for f in faults if f.transition is Transition.RISING]
+        falling = [f for f in faults if f.transition is Transition.FALLING]
+        orders = [
+            faults,
+            shuffled,
+            faults[::-1],
+            rising + falling,
+            [f for pair in zip(rising, falling) for f in pair],
+            faults + faults[:5],
+            [PathDelayFault(f.signals[:k], f.transition)
+             for f in faults[:6] for k in range(1, len(f.signals) + 1)],
+        ]
+        sim = DelayFaultSimulator(circuit, test_class, backend=backend)
+        for batch in orders:
+            want = _oracle(circuit, test_class, patterns, batch)
+            assert sim.detection_masks(patterns, batch) == want
+            assert sim.detection_masks(patterns, batch, flags=True) == [
+                bool(mask) for mask in want
+            ]
+
+    def test_empty_batch_flags(self):
+        circuit, faults, _ = _c17_batch()
+        sim = DelayFaultSimulator(circuit, TestClass.ROBUST)
+        assert sim.detection_masks([], faults, flags=True) == [False] * len(faults)
+
+
+class TestTransitionMembers:
+    def test_a_string_launch_is_refused_where_the_fault_is_made(self):
+        circuit, faults, _ = _c17_batch()
+        for fault in faults:
+            with pytest.raises(TypeError, match=repr(fault.transition.value)):
+                PathDelayFault(fault.signals, fault.transition.value)
+        with pytest.raises(TypeError, match="None"):
+            PathDelayFault((0, 5), None)
+
+    def test_every_tier_refuses_a_forced_launch_alike(self):
+        """A launch forced past the constructor reads as falling nowhere:
+        every tier raises the same TypeError, and the session circuit
+        breaker does not demote for it."""
+        from repro.api import AtpgSession
+
+        circuit, faults, patterns = _c17_batch()
+        want = _oracle(circuit, TestClass.NONROBUST, patterns, faults)
+        assert want[6] and want[10]  # the two rising faults detected
+        forced = list(faults)
+        for k in (6, 10):
+            forced[k] = PathDelayFault(faults[k].signals, faults[k].transition)
+            object.__setattr__(forced[k], "transition", faults[k].transition.value)
+        errors = set()
+        for backend, fusion in (
+            ("auto", "auto"), ("numpy", "auto"), ("int", "auto"),
+            ("numpy", "interp"),
+        ):
+            sim = DelayFaultSimulator(circuit, TestClass.NONROBUST, backend, fusion)
+            with pytest.raises(TypeError) as error:
+                sim.detection_masks(patterns, forced)
+            errors.add(str(error.value))
+        assert errors == {
+            "fault transition must be Transition.RISING or "
+            "Transition.FALLING, got 'R'"
+        }
+        session = AtpgSession(circuit)
+        for call in (session.grade, session.simulate):
+            with pytest.raises(TypeError, match="got 'R'"):
+                call(patterns, forced)
+        assert session.degrade_level == 0
+        assert session.grade(patterns, faults)["detected_flags"] == [
+            bool(mask) for mask in want
+        ]

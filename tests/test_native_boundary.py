@@ -919,13 +919,18 @@ def sized_tuple_batches(draw, sizes=(1, 63, 64, 65, 129), widths=st.integers(1, 
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vectors = rng.integers(0, 2, size=(2, n, width)).tolist()
     kinds = [[tuple] * n, [tuple] * n]
+    makers = [TestPattern] * n
     for _ in range(draw(st.integers(0, 3))):
         side, k = draw(st.integers(0, 1)), draw(st.integers(0, n - 1))
-        spoil = draw(st.sampled_from(["bit", "list", "subclass", "ragged", "last"]))
+        spoil = draw(
+            st.sampled_from(["bit", "list", "subclass", "ragged", "last", "pattern"])
+        )
         if spoil == "last":
             spoil, k = "bit", n - 1
         row = vectors[side][k]
-        if spoil == "bit":
+        if spoil == "pattern":
+            makers[k] = SubPattern
+        elif spoil == "bit":
             if row:  # a ragged row may be empty
                 position = draw(st.integers(0, len(row) - 1))
                 row[position] = draw(st.sampled_from(HOSTILE_BITS))
@@ -937,7 +942,7 @@ def sized_tuple_batches(draw, sizes=(1, 63, 64, 65, 129), widths=st.integers(1, 
         [kind(row) for kind, row in zip(kinds[side], vectors[side])]
         for side in (0, 1)
     )
-    return width, [TestPattern(a, b) for a, b in zip(v1, v2)]
+    return width, [make(a, b) for make, a, b in zip(makers, v1, v2)]
 
 
 def tuple_batches():
@@ -969,9 +974,10 @@ def fault_batches(draw, n_signals=12):
             ids[draw(st.integers(0, len(ids) - 1))] = draw(
                 st.sampled_from(HOSTILE_IDS + [n_signals])
             )
-        kind = draw(st.sampled_from([tuple] * 8 + [list, Row]))
+        kind = draw(st.sampled_from([tuple] * 8 + [list, Row, np.array]))
         transition = draw(st.sampled_from(list(Transition)))
-        faults.append(PathDelayFault(kind(ids), transition))
+        make = draw(st.sampled_from([PathDelayFault] * 9 + [SubFault]))
+        faults.append(make(kind(ids), transition))
     return faults
 
 
@@ -1013,21 +1019,41 @@ class TestRowReaders:
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 4097])
     @pytest.mark.parametrize("width", [1, 7, 64, 129])
     def test_exact_input_is_read_in_c(self, n, width):
-        """Clean input must take the reader, or the tests above compare
+        """Clean input must take the readers, or the tests above compare
         the Python path with itself."""
         rng = np.random.default_rng(n)
-        bits = rng.integers(0, 2, (n, width), dtype=np.uint8)
-        vectors = [tuple(row) for row in bits.tolist()]
+        bits = rng.integers(0, 2, (2, n, width), dtype=np.uint8)
+        vectors = [tuple(row) for row in bits[0].tolist()]
         planes = native.read_tuple_planes(vectors, width)
         assert planes is not None and planes.dtype == np.uint64
         assert planes.shape == (width, -(-n // 64))
-        assert (planes == pack_bits(bits)).all()
+        assert (planes == pack_bits(bits[0])).all()
+        patterns = [
+            TestPattern(a, b) for a, b in zip(vectors, map(tuple, bits[1].tolist()))
+        ]
+        pair = native.read_pattern_planes(patterns, width)
+        assert pair is not None
+        assert (pair[0] == planes).all() and (pair[1] == pack_bits(bits[1])).all()
         paths = [tuple(row) for row in rng.integers(0, 12, (n, 3)).tolist()]
-        flat = native.read_path_flat(paths, 3 * n, 12)
-        assert flat is not None and flat.tolist() == [i for p in paths for i in p]
+        faults = [
+            PathDelayFault(path, list(Transition)[k % 2])
+            for k, path in enumerate(paths)
+        ]
+        flat, offsets, final_one = native.read_fault_columns(faults, 12)
+        assert flat.tolist() == [i for p in paths for i in p]
+        assert offsets.tolist() == list(range(0, 3 * n + 1, 3))
+        assert final_one.tolist() == [1 - k % 2 for k in range(n)]
         # the empty list and one-signal paths
-        assert native.read_path_flat([], 0, 12).tolist() == []
-        assert native.read_path_flat([(0,), (11,)], 2, 12).tolist() == [0, 11]
+        assert [c.tolist() for c in native.read_fault_columns([], 12)] == [
+            [], [0], []
+        ]
+        short = [
+            PathDelayFault((0,), Transition.FALLING),
+            PathDelayFault((11,), Transition.RISING),
+        ]
+        assert [c.tolist() for c in native.read_fault_columns(short, 12)] == [
+            [0, 11], [0, 1, 2], [0, 1]
+        ]
 
     @needs_native
     @pytest.mark.parametrize("bad", HOSTILE_BITS)
@@ -1042,14 +1068,66 @@ class TestRowReaders:
         assert native.read_tuple_planes(vectors, 2) is None
 
     @needs_native
+    @pytest.mark.parametrize("bad", HOSTILE_BITS)
+    def test_pattern_reader_refuses_all_but_exact_patterns(self, bad):
+        good = TestPattern((0, 1), (1, 0))
+        read = native.read_pattern_planes
+        assert read([good, good], 2) is not None
+        for hostile in (
+            TestPattern((0, 1), (1, bad)),
+            TestPattern((bad, 1), (1, 0)),
+            TestPattern([0, 1], (1, 0)),
+            TestPattern((0, 1), Row((1, 0))),
+            TestPattern((0, 1, 1), (1, 0)),
+            TestPattern((0, 1), (1,)),
+            SubPattern((0, 1), (1, 0)),
+        ):
+            assert read([good, hostile], 2) is None
+            # after every earlier word was written
+            assert read([good] * 129 + [hostile], 2) is None
+        assert read((good,), 2) is None  # no list
+        assert read([good, (good.v1, good.v2)], 2) is None
+
+    @needs_native
     @pytest.mark.parametrize("bad", HOSTILE_IDS + [12])
-    def test_path_reader_refuses_all_but_exact_ids(self, bad):
-        assert native.read_path_flat([(0, 1), (2, bad)], 4, 12) is None
-        assert native.read_path_flat([(0, 1), [2, 3]], 4, 12) is None
-        assert native.read_path_flat([(0, 1), Row((2, 3))], 4, 12) is None
-        # the caller's buffer size must be the ids' count exactly
-        assert native.read_path_flat([(0, 1), (2, 3)], 3, 12) is None
-        assert native.read_path_flat([(0, 1), (2, 3)], 5, 12) is None
+    def test_fault_reader_refuses_all_but_exact_faults(self, bad):
+        rising = Transition.RISING
+        good = PathDelayFault((0, 1), rising)
+        read = native.read_fault_columns
+        assert read([good, good], 12) is not None
+        hostile = [
+            PathDelayFault((2, bad), rising),
+            PathDelayFault([2, 3], rising),
+            PathDelayFault(np.array([2, 3]), rising),
+            PathDelayFault(Row((2, 3)), rising),
+            SubFault((2, 3), rising),
+            forced_transition(PathDelayFault((2, 3), rising), "R"),
+            forced_signals(PathDelayFault((2, 3), rising), ()),
+        ]
+        for fault in hostile:
+            assert read([good, fault], 12) is None
+            assert read([good] * 200 + [fault], 12) is None
+        assert read((good,), 12) is None  # no list
+
+
+class SubPattern(TestPattern):
+    """A TestPattern subclass: the pattern reader refuses it."""
+
+
+class SubFault(PathDelayFault):
+    """A PathDelayFault subclass: the fault reader refuses it."""
+
+
+def forced_transition(fault, transition):
+    """*fault* with its launch set past the constructor's check."""
+    object.__setattr__(fault, "transition", transition)
+    return fault
+
+
+def forced_signals(fault, signals):
+    """*fault* with its path set past the constructor's check."""
+    object.__setattr__(fault, "signals", signals)
+    return fault
 
 
 #: The reader's lane counts and widths: a word and a bit either side of
@@ -1148,6 +1226,241 @@ class TestWalkWords:
         assert triples == strength_masks_all(
             circuit, patterns, faults, "numpy", "interp"
         )
+
+
+# ---------------------------------------------------------------------------
+# the prefix walk: results must not depend on the order of the faults
+# ---------------------------------------------------------------------------
+
+
+def walk_orders(faults, seed=0):
+    """*faults* in the orders the prefix-sharing walk meets in practice
+    and the ones it must not be fooled by."""
+    rng = random.Random(seed)
+    shuffled = list(faults)
+    rng.shuffle(shuffled)
+    rising = [f for f in faults if f.transition is Transition.RISING]
+    falling = [f for f in faults if f.transition is Transition.FALLING]
+    # every proper prefix of some paths, longest first and shortest first
+    prefixes = [
+        PathDelayFault(f.signals[:k], f.transition)
+        for f in faults[:12]
+        for k in range(len(f.signals), 0, -1)
+    ]
+    return {
+        "dfs": list(faults),
+        "shuffled": shuffled,
+        "reversed": list(faults)[::-1],
+        "grouped": rising + falling,
+        "interleaved": [f for pair in zip(rising, falling) for f in pair],
+        "duplicates": [f for f in faults for _ in range(2)] + list(faults[:9]),
+        "prefixes": prefixes + prefixes[::-1],
+    }
+
+
+#: Circuits whose fault lists walk deep shared prefixes (c880, c1355)
+#: and the XOR-heavy and duplicate-fanin corners.
+WALK_CIRCUITS = {
+    "c880": lambda: resolve_circuit("c880"),
+    "c1355": lambda: resolve_circuit("c1355"),
+    "xor": lambda: xor_chain(5),
+    "dup": duplicate_fanin_circuit,
+}
+
+
+@needs_native
+class TestPrefixWalk:
+    """The C walk shares path prefixes between consecutive faults of one
+    launch polarity; the numpy interp oracle walks every fault alone.
+    These tests fail on two mutations of the C unit: one prefix stack
+    for both polarities, and resuming past the position where the last
+    path's mask died."""
+
+    @pytest.mark.parametrize("name", sorted(WALK_CIRCUITS))
+    @pytest.mark.parametrize("test_class", list(TestClass))
+    @pytest.mark.parametrize("n_patterns", [1, 70, 200])
+    def test_orders_match_the_oracle(self, name, test_class, n_patterns):
+        circuit = WALK_CIRCUITS[name]()
+        faults = fault_list(circuit, cap=300, strategy="all")
+        patterns = random_patterns(circuit, n_patterns, seed=n_patterns)
+        sim = DelayFaultSimulator(circuit, test_class, backend="native")
+        seen = set()
+        for order, batch in walk_orders(faults, n_patterns).items():
+            want = oracle_masks(circuit, test_class, patterns, batch)
+            assert sim.detection_masks(patterns, batch) == want, order
+            flags = sim.detection_masks(patterns, batch, flags=True)
+            assert flags == [bool(mask) for mask in want], order
+            seen.update(flags)
+        if n_patterns > 1 and name in ("c880", "c1355"):
+            # some faults die on the way, some survive
+            assert seen == {False, True}
+
+    @pytest.mark.parametrize("name", sorted(WALK_CIRCUITS))
+    def test_strength_orders_match_the_oracle(self, name):
+        circuit = WALK_CIRCUITS[name]()
+        faults = fault_list(circuit, cap=200, strategy="all")
+        patterns = random_patterns(circuit, 90, seed=5)
+        for order, batch in walk_orders(faults, 5).items():
+            assert strength_masks_all(circuit, patterns, batch, "native") == (
+                strength_masks_all(circuit, patterns, batch, "numpy", "interp")
+            ), order
+
+    @pytest.mark.parametrize("test_class", list(TestClass))
+    def test_rows_with_gaps_match_the_oracle(self, test_class):
+        circuit = resolve_circuit("c880")
+        faults = fault_list(circuit, cap=300, strategy="all")
+        table = FaultTable(circuit.num_signals, faults)
+        patterns = random_patterns(circuit, 130, seed=2)
+        sim = DelayFaultSimulator(circuit, test_class, backend="native")
+        rng = np.random.default_rng(4)
+        for rows in (
+            list(range(0, 300, 3)),
+            sorted(rng.choice(300, 120, replace=False).tolist()),
+            rng.integers(0, 300, 200).tolist(),
+            list(range(299, -1, -7)),
+        ):
+            view = table.view(rows)
+            want = oracle_masks(circuit, test_class, patterns, list(view))
+            assert sim.detection_masks(patterns, view) == want
+            assert sim.detection_masks(patterns, view, flags=True) == [
+                bool(mask) for mask in want
+            ]
+            assert strength_masks_all(circuit, patterns, view, "native") == (
+                strength_masks_all(circuit, patterns, list(view), "numpy", "interp")
+            )
+
+    @pytest.mark.parametrize("test_class", list(TestClass))
+    def test_drop_rounds_whose_live_rows_change(self, test_class):
+        """The drop round walks only live rows, so which faults are
+        consecutive changes from round to round."""
+        circuit = resolve_circuit("c880")
+        faults = fault_list(circuit, cap=300, strategy="all")
+        table = FaultTable(circuit.num_signals, faults)
+        drop = DropRound(circuit.compiled(), test_class is TestClass.ROBUST)
+        rng = np.random.default_rng(9)
+        live = np.ones(len(table), dtype=bool)
+        for round_, n_fresh in enumerate([1, 64, 65, 3, 130, 17]):
+            patterns = random_patterns(circuit, n_fresh, seed=round_)
+            masks = oracle_masks(circuit, test_class, patterns, faults)
+            before = live.copy()
+            want = [r for r in range(len(table)) if before[r] and masks[r]]
+            block = PatternTable.from_patterns(patterns).rows
+            assert drop.run(block, table, live) == want
+            assert (live == (before & ~np.isin(np.arange(len(table)), want))).all()
+            # revive some rows and retire others for the next round
+            live[rng.choice(len(table), 40, replace=False)] = True
+            live[rng.choice(len(table), 60, replace=False)] = False
+
+
+# ---------------------------------------------------------------------------
+# hostile input at the object readers, through the public calls
+# ---------------------------------------------------------------------------
+
+
+def spoiled_patterns(circuit, how):
+    """70 random patterns with pattern 41 spoiled the way *how* says."""
+    patterns = random_patterns(circuit, 70, seed=3)
+    p = patterns[41]
+    v1 = list(p.v1)
+    spoiled = {
+        "subclass": lambda: SubPattern(p.v1, p.v2),
+        "list": lambda: TestPattern(v1, p.v2),
+        "narrow": lambda: TestPattern(p.v1[:-1], p.v2),
+        "wide": lambda: TestPattern(p.v1 + (0,), p.v2),
+        "true": lambda: TestPattern((True, *p.v1[1:]), p.v2),
+        "two": lambda: TestPattern((2, *p.v1[1:]), p.v2),
+        "none": lambda: TestPattern(p.v1, (*p.v2[:-1], None)),
+    }[how]()
+    patterns[41] = spoiled
+    return patterns
+
+
+def spoiled_faults(circuit, how):
+    """c880 faults with fault 17 spoiled the way *how* says."""
+    faults = fault_list(circuit, cap=60, strategy="all")
+    f = faults[17]
+    n = circuit.num_signals
+    faults[17] = {
+        "subclass": lambda: SubFault(f.signals, f.transition),
+        "list": lambda: PathDelayFault(list(f.signals), f.transition),
+        "array": lambda: PathDelayFault(np.array(f.signals), f.transition),
+        "past": lambda: PathDelayFault((*f.signals[:-1], n), f.transition),
+        "negative": lambda: PathDelayFault((f.signals[0], -1), f.transition),
+        "empty": lambda: forced_signals(PathDelayFault((0,), f.transition), ()),
+    }[how]()
+    return faults
+
+
+def call_outcomes(circuit, patterns, faults, backend):
+    """Every public call that reaches the readers, as comparable values
+    keyed by test class and call."""
+    session = AtpgSession(circuit)
+    calls = {}
+    for test_class in TestClass:
+        sim = DelayFaultSimulator(circuit, test_class, backend=backend)
+
+        def flags(p, f):
+            return sim.detection_masks(p, f, flags=True)
+
+        def grade(p, f):
+            return [session.grade(p, f, test_class=test_class, backend=backend)]
+
+        for name, call in (
+            ("masks", sim.detection_masks), ("flags", flags), ("grade", grade)
+        ):
+            calls[test_class.value, name] = outcome(call, patterns, faults)
+    calls["strength"] = outcome(strength_masks_all, circuit, patterns, faults, backend)
+    assert session.degrade_level == 0
+    return calls
+
+
+class TestHostileReaders:
+    """Each spoiled batch gives the same results, or the same error type
+    and text, with the C readers on and off."""
+
+    @pytest.mark.parametrize(
+        "how", ["subclass", "list", "narrow", "wide", "true", "two", "none"]
+    )
+    @pytest.mark.parametrize("backend", ["auto", "numpy", "int"])
+    def test_patterns(self, how, backend):
+        circuit = resolve_circuit("c880")
+        patterns = spoiled_patterns(circuit, how)
+        faults = fault_list(circuit, cap=60, strategy="all")
+        got = call_outcomes(circuit, patterns, faults, backend)
+        with readers_off():
+            assert call_outcomes(circuit, patterns, faults, backend) == got
+        if how in ("subclass", "list", "true"):
+            # a batch that reads in Python must still be graded right
+            want = oracle_masks(circuit, TestClass.NONROBUST, patterns, faults)
+            assert got["nonrobust", "masks"] == want
+        else:
+            assert got["robust", "masks"][0] == "ValueError"
+
+    @pytest.mark.parametrize(
+        "how", ["subclass", "list", "array", "past", "negative", "empty"]
+    )
+    @pytest.mark.parametrize("backend", ["auto", "numpy", "int"])
+    def test_faults(self, how, backend):
+        circuit = resolve_circuit("c880")
+        patterns = random_patterns(circuit, 70, seed=3)
+        faults = spoiled_faults(circuit, how)
+        got = call_outcomes(circuit, patterns, faults, backend)
+        with readers_off():
+            assert call_outcomes(circuit, patterns, faults, backend) == got
+        if how in ("past", "negative"):
+            n = circuit.num_signals
+            assert got["robust", "masks"] == (
+                "ValueError",
+                f"fault path names a signal outside the circuit's {n}",
+            )
+        elif how == "empty":
+            # the walks would read a first signal that is not there
+            assert got["robust", "masks"] == (
+                "ValueError", "a path needs at least one signal"
+            )
+        else:
+            want = oracle_masks(circuit, TestClass.NONROBUST, patterns, faults)
+            assert got["nonrobust", "masks"] == want
 
 
 # ---------------------------------------------------------------------------

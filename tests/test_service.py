@@ -8,6 +8,7 @@ engine behind a wire format, never a reimplementation.
 
 import json
 import socket
+import struct
 import threading
 import time
 import urllib.error
@@ -562,6 +563,43 @@ class TestHttpEndpoint:
         finally:
             server.shutdown()
             server.server_close()
+
+    def test_reset_connections_print_no_traceback(self, capsys):
+        """A client that resets mid-body (the handler's body read) or
+        after half a request line (its readline) costs no traceback on
+        stderr, and the server keeps answering."""
+        server = make_server(port=0)
+        closed = threading.Semaphore(0)
+        shutdown_request = server.shutdown_request
+
+        def counted(request):
+            shutdown_request(request)
+            closed.release()
+
+        server.shutdown_request = counted
+        loop = threading.Thread(target=server.serve_forever, daemon=True)
+        loop.start()
+        port = server.server_address[1]
+        try:
+            for sent in (
+                b"POST /v1/grade HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: 100000\r\n\r\n{",
+                b"POST /v1/gr",
+            ):
+                sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+                sock.sendall(sent)
+                time.sleep(0.05)  # let the handler block in its read
+                # linger 0: close sends a reset, not a FIN
+                sock.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+                sock.close()
+                assert closed.acquire(timeout=10)
+            assert _get(server, "health")["status"] == "ok"
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert "Exception occurred" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", ["grade", "simulate"])
     @pytest.mark.parametrize("bad", [2, -1, 256])
