@@ -8,6 +8,10 @@ test noticing.  This script starts one child interpreter that
   runtimes (``gcc -print-file-name=libasan.so`` and ``libubsan.so``)
   with ``ASAN_OPTIONS=detect_leaks=0`` (the interpreter itself leaks
   by design),
+* sets ``PYTHONMALLOC=malloc``, so every Python object is its own
+  heap block: under pymalloc, objects of up to 512 bytes share arenas
+  and ASan cannot see a read past one, while the C readers read
+  pattern, fault and int objects in place,
 * points ``REPRO_NATIVE_CACHE`` at a private temporary directory, so
   the sanitized module is built fresh and never cached next to the
   normal one,
@@ -45,8 +49,11 @@ SANITIZE_LINK = ["-fsanitize=address,undefined"]
 #: screen, the passes and walks, the fault table and the campaign's
 #: shards and drop bus, the hostile-input boundary tests, the
 #: simulators and packers that reach the object readers through their
-#: public calls, and the session API, whose ``grade`` runs the walk
-#: for flags only (no mask rows written).
+#: public calls, the session API, whose ``grade`` runs the walk for
+#: flags only (no mask rows written), the service, whose handler
+#: threads run native walks on one session, and BIST, whose stuck-at
+#: and PPSFP (parallel-pattern single-fault propagation) passes run
+#: natively on LFSR planes.
 SUITES = [
     "tests/test_state.py",
     "tests/test_polarity_screen.py",
@@ -61,6 +68,8 @@ SUITES = [
     "tests/test_logic_sim.py",
     "tests/test_stuck_at.py",
     "tests/test_api.py",
+    "tests/test_service.py",
+    "tests/test_bist.py",
 ]
 
 _CHILD = """
@@ -92,6 +101,7 @@ def main(argv) -> int:
         env.update(
             LD_PRELOAD=" ".join(preload),
             ASAN_OPTIONS="detect_leaks=0",
+            PYTHONMALLOC="malloc",
             REPRO_NATIVE_CACHE=cache,
             PYTHONPATH=os.pathsep.join(
                 p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p

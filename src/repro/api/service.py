@@ -64,7 +64,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 from ..circuit import Circuit
 from ..core.patterns import TestPattern
 from ..kernel.packed import PackedPatterns
-from ..paths import PathDelayFault, TestClass
+from ..paths import PathDelayFault, TestClass, check_cap
 from . import serde
 from .jobs import Job, JobManager, QuotaExceeded
 from .options import Options, ServiceOptions
@@ -276,6 +276,9 @@ def request_from_payload(verb: str, payload: Dict) -> Request:
     ):
         if key in payload and key in names:
             values[key] = payload[key]
+    for key in ("max_faults", "limit"):
+        # refused here, so an async job is refused before the queue
+        check_cap(key, values.get(key))
     if "patterns" in payload and "patterns" in names:
         patterns = payload["patterns"]
         if patterns and isinstance(patterns[0]["v1"], str):

@@ -42,6 +42,7 @@ from ..core.results import TpgReport
 from ..paths import (
     PathDelayFault,
     TestClass,
+    check_cap,
     count_faults,
     count_paths,
     fault_list,
@@ -113,6 +114,7 @@ class AtpgSession:
         max_faults: Optional[int],
         strategy: str,
     ) -> List[PathDelayFault]:
+        check_cap("max_faults", max_faults)
         if faults is not None:
             return list(faults)
         return fault_list(self.circuit, cap=max_faults, strategy=strategy)
@@ -278,6 +280,7 @@ class AtpgSession:
         from ..bist import LFSR, MISR, run_bist  # lazy: import cycle
         from ..bist.report import BistReport
 
+        check_cap("max_faults", max_faults)
         fault_model = fault_model.replace("-", "_")
         opts = self._options(options, overrides)
         opts.validate()
@@ -471,8 +474,10 @@ class AtpgSession:
         With *histogram*, adds the path-length histogram as sorted
         ``[length, count]`` pairs; with *limit*, adds the first
         *limit* paths as dash-joined signal-name strings (the
-        ``repro/paths-report`` wire shape minus the envelope).
+        ``repro/paths-report`` wire shape minus the envelope).  A
+        negative *limit* is a ``ValueError``.
         """
+        check_cap("limit", limit)
         result: Dict[str, object] = {
             "circuit": self.circuit.name,
             "stats": self.circuit.stats(),

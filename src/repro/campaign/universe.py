@@ -23,6 +23,7 @@ of the campaign scheduler:
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import (
     Callable,
     Iterable,
@@ -35,7 +36,7 @@ from typing import (
 
 from ..circuit import Circuit
 from ..paths import PathDelayFault, Transition
-from ..paths.enumerate import iter_faults
+from ..paths.enumerate import check_cap, iter_faults
 
 #: A factory returning a fresh deterministic fault iterable each call.
 FaultSource = Callable[[], Iterable[PathDelayFault]]
@@ -48,7 +49,8 @@ class FaultUniverse:
         source: zero-argument factory producing a fresh, deterministic
             iterable of faults on every call (restarts re-invoke it).
         max_faults: budget cap — the stream ends after this many
-            *accepted* faults.
+            *accepted* faults (0: none; a negative cap is a
+            ``ValueError``).
         min_length / max_length: keep only faults whose path length
             (number of on-path gates) lies in the inclusive range.
         predicate: arbitrary extra filter ``fault -> bool``.
@@ -68,6 +70,7 @@ class FaultUniverse:
         predicate: Optional[Callable[[PathDelayFault], bool]] = None,
         dedup: bool = False,
     ):
+        check_cap("max_faults", max_faults)
         self._source = source
         self.max_faults = max_faults
         self.min_length = min_length
@@ -151,12 +154,8 @@ class FaultUniverse:
 
     def head(self, count: int) -> List[PathDelayFault]:
         """The first *count* accepted faults (testing/diagnostics)."""
-        out: List[PathDelayFault] = []
-        for _index, fault in self.stream():
-            out.append(fault)
-            if len(out) >= count:
-                break
-        return out
+        check_cap("count", count)
+        return [fault for _index, fault in islice(self.stream(), count)]
 
     def describe(self) -> dict:
         """Configuration summary for reports and checkpoints."""

@@ -33,9 +33,10 @@ Circuit and test-class resolution is shared with the API layer
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from .analysis import (
     render_table,
@@ -59,6 +60,7 @@ from .api.schemas import validate_file
 from .circuit import Circuit
 from .kernel import check_fusion
 from .logic.words import DEFAULT_WORD_LENGTH
+from .paths import check_cap
 
 
 def resolve_circuit(spec: str, scale: int = 1) -> Circuit:
@@ -72,6 +74,21 @@ def resolve_circuit(spec: str, scale: int = 1) -> Circuit:
         return _resolve_circuit(spec, scale)
     except ResolutionError as exc:
         raise SystemExit(str(exc)) from None
+
+
+@contextlib.contextmanager
+def _usage_errors(parser: argparse.ArgumentParser) -> Iterator[None]:
+    """Report a ``ValueError`` raised in the block as a usage error.
+
+    Wraps the checks each subcommand runs right after parsing (its
+    options' ``validate``, its caps), so a value the options layer
+    refuses exits 2 with the usage line and the message, not a
+    traceback.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _add_circuit_arguments(parser: argparse.ArgumentParser) -> None:
@@ -129,14 +146,15 @@ def main_atpg(argv: Optional[List[str]] = None) -> int:
         "--patterns", action="store_true", help="print the generated patterns"
     )
     args = parser.parse_args(argv)
-
-    session = AtpgSession(
-        resolve_circuit(args.circuit, args.scale),
-        options=Options(
+    with _usage_errors(parser):
+        options = Options(
             width=1 if args.single_bit else args.width,
             drop_faults=not args.no_drop,
-        ),
-    )
+        )
+        options.engine_mode().validate()
+        check_cap("max_faults", args.max_faults)
+
+    session = AtpgSession(resolve_circuit(args.circuit, args.scale), options=options)
     report = session.generate(
         test_class=resolve_test_class(args.test_class),
         max_faults=args.max_faults,
@@ -269,6 +287,26 @@ def main_campaign(argv: Optional[List[str]] = None) -> int:
     from .campaign.universe import FaultUniverse
     from .core.state import tpg_tier
 
+    with _usage_errors(parser):
+        options = Options(
+            width=args.width,
+            shards=args.shards,
+            window=args.window if args.window > 0 else None,
+            drop_faults=not args.no_drop,
+            checkpoint=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
+            resume=args.resume,
+            compact_every=args.compact_every,
+            keep_records=not args.no_records,
+            shard_attempts=args.shard_attempts,
+            retry_base_ms=args.retry_base_ms,
+            chaos=args.chaos,
+        )
+        options.validate()
+        check_cap("window", args.window)
+        check_cap("max_faults", args.max_faults)
+        check_cap("max_paths", args.max_paths)
+
     session = AtpgSession(resolve_circuit(args.circuit, args.scale))
     max_faults = args.max_faults
     if args.max_paths is not None:
@@ -279,20 +317,6 @@ def main_campaign(argv: Optional[List[str]] = None) -> int:
         max_faults=max_faults,
         min_length=args.min_length,
         max_length=args.max_length,
-    )
-    options = Options(
-        width=args.width,
-        shards=args.shards,
-        window=args.window if args.window > 0 else None,
-        drop_faults=not args.no_drop,
-        checkpoint=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-        compact_every=args.compact_every,
-        keep_records=not args.no_records,
-        shard_attempts=args.shard_attempts,
-        retry_base_ms=args.retry_base_ms,
-        chaos=args.chaos,
     )
     report = session.campaign(
         universe=universe,
@@ -353,6 +377,8 @@ def main_paths(argv: Optional[List[str]] = None) -> int:
         "--histogram", action="store_true", help="print the path-length histogram"
     )
     args = parser.parse_args(argv)
+    with _usage_errors(parser):
+        check_cap("list", args.list)
 
     session = AtpgSession(resolve_circuit(args.circuit, args.scale))
     result = session.paths(histogram=args.histogram, limit=args.list)
@@ -474,14 +500,9 @@ def main_bist(argv: Optional[List[str]] = None) -> int:
         "--json", dest="json_path", default=None, help="write the report as JSON"
     )
     args = parser.parse_args(argv)
-    try:
+    with _usage_errors(parser):
         check_fusion(args.fusion, args.backend)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-    session = AtpgSession(
-        resolve_circuit(args.circuit, args.scale),
-        options=Options(
+        options = Options(
             sim_backend=args.backend,
             fusion=args.fusion,
             bist_width=args.lfsr_width,
@@ -492,8 +513,11 @@ def main_bist(argv: Optional[List[str]] = None) -> int:
             bist_window=args.window,
             bist_max_patterns=args.max_patterns,
             bist_target_coverage=args.target_coverage,
-        ),
-    )
+        )
+        options.validate()
+        check_cap("max_faults", args.max_faults)
+
+    session = AtpgSession(resolve_circuit(args.circuit, args.scale), options=options)
     report = session.bist(
         fault_model=args.fault_model,
         test_class=resolve_test_class(args.test_class),
@@ -547,6 +571,8 @@ def main_experiments(argv: Optional[List[str]] = None) -> int:
         "--fault-cap", type=int, default=None, help="cap on faults per circuit"
     )
     args = parser.parse_args(argv)
+    with _usage_errors(parser):
+        check_cap("fault_cap", args.fault_cap)
 
     if args.experiment == "figure1":
         result = run_figure1()
@@ -671,17 +697,21 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
         "(testing only)",
     )
     args = parser.parse_args(argv)
-    if args.chaos is not None:
-        from . import chaos as chaos_module
+    with _usage_errors(parser):
+        config = ServiceOptions(
+            workers=args.workers,
+            max_queue=args.max_queue,
+            jobs_dir=args.jobs_dir,
+            max_sessions=args.max_sessions,
+            max_jobs_per_tenant=args.max_jobs_per_tenant,
+        )
+        config.validate()
+        if not 0 <= args.port <= 65535:
+            raise ValueError(f"port must be in [0, 65535], got {args.port}")
+        if args.chaos is not None:
+            from . import chaos as chaos_module
 
-        chaos_module.install(args.chaos)
-    config = ServiceOptions(
-        workers=args.workers,
-        max_queue=args.max_queue,
-        jobs_dir=args.jobs_dir,
-        max_sessions=args.max_sessions,
-        max_jobs_per_tenant=args.max_jobs_per_tenant,
-    )
+            chaos_module.install(args.chaos)
     run_server(
         host=args.host,
         port=args.port,

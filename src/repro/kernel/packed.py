@@ -146,6 +146,25 @@ def width_error(
     )
 
 
+def pattern_vectors(patterns: Sequence) -> Tuple[List, List]:
+    """The v1 and v2 vectors of PatternLike objects, in two lists.
+
+    An object without both is refused with a ``TypeError`` naming its
+    index and type, which the session circuit breaker re-raises
+    instead of demoting, like every other malformed input.
+    """
+    try:
+        return [p.v1 for p in patterns], [p.v2 for p in patterns]
+    except AttributeError:
+        for index, pattern in enumerate(patterns):
+            if not (hasattr(pattern, "v1") and hasattr(pattern, "v2")):
+                raise TypeError(
+                    f"pattern {index}: expected a test pattern with v1 "
+                    f"and v2, got {type(pattern).__name__}"
+                ) from None
+        raise
+
+
 #: Byte map of the ``"0101…"`` vector form: ``'0'`` -> 0, ``'1'`` -> 1,
 #: every other byte -> 0xFF, which no bit can be.
 _BIT_OF_CHAR = bytes(
@@ -225,7 +244,7 @@ def _batch_planes(patterns: Sequence) -> Optional[Tuple[np.ndarray, np.ndarray]]
         raise ValueError("cannot pack an empty pattern batch")
     from . import native  # lazy: native imports this module
 
-    return native.read_pattern_planes(patterns, len(patterns[0].v1))
+    return native.read_pattern_planes(patterns, len(getattr(patterns[0], "v1", ())))
 
 
 def _python_rows(patterns: Sequence) -> Tuple[np.ndarray, np.ndarray]:
@@ -234,9 +253,8 @@ def _python_rows(patterns: Sequence) -> Tuple[np.ndarray, np.ndarray]:
     Widths first (:func:`_check_widths`), then bits (:func:`bit_error`,
     checked before any bit is converted).
     """
-    n, n_inputs = len(patterns), len(patterns[0].v1)
-    v1 = [p.v1 for p in patterns]
-    v2 = [p.v2 for p in patterns]
+    v1, v2 = pattern_vectors(patterns)
+    n, n_inputs = len(patterns), len(v1[0])
     _check_widths(v1, v2, n_inputs)
     try:
         a = _rows_to_u8(v1, n, n_inputs)

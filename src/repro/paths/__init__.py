@@ -2,7 +2,13 @@
 and the columnar :class:`FaultTable` the fault walks read."""
 
 from .fault import PathDelayFault, TestClass, Transition, both_transitions
-from .enumerate import collect_faults, iter_faults, iter_paths, longest_paths
+from .enumerate import (
+    check_cap,
+    collect_faults,
+    iter_faults,
+    iter_paths,
+    longest_paths,
+)
 from .count import count_faults, count_paths, path_length_histogram, paths_per_signal
 from .selection import (
     all_faults,
@@ -21,6 +27,7 @@ __all__ = [
     "Transition",
     "all_faults",
     "both_transitions",
+    "check_cap",
     "collect_faults",
     "count_faults",
     "count_paths",

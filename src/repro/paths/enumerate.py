@@ -10,10 +10,21 @@ lives in :mod:`repro.paths.count`.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..circuit import Circuit
 from .fault import PathDelayFault, Transition
+
+
+def check_cap(name: str, cap: Optional[int]) -> None:
+    """Refuse a negative cap on faults or paths.
+
+    ``None`` is no cap and 0 is none at all; below 0 is a
+    ``ValueError`` naming *name* and the value.
+    """
+    if cap is not None and cap < 0:
+        raise ValueError(f"{name} must be >= 0, got {cap!r}")
 
 
 def iter_paths(
@@ -28,8 +39,19 @@ def iter_paths(
     *from_inputs*) to primary outputs (optionally restricted to
     *to_outputs*).  Enumeration is an iterative depth-first search in
     fanout order, so the sequence is deterministic.  *max_paths* stops
-    enumeration early.
+    enumeration after that many paths (:func:`check_cap`, checked at
+    the call).
     """
+    check_cap("max_paths", max_paths)
+    paths = _dfs_paths(circuit, from_inputs, to_outputs)
+    return paths if max_paths is None else islice(paths, max_paths)
+
+
+def _dfs_paths(
+    circuit: Circuit,
+    from_inputs: Optional[Sequence[int]],
+    to_outputs: Optional[Sequence[int]],
+) -> Iterator[Tuple[int, ...]]:
     out_set = set(to_outputs if to_outputs is not None else circuit.outputs)
     starts = list(from_inputs if from_inputs is not None else circuit.inputs)
 
@@ -42,7 +64,6 @@ def iter_paths(
         if any(reaches[f] for f in circuit.fanout(index)):
             reaches[index] = True
 
-    produced = 0
     for start in starts:
         if not reaches[start]:
             continue
@@ -51,9 +72,6 @@ def iter_paths(
         iters: List[Iterator[int]] = [iter(circuit.fanout(start))]
         if start in out_set:
             yield (start,)
-            produced += 1
-            if max_paths is not None and produced >= max_paths:
-                return
         while iters:
             try:
                 nxt = next(iters[-1])
@@ -66,11 +84,7 @@ def iter_paths(
             path.append(nxt)
             if nxt in out_set:
                 yield tuple(path)
-                produced += 1
-                if max_paths is not None and produced >= max_paths:
-                    return
             iters.append(iter(circuit.fanout(nxt)))
-    return
 
 
 def iter_faults(
@@ -83,15 +97,17 @@ def iter_faults(
 
     The paper counts "# faults" as functional paths times transitions;
     we enumerate rising and falling faults for every structural path.
+    *max_faults* stops after that many faults (:func:`check_cap`,
+    checked at the call).
     """
+    check_cap("max_faults", max_faults)
     transitions = tuple(transitions)
-    produced = 0
-    for signals in iter_paths(circuit, **path_kwargs):
-        for t in transitions:
-            yield PathDelayFault(signals, t)
-            produced += 1
-            if max_faults is not None and produced >= max_faults:
-                return
+    faults = (
+        PathDelayFault(signals, t)
+        for signals in iter_paths(circuit, **path_kwargs)
+        for t in transitions
+    )
+    return faults if max_faults is None else islice(faults, max_faults)
 
 
 def collect_faults(
@@ -111,6 +127,9 @@ def longest_paths(circuit: Circuit, count: int) -> List[Tuple[int, ...]]:
     cannot beat the current cutoff using per-signal remaining-depth
     bounds, so it stays cheap even on path-explosive circuits.
     """
+    check_cap("count", count)
+    if count == 0:
+        return []
     # longest remaining distance to any output, per signal
     remaining = [None] * circuit.num_signals  # type: List[Optional[int]]
     for o in circuit.outputs:

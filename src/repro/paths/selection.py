@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from ..circuit import Circuit
 from .count import count_faults
-from .enumerate import collect_faults, iter_paths, longest_paths
+from .enumerate import check_cap, collect_faults, longest_paths
 from .fault import PathDelayFault, Transition, both_transitions
 
 
@@ -61,19 +61,25 @@ def fault_list(
 ) -> List[PathDelayFault]:
     """Uniform entry point used by the experiment runners.
 
+    No strategy returns more than *cap* faults.
+
     Args:
         circuit: target circuit.
-        cap: maximum number of faults (``None`` = no cap).
+        cap: maximum number of faults (``None`` = no cap, 0 = none; a
+            negative cap is a ``ValueError``).
         strategy: ``"all"`` (DFS prefix), ``"longest"`` (longest paths
             first) or ``"sample"`` (seeded random sample).
         seed: PRNG seed for ``"sample"``.
     """
+    check_cap("cap", cap)
     if strategy == "all":
         return all_faults(circuit, cap=cap)
     if cap is None:
         raise ValueError(f"strategy {strategy!r} requires a cap")
     if strategy == "longest":
-        return longest_path_faults(circuit, max(1, cap // 2))
+        # both launches of the cap // 2 longest paths; a cap of 1 takes
+        # the longest path's rising fault alone
+        return longest_path_faults(circuit, min(cap, max(1, cap // 2)))[:cap]
     if strategy == "sample":
         return sampled_faults(circuit, cap, seed=seed)
     raise ValueError(f"unknown strategy {strategy!r}")
@@ -81,6 +87,7 @@ def fault_list(
 
 def describe_fault_universe(circuit: Circuit, cap: Optional[int] = None) -> dict:
     """Summary dict for reports: total fault count vs. listed faults."""
+    check_cap("cap", cap)
     total = count_faults(circuit)
     listed = total if cap is None else min(total, cap)
     return {

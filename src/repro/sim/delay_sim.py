@@ -57,7 +57,7 @@ from ..kernel import (
     words_to_int,
 )
 from ..kernel import native
-from ..kernel.packed import bit_error, width_error
+from ..kernel.packed import bit_error, pattern_vectors, width_error
 from ..logic import ten_valued
 from ..logic.words import mask_for
 from ..paths import PathDelayFault, TestClass
@@ -121,7 +121,8 @@ def check_pattern_widths(patterns: Sequence[PatternLike], n_inputs: int) -> None
     malformed input.  A :class:`PackedPatterns` batch is rectangular
     by construction, so its row count is checked once, as pattern 0's:
     the native pass would otherwise broadcast a single row to every
-    input.
+    input.  An object with no v1 or v2 is a ``TypeError``
+    (:func:`~repro.kernel.packed.pattern_vectors`).
     """
     reason = "one per primary input"
     if isinstance(patterns, PackedPatterns):
@@ -129,10 +130,9 @@ def check_pattern_widths(patterns: Sequence[PatternLike], n_inputs: int) -> None
             if plane.shape[0] != n_inputs:
                 raise width_error(0, name, plane.shape[0], n_inputs, reason)
         return
-    for index, pattern in enumerate(patterns):
-        if len(pattern.v1) != n_inputs or len(pattern.v2) != n_inputs:
-            name = "v1" if len(pattern.v1) != n_inputs else "v2"
-            bits = len(getattr(pattern, name))
+    for index, (v1, v2) in enumerate(zip(*pattern_vectors(patterns))):
+        if len(v1) != n_inputs or len(v2) != n_inputs:
+            name, bits = ("v1", len(v1)) if len(v1) != n_inputs else ("v2", len(v2))
             raise width_error(index, name, bits, n_inputs, reason)
 
 

@@ -167,3 +167,52 @@ class TestBistCommand:
             main(["bist", "c17", *flags])
         assert excinfo.value.code == 2
         assert "tip bist: error:" in capsys.readouterr().err
+
+
+#: Each subcommand's refused values, with the options layer's message.
+REFUSED = [
+    (["campaign", "c17", "--width", "0"], "width must be >= 1"),
+    (["campaign", "c17", "--shards", "0"], "shards must be >= 1"),
+    (["campaign", "c17", "--window", "-1"], "window must be >= 0, got -1"),
+    (["atpg", "c17", "--width", "0"], "width must be >= 1"),
+    (["bist", "c17", "--max-patterns", "0"], "bist_max_patterns must be >= 1"),
+    (["bist", "c17", "--window", "0"], "bist_window must be >= 1"),
+    (["serve", "--workers", "0"], "workers must be >= 1"),
+    (["serve", "--max-queue", "-1"], "max_queue must be >= 1"),
+    (["serve", "--port", "-1"], "port must be in [0, 65535], got -1"),
+    (["serve", "--port", "70000"], "port must be in [0, 65535], got 70000"),
+    (
+        ["serve", "--chaos", '{"points": [{"site": "bogus", "at": [0]}]}'],
+        "unknown chaos site 'bogus'",
+    ),
+    (["atpg", "c17", "--max-faults", "-1"], "max_faults must be >= 0, got -1"),
+    (["campaign", "c17", "--max-faults", "-1"], "max_faults must be >= 0, got -1"),
+    (["campaign", "c17", "--max-paths", "-1"], "max_paths must be >= 0, got -1"),
+    (["bist", "c17", "--max-faults", "-1"], "max_faults must be >= 0, got -1"),
+    (["paths", "c17", "--list", "-1"], "list must be >= 0, got -1"),
+    (["experiments", "table3", "--fault-cap", "-1"], "fault_cap must be >= 0, got -1"),
+]
+
+
+class TestRefusedValues:
+    """A value the options layer or a cap refuses is a usage error: exit
+    2 with the message on stderr, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message", REFUSED, ids=[" ".join(argv) for argv, _ in REFUSED]
+    )
+    def test_exits_2_with_the_message(self, argv, message, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"tip {argv[0]}: error: {message}" in err
+        assert err.startswith("usage: tip ")
+        assert "Traceback" not in err
+
+    def test_max_faults_zero_generates_nothing(self, capsys):
+        assert main_atpg(["c880", "--max-faults", "0"]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split()
+        assert row[3:7] == ["0", "0", "0", "0"]  # faults tested redundant aborted

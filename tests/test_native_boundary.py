@@ -21,6 +21,7 @@ UBSan build of the C unit.
 
 import contextlib
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -867,6 +868,44 @@ HOSTILE_BITS = [
 HOSTILE_IDS = [np.int32(3), True, 2**31, -1, 2**70, 5.5, "5", None]
 
 
+def c_constant(name):
+    """The value of ``#define name`` in the C unit."""
+    return int(re.search(rf"#define {name} (\d+)", native.NATIVE_SOURCE).group(1))
+
+
+#: How many items ahead of the one it reads the C reader prefetches, and
+#: the fewest items a vector has for it to prefetch.
+PREFETCH_AHEAD = c_constant("PREFETCH_AHEAD")
+PREFETCH_MIN_WIDTH = c_constant("PREFETCH_MIN_WIDTH")
+
+#: Objects that are no test pattern, each made from a good one.
+FOREIGN_ITEMS = [
+    lambda good: 1.5,
+    lambda good: None,
+    lambda good: 10**30,
+    lambda good: "01",
+    lambda good: (),
+    lambda good: SubPattern(good.v1, good.v2),
+    lambda good: (good.v1, good.v2),
+]
+FOREIGN_IDS = ["float", "none", "bigint", "str", "empty", "subpattern", "pair"]
+
+
+def window_batches(good, foreign):
+    """Lists of *good* items with one *foreign* item: at each offset 1 to
+    PREFETCH_AHEAD + 1 after a good item, last, and in lists no longer
+    than the prefetch window."""
+    for offset in range(1, PREFETCH_AHEAD + 2):
+        yield [good] * offset + [foreign] + [good] * 3
+        yield [good] * offset + [foreign]
+    yield [good] * 129 + [foreign]
+    for n in range(1, PREFETCH_AHEAD + 1):
+        for at in range(n):
+            batch = [good] * n
+            batch[at] = foreign
+            yield batch
+
+
 def readers_off():
     """The same call with the C readers switched off: the Python path."""
     return mock.patch.object(native, "row_readers", lambda: None)
@@ -1108,6 +1147,47 @@ class TestRowReaders:
             assert read([good, fault], 12) is None
             assert read([good] * 200 + [fault], 12) is None
         assert read((good,), 12) is None  # no list
+
+    @needs_native
+    @pytest.mark.parametrize("foreign", FOREIGN_ITEMS, ids=FOREIGN_IDS)
+    def test_pattern_prefetch_reads_only_checked_items(self, foreign):
+        """The reader prefetches the vectors of the item PREFETCH_AHEAD
+        places on, so a foreign object anywhere in that window, at the
+        end of the list or in a list shorter than the window is refused
+        like one being read.  Under the sanitizer job each object is its
+        own heap block, so reading a float's slots past its end is
+        reported."""
+        width = PREFETCH_MIN_WIDTH
+        v1 = tuple(k % 2 for k in range(width))
+        good = TestPattern(v1, v1[::-1])
+        foreign = foreign(good)
+        for batch in window_batches(good, foreign):
+            assert native.read_pattern_planes(batch, width) is None
+            got = both_ways(pattern_rows, batch)
+            if not isinstance(foreign, SubPattern):
+                assert got[0] == "TypeError"
+        for n in range(1, PREFETCH_AHEAD + 2):
+            got = native.read_pattern_planes([good] * n, width)
+            assert got is not None
+            for planes, vector in zip(got, (good.v1, good.v2)):
+                rows = np.array([vector] * n, dtype=np.uint8)
+                assert (planes == pack_bits(rows)).all()
+
+    @needs_native
+    @pytest.mark.parametrize(
+        "foreign",
+        [list, Row, lambda good: good + (0,), lambda good: good[1:], lambda good: 1.5],
+        ids=["list", "subclass", "wide", "narrow", "float"],
+    )
+    def test_tuple_prefetch_reads_only_checked_items(self, foreign):
+        width = PREFETCH_MIN_WIDTH
+        good = tuple(k % 2 for k in range(width))
+        for batch in window_batches(good, foreign(good)):
+            assert native.read_tuple_planes(batch, width) is None
+        for n in range(1, PREFETCH_AHEAD + 2):
+            got = native.read_tuple_planes([good] * n, width)
+            assert got is not None
+            assert (got == pack_bits(np.array([good] * n, dtype=np.uint8))).all()
 
 
 class SubPattern(TestPattern):
@@ -1370,6 +1450,10 @@ def spoiled_patterns(circuit, how):
         "true": lambda: TestPattern((True, *p.v1[1:]), p.v2),
         "two": lambda: TestPattern((2, *p.v1[1:]), p.v2),
         "none": lambda: TestPattern(p.v1, (*p.v2[:-1], None)),
+        **{
+            f"foreign-{name}": lambda make=make: make(p)
+            for name, make in zip(FOREIGN_IDS, FOREIGN_ITEMS)
+        },
     }[how]()
     patterns[41] = spoiled
     return patterns
@@ -1419,20 +1503,27 @@ class TestHostileReaders:
     and text, with the C readers on and off."""
 
     @pytest.mark.parametrize(
-        "how", ["subclass", "list", "narrow", "wide", "true", "two", "none"]
+        "how",
+        ["subclass", "list", "narrow", "wide", "true", "two", "none"]
+        + [f"foreign-{name}" for name in FOREIGN_IDS],
     )
     @pytest.mark.parametrize("backend", ["auto", "numpy", "int"])
     def test_patterns(self, how, backend):
+        """An object that is no pattern (``foreign-*``; the C reader meets
+        it first in its prefetch window) is a TypeError on every path,
+        like a bad bit's ValueError, and demotes no session."""
         circuit = resolve_circuit("c880")
         patterns = spoiled_patterns(circuit, how)
         faults = fault_list(circuit, cap=60, strategy="all")
         got = call_outcomes(circuit, patterns, faults, backend)
         with readers_off():
             assert call_outcomes(circuit, patterns, faults, backend) == got
-        if how in ("subclass", "list", "true"):
+        if how in ("subclass", "list", "true", "foreign-subpattern"):
             # a batch that reads in Python must still be graded right
             want = oracle_masks(circuit, TestClass.NONROBUST, patterns, faults)
             assert got["nonrobust", "masks"] == want
+        elif how.startswith("foreign-"):
+            assert got["robust", "masks"][0] == "TypeError"
         else:
             assert got["robust", "masks"][0] == "ValueError"
 

@@ -5,6 +5,7 @@ import pytest
 from repro.circuit import CircuitBuilder
 from repro.circuit.library import c17, paper_example, redundant_and_chain
 from repro.circuit.generators import reconvergent_ladder, ripple_carry_adder
+from repro.api.resolve import resolve_circuit
 from repro.paths import (
     PathDelayFault,
     Transition,
@@ -12,8 +13,10 @@ from repro.paths import (
     collect_faults,
     count_faults,
     count_paths,
+    fault_list,
     iter_faults,
     iter_paths,
+    longest_path_faults,
     longest_paths,
     path_length_histogram,
     paths_per_signal,
@@ -189,3 +192,54 @@ class TestCounting:
         c = reconvergent_ladder(8)
         seed_paths = count_paths(c, from_inputs=[c.index_of("seed")])
         assert seed_paths == 256
+
+
+class TestCaps:
+    """No enumerator returns more than its cap: 0 is none, and a negative
+    cap is a ValueError naming the value."""
+
+    @pytest.mark.parametrize("strategy", ["all", "longest", "sample"])
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3, 5])
+    def test_strategies_stay_within_the_cap(self, strategy, cap):
+        for circuit in (c17(), resolve_circuit("c880")):
+            faults = fault_list(circuit, cap=cap, strategy=strategy)
+            assert len(faults) <= cap
+            if strategy == "all":
+                assert faults == collect_faults(circuit)[:cap]
+            elif strategy == "longest" and cap >= 2:
+                # what the cap gave before a cap of 0 or 1 was honoured
+                assert faults == longest_path_faults(circuit, cap // 2)
+            elif strategy == "longest" and cap == 1:
+                assert faults == longest_path_faults(circuit, 1)[:1]
+
+    def test_zero_enumerates_nothing(self):
+        from repro.campaign.universe import FaultUniverse
+
+        c = c17()
+        assert list(iter_paths(c, max_paths=0)) == []
+        assert list(iter_faults(c, max_faults=0)) == []
+        assert longest_paths(c, 0) == []
+        assert FaultUniverse.from_circuit(c).head(0) == []
+        assert list(FaultUniverse.from_circuit(c, max_faults=0).stream()) == []
+        assert [len(list(iter_paths(c, max_paths=k))) for k in (1, 2)] == [1, 2]
+
+    def test_negative_caps_are_refused_at_the_call(self):
+        from repro.api import AtpgSession
+        from repro.campaign.universe import FaultUniverse
+
+        c = c17()
+        calls = [
+            ("cap", lambda: fault_list(c, cap=-1)),
+            ("max_faults", lambda: iter_faults(c, max_faults=-1)),
+            ("max_faults", lambda: collect_faults(c, max_faults=-1)),
+            ("max_paths", lambda: iter_paths(c, max_paths=-1)),
+            ("count", lambda: longest_paths(c, -1)),
+            ("max_faults", lambda: FaultUniverse.from_circuit(c, max_faults=-1)),
+            ("count", lambda: FaultUniverse.from_circuit(c).head(-1)),
+            ("max_faults", lambda: AtpgSession(c).generate(max_faults=-1)),
+            ("max_faults", lambda: AtpgSession(c).bist(max_faults=-1)),
+            ("limit", lambda: AtpgSession(c).paths(limit=-1)),
+        ]
+        for name, call in calls:
+            with pytest.raises(ValueError, match=rf"^{name} must be >= 0, got -1$"):
+                call()

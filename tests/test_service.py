@@ -251,6 +251,44 @@ class TestDispatcher:
         assert campaign.status == 400
         assert "window (4) must be >= width (8)" in campaign.payload["detail"]
 
+    def test_a_cap_of_zero_grades_no_fault(self):
+        """generate, a campaign and the wire agree on max_faults 0."""
+        from repro.campaign.universe import FaultUniverse
+
+        session = AtpgSession(c17())
+        assert session.generate(max_faults=0).records == []
+        universe = FaultUniverse.from_circuit(session.circuit, max_faults=0)
+        assert session.campaign(universe=universe).statuses == {}
+        service = AtpgService()
+        for verb in ("generate", "campaign"):
+            response = service.handle_json(
+                verb, stamp(f"repro/request.{verb}", {"circuit": "c17", "max_faults": 0})
+            )
+            assert response.ok
+            assert response.payload["records"] == []
+
+    @pytest.mark.parametrize(
+        "verb, field",
+        [
+            ("generate", "max_faults"),
+            ("campaign", "max_faults"),
+            ("bist", "max_faults"),
+            ("paths", "limit"),
+        ],
+    )
+    def test_a_negative_cap_is_400(self, verb, field):
+        service = AtpgService()
+        body = stamp(f"repro/request.{verb}", {"circuit": "c17", field: -1})
+        answers = [service.handle_json(verb, body)]
+        if verb in ("campaign", "bist"):  # refused before the queue
+            answers.append(service.submit_job(verb, body))
+        for response in answers:
+            assert response.status == 400
+            assert response.payload == {
+                "error": "ValueError", "detail": f"{field} must be >= 0, got -1"
+            }
+        assert service.metrics()["requests_failed"] == len(answers)
+
     def test_bad_circuit_is_a_clean_error(self):
         response = AtpgService().handle(GenerateRequest(circuit="nope"))
         assert not response.ok
