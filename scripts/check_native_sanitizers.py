@@ -18,11 +18,16 @@ test noticing.  This script starts one child interpreter that
 * sets the module's compile and link flags to
   :data:`SANITIZE_COMPILE`/:data:`SANITIZE_LINK` before the module
   first loads (the flags are hashed into its name), and
-* runs pytest on :data:`SUITES`.
+* runs pytest on :data:`SUITES` and then, when they pass, the campaign
+  of ``scripts/check_tpg_pins.py`` (the benchmark's ``tpg`` input:
+  c1355-like x2, 2048 faults, 303,022 implication passes), asserting
+  its pins, so the TPG engine runs a realistic campaign under the
+  sanitizers and not only the suites' small circuits.
 
 A sanitizer report aborts the child (``-fno-sanitize-recover``), so the
-exit status is the suite's or the sanitizer's.  ``CC`` names another
-compiler for the build; the runtimes are looked up with ``gcc``.
+exit status is the suite's, the pin check's or the sanitizer's.  ``CC``
+names another compiler for the build; the runtimes are looked up with
+``gcc``.
 
     python scripts/check_native_sanitizers.py [extra pytest args]
 """
@@ -72,14 +77,21 @@ SUITES = [
     "tests/test_bist.py",
 ]
 
+#: the pinned campaign the child runs after the suites
+PINS = os.path.join(ROOT, "scripts", "check_tpg_pins.py")
+
 _CHILD = """
+import runpy
 import sys
 from repro.kernel import native
 native._COMPILE_ARGS = {compile!r}
 native._LINK_ARGS = {link!r}
 assert native.native_available(), native.native_unavailable_reason()
 import pytest
-sys.exit(pytest.main({args!r}))
+status = pytest.main({args!r})
+if status == 0:
+    status = runpy.run_path({pins!r})["main"]()
+sys.exit(status)
 """
 
 
@@ -110,6 +122,7 @@ def main(argv) -> int:
         code = _CHILD.format(
             compile=SANITIZE_COMPILE,
             link=SANITIZE_LINK,
+            pins=PINS,
             # --capture=sys: a sanitizer report goes to the real stderr,
             # which pytest's fd capture would lose when the child aborts
             args=[
@@ -118,7 +131,11 @@ def main(argv) -> int:
             ],
         )
         status = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env).returncode
-    print("ok: the native suites pass under ASan and UBSan" if status == 0 else "FAILED")
+    print(
+        "ok: the native suites and the pinned campaign pass under ASan and UBSan"
+        if status == 0
+        else "FAILED"
+    )
     return status
 
 

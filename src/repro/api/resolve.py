@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 from ..circuit import Circuit, load_bench, parse_bench
 from ..circuit.library import EMBEDDED, load_embedded
-from ..circuit.suites import suite_circuit
+from ..circuit.suites import check_scale, suite_circuit
 from ..paths import TestClass
 
 
@@ -36,12 +36,16 @@ def resolve_circuit(spec: str, scale: int = 1) -> Circuit:
     """Interpret a circuit spec: file path, embedded name, suite name.
 
     Raises :class:`ResolutionError` (a ``ValueError``) for unknown
-    specs; the CLI converts that into a clean ``SystemExit``.
+    specs; the CLI converts that into a clean ``SystemExit``.  A suite
+    name with a *scale* below 1 raises a plain ``ValueError`` naming
+    the scale (a usage error on the CLI); file paths and embedded
+    names take no scale.
     """
     if spec.endswith(".bench"):
         return load_bench(spec)
     if spec in EMBEDDED:
         return load_embedded(spec)
+    check_scale(scale)
     try:
         return suite_circuit(spec, scale)
     except ValueError:

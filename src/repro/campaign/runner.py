@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from itertools import islice
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from .. import chaos
@@ -194,25 +195,29 @@ class _Campaign:
         self._note_pending_peak()
 
     def pull(self, stream) -> None:
-        """Fill the pending window from the stream (admission-checked)."""
+        """Fill the pending window from the stream (admission-checked).
+
+        Pulls ``islice`` chunks of at most ``_ADMIT_CHUNK`` faults, each
+        cut to the room left in the window, and admits each chunk as
+        one batch; after a chunk that the window cut short, the pull
+        stops.
+        """
         window = self.options.window
-        batch: List[Tuple[int, PathDelayFault]] = []
         while not self.exhausted:
-            if window is not None and len(self.pending) + len(batch) >= window:
-                break
-            try:
-                index, fault = next(stream)
-            except StopIteration:
+            room = _ADMIT_CHUNK
+            if window is not None:
+                room = min(room, window - len(self.pending))
+                if room <= 0:
+                    break
+            batch = list(islice(stream, room))
+            if len(batch) < room:
                 self.exhausted = True
-                break
-            self.stream_position = index + 1
-            self.report.stats.streamed += 1
-            batch.append((index, fault))
-            if len(batch) >= _ADMIT_CHUNK:
+            if batch:
+                self.stream_position = batch[-1][0] + 1
+                self.report.stats.streamed += len(batch)
                 self._admit(batch)
-                batch = []
-        if batch:
-            self._admit(batch)
+            if room < _ADMIT_CHUNK:
+                break
 
     # ------------------------------------------------------------ rounds
     def _apply_drops(self, dropped: Sequence[int]) -> None:

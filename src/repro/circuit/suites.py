@@ -32,6 +32,13 @@ from .generators import (
 _SuiteEntry = Callable[[int], Circuit]
 
 
+def check_scale(scale: int) -> None:
+    """Refuse a suite scale below 1 (``_scaled`` would floor it to a
+    smaller, different circuit)."""
+    if scale < 1:
+        raise ValueError(f"scale must be at least 1, got {scale}")
+
+
 def _scaled(base: int, scale: int) -> int:
     return max(8, base * scale)
 
@@ -128,6 +135,7 @@ TABLE78_CIRCUITS: List[str] = [
 
 def iscas85_like(name: str, scale: int = 1) -> Circuit:
     """The synthetic stand-in for ISCAS85 circuit *name*."""
+    check_scale(scale)
     try:
         return _ISCAS85[name](scale)
     except KeyError:
@@ -137,6 +145,7 @@ def iscas85_like(name: str, scale: int = 1) -> Circuit:
 
 def iscas89_like(name: str, scale: int = 1) -> Circuit:
     """The synthetic stand-in for ISCAS89 circuit *name*."""
+    check_scale(scale)
     try:
         return _ISCAS89[name](scale)
     except KeyError:
@@ -145,7 +154,11 @@ def iscas89_like(name: str, scale: int = 1) -> Circuit:
 
 
 def suite_circuit(name: str, scale: int = 1) -> Circuit:
-    """Look up *name* in either suite (or the extra generated set)."""
+    """Look up *name* in either suite (or the extra generated set).
+
+    A scale below 1 raises :class:`ValueError`, as does an unknown name.
+    """
+    check_scale(scale)
     if name in _ISCAS85:
         return iscas85_like(name, scale)
     if name in _ISCAS89:

@@ -58,6 +58,7 @@ from .api.options import DEFAULT_SHARDS
 from .api.resolve import resolve_test_class
 from .api.schemas import validate_file
 from .circuit import Circuit
+from .circuit.suites import check_scale
 from .kernel import check_fusion
 from .logic.words import DEFAULT_WORD_LENGTH
 from .paths import check_cap
@@ -68,7 +69,8 @@ def resolve_circuit(spec: str, scale: int = 1) -> Circuit:
 
     Thin CLI wrapper over :func:`repro.api.resolve.resolve_circuit`
     (the shared implementation): resolution errors become
-    ``SystemExit`` instead of a traceback.
+    ``SystemExit`` instead of a traceback.  A suite scale below 1 stays
+    a ``ValueError``, which the subcommands report as a usage error.
     """
     try:
         return _resolve_circuit(spec, scale)
@@ -153,8 +155,9 @@ def main_atpg(argv: Optional[List[str]] = None) -> int:
         )
         options.engine_mode().validate()
         check_cap("max_faults", args.max_faults)
+        circuit = resolve_circuit(args.circuit, args.scale)
 
-    session = AtpgSession(resolve_circuit(args.circuit, args.scale), options=options)
+    session = AtpgSession(circuit, options=options)
     report = session.generate(
         test_class=resolve_test_class(args.test_class),
         max_faults=args.max_faults,
@@ -306,8 +309,9 @@ def main_campaign(argv: Optional[List[str]] = None) -> int:
         check_cap("window", args.window)
         check_cap("max_faults", args.max_faults)
         check_cap("max_paths", args.max_paths)
+        circuit = resolve_circuit(args.circuit, args.scale)
 
-    session = AtpgSession(resolve_circuit(args.circuit, args.scale))
+    session = AtpgSession(circuit)
     max_faults = args.max_faults
     if args.max_paths is not None:
         cap = 2 * args.max_paths
@@ -379,8 +383,9 @@ def main_paths(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     with _usage_errors(parser):
         check_cap("list", args.list)
+        circuit = resolve_circuit(args.circuit, args.scale)
 
-    session = AtpgSession(resolve_circuit(args.circuit, args.scale))
+    session = AtpgSession(circuit)
     result = session.paths(histogram=args.histogram, limit=args.list)
     stats = result["stats"]
     print(f"circuit   : {result['circuit']}")
@@ -516,8 +521,9 @@ def main_bist(argv: Optional[List[str]] = None) -> int:
         )
         options.validate()
         check_cap("max_faults", args.max_faults)
+        circuit = resolve_circuit(args.circuit, args.scale)
 
-    session = AtpgSession(resolve_circuit(args.circuit, args.scale), options=options)
+    session = AtpgSession(circuit, options=options)
     report = session.bist(
         fault_model=args.fault_model,
         test_class=resolve_test_class(args.test_class),
@@ -573,6 +579,7 @@ def main_experiments(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     with _usage_errors(parser):
         check_cap("fault_cap", args.fault_cap)
+        check_scale(args.scale)
 
     if args.experiment == "figure1":
         result = run_figure1()

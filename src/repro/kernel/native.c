@@ -71,8 +71,11 @@ typedef struct {
    The rules are the Algebra rules of repro.logic.three_valued
    and repro.logic.seven_valued transcribed over words (OR/NOR
    and NAND/OR/XNOR see value-swapped inputs/outputs, as the Python
-   dispatchers arrange); XOR chains fold in fanin CSR order.  A
-   checkpoint mark is (trail length, conflict mask).
+   dispatchers arrange); XOR chains fold in fanin CSR order.  Each
+   algebra has one implication loop: _tpg_imply3 for the 3-valued
+   engines (nonrobust states and every campaign round), its hot state
+   in locals, and the generic loop of repro_tpg_imply for the 7-valued
+   ones.  A checkpoint mark is (trail length, conflict mask).
    repro_tpg_sensitize applies a path's nonrobust sensitization as
    the same sequence of assign steps the Python sensitizer's list
    feeds one by one; robust sensitization stays in Python.
@@ -786,6 +789,40 @@ static void _tpg_enqueue_around(repro_tpg *st, long s) {
   }
 }
 
+/* The index of the lowest set bit of a nonzero word. */
+static int _ctz64(u64 x) {
+#ifdef __GNUC__
+  return __builtin_ctzll(x);
+#else
+  int k = 0;
+  while (!(x & 1)) { x >>= 1; k++; }
+  return k;
+#endif
+}
+
+/* s becomes the conflict site of every lane of c. */
+static void _tpg_sites(int32_t *sites, u64 c, long s) {
+  for (; c; c &= c - 1) sites[_ctz64(c)] = (int32_t)s;
+}
+
+/* Room for need trail entries (doubling): 0, -1 when the trail cannot
+   grow (it is kept then). */
+static int _tpg_trail_room(repro_tpg *st, long need) {
+  long cap = st->trail_cap;
+  int32_t *sig;
+  u64 *old;
+  if (need <= cap) return 0;
+  while (cap < need) cap *= 2;
+  sig = realloc(st->trail_sig, (size_t)cap * sizeof(int32_t));
+  if (!sig) return -1;
+  st->trail_sig = sig;
+  old = realloc(st->trail_old, (size_t)(cap * st->n_planes) * sizeof(u64));
+  if (!old) return -1;
+  st->trail_old = old;
+  st->trail_cap = cap;
+  return 0;
+}
+
 /* OR add into s's planes: 1 on change, 0 without, -1 when the trail
    cannot grow (nothing is changed then). */
 static int _tpg_assign(repro_tpg *st, long s, const u64 *add) {
@@ -796,16 +833,7 @@ static int _tpg_assign(repro_tpg *st, long s, const u64 *add) {
     changed |= nw[k] ^ cur[k];
   }
   if (!changed) return 0;
-  if (st->trail_len == st->trail_cap) {
-    long cap = 2 * st->trail_cap;
-    int32_t *sig = realloc(st->trail_sig, cap * sizeof(int32_t));
-    if (!sig) return -1;
-    st->trail_sig = sig;
-    u64 *old = realloc(st->trail_old, cap * np * sizeof(u64));
-    if (!old) return -1;
-    st->trail_old = old;
-    st->trail_cap = cap;
-  }
+  if (_tpg_trail_room(st, st->trail_len + 1)) return -1;
   st->trail_sig[st->trail_len] = (int32_t)s;
   for (k = 0; k < np; k++) {
     st->trail_old[st->trail_len * np + k] = cur[k];
@@ -817,8 +845,7 @@ static int _tpg_assign(repro_tpg *st, long s, const u64 *add) {
   c &= ~st->conflict_mask;
   if (c) {
     st->conflict_mask |= c;
-    for (k = 0; k < 64; k++)
-      if (c >> k & 1) st->sites[k] = (int32_t)s;
+    _tpg_sites(st->sites, c, s);
   }
   st->assignments++;
   _tpg_enqueue_around(st, s);
@@ -836,42 +863,271 @@ int repro_tpg_assign4(repro_tpg *st, long s, uint64_t a0, uint64_t a1,
   return _tpg_assign(st, s, add);
 }
 
-/* Algebra.forward of gate s over the current planes, into out. */
-static void _tpg_forward(const repro_tpg *st, long s, u64 *out) {
+/* Each algebra has its own forward and backward rules and its own
+   implication loop: THREE_VALUED (two planes, zeros and ones, per
+   signal) below, SEVEN_VALUED (four: zeros, ones, stable, instable)
+   after it. */
+
+/* THREE_VALUED.forward of gate s over the planes P, into out, before
+   the output inversion of NOT, NAND, NOR and XNOR (which swaps the
+   two planes). */
+static void _tpg_fold3(const repro_plan *p, const u64 *P, long s, u64 *out) {
+  int code = p->code[s];
+  const int32_t *fi = p->fanin_idx + p->fanin_off[s];
+  long nf = p->fanin_off[s + 1] - p->fanin_off[s], k;
+  const u64 *a = P + (long)fi[0] * 2;
+  u64 z = a[0], o = a[1], t;
+  if (code == 3 || code == 4) {        /* AND / NAND */
+    for (k = 1; k < nf; k++) {
+      a = P + (long)fi[k] * 2;
+      z |= a[0]; o &= a[1];
+    }
+  } else if (code == 5 || code == 6) { /* OR / NOR */
+    for (k = 1; k < nf; k++) {
+      a = P + (long)fi[k] * 2;
+      z &= a[0]; o |= a[1];
+    }
+  } else if (code >= 7) {              /* XOR / XNOR: fold in order */
+    for (k = 1; k < nf; k++) {
+      a = P + (long)fi[k] * 2;
+      t = (z & a[0]) | (o & a[1]);
+      o = (z & a[1]) | (o & a[0]);
+      z = t;
+    }
+  }
+  out[0] = z; out[1] = o;
+}
+
+/* THREE_VALUED.backward of an AND, OR or XOR family gate s: the
+   additions of fanin k into adds[2 * k ...].  Suffix products run down
+   from the last fanin, prefix products come from work.  NAND, OR and
+   XNOR see swapped output value planes; OR and NOR see swapped input
+   (and addition) value planes. */
+static void _tpg_backward3(const repro_plan *p, const u64 *P, long s,
+                           u64 mask, u64 *work, u64 *adds) {
+  int code = p->code[s];
+  const int32_t *fi = p->fanin_idx + p->fanin_off[s];
+  long nf = p->fanin_off[s + 1] - p->fanin_off[s], k;
+  int sw_out = code == 4 || code == 5 || code == 8;
+  int sw_in = code == 5 || code == 6;
+  u64 oz = P[s * 2 + sw_out], oo = P[s * 2 + !sw_out];
+  u64 *pre1 = work, *pre2 = pre1 + nf + 1;
+  pre1[0] = mask;
+  if (code <= 6) {                     /* AND family */
+    u64 suf = mask;
+    for (k = 0; k < nf; k++)
+      pre1[k + 1] = pre1[k] & P[(long)fi[k] * 2 + !sw_in];
+    for (k = nf - 1; k >= 0; k--) {
+      adds[k * 2 + sw_in] = oz & pre1[k] & suf;
+      adds[k * 2 + !sw_in] = oo;
+      suf &= P[(long)fi[k] * 2 + !sw_in];
+    }
+  } else {                             /* XOR / XNOR */
+    u64 ok = oz | oo, suf_k = mask, suf_p = 0;
+    pre2[0] = 0;                       /* parity of the 1-planes */
+    for (k = 0; k < nf; k++) {
+      const u64 *a = P + (long)fi[k] * 2;
+      pre1[k + 1] = pre1[k] & (a[0] | a[1]);
+      pre2[k + 1] = pre2[k] ^ a[1];
+    }
+    for (k = nf - 1; k >= 0; k--) {
+      const u64 *a = P + (long)fi[k] * 2;
+      u64 r = pre2[k] ^ suf_p, act = pre1[k] & suf_k & ok;
+      adds[k * 2] = ((oo & r) | (oz & ~r)) & act;
+      adds[k * 2 + 1] = ((oo & ~r) | (oz & r)) & act;
+      suf_k &= a[0] | a[1];
+      suf_p ^= a[1];
+    }
+  }
+}
+
+/* The 3-valued loop's hot engine state, held in a local while the loop
+   runs and written back to the engine when it returns.  Its two
+   helpers below are inlined into the loop (gcc -O2 would call them),
+   so the state stays in registers. */
+#ifdef __GNUC__
+#define TPG3_INLINE static inline __attribute__((always_inline))
+#else
+#define TPG3_INLINE static inline
+#endif
+typedef struct {
+  u64 *P, *trail_old;
+  int32_t *queue, *dirty, *trail_sig, *sites;
+  uint8_t *queued, *is_dirty;
+  const int8_t *code;
+  const int32_t *fanout_off, *fanout_idx;
+  u64 mask, conflict;
+  long n, head, len, trail, n_dirty, assignments;
+} tpg3_hot;
+
+/* _tpg_dirty and, for a gate not queued, _tpg_push. */
+TPG3_INLINE void _tpg3_touch(tpg3_hot *h, long s, int gate) {
+  if (!h->is_dirty[s]) {
+    h->is_dirty[s] = 1;
+    h->dirty[h->n_dirty++] = (int32_t)s;
+  }
+  if (gate && !h->queued[s]) {
+    long tail = h->head + h->len;
+    if (tail >= h->n) tail -= h->n;
+    h->queue[tail] = (int32_t)s;
+    h->len++;
+    h->queued[s] = 1;
+  }
+}
+
+/* _tpg_assign of the 3-valued additions (a0, a1) into s, the trail
+   room reserved by the caller. */
+TPG3_INLINE void _tpg3_assign(tpg3_hot *h, long s, u64 a0, u64 a1) {
+  u64 *cur = h->P + s * 2, c;
+  u64 n0 = (cur[0] | a0) & h->mask, n1 = (cur[1] | a1) & h->mask;
+  long k;
+  if (n0 == cur[0] && n1 == cur[1]) return;
+  h->trail_sig[h->trail] = (int32_t)s;
+  h->trail_old[h->trail * 2] = cur[0];
+  h->trail_old[h->trail * 2 + 1] = cur[1];
+  h->trail++;
+  cur[0] = n0; cur[1] = n1;
+  c = n0 & n1 & ~h->conflict;
+  if (c) {
+    h->conflict |= c;
+    _tpg_sites(h->sites, c, s);
+  }
+  h->assignments++;
+  _tpg3_touch(h, s, h->code[s] != 0);
+  for (k = h->fanout_off[s]; k < h->fanout_off[s + 1]; k++)
+    _tpg3_touch(h, h->fanout_idx[k], 1);
+}
+
+/* repro_tpg_imply on a 3-valued engine.  A pass first reserves trail
+   room for its gate and every fanin (its most assignments), so the
+   assignments never check it, and a reserve that fails returns -1
+   before the pass pops its gate.  One and two fanins take the rules in
+   closed form; the backward step is skipped where the output is X in
+   every lane, since every addition is 0 there. */
+static int _tpg_imply3(repro_tpg *st, int stop) {
+  const repro_plan *p = st->p;
+  const int32_t *fanin_off = p->fanin_off, *fanin_idx = p->fanin_idx;
+  const int backward = st->use_backward;
+  long passes = st->implication_passes;
+  int rc = 0;
+  tpg3_hot h;
+  h.P = st->planes;
+  h.trail_old = st->trail_old;
+  h.queue = st->queue;
+  h.dirty = st->dirty;
+  h.trail_sig = st->trail_sig;
+  h.sites = st->sites;
+  h.queued = st->queued;
+  h.is_dirty = st->is_dirty;
+  h.code = p->code;
+  h.fanout_off = p->fanout_off;
+  h.fanout_idx = p->fanout_idx;
+  h.mask = st->mask;
+  h.conflict = st->conflict_mask;
+  h.n = p->n_signals;
+  h.head = st->q_head;
+  h.len = st->q_len;
+  h.trail = st->trail_len;
+  h.n_dirty = st->n_dirty;
+  h.assignments = st->assignments;
+  while (h.len) {
+    long s, nf, k;
+    const int32_t *fi;
+    int code;
+    u64 z, o, oz, oo;
+    if (stop && h.conflict == h.mask) {  /* drain */
+      while (h.len) {
+        h.queued[h.queue[h.head]] = 0;
+        if (++h.head == h.n) h.head = 0;
+        h.len--;
+      }
+      break;
+    }
+    s = h.queue[h.head];
+    nf = fanin_off[s + 1] - fanin_off[s];
+    if (h.trail + nf + 1 > st->trail_cap) {
+      if (_tpg_trail_room(st, h.trail + nf + 1)) {
+        rc = -1;
+        break;
+      }
+      h.trail_sig = st->trail_sig;
+      h.trail_old = st->trail_old;
+    }
+    if (++h.head == h.n) h.head = 0;
+    h.len--;
+    h.queued[s] = 0;
+    code = h.code[s];
+    if (code == 0) continue;
+    passes++;
+    fi = fanin_idx + fanin_off[s];
+    if (code <= 2) {                     /* BUF / NOT */
+      const long f = fi[0];
+      const int inv = code == 2;
+      z = h.P[f * 2]; o = h.P[f * 2 + 1];
+      _tpg3_assign(&h, s, inv ? o : z, inv ? z : o);
+      if (!backward) continue;
+      oz = h.P[s * 2]; oo = h.P[s * 2 + 1];
+      if (!(oz | oo)) continue;
+      _tpg3_assign(&h, f, inv ? oo : oz, inv ? oz : oo);
+    } else if (nf == 2) {                /* two fanins f and g */
+      const long f = fi[0], g = fi[1];
+      const u64 a0 = h.P[f * 2], a1 = h.P[f * 2 + 1];
+      const u64 b0 = h.P[g * 2], b1 = h.P[g * 2 + 1];
+      const int sw_out = code == 4 || code == 5 || code == 8;
+      if (code <= 4) {
+        z = a0 | b0; o = a1 & b1;
+      } else if (code <= 6) {
+        z = a0 & b0; o = a1 | b1;
+      } else {
+        z = (a0 & b0) | (a1 & b1); o = (a0 & b1) | (a1 & b0);
+      }
+      if (!(code & 1)) { oz = z; z = o; o = oz; } /* NAND NOR XNOR */
+      _tpg3_assign(&h, s, z, o);
+      if (!backward) continue;
+      oz = h.P[s * 2 + sw_out]; oo = h.P[s * 2 + !sw_out];
+      if (!(oz | oo)) continue;
+      if (code <= 6) {                   /* AND family */
+        const int sw_in = code >= 5;
+        const u64 fa = oz & (sw_in ? b0 : b1), ga = oz & (sw_in ? a0 : a1);
+        _tpg3_assign(&h, f, sw_in ? oo : fa, sw_in ? fa : oo);
+        _tpg3_assign(&h, g, sw_in ? oo : ga, sw_in ? ga : oo);
+      } else {                           /* XOR / XNOR */
+        const u64 ok = oz | oo, fa = (b0 | b1) & ok, ga = (a0 | a1) & ok;
+        _tpg3_assign(&h, f, ((oo & b1) | (oz & ~b1)) & fa,
+                     ((oo & ~b1) | (oz & b1)) & fa);
+        _tpg3_assign(&h, g, ((oo & a1) | (oz & ~a1)) & ga,
+                     ((oo & ~a1) | (oz & a1)) & ga);
+      }
+    } else {                             /* wider gates */
+      u64 *adds = st->work + 3 * (nf + 1);
+      _tpg_fold3(p, h.P, s, adds);
+      z = adds[code & 1 ? 0 : 1]; o = adds[code & 1 ? 1 : 0];
+      _tpg3_assign(&h, s, z, o);
+      if (!backward || !(h.P[s * 2] | h.P[s * 2 + 1])) continue;
+      _tpg_backward3(p, h.P, s, h.mask, st->work, adds);
+      for (k = 0; k < nf; k++)
+        _tpg3_assign(&h, fi[k], adds[k * 2], adds[k * 2 + 1]);
+    }
+  }
+  st->q_head = h.head;
+  st->q_len = h.len;
+  st->trail_len = h.trail;
+  st->n_dirty = h.n_dirty;
+  st->conflict_mask = h.conflict;
+  st->implication_passes = passes;
+  st->assignments = h.assignments;
+  return rc;
+}
+
+/* SEVEN_VALUED.forward of gate s over the current planes, into out. */
+static void _tpg_forward7(const repro_tpg *st, long s, u64 *out) {
   const repro_plan *p = st->p;
   const u64 *P = st->planes;
   int code = p->code[s];
   const int32_t *fi = p->fanin_idx + p->fanin_off[s];
   long nf = p->fanin_off[s + 1] - p->fanin_off[s], k;
-  u64 z, o, t;
-  if (st->n_planes == 2) {
-    const u64 *a = P + (long)fi[0] * 2;
-    z = a[0]; o = a[1];
-    if (code == 3 || code == 4) {        /* AND / NAND */
-      for (k = 1; k < nf; k++) {
-        a = P + (long)fi[k] * 2;
-        z |= a[0]; o &= a[1];
-      }
-    } else if (code == 5 || code == 6) { /* OR / NOR */
-      for (k = 1; k < nf; k++) {
-        a = P + (long)fi[k] * 2;
-        z &= a[0]; o |= a[1];
-      }
-    } else if (code >= 7) {              /* XOR / XNOR: fold in order */
-      for (k = 1; k < nf; k++) {
-        a = P + (long)fi[k] * 2;
-        t = (z & a[0]) | (o & a[1]);
-        o = (z & a[1]) | (o & a[0]);
-        z = t;
-      }
-    }
-    if (!(code & 1)) { t = z; z = o; o = t; } /* NOT NAND NOR XNOR */
-    out[0] = z; out[1] = o;
-    return;
-  }
   const u64 *a = P + (long)fi[0] * 4;
-  u64 s_ = a[2], i = a[3];
-  z = a[0]; o = a[1];
+  u64 z = a[0], o = a[1], s_ = a[2], i = a[3], t;
   if (code >= 3 && code <= 6) {
     int or_family = code >= 5;
     /* AND: zeros |, ones &, stable0 |, stable1 &, init0 |, init1 &;
@@ -907,39 +1163,41 @@ static void _tpg_forward(const repro_tpg *st, long s, u64 *out) {
   out[0] = z; out[1] = o; out[2] = s_; out[3] = i;
 }
 
-/* Algebra.backward of gate s: the additions of fanin k into
-   adds[k * n_planes ...].  Suffix products run down from the last
-   fanin, prefix products come from the work buffer. */
-static void _tpg_backward(repro_tpg *st, long s, u64 *adds) {
+/* The forward evaluation of gate s in the engine's algebra. */
+static void _tpg_forward(const repro_tpg *st, long s, u64 *out) {
+  u64 t;
+  if (st->n_planes == 4) {
+    _tpg_forward7(st, s, out);
+    return;
+  }
+  _tpg_fold3(st->p, st->planes, s, out);
+  if (!(st->p->code[s] & 1)) { t = out[0]; out[0] = out[1]; out[1] = t; }
+}
+
+/* SEVEN_VALUED.backward of gate s: the additions of fanin k into
+   adds[4 * k ...].  Suffix products run down from the last fanin,
+   prefix products come from the work buffer; the value planes swap as
+   in _tpg_backward3. */
+static void _tpg_backward7(repro_tpg *st, long s, u64 *adds) {
   const repro_plan *p = st->p;
-  const u64 *P = st->planes, *out = P + s * st->n_planes;
+  const u64 *P = st->planes, *out = P + s * 4;
   int code = p->code[s];
   const int32_t *fi = p->fanin_idx + p->fanin_off[s];
-  long nf = p->fanin_off[s + 1] - p->fanin_off[s], np = st->n_planes, k;
+  long nf = p->fanin_off[s + 1] - p->fanin_off[s], k;
   u64 mask = st->mask;
   u64 *pre1 = st->work, *pre2 = pre1 + nf + 1, *pre3 = pre2 + nf + 1;
-  /* NAND, OR and XNOR see swapped output value planes; OR and NOR see
-     swapped input (and addition) value planes */
   int sw_out = code == 4 || code == 5 || code == 8;
   int sw_in = code == 5 || code == 6;
   u64 oz = out[sw_out], oo = out[!sw_out];
   if (code <= 2) {                     /* BUF / NOT */
     adds[0] = code == 2 ? out[1] : out[0];
     adds[1] = code == 2 ? out[0] : out[1];
-    if (np == 4) { adds[2] = out[2]; adds[3] = out[3]; }
+    adds[2] = out[2];
+    adds[3] = out[3];
     return;
   }
   pre1[0] = pre2[0] = pre3[0] = mask;
-  if (code <= 6 && np == 2) {          /* AND family, 3-valued */
-    u64 suf = mask;
-    for (k = 0; k < nf; k++)
-      pre1[k + 1] = pre1[k] & P[(long)fi[k] * 2 + !sw_in];
-    for (k = nf - 1; k >= 0; k--) {
-      adds[k * 2 + sw_in] = oz & pre1[k] & suf;
-      adds[k * 2 + !sw_in] = oo;
-      suf &= P[(long)fi[k] * 2 + !sw_in];
-    }
-  } else if (code <= 6) {              /* AND family, 7-valued */
+  if (code <= 6) {                     /* AND family */
     u64 os = out[2], oi = out[3];
     u64 s1 = oo & os, n0 = oz & os, fa = oz & oi, ri = oo & oi;
     u64 suf1 = mask, suf2 = mask, suf3 = mask;
@@ -963,30 +1221,33 @@ static void _tpg_backward(repro_tpg *st, long s, u64 *adds) {
     u64 ok = oz | oo, suf_k = mask, suf_p = 0, suf_s = mask;
     pre2[0] = 0;                       /* parity of the 1-planes */
     for (k = 0; k < nf; k++) {
-      const u64 *a = P + (long)fi[k] * np;
+      const u64 *a = P + (long)fi[k] * 4;
       pre1[k + 1] = pre1[k] & (a[0] | a[1]);
       pre2[k + 1] = pre2[k] ^ a[1];
-      if (np == 4) pre3[k + 1] = pre3[k] & a[2];
+      pre3[k + 1] = pre3[k] & a[2];
     }
     for (k = nf - 1; k >= 0; k--) {
-      const u64 *a = P + (long)fi[k] * np;
+      const u64 *a = P + (long)fi[k] * 4;
       u64 r = pre2[k] ^ suf_p, act = pre1[k] & suf_k & ok;
-      adds[k * np] = ((oo & r) | (oz & ~r)) & act;
-      adds[k * np + 1] = ((oo & ~r) | (oz & r)) & act;
-      if (np == 4) {
-        adds[k * 4 + 2] = out[2];
-        adds[k * 4 + 3] = out[3] & pre3[k] & suf_s;
-        suf_s &= a[2];
-      }
+      adds[k * 4] = ((oo & r) | (oz & ~r)) & act;
+      adds[k * 4 + 1] = ((oo & ~r) | (oz & r)) & act;
+      adds[k * 4 + 2] = out[2];
+      adds[k * 4 + 3] = out[3] & pre3[k] & suf_s;
+      suf_s &= a[2];
       suf_k &= a[0] | a[1];
       suf_p ^= a[1];
     }
   }
 }
 
+/* Pop gates FIFO until the worklist is empty (or, with stop, every lane
+   conflicts): each merges its forward evaluation into its output and,
+   with use_backward, its backward additions, all computed before any
+   is applied, into its fanins.  0, -1 when the trail cannot grow. */
 int repro_tpg_imply(repro_tpg *st, int stop) {
   const repro_plan *p = st->p;
   u64 fwd[4], *adds;
+  if (st->n_planes == 2) return _tpg_imply3(st, stop);
   while (st->q_len) {
     long s, k, nf;
     if (stop && st->conflict_mask == st->mask) {
@@ -999,15 +1260,14 @@ int repro_tpg_imply(repro_tpg *st, int stop) {
     st->queued[s] = 0;
     if (p->code[s] == 0) continue;
     st->implication_passes++;
-    _tpg_forward(st, s, fwd);
+    _tpg_forward7(st, s, fwd);
     if (_tpg_assign(st, s, fwd) < 0) return -1;
     if (!st->use_backward) continue;
     nf = p->fanin_off[s + 1] - p->fanin_off[s];
     adds = st->work + 3 * (nf + 1);
-    _tpg_backward(st, s, adds);
+    _tpg_backward7(st, s, adds);
     for (k = 0; k < nf; k++)
-      if (_tpg_assign(st, p->fanin_idx[p->fanin_off[s] + k],
-                      adds + k * st->n_planes) < 0)
+      if (_tpg_assign(st, p->fanin_idx[p->fanin_off[s] + k], adds + k * 4) < 0)
         return -1;
   }
   return 0;

@@ -29,6 +29,17 @@ class TestResolveCircuit:
         with pytest.raises(SystemExit, match="unknown circuit"):
             resolve_circuit("not_a_circuit")
 
+    @pytest.mark.parametrize("scale", [0, -4])
+    def test_a_suite_scale_below_one_is_refused(self, scale):
+        from repro.api import resolve_circuit as api_resolve_circuit
+
+        message = f"scale must be at least 1, got {scale}"
+        for resolve in (resolve_circuit, api_resolve_circuit):
+            with pytest.raises(ValueError, match=message):
+                resolve("c1355", scale)
+        # a file or an embedded circuit takes no scale
+        assert api_resolve_circuit("c17", scale).name == "c17"
+
 
 class TestAtpgCommand:
     def test_basic_run(self, capsys):
@@ -191,6 +202,11 @@ REFUSED = [
     (["bist", "c17", "--max-faults", "-1"], "max_faults must be >= 0, got -1"),
     (["paths", "c17", "--list", "-1"], "list must be >= 0, got -1"),
     (["experiments", "table3", "--fault-cap", "-1"], "fault_cap must be >= 0, got -1"),
+    (["atpg", "c1355", "--scale", "0"], "scale must be at least 1, got 0"),
+    (["campaign", "c1355", "--scale", "-4"], "scale must be at least 1, got -4"),
+    (["paths", "c1355", "--scale", "0"], "scale must be at least 1, got 0"),
+    (["bist", "c1355", "--scale", "0"], "scale must be at least 1, got 0"),
+    (["experiments", "table3", "--scale", "0"], "scale must be at least 1, got 0"),
 ]
 
 

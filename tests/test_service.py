@@ -289,6 +289,17 @@ class TestDispatcher:
             }
         assert service.metrics()["requests_failed"] == len(answers)
 
+    @pytest.mark.parametrize("scale", [0, -7])
+    def test_a_scale_below_one_is_400(self, scale):
+        service = AtpgService()
+        body = stamp("repro/request.paths", {"circuit": "c1355", "scale": scale})
+        response = service.handle_json("paths", body)
+        assert response.status == 400
+        assert response.payload == {
+            "error": "ValueError", "detail": f"scale must be at least 1, got {scale}"
+        }
+        assert service.metrics()["degraded_circuits"] == 0
+
     def test_bad_circuit_is_a_clean_error(self):
         response = AtpgService().handle(GenerateRequest(circuit="nope"))
         assert not response.ok

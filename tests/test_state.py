@@ -578,6 +578,137 @@ class TestEnginesMatchInterp:
 
 
 # ---------------------------------------------------------------------------
+# the 3-valued implication loop: every gate shape against the Python engine
+# ---------------------------------------------------------------------------
+
+_MULTI_INPUT = [GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
+                GateType.XOR, GateType.XNOR]
+
+
+def shaped_dag(seed: int, n_gates: int, wide: int) -> Circuit:
+    """Random DAG of the gate shapes the 3-valued loop tells apart.
+
+    BUF/NOT chains of one to three gates, AND/NAND/OR/NOR/XOR/XNOR
+    gates of 2, 3 and 5 inputs, and one gate of *wide* inputs; fanins
+    are drawn with replacement, so duplicates occur.
+    """
+    rng = random.Random(seed)
+    circuit = Circuit(name=f"shaped_dag_{seed}")
+    signals = [circuit.add_input(f"i{k}") for k in range(rng.randint(2, 6))]
+    wide_at = rng.randrange(n_gates)
+    for g in range(n_gates):
+        window = signals[-6:] if rng.random() < 0.7 else signals
+        if g == wide_at:
+            kind = rng.choice(_MULTI_INPUT)
+            fanin = [rng.choice(signals) for _ in range(wide)]
+        elif rng.random() < 0.3:
+            signal = rng.choice(window)
+            for k in range(rng.randint(1, 3)):
+                kind = rng.choice([GateType.BUF, GateType.NOT])
+                signal = circuit.add_gate(f"g{g}_{k}", kind, [signal])
+            signals.append(signal)
+            continue
+        else:
+            kind = rng.choice(_MULTI_INPUT)
+            fanin = [rng.choice(window) for _ in range(rng.choice((2, 3, 5)))]
+        signals.append(circuit.add_gate(f"g{g}", kind, fanin))
+    for signal in signals[-2:]:
+        circuit.mark_output(signal)
+    return circuit.freeze()
+
+
+def assert_same_engine_state(got: TpgState, want: TpgState) -> None:
+    """Same planes, conflicts and sites, trail length and counters."""
+    assert got.planes == want.planes
+    assert got.conflict_mask == want.conflict_mask
+    assert got.conflict_sites == want.conflict_sites
+    assert trail_len(got) == trail_len(want)
+    assert got.implication_passes == want.implication_passes
+    assert got.assignments == want.assignments
+
+
+@needs_native
+class TestThreeValuedLoopMatchesPython:
+    """The C engine's 3-valued implication loop (closed forms for one
+    and two fanins, the prefix/suffix form for wider gates, the trail
+    reserved once per pass) against the Python engine, after every
+    imply and every rollback."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=hst.integers(0, 10_000),
+        n_gates=hst.integers(1, 24),
+        wide=hst.integers(65, 80),
+        width=hst.sampled_from([1, 31, 32, 63, 64]),
+        use_backward=hst.booleans(),
+        data=hst.data(),
+    )
+    def test_random_operation_sequences(
+        self, seed, n_gates, wide, width, use_backward, data
+    ):
+        circuit = shaped_dag(seed, n_gates, wide)
+        got = tpg_state("native/c", circuit, THREE_VALUED, width, use_backward)
+        want = TpgState(circuit, THREE_VALUED, width, use_backward, fusion="interp")
+        mask = got.mask
+        tokens = []
+        for _ in range(data.draw(hst.integers(1, 40), label="n_ops")):
+            op = data.draw(hst.sampled_from(
+                ["assign"] * 6 + ["imply"] * 3 + ["mark", "rollback"] * 2
+            ))
+            if op == "assign":
+                signal = data.draw(hst.integers(0, circuit.num_signals - 1))
+                lanes = data.draw(hst.integers(1, mask), label="lanes")
+                if data.draw(hst.booleans(), label="conflicting"):
+                    ones = data.draw(hst.integers(0, mask), label="ones")
+                    planes = (lanes, ones)
+                else:
+                    planes = tv.encode_word(data.draw(hst.integers(0, 1)), lanes)
+                assert got.assign(signal, planes) == want.assign(signal, planes)
+                continue
+            if op == "imply":
+                stop = data.draw(hst.booleans(), label="stop")
+                assert got.imply(stop) == want.imply(stop)
+            elif op == "mark":
+                tokens.append(got.mark())
+                assert want.mark() == tokens[-1]
+                continue
+            else:
+                if not tokens:
+                    continue
+                token = data.draw(hst.sampled_from(tokens))
+                del tokens[tokens.index(token):]
+                got.rollback(token)
+                want.rollback(token)
+            assert_same_engine_state(got, want)
+
+    def test_one_pass_outgrows_the_trail(self):
+        """One pass assigns its gate and every fanin: with the gate's
+        output and one input assigned first, a pass of an AND of n
+        distinct inputs writes n + 1 trail entries on top of two.  n is
+        chosen so that the pass ends 1 and 2 entries past the trail's
+        capacity, and once past twice the capacity."""
+        cap = tpg_state("native/c", c17(), THREE_VALUED, 2)._c.trail_cap
+        for over in (1, 2, cap + 1):
+            n = cap + over - 3
+            circuit = Circuit(name=f"and{n}")
+            inputs = [circuit.add_input(f"i{k}") for k in range(n)]
+            gate = circuit.add_gate("g", GateType.AND, inputs)
+            circuit.mark_output(gate)
+            circuit.freeze()
+            got = tpg_state("native/c", circuit, THREE_VALUED, 2)
+            want = TpgState(circuit, THREE_VALUED, 2, fusion="interp")
+            for state in (got, want):
+                state.assign(inputs[0], tv.encode_word(0, 0b10))
+                state.assign(gate, tv.encode_word(1, 0b01))
+            assert trail_len(got) == 2 and got._c.trail_cap == cap
+            assert got.imply() == want.imply() == 0
+            assert_same_engine_state(got, want)
+            assert trail_len(got) == cap + over
+            assert got.planes[gate] == (0b10, 0b01)
+            assert all(got.planes[i] == (0, 0b01) for i in inputs[1:])
+
+
+# ---------------------------------------------------------------------------
 # sensitization: the C call against the Python sensitizer list
 # ---------------------------------------------------------------------------
 

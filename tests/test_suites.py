@@ -32,6 +32,19 @@ class TestSuiteResolution:
         with pytest.raises(ValueError, match="unknown"):
             suite_circuit("b17")
 
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_a_scale_below_one_is_refused(self, scale):
+        """``_scaled`` floors a size at 8, so a scale below 1 would build
+        a smaller, different circuit under the same name."""
+        message = f"scale must be at least 1, got {scale}"
+        with pytest.raises(ValueError, match=message):
+            iscas85_like("c1355", scale)
+        with pytest.raises(ValueError, match=message):
+            iscas89_like("s713", scale)
+        for name in ("c1355", "s713", "bulk2k"):
+            with pytest.raises(ValueError, match=message):
+                suite_circuit(name, scale)
+
     def test_c6288_is_a_multiplier(self):
         c = iscas85_like("c6288")
         assert c.name == "c6288_like"
