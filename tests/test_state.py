@@ -631,8 +631,8 @@ def assert_same_engine_state(got: TpgState, want: TpgState) -> None:
 class TestThreeValuedLoopMatchesPython:
     """The C engine's 3-valued implication loop (closed forms for one
     and two fanins, the prefix/suffix form for wider gates, the trail
-    reserved once per pass) against the Python engine, after every
-    imply and every rollback."""
+    reserved once per pass) against the Python oracle
+    (``fusion="interp"``), after every imply and every rollback."""
 
     @settings(max_examples=120, deadline=None)
     @given(
