@@ -617,16 +617,6 @@ def shaped_dag(seed: int, n_gates: int, wide: int) -> Circuit:
     return circuit.freeze()
 
 
-def assert_same_engine_state(got: TpgState, want: TpgState) -> None:
-    """Same planes, conflicts and sites, trail length and counters."""
-    assert got.planes == want.planes
-    assert got.conflict_mask == want.conflict_mask
-    assert got.conflict_sites == want.conflict_sites
-    assert trail_len(got) == trail_len(want)
-    assert got.implication_passes == want.implication_passes
-    assert got.assignments == want.assignments
-
-
 @needs_native
 class TestThreeValuedLoopMatchesPython:
     """The C engine's 3-valued implication loop (closed forms for one
@@ -679,7 +669,8 @@ class TestThreeValuedLoopMatchesPython:
                 del tokens[tokens.index(token):]
                 got.rollback(token)
                 want.rollback(token)
-            assert_same_engine_state(got, want)
+            assert_same_state(got, want)
+            assert trail_len(got) == trail_len(want)
 
     def test_one_pass_outgrows_the_trail(self):
         """One pass assigns its gate and every fanin: with the gate's
@@ -702,8 +693,8 @@ class TestThreeValuedLoopMatchesPython:
                 state.assign(gate, tv.encode_word(1, 0b01))
             assert trail_len(got) == 2 and got._c.trail_cap == cap
             assert got.imply() == want.imply() == 0
-            assert_same_engine_state(got, want)
-            assert trail_len(got) == cap + over
+            assert_same_state(got, want)
+            assert trail_len(got) == trail_len(want) == cap + over
             assert got.planes[gate] == (0b10, 0b01)
             assert all(got.planes[i] == (0, 0b01) for i in inputs[1:])
 
