@@ -51,8 +51,10 @@ SANITIZE_COMPILE = [
 SANITIZE_LINK = ["-fsanitize=address,undefined"]
 
 #: The suites that drive the C unit: the TPG engine, the polarity
-#: screen, the passes and walks, the fault table and the campaign's
-#: shards and drop bus, the hostile-input boundary tests, the
+#: screen, the library runners ``run_aptpg``/``run_fptpg`` (whose
+#: nonrobust runs are one-shard C rounds) on the XOR polarity and
+#: paper-figure circuits, the passes and walks, the fault table and the
+#: campaign's shards and drop bus, the hostile-input boundary tests, the
 #: simulators and packers that reach the object readers through their
 #: public calls, the session API, whose ``grade`` runs the walk for
 #: flags only (no mask rows written), the service, whose handler
@@ -62,6 +64,8 @@ SANITIZE_LINK = ["-fsanitize=address,undefined"]
 SUITES = [
     "tests/test_state.py",
     "tests/test_polarity_screen.py",
+    "tests/test_xor_polarity.py",
+    "tests/test_paper_figures.py",
     "tests/test_kernel.py",
     "tests/test_fusion.py",
     "tests/test_fault_table.py",

@@ -17,7 +17,7 @@ Public API:
 from .bus import DropBus
 from .report import DEFAULT_SHARDS, CampaignReport, CampaignStats
 from .runner import CampaignControl, execute_campaign
-from .scheduler import RoundResult, SerialExecutor, ShardResult
+from .scheduler import RoundResult, SerialExecutor
 from .universe import FaultUniverse
 
 __all__ = [
@@ -30,5 +30,4 @@ __all__ = [
     "FaultUniverse",
     "RoundResult",
     "SerialExecutor",
-    "ShardResult",
 ]

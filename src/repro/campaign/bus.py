@@ -62,6 +62,7 @@ through to it.
 from __future__ import annotations
 
 import time
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -164,31 +165,33 @@ class DropBus:
             self._rebuild()
         table = self.table
         rows, bad = table.extend_valid([fault for _index, fault in arrivals])
-        errors = dict.fromkeys(bad, signal_range_error(table.n_signals))
-        # the arrival position of each new row
-        positions = [k for k in range(len(arrivals)) if k not in errors]
+        # one keep mask over the arrivals; the new rows are the arrivals
+        # that passed the range check, in order
+        keep = np.ones(len(arrivals), dtype=bool)
+        keep[bad] = False
+        positions = np.flatnonzero(keep)
         firsts = table.flat[table.offsets[rows.start : rows.stop]]
-        for j in np.flatnonzero(~self._is_input[firsts]).tolist():
-            signal = int(firsts[j])
-            errors[positions[j]] = path_input_error(
-                signal, self.circuit.signal_name(signal)
-            )
-        live = [
-            (arrivals[k][0], row)
-            for k, row in zip(positions, rows)
-            if k not in errors
-        ]
-        self._rows.update(live)
+        at_input = self._is_input[firsts]
+        off_input = np.flatnonzero(~at_input)
+        keep[positions[off_input]] = False
+        kept = list(compress(arrivals, keep.tolist()))
+        indices = [index for index, _fault in kept]
+        live_rows = np.arange(rows.start, rows.stop)[at_input]
+        self._rows.update(zip(indices, live_rows.tolist()))
         self._live = grown(self._live, len(table))
         self._index = grown(self._index, len(table))
         # the new rows start dead: a refused path's row stays so, and the
         # next rebuild drops it
         self._live[rows.start : rows.stop] = False
-        new_rows = [row for _index, row in live]
-        self._live[new_rows] = True
-        self._index[new_rows] = [index for index, _row in live]
+        self._live[live_rows] = True
+        self._index[live_rows] = indices
+        errors = dict.fromkeys(bad, signal_range_error(table.n_signals))
+        for j in off_input.tolist():
+            signal = int(firsts[j])
+            errors[int(positions[j])] = path_input_error(
+                signal, self.circuit.signal_name(signal)
+            )
         rejected: Rejected = [(*arrivals[k], errors[k]) for k in sorted(errors)]
-        kept = [a for k, a in enumerate(arrivals) if k not in errors]
         return kept, rejected
 
     def table_rows(self, indices: Sequence[int]) -> List[int]:
@@ -271,14 +274,14 @@ class DropBus:
         self._maybe_compact()
         return dropped
 
-    def admit(self, arrivals: Arrivals) -> Tuple[Arrivals, List[int], Rejected]:
+    def admit(self, arrivals: Arrivals) -> Tuple[Arrivals, Arrivals, Rejected]:
         """Split newly streamed faults into (pending, dropped, rejected).
 
         Registers every well-formed arrival (:meth:`register`) and
         checks them against the full retained pattern set in one bulk
-        pass; order is preserved for the pending survivors.  Dropped
-        indices keep their rows until the campaign settles (and
-        releases) them.
+        pass; arrival order is preserved in the pending and the dropped
+        lists.  Dropped arrivals keep their rows until the campaign
+        settles (and releases) them.
         """
         arrivals, rejected = self.register(arrivals)
         if not arrivals or not self.enabled or not len(self.retained):
@@ -294,14 +297,14 @@ class DropBus:
         masks = self.simulator.detection_masks(self.retained.packed(), view)
         self.seconds_simulate += time.perf_counter() - t0
         fresh: Arrivals = []
-        dropped: List[int] = []
-        for (index, fault), mask in zip(arrivals, masks):
+        dropped: Arrivals = []
+        for arrival, mask in zip(arrivals, masks):
             if mask:
-                dropped.append(index)
+                dropped.append(arrival)
                 if self.compact_every is not None:
-                    self.obligations.append(fault)
+                    self.obligations.append(arrival[1])
             else:
-                fresh.append((index, fault))
+                fresh.append(arrival)
         return fresh, dropped, rejected
 
     # ------------------------------------------------------------ compaction

@@ -179,11 +179,8 @@ class _Campaign:
     def _admit(self, arrivals: List[Tuple[int, PathDelayFault]]) -> None:
         survivors, dropped, rejected = self.bus.admit(arrivals)
         self._settle_rejected(rejected)
-        lookup = dict(arrivals)
-        for index in dropped:
-            self.settle(
-                index, lookup[index], FaultStatus.SIMULATED, None, "simulation"
-            )
+        for index, fault in dropped:
+            self.settle(index, fault, FaultStatus.SIMULATED, None, "simulation")
         self.report.stats.admitted_dropped += len(dropped)
         for index, fault in survivors:
             self.pending[index] = fault

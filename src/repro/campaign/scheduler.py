@@ -20,8 +20,9 @@ fault), and leaves its verdicts, tested rows and counters in the
 engine, so a retried shard is bit-identical and no ``TpgState``,
 outcome or pattern tuple is built until the round is read back.
 Robust rounds and the Python tiers run each shard through
-:func:`run_fptpg` / :func:`run_aptpg` (their oracles, looked up here at
-call time), and their rows are decoded from the pattern tuples.
+:func:`run_fptpg` / :func:`run_aptpg` (looked up here at call time),
+whose Python loops are the round's oracles, and their rows are decoded
+from the pattern tuples.
 
 **Supervision.**  Long campaigns must survive losing pieces.  Every
 shard runs under a :class:`Supervision` policy:
@@ -55,31 +56,12 @@ from ..chaos import maybe_raise
 from ..circuit import Circuit
 from ..core.aptpg import DEFAULT_XOR_POLARITY_BITS, run_aptpg
 from ..core.controllability import compute_controllability
-from ..core.fptpg import run_fptpg
-from ..core.patterns import Rows, TestPattern
+from ..core.fptpg import STATUSES, run_fptpg
+from ..core.patterns import Rows, TestPattern, round_patterns
 from ..core.results import FaultStatus
-from ..core.state import (
-    ABORTED,
-    DEFERRED,
-    REDUNDANT,
-    TESTED,
-    THREE_VALUED,
-    ShardFailure,
-    TpgEngine,
-    tpg_tier,
-)
+from ..core.state import THREE_VALUED, ShardFailure, TpgEngine, tpg_tier
 from ..kernel.packed import pattern_rows
-from ..paths import FaultTable, PathDelayFault, TestClass
-
-#: The :class:`FaultStatus` of each status code of a native round; a
-#: skipped (quarantined) shard's faults read ``skipped_error``.
-_STATUS = {
-    0: FaultStatus.SKIPPED_ERROR,
-    TESTED: FaultStatus.TESTED,
-    REDUNDANT: FaultStatus.REDUNDANT,
-    ABORTED: FaultStatus.ABORTED,
-    DEFERRED: FaultStatus.DEFERRED,
-}
+from ..paths import FaultTable, TestClass
 
 
 @dataclass
@@ -107,23 +89,6 @@ class Supervision:
         base = (self.retry_base_ms / 1000.0) * (2 ** max(0, attempt - 1))
         jitter = ((shard_index * 2654435761 + attempt * 40503) % 1024) / 4096.0
         return base * (1.0 + jitter)
-
-
-@dataclass
-class ShardResult:
-    """Outcome of one shard on a Python tier (:meth:`SerialExecutor.fptpg_shard`,
-    :meth:`SerialExecutor.aptpg_shard`).
-
-    For an FPTPG shard the lists are parallel to the batch's faults;
-    for an APTPG shard they have length one.
-    """
-
-    statuses: List[FaultStatus]
-    patterns: List[Optional[TestPattern]]
-    decisions: int = 0
-    backtracks: int = 0
-    implication_passes: int = 0
-    seconds_sensitize: float = 0.0
 
 
 @dataclass
@@ -165,8 +130,7 @@ class SerialExecutor:
     Owns the campaign's generation state, built once: the lowered
     circuit, its controllability tables and the C TPG engine (see the
     module docstring).  :meth:`run_round` runs a round's shards under
-    the :class:`Supervision` policy; :meth:`fptpg_shard` and
-    :meth:`aptpg_shard` run one shard of a Python tier, unsupervised.
+    the :class:`Supervision` policy.
     """
 
     def __init__(
@@ -213,45 +177,6 @@ class SerialExecutor:
                 self._ranks = engine.ranks(self.controllability)
             self._engine = engine
         return engine or None
-
-    # ------------------------------------------------------------ shards
-    def fptpg_shard(self, faults: Sequence[PathDelayFault]) -> ShardResult:
-        outcome = run_fptpg(
-            self.circuit,
-            list(faults),
-            self.test_class,
-            self.width,
-            self.controllability,
-            use_backward=self.use_backward,
-            fusion=self.fusion,
-        )
-        return ShardResult(
-            statuses=list(outcome.statuses),
-            patterns=list(outcome.patterns),
-            decisions=outcome.decisions,
-            implication_passes=outcome.state.implication_passes,
-            seconds_sensitize=outcome.seconds_sensitize,
-        )
-
-    def aptpg_shard(self, fault: PathDelayFault) -> ShardResult:
-        outcome = run_aptpg(
-            self.circuit,
-            fault,
-            self.test_class,
-            self.width,
-            self.controllability,
-            backtrack_limit=self.backtrack_limit,
-            use_backward=self.use_backward,
-            fusion=self.fusion,
-        )
-        return ShardResult(
-            statuses=[outcome.status],
-            patterns=[outcome.pattern],
-            decisions=outcome.decisions,
-            backtracks=outcome.backtracks,
-            implication_passes=outcome.implication_passes,
-            seconds_sensitize=outcome.seconds_sensitize,
-        )
 
     # ------------------------------------------------------------ rounds
     def _attempt(
@@ -324,17 +249,11 @@ class SerialExecutor:
         patterns: List[Optional[TestPattern]] = [None] * len(rows)
         block = None
         if run.tested:
-            faults, raw = table.faults, run.rows
             n = self.circuit.compiled().n_inputs
-            for start, position in zip(range(0, len(raw), 2 * n), run.tested):
-                patterns[position] = TestPattern(
-                    tuple(raw[start : start + n]),
-                    tuple(raw[start + n : start + 2 * n]),
-                    faults[rows[position]],
-                )
-            block = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 2 * n)
+            patterns = round_patterns(run, table.faults, rows, n)
+            block = np.frombuffer(run.rows, dtype=np.uint8).reshape(-1, 2 * n)
         return RoundResult(
-            statuses=[_STATUS[code] for code in run.codes],
+            statuses=[STATUSES[code] for code in run.codes],
             patterns=patterns,
             errors=errors,
             rows=None if block is None else (block[:, :n], block[:, n:]),
@@ -364,21 +283,37 @@ class SerialExecutor:
             while error is None:
                 try:
                     if aptpg:
-                        shard = self.aptpg_shard(batch[0])
+                        outcome = run_aptpg(
+                            self.circuit, batch[0], self.test_class, self.width,
+                            self.controllability,
+                            backtrack_limit=self.backtrack_limit,
+                            use_backward=self.use_backward,
+                            fusion=self.fusion,
+                        )
+                        statuses, patterns = [outcome.status], [outcome.pattern]
+                        backtracks = outcome.backtracks
+                        passes = outcome.implication_passes
                     else:
-                        shard = self.fptpg_shard(batch)
+                        outcome = run_fptpg(
+                            self.circuit, batch, self.test_class, self.width,
+                            self.controllability,
+                            use_backward=self.use_backward,
+                            fusion=self.fusion,
+                        )
+                        statuses, patterns = outcome.statuses, outcome.patterns
+                        backtracks, passes = 0, outcome.state.implication_passes
                     break
                 except Exception as exc:  # noqa: BLE001 - supervision boundary
                     attempt, error = self._attempt(k, attempt, exc)
             result.errors.append(error)
             if error is not None:
                 continue
-            result.statuses[bounds[k] : bounds[k + 1]] = shard.statuses
-            result.patterns[bounds[k] : bounds[k + 1]] = shard.patterns
-            result.decisions += shard.decisions
-            result.backtracks += shard.backtracks
-            result.implication_passes += shard.implication_passes
-            result.seconds_sensitize += shard.seconds_sensitize
+            result.statuses[bounds[k] : bounds[k + 1]] = statuses
+            result.patterns[bounds[k] : bounds[k + 1]] = patterns
+            result.decisions += outcome.decisions
+            result.backtracks += backtracks
+            result.implication_passes += passes
+            result.seconds_sensitize += outcome.seconds_sensitize
         tested = [pattern for pattern in result.patterns if pattern is not None]
         if tested:
             result.rows = pattern_rows(tested)

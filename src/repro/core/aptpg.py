@@ -47,19 +47,17 @@ exactly when that combination's own state would, whichever chunk
 holds it.  Only the survivors run the full search above, one after
 another in combination order, each with every lane to itself.
 
-On the ``native/c`` engine a nonrobust fault is one C call,
-:meth:`TpgEngine.aptpg`: it derives the XOR sides from the fanin CSR,
-screens the combinations and searches the survivors on one engine, and
-a tested lane is read back as a pattern row in one vectorized pass:
-:func:`aptpg_record`, which :func:`run_aptpg` runs on a fresh
-:class:`TpgState`'s engine (a campaign runs its nonrobust faults
-through :meth:`TpgEngine.round`, a round of them in one C call).  A
-robust fault is still sensitized here, chunk by chunk and survivor by
-survivor, but each survivor's search is one C call too,
-:meth:`TpgState.search`.  The loops below stay as their oracle and as
-the engine of every other tier, where a search step is one
-:meth:`TpgState.decide` call and the split or uniform assignment, the
-checkpoints and the backtracking are ``assign``, ``mark``,
+On the ``native/c`` engine a nonrobust fault is one C call, the one
+shard of a :meth:`TpgEngine.round` on a fresh state's engine
+(:func:`repro.core.fptpg.one_shard`): it derives the XOR sides from the
+fanin CSR, screens the combinations, searches the survivors and writes
+a tested lane's pattern rows, on one engine (a campaign runs whole
+rounds of faults).  A robust fault is still sensitized here, chunk by
+chunk and survivor by survivor, but each survivor's search is one C
+call too, :meth:`TpgState.search`.  The loops below stay as their
+oracle and as the engine of every other tier, where a search step is
+one :meth:`TpgState.decide` call and the split or uniform assignment,
+the checkpoints and the backtracking are ``assign``, ``mark``,
 ``rollback`` and ``imply`` calls on the state.
 """
 
@@ -74,8 +72,8 @@ from ..logic.words import lowest_set_lane, mask_for, split_masks
 from ..paths import PathDelayFault, TestClass
 from .backtrace import PiObjective
 from .controllability import Controllability, compute_controllability
-from .fptpg import pi_assignment_planes, sensitizer_for
-from .patterns import Rows, TestPattern, engine_patterns, extract_pattern
+from .fptpg import STATUSES, one_shard, pi_assignment_planes, sensitizer_for
+from .patterns import TestPattern, extract_pattern
 from .results import FaultStatus
 from .sensitize import xor_side_signals
 from .state import (
@@ -85,8 +83,8 @@ from .state import (
     TESTED,
     THREE_VALUED,
     SearchRun,
-    TpgEngine,
     TpgState,
+    check_paths,
     check_xor_polarity_bits,
     tpg_tier,
 )
@@ -116,47 +114,15 @@ class AptpgOutcome:
 #: shards use unless told otherwise.
 DEFAULT_XOR_POLARITY_BITS = 8
 
-#: :class:`FaultStatus` of each :class:`SearchRun` status code.
-STATUSES = {
-    TESTED: FaultStatus.TESTED,
-    REDUNDANT: FaultStatus.REDUNDANT,
-    ABORTED: FaultStatus.ABORTED,
-}
-
-def aptpg_record(
-    engine: TpgEngine,
-    fault: PathDelayFault,
-    ranks,
-    backtrack_limit: int,
-    max_xor_polarity_bits: int = DEFAULT_XOR_POLARITY_BITS,
-) -> Tuple[SearchRun, Optional[TestPattern], Optional[Rows]]:
-    """A nonrobust fault's whole APTPG on a 3-valued C *engine*.
-
-    One :meth:`TpgEngine.aptpg` call, at the engine's width whatever it
-    held before, then the tested lane's (V1, V2) row read — no
-    :class:`TpgState`.  Returns the run, the tested pattern and its
-    rows (``None`` twice unless tested).  *ranks* is
-    :meth:`TpgEngine.ranks` of the controllability.
-    """
-    run = engine.aptpg(fault, ranks, backtrack_limit, max_xor_polarity_bits)
-    if run.status != TESTED:
-        return run, None, None
-    (pattern,), rows = engine_patterns(engine, [run.lane], [fault])
-    return run, pattern, rows
-
 
 def _outcome(
-    state: TpgState,
-    fault: PathDelayFault,
-    run: SearchRun,
-    seconds: float = 0.0,
-    pattern: Optional[TestPattern] = None,
+    state: TpgState, fault: PathDelayFault, run: SearchRun, seconds: float
 ) -> AptpgOutcome:
-    """The outcome of a search or whole-fault run on *state*, *seconds*
-    of sensitizing added; a tested lane is extracted unless *pattern*
-    is given."""
+    """The outcome of a search on *state*, sensitized in *seconds*; a
+    tested lane is extracted."""
     status = STATUSES[run.status]
-    if status is FaultStatus.TESTED and pattern is None:
+    pattern = None
+    if status is FaultStatus.TESTED:
         pattern = extract_pattern(state, run.lane, fault)
     return AptpgOutcome(
         status,
@@ -165,9 +131,8 @@ def _outcome(
         decisions=run.decisions,
         backtracks=run.backtracks,
         splits_used=run.splits_used,
-        seconds_sensitize=run.seconds_sensitize + seconds,
+        seconds_sensitize=seconds,
         implication_passes=run.implication_passes,
-        survivors=list(run.survivors),
     )
 
 
@@ -202,25 +167,40 @@ def run_aptpg(
     ``2**max_xor_polarity_bits`` combinations — beyond that one
     combination is searched and the fault is aborted rather than
     unsoundly declared redundant.  It must lie in ``[0, 16]``, else
-    :class:`ValueError` before any state is built.  The returned state
-    is the last search's, or the last screen chunk's when no
-    combination survived the screen.  ``implication_passes`` counts
-    every screen chunk and every search.  A nonrobust fault on the
-    ``native/c`` engine is :func:`aptpg_record` on a fresh state's
-    engine: one C call and one row read.
+    :class:`ValueError` before any state is built; so do path ids
+    outside the circuit (:class:`IndexError`) and a path that does not
+    start at a primary input (the :class:`ValueError` of
+    :func:`repro.paths.table.path_input_error`,
+    :func:`repro.core.state.check_paths`).  The returned state is the
+    last search's, or the last screen chunk's when no combination
+    survived the screen.  ``implication_passes`` counts every screen
+    chunk and every search.  A nonrobust fault on the ``native/c``
+    engine is :func:`repro.core.fptpg.one_shard` on a fresh state's
+    engine: one C call.
     """
     check_xor_polarity_bits(max_xor_polarity_bits)
+    check_paths(circuit, [fault])
     cc = controllability or compute_controllability(circuit)
     if test_class is TestClass.NONROBUST and tpg_tier(width, fusion) == "native/c":
         state = TpgState(
             circuit, THREE_VALUED, width, use_backward=use_backward, fusion=fusion
         )
-        run, pattern, _ = aptpg_record(
-            state.engine, fault, state.engine.ranks(cc), backtrack_limit,
-            max_xor_polarity_bits,
+        run, (status,), (pattern,) = one_shard(
+            state.engine, True, [fault], cc, backtrack_limit, max_xor_polarity_bits
         )
         state.follow_engine()
-        return _outcome(state, fault, run, pattern=pattern)
+        splits_used, survivors = state.engine.last_search()
+        return AptpgOutcome(
+            status,
+            pattern,
+            state,
+            decisions=run.decisions,
+            backtracks=run.backtracks,
+            splits_used=splits_used,
+            seconds_sensitize=run.seconds_sensitize,
+            implication_passes=run.implication_passes,
+            survivors=survivors,
+        )
     sides = xor_side_signals(circuit, fault)
     exhaustive = len(sides) <= max_xor_polarity_bits
     survivors = [0]
@@ -363,7 +343,7 @@ def _search(state: TpgState, cc: Controllability, backtrack_limit: int) -> Searc
     state.imply()
     if state.conflict_mask == state.mask:
         # conflict from necessary implications alone: redundant
-        return SearchRun(REDUNDANT, 0, 0, 0, 0, state.implication_passes, 0.0, ())
+        return SearchRun(REDUNDANT, 0, 0, 0, 0, state.implication_passes)
 
     splits = split_masks(state.width)
     splits_used = 0
@@ -376,7 +356,7 @@ def _search(state: TpgState, cc: Controllability, backtrack_limit: int) -> Searc
     def finish(status: int, lane: int = 0) -> SearchRun:
         return SearchRun(
             status, lane, decisions, backtracks, splits_used,
-            state.implication_passes, 0.0, (),
+            state.implication_passes,
         )
 
     while guard:

@@ -21,35 +21,57 @@ Each turn of the loop is one :meth:`TpgState.decide` step — the first
 unjustified signal, its lowest live lane's objective, the lanes sharing
 that objective, and the backtrace to a primary input — followed by one
 ``assign`` of the primary-input objective to the whole group and one
-``imply``.  On the ``native/c`` engine the whole batch is one C call,
-:meth:`TpgEngine.fptpg`: the sensitization of every lane (a robust batch
-is still sensitized here first), the implication, the loop and the
-masks the verdicts below are read from, the lanes whose path has an
-XOR side among them; the tested lanes are then read back as pattern
-rows in one vectorized pass: :func:`fptpg_record`, which
-:func:`run_fptpg` runs on a fresh :class:`TpgState`'s engine.  A
-campaign runs its batches through :meth:`TpgEngine.round` instead,
-whole rounds of them in one C call with the same verdicts.  The loop
-here is its oracle and the engine of every other tier, which extracts
-each pattern with :func:`repro.core.patterns.extract_pattern`.
+``imply``.  On the ``native/c`` engine a nonrobust batch is one C call,
+the one shard of a :meth:`TpgEngine.round` on a fresh state's engine
+(:func:`one_shard`): the sensitization of every lane, the implication,
+the loop, the verdicts below and the tested lanes' pattern rows, as a
+campaign runs whole rounds of batches.  A robust batch is sensitized
+here and its loop is one :meth:`TpgEngine.fptpg` call, its tested lanes
+read back as rows in one vectorized pass
+(:meth:`TpgEngine.input_rows`).  The loop here is their oracle and the
+engine of every other tier, which extracts each pattern with
+:func:`repro.core.patterns.extract_pattern`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..circuit import Circuit
 from ..logic.words import mask_for
-from ..paths import PathDelayFault, TestClass
+from ..paths import FaultTable, PathDelayFault, TestClass
 # objective_for_lane and objective_group are importable from here too
 from .backtrace import PiObjective, objective_for_lane, objective_group  # noqa: F401
 from .controllability import Controllability, compute_controllability
-from .patterns import Rows, TestPattern, engine_patterns, extract_pattern
+from .patterns import TestPattern, extract_pattern, patterns_from_rows, round_patterns
 from .results import FaultStatus
 from .sensitize import sensitize_nonrobust, sensitize_robust, xor_side_signals
-from .state import SEVEN_VALUED, THREE_VALUED, TpgEngine, TpgState
+from .state import (
+    ABORTED,
+    DEFERRED,
+    REDUNDANT,
+    SEVEN_VALUED,
+    TESTED,
+    THREE_VALUED,
+    RoundRun,
+    ShardFailure,
+    TpgEngine,
+    TpgState,
+    check_paths,
+)
+
+#: The :class:`FaultStatus` of each status code of :meth:`TpgEngine.round`
+#: and :meth:`TpgState.search`; a skipped (quarantined) shard's faults
+#: read ``skipped_error``.
+STATUSES = {
+    0: FaultStatus.SKIPPED_ERROR,
+    TESTED: FaultStatus.TESTED,
+    REDUNDANT: FaultStatus.REDUNDANT,
+    ABORTED: FaultStatus.ABORTED,
+    DEFERRED: FaultStatus.DEFERRED,
+}
 
 
 @dataclass
@@ -87,6 +109,36 @@ def sensitizer_for(test_class: TestClass):
     return sensitize_nonrobust, THREE_VALUED
 
 
+def one_shard(
+    engine: TpgEngine,
+    aptpg: bool,
+    faults: Sequence[PathDelayFault],
+    cc: Controllability,
+    backtrack_limit: int = 0,
+    max_xor_polarity_bits: int = 0,
+) -> Tuple[RoundRun, List[FaultStatus], List[Optional[TestPattern]]]:
+    """*faults* as the one shard of a round on a 3-valued C *engine*.
+
+    One :meth:`TpgEngine.round` call: an FPTPG batch, fault *k* in lane
+    *k*, or with *aptpg* one fault's whole APTPG at *backtrack_limit*
+    and *max_xor_polarity_bits*.  Returns the run and each fault's
+    status and pattern.  A shard that fails raises its own error, not
+    the :class:`ShardFailure` around it.
+    """
+    rows = list(range(len(faults)))
+    table = FaultTable(engine.compiled.n_signals, faults)
+    try:
+        run = engine.round(
+            aptpg, table, rows, [0, len(rows)], b"\0", engine.ranks(cc),
+            backtrack_limit, max_xor_polarity_bits,
+        )
+    except ShardFailure as failure:
+        raise failure.error from None
+    statuses = [STATUSES[code] for code in run.codes]
+    patterns = round_patterns(run, table.faults, rows, engine.compiled.n_inputs)
+    return run, statuses, patterns
+
+
 def run_fptpg(
     circuit: Circuit,
     faults: Sequence[PathDelayFault],
@@ -96,30 +148,39 @@ def run_fptpg(
     use_backward: bool = True,
     fusion: str = "auto",
 ) -> FptpgOutcome:
-    """One FPTPG batch: up to *width* faults, one lane each."""
+    """One FPTPG batch: up to *width* faults, one lane each.
+
+    A nonrobust batch on the ``native/c`` engine is :func:`one_shard` on
+    a fresh state's engine.  Path ids outside the circuit raise
+    :class:`IndexError`, and a path that does not start at a primary
+    input the :class:`ValueError` of
+    :func:`repro.paths.table.path_input_error`, before any state is
+    built (:func:`repro.core.state.check_paths`).
+    """
     if not faults:
         raise ValueError("run_fptpg needs at least one fault")
     if len(faults) > width:
         raise ValueError(f"{len(faults)} faults do not fit in {width} lanes")
+    check_paths(circuit, faults)
     _, algebra = sensitizer_for(test_class)
     cc = controllability or compute_controllability(circuit)
     state = TpgState(
         circuit, algebra, width, use_backward=use_backward, fusion=fusion
     )
-    native = state.engine is not None
-    sensitize_in_c = native and algebra is THREE_VALUED
-    seconds_sensitize = 0.0
-    if not sensitize_in_c:
-        t0 = time.perf_counter()
-        for lane, fault in enumerate(faults):
-            state.sensitize(fault, 1 << lane)
-        seconds_sensitize = time.perf_counter() - t0
-
-    if native:
-        statuses, patterns, _rows, decisions, seconds = fptpg_record(
-            state.engine, faults, state.engine.ranks(cc), sensitize_in_c
+    if state.engine is not None and algebra is THREE_VALUED:
+        run, statuses, patterns = one_shard(state.engine, False, faults, cc)
+        return FptpgOutcome(
+            statuses, patterns, state, run.decisions, run.seconds_sensitize
         )
-        seconds_sensitize += seconds
+    t0 = time.perf_counter()
+    for lane, fault in enumerate(faults):
+        state.sensitize(fault, 1 << lane)
+    seconds_sensitize = time.perf_counter() - t0
+    engine = state.engine
+    if engine is not None:  # a robust batch: the loop is one C call
+        decided, decisions, justified, xor_lanes = engine.fptpg(
+            faults, engine.ranks(cc)
+        )
     else:
         decided, decisions, justified = _justify(state, cc, len(faults))
         conflicted = state.conflict_mask & ~decided
@@ -127,12 +188,17 @@ def run_fptpg(
         for lane, fault in enumerate(faults):
             if conflicted >> lane & 1 and xor_side_signals(circuit, fault):
                 xor_lanes |= 1 << lane
-        statuses, tested = _verdicts(
-            len(faults), state.conflict_mask, decided, xor_lanes, justified
-        )
-        patterns = [None] * len(faults)
-        for lane in tested:
-            patterns[lane] = extract_pattern(state, lane, faults[lane])
+    statuses, tested = _verdicts(
+        len(faults), state.conflict_mask, decided, xor_lanes, justified
+    )
+    if engine is not None and tested:  # one vectorized row read
+        v1, v2 = engine.input_rows(tested)
+        found = patterns_from_rows(v1, v2, [faults[lane] for lane in tested])
+    else:
+        found = [extract_pattern(state, lane, faults[lane]) for lane in tested]
+    patterns: List[Optional[TestPattern]] = [None] * len(faults)
+    for lane, pattern in zip(tested, found):
+        patterns[lane] = pattern
     return FptpgOutcome(
         statuses=statuses,
         patterns=patterns,
@@ -168,38 +234,6 @@ def _verdicts(
     return statuses, tested
 
 
-def fptpg_record(
-    engine: TpgEngine,
-    faults: Sequence[PathDelayFault],
-    ranks,
-    sensitize: bool,
-) -> Tuple[List[FaultStatus], List[Optional[TestPattern]], Optional[Rows], int, float]:
-    """One FPTPG batch on a C *engine*, fault *k* in lane *k*.
-
-    One :meth:`TpgEngine.fptpg` call on the engine as it stands (a
-    robust batch arrives sensitized, else *sensitize*), then the
-    verdicts and one row read of the tested lanes — no
-    :class:`TpgState`.  Returns
-    ``(statuses, patterns, rows, decisions, seconds_sensitize)``:
-    *patterns* parallel to *faults* (``None`` where untested), *rows*
-    the tested patterns' (V1, V2) rows in lane order (``None`` when none
-    tested).  *ranks* is :meth:`TpgEngine.ranks` of the controllability.
-    """
-    decided, decisions, justified, xor_lanes, seconds = engine.fptpg(
-        faults, ranks, sensitize
-    )
-    statuses, tested = _verdicts(
-        len(faults), engine.c.conflict_mask, decided, xor_lanes, justified
-    )
-    patterns: List[Optional[TestPattern]] = [None] * len(faults)
-    rows = None
-    if tested:
-        found, rows = engine_patterns(engine, tested, [faults[k] for k in tested])
-        for lane, pattern in zip(tested, found):
-            patterns[lane] = pattern
-    return statuses, patterns, rows, decisions, seconds
-
-
 def _justify(
     state: TpgState, cc: Controllability, n_faults: int
 ) -> Tuple[int, int, int]:
@@ -207,7 +241,7 @@ def _justify(
 
     Returns ``(decided, decisions, justified)``: the lanes that took an
     optional assignment, the decision count and the conflict-free,
-    justified lanes.  :meth:`TpgState.fptpg` runs it in C.
+    justified lanes.  :meth:`TpgEngine.fptpg` runs it in C.
     """
     used_mask = mask_for(n_faults)
     state.imply(stop_when_all_conflicted=False)

@@ -5,9 +5,11 @@ time T1, ``V2`` launches the transitions at T2, and the outputs are
 sampled one clock later.  :class:`TestPattern` holds one as int tuples
 (the API and serde type).  :func:`extract_pattern` reads one conflict-
 free, fully justified bit lane of a :class:`repro.core.state.TpgState`
-back into such a pair, one input at a time; it is the oracle of
-:meth:`repro.core.state.TpgEngine.input_rows`, which reads the tested
-lanes of a C engine as rows in one vectorized pass.
+back into such a pair, one input at a time; it is the oracle of the C
+engine's row reads: :meth:`repro.core.state.TpgEngine.input_rows`,
+which reads a robust batch's tested lanes as rows in one vectorized
+pass, and :meth:`repro.core.state.TpgEngine.round`, which writes each
+tested lane's rows (:func:`round_patterns` decodes them).
 
 :class:`PatternTable` is the columnar form of a pattern set, the
 pattern twin of :class:`repro.paths.FaultTable`: v1 and v2 as
@@ -125,16 +127,23 @@ def patterns_from_rows(
     ]
 
 
-def engine_patterns(
-    engine, lanes: Sequence[int], faults: Sequence[PathDelayFault]
-) -> Tuple[List[TestPattern], Rows]:
-    """The patterns of a C engine's tested *lanes* and their rows.
+def round_patterns(
+    run, faults: Sequence[PathDelayFault], rows: Sequence[int], n_inputs: int
+) -> List[Optional[TestPattern]]:
+    """The pattern of each fault of a :meth:`repro.core.state.TpgEngine.round`.
 
-    Lane ``lanes[k]`` tests ``faults[k]``; the rows are one vectorized
-    read (:meth:`repro.core.state.TpgEngine.input_rows`).
+    By position in the round, ``None`` where untested; the fault at
+    position *p* is ``faults[rows[p]]``, and its pattern targets it.
     """
-    v1, v2 = engine.input_rows(lanes, faults)
-    return patterns_from_rows(v1, v2, faults), (v1, v2)
+    patterns: List[Optional[TestPattern]] = [None] * len(rows)
+    raw = run.rows
+    for start, position in zip(range(0, len(raw), 2 * n_inputs), run.tested):
+        patterns[position] = TestPattern(
+            tuple(raw[start : start + n_inputs]),
+            tuple(raw[start + n_inputs : start + 2 * n_inputs]),
+            faults[rows[position]],
+        )
+    return patterns
 
 
 class PatternTable:

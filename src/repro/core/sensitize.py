@@ -41,11 +41,12 @@ reconvergence) surface later as per-lane conflict bits — such paths
 are exactly the unsensitizable ones.
 
 Generation applies them through :meth:`repro.core.state.TpgState.
-sensitize`.  On the C engine a nonrobust path is one call into the
-native module (``repro_tpg_sensitize``), which assigns exactly what
-:func:`sensitize_nonrobust` emits in the order it emits it; these
-functions stay the oracle it is tested against, and every other engine
-— and every robust state — assigns their lists one by one.
+sensitize`, which assigns their lists one by one on every engine.  The
+C generation round (:meth:`repro.core.state.TpgEngine.round`)
+sensitizes nonrobust paths itself (``_tpg_sensitize`` in the native
+module), assigning exactly what :func:`sensitize_nonrobust` emits in
+the order it emits it; these functions stay the oracle it is tested
+against.
 """
 
 from __future__ import annotations

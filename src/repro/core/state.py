@@ -33,39 +33,33 @@ One class, three engines, chosen per state by :func:`tpg_tier` the way
 * ``python/interp`` — the same worklist dispatching through the
   :class:`Algebra` rules: the oracle the other two are tested against.
 
-:meth:`TpgState.sensitize` applies a fault's sensitization.  On the C
-engine a 3-valued (nonrobust) state takes the whole path in one call,
-assigning in exactly the order the Python sensitizer of
-:mod:`repro.core.sensitize` emits — the same trail, worklist, conflict
-sites and later implication passes; every other state feeds that
-sensitizer's list to :meth:`TpgState.assign`.  Robust sensitization is
-Python on every engine.
+:meth:`TpgState.sensitize` applies a fault's sensitization: the
+assignments of the Python sensitizers of :mod:`repro.core.sensitize`,
+fed to :meth:`TpgState.assign` one by one on every engine.
 
 :meth:`TpgState.decide` is the FPTPG/APTPG decision step: the first
 unjustified signal, its objective and the backtrace to a primary input.
 On the C engine it is one call; elsewhere it runs the Python functions
 of :mod:`repro.core.backtrace`, which stay its oracle.
 
-The C engine also runs whole generation shards, each one call:
-:meth:`TpgState.search` is APTPG's checkpointed search on a sensitized
-state (either algebra), :meth:`TpgState.aptpg` a fault's whole
-nonrobust APTPG (XOR sides, polarity screen, every survivor's search)
-and :meth:`TpgState.fptpg` an FPTPG batch.  Their oracles are the
-Python loops of :mod:`repro.core.aptpg` and :mod:`repro.core.fptpg`,
-which drive every other engine through the methods above.
-
-The C half of a ``native/c`` state is a :class:`TpgEngine`, which a
-campaign executor also owns on its own and reuses for every round
-(:meth:`TpgEngine.round`, a round's shards in one call): its APTPG
-and round calls start each shard from an engine reset to the width it
-was built with, whatever the engine held before.  So
-:meth:`TpgState.aptpg` searches at the built width even after a
-polarity screen that refuted every combination left the state
-(``width``, ``mask``) one chunk wide, and a run on a reused state
-equals a run on a fresh one.
-:meth:`TpgEngine.input_rows` reads tested lanes as pattern rows in one
-vectorized pass (:func:`repro.core.patterns.extract_pattern` is its
-oracle).
+The C half of a ``native/c`` state is a :class:`TpgEngine`.  It runs
+generation shards, each one call: :meth:`TpgState.search` is APTPG's
+checkpointed search on a sensitized state and :meth:`TpgEngine.fptpg`
+an FPTPG batch's loop on one, of either algebra (the robust path).
+Nonrobust generation enters C through :meth:`TpgEngine.round` alone, a
+round of shards in one call that sensitizes in C: a campaign executor
+owns an engine and reuses it for every round, and
+:func:`repro.core.aptpg.run_aptpg` and :func:`repro.core.fptpg.run_fptpg`
+run a one-shard round on a fresh state's engine.  The round starts each
+shard from the engine reset to the width it was built with, whatever it
+held before, so a round on a reused engine equals one on a fresh
+engine; an APTPG shard leaves the engine as its last screen chunk or
+search left it (:meth:`TpgState.follow_engine`).  The oracles of the
+shards are the Python loops of :mod:`repro.core.aptpg` and
+:mod:`repro.core.fptpg`, which drive every other engine through the
+methods above.  :meth:`TpgEngine.input_rows` reads a robust batch's
+tested lanes as pattern rows in one vectorized pass
+(:func:`repro.core.patterns.extract_pattern` is its oracle).
 """
 
 from __future__ import annotations
@@ -166,10 +160,10 @@ def tpg_tier(
 
 _ROWS = {n: struct.Struct(f"{n}Q") for n in (2, 4)}
 
-#: Status codes of :meth:`TpgState.search` and :meth:`TpgState.aptpg`
-#: (the C engine's ``TPG_TESTED``, ``TPG_REDUNDANT``, ``TPG_ABORTED``),
-#: and of an FPTPG lane left to APTPG in :meth:`TpgEngine.round`
-#: (``TPG_DEFERRED``).
+#: Status codes of :meth:`TpgState.search` and of a fault in
+#: :meth:`TpgEngine.round` (the C engine's ``TPG_TESTED``,
+#: ``TPG_REDUNDANT``, ``TPG_ABORTED``), and of an FPTPG lane the round
+#: leaves to APTPG (``TPG_DEFERRED``).
 TESTED, REDUNDANT, ABORTED, DEFERRED = 1, 2, 3, 4
 
 #: The most XOR side inputs whose polarity combinations APTPG screens:
@@ -186,16 +180,11 @@ def check_xor_polarity_bits(bits: int) -> None:
 
 
 class SearchRun(NamedTuple):
-    """What an APTPG search or a whole-fault native run reports.
+    """What an APTPG search reports.
 
     *status* is :data:`TESTED`, :data:`REDUNDANT` or :data:`ABORTED`;
-    *lane* is the tested lane (meaningless otherwise).  A whole-fault
-    run sums *decisions*, *backtracks*, *implication_passes* and
-    *seconds_sensitize* over its screen chunks and searches, reports
-    the last search's *splits_used*, and lists the polarity
-    combinations the screen passed, in order, as *survivors* (``(0,)``
-    when nothing was screened).  A single search reports its own
-    state's passes, no sensitization time and no survivors.
+    *lane* is the tested lane (meaningless otherwise); the counters are
+    the search's own, *implication_passes* its state's.
     """
 
     status: int
@@ -204,9 +193,6 @@ class SearchRun(NamedTuple):
     backtracks: int
     splits_used: int
     implication_passes: int
-    seconds_sensitize: float
-    survivors: Tuple[int, ...]
-
 
 
 class RoundRun(NamedTuple):
@@ -248,6 +234,24 @@ def _check_signals(signals: Sequence[int], n: int) -> None:
         raise IndexError(f"signal {bad} outside [0, {n})")
 
 
+def check_paths(circuit: Circuit, faults: Sequence[PathDelayFault]) -> None:
+    """Refuse the faults no generator can take, before any state is built.
+
+    Fault by fault: an id outside the circuit raises the
+    :class:`IndexError` of :meth:`TpgState.assign`, and a path that does
+    not start at a primary input, where no test launches its transition,
+    the :class:`ValueError` of :func:`repro.paths.table.path_input_error`
+    naming its first signal.
+    """
+    n = circuit.num_signals
+    is_input = circuit.compiled().is_input
+    for fault in faults:
+        _check_signals(fault.signals, n)
+        signal = fault.input_signal
+        if not is_input[signal]:
+            raise path_input_error(signal, circuit.signal_name(signal))
+
+
 _ONE = np.uint64(1)
 
 
@@ -261,19 +265,16 @@ class TpgEngine:
     (:class:`repro.campaign.scheduler.SerialExecutor`) and reuses it for
     every nonrobust round it runs.
 
-    :meth:`aptpg` starts from an engine reset to :attr:`width` whatever
-    it held before (C resets it for every screen chunk and search), and
-    :meth:`fptpg` runs on the engine as it stands.  :meth:`round` runs a
-    campaign round's shards, faults read from a fault table by row, in
-    one call that resets the engine for every shard: so on a reused
-    engine a round gives what it gives on a fresh one.
-    :meth:`input_rows` reads tested lanes as pattern rows.  One thread
-    at a time.
+    :meth:`round` runs nonrobust generation shards, faults read from a
+    fault table by row, in one call that resets the engine for every
+    shard: so on a reused engine a round gives what it gives on a fresh
+    one.  :meth:`fptpg` runs an FPTPG batch's loop on the engine as it
+    stands, and :meth:`input_rows` reads a robust batch's tested lanes
+    as pattern rows.  One thread at a time.
     """
 
     __slots__ = (
-        "compiled", "n_planes", "width", "c", "lib", "ffi", "_words", "_launch",
-        "_columns",
+        "compiled", "n_planes", "width", "c", "lib", "ffi", "_words", "_columns",
     )
 
     def __init__(
@@ -287,9 +288,6 @@ class TpgEngine:
         self.width = width
         self.c = _native.native_tpg_engine(compiled, n_planes, width, use_backward)
         self._words: Optional[np.ndarray] = None
-        #: row k flips input k: a 3-valued lane's V1 is V2 XOR the row of
-        #: its path input
-        self._launch: Optional[np.ndarray] = None
         #: the fault-table column views of the last round
         self._columns = _native.ColumnViews()
 
@@ -303,56 +301,27 @@ class TpgEngine:
             )
         return self.ffi.from_buffer("int32_t[]", cc.ranks)
 
-    def aptpg(
-        self,
-        fault: PathDelayFault,
-        ranks,
-        backtrack_limit: int,
-        max_xor_polarity_bits: int,
-    ) -> SearchRun:
-        """A fault's whole nonrobust APTPG at :attr:`width` lanes.
-
-        See :meth:`TpgState.aptpg`; *ranks* is :meth:`ranks`.  The
-        engine is left as the last screen chunk or search left it,
-        ``c.r_width`` lanes wide.
-        """
-        if self.n_planes != 2:
-            raise ValueError("the native APTPG run sensitizes nonrobust faults only")
-        check_xor_polarity_bits(max_xor_polarity_bits)
-        signals = fault.signals
-        _check_signals(signals, self.compiled.n_signals)
-        c = self.c
-        code = self.lib.repro_tpg_aptpg(
-            c,
-            signals,
-            len(signals),
-            fault.transition is Transition.RISING,
-            self.width,
-            max_xor_polarity_bits,
-            backtrack_limit,
-            ranks,
-        )
-        if code < 0:
-            raise MemoryError("cannot grow the native TPG scratch")
-        survivors = tuple(self.ffi.unpack(c.surv, c.n_surv)) if c.n_surv else ()
-        return SearchRun(
-            code, c.r_lane, c.r_decisions, c.r_backtracks, c.r_splits,
-            c.r_passes, c.r_seconds, survivors,
-        )
-
     def fptpg(
-        self, faults: Sequence[PathDelayFault], ranks, sensitize: bool
-    ) -> Tuple[int, int, int, int, float]:
-        """An FPTPG batch's loop on the engine as it stands.
+        self, faults: Sequence[PathDelayFault], ranks
+    ) -> Tuple[int, int, int, int]:
+        """An FPTPG batch's loop on the engine as it stands, fault *k* in lane *k*.
 
-        See :meth:`TpgState.fptpg`; *ranks* is :meth:`ranks`.
+        What :func:`repro.core.fptpg._justify` does from Python (its
+        oracle) on a batch that arrives sensitized:
+        ``imply(stop_when_all_conflicted=False)``, then grouped decision
+        steps, each objective assigned to its group and implied, while a
+        lane is live and not stuck.  Returns ``(decided, decisions,
+        justified, xor_lanes)``: the lanes that took an optional
+        assignment, the decision count, the conflict-free justified
+        lanes of the batch, and the lanes whose path has an XOR side
+        input.  *ranks* is :meth:`ranks`.  Path ids outside the circuit
+        raise :class:`IndexError` before the call, and an empty batch or
+        more faults than lanes :class:`ValueError`.
         """
         if not faults:
             raise ValueError("an FPTPG batch needs at least one fault")
         if len(faults) > self.width:
             raise ValueError(f"{len(faults)} faults do not fit in {self.width} lanes")
-        if sensitize and self.n_planes != 2:
-            raise ValueError("the native FPTPG batch sensitizes nonrobust faults only")
         flat = [s for fault in faults for s in fault.signals]
         _check_signals(flat, self.compiled.n_signals)
         offsets = [0]
@@ -365,12 +334,11 @@ class TpgEngine:
             offsets,
             [fault.transition is Transition.RISING for fault in faults],
             len(faults),
-            sensitize,
             ranks,
         )
         if code < 0:
             raise MemoryError("cannot grow the native TPG scratch")
-        return c.r_decided, c.r_decisions, c.r_justified, c.r_xor_lanes, c.r_seconds
+        return c.r_decided, c.r_decisions, c.r_justified, c.r_xor_lanes
 
     def round(
         self,
@@ -390,11 +358,20 @@ class TpgEngine:
         ``bounds[k + 1] - 1`` of the round, fault *f* being row
         ``rows[f]`` of *table* (a :class:`repro.paths.FaultTable`); a
         shard with ``skip[k]`` set is passed over.  An FPTPG round runs
-        each shard as one batch (:meth:`fptpg`, sensitized in C) on the
-        engine reset to :attr:`width`, an APTPG round (*aptpg*) its one
-        fault's :meth:`aptpg`.  Each tested lane is read as
-        :meth:`input_rows` reads it.  A call with *first* > 0 continues
-        the outputs of the calls before it (a retried shard).
+        each shard as one batch on the engine reset to :attr:`width`:
+        every path's nonrobust sensitization, then :meth:`fptpg`'s loop.
+        An APTPG round (*aptpg*) runs its one fault's whole APTPG, what
+        :func:`repro.core.aptpg.run_aptpg` does from Python: the XOR
+        sides from the fanin CSR; when there are 1 to
+        *max_xor_polarity_bits* of them, the polarity screen in chunks
+        of at most 64 lanes; then the search of every surviving
+        combination at :attr:`width` lanes, until one tests the fault.
+        The engine is reset for every screen chunk and search and left
+        as the last of them left it (:meth:`last_search`,
+        :meth:`TpgState.follow_engine`).  Each tested lane is read as
+        :func:`repro.core.patterns.extract_pattern` reads it.  A call
+        with *first* > 0 continues the outputs of the calls before it (a
+        retried shard).
 
         The rows are checked against the table here, and the shard
         bounds (each shard 1 to :attr:`width` faults, one in an APTPG
@@ -457,19 +434,24 @@ class TpgEngine:
             c.g_seconds,
         )
 
-    def input_rows(
-        self, lanes: Sequence[int], faults: Sequence[PathDelayFault]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The (V1, V2) rows of *lanes*, lane ``lanes[k]`` testing ``faults[k]``.
+    def last_search(self) -> Tuple[int, List[int]]:
+        """``(splits_used, survivors)`` of the last APTPG shard of :meth:`round`.
+
+        The lane splits of its last search, and the polarity
+        combinations its screen passed, in combination order (``[0]``
+        when nothing was screened).
+        """
+        c = self.c
+        return c.r_splits, self.ffi.unpack(c.surv, c.n_surv) if c.n_surv else []
+
+    def input_rows(self, lanes: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """The (V1, V2) rows of a 7-valued engine's *lanes*.
 
         Two ``(len(lanes), n_inputs)`` uint8 arrays read from the primary
         inputs' plane words in one vectorized pass — the rows
         :func:`repro.core.patterns.extract_pattern` (the oracle) builds
-        one input at a time: V2 is the final-value plane; V1 is V2 XOR
-        the instable plane on a 7-valued engine, and V2 with the path
-        input's column flipped on a 3-valued one, where a path that does
-        not start at a primary input raises the :class:`ValueError` of
-        :func:`repro.paths.table.path_input_error`.
+        one input at a time: V2 is the final-value plane, V1 is V2 XOR
+        the instable plane.
         """
         words = self._words
         if words is None:
@@ -477,27 +459,10 @@ class TpgEngine:
             words = self._words = np.frombuffer(
                 self.ffi.buffer(self.c.planes, n * planes * 8), dtype=np.uint64
             ).reshape(n, planes)
-            self._launch = np.eye(self.compiled.n_inputs, dtype=np.uint8)
         at_pis = words[self.compiled.input_index]
         shifts = np.asarray(lanes, dtype=np.uint64)[:, None]
         v2 = (at_pis[:, 1] >> shifts & _ONE).astype(np.uint8)
-        if self.n_planes >= 4:
-            return v2 ^ (at_pis[:, 3] >> shifts & _ONE).astype(np.uint8), v2
-        position = self.compiled.input_position
-        columns = []
-        for fault in faults:
-            signal = fault.input_signal
-            column = position.get(signal)
-            if column is None:
-                inside = 0 <= signal < self.compiled.n_signals
-                name = (
-                    self.compiled.circuit.signal_name(signal)
-                    if inside
-                    else "outside the circuit"
-                )
-                raise path_input_error(signal, name)
-            columns.append(column)
-        return v2 ^ self._launch[columns], v2  # launch at the path input
+        return v2 ^ (at_pis[:, 3] >> shifts & _ONE).astype(np.uint8), v2
 
 
 class _NativePlanes(SequenceABC):
@@ -739,43 +704,15 @@ class TpgState:
 
         The assignments of :func:`repro.core.sensitize.sensitize_nonrobust`
         (3-valued state) or :func:`~repro.core.sensitize.sensitize_robust`
-        (7-valued), in the order they emit them; *xor_sides* maps an
-        XOR side input to the lanes where it is 1.  On the C engine a
-        3-valued state takes the whole path in one call, which assigns
-        in that same order, so planes, trail, worklist, conflict sites
-        and every later :meth:`imply` match the engines that feed the
-        Python list to :meth:`assign`.  A path id outside
-        ``[0, n_signals)`` raises the :class:`IndexError` of
-        :meth:`assign` before anything is assigned.
+        (7-valued), in the order they emit them, each through
+        :meth:`assign`; *xor_sides* maps an XOR side input to the lanes
+        where it is 1.  A path id outside ``[0, n_signals)`` raises the
+        :class:`IndexError` of :meth:`assign` before anything is
+        assigned.
         """
-        signals = fault.signals
-        n = self._n_signals
-        _check_signals(signals, n)
-        c = self._c
-        if c is not None and self.algebra.n_planes == 2:
-            mask = self.mask
-            null = self._ffi.NULL
-            # no key outside the circuit can name a fanin
-            sides = [
-                (side, ones & mask)
-                for side, ones in (xor_sides or {}).items()
-                if 0 <= side < n
-            ]
-            # cffi passes the id tuple and the side lists as C arrays
-            if self._lib.repro_tpg_sensitize(
-                c,
-                signals,
-                len(signals),
-                fault.transition is Transition.RISING,
-                lanes & mask,
-                [side for side, _ in sides] or null,
-                [ones for _, ones in sides] or null,
-                len(sides),
-            ):
-                raise MemoryError("cannot grow the native TPG trail")
-            return
+        _check_signals(fault.signals, self._n_signals)
         rule = sensitize_nonrobust if self.algebra.n_planes == 2 else sensitize_robust
-        assign = self.assign if c is not None else self._assign
+        assign = self.assign if self._c is not None else self._assign
         for signal, planes in rule(self.circuit, fault, lanes, xor_sides):
             assign(signal, planes)
 
@@ -790,12 +727,6 @@ class TpgState:
                 f"signals, the circuit has {n}"
             )
         return None
-
-    def _native(self, what: str):
-        c = self._c
-        if c is None:
-            raise RuntimeError(f"{what} runs on the native/c engine, not {self.tier}")
-        return c
 
     def decide(
         self, cc: Controllability, lanes: int, group: bool = False
@@ -835,7 +766,7 @@ class TpgState:
         return rep, c.d_lanes, PiObjective(c.d_pi, c.d_value, c.d_stable == 1)
 
     # ------------------------------------------------------------------
-    # generation shards (native engine only: one C call each)
+    # APTPG's search (native engine only: one C call)
     # ------------------------------------------------------------------
     def search(self, cc: Controllability, backtrack_limit: int) -> SearchRun:
         """APTPG's checkpointed search from this sensitized state.
@@ -849,79 +780,25 @@ class TpgState:
         (:class:`RuntimeError` elsewhere); a *cc* not covering exactly
         this circuit's signals raises :class:`ValueError`.
         """
-        c = self._native("search")
+        c = self._c
+        if c is None:
+            raise RuntimeError(f"search runs on the native/c engine, not {self.tier}")
         code = self._lib.repro_tpg_search(c, backtrack_limit, self._ranks(cc))
         if code < 0:
             raise MemoryError("cannot grow the native TPG scratch")
         return SearchRun(
             code, c.r_lane, c.r_decisions, c.r_backtracks, c.r_splits,
-            c.implication_passes, 0.0, (),
+            c.implication_passes,
         )
-
-    def aptpg(
-        self,
-        fault: PathDelayFault,
-        cc: Controllability,
-        backtrack_limit: int,
-        max_xor_polarity_bits: int,
-    ) -> SearchRun:
-        """A fault's whole nonrobust APTPG in one C call.
-
-        What :func:`repro.core.aptpg.run_aptpg` does from Python (its
-        oracle): the XOR sides of the path, derived from the fanin CSR;
-        when there are 1 to *max_xor_polarity_bits* of them, the polarity
-        screen in chunks of at most 64 lanes; then the search of every
-        surviving combination, until one tests the fault.  Every screen
-        chunk and search runs on this one engine, reset in between (what
-        it held before does not matter), and every search runs at the
-        width the state was built with.  The state is left as the last
-        of them left it — ``width`` and ``mask`` included, so a screen
-        that refutes every combination leaves a chunk-wide state; a
-        later call still searches at the built width.  3-valued states
-        on the native engine only (:class:`ValueError` and
-        :class:`RuntimeError` elsewhere).  Path ids outside the circuit
-        raise :class:`IndexError`, *max_xor_polarity_bits* outside
-        ``[0, 16]`` :class:`ValueError`.
-        """
-        self._native("aptpg")
-        run = self.engine.aptpg(
-            fault, self._ranks(cc), backtrack_limit, max_xor_polarity_bits
-        )
-        self.follow_engine()
-        return run
 
     def follow_engine(self) -> None:
-        """Take ``width`` and ``mask`` from the last state a whole-fault
-        C run (:meth:`TpgEngine.aptpg`) left on this state's engine."""
+        """Take ``width`` and ``mask`` from the state an APTPG shard of
+        :meth:`TpgEngine.round` left on this state's engine: a polarity
+        screen that refutes every combination leaves it one chunk wide."""
         width = self._c.r_width
         if width != self.width:
             self.width = width
             self.mask = mask_for(width)
-
-    def fptpg(
-        self,
-        faults: Sequence[PathDelayFault],
-        cc: Controllability,
-        sensitize: bool,
-    ) -> Tuple[int, int, int, int, float]:
-        """An FPTPG batch's loop in one C call, fault *k* in lane *k*.
-
-        What :func:`repro.core.fptpg.run_fptpg` does from Python (its
-        oracle): with *sensitize* (3-valued states only) each path's
-        nonrobust sensitization first, in batch order; a robust batch
-        comes sensitized.  Then ``imply(stop_when_all_conflicted=False)``
-        and grouped decision steps, each objective assigned to its group
-        and implied, while a lane is live and not stuck.  Returns
-        ``(decided, decisions, justified, xor_lanes, seconds_sensitize)``:
-        the lanes that took an optional assignment, the decision count,
-        the conflict-free justified lanes of the batch, and the lanes
-        whose path has an XOR side input.  Native engine only
-        (:class:`RuntimeError` elsewhere); path ids outside the circuit
-        raise :class:`IndexError` before anything is assigned, and an
-        empty batch or more faults than lanes :class:`ValueError`.
-        """
-        self._native("fptpg")
-        return self.engine.fptpg(faults, self._ranks(cc), sensitize)
 
     def mark(self) -> int:
         """Open a checkpoint; returns a token for :meth:`rollback`."""

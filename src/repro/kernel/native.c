@@ -76,23 +76,24 @@ typedef struct {
    engines (nonrobust states and every campaign round), its hot state
    in locals, and the generic loop of repro_tpg_imply for the 7-valued
    ones.  A checkpoint mark is (trail length, conflict mask).
-   repro_tpg_sensitize applies a path's nonrobust sensitization as
-   the same sequence of assign steps the Python sensitizer's list
-   feeds one by one; robust sensitization stays in Python.
    repro_tpg_decide is the FPTPG/APTPG decision step of
    repro.core.backtrace -- the first unjustified signal, its
    objective and lane group, the backtrace to a primary input -- with its
    result in the d_* fields.  On top of it sit the generation shards,
-   each one call with its result in the r_* fields:
-   repro_tpg_search is APTPG's checkpointed search loop
-   (_search of repro.core.aptpg; its backtrack stack is
-   bk), repro_tpg_aptpg a fault's whole nonrobust APTPG -- the
-   XOR sides from the fanin CSR, the chunked polarity screen (survivors
-   in surv) and every survivor's search, on this one engine reset
-   between states -- and repro_tpg_fptpg an FPTPG batch; a campaign
-   runs a whole round of them as one repro_tpg_round, its verdicts,
-   tested rows and summed counters in the g_* fields.  The
-   scratch (backtrace flags, node and candidate stacks, the backtrack
+   each with its result in the r_* fields: repro_tpg_search is APTPG's
+   checkpointed search loop (_search of repro.core.aptpg; its backtrack
+   stack is bk) and repro_tpg_fptpg an FPTPG batch's loop, each one
+   call on a sensitized engine of either algebra (robust sensitization
+   stays in Python).  Nonrobust generation has one entry,
+   repro_tpg_round: a round of shards in one call, each an FPTPG batch
+   or one fault's whole APTPG (_tpg_aptpg: the XOR sides from the fanin
+   CSR, the chunked polarity screen, survivors in surv, and every
+   survivor's search, on this one engine reset between states), both
+   sensitizing in C (_tpg_sensitize, the same sequence of assign steps
+   the Python sensitizer's list feeds one by one), with the verdicts,
+   tested rows and summed counters in the g_* fields.  The library
+   runners of repro.core run one-shard rounds, a campaign whole rounds.
+   The scratch (backtrace flags, node and candidate stacks, the backtrack
    stack, the survivors, the round's outputs) lives here too, grown on
    demand: states share nothing mutable, so each can run on its own
    thread. */
@@ -1364,16 +1365,15 @@ static u64 _tpg_side(long f, const int32_t *xor_sig, const u64 *xor_lanes,
    output's final value and each off-path input in fanin order (the
    non-controlling value, or an XOR side's polarity from the side map).
    The running final value flips at every inverting gate and at every
-   XOR side that is 1.  0, -1 when the trail cannot grow, -2 on a
-   7-valued engine. */
-int repro_tpg_sensitize(repro_tpg *st, const int32_t *path, long plen,
-                        int final_one, uint64_t lanes,
-                        const int32_t *xor_sig, const uint64_t *xor_lanes,
-                        long n_xor) {
+   XOR side that is 1.  0, -1 when the trail cannot grow.  3-valued
+   engines only: it runs only under repro_tpg_round, which checks. */
+static int _tpg_sensitize(repro_tpg *st, const int32_t *path, long plen,
+                          int final_one, uint64_t lanes,
+                          const int32_t *xor_sig, const uint64_t *xor_lanes,
+                          long n_xor) {
   const repro_plan *p = st->p;
   u64 value = final_one ? lanes : 0, add[2];
   long q, k;
-  if (st->n_planes != 2) return -2;
   add[0] = lanes ^ value; add[1] = value;
   if (_tpg_assign(st, path[0], add) < 0) return -1;
   for (q = 1; q < plen; q++) {
@@ -1857,18 +1857,16 @@ static long _tpg_xor_sides(const repro_plan *p, const int32_t *path,
    state left it, r_width lanes wide.  r_decisions and r_backtracks sum
    the searches, r_passes every state's implication passes, r_seconds
    the sensitizations; r_splits is the last search's.  -1 when scratch
-   or the trail cannot grow, -2 on a 7-valued engine, -3 for max_bits
-   outside [0, TPG_MAX_XOR_BITS]. */
-int repro_tpg_aptpg(repro_tpg *st, const int32_t *path, long plen,
-                    int final_one, long width, long max_bits, long limit,
-                    const int32_t *rank) {
+   or the trail cannot grow.  Its one caller, repro_tpg_round, checks
+   the engine is 3-valued and max_bits lies in [0, TPG_MAX_XOR_BITS]. */
+static int _tpg_aptpg(repro_tpg *st, const int32_t *path, long plen,
+                      int final_one, long width, long max_bits, long limit,
+                      const int32_t *rank) {
   int32_t sides[TPG_MAX_XOR_BITS + 1];
   u64 polarity[TPG_MAX_XOR_BITS + 1];
   long n_sides, n_screened, k, j;
   int status, aborted = 0;
   double t0;
-  if (st->n_planes != 2) return -2;
-  if (max_bits < 0 || max_bits > TPG_MAX_XOR_BITS) return -3;
   st->r_decisions = st->r_backtracks = st->r_splits = st->r_passes = 0;
   st->r_lane = 0;
   st->r_seconds = 0;
@@ -1886,8 +1884,8 @@ int repro_tpg_aptpg(repro_tpg *st, const int32_t *path, long plen,
         polarity[k] = k < n_split ? _tpg_split_ones(k) & st->mask
                       : (first >> k & 1) ? st->mask : 0;
       t0 = _tpg_now();
-      if (repro_tpg_sensitize(st, path, plen, final_one, st->mask, sides,
-                              polarity, n_screened))
+      if (_tpg_sensitize(st, path, plen, final_one, st->mask, sides,
+                          polarity, n_screened))
         return -1;
       st->r_seconds += _tpg_now() - t0;
       if (repro_tpg_imply(st, 1) < 0) return -1;
@@ -1910,8 +1908,8 @@ int repro_tpg_aptpg(repro_tpg *st, const int32_t *path, long plen,
     for (k = 0; k < n_screened; k++)
       polarity[k] = combo >> k & 1 ? st->mask : 0;
     t0 = _tpg_now();
-    if (repro_tpg_sensitize(st, path, plen, final_one, st->mask, sides,
-                            polarity, n_screened))
+    if (_tpg_sensitize(st, path, plen, final_one, st->mask, sides,
+                        polarity, n_screened))
       return -1;
     st->r_seconds += _tpg_now() - t0;
     status = _tpg_search(st, limit, rank);
@@ -1924,21 +1922,21 @@ int repro_tpg_aptpg(repro_tpg *st, const int32_t *path, long plen,
   return aborted || n_sides > max_bits ? TPG_ABORTED : TPG_REDUNDANT;
 }
 
-/* One FPTPG batch, step for step the loop of repro.core.fptpg.run_fptpg
-   (its oracle): fault k, the path flat[off[k]:off[k + 1]] launching a
-   rising transition where final_one[k], holds lane k.  With sensitize
-   each path's nonrobust sensitization is assigned first, in batch order
-   (timed into r_seconds; robust batches arrive sensitized).  Then
-   imply without stopping and, while a lane of the batch is live and
-   not stuck, one grouped decision step, its objective assigned to its
-   group and implied; an objective that dead-ends sticks its group, an
-   assignment that changes nothing its rep lane.  Sets r_decided (the
-   lanes that took an optional assignment), r_decisions, r_justified
-   (the batch's conflict-free, justified lanes) and r_xor_lanes (the
-   lanes whose path has an XOR side).  0, -1 when scratch or the trail
-   cannot grow, -2 to sensitize a 7-valued engine.  _tpg_fptpg reads
-   fault k from row rows[k] of the CSR instead, the detection walk's
-   row gather (rows NULL: fault k is row k). */
+/* One FPTPG batch, step for step the loop of repro.core.fptpg._justify
+   (its oracle): fault k, the path flat[off[r]:off[r + 1]] of row
+   r = rows[k] (the detection walk's row gather; rows NULL: row k)
+   launching a rising transition where final_one[r], holds lane k.
+   With sensitize (repro_tpg_round's batches, on a 3-valued engine)
+   each path's nonrobust sensitization is assigned first, in batch
+   order, timed into r_seconds; repro_tpg_fptpg's batches arrive
+   sensitized.  Then imply without stopping and, while a lane of the
+   batch is live and not stuck, one grouped decision step, its
+   objective assigned to its group and implied; an objective that
+   dead-ends sticks its group, an assignment that changes nothing its
+   rep lane.  Sets r_decided (the lanes that took an optional
+   assignment), r_decisions, r_justified (the batch's conflict-free,
+   justified lanes) and r_xor_lanes (the lanes whose path has an XOR
+   side).  0, -1 when scratch or the trail cannot grow. */
 static int _tpg_fptpg(repro_tpg *st, const int32_t *flat, const int32_t *off,
                       const uint8_t *final_one, const int32_t *rows,
                       long n_faults, int sensitize, const int32_t *rank) {
@@ -1954,8 +1952,8 @@ static int _tpg_fptpg(repro_tpg *st, const int32_t *flat, const int32_t *off,
     double t0 = _tpg_now();
     for (k = 0; k < n_faults; k++) {
       r = rows ? rows[k] : k;
-      rc = repro_tpg_sensitize(st, flat + off[r], off[r + 1] - off[r],
-                               final_one[r], (u64)1 << k, 0, 0, 0);
+      rc = _tpg_sensitize(st, flat + off[r], off[r + 1] - off[r],
+                          final_one[r], (u64)1 << k, 0, 0, 0);
       if (rc) return rc;
     }
     st->r_seconds = _tpg_now() - t0;
@@ -1995,9 +1993,9 @@ static int _tpg_fptpg(repro_tpg *st, const int32_t *flat, const int32_t *off,
 }
 
 int repro_tpg_fptpg(repro_tpg *st, const int32_t *flat, const int32_t *off,
-                    const uint8_t *final_one, long n_faults, int sensitize,
+                    const uint8_t *final_one, long n_faults,
                     const int32_t *rank) {
-  return _tpg_fptpg(st, flat, off, final_one, 0, n_faults, sensitize, rank);
+  return _tpg_fptpg(st, flat, off, final_one, 0, n_faults, 0, rank);
 }
 
 
@@ -2023,10 +2021,10 @@ static void *_grown(void *buf, long *cap, long need, size_t size) {
   return grown;
 }
 
-/* The tested lane's V1/V2 row, as TpgEngine.input_rows reads a
-   3-valued lane: V2 the final values of the primary inputs, V1 the
-   same with the path input flipped.  -4 when the path does not start
-   at a primary input. */
+/* The tested lane's V1/V2 row, as repro.core.patterns.extract_pattern
+   reads a 3-valued lane: V2 the final values of the primary inputs, V1
+   the same with the path input flipped.  -4 when the path does not
+   start at a primary input. */
 static int _tpg_row(const repro_tpg *st, const int32_t *path, long lane,
                     uint8_t *row) {
   const repro_plan *p = st->p;
@@ -2055,14 +2053,15 @@ static int _round_room(repro_tpg *st, long stop, long n_tested) {
   return 0;
 }
 
-/* One generation round of a nonrobust campaign
-   (repro.campaign.scheduler.SerialExecutor.run_round): shards first to
+/* One round of nonrobust generation: a campaign's
+   (repro.campaign.scheduler.SerialExecutor.run_round), or the one shard
+   of repro.core's run_fptpg or run_aptpg.  Shards first to
    stop - 1, shard k the faults at positions bounds[k] to
    bounds[k + 1] - 1, fault f the row rows[f] of the signal CSR
    flat/off with launch final_one; a shard with skip[k] set
    (quarantined) is passed over.  With aptpg 0 a shard is one FPTPG
    batch (_tpg_fptpg, sensitized here, its fault j in lane j) on the
-   engine reset to width lanes; else its one fault's repro_tpg_aptpg at
+   engine reset to width lanes; else its one fault's _tpg_aptpg at
    width lanes, max_bits and limit.  Fault f's verdict goes to
    g_status[f]: TPG_TESTED, TPG_REDUNDANT, TPG_ABORTED, or for an FPTPG
    lane TPG_DEFERRED (the verdicts of repro.core.fptpg, a conflicted
@@ -2072,8 +2071,10 @@ static int _round_room(repro_tpg *st, long stop, long n_tested) {
    g_backtracks, g_passes (implication passes) and g_seconds
    (sensitizing) sum the shards' counters, and g_tested counts the
    rows; all are cleared when first is 0.  A shard's rows and counters
-   land once it completes.  Returns g_tested, or on failure the code of
-   _tpg_fptpg, repro_tpg_aptpg or _tpg_row with the failing shard in
+   land once it completes, and the engine is left as the last shard
+   left it (an APTPG shard's r_lane, r_width, r_splits and surv
+   included).  Returns g_tested, or on failure the code of
+   _tpg_fptpg, _tpg_aptpg or _tpg_row with the failing shard in
    g_shard (and for _tpg_row's, the tested lane in r_lane).  Before any
    shard runs: -2 on a 7-valued engine, -3 for max_bits outside
    [0, TPG_MAX_XOR_BITS], -5 unless first <= stop and every shard from
@@ -2111,9 +2112,8 @@ long repro_tpg_round(repro_tpg *st, int aptpg, long width, long max_bits,
     if (aptpg) {
       long r = rows[lo];
       const int32_t *path = flat + off[r];
-      int status = repro_tpg_aptpg(st, path, off[r + 1] - off[r],
-                                   final_one[r], width, max_bits, limit,
-                                   rank);
+      int status = _tpg_aptpg(st, path, off[r + 1] - off[r], final_one[r],
+                              width, max_bits, limit, rank);
       if (status < 0) return status;
       st->g_status[lo] = (uint8_t)status;
       if (status == TPG_TESTED) {

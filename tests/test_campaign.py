@@ -617,7 +617,8 @@ class TestMalformedFaults:
     """A fault naming a signal outside the circuit, or whose path does not
     start at a primary input, settles alone, at admission:
     ``skipped_error`` with an error envelope, never scheduled, and every
-    other fault settles as in a clean run."""
+    other fault settles as in a clean run.  The library runners refuse
+    it before they build any state."""
 
     @staticmethod
     def setup():
@@ -723,6 +724,39 @@ class TestMalformedFaults:
         assert [bus.table.faults[row] for row in bus._rows.values()] == [
             faults[0], faults[1]
         ]
+
+    @pytest.mark.parametrize("test_class", list(TestClass))
+    @pytest.mark.parametrize("runner", ["run_aptpg", "run_fptpg"])
+    def test_runner_refuses_a_path_off_a_primary_input(
+        self, engine, runner, test_class, monkeypatch
+    ):
+        """On every TPG engine: the admission error for a path off a
+        primary input (a batch holding one is refused whole), and an
+        IndexError for an id outside the circuit, before any state."""
+        from repro.core.aptpg import run_aptpg
+        from repro.core.fptpg import run_fptpg
+        from repro.core.state import TpgState
+        from repro.paths import PathDelayFault, Transition
+
+        session, faults = self.setup()
+        bad, error = self.off_input(session, faults)
+        outside = PathDelayFault((faults[0].input_signal, 99999), Transition.RISING)
+
+        def run(fault):
+            if runner == "run_aptpg":
+                return run_aptpg(session.circuit, fault, test_class, 32, fusion=engine)
+            batch = [faults[1], fault, faults[2]]
+            return run_fptpg(session.circuit, batch, test_class, 32, fusion=engine)
+
+        def no_state(*args, **kwargs):
+            raise AssertionError("a TPG state was built")
+
+        monkeypatch.setattr(TpgState, "__init__", no_state)
+        with pytest.raises(ValueError) as refused:
+            run(bad)
+        assert str(refused.value) == str(error)
+        with pytest.raises(IndexError, match="signal 99999 outside"):
+            run(outside)
 
 
 class TestTpgEnginesAgree:

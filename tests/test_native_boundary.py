@@ -51,8 +51,7 @@ from repro.core.patterns import (
 from repro.core.results import FaultStatus
 from repro.core.state import (
     SEVEN_VALUED,
-    THREE_VALUED,
-    TESTED,
+    ShardFailure,
     TpgEngine,
     TpgState,
 )
@@ -233,7 +232,7 @@ class TestEmpty:
         engine = TpgEngine(dag.compiled(), 2, 8)
         ranks = engine.ranks(compute_controllability(dag))
         with pytest.raises(ValueError, match="at least one fault"):
-            engine.fptpg([], ranks, True)
+            engine.fptpg([], ranks)
 
     def test_bus_absorbs_nothing(self, dag):
         bus = DropBus(dag, TestClass.NONROBUST)
@@ -406,12 +405,14 @@ class _Shards:
         self.circuit = resolve_circuit("c1355")
         faults = fault_list(self.circuit, cap=160, strategy="all")
         self.cc = compute_controllability(self.circuit)
-        self.narrowing = []
-        for row, fault in enumerate(faults):
-            state = TpgState(self.circuit, THREE_VALUED, 32)
-            state.aptpg(fault, self.cc, 2, 8)
-            if state.width < 32:
-                self.narrowing.append(row)
+        self.narrowing = [
+            row
+            for row, fault in enumerate(faults)
+            if run_aptpg(
+                self.circuit, fault, TestClass.NONROBUST, 32, self.cc,
+                backtrack_limit=2,
+            ).state.width < 32
+        ]
         self.raising = len(faults)
         self.table = FaultTable(
             self.circuit.num_signals, faults + [self._raising_fault(faults)]
@@ -419,13 +420,16 @@ class _Shards:
         self._fresh = {}
 
     def _raising_fault(self, faults):
-        compiled = self.circuit.compiled()
+        engine = TpgEngine(self.circuit.compiled(), 2, 32)
+        ranks = engine.ranks(self.cc)
         for fault in faults:
             for start in range(1, len(fault.signals) - 1):
                 sub = PathDelayFault(fault.signals[start:], fault.transition)
-                engine = TpgEngine(compiled, 2, 32)
-                run = engine.aptpg(sub, engine.ranks(self.cc), 2, 8)
-                if run.status == TESTED:
+                table = FaultTable(self.circuit.num_signals, [sub])
+                try:
+                    engine.round(True, table, [0], [0, 1], b"\0", ranks, 2, 8)
+                except ShardFailure as failure:  # tested: the row read failed
+                    assert isinstance(failure.error, ValueError)
                     return sub
         raise AssertionError("no internal path tests")
 
@@ -492,27 +496,20 @@ class TestReusedEngine:
 
     def test_rounds_match_the_python_shards(self, shards):
         """Every status, pattern, row and counter of a C round equals the
-        same shards run one by one through run_fptpg / run_aptpg."""
-        faults = shards.table.faults
+        same shards run one by one through run_fptpg / run_aptpg on the
+        Python engine."""
         executor = shards.executor()
         for kind, groups in (
             ("fptpg", [list(range(0, 32)), list(range(32, 50))]),
             ("aptpg", [[row] for row in range(50, 90)]),
         ):
-            got = executor.run_round(
-                kind == "aptpg", shards.table, sum(groups, []), bounds_of(groups)
-            )
-            if kind == "aptpg":
-                want = [executor.aptpg_shard(faults[group[0]]) for group in groups]
-            else:
-                want = [
-                    executor.fptpg_shard([faults[row] for row in group])
-                    for group in groups
-                ]
-            assert got.statuses == sum((w.statuses for w in want), [])
-            assert got.patterns == sum((w.patterns for w in want), [])
-            for counter in ("decisions", "backtracks", "implication_passes"):
-                assert getattr(got, counter) == sum(getattr(w, counter) for w in want)
+            rows, bounds = sum(groups, []), bounds_of(groups)
+            got = executor.run_round(kind == "aptpg", shards.table, rows, bounds)
+            with python_tiers():
+                want = shards.executor().run_round(
+                    kind == "aptpg", shards.table, rows, bounds
+                )
+            assert round_key(got) == round_key(want)
             tested = [p for p in got.patterns if p is not None]
             assert tested
             assert got.rows[0].tolist() == [list(p.v1) for p in tested]
@@ -554,30 +551,33 @@ class TestReusedEngine:
             outcome = run_aptpg(circuit, fault, TestClass.NONROBUST, 32, cc)
             if outcome.pattern is None:
                 continue
-            lane = TpgState(circuit, THREE_VALUED, 32).aptpg(fault, cc, 64, 8).lane
             state = outcome.state
+            lane = state.engine.c.r_lane  # the one shard's tested lane
             assert outcome.pattern == extract_pattern(state, lane, fault)
+        batch = shards.table.faults[:32]
+        outcome = run_fptpg(circuit, batch, TestClass.NONROBUST, 32, cc)
+        tested = [(k, p) for k, p in enumerate(outcome.patterns) if p is not None]
+        assert tested
+        for lane, pattern in tested:
+            assert pattern == extract_pattern(outcome.state, lane, batch[lane])
 
-    @pytest.mark.parametrize("algebra", [THREE_VALUED, SEVEN_VALUED])
-    def test_input_rows_equal_extract_pattern(self, dag, algebra):
+    def test_input_rows_equal_extract_pattern(self, dag):
         faults = fault_list(dag, cap=40, strategy="all")[:32]
-        state = TpgState(dag, algebra, 32)
+        state = TpgState(dag, SEVEN_VALUED, 32)
         rng = random.Random(4)
         for pi in dag.inputs:
             value = rng.getrandbits(32)
-            planes = (~value & state.mask, value)
-            if algebra is SEVEN_VALUED:
-                planes = (*planes, rng.getrandbits(32) & state.mask, 0)
+            planes = (~value & state.mask, value, rng.getrandbits(32) & state.mask, 0)
             state.assign(pi, planes)
         lanes = list(range(32))
-        v1, v2 = state.engine.input_rows(lanes, faults)
+        v1, v2 = state.engine.input_rows(lanes)
         for lane, fault in zip(lanes, faults):
             want = extract_pattern(state, lane, fault)
             assert (tuple(v1[lane].tolist()), tuple(v2[lane].tolist())) == (
                 want.v1,
                 want.v2,
             )
-        one = state.engine.input_rows([5], [faults[5]])
+        one = state.engine.input_rows([5])
         assert one[0].tolist() == [v1[5].tolist()]
         assert one[1].tolist() == [v2[5].tolist()]
 
@@ -1632,24 +1632,6 @@ class TestPatternTable:
         )
         empty = PatternTable(len(session.circuit.inputs))
         assert session.grade(empty, faults) == session.grade([], faults)
-
-
-@needs_native
-def test_reused_state_searches_at_its_built_width():
-    """A screen that refutes every combination narrows the state; the
-    next run on it must still search at the width it was built with."""
-    circuit = resolve_circuit("c1355", 2)
-    faults = fault_list(circuit, cap=2048, strategy="all")
-    cc = compute_controllability(circuit)
-    state = TpgState(circuit, THREE_VALUED, 32)
-    narrowing = faults[4]
-    assert state.aptpg(narrowing, cc, 64, 8).survivors == ()
-    assert state.width == 2
-    for fault in faults[:60]:
-        got = state.aptpg(fault, cc, 64, 8)
-        want = TpgState(circuit, THREE_VALUED, 32).aptpg(fault, cc, 64, 8)
-        assert got._replace(seconds_sensitize=0) == want._replace(seconds_sensitize=0)
-        state.aptpg(narrowing, cc, 64, 8)
 
 
 @needs_native

@@ -975,7 +975,7 @@ class TestDecideMatchesPython:
 
 
 class TestShardLoopsMatchPython:
-    """``TpgState.search`` and ``TpgState.fptpg`` on the C engine (one
+    """``TpgState.search`` and ``TpgEngine.fptpg`` on the C engine (one
     call each) run the Python loops -- :func:`repro.core.aptpg._search`
     and :func:`repro.core.fptpg._justify` -- step for step, from any
     state: random values, often conflicting or known-instable in some
@@ -1046,10 +1046,9 @@ class TestShardLoopsMatchPython:
                 assert_same_state(got, want)
             return
         faults = [random_fault() for _ in range(rng.randint(1, width))]
-        decided, decisions, justified, xor_lanes, seconds = got.fptpg(
-            faults, cc, sensitize=False
+        decided, decisions, justified, xor_lanes = got.engine.fptpg(
+            faults, got.engine.ranks(cc)
         )
-        assert seconds == 0.0
         assert xor_lanes == sum(
             1 << k for k, f in enumerate(faults) if xor_side_signals(circuit, f)
         )
