@@ -41,7 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..circuit import Circuit
 from ..logic.words import mask_for
-from ..paths import FaultTable, PathDelayFault, TestClass
+from ..paths import PathDelayFault, TestClass
 # objective_for_lane and objective_group are importable from here too
 from .backtrace import PiObjective, objective_for_lane, objective_group  # noqa: F401
 from .controllability import Controllability, compute_controllability
@@ -119,23 +119,22 @@ def one_shard(
 ) -> Tuple[RoundRun, List[FaultStatus], List[Optional[TestPattern]]]:
     """*faults* as the one shard of a round on a 3-valued C *engine*.
 
-    One :meth:`TpgEngine.round` call: an FPTPG batch, fault *k* in lane
-    *k*, or with *aptpg* one fault's whole APTPG at *backtrack_limit*
-    and *max_xor_polarity_bits*.  Returns the run and each fault's
-    status and pattern.  A shard that fails raises its own error, not
-    the :class:`ShardFailure` around it.
+    One :meth:`TpgEngine.round` call on the list of *faults*: an FPTPG
+    batch, fault *k* in lane *k*, or with *aptpg* one fault's whole
+    APTPG at *backtrack_limit* and *max_xor_polarity_bits*.  Returns
+    the run and each fault's status and pattern.  A shard that fails
+    raises its own error, not the :class:`ShardFailure` around it.
     """
     rows = list(range(len(faults)))
-    table = FaultTable(engine.compiled.n_signals, faults)
     try:
         run = engine.round(
-            aptpg, table, rows, [0, len(rows)], b"\0", engine.ranks(cc),
+            aptpg, faults, rows, [0, len(rows)], b"\0", engine.ranks(cc),
             backtrack_limit, max_xor_polarity_bits,
         )
     except ShardFailure as failure:
         raise failure.error from None
     statuses = [STATUSES[code] for code in run.codes]
-    patterns = round_patterns(run, table.faults, rows, engine.compiled.n_inputs)
+    patterns = round_patterns(run, faults, rows, engine.compiled.n_inputs)
     return run, statuses, patterns
 
 

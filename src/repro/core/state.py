@@ -77,7 +77,8 @@ from ..kernel import check_fusion
 from ..kernel import native as _native
 from ..logic import seven_valued, three_valued
 from ..logic.words import mask_for
-from ..paths import PathDelayFault, Transition
+from ..paths import FaultTable, PathDelayFault, Transition
+from ..paths.fault import empty_path_error
 from ..paths.table import path_input_error
 from .backtrace import PiObjective, decide as _decide_python
 from .controllability import Controllability
@@ -234,6 +235,22 @@ def _check_signals(signals: Sequence[int], n: int) -> None:
         raise IndexError(f"signal {bad} outside [0, {n})")
 
 
+def _path_columns(faults: Sequence[PathDelayFault], n: int) -> Tuple[list, list, list]:
+    """The ids, row offsets and rising flags of *faults* as the lists a C
+    call reads (cffi copies them), checked like a table's rows:
+    :class:`IndexError` for an id outside ``[0, n)``, :class:`ValueError`
+    for an empty path."""
+    if not all(fault.signals for fault in faults):
+        raise empty_path_error()
+    flat = [s for fault in faults for s in fault.signals]
+    if flat:
+        _check_signals(flat, n)
+    offsets = [0]
+    for fault in faults:
+        offsets.append(offsets[-1] + len(fault.signals))
+    return flat, offsets, [fault.transition is Transition.RISING for fault in faults]
+
+
 def check_paths(circuit: Circuit, faults: Sequence[PathDelayFault]) -> None:
     """Refuse the faults no generator can take, before any state is built.
 
@@ -322,19 +339,9 @@ class TpgEngine:
             raise ValueError("an FPTPG batch needs at least one fault")
         if len(faults) > self.width:
             raise ValueError(f"{len(faults)} faults do not fit in {self.width} lanes")
-        flat = [s for fault in faults for s in fault.signals]
-        _check_signals(flat, self.compiled.n_signals)
-        offsets = [0]
-        for fault in faults:
-            offsets.append(offsets[-1] + len(fault.signals))
         c = self.c
         code = self.lib.repro_tpg_fptpg(
-            c,
-            flat,
-            offsets,
-            [fault.transition is Transition.RISING for fault in faults],
-            len(faults),
-            ranks,
+            c, *_path_columns(faults, self.compiled.n_signals), len(faults), ranks
         )
         if code < 0:
             raise MemoryError("cannot grow the native TPG scratch")
@@ -356,10 +363,13 @@ class TpgEngine:
 
         Shard *k* holds the faults at positions ``bounds[k]`` to
         ``bounds[k + 1] - 1`` of the round, fault *f* being row
-        ``rows[f]`` of *table* (a :class:`repro.paths.FaultTable`); a
-        shard with ``skip[k]`` set is passed over.  An FPTPG round runs
-        each shard as one batch on the engine reset to :attr:`width`:
-        every path's nonrobust sensitization, then :meth:`fptpg`'s loop.
+        ``rows[f]`` of *table*: a :class:`repro.paths.FaultTable`, or a
+        list of faults handed to C as lists (:func:`_path_columns`),
+        which for the few faults of a library runner's one-shard round
+        costs a fraction of building a table.  A shard with ``skip[k]``
+        set is passed over.  An FPTPG round runs each shard as one batch on the
+        engine reset to :attr:`width`: every path's nonrobust
+        sensitization, then :meth:`fptpg`'s loop.
         An APTPG round (*aptpg*) runs its one fault's whole APTPG, what
         :func:`repro.core.aptpg.run_aptpg` does from Python: the XOR
         sides from the fanin CSR; when there are 1 to
@@ -391,6 +401,10 @@ class TpgEngine:
             raise ValueError(
                 f"shard bounds {list(bounds)!r} do not cover {len(rows)} faults"
             )
+        if isinstance(table, FaultTable):
+            faults, columns = table.faults, self._columns(table)
+        else:
+            faults, columns = table, _path_columns(table, self.compiled.n_signals)
         ffi, c = self.ffi, self.c
         code = self.lib.repro_tpg_round(
             c,
@@ -399,7 +413,7 @@ class TpgEngine:
             max_xor_polarity_bits,
             backtrack_limit,
             ranks,
-            *self._columns(table),
+            *columns,
             rows,
             bounds,
             first,
@@ -420,7 +434,7 @@ class TpgEngine:
             error: Exception = MemoryError("cannot grow the native TPG scratch")
             if code == -4:
                 lane = 0 if aptpg else c.r_lane
-                signal = table.faults[rows[bounds[shard] + lane]].input_signal
+                signal = faults[rows[bounds[shard] + lane]].input_signal
                 name = self.compiled.circuit.signal_name(signal)
                 error = path_input_error(signal, name)
             raise ShardFailure(shard, error)

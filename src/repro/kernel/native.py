@@ -30,17 +30,17 @@ The module also holds the TPG implication engine: a
 :class:`repro.core.state.TpgState` of at most 64 lanes keeps its
 planes, worklist, trail and justification cache in one C
 ``repro_tpg`` (:func:`native_tpg_engine`), and ``assign``/``imply``/
-``rollback``, the unjustified scan, lane flattening, a path's
-nonrobust sensitization and the FPTPG/APTPG decision step (objective,
-lane group and SCOAP-ranked backtrace) are single calls.  So are the
-generation shards built on them: APTPG's checkpointed search on a
-sensitized state, a fault's whole nonrobust APTPG (XOR sides derived
-from the fanin CSR, the chunked polarity screen and every survivor's
-search, on one engine reset between states) and an FPTPG batch, and
-a campaign's whole generation round of them, each shard from an engine
-reset to the campaign width, so one engine runs round after round
-(:class:`repro.core.state.TpgEngine`).  Robust sensitization stays in
-Python.
+``rollback``, the unjustified scan, lane flattening and the
+FPTPG/APTPG decision step (objective, lane group and SCOAP-ranked
+backtrace) are single calls.  So are APTPG's checkpointed search and
+the FPTPG batch loop on a sensitized (robust) state, and a whole round
+of nonrobust generation shards: each an FPTPG batch or one fault's
+whole APTPG (XOR sides derived from the fanin CSR, the chunked
+polarity screen and every survivor's search), sensitized in C on an
+engine reset to the round's width, so one engine runs round after
+round (:class:`repro.core.state.TpgEngine`).  The library runners run
+a nonrobust fault or batch as a round of one shard.  Robust
+sensitization stays in Python.
 
 Three more entry points read Python objects for the row codec, with
 the GIL held: ``repro_pattern_planes`` (a list of

@@ -754,6 +754,42 @@ class TestRoundEdges:
         assert campaign.backlog and not campaign.fptpg_round(NoCalls())
         assert not campaign.aptpg_round(NoCalls())
 
+    def test_a_fault_list_runs_as_its_table(self, dag):
+        """Faults given as a list go to C as lists (a library runner's
+        one-shard round): the round their table runs, a failing shard
+        included, and refused before the call."""
+        faults = fault_list(dag, cap=24, strategy="all")
+        n = len(faults)
+        cases = [(False, faults, [*range(0, n, 8), n]), (True, faults, [*range(n + 1)])]
+        cases += [  # internal paths: a tested one's row read fails
+            (True, [PathDelayFault(fault.signals[1:], fault.transition)], [0, 1])
+            for fault in faults
+            if len(fault.signals) > 2
+        ]
+        failures = 0
+        for aptpg, batch, bounds in cases:
+            outcomes = []
+            for source in (FaultTable(dag.num_signals, batch), batch):
+                engine, ranks = round_engine(dag, 8)
+                rows, skip = list(range(len(batch))), bytes(len(bounds) - 1)
+                try:
+                    run = engine.round(aptpg, source, rows, bounds, skip, ranks, 64, 8)
+                except ShardFailure as failure:
+                    outcomes.append((failure.shard, str(failure.error)))
+                else:
+                    outcomes.append((run[:6], engine.last_search()))
+            assert outcomes[0] == outcomes[1]
+            failures += isinstance(outcomes[0][1], str)
+        assert failures
+        engine, ranks = round_engine(dag, 8)
+        rising = Transition.RISING
+        for bad, error in (
+            (PathDelayFault((0, dag.num_signals), rising), IndexError),
+            (forced_signals(PathDelayFault((0,), rising), ()), ValueError),
+        ):
+            with pytest.raises(error):
+                engine.round(True, [bad], [0], [0, 1], b"\0", ranks, 64, 8)
+
     @pytest.mark.parametrize("shards, width", [(3, 64), (2, 33)])
     def test_fresh_rows_spanning_words(self, shards, width):
         """shards x width > 64: an FPTPG round's fresh rows fill more

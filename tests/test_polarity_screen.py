@@ -13,7 +13,8 @@ each layer of that to its one-combination-at-a-time meaning:
   all combinations below does;
 * on the ``native/c`` engine, where a nonrobust fault's whole run, a
   search and an FPTPG batch are one C call each, every outcome equals
-  the Python loops' on the ``codegen`` and ``interp`` engines.
+  the Python loops' on the ``codegen`` and ``interp`` engines, on paths
+  off the circuit's structure too.
 """
 
 import contextlib
@@ -583,3 +584,49 @@ class TestNativeShardsMatchPython:
             assert got.decisions == want.decisions
             assert got.state.implication_passes == want.state.implication_passes
             assert got.state.planes == want.state.planes
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(st.data(), repeat_dags, test_classes, widths)
+    def test_paths_off_the_circuit_structure(self, data, circuit, test_class, width):
+        """The runners take any path that starts at a primary input, so
+        the C round sensitizes (and screens the XOR sides of) paths that
+        leave the fanout structure, as the Python sensitizer does."""
+        batch = [
+            PathDelayFault(draw_input_path(data, circuit), transition)
+            for transition in data.draw(
+                st.lists(st.sampled_from(list(Transition)), min_size=1,
+                         max_size=min(width, 6)),
+                label="launches",
+            )
+        ]
+        max_bits = data.draw(st.integers(0, MAX_SIDES), label="max_bits")
+        for fault in batch:
+            assert_aptpg_matches_python(
+                circuit, fault, test_class, width, max_xor_polarity_bits=max_bits
+            )
+        got = run_fptpg(circuit, batch, test_class, width)
+        assert got.state.tier == "native/c"
+        for fusion in ("auto", "interp"):
+            with python_tiers():
+                want = run_fptpg(circuit, batch, test_class, width, fusion=fusion)
+            assert want.state.tier != "native/c"
+            assert got.statuses == want.statuses
+            assert got.patterns == want.patterns
+            assert got.decisions == want.decisions
+            assert got.state.implication_passes == want.state.implication_passes
+            assert got.state.planes == want.state.planes
+
+
+def draw_input_path(data, circuit: Circuit) -> Tuple[int, ...]:
+    """A path from a primary input: a random fanout walk, or now and
+    then any signals after the input, off the circuit's structure."""
+    compiled = circuit.compiled()
+    path = [data.draw(st.sampled_from(compiled.py_inputs), label="input")]
+    if data.draw(st.integers(0, 2), label="off-structure") == 0:
+        signal = st.integers(0, circuit.num_signals - 1)
+        return tuple(path + data.draw(st.lists(signal, max_size=6), label="rest"))
+    while compiled.py_fanout[path[-1]] and data.draw(st.integers(0, 5)):
+        path.append(data.draw(st.sampled_from(compiled.py_fanout[path[-1]])))
+    return tuple(path)

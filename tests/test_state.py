@@ -700,7 +700,7 @@ class TestThreeValuedLoopMatchesPython:
 
 
 # ---------------------------------------------------------------------------
-# sensitization: the C call against the Python sensitizer list
+# sensitization: the Python sensitizer's list assigned on every engine
 # ---------------------------------------------------------------------------
 
 
@@ -731,9 +731,13 @@ def draw_path(data, circuit: Circuit) -> tuple:
 
 
 class TestSensitizeMatchesPython:
-    """``TpgState.sensitize`` on the C engine assigns what the Python
-    sensitizer's list assigns, in the same order, as the interp and
-    codegen engines apply it with ``assign``."""
+    """``TpgState.sensitize`` assigns the Python sensitizer's list on
+    every engine: on the C engine its ``assign`` calls leave the planes,
+    conflicts, trail and worklist, and the implication after them, as
+    the interp and codegen engines' do.  The C round sensitizes
+    nonrobust paths itself; ``TestNativeShardsMatchPython``
+    (``test_polarity_screen.py``) holds that to the Python loops, paths
+    off the circuit's structure included."""
 
     @needs_native
     @settings(max_examples=150, deadline=None)
